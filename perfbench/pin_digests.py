@@ -1,6 +1,6 @@
-"""Pin the SHA-256 of each workload's report for a range of seeds.
+"""Pin the SHA-256 of each workload's report for seeds 0-20.
 
-    python3 perfbench/pin_digests.py --seeds 0-20 [--workload NAME ...]
+    python3 perfbench/pin_digests.py
 
 Run from the repository root. It makes one cold pass per workload and seed
 with the current code and writes the report digests into digests.json, which
@@ -10,7 +10,6 @@ change the reports.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import shutil
@@ -19,35 +18,33 @@ from pathlib import Path
 
 import run
 
+SEEDS = range(0, 21)
+
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", default="0-20", help="inclusive range, e.g. 0-20")
-    parser.add_argument("--workload", action="append", choices=sorted(run.WORKLOADS))
-    args = parser.parse_args()
-    first, last = (int(x) for x in args.seeds.split("-"))
     root = Path.cwd()
     sys.path.insert(0, str(root / "src"))
     run.limit_blas_threads()
-    path = run.HERE / "digests.json"
-    pins = json.loads(path.read_text(encoding="utf-8"))
     work_root = root / ".perfbench_work" / f"pin-{os.getpid()}"
     os.environ["RISKRANK_CACHE_DIR"] = str(work_root / "default-cache")
-    for name in args.workload or list(run.WORKLOADS):
-        for seed in range(first, last + 1):
-            wl = run.make_workload(name, root, seed)
-            try:
-                run.set_up(wl, work_root, f"{name}-{seed}")
-                (op,) = [op for op in wl.run_pass("cold") if op.kind.endswith("_eval")]
-            finally:
-                wl.teardown()
-            if op.error is not None:
-                print(f"{name} seed {seed}: {op.error}", file=sys.stderr)
-                return 1
-            pins.setdefault(name, {})[str(seed)] = op.digest
-            print(name, seed, op.digest, flush=True)
-            path.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    shutil.rmtree(work_root, ignore_errors=True)
+    pins: dict[str, dict[str, str]] = {}
+    try:
+        for name in run.WORKLOADS:
+            for seed in SEEDS:
+                wl = run.make_workload(name, root, seed)
+                try:
+                    run.set_up(wl, work_root, f"{name}-{seed}")
+                    (op,) = [op for op in wl.run_pass("cold") if op.kind.endswith("_eval")]
+                finally:
+                    wl.teardown()
+                if op.error is not None:
+                    print(f"{name} seed {seed}: {op.error}", file=sys.stderr)
+                    return 1
+                pins.setdefault(name, {})[str(seed)] = op.digest
+                print(name, seed, op.digest, flush=True)
+    finally:
+        shutil.rmtree(work_root, ignore_errors=True)
+    (run.HERE / "digests.json").write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 
 

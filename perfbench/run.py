@@ -1,20 +1,25 @@
 """riskrank benchmark: one command per workload, run from the repository root.
 
-    python3 perfbench/run.py --workload eval_hybrid --seed 7 --seconds 10 --trace 0
+    python3 perfbench/run.py --workload eval_hybrid --seed 7 --seconds 40 --trace 0
 
-With ``--trace 0`` it sets the workload up several times (the median is
-``setup_s``), then makes cold and warm passes until ``--seconds`` have gone
-by, checks every report against its pinned SHA-256 and prints the
-end-to-end metrics. With ``--trace 1`` it makes a traced round of set-up plus
-passes between two untraced ones, and prints the per-layer metrics of the
-traced round and the tracing overhead. The last line of standard output is one JSON
-object: ``{"correct", "attempted", "failed", "metrics"}``. See README.md.
+With ``--trace 0`` it sets the workload up several times before and after
+its passes (the median is ``setup_s``). After one untimed warm-up round, it
+makes cold and warm passes until ``--seconds`` have gone by and each kind of
+pass has been made ``MIN_SAMPLES`` times, checks every report against its
+pinned SHA-256 and prints the end-to-end metrics, pass times scaled to a
+reference speed (see REF_S). With ``--trace 1`` it makes a traced round of
+set-up plus passes between two untraced ones, and prints the per-layer
+metrics of the traced round and the tracing overhead. The last line of
+standard output is one JSON object:
+``{"correct", "attempted", "failed", "metrics"}``. See README.md.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import platform
 import resource
@@ -26,32 +31,40 @@ import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+SPEC = HERE.parent / "BENCHMARK.json"
 
+# Corpus scale (clusters, pairs per cluster, vocabulary per cluster) and
+# retrieval mode of each workload; why each exists is stated in SPEC.
 WORKLOADS = {
     "eval_hybrid": {
-        "why": "hybrid run_eval over 5 000 items: exact dense search is ~96% of its time, "
-        "so any dense-search change shows here; per-cluster vocabularies keep BM25 cheap",
-        "scale": (50, 100, 50),
+        "scale": (30, 100, 50),
         "tiny": (5, 20, 50),
         "mode": "hybrid",
     },
-    "eval_lexical_shared": {
-        "why": "lexical run_eval over 5 000 items in 5 clusters: shared vocabularies make long "
-        "posting lists, isolating BM25; it never touches dense search or the embedder",
-        "scale": (5, 1000, 50),
-        "tiny": (2, 50, 50),
-        "mode": "lexical",
-    },
     "cli_remote_train_eval": {
-        "why": "riskrank train then eval in-process through the remote embedder and a fake "
-        "server: cold passes write the vector cache, warm passes only read it",
         "scale": (10, 100, 50),
         "tiny": (2, 20, 50),
         "mode": None,
     },
 }
 
+# Set-ups timed before the passes and again after them, so that setup_s,
+# the median of both groups, samples the host at both ends of the run.
 SETUP_REPEATS = 5
+# Every median a timed run reports rests on at least this many samples, so a
+# run goes on past --seconds until each kind of pass has been made this often.
+MIN_SAMPLES = 3
+
+# The cores of a shared host change speed: for ten seconds to over a minute
+# at a time, the same code runs up to ~1.9x slower, and no in-process
+# measure sees why. So every timed pass is preceded by REF_LOOPS runs of
+# fixed work (reference_loop), one more set follows the last pass, and each
+# pass time is scaled by REF_S / (mean reference time just before and just
+# after the pass): it is the time the pass would take at the speed at which
+# the reference takes REF_S. setup_s, which is mostly process start-up and
+# file I/O, is not scaled. Raw times are in info.
+REF_S = 0.04
+REF_LOOPS = 2
 
 # One BLAS thread: the client is one process on one core, and the other core
 # stays for the fake server. With two BLAS threads, a warm train pass on a
@@ -135,7 +148,7 @@ def environment(workload: str, seed: int) -> dict:
     return {
         "workload": workload,
         "seed": seed,
-        "why": WORKLOADS[workload]["why"],
+        "why": workload_why(workload),
         "nproc": os.cpu_count(),
         "cpu": cpu,
         "python": platform.python_version(),
@@ -163,6 +176,11 @@ def _blas_threads() -> int | str:
                 fn.restype = ctypes.c_int
                 return fn()
     return "unknown"
+
+
+def workload_why(workload: str) -> str:
+    spec = json.loads(SPEC.read_text(encoding="utf-8"))
+    return next(w["why"] for w in spec["workloads"] if w["name"] == workload)
 
 
 def pinned_digest(workload: str, seed: int) -> str | None:
@@ -202,34 +220,75 @@ def _median(values):
     return statistics.median(values) if values else 0.0
 
 
+@functools.cache
+def _reference_rows():
+    import numpy as np
+
+    rng = np.random.default_rng(0)
+    return rng.standard_normal((1000, 256)).astype(np.float32), rng.standard_normal(256)
+
+
+def reference_loop() -> float:
+    """Wall time of fixed work of the two kinds the host's slow spells slow
+    down unequally: a pure-Python loop of integer, float and dict work, and
+    a memory-bound pass that widens a 1000 x 256 float32 matrix, scales it,
+    lists its rows and sums each with math.fsum."""
+    matrix, weights = _reference_rows()
+    start = time.perf_counter()
+    total, table = 0, {}
+    for i in range(60_000):
+        total += i * i % 7
+        table[i % 5003] = table.get(i % 5003, 0.0) + i * 0.5
+    for row in (matrix.astype(weights.dtype) * weights).tolist():
+        math.fsum(row)
+    return time.perf_counter() - start
+
+
 def timed_run(wl, work_root: Path, seconds: float, expected: str | None):
     setups = []
-    for i in range(SETUP_REPEATS):
-        if i:
+
+    def time_set_ups() -> None:
+        for _ in range(SETUP_REPEATS):
             wl.teardown()
-        setups.append(set_up(wl, work_root, f"setup-{i}"))
+            setups.append(set_up(wl, work_root, f"setup-{len(setups)}"))
+
+    time_set_ups()
+    warm_up = [op for kind in wl.round_kinds for op in wl.run_pass(kind)]
     start = time.perf_counter()
-    passes = []
-    while not passes or time.perf_counter() - start < seconds:
+    passes, refs = [], []
+    while time.perf_counter() - start < seconds or any(
+        sum(k == kind for k, _ in passes) < MIN_SAMPLES for kind in wl.round_kinds
+    ):
         kind = wl.pass_kind(len(passes))
+        refs.append([reference_loop() for _ in range(REF_LOOPS)])
         passes.append((kind, wl.run_pass(kind)))
-    ops = [op for _, pass_ops in passes for op in pass_ops]
+    refs.append([reference_loop() for _ in range(REF_LOOPS)])
+    time_set_ups()
+    ops = warm_up + [op for _, pass_ops in passes for op in pass_ops]
     _check_digests(ops, expected)
 
-    cold = [sum(op.seconds for op in p) for kind, p in passes if kind == "cold"]
-    warm = [sum(op.seconds for op in p) for kind, p in passes if kind == "warm"]
-    steady = "warm" if warm else "cold"
-    evals = [op.seconds for kind, p in passes if kind == steady for op in p if op.kind.endswith("_eval")]
-    eval_s = _median(evals)
+    # Each pass is scaled by the reference times taken just before and just after it.
+    scales = [REF_S / statistics.fmean(before + after) for before, after in zip(refs, refs[1:])]
+    raw = {"cold": [], "warm": [], "eval": []}
+    scaled = {"cold": [], "warm": [], "eval": []}
+    steady = "warm" if "warm" in wl.round_kinds else "cold"
+    for scale, (kind, pass_ops) in zip(scales, passes):
+        times = [(kind, sum(op.seconds for op in pass_ops))]
+        if kind == steady:
+            times += [("eval", op.seconds) for op in pass_ops if op.kind.endswith("_eval")]
+        for key, seconds in times:
+            raw[key].append(seconds)
+            scaled[key].append(seconds * scale)
+    eval_s = _median(scaled["eval"])
     metrics = {
         "setup_s": _median(setups),
         "eval_s": eval_s,
         "queries_per_s": wl.queries / eval_s,
-        "cold_s": _median(cold),
-        "warm_s": _median(warm or cold),
+        "cold_s": _median(scaled["cold"]),
+        "warm_s": _median(scaled[steady]),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
-    info = {"cold_s": cold, "warm_s": warm, "eval_s": evals}
+    info = {"setup_s": setups, "raw_s": raw, "reference_s": refs, "scales": scales}
     return ops, metrics, [], info
 
 
@@ -288,10 +347,7 @@ def trace_run(wl, work_root: Path, expected: str | None):
     for kind, hits, misses, requests in checks:
         if kind == "warm" and (requests or misses or not hits):
             problems.append(f"warm pass: {requests} HTTP requests, {hits} cache hits, {misses} misses")
-    if wl.mode == "lexical":
-        if metrics["index.dense_calls"] or metrics["embedding.texts"]:
-            problems.append("lexical workload reached dense search or the embedder")
-    elif wl.mode is not None:
+    if wl.mode is not None:
         want = len(wl.round_kinds) * wl.queries * wl.items
         if metrics["index.dense_rows_scored"] != want:
             problems.append(f"index.dense_rows_scored {metrics['index.dense_rows_scored']} != {want}")

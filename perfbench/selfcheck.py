@@ -24,7 +24,7 @@ def main() -> int:
     sys.path.insert(0, str(root / "src"))
     run.limit_blas_threads()
     problems = []
-    spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    spec = json.loads(run.SPEC.read_text(encoding="utf-8"))
     for section, units in (("end_to_end", run.END_TO_END), ("per_layer", run.PER_LAYER)):
         listed = {m["name"]: m["unit"] for m in spec[section]}
         if listed != units:

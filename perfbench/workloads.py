@@ -30,7 +30,7 @@ K_LIST = (5, 10, 100)
 DIM = 256
 SPLIT_RATIO = 0.95
 API_KEY_ENV = "RISKRANK_BENCH_API_KEY"
-WARM_PER_COLD = 10
+WARM_PER_COLD = 15
 
 
 def sha256(data: bytes) -> str:
@@ -195,7 +195,8 @@ class CliWorkload:
 
     @staticmethod
     def pass_kind(i: int) -> str:
-        """Every eleventh pass is cold, so a run has more than one cold pass."""
+        """The first pass and every sixteenth after it are cold, the rest warm,
+        so a run has several cold passes spread over it."""
         return "cold" if i % (1 + WARM_PER_COLD) == 0 else "warm"
 
     def _new_cache(self) -> None:
