@@ -16,11 +16,12 @@ import logging
 from dataclasses import dataclass, asdict
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Mapping, Protocol, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .corpus import DatasetSplit, QAPair, build_qrels
+from .embedding import Embedder
 from .finetune import AdapterParams, apply_adapter
 from .index import (
     RankedList,
@@ -59,12 +60,6 @@ _RERANK_HOOKS: dict[str, RerankHook] = {}
 def register_rerank_hook(name: str, hook: RerankHook) -> None:
     """Make a re-ranking hook selectable by name in EvalConfig."""
     _RERANK_HOOKS[name] = hook
-
-
-class Embedder(Protocol):
-    dim: int
-
-    def embed(self, texts: list[str]) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,9 @@ File layout: magic bytes ``RKV1``, then the dimension as unsigned 32-bit
 little-endian, then ``dim`` IEEE-754 float32 little-endian values. Writes
 are atomic (temp file + rename), so concurrent writers of the same key are
 idempotent and readers never observe partial files.
+
+``cached_embed`` is the one cache-first loop: look each text up, fetch all
+misses with one call, store what was fetched.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import struct
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -24,6 +28,7 @@ __all__ = [
     "EmbeddingRecord",
     "CorruptCacheError",
     "VectorCache",
+    "cached_embed",
     "text_digest",
     "default_cache_dir",
 ]
@@ -113,3 +118,40 @@ class VectorCache:
             model_id=model_id,
             vector=vector,
         )
+
+
+def cached_embed(
+    cache: VectorCache,
+    key: Any,
+    texts: list[str],
+    fetch: Callable[[list[str]], Sequence[np.ndarray]],
+) -> tuple[np.ndarray, int]:
+    """Cache-first embedding: returns the ``(n, dim)`` float32 matrix and the hit count.
+
+    ``key`` is any object with ``provider_id``, ``model_id`` and ``dim``, such
+    as an embedder or a ProviderConfig. Every text is looked up under it;
+    ``fetch`` is called once, with all the misses in input order, and must
+    return one vector per miss. Fetched vectors are stored as they are, so
+    the cache holds what ``fetch`` makes. A cached vector of another
+    dimension raises CorruptCacheError.
+    """
+    digests = [text_digest(t) for t in texts]
+    out = np.zeros((len(texts), key.dim), dtype=np.float32)
+    misses: list[int] = []
+    for i, digest in enumerate(digests):
+        record = cache.get(digest, key.provider_id, key.model_id)
+        if record is None:
+            misses.append(i)
+        elif record.vector.shape[0] != key.dim:
+            raise CorruptCacheError(
+                f"cache file {cache.path_for(digest, key.provider_id, key.model_id)} "
+                f"holds dim {record.vector.shape[0]}, expected dim {key.dim}"
+            )
+        else:
+            out[i] = record.vector
+    if misses:
+        vectors = fetch([texts[i] for i in misses])
+        for i, vec in zip(misses, vectors):
+            cache.put(EmbeddingRecord(digests[i], key.provider_id, key.model_id, vec))
+            out[i] = vec
+    return out, len(texts) - len(misses)

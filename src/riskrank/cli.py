@@ -29,12 +29,12 @@ from .benchmark import (
     make_run_dir,
     run_eval,
 )
-from .cache import EmbeddingRecord, VectorCache, text_digest
+from .cache import VectorCache, cached_embed
 from .corpus import (
-    Document,
     chunk_document,
     load_documents,
     load_qa_pairs,
+    save_documents,
     save_qa_pairs,
     split_pairs,
     synth_dataset,
@@ -223,27 +223,6 @@ def _load_pairs_and_split(cfg: dict[str, Any], what: str):
     return pairs, split
 
 
-def _load_documents_any(path_str: str) -> list[Document]:
-    path = Path(path_str)
-    if path.is_dir() or path.suffix == ".txt":
-        return load_documents(path)
-    docs = []
-    with path.open("r", encoding="utf-8") as handle:
-        for line in handle:
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            docs.append(
-                Document(
-                    doc_id=record["doc_id"],
-                    title=record.get("title", record["doc_id"]),
-                    body=record["body"],
-                    source_meta=record.get("source_meta", {}),
-                )
-            )
-    return docs
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
@@ -268,20 +247,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         seed=int(cfg["seed"]),
     )
     save_qa_pairs(pairs, out_dir / "pairs.jsonl")
-    with (out_dir / "documents.jsonl").open("w", encoding="utf-8") as handle:
-        for doc in documents:
-            handle.write(
-                json.dumps(
-                    {
-                        "doc_id": doc.doc_id,
-                        "title": doc.title,
-                        "body": doc.body,
-                        "source_meta": doc.source_meta,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    save_documents(documents, out_dir / "documents.jsonl")
     print(f"wrote {len(pairs)} pairs and {len(documents)} documents to {out_dir}")
     return 0
 
@@ -298,20 +264,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         print(f"ingested {len(pairs)} pairs -> {out_dir / 'pairs.jsonl'}")
     if cfg.get("docs_dir"):
         documents = load_documents(cfg["docs_dir"])
-        with (out_dir / "documents.jsonl").open("w", encoding="utf-8") as handle:
-            for doc in documents:
-                handle.write(
-                    json.dumps(
-                        {
-                            "doc_id": doc.doc_id,
-                            "title": doc.title,
-                            "body": doc.body,
-                            "source_meta": doc.source_meta,
-                        },
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
+        save_documents(documents, out_dir / "documents.jsonl")
         print(f"ingested {len(documents)} documents -> {out_dir / 'documents.jsonl'}")
     return 0
 
@@ -325,7 +278,7 @@ def cmd_chunk(args: argparse.Namespace) -> int:
     if out.suffix != ".jsonl":
         out.mkdir(parents=True, exist_ok=True)
         out = out / "chunks.jsonl"
-    documents = _load_documents_any(docs_path)
+    documents = load_documents(docs_path)
     total = 0
     with out.open("w", encoding="utf-8") as handle:
         for doc in documents:
@@ -368,25 +321,8 @@ def cmd_embed(args: argparse.Namespace) -> int:
         print("nothing to embed")
         return 0
     embedder = _build_embedder(cfg)
-    if isinstance(embedder, RemoteEmbedder):
-        embedder.embed(texts)
-        print(f"embedded {len(texts)} texts via {embedder.provider_id}/{embedder.model_id}")
-        return 0
     cache = VectorCache(cfg.get("cache_dir"))
-    hits = 0
-    for text in texts:
-        digest = text_digest(text)
-        if cache.get(digest, embedder.provider_id, embedder.model_id) is not None:
-            hits += 1
-            continue
-        cache.put(
-            EmbeddingRecord(
-                text_digest=digest,
-                provider_id=embedder.provider_id,
-                model_id=embedder.model_id,
-                vector=embedder(text),
-            )
-        )
+    _, hits = cached_embed(cache, embedder, texts, embedder.fetch)
     print(
         f"embedded {len(texts)} texts ({hits} cache hits, {len(texts) - hits} new) "
         f"-> {cache.root}"
@@ -449,11 +385,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     adapter = None
     if cfg.get("adapter_dir"):
         adapter, _ = load_adapter(cfg["adapter_dir"])
-    label = cfg.get("system") or (
-        f"{embedder.provider_id}/{embedder.model_id}"
-        if hasattr(embedder, "provider_id")
-        else "embedder"
-    )
+    label = cfg.get("system") or f"{embedder.provider_id}/{embedder.model_id}"
     config = _eval_config_from(cfg, label)
     fingerprint = config.fingerprint()
     out_dir = Path(_require(cfg, "out_dir", "eval"))
@@ -496,7 +428,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             adapter, _ = load_adapter(system["adapter_dir"])
         config = _eval_config_from(cfg, name)
         reports[name] = run_eval(pairs, split, embedder, config, adapter=adapter)
-        dims[name] = int(system.get("dim", getattr(embedder, "dim", 0)))
+        dims[name] = int(system.get("dim", embedder.dim))
     table = compare_systems(reports, reference, dims)
     out_dir = Path(_require(cfg, "out_dir", "bench"))
     run_dir = make_run_dir(out_dir, shared_config.fingerprint())

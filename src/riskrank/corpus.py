@@ -5,7 +5,9 @@ File formats:
     plus optional ``pair_id`` and ``doc_id``; UTF-8.
   - QA CSV: header row with at least ``question,context``; optional
     ``pair_id`` and ``doc_id`` columns.
-  - Documents: plain-text files, one document per file, id = file stem.
+  - Documents: plain-text files, one document per file, id = file stem; or
+    documents JSONL, one object per line with ``doc_id``, ``title``,
+    ``body`` and ``source_meta``.
 
 Records without an explicit ``pair_id`` get the zero-padded 0-based record
 index (``"000042"``), so ids are stable across reloads of the same file.
@@ -17,7 +19,7 @@ import csv
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -32,6 +34,7 @@ __all__ = [
     "load_qa_pairs",
     "save_qa_pairs",
     "load_documents",
+    "save_documents",
     "chunk_document",
     "split_pairs",
     "build_qrels",
@@ -201,13 +204,24 @@ def save_qa_pairs(pairs: Iterable[QAPair], path: Path | str) -> None:
 
 
 def load_documents(source: Path | str | Sequence[Path | str]) -> list[Document]:
-    """Load plain-text documents: one per ``.txt`` file, doc_id = file stem.
+    """Load documents from plain-text files or from one documents JSONL file.
 
-    ``source`` may be a directory (scanned non-recursively, sorted by name)
-    or an explicit sequence of file paths.
+    ``source`` may be a directory (its ``.txt`` files, non-recursively,
+    sorted by name; doc_id = file stem), a ``.jsonl`` file as written by
+    ``save_documents`` (``title`` defaults to the doc_id and ``source_meta``
+    to empty), or an explicit sequence of text file paths.
     """
     if isinstance(source, (str, Path)):
         root = Path(source)
+        if root.suffix == ".jsonl":
+            with root.open("r", encoding="utf-8") as handle:
+                records = [json.loads(line) for line in handle if line.strip()]
+            return [
+                Document(
+                    r["doc_id"], r.get("title", r["doc_id"]), r["body"], r.get("source_meta", {})
+                )
+                for r in records
+            ]
         if root.is_dir():
             paths = sorted(root.glob("*.txt"))
         else:
@@ -226,6 +240,13 @@ def load_documents(source: Path | str | Sequence[Path | str]) -> list[Document]:
             )
         )
     return docs
+
+
+def save_documents(documents: Iterable[Document], path: Path | str) -> None:
+    """Write documents as JSONL, one object per line, readable by ``load_documents``."""
+    with Path(path).open("w", encoding="utf-8") as handle:
+        for doc in documents:
+            handle.write(json.dumps(asdict(doc), ensure_ascii=False) + "\n")
 
 
 def chunk_document(

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+from typing import Protocol
 
 import numpy as np
 
@@ -26,6 +27,7 @@ __all__ = [
     "cosine",
     "exact_dot",
     "exact_norm",
+    "Embedder",
     "HashEmbedder",
 ]
 
@@ -118,6 +120,15 @@ def hash_embed(tokens: list[str], dim: int, seed: int = 0) -> np.ndarray:
     return l2_normalize(counts)
 
 
+class Embedder(Protocol):
+    """What riskrank embeds text through: one batch call, one row per text."""
+
+    dim: int
+
+    def embed(self, texts: list[str]) -> np.ndarray:
+        """Embed ``texts`` into an ``(len(texts), dim)`` float32 matrix."""
+
+
 class HashEmbedder:
     """Deterministic local text embedder: ``tokenize`` then ``hash_embed``.
 
@@ -143,6 +154,9 @@ class HashEmbedder:
         for i, text in enumerate(texts):
             out[i] = self(text)
         return out
+
+    # The vector cache keeps hash vectors as embedded: fetching is embedding.
+    fetch = embed
 
     def __repr__(self) -> str:
         return f"HashEmbedder(dim={self.dim}, seed={self.seed})"

@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .corpus import QAPair
+from .embedding import Embedder
 
 __all__ = [
     "AdapterParams",
@@ -265,36 +266,32 @@ EpochCallback = Callable[[int, AdapterParams], None]
 
 def train_adapter(
     pairs: Sequence[QAPair],
-    base_embed: Callable[[str], np.ndarray],
+    base_embed: Embedder,
     config: TrainingConfig,
     epoch_callback: EpochCallback | None = None,
 ) -> tuple[AdapterParams, LossReport]:
     """Gradient-descent training of a linear adapter on question-context pairs.
 
-    The weight starts at identity, so the epoch-0 model equals the base
-    model; each epoch reshuffles with the seeded generator; a final short
-    batch is kept only if it still contains a negative (size >= 2). The run
-    is deterministic under (pairs, embedder, config). ``epoch_callback``
-    receives a snapshot of the parameters after every epoch, e.g. to record
-    per-epoch retrieval quality on a held-out set.
+    Base embeddings come from two batch calls, ``base_embed.embed`` of all
+    questions and of all contexts; a pair either of which embeds to zero is
+    rejected by id. The weight starts at identity, so the epoch-0 model
+    equals the base model; each epoch reshuffles with the seeded generator;
+    a final short batch is kept only if it still contains a negative
+    (size >= 2). The run is deterministic under (pairs, embedder, config).
+    ``epoch_callback`` receives a snapshot of the parameters after every
+    epoch, e.g. to record per-epoch retrieval quality on a held-out set.
     """
     if len(pairs) < config.batch_size:
         raise ValueError(
             f"need at least batch_size={config.batch_size} pairs, got {len(pairs)}"
         )
-    question_rows = []
-    context_rows = []
-    for pair in pairs:
-        q = np.asarray(base_embed(pair.question), dtype=np.float64)
-        p = np.asarray(base_embed(pair.context), dtype=np.float64)
+    questions = np.asarray(base_embed.embed([p.question for p in pairs]), dtype=np.float64)
+    contexts = np.asarray(base_embed.embed([p.context for p in pairs]), dtype=np.float64)
+    for pair, q, p in zip(pairs, questions, contexts):
         if not q.any():
             raise ValueError(f"pair {pair.pair_id}: base embedding of question is all-zero")
         if not p.any():
             raise ValueError(f"pair {pair.pair_id}: base embedding of context is all-zero")
-        question_rows.append(q)
-        context_rows.append(p)
-    questions = np.stack(question_rows)
-    contexts = np.stack(context_rows)
     dim = questions.shape[1]
 
     adapter = AdapterParams.identity(dim, use_bias=config.use_bias)

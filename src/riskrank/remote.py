@@ -5,10 +5,12 @@ Wire format: ``POST {base_url}/embeddings`` with JSON body
 ``Authorization: Bearer <key>``; the response is
 ``{"data": [{"index": i, "embedding": [floats]}, ...]}``.
 
-Texts already present in the vector cache are served locally; misses are
-sent in batches of at most ``max_batch``, written to the cache, and merged
-back in input order. Batches may be issued concurrently; ordering is
-restored by position, never by arrival.
+``remote_embed`` goes through ``cache.cached_embed``: texts already in the
+vector cache are served locally, and all misses go to one fetch that sends
+them in batches of at most ``max_batch`` texts per request. Batches may be
+issued concurrently; ordering is restored by position, never by arrival.
+The cache keeps the raw provider vectors; normalization is applied on the
+way out. The API key is read only when some text misses the cache.
 """
 
 from __future__ import annotations
@@ -17,11 +19,12 @@ import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import requests
 
-from .cache import EmbeddingRecord, VectorCache, text_digest
+from .cache import VectorCache, cached_embed
 from .embedding import l2_normalize
 
 __all__ = ["ProviderConfig", "RemoteEmbedError", "remote_embed", "RemoteEmbedder"]
@@ -110,8 +113,34 @@ def _fetch_batch(config: ProviderConfig, key: str, batch: list[str]) -> list[np.
                 f"got {vec.shape}",
                 retryable=False,
             )
+        if not np.all(np.isfinite(vec)):
+            raise RemoteEmbedError(
+                f"provider {config.provider_id} ({config.model_id}): "
+                f"non-finite vector for input {i} of a batch of {len(batch)}",
+                retryable=False,
+            )
         vectors.append(vec)
     return vectors
+
+
+def _fetch_all(config: ProviderConfig, texts: list[str], jobs: int) -> list[np.ndarray]:
+    """Raw provider vectors for ``texts``, in order, ``max_batch`` texts per request."""
+    key = _api_key(config)
+    batches = [
+        texts[start : start + config.max_batch]
+        for start in range(0, len(texts), config.max_batch)
+    ]
+    logger.info(
+        "remote_embed: %d cache misses, %d batches to %s",
+        len(texts), len(batches), config.provider_id,
+    )
+    run = partial(_fetch_batch, config, key)
+    if jobs > 1 and len(batches) > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(run, batches))
+    else:
+        results = [run(batch) for batch in batches]
+    return [vec for vectors in results for vec in vectors]
 
 
 def remote_embed(
@@ -130,61 +159,16 @@ def remote_embed(
     """
     if not texts:
         raise ValueError("texts must be nonempty")
-    digests = [text_digest(t) for t in texts]
-    out: list[np.ndarray | None] = [None] * len(texts)
-    misses: list[int] = []
-    for i, digest in enumerate(digests):
-        record = cache.get(digest, config.provider_id, config.model_id)
-        if record is not None:
-            if record.vector.shape[0] != config.dim:
-                raise RemoteEmbedError(
-                    f"cached vector for {digest[:12]} has dim "
-                    f"{record.vector.shape[0]}, config says {config.dim}",
-                    retryable=False,
-                )
-            out[i] = record.vector
-        else:
-            misses.append(i)
-
-    if misses:
-        key = _api_key(config)
-        batches = [
-            misses[start : start + config.max_batch]
-            for start in range(0, len(misses), config.max_batch)
-        ]
-        logger.info(
-            "remote_embed: %d/%d cache hits, %d batches to %s",
-            len(texts) - len(misses), len(texts), len(batches), config.provider_id,
-        )
-
-        def run(batch_positions: list[int]) -> list[np.ndarray]:
-            return _fetch_batch(config, key, [texts[i] for i in batch_positions])
-
-        if jobs > 1 and len(batches) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(run, batches))
-        else:
-            results = [run(batch) for batch in batches]
-        for batch_positions, vectors in zip(batches, results):
-            for i, vec in zip(batch_positions, vectors):
-                cache.put(
-                    EmbeddingRecord(
-                        text_digest=digests[i],
-                        provider_id=config.provider_id,
-                        model_id=config.model_id,
-                        vector=vec,
-                    )
-                )
-                out[i] = vec
-
-    matrix = np.stack([v for v in out])  # type: ignore[arg-type]
+    matrix, _ = cached_embed(
+        cache, config, texts, lambda misses: _fetch_all(config, misses, jobs)
+    )
     if normalize:
         matrix = np.stack([l2_normalize(row) for row in matrix])
     return matrix
 
 
 class RemoteEmbedder:
-    """Callable wrapper over ``remote_embed`` with a fixed config and cache."""
+    """Batch embedder over ``remote_embed`` with a fixed config and cache."""
 
     def __init__(
         self,
@@ -216,5 +200,6 @@ class RemoteEmbedder:
             self.config, texts, self.cache, jobs=self.jobs, normalize=self.normalize
         )
 
-    def __call__(self, text: str) -> np.ndarray:
-        return self.embed([text])[0]
+    def fetch(self, texts: list[str]) -> list[np.ndarray]:
+        """Raw provider vectors for ``texts``, bypassing the cache."""
+        return _fetch_all(self.config, texts, self.jobs)

@@ -16,7 +16,8 @@ class _EmbeddingHandler(BaseHTTPRequestHandler):
     """Minimal embeddings endpoint; the model id selects the behavior.
 
     ``ok-<dim>`` answers correctly, ``wrong-dim`` answers with 4-dim vectors,
-    ``partial`` drops the last entry, and ``boom`` returns HTTP 500.
+    ``partial`` drops the last entry, ``nan`` puts a NaN in the last vector,
+    and ``boom`` returns HTTP 500.
     """
 
     def do_POST(self):  # noqa: N802  (http.server API)
@@ -41,8 +42,6 @@ class _EmbeddingHandler(BaseHTTPRequestHandler):
             dim = 4
         elif model.startswith("ok-"):
             dim = int(model.split("-")[1])
-        elif model == "partial":
-            dim = 8
         else:
             dim = 8
         data = [
@@ -51,6 +50,8 @@ class _EmbeddingHandler(BaseHTTPRequestHandler):
         ]
         if model == "partial" and data:
             data = data[:-1]
+        if model == "nan" and data:
+            data[-1]["embedding"][0] = float("nan")
         payload = json.dumps({"data": data}).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")

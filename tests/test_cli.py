@@ -150,16 +150,28 @@ class TestIngestChunkEmbedIndex:
         assert len(lines) == 6
         assert lines[0]["chunk_id"] == "a::c0000"
 
-    def test_embed_populates_cache(self, workspace, capsys):
+    @pytest.mark.parametrize("kind", ["hash", "remote"])
+    def test_embed_populates_cache(
+        self, workspace, capsys, kind, embedding_server, monkeypatch
+    ):
         tmp_path, data_dir, config = workspace
+        if kind == "remote":
+            monkeypatch.setenv("RISKRANK_TEST_API_KEY", "sekret")
+            config["embedder"] = {
+                "kind": "remote", "provider_id": "testprov", "model_id": "ok-64",
+                "base_url": embedding_server.base_url,
+                "api_key_env": "RISKRANK_TEST_API_KEY", "dim": 64,
+            }
         cfg = write_config(tmp_path / "cfg.json", config)
         assert main(["embed", "-c", cfg, "--input", str(data_dir / "pairs.jsonl")]) == 0
         out = capsys.readouterr().out
-        assert "embedded" in out
+        assert "embedded 90 texts (0 cache hits, 90 new)" in out
         assert (tmp_path / "cache").is_dir()
         # second run: everything cached
+        embedding_server.reset()
         assert main(["embed", "-c", cfg, "--input", str(data_dir / "pairs.jsonl")]) == 0
         assert "90 cache hits" in capsys.readouterr().out
+        assert embedding_server.requests == []
 
     def test_index_builds_directory(self, workspace):
         tmp_path, data_dir, config = workspace

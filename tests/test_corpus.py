@@ -12,6 +12,7 @@ from riskrank.corpus import (
     chunk_document,
     load_documents,
     load_qa_pairs,
+    save_documents,
     save_qa_pairs,
     split_pairs,
     synth_dataset,
@@ -130,6 +131,22 @@ class TestDocuments:
         docs = load_documents(tmp_path)
         assert [d.doc_id for d in docs] == ["a", "b"]
         assert docs[0].body == "first doc body"
+
+    def test_jsonl_round_trip(self, tmp_path):
+        docs = [
+            Document("d1", "Capital", "Tier 1 capital ratio", {"source": "regs"}),
+            Document("d2", "Liquidité", "coverage ratio ≥ 100%"),
+        ]
+        path = tmp_path / "documents.jsonl"
+        save_documents(docs, path)
+        assert load_documents(path) == docs
+        first = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
+        assert list(first) == ["doc_id", "title", "body", "source_meta"]
+
+    def test_jsonl_defaults_title_and_meta(self, tmp_path):
+        path = tmp_path / "documents.jsonl"
+        write_jsonl(path, [{"doc_id": "d1", "body": "stress testing"}])
+        assert load_documents(path) == [Document("d1", "d1", "stress testing")]
 
     def test_empty_body_rejected(self):
         with pytest.raises(ValueError, match="body"):

@@ -1,10 +1,14 @@
 """Remote embedding client against a live local HTTP server."""
 
+import math
+
 import numpy as np
 import pytest
 
-from riskrank.cache import VectorCache
+from riskrank.cache import CorruptCacheError, EmbeddingRecord, VectorCache, text_digest
+from riskrank.corpus import QAPair
 from riskrank.embedding import l2_normalize
+from riskrank.finetune import TrainingConfig, train_adapter
 from riskrank.remote import ProviderConfig, RemoteEmbedder, RemoteEmbedError, remote_embed
 
 from conftest import server_vector
@@ -53,6 +57,31 @@ def test_warm_cache_makes_no_requests(embedding_server, tmp_path):
     assert np.array_equal(first, second)
 
 
+def test_warm_cache_needs_no_api_key(embedding_server, tmp_path, monkeypatch):
+    config = make_config(embedding_server)
+    cache = VectorCache(tmp_path)
+    first = remote_embed(config, ["alpha", "beta"], cache)
+    embedding_server.reset()
+    monkeypatch.delenv("RISKRANK_TEST_API_KEY")
+    second = remote_embed(config, ["beta", "alpha"], cache)
+    assert embedding_server.requests == []
+    assert np.array_equal(second, first[::-1])
+
+
+def test_cached_vector_of_wrong_dim_is_corruption(embedding_server, tmp_path):
+    config = make_config(embedding_server, dim=8)
+    cache = VectorCache(tmp_path)
+    path = cache.put(
+        EmbeddingRecord(text_digest("alpha"), "testprov", "ok-8", np.ones(4, dtype=np.float32))
+    )
+    with pytest.raises(CorruptCacheError) as excinfo:
+        remote_embed(config, ["alpha"], cache)
+    message = str(excinfo.value)
+    assert str(path) in message
+    assert "dim 4" in message and "dim 8" in message
+    assert embedding_server.requests == []
+
+
 def test_partial_cache_only_fetches_misses(embedding_server, tmp_path):
     config = make_config(embedding_server, max_batch=50)
     cache = VectorCache(tmp_path)
@@ -96,6 +125,16 @@ def test_partial_response_is_hard_error(embedding_server, tmp_path):
     with pytest.raises(RemoteEmbedError) as excinfo:
         remote_embed(config, ["alpha", "beta"], VectorCache(tmp_path))
     assert not excinfo.value.retryable
+
+
+def test_non_finite_vector_is_hard_error(embedding_server, tmp_path):
+    config = make_config(embedding_server, model="nan")
+    cache = VectorCache(tmp_path)
+    with pytest.raises(RemoteEmbedError) as excinfo:
+        remote_embed(config, ["alpha", "beta"], cache)
+    assert not excinfo.value.retryable
+    assert "testprov" in str(excinfo.value)
+    assert not list(tmp_path.rglob("*.vec"))
 
 
 def test_http_failure_is_retryable(embedding_server, tmp_path):
@@ -146,7 +185,22 @@ def test_embedder_wrapper(embedding_server, tmp_path):
         make_config(embedding_server), VectorCache(tmp_path), normalize=False
     )
     assert embedder.dim == 8
-    single = embedder("alpha")
-    assert np.allclose(single, server_vector("alpha", 8))
     matrix = embedder.embed(["alpha", "beta"])
     assert matrix.shape == (2, 8)
+    assert np.allclose(matrix[0], server_vector("alpha", 8))
+    assert np.allclose(matrix[1], server_vector("beta", 8))
+
+
+@pytest.mark.parametrize("n_pairs,max_batch", [(10, 4), (9, 3)])
+def test_train_adapter_batches_requests(embedding_server, tmp_path, n_pairs, max_batch):
+    pairs = [QAPair(f"p{i}", f"question {i}", f"context {i}") for i in range(n_pairs)]
+    embedder = RemoteEmbedder(
+        make_config(embedding_server, max_batch=max_batch), VectorCache(tmp_path)
+    )
+    config = TrainingConfig(batch_size=3, epochs=2, learning_rate=0.05, scale=4.0, seed=1)
+    cold, _ = train_adapter(pairs, embedder, config)
+    assert len(embedding_server.requests) == 2 * math.ceil(n_pairs / max_batch)
+    embedding_server.reset()
+    warm, _ = train_adapter(pairs, embedder, config)
+    assert embedding_server.requests == []
+    assert warm.weight.tobytes() == cold.weight.tobytes()
