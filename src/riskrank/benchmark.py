@@ -28,7 +28,7 @@ from .index import (
     RerankHook,
     build_dense_index,
     build_lexical_index,
-    dense_search,
+    dense_search_many,
     lexical_search,
     rerank,
     rrf_fuse,
@@ -144,8 +144,7 @@ def run_eval(
     need_dense = config.retrieval_mode in ("dense", "hybrid")
     need_lexical = config.retrieval_mode in ("lexical", "hybrid")
 
-    dense_index = None
-    query_matrix = None
+    dense_run: list[RankedList] = []
     if need_dense:
         context_matrix = embedder.embed([p.context for p in pool])
         if context_matrix.shape[0] != len(pool):
@@ -158,8 +157,12 @@ def run_eval(
                 f"embedder returned {query_matrix.shape[0]} vectors for "
                 f"{len(split.test)} questions"
             )
-        dense_index = build_dense_index(pool_ids, _adapted(adapter, context_matrix))
-        query_matrix = _adapted(adapter, query_matrix)
+        dense_run = dense_search_many(
+            build_dense_index(pool_ids, _adapted(adapter, context_matrix)),
+            _adapted(adapter, query_matrix),
+            depth,
+            [p.pair_id for p in split.test],
+        )
     lexical_index = None
     if need_lexical:
         lexical_index = build_lexical_index(pool_ids, [p.context for p in pool])
@@ -168,9 +171,7 @@ def run_eval(
     for position, pair in enumerate(split.test):
         lists = []
         if need_dense:
-            lists.append(
-                dense_search(dense_index, query_matrix[position], depth, pair.pair_id)
-            )
+            lists.append(dense_run[position])
         if need_lexical:
             lists.append(
                 lexical_search(lexical_index, pair.question, depth, pair.pair_id)

@@ -4,6 +4,12 @@ All rankings are deterministic total orders: scores sort descending and
 ties break by ascending item id. Dense scores are exactly-rounded float64
 dot products of unit vectors (see ``riskrank.embedding``), so a full-scan
 re-implementation of the same arithmetic reproduces them bit-for-bit.
+Dense search gets there by filter-then-verify: one float64 matmul per
+block of queries gives approximate scores, a rigorous forward-error bound
+keeps every row that could reach the top k (the whole band of ties at the
+k-th score included), and only those rows are scored exactly. BM25 search
+accumulates scores term at a time over the postings, adding each item's
+term weights in the same order as ``bm25_score``.
 
 Persistence writes a directory with ``meta.json`` (counts, dimension, BM25
 parameters, item ids), ``vectors.bin`` (magic ``RKV1`` + u32 little-endian
@@ -35,6 +41,7 @@ __all__ = [
     "validate_ranked_list",
     "build_dense_index",
     "dense_search",
+    "dense_search_many",
     "build_lexical_index",
     "bm25_term_weight",
     "bm25_score",
@@ -51,6 +58,10 @@ DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
 DEFAULT_RRF_K = 60
 DEFAULT_RRF_DEPTH = 100
+
+# Queries per dense-search block: a block's approximate scores, queries
+# times index rows, stay near this many float64 values.
+_BLOCK_ITEMS = 50_000
 
 
 @dataclass(frozen=True)
@@ -131,9 +142,9 @@ def build_dense_index(
 ) -> DenseIndex:
     """Normalize and stack vectors into a searchable index.
 
-    ``dim`` is only needed for an empty index. Duplicate ids and dimension
-    mismatches raise ValueError. All-zero vectors are kept as zero rows and
-    score 0 against every query.
+    ``dim`` is only needed for an empty index. Duplicate ids, dimension
+    mismatches and vectors holding NaN or Inf raise ValueError. All-zero
+    vectors are kept as zero rows and score 0 against every query.
     """
     rows = [np.asarray(v, dtype=np.float64) for v in vectors]
     if len(ids) != len(rows):
@@ -149,7 +160,9 @@ def build_dense_index(
     elif dim is None:
         dim = 0
     matrix = np.zeros((len(rows), dim), dtype=np.float32)
-    for i, row in enumerate(rows):
+    for i, (item_id, row) in enumerate(zip(ids, rows)):
+        if not np.isfinite(row).all():
+            raise ValueError(f"vector for item {item_id!r} has non-finite values")
         norm = exact_norm(row)
         matrix[i] = (row / norm if norm != 0.0 else row).astype(np.float32)
     return DenseIndex(item_ids=tuple(ids), matrix=matrix, dim=dim)
@@ -165,23 +178,94 @@ def dense_search(
 
     The query is normalized in float64 (a zero query scores 0 everywhere);
     each item's score is the exactly-rounded dot product with its stored
-    unit row. Fewer than k items means all items are returned.
+    row. Fewer than k items means all items are returned. A query holding
+    NaN or Inf raises ValueError naming ``query_id``.
+
+    Only rows that can reach the top k are scored exactly: an approximate
+    score from BLAS plus a rigorous bound on its error rules the others
+    out, so hits, scores and order are those of a full exact scan.
     """
+    q = np.asarray(query_vec, dtype=np.float64)
+    if index.count and q.shape != (index.dim,):
+        raise ValueError(f"query has shape {q.shape}, index dim is {index.dim}")
+    return _dense_topk(index, q.reshape(1, -1), k, [query_id])[0]
+
+
+def dense_search_many(
+    index: DenseIndex,
+    queries: Sequence[np.ndarray] | np.ndarray,
+    k: int,
+    query_ids: Sequence[str],
+) -> list[RankedList]:
+    """``dense_search`` for each row of ``queries``, with ids ``query_ids``."""
+    q = np.asarray(queries, dtype=np.float64)
+    if len(q) != len(query_ids):
+        raise ValueError(f"got {len(q)} queries but {len(query_ids)} query ids")
+    if index.count and len(q) and q.shape[1:] != (index.dim,):
+        raise ValueError(f"queries have shape {q.shape}, index dim is {index.dim}")
+    return _dense_topk(index, q, k, query_ids)
+
+
+# Filter-then-verify.  For an index row x (float32, widened exactly) and a
+# query q as normalized (float64), s is the exactly rounded sum of the
+# float64 products x_j*q_j and a is the same dot product from BLAS.  With
+# u = 2^-53, gamma_m = m*u/(1 - m*u) and A = sum|x_j*q_j|: in any summation
+# order, with or without FMA, a is within gamma_d*A of the real dot product
+# (Higham, "Accuracy and Stability of Numerical Algorithms", ch. 3) and s
+# within u(2+u)*A of it (one rounding per product, one for the sum);
+# products that underflow add at most (2d+1)*2^-1074 in all.  A <= L*|q|_inf
+# with L the largest row 1-norm, so for every row
+#   |a - s| <= e = gamma_{d+2}*L*|q|_inf + (2d+1)*2^-1074.
+# The computed E = max(16(d+2)u*L*|q|_inf, 2^-1000) is at least
+# max(15*gamma_{d+2}*L*|q|_inf, 2^-1000) for d < 2^40, after the roundings
+# of L (a sum of non-negative terms, low by at most a factor 1 - gamma_d)
+# and of E itself.  Let t be the k-th largest a.  As |t| < 2L*|q|_inf +
+# 2^-1000, the rounding of t - 2E, at most u*(|t| + 2E), still leaves
+# fl(t - 2E) <= t - 2e.  Each of the k rows with a >= t has s >= t - e; a
+# row with a < fl(t - 2E) has s < t - e, so it loses to all k of them, ties
+# included, and cannot reach the top k.  Ranking the kept rows by exact
+# score thus gives the full scan's hits, scores and order bit for bit.  The
+# bound needs finite inputs, hence the checks.
+def _dense_topk(
+    index: DenseIndex,
+    queries: np.ndarray,
+    k: int,
+    query_ids: Sequence[str],
+) -> list[RankedList]:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if index.count == 0:
-        return RankedList(query_id=query_id, hits=())
-    q = np.asarray(query_vec, dtype=np.float64)
-    if q.shape != (index.dim,):
-        raise ValueError(f"query has shape {q.shape}, index dim is {index.dim}")
-    norm = exact_norm(q)
-    if norm != 0.0:
-        q = q / norm
-    products = index.matrix.astype(np.float64) * q
-    scores = [math.fsum(row) for row in products.tolist()]
-    return ranked_list_from_scores(
-        query_id, zip(index.item_ids, scores), k=k
-    )
+    for query_id, q in zip(query_ids, queries):
+        if not np.isfinite(q).all():
+            raise ValueError(f"query {query_id!r} has non-finite values")
+    n = index.count
+    if n == 0:
+        return [RankedList(query_id=query_id, hits=()) for query_id in query_ids]
+    rows = index.matrix.astype(np.float64)
+    row_l1 = np.abs(rows).sum(axis=1)
+    if not np.isfinite(row_l1).all():
+        bad = int(np.flatnonzero(~np.isfinite(row_l1))[0])
+        raise ValueError(f"index row of item {index.item_ids[bad]!r} has non-finite values")
+    norms = np.array([exact_norm(q) for q in queries])
+    unit = queries / np.where(norms != 0.0, norms, 1.0)[:, None]
+    error_scale = (rows.shape[1] + 2) * 2.0**-49 * float(row_l1.max())
+    kth = max(n - k, 0)
+    block = max(1, _BLOCK_ITEMS // n)
+    results = []
+    for start in range(0, len(unit), block):
+        chunk = unit[start:start + block]
+        approx = chunk @ rows.T
+        threshold = np.partition(approx, kth, axis=1)[:, kth]
+        error = np.maximum(
+            error_scale * np.abs(chunk).max(axis=1, initial=0.0), 2.0**-1000
+        )
+        keep = approx >= (threshold - 2.0 * error)[:, None]
+        for query_id, q, mask in zip(query_ids[start:start + block], chunk, keep):
+            kept = np.flatnonzero(mask)
+            scores = [math.fsum(row) for row in (rows[kept] * q).tolist()]
+            results.append(ranked_list_from_scores(
+                query_id, zip([index.item_ids[i] for i in kept.tolist()], scores), k=k
+            ))
+    return results
 
 
 @dataclass(frozen=True)
@@ -275,19 +359,26 @@ def lexical_search(
     k: int,
     query_id: str = "",
 ) -> RankedList:
-    """Top-k items by BM25 for the tokenized query; zero scorers are dropped."""
+    """Top-k items by BM25 for the tokenized query; zero scorers are dropped.
+
+    One pass over the query terms' postings, terms in sorted order: each
+    item's sum starts at 0.0 and adds the same weights in the same order as
+    ``bm25_score``, so the scores are equal bit for bit.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    terms = tokenize(query_text)
-    candidates: set[str] = set()
-    for term in set(terms):
-        candidates.update(item_id for item_id, _ in index.postings.get(term, ()))
-    scored = [
-        (item_id, bm25_score(index, terms, item_id))
-        for item_id in sorted(candidates)
-    ]
+    scores: dict[str, float] = {}
+    for term in sorted(set(tokenize(query_text))):
+        entries = index.postings.get(term, ())
+        for item_id, tf in entries:
+            if item_id not in index.doc_len:
+                raise ValueError(f"unknown item id {item_id!r}")
+            scores[item_id] = scores.get(item_id, 0.0) + bm25_term_weight(
+                tf, len(entries), index.doc_len[item_id], index.avgdl,
+                index.count, index.k1, index.b,
+            )
     return ranked_list_from_scores(
-        query_id, [(i, s) for i, s in scored if s > 0.0], k=k
+        query_id, [(i, s) for i, s in scores.items() if s > 0.0], k=k
     )
 
 

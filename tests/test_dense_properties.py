@@ -1,0 +1,163 @@
+"""Property tests: the filtered dense top-k against full-scan oracles.
+
+The cases are built to sit where a filter on approximate scores could go
+wrong: exact duplicates and rows one float32 ulp apart planted at the k-th
+score, zero rows, zero queries, k above the item count, empty indexes, and
+rows of any length and magnitude stored directly in a ``DenseIndex``.
+"""
+
+import itertools
+import math
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from riskrank.index import DenseIndex, build_dense_index, dense_search, dense_search_many
+
+from reference import brute_force_dense, fraction_dot
+
+PROPERTY_SETTINGS = settings(
+    max_examples=200,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def exact_scan(ids, rows, query, k):
+    """Rank stored rows as they are (no renormalization) by exact score."""
+    q64 = np.asarray(query, dtype=np.float64)
+    qnorm = math.sqrt(math.fsum((q64 * q64).tolist()))
+    qn = q64 / qnorm if qnorm != 0.0 else q64
+    scored = [(item_id, fraction_dot(row, qn)) for item_id, row in zip(ids, rows)]
+    scored.sort(key=lambda pair: pair[0])
+    scored.sort(key=lambda pair: pair[1], reverse=True)
+    return scored[:k]
+
+
+def hits(ranking):
+    return [(h.item_id, h.score) for h in ranking.hits]
+
+
+def plant_near_ties(draw, rows, query, k):
+    """Copy the k-th ranked row over others: exactly, one float32 ulp off,
+    or with its components permuted (an exact tie under a constant query
+    that BLAS may sum in a different order)."""
+    n = len(rows)
+    if n < 2:
+        return rows
+    rows = rows.copy()
+    order = [i for _, i in sorted((-fraction_dot(r, query), i) for i, r in enumerate(rows))]
+    anchor = rows[order[min(k, n) - 1]].copy()
+    targets = draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
+    for target in targets:
+        copy = anchor.copy()
+        variant = draw(st.sampled_from(["copy", "ulp", "permuted"]))
+        if variant == "ulp":
+            j = draw(st.integers(0, len(copy) - 1))
+            toward = np.float32(np.inf) if draw(st.booleans()) else np.float32(-np.inf)
+            copy[j] = np.nextafter(copy[j], toward)
+        elif variant == "permuted":
+            copy = copy[draw(st.permutations(range(len(copy))))]
+        rows[target] = copy
+    for target in draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True)):
+        rows[target] = 0.0
+    return rows
+
+
+@st.composite
+def dense_cases(draw, elements):
+    dim = draw(st.integers(1, 8))
+    n = draw(st.integers(0, 24))
+    n_queries = draw(st.integers(1, 4))
+    rows = draw(arrays(np.float32, (n, dim), elements=elements))
+    queries = draw(arrays(np.float64, (n_queries, dim), elements=st.floats(-2, 2, width=32)))
+    first = draw(st.sampled_from(["as drawn", "zero", "constant"]))
+    if first == "zero":
+        queries[0] = 0.0
+    elif first == "constant":
+        queries[0] = queries[0][0]
+    k = draw(st.integers(1, n + 3))
+    rows = plant_near_ties(draw, rows, queries[0], k)
+    ids = [f"item-{i:02d}" for i in range(n)]
+    query_ids = [f"q{i}" for i in range(n_queries)]
+    return ids, rows, queries, query_ids, k
+
+
+@PROPERTY_SETTINGS
+@given(dense_cases(st.floats(-1, 1, width=32)))
+def test_many_matches_brute_force_on_built_index(case):
+    ids, vectors, queries, query_ids, k = case
+    index = build_dense_index(ids, vectors.astype(np.float64), dim=vectors.shape[1])
+    got = dense_search_many(index, queries, k, query_ids)
+    assert [r.query_id for r in got] == query_ids
+    for query, ranking in zip(queries, got):
+        assert hits(ranking) == brute_force_dense(ids, vectors, query, k)
+
+
+@PROPERTY_SETTINGS
+@given(dense_cases(
+    st.one_of(st.floats(-1e6, 1e6, width=32), st.floats(-(2.0**-100), 2.0**-100, width=32))
+))
+def test_many_matches_exact_scan_on_raw_rows(case):
+    ids, rows, queries, query_ids, k = case
+    index = DenseIndex(item_ids=tuple(ids), matrix=rows, dim=rows.shape[1])
+    got = dense_search_many(index, queries, k, query_ids)
+    for query, ranking in zip(queries, got):
+        assert hits(ranking) == exact_scan(ids, rows, query, k)
+
+
+@PROPERTY_SETTINGS
+@given(dense_cases(st.floats(-1, 1, width=32)))
+def test_many_equals_one_query_at_a_time(case):
+    ids, rows, queries, query_ids, k = case
+    index = DenseIndex(item_ids=tuple(ids), matrix=rows, dim=rows.shape[1])
+    many = dense_search_many(index, queries, k, query_ids)
+    single = [dense_search(index, q, k, qid) for q, qid in zip(queries, query_ids)]
+    assert many == single
+
+
+def test_exact_ties_that_blas_splits():
+    """Permutations of one row tie exactly, yet a fixed summation order
+    rounds some of them differently; whichever holds the smallest id must
+    still win."""
+    tiny = 2.0**-53
+    perms = sorted({p for p in itertools.permutations([1.0, tiny, tiny, -1.0])})
+    rows = np.array(perms, dtype=np.float32)
+    query = np.ones(4)
+    for first in range(len(perms)):
+        ids = [f"item-{(i - first) % len(perms):02d}" for i in range(len(perms))]
+        index = DenseIndex(item_ids=tuple(ids), matrix=rows, dim=4)
+        for k in (1, 3):
+            (got,) = dense_search_many(index, query[None, :], k, ["q"])
+            assert hits(got) == exact_scan(ids, rows, query, k)
+            assert got.item_ids == [f"item-{i:02d}" for i in range(k)]
+
+
+def test_query_blocks_and_wide_ties():
+    """More queries than one block holds, and a tie band wider than k."""
+    rng = np.random.default_rng(7)
+    n, dim, k = 4_000, 6, 5
+    vectors = rng.normal(size=(n, dim))
+    vectors[: n // 2] = vectors[0]  # 2 000 rows tie at the top score
+    ids = [f"item-{i:04d}" for i in range(n)]
+    index = build_dense_index(ids, vectors)
+    queries = np.vstack([vectors[0], rng.normal(size=(30, dim))])
+    query_ids = [f"q{i}" for i in range(len(queries))]
+    got = dense_search_many(index, queries, k, query_ids)
+    assert [r.query_id for r in got] == query_ids
+    for query, ranking in zip(queries, got):
+        assert hits(ranking) == brute_force_dense(ids, vectors, query, k)
+    assert got[0].item_ids == ids[:k]
+
+
+def test_empty_inputs():
+    empty = build_dense_index([], [], dim=3)
+    assert dense_search_many(empty, np.ones((2, 3)), 4, ["a", "b"]) == [
+        dense_search(empty, np.ones(3), 4, "a"),
+        dense_search(empty, np.ones(3), 4, "b"),
+    ]
+    index = build_dense_index(["x"], [np.ones(3)])
+    assert dense_search_many(index, np.zeros((0, 3)), 4, []) == []

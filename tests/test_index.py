@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from riskrank.index import (
+    DenseIndex,
+    LexicalIndex,
     RankedHit,
     RankedList,
     bm25_score,
@@ -11,6 +13,7 @@ from riskrank.index import (
     build_dense_index,
     build_lexical_index,
     dense_search,
+    dense_search_many,
     lexical_search,
     load_index,
     load_run,
@@ -125,6 +128,36 @@ class TestDenseSearch:
         with pytest.raises(ValueError):
             dense_search(index, np.ones(2), k=0)
 
+    def test_non_finite_vector_names_item(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="'a'"):
+                build_dense_index(["a", "b"], [[bad, 0.0], [0.0, 1.0]])
+
+    def test_non_finite_query_names_query(self):
+        index = build_dense_index(["a", "b"], [[1.0, 0.0], [0.0, 1.0]])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="'q7'"):
+                dense_search(index, np.array([bad, 0.0]), k=1, query_id="q7")
+            with pytest.raises(ValueError, match="'q8'"):
+                dense_search_many(
+                    index, np.array([[1.0, 0.0], [bad, 0.0]]), 1, ["q7", "q8"]
+                )
+
+    def test_non_finite_stored_row_names_item(self):
+        matrix = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=np.float32)
+        index = DenseIndex(item_ids=("a", "b"), matrix=matrix, dim=2)
+        with pytest.raises(ValueError, match="'a'"):
+            dense_search(index, np.array([0.0, 1.0]), k=1)
+
+    def test_many_checks_shapes_and_ids(self):
+        index = build_dense_index(["a"], [np.ones(3)])
+        with pytest.raises(ValueError, match="dim"):
+            dense_search_many(index, np.ones((2, 4)), 1, ["q1", "q2"])
+        with pytest.raises(ValueError, match="query ids"):
+            dense_search_many(index, np.ones((2, 3)), 1, ["q1"])
+        with pytest.raises(ValueError, match="k must be"):
+            dense_search_many(index, np.ones((1, 3)), 0, ["q1"])
+
     def test_matches_brute_force_oracle(self, rng):
         for _ in range(25):
             n = int(rng.integers(1, 60))
@@ -227,6 +260,39 @@ class TestLexicalSearch:
             key=lambda pair: (-pair[1], pair[0]),
         )
         assert [(h.item_id, h.score) for h in result.hits] == expected
+
+    def test_shared_vocabulary_matches_bm25_score(self, rng):
+        """Long postings: every term occurs in most items, unlike the
+        per-cluster vocabularies of the synthetic corpus."""
+        words = ["risk", "capital", "stress", "credit", "basel", "audit", "liquidity"]
+        texts = [
+            " ".join(words[i] for i in rng.integers(0, len(words), size=rng.integers(1, 40)))
+            for _ in range(400)
+        ]
+        ids = [f"d{i:03d}" for i in rng.permutation(400)]
+        index = build_lexical_index(ids, texts)
+        assert min(len(index.postings[w]) for w in words) > 200
+        for query in ["risk", "capital risk stress", "audit audit basel credit", "risk nope"]:
+            terms = query.split()
+            scored = [(item, bm25_score(index, terms, item)) for item in ids]
+            expected = sorted(
+                ((item, s) for item, s in scored if s > 0.0),
+                key=lambda pair: (-pair[1], pair[0]),
+            )
+            for k in (len(ids), 25):
+                result = lexical_search(index, query, k=k, query_id="q")
+                assert [(h.item_id, h.score) for h in result.hits] == expected[:k]
+
+    def test_posting_for_unknown_item(self):
+        index = build_lexical_index(["d1"], ["credit risk"])
+        broken = LexicalIndex(
+            item_ids=index.item_ids,
+            postings={**index.postings, "risk": (("d1", 1), ("ghost", 2))},
+            doc_len=index.doc_len,
+            avgdl=index.avgdl,
+        )
+        with pytest.raises(ValueError, match="unknown item id 'ghost'"):
+            lexical_search(broken, "risk", k=5)
 
     def test_zero_scores_excluded(self):
         index = build_lexical_index(["d1", "d2"], ["risk", "capital"])
