@@ -5,7 +5,9 @@ into a MetricReport; ``compare_systems`` builds the provider-comparison
 table (hit rate, improvement in percentage points, embedding size); and
 ``emit_report`` renders reports and tables as JSON (full precision, with
 the evaluation-config fingerprint), markdown (numbers rounded half-even to
-the displayed precision), or CSV (long format, plot-ready).
+the displayed precision), or CSV (long format, plot-ready). All three
+formats come from one private renderer, ``_render``, the only place that
+dispatches on the report type.
 """
 
 from __future__ import annotations
@@ -13,12 +15,10 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, astuple, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .corpus import DatasetSplit, QAPair, build_qrels
 from .embedding import Embedder
@@ -96,12 +96,6 @@ class EvalConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-def _adapted(adapter: AdapterParams | None, matrix: np.ndarray) -> np.ndarray:
-    if adapter is None:
-        return matrix
-    return np.stack([apply_adapter(adapter, row) for row in matrix])
-
-
 def run_eval(
     pairs: Sequence[QAPair],
     split: DatasetSplit,
@@ -157,9 +151,12 @@ def run_eval(
                 f"embedder returned {query_matrix.shape[0]} vectors for "
                 f"{len(split.test)} questions"
             )
+        if adapter is not None:
+            context_matrix = apply_adapter(adapter, context_matrix)
+            query_matrix = apply_adapter(adapter, query_matrix)
         dense_run = dense_search_many(
-            build_dense_index(pool_ids, _adapted(adapter, context_matrix)),
-            _adapted(adapter, query_matrix),
+            build_dense_index(pool_ids, context_matrix),
+            query_matrix,
             depth,
             [p.pair_id for p in split.test],
         )
@@ -260,60 +257,33 @@ def _fmt(value: float) -> str:
     return f"{value:.{DISPLAY_DECIMALS}f}"
 
 
-def _markdown_lines(obj) -> list[str]:
-    if isinstance(obj, MetricComparison):
-        lines = ["| Metric | Base | Finetuned |", "| --- | --- | --- |"]
-        for name in obj.metric_names:
-            lines.append(
-                f"| {name} | {_fmt(obj.base.aggregate[name])} "
-                f"| {_fmt(obj.finetuned.aggregate[name])} |"
-            )
-        return lines
+def _render(obj) -> tuple[dict, list[list[str]], list[list]]:
+    """The one dispatch on report type: JSON payload, markdown rows, CSV rows.
+
+    Both row lists start with their header. Markdown cells are display
+    strings; CSV cells are the raw values, written with ``str``. A metric
+    table has one row per metric and one column per report, and its markdown
+    header is its CSV header capitalized.
+    """
     if isinstance(obj, BenchmarkTable):
-        lines = [
-            "| System | HR@5 | Improvement | Embedding Size |",
-            "| --- | --- | --- | --- |",
-        ]
+        if not obj.rows:
+            raise ValueError("refusing to emit an empty benchmark table")
+        payload = {
+            "kind": "benchmark_table",
+            "reference": obj.reference,
+            "rows": [asdict(row) for row in obj.rows],
+        }
+        markdown_rows = [["System", "HR@5", "Improvement", "Embedding Size"]]
+        csv_rows = [["system", "hr_at_5", "improvement_points", "embedding_dim", "is_reference"]]
         for row in obj.rows:
             name = f"{row.name} (reference)" if row.is_reference else row.name
-            lines.append(
-                f"| {name} | {_fmt(row.hit_rate_at_5)} "
-                f"| {row.improvement_points:.1f} | {row.embedding_dim} |"
+            improvement = f"{row.improvement_points:.1f}"
+            markdown_rows.append(
+                [name, _fmt(row.hit_rate_at_5), improvement, str(row.embedding_dim)]
             )
-        return lines
-    if isinstance(obj, MetricReport):
-        lines = ["| Metric | Value |", "| --- | --- |"]
-        for name in sorted(obj.aggregate):
-            lines.append(f"| {name} | {_fmt(obj.aggregate[name])} |")
-        return lines
-    raise TypeError(f"cannot render {type(obj).__name__} as a report")
+            csv_rows.append(list(astuple(row)))
+        return payload, markdown_rows, csv_rows
 
-
-def _csv_lines(obj) -> list[str]:
-    if isinstance(obj, MetricComparison):
-        lines = ["metric,base,finetuned"]
-        for name in obj.metric_names:
-            lines.append(
-                f"{name},{obj.base.aggregate[name]!r},{obj.finetuned.aggregate[name]!r}"
-            )
-        return lines
-    if isinstance(obj, BenchmarkTable):
-        lines = ["system,hr_at_5,improvement_points,embedding_dim,is_reference"]
-        for row in obj.rows:
-            lines.append(
-                f"{row.name},{row.hit_rate_at_5!r},{row.improvement_points!r},"
-                f"{row.embedding_dim},{row.is_reference}"
-            )
-        return lines
-    if isinstance(obj, MetricReport):
-        lines = ["metric,value"]
-        for name in sorted(obj.aggregate):
-            lines.append(f"{name},{obj.aggregate[name]!r}")
-        return lines
-    raise TypeError(f"cannot render {type(obj).__name__} as a report")
-
-
-def _json_payload(obj, config: EvalConfig | None, fingerprint: str | None) -> dict:
     if isinstance(obj, MetricComparison):
         payload = {
             "kind": "metric_comparison",
@@ -321,22 +291,23 @@ def _json_payload(obj, config: EvalConfig | None, fingerprint: str | None) -> di
             "base": obj.base.to_dict(),
             "finetuned": obj.finetuned.to_dict(),
         }
-    elif isinstance(obj, BenchmarkTable):
-        payload = {
-            "kind": "benchmark_table",
-            "reference": obj.reference,
-            "rows": [asdict(row) for row in obj.rows],
-        }
+        columns = {"base": obj.base, "finetuned": obj.finetuned}
+        names = obj.metric_names
     elif isinstance(obj, MetricReport):
+        if not obj.aggregate:
+            raise ValueError("refusing to emit a metric report with no metrics")
         payload = {"kind": "metric_report", **obj.to_dict()}
+        columns = {"value": obj}
+        names = sorted(obj.aggregate)
     else:
         raise TypeError(f"cannot render {type(obj).__name__} as a report")
-    if config is not None:
-        payload["config"] = config.to_dict()
-        payload["config_fingerprint"] = config.fingerprint()
-    elif fingerprint is not None:
-        payload["config_fingerprint"] = fingerprint
-    return payload
+    csv_rows = [["metric", *columns]]
+    markdown_rows = [[title.capitalize() for title in csv_rows[0]]]
+    for name in names:
+        values = [report.aggregate[name] for report in columns.values()]
+        csv_rows.append([name, *values])
+        markdown_rows.append([name, *map(_fmt, values)])
+    return payload, markdown_rows, csv_rows
 
 
 def emit_report(
@@ -354,18 +325,21 @@ def emit_report(
     table or a report with no metrics, so a failed upstream step can never
     leave a plausible-looking empty file.
     """
-    if isinstance(obj, BenchmarkTable) and not obj.rows:
-        raise ValueError("refusing to emit an empty benchmark table")
-    if isinstance(obj, MetricReport) and not obj.aggregate:
-        raise ValueError("refusing to emit a metric report with no metrics")
     path = Path(path)
+    payload, markdown_rows, csv_rows = _render(obj)
     if format == "json":
-        payload = _json_payload(obj, config, fingerprint)
+        if config is not None:
+            payload["config"] = config.to_dict()
+            payload["config_fingerprint"] = config.fingerprint()
+        elif fingerprint is not None:
+            payload["config_fingerprint"] = fingerprint
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     elif format == "markdown":
-        text = "\n".join(_markdown_lines(obj)) + "\n"
+        header, *rows = markdown_rows
+        lines = [header, ["---"] * len(header), *rows]
+        text = "".join(f"| {' | '.join(cells)} |\n" for cells in lines)
     elif format == "csv":
-        text = "\n".join(_csv_lines(obj)) + "\n"
+        text = "".join(",".join(map(str, cells)) + "\n" for cells in csv_rows)
     else:
         raise ValueError(f"unknown report format {format!r}")
     path.write_text(text, encoding="utf-8")

@@ -378,6 +378,17 @@ def _eval_config_from(cfg: dict[str, Any], system: str) -> EvalConfig:
     return EvalConfig(system=system, **section)
 
 
+def _emit_run(report, out_dir: Path, stem: str, config: EvalConfig, what: str) -> None:
+    """Write ``<stem>.json``, ``<stem>.md`` and ``plotdata.csv`` into a new run
+    directory under ``out_dir``, then print the markdown and the directory."""
+    run_dir = make_run_dir(out_dir, config.fingerprint())
+    emit_report(report, "json", run_dir / f"{stem}.json", config=config)
+    markdown = emit_report(report, "markdown", run_dir / f"{stem}.md")
+    emit_report(report, "csv", run_dir / "plotdata.csv")
+    print(markdown.read_text(encoding="utf-8"), end="")
+    print(f"{what} artifacts -> {run_dir}")
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args, {"eval": {}})
     pairs, split = _load_pairs_and_split(cfg, "eval")
@@ -387,23 +398,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
         adapter, _ = load_adapter(cfg["adapter_dir"])
     label = cfg.get("system") or f"{embedder.provider_id}/{embedder.model_id}"
     config = _eval_config_from(cfg, label)
-    fingerprint = config.fingerprint()
     out_dir = Path(_require(cfg, "out_dir", "eval"))
-    run_dir = make_run_dir(out_dir, fingerprint)
 
-    base_report = run_eval(pairs, split, embedder, config, adapter=None)
+    report = run_eval(pairs, split, embedder, config, adapter=None)
     if adapter is not None:
         adapted_report = run_eval(pairs, split, embedder, config, adapter=adapter)
-        comparison = MetricComparison(base=base_report, finetuned=adapted_report)
-        emit_report(comparison, "json", run_dir / "report.json", config=config)
-        emit_report(comparison, "markdown", run_dir / "report.md")
-        emit_report(comparison, "csv", run_dir / "plotdata.csv")
-    else:
-        emit_report(base_report, "json", run_dir / "report.json", config=config)
-        emit_report(base_report, "markdown", run_dir / "report.md")
-        emit_report(base_report, "csv", run_dir / "plotdata.csv")
-    print((run_dir / "report.md").read_text(encoding="utf-8"), end="")
-    print(f"eval artifacts -> {run_dir}")
+        report = MetricComparison(base=report, finetuned=adapted_report)
+    _emit_run(report, out_dir, "report", config, "eval")
     return 0
 
 
@@ -431,12 +432,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         dims[name] = int(system.get("dim", embedder.dim))
     table = compare_systems(reports, reference, dims)
     out_dir = Path(_require(cfg, "out_dir", "bench"))
-    run_dir = make_run_dir(out_dir, shared_config.fingerprint())
-    emit_report(table, "json", run_dir / "table.json", config=shared_config)
-    emit_report(table, "markdown", run_dir / "table.md")
-    emit_report(table, "csv", run_dir / "plotdata.csv")
-    print((run_dir / "table.md").read_text(encoding="utf-8"), end="")
-    print(f"benchmark artifacts -> {run_dir}")
+    _emit_run(table, out_dir, "table", shared_config, "benchmark")
     return 0
 
 

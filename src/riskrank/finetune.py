@@ -36,7 +36,6 @@ __all__ = [
     "mnr_loss",
     "mnr_loss_grad",
     "train_adapter",
-    "finite_diff_check",
     "save_adapter",
     "load_adapter",
 ]
@@ -157,19 +156,15 @@ class LossReport:
                 handle.write(json.dumps(asdict(stats)) + "\n")
 
 
-def apply_adapter(adapter: AdapterParams, vec: np.ndarray) -> np.ndarray:
-    """``weight @ vec (+ bias)``, in float64 and not normalized."""
-    v = np.asarray(vec, dtype=np.float64)
-    if v.shape != (adapter.d_in,):
-        raise ValueError(f"vector has shape {v.shape}, adapter expects ({adapter.d_in},)")
-    out = adapter.weight @ v
-    if adapter.bias is not None:
-        out = out + adapter.bias
-    return out
+def apply_adapter(adapter: AdapterParams, x: np.ndarray) -> np.ndarray:
+    """``x @ weight.T (+ bias)``, in float64 and not normalized.
 
-
-def _adapt_rows(adapter: AdapterParams, rows: np.ndarray) -> np.ndarray:
-    out = rows @ adapter.weight.T
+    ``x`` is one ``(d_in,)`` vector or an ``(n, d_in)`` matrix of rows.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape[-1] != adapter.d_in:
+        raise ValueError(f"input has shape {x.shape}, adapter expects d_in={adapter.d_in}")
+    out = x @ adapter.weight.T
     if adapter.bias is not None:
         out = out + adapter.bias
     return out
@@ -191,8 +186,8 @@ def batch_similarity(
     ``S[i, j] = scale * cos(adapt(q_i), adapt(p_j))``; the diagonal holds each
     query's positive and the off-diagonal entries are its in-batch negatives.
     """
-    adapted_q = _adapt_rows(adapter, batch.query_vecs)
-    adapted_p = _adapt_rows(adapter, batch.positive_vecs)
+    adapted_q = apply_adapter(adapter, batch.query_vecs)
+    adapted_p = apply_adapter(adapter, batch.positive_vecs)
     unit_q, _ = _normalize_rows(adapted_q, "query")
     unit_p, _ = _normalize_rows(adapted_p, "positive")
     return scale * (unit_q @ unit_p.T)
@@ -234,8 +229,8 @@ def _loss_and_param_grads(
     Backpropagates through the scale, the row normalization, and the linear
     map: for a = W q, d(loss)/da = (g - u (u . g)) / |a| with u = a/|a|.
     """
-    adapted_q = _adapt_rows(adapter, batch.query_vecs)
-    adapted_p = _adapt_rows(adapter, batch.positive_vecs)
+    adapted_q = apply_adapter(adapter, batch.query_vecs)
+    adapted_p = apply_adapter(adapter, batch.positive_vecs)
     unit_q, norm_q = _normalize_rows(adapted_q, "query")
     unit_p, norm_p = _normalize_rows(adapted_p, "positive")
     similarity = scale * (unit_q @ unit_p.T)
@@ -346,50 +341,6 @@ def train_adapter(
             )
             epoch_callback(epoch, snapshot)
     return adapter, report
-
-
-def finite_diff_check(
-    loss_fn: Callable[[np.ndarray], float],
-    params: np.ndarray,
-    analytic_grad: np.ndarray,
-    *,
-    eps: float,
-    max_coords: int | None = None,
-    seed: int = 0,
-) -> float:
-    """Max relative error between central differences and an analytic gradient.
-
-    Coordinates are sampled without replacement when ``max_coords`` is set.
-    Relative error uses ``|num - ana| / max(|num|, |ana|, 1e-6)`` so
-    near-zero coordinates cannot blow up the ratio.
-    """
-    if eps <= 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    theta = np.asarray(params, dtype=np.float64)
-    analytic = np.asarray(analytic_grad, dtype=np.float64)
-    if analytic.shape != theta.shape:
-        raise ValueError(
-            f"gradient shape {analytic.shape} does not match params {theta.shape}"
-        )
-    flat_indices = np.arange(theta.size)
-    if max_coords is not None and max_coords < theta.size:
-        flat_indices = np.random.default_rng(seed).choice(
-            theta.size, size=max_coords, replace=False
-        )
-    worst = 0.0
-    flat = theta.ravel().copy()
-    for idx in flat_indices:
-        original = flat[idx]
-        flat[idx] = original + eps
-        plus = loss_fn(flat.reshape(theta.shape))
-        flat[idx] = original - eps
-        minus = loss_fn(flat.reshape(theta.shape))
-        flat[idx] = original
-        numeric = (plus - minus) / (2.0 * eps)
-        ana = analytic.ravel()[idx]
-        err = abs(numeric - ana) / max(abs(numeric), abs(ana), 1e-6)
-        worst = max(worst, err)
-    return worst
 
 
 # ---------------------------------------------------------------------------

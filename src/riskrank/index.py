@@ -130,6 +130,13 @@ class DenseIndex:
     matrix: np.ndarray
     dim: int
 
+    def __post_init__(self) -> None:
+        if self.matrix.shape != (len(self.item_ids), self.dim):
+            raise ValueError(
+                f"matrix has shape {self.matrix.shape}, but item_ids and dim "
+                f"give ({len(self.item_ids)}, {self.dim})"
+            )
+
     @property
     def count(self) -> int:
         return len(self.item_ids)
@@ -483,10 +490,15 @@ def save_index(
 
 
 def load_index(path: Path | str) -> tuple[DenseIndex | None, LexicalIndex | None]:
-    """Load whatever ``save_index`` wrote; validates sizes against meta.json."""
+    """Load whatever ``save_index`` wrote; validates sizes and ids against meta.json."""
     path = Path(path)
     meta = json.loads((path / "meta.json").read_text(encoding="utf-8"))
     ids = tuple(meta["item_ids"])
+    if len(ids) != meta["count"] or len(set(ids)) != len(ids):
+        raise ValueError(
+            f"{path / 'meta.json'}: item_ids holds {len(set(ids))} distinct ids "
+            f"in {len(ids)} entries, but count is {meta['count']}"
+        )
     dense = None
     lexical = None
     if meta.get("has_dense"):
@@ -505,13 +517,21 @@ def load_index(path: Path | str) -> tuple[DenseIndex | None, LexicalIndex | None
         )
         dense = DenseIndex(item_ids=ids, matrix=matrix, dim=dim)
     if meta.get("has_lexical"):
+        known = set(ids)
+        if set(meta["doc_len"]) != known:
+            raise ValueError(f"{path / 'meta.json'}: doc_len keys differ from item_ids")
         postings: dict[str, tuple[tuple[str, int], ...]] = {}
         with (path / "postings.jsonl").open("r", encoding="utf-8") as handle:
-            for line in handle:
+            for line_no, line in enumerate(handle, start=1):
                 record = json.loads(line)
-                postings[record["term"]] = tuple(
-                    (item_id, int(tf)) for item_id, tf in record["postings"]
-                )
+                entries = tuple((item_id, int(tf)) for item_id, tf in record["postings"])
+                unknown = sorted({item_id for item_id, _ in entries} - known)
+                if unknown:
+                    raise ValueError(
+                        f"{path / 'postings.jsonl'}: line {line_no}: postings of "
+                        f"{record['term']!r} name ids not in item_ids: {unknown[:5]}"
+                    )
+                postings[record["term"]] = entries
         lexical = LexicalIndex(
             item_ids=ids,
             postings=postings,

@@ -75,13 +75,6 @@ class MetricReport:
             json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
         ).encode("utf-8")
 
-    def write_csv(self, path: Path | str) -> None:
-        """Two-column CSV (metric, value) of the aggregates, full precision."""
-        lines = ["metric,value"]
-        for name in sorted(self.aggregate):
-            lines.append(f"{name},{self.aggregate[name]!r}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
 
 def _relevant_for(ranking: RankedList, qrels: Qrels) -> set[str]:
     if ranking.query_id not in qrels:

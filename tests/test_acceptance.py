@@ -35,7 +35,6 @@ from riskrank.finetune import (
     TrainingBatch,
     TrainingConfig,
     batch_similarity,
-    finite_diff_check,
     mnr_loss,
     train_adapter,
     _loss_and_param_grads,
@@ -43,6 +42,7 @@ from riskrank.finetune import (
 from riskrank.index import build_dense_index, dense_search, build_lexical_index, bm25_score, ranked_list_from_scores, rrf_fuse
 from riskrank.metrics import MetricReport, hit_rate_at_k, map_at_k, mrr_at_k, ndcg_at_k
 
+from gradcheck import finite_diff_check
 from reference import (
     brute_force_dense,
     naive_ap,

@@ -1,6 +1,7 @@
 """End-to-end evaluation harness, comparison tables, and report emission."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -312,10 +313,64 @@ class TestEmitReport:
         report = report_with(0.75)
         md = emit_report(report, "markdown", tmp_path / "r.md").read_text()
         assert md.splitlines()[0] == "| Metric | Value |"
-        csv_text = emit_report(report, "csv", tmp_path / "r.csv").read_text()
-        assert csv_text.splitlines()[0] == "metric,value"
+        csv_lines = emit_report(report, "csv", tmp_path / "r.csv").read_text().splitlines()
+        assert csv_lines[0] == "metric,value"
+        assert any(line.startswith("MRR@5,") for line in csv_lines)
         payload = json.loads(emit_report(report, "json", tmp_path / "r.json").read_text())
         assert payload["kind"] == "metric_report"
+
+
+REPORT_BYTES_DIR = Path(__file__).parent / "report_bytes"
+REPORT_FORMATS = {"json": "json", "markdown": "md", "csv": "csv"}
+
+
+def fixed_report(values: dict[str, float]) -> MetricReport:
+    per_query = {
+        "q0": dict(values),
+        "q1": {name: 1.0 - value for name, value in values.items()},
+    }
+    return MetricReport(
+        per_query=per_query, aggregate=dict(values), k_list=(5, 10, 100),
+        query_count=2, metrics=tuple(values),
+    )
+
+
+def pinned_reports():
+    """One object of each report type; several values need 17 digits to round-trip."""
+    base = fixed_report(
+        {"MRR@10": 1 / 3, "MAP@100": 0.1 + 0.2, "NDCG@10": 2 / 3, "HR@5": 0.5}
+    )
+    finetuned = fixed_report(
+        {"MRR@10": 0.84, "MAP@100": 5 / 7, "NDCG@10": 1.0, "HR@5": 0.88}
+    )
+    rates = {
+        "api-text-768": (0.84, 768),
+        "api-large-3072": (0.86, 3072),
+        "adapted-local-768": (0.88, 768),
+        "api-finance-1024": (0.88, 1024),
+    }
+    table = compare_systems(
+        {name: fixed_report({"HR@5": rate}) for name, (rate, _) in rates.items()},
+        "adapted-local-768",
+        {name: dim for name, (_, dim) in rates.items()},
+    )
+    return {
+        "metric_report": (base, {"fingerprint": "0123456789abcdef"}),
+        "metric_comparison": (
+            MetricComparison(base=base, finetuned=finetuned),
+            {"config": EvalConfig(retrieval_mode="hybrid", system="pinned", seed=7)},
+        ),
+        "benchmark_table": (table, {}),
+    }
+
+
+@pytest.mark.parametrize("format", sorted(REPORT_FORMATS))
+@pytest.mark.parametrize("kind", ["metric_report", "metric_comparison", "benchmark_table"])
+def test_report_bytes_are_pinned(tmp_path, kind, format):
+    obj, options = pinned_reports()[kind]
+    name = f"{kind}.{REPORT_FORMATS[format]}"
+    written = emit_report(obj, format, tmp_path / name, **options)
+    assert written.read_bytes() == (REPORT_BYTES_DIR / name).read_bytes()
 
 
 class TestRunDir:

@@ -13,13 +13,14 @@ from riskrank.finetune import (
     TrainingConfig,
     apply_adapter,
     batch_similarity,
-    finite_diff_check,
     load_adapter,
     mnr_loss,
     mnr_loss_grad,
     save_adapter,
     train_adapter,
 )
+
+from gradcheck import finite_diff_check
 
 
 def random_batch(rng, n=8, dim=16):

@@ -1,5 +1,7 @@
 """Dense search vs brute force, BM25, fusion, re-ranking, persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,12 @@ class TestDenseSearch:
         index = DenseIndex(item_ids=("a", "b"), matrix=matrix, dim=2)
         with pytest.raises(ValueError, match="'a'"):
             dense_search(index, np.array([0.0, 1.0]), k=1)
+
+    def test_matrix_must_match_ids_and_dim(self):
+        with pytest.raises(ValueError, match=r"shape \(3, 3\).*\(1, 3\)"):
+            DenseIndex(item_ids=("a",), matrix=np.eye(3, dtype=np.float32), dim=3)
+        with pytest.raises(ValueError, match=r"shape \(3, 3\).*\(3, 4\)"):
+            DenseIndex(item_ids=("a", "b", "c"), matrix=np.eye(3, dtype=np.float32), dim=4)
 
     def test_many_checks_shapes_and_ids(self):
         index = build_dense_index(["a"], [np.ones(3)])
@@ -484,6 +492,41 @@ class TestPersistence:
         (tmp_path / "idx" / "vectors.bin").write_bytes(blob[:-1])
         with pytest.raises(ValueError, match="vectors.bin"):
             load_index(tmp_path / "idx")
+
+    def saved_abc(self, tmp_path):
+        ids = ["a", "b", "c"]
+        save_index(
+            tmp_path / "idx",
+            build_dense_index(ids, np.eye(3)),
+            build_lexical_index(ids, ["risk alpha", "risk beta", "gamma"]),
+        )
+        meta = json.loads((tmp_path / "idx" / "meta.json").read_text())
+        return tmp_path / "idx", meta
+
+    def test_item_ids_must_match_count(self, tmp_path):
+        path, meta = self.saved_abc(tmp_path)
+        meta["item_ids"] = ["a", "b"]
+        (path / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=r"meta\.json: item_ids .* count is 3"):
+            load_index(path)
+        meta["item_ids"] = ["a", "b", "b"]
+        (path / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=r"meta\.json: item_ids holds 2 distinct"):
+            load_index(path)
+
+    def test_doc_len_keys_must_match_item_ids(self, tmp_path):
+        path, meta = self.saved_abc(tmp_path)
+        meta["doc_len"] = {"a": 2, "b": 2, "z": 1}
+        (path / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=r"meta\.json: doc_len"):
+            load_index(path)
+
+    def test_postings_must_name_known_ids(self, tmp_path):
+        path, meta = self.saved_abc(tmp_path)
+        postings = path / "postings.jsonl"
+        postings.write_text(postings.read_text().replace('"c"', '"z"'))
+        with pytest.raises(ValueError, match=r"postings\.jsonl: line \d+: .*\['z'\]"):
+            load_index(path)
 
     def test_nothing_to_save(self, tmp_path):
         with pytest.raises(ValueError):

@@ -223,13 +223,6 @@ class TestReportPlumbing:
         report = evaluate_run([run_of("q", ["a", "b"])], {"q": {"b"}}, (10,))
         assert report.to_json_bytes() == report.to_json_bytes()
 
-    def test_write_csv(self, tmp_path):
-        report = evaluate_run([run_of("q", ["a"])], {"q": {"a"}}, (5,))
-        report.write_csv(tmp_path / "metrics.csv")
-        lines = (tmp_path / "metrics.csv").read_text().splitlines()
-        assert lines[0] == "metric,value"
-        assert any(line.startswith("MRR@5,") for line in lines)
-
     def test_qrels_round_trip(self, tmp_path):
         qrels = {"q1": {"a", "b"}, "q2": {"c"}}
         save_qrels(qrels, tmp_path / "qrels.jsonl")
