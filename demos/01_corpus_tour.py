@@ -1,11 +1,12 @@
 # Goal: generate a synthetic QA corpus, write/reload it, chunk a document,
-# and split pairs into train/test — the data plumbing everything else uses.
+# split pairs into train/test, and build the eval set (items, queries,
+# qrels) — the data plumbing everything else uses.
 
 from pathlib import Path
 from tempfile import TemporaryDirectory
 
 from riskrank import (
-    build_qrels,
+    build_eval_set,
     chunk_document,
     load_qa_pairs,
     save_qa_pairs,
@@ -35,5 +36,8 @@ for chunk in chunks[:3]:
 
 split = split_pairs(pairs, ratio=0.95, seed=7)
 print(f"\nsplit 95/5: {len(split.train)} train / {len(split.test)} test")
-qrels = build_qrels(split.test)
-print(f"qrels built for {len(qrels)} test questions (one relevant context each)")
+eval_set = build_eval_set(pairs, split.test)
+print(
+    f"eval set: {len(eval_set.item_ids)} items (one per distinct context), "
+    f"{len(eval_set.queries)} queries, qrels naming one relevant item each"
+)

@@ -1,7 +1,9 @@
 """End-to-end evaluation: embed, index, retrieve, score, and emit tables.
 
 ``run_eval`` turns a pair dataset plus an embedder (and optional adapter)
-into a MetricReport; ``compare_systems`` builds the provider-comparison
+into a MetricReport, and ``compare_adapter`` into a base-versus-finetuned
+MetricComparison; both rank and score the ``EvalSet`` that
+``build_eval_set`` makes. ``compare_systems`` builds the provider-comparison
 table (hit rate, improvement in percentage points, embedding size); and
 ``emit_report`` renders reports and tables as JSON (full precision, with
 the evaluation-config fingerprint), markdown (numbers rounded half-even to
@@ -20,7 +22,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import DatasetSplit, QAPair, build_qrels
+from .corpus import DatasetSplit, EvalSet, QAPair, build_eval_set
 from .embedding import Embedder
 from .finetune import AdapterParams, apply_adapter
 from .index import (
@@ -42,6 +44,7 @@ __all__ = [
     "MetricComparison",
     "Embedder",
     "run_eval",
+    "compare_adapter",
     "compare_systems",
     "emit_report",
     "make_run_dir",
@@ -105,83 +108,111 @@ def run_eval(
 ) -> MetricReport:
     """Retrieve every test question against the context pool and score it.
 
-    The pool is either every pair's context or only the test contexts; each
-    context is a retrievable item carrying its pair id. Retrieval depth is
-    ``max(k_list, 100)`` so MAP@100 is always defined. An adapter whose
-    recorded training pairs intersect the test pairs is rejected.
+    The pool is either every pair's context or only the test contexts, and
+    ``build_eval_set`` turns each distinct context into one item. Retrieval
+    depth is ``max(k_list, 100)`` so MAP@100 is always defined. An adapter
+    whose recorded training pairs intersect the test pairs is rejected; a
+    context shared by a train pair and a test pair is not leakage, because
+    the adapter never saw the test question and the ``all_contexts`` pool
+    holds every train context anyway.
     """
+    eval_set = _eval_set(pairs, split, config, adapter)
+    return _evaluate(eval_set, embedder, config, [adapter])[0]
+
+
+def compare_adapter(
+    pairs: Sequence[QAPair],
+    split: DatasetSplit,
+    embedder: Embedder,
+    config: EvalConfig,
+    adapter: AdapterParams,
+) -> MetricComparison:
+    """``run_eval`` without and with ``adapter``, embedding every text once:
+    the adapter maps the base run's matrices, and BM25 runs once for both."""
+    eval_set = _eval_set(pairs, split, config, adapter)
+    base, finetuned = _evaluate(eval_set, embedder, config, [None, adapter])
+    return MetricComparison(base=base, finetuned=finetuned)
+
+
+def _eval_set(
+    pairs: Sequence[QAPair],
+    split: DatasetSplit,
+    config: EvalConfig,
+    adapter: AdapterParams | None,
+) -> EvalSet:
+    """Check the split, the adapter and the hook, then build the eval set."""
     if not split.test:
         raise ValueError("split.test must be nonempty")
-    test_ids = {p.pair_id for p in split.test}
     if adapter is not None and adapter.train_pair_ids is not None:
-        leaked = sorted(test_ids & set(adapter.train_pair_ids))
+        leaked = sorted({p.pair_id for p in split.test} & set(adapter.train_pair_ids))
         if leaked:
             raise ValueError(
                 f"adapter was trained on {len(leaked)} test pair(s): {leaked[:5]}"
             )
     if config.rerank is not None and config.rerank not in _RERANK_HOOKS:
         raise ValueError(f"unknown rerank hook {config.rerank!r}")
+    pool = pairs if config.candidate_pool == "all_contexts" else split.test
+    return build_eval_set(pool, split.test)
 
-    pool = list(pairs) if config.candidate_pool == "all_contexts" else list(split.test)
-    pool_ids = [p.pair_id for p in pool]
-    missing = test_ids - set(pool_ids)
-    if missing:
-        raise ValueError(f"candidate pool is missing test contexts: {sorted(missing)[:5]}")
+
+def _embed(embedder: Embedder, texts: Sequence[str], what: str):
+    matrix = embedder.embed(list(texts))
+    if matrix.shape[0] != len(texts):
+        raise ValueError(f"embedder returned {matrix.shape[0]} vectors for {len(texts)} {what}")
+    return matrix
+
+
+def _evaluate(
+    eval_set: EvalSet,
+    embedder: Embedder,
+    config: EvalConfig,
+    adapters: Sequence[AdapterParams | None],
+) -> list[MetricReport]:
+    """Rank and score ``eval_set`` once per adapter (None = base), embedding
+    the items and queries once and running BM25 once for all of them."""
     depth = max(max(config.k_list), 100)
+    query_ids = list(eval_set.queries)
+    query_texts = list(eval_set.queries.values())
     logger.info(
         "run_eval: mode=%s pool=%s items=%d queries=%d fingerprint=%s",
-        config.retrieval_mode, config.candidate_pool, len(pool), len(split.test),
-        config.fingerprint(),
+        config.retrieval_mode, config.candidate_pool, len(eval_set.item_ids),
+        len(query_ids), config.fingerprint(),
     )
-
     hook = _RERANK_HOOKS.get(config.rerank) if config.rerank is not None else None
     need_dense = config.retrieval_mode in ("dense", "hybrid")
-    need_lexical = config.retrieval_mode in ("lexical", "hybrid")
 
-    dense_run: list[RankedList] = []
     if need_dense:
-        context_matrix = embedder.embed([p.context for p in pool])
-        if context_matrix.shape[0] != len(pool):
-            raise ValueError(
-                f"embedder returned {context_matrix.shape[0]} vectors for {len(pool)} contexts"
-            )
-        query_matrix = embedder.embed([p.question for p in split.test])
-        if query_matrix.shape[0] != len(split.test):
-            raise ValueError(
-                f"embedder returned {query_matrix.shape[0]} vectors for "
-                f"{len(split.test)} questions"
-            )
-        if adapter is not None:
-            context_matrix = apply_adapter(adapter, context_matrix)
-            query_matrix = apply_adapter(adapter, query_matrix)
-        dense_run = dense_search_many(
-            build_dense_index(pool_ids, context_matrix),
-            query_matrix,
-            depth,
-            [p.pair_id for p in split.test],
-        )
-    lexical_index = None
-    if need_lexical:
-        lexical_index = build_lexical_index(pool_ids, [p.context for p in pool])
+        item_matrix = _embed(embedder, eval_set.item_texts, "contexts")
+        query_matrix = _embed(embedder, query_texts, "questions")
+    lexical_run: list[RankedList] = []
+    if config.retrieval_mode in ("lexical", "hybrid"):
+        lexical_index = build_lexical_index(eval_set.item_ids, eval_set.item_texts)
+        lexical_run = [
+            lexical_search(lexical_index, text, depth, query_id)
+            for query_id, text in zip(query_ids, query_texts)
+        ]
 
-    run: list[RankedList] = []
-    for position, pair in enumerate(split.test):
-        lists = []
+    reports = []
+    for adapter in adapters:
+        dense_run: list[RankedList] = []
         if need_dense:
-            lists.append(dense_run[position])
-        if need_lexical:
-            lists.append(
-                lexical_search(lexical_index, pair.question, depth, pair.pair_id)
-            )
-        if config.retrieval_mode == "hybrid":
-            ranking = rrf_fuse(lists, k_rrf=config.k_rrf, depth=config.rrf_depth)
-            ranking = RankedList(query_id=ranking.query_id, hits=ranking.hits[:depth])
-        else:
-            ranking = lists[0]
-        run.append(rerank(hook, pair.question, ranking))
-
-    qrels = build_qrels(split.test)
-    return evaluate_run(run, qrels, config.k_list)
+            items, queries = item_matrix, query_matrix
+            if adapter is not None:
+                items = apply_adapter(adapter, items)
+                queries = apply_adapter(adapter, queries)
+            index = build_dense_index(eval_set.item_ids, items)
+            dense_run = dense_search_many(index, queries, depth, query_ids)
+        run = []
+        for position, text in enumerate(query_texts):
+            lists = [ranked[position] for ranked in (dense_run, lexical_run) if ranked]
+            if config.retrieval_mode == "hybrid":
+                ranking = rrf_fuse(lists, k_rrf=config.k_rrf, depth=config.rrf_depth)
+                ranking = RankedList(query_id=ranking.query_id, hits=ranking.hits[:depth])
+            else:
+                ranking = lists[0]
+            run.append(rerank(hook, text, ranking))
+        reports.append(evaluate_run(run, eval_set.qrels, config.k_list))
+    return reports
 
 
 @dataclass(frozen=True)

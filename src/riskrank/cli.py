@@ -23,7 +23,7 @@ from typing import Any
 from . import __version__
 from .benchmark import (
     EvalConfig,
-    MetricComparison,
+    compare_adapter,
     compare_systems,
     emit_report,
     make_run_dir,
@@ -31,6 +31,7 @@ from .benchmark import (
 )
 from .cache import VectorCache, cached_embed
 from .corpus import (
+    build_eval_set,
     chunk_document,
     load_documents,
     load_qa_pairs,
@@ -335,18 +336,16 @@ def cmd_index(args: argparse.Namespace) -> int:
     input_path = _require(cfg, "input", "index")
     mode = cfg["mode"]
     out_dir = Path(_require(cfg, "out_dir", "index"))
-    pairs = load_qa_pairs(input_path, cfg.get("pairs_format"))
-    ids = [p.pair_id for p in pairs]
-    contexts = [p.context for p in pairs]
+    items = build_eval_set(load_qa_pairs(input_path, cfg.get("pairs_format")), ())
     dense = None
     lexical = None
     if mode in ("dense", "hybrid"):
         embedder = _build_embedder(cfg)
-        dense = build_dense_index(ids, embedder.embed(contexts))
+        dense = build_dense_index(items.item_ids, embedder.embed(list(items.item_texts)))
     if mode in ("lexical", "hybrid"):
-        lexical = build_lexical_index(ids, contexts)
+        lexical = build_lexical_index(items.item_ids, items.item_texts)
     save_index(out_dir, dense, lexical)
-    print(f"indexed {len(ids)} items (mode={mode}) -> {out_dir}")
+    print(f"indexed {len(items.item_ids)} items (mode={mode}) -> {out_dir}")
     return 0
 
 
@@ -400,10 +399,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     config = _eval_config_from(cfg, label)
     out_dir = Path(_require(cfg, "out_dir", "eval"))
 
-    report = run_eval(pairs, split, embedder, config, adapter=None)
-    if adapter is not None:
-        adapted_report = run_eval(pairs, split, embedder, config, adapter=adapter)
-        report = MetricComparison(base=report, finetuned=adapted_report)
+    if adapter is None:
+        report = run_eval(pairs, split, embedder, config)
+    else:
+        report = compare_adapter(pairs, split, embedder, config, adapter)
     _emit_run(report, out_dir, "report", config, "eval")
     return 0
 

@@ -30,6 +30,7 @@ __all__ = [
     "Chunk",
     "QAPair",
     "DatasetSplit",
+    "EvalSet",
     "Qrels",
     "load_qa_pairs",
     "save_qa_pairs",
@@ -37,7 +38,7 @@ __all__ = [
     "save_documents",
     "chunk_document",
     "split_pairs",
-    "build_qrels",
+    "build_eval_set",
     "synth_dataset",
 ]
 
@@ -135,8 +136,11 @@ def load_qa_pairs(path: Path | str, format: str | None = None) -> list[QAPair]:
     pairs: list[QAPair] = []
     seen: dict[str, int] = {}
 
-    def add(pair_id: str | None, question: str, context: str,
-            doc_id: str | None, line_no: int) -> None:
+    def add(record: dict, line_no: int) -> None:
+        pair_id = _optional_str(record, "pair_id", path, line_no)
+        question = _require_str(record, "question", path, line_no)
+        context = _require_str(record, "context", path, line_no)
+        doc_id = _optional_str(record, "doc_id", path, line_no)
         if pair_id is None:
             pair_id = f"{len(pairs):06d}"
         if pair_id in seen:
@@ -159,13 +163,7 @@ def load_qa_pairs(path: Path | str, format: str | None = None) -> list[QAPair]:
                     raise ValueError(f"{path}: line {line_no}: invalid JSON: {exc}") from exc
                 if not isinstance(record, dict):
                     raise ValueError(f"{path}: line {line_no}: record must be an object")
-                add(
-                    _optional_str(record, "pair_id", path, line_no),
-                    _require_str(record, "question", path, line_no),
-                    _require_str(record, "context", path, line_no),
-                    _optional_str(record, "doc_id", path, line_no),
-                    line_no,
-                )
+                add(record, line_no)
     else:
         with path.open("r", encoding="utf-8", newline="") as handle:
             reader = csv.DictReader(handle)
@@ -177,14 +175,7 @@ def load_qa_pairs(path: Path | str, format: str | None = None) -> list[QAPair]:
                     f"{path}: line 1: missing required column(s) {sorted(missing)}"
                 )
             for record in reader:
-                line_no = reader.line_num
-                add(
-                    _optional_str(record, "pair_id", path, line_no),
-                    _require_str(record, "question", path, line_no),
-                    _require_str(record, "context", path, line_no),
-                    _optional_str(record, "doc_id", path, line_no),
-                    line_no,
-                )
+                add(record, reader.line_num)
     return pairs
 
 
@@ -303,17 +294,40 @@ def split_pairs(pairs: Sequence[QAPair], ratio: float, seed: int) -> DatasetSpli
     )
 
 
-def build_qrels(test: Sequence[QAPair]) -> Qrels:
-    """Map each test question id to the id of its paired context.
+@dataclass(frozen=True)
+class EvalSet:
+    """Retrievable items, the queries run against them (id -> text, in query
+    order), and the qrels (query id -> ids of its relevant items)."""
 
-    Each paired context is a distinct retrievable item carrying the pair id.
+    item_ids: tuple[str, ...]
+    item_texts: tuple[str, ...]
+    queries: dict[str, str]
+    qrels: Qrels
+
+
+def build_eval_set(pool: Sequence[QAPair], test: Sequence[QAPair]) -> EvalSet:
+    """One item per distinct context of ``pool``, one query per test question.
+
+    Items keep pool order; an item's id is the pair id of the first pool pair
+    holding its context, so without repeated contexts items are the pairs.
+    A question's qrels name the item holding its context, so questions that
+    share a passage all count it as their hit. Raises ValueError on a test
+    context absent from the pool and on a repeated test pair id.
     """
+    item_of: dict[str, str] = {}  # context -> item id
+    for pair in pool:
+        item_of.setdefault(pair.context, pair.pair_id)
+    missing = sorted(p.pair_id for p in test if p.context not in item_of)
+    if missing:
+        raise ValueError(f"candidate pool is missing test contexts: {missing[:5]}")
+    queries: dict[str, str] = {}
     qrels: Qrels = {}
     for pair in test:
         if pair.pair_id in qrels:
             raise ValueError(f"duplicate query id {pair.pair_id!r} in test set")
-        qrels[pair.pair_id] = {pair.pair_id}
-    return qrels
+        queries[pair.pair_id] = pair.question
+        qrels[pair.pair_id] = {item_of[pair.context]}
+    return EvalSet(tuple(item_of.values()), tuple(item_of), queries, qrels)
 
 
 # Synthetic generator shape. Each cluster's vocabulary is split three ways:

@@ -259,6 +259,27 @@ def _loss_and_param_grads(
 EpochCallback = Callable[[int, AdapterParams], None]
 
 
+def _batches(order: np.ndarray, contexts: Sequence[str], size: int) -> list[list[int]]:
+    """Cut ``order`` into batches of at most ``size`` rows with distinct contexts.
+
+    Each row joins the first batch that has room and lacks its context, as in
+    sentence-transformers' ``NoDuplicatesDataLoader``; without repeated
+    contexts the batches are consecutive slices of ``order``.
+    """
+    batches: list[dict[str, int]] = []  # context -> row, in order of joining
+    first_open = 0
+    for row in order.tolist():
+        b = first_open
+        while b < len(batches) and (len(batches[b]) == size or contexts[row] in batches[b]):
+            b += 1
+        if b == len(batches):
+            batches.append({})
+        batches[b][contexts[row]] = row
+        while first_open < len(batches) and len(batches[first_open]) == size:
+            first_open += 1
+    return [list(batch.values()) for batch in batches]
+
+
 def train_adapter(
     pairs: Sequence[QAPair],
     base_embed: Embedder,
@@ -270,8 +291,10 @@ def train_adapter(
     Base embeddings come from two batch calls, ``base_embed.embed`` of all
     questions and of all contexts; a pair either of which embeds to zero is
     rejected by id. The weight starts at identity, so the epoch-0 model
-    equals the base model; each epoch reshuffles with the seeded generator;
-    a final short batch is kept only if it still contains a negative
+    equals the base model; each epoch reshuffles with the seeded generator
+    and fills batches in that order, moving a pair whose context the batch
+    already holds on to a later batch, so no pair's positive is another's
+    negative; a batch is kept only if it still contains a negative
     (size >= 2). The run is deterministic under (pairs, embedder, config).
     ``epoch_callback`` receives a snapshot of the parameters after every
     epoch, e.g. to record per-epoch retrieval quality on a held-out set.
@@ -280,8 +303,11 @@ def train_adapter(
         raise ValueError(
             f"need at least batch_size={config.batch_size} pairs, got {len(pairs)}"
         )
+    context_texts = [p.context for p in pairs]
+    if len(set(context_texts)) < 2:
+        raise ValueError("need at least 2 distinct contexts for in-batch negatives")
     questions = np.asarray(base_embed.embed([p.question for p in pairs]), dtype=np.float64)
-    contexts = np.asarray(base_embed.embed([p.context for p in pairs]), dtype=np.float64)
+    contexts = np.asarray(base_embed.embed(context_texts), dtype=np.float64)
     for pair, q, p in zip(pairs, questions, contexts):
         if not q.any():
             raise ValueError(f"pair {pair.pair_id}: base embedding of question is all-zero")
@@ -303,10 +329,9 @@ def train_adapter(
         epoch_pairs = 0
         batch_accuracies = []
         batch_index = 0
-        for start in range(0, len(pairs), config.batch_size):
-            rows = order[start : start + config.batch_size]
+        for rows in _batches(order, context_texts, config.batch_size):
             if len(rows) < 2:
-                break  # a single-pair tail has no negatives
+                continue  # a single-pair batch has no negatives
             batch = TrainingBatch(
                 query_vecs=questions[rows], positive_vecs=contexts[rows]
             )

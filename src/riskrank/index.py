@@ -50,8 +50,6 @@ __all__ = [
     "rerank",
     "save_index",
     "load_index",
-    "save_run",
-    "load_run",
 ]
 
 DEFAULT_K1 = 1.2
@@ -83,6 +81,13 @@ class RankedList:
         return [h.item_id for h in self.hits]
 
 
+def _require_unique(ids: Sequence[str], message: str) -> None:
+    """Raise ValueError ``"<message>: <sorted repeated ids>"`` if an id repeats."""
+    counts = Counter(ids)
+    if len(counts) != len(ids):
+        raise ValueError(f"{message}: {sorted(i for i, n in counts.items() if n > 1)}")
+
+
 def ranked_list_from_scores(
     query_id: str,
     scored: Iterable[tuple[str, float]],
@@ -90,10 +95,7 @@ def ranked_list_from_scores(
 ) -> RankedList:
     """Rank (item_id, score) pairs descending, ties by ascending item id."""
     items = list(scored)
-    ids = [item_id for item_id, _ in items]
-    if len(set(ids)) != len(ids):
-        dup = sorted({i for i in ids if ids.count(i) > 1})
-        raise ValueError(f"duplicate item ids in ranking: {dup}")
+    _require_unique([item_id for item_id, _ in items], "duplicate item ids in ranking")
     items.sort(key=lambda pair: (-pair[1], pair[0]))
     if k is not None:
         items = items[:k]
@@ -156,9 +158,7 @@ def build_dense_index(
     rows = [np.asarray(v, dtype=np.float64) for v in vectors]
     if len(ids) != len(rows):
         raise ValueError(f"got {len(ids)} ids but {len(rows)} vectors")
-    if len(set(ids)) != len(ids):
-        dup = sorted({i for i in ids if list(ids).count(i) > 1})
-        raise ValueError(f"duplicate item ids: {dup}")
+    _require_unique(ids, "duplicate item ids")
     if rows:
         dims = {row.shape for row in rows}
         if len(dims) != 1 or rows[0].ndim != 1:
@@ -299,9 +299,7 @@ def build_lexical_index(
 ) -> LexicalIndex:
     if len(ids) != len(texts):
         raise ValueError(f"got {len(ids)} ids but {len(texts)} texts")
-    if len(set(ids)) != len(ids):
-        dup = sorted({i for i in ids if list(ids).count(i) > 1})
-        raise ValueError(f"duplicate item ids: {dup}")
+    _require_unique(ids, "duplicate item ids")
     postings: dict[str, list[tuple[str, int]]] = {}
     doc_len: dict[str, int] = {}
     for item_id, text in zip(ids, texts):
@@ -541,37 +539,3 @@ def load_index(path: Path | str) -> tuple[DenseIndex | None, LexicalIndex | None
             b=float(meta["b"]),
         )
     return dense, lexical
-
-
-def save_run(path: Path | str, run: Sequence[RankedList]) -> None:
-    """Write rankings as run JSONL: one query per line, hits in rank order."""
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for ranking in run:
-            record = {
-                "query_id": ranking.query_id,
-                "hits": [
-                    {"item_id": h.item_id, "score": h.score} for h in ranking.hits
-                ],
-            }
-            handle.write(json.dumps(record) + "\n")
-
-
-def load_run(path: Path | str) -> list[RankedList]:
-    """Read a run JSONL file; ranks are re-derived from hit order."""
-    run = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            hits = tuple(
-                RankedHit(item_id=h["item_id"], score=float(h["score"]), rank=rank)
-                for rank, h in enumerate(record["hits"], start=1)
-            )
-            ranking = RankedList(query_id=record["query_id"], hits=hits)
-            try:
-                validate_ranked_list(ranking)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {line_no}: {exc}") from exc
-            run.append(ranking)
-    return run

@@ -11,10 +11,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .index import RankedList
+from .index import RankedHit, RankedList
 
 __all__ = [
     "MetricSlice",
@@ -24,8 +23,6 @@ __all__ = [
     "ndcg_at_k",
     "hit_rate_at_k",
     "evaluate_run",
-    "load_qrels",
-    "save_qrels",
 ]
 
 Qrels = Mapping[str, set[str]]
@@ -76,81 +73,71 @@ class MetricReport:
         ).encode("utf-8")
 
 
-def _relevant_for(ranking: RankedList, qrels: Qrels) -> set[str]:
-    if ranking.query_id not in qrels:
-        raise ValueError(f"query {ranking.query_id!r} missing from qrels")
-    return qrels[ranking.query_id]
-
-
-def _slice(name: str, k: int, per_query: dict[str, float]) -> MetricSlice:
+def _metric(
+    name: str,
+    k: int,
+    run: Sequence[RankedList],
+    qrels: Qrels,
+    value: Callable[[tuple[RankedHit, ...], set[str]], float],
+) -> MetricSlice:
+    """``value(top-k hits, relevant ids)`` for each query, and their mean."""
+    per_query = {}
+    for ranking in run:
+        if ranking.query_id not in qrels:
+            raise ValueError(f"query {ranking.query_id!r} missing from qrels")
+        per_query[ranking.query_id] = value(ranking.hits[:k], qrels[ranking.query_id])
     aggregate = math.fsum(per_query.values()) / len(per_query) if per_query else 0.0
-    return MetricSlice(name=name, k=k, per_query=per_query, aggregate=aggregate)
+    return MetricSlice(name=f"{name}@{k}", k=k, per_query=per_query, aggregate=aggregate)
 
 
 def mrr_at_k(run: Sequence[RankedList], qrels: Qrels, k: int) -> MetricSlice:
     """Reciprocal rank of the first relevant hit within the top k, else 0."""
-    per_query = {}
-    for ranking in run:
-        relevant = _relevant_for(ranking, qrels)
-        value = 0.0
-        for hit in ranking.hits[:k]:
-            if hit.item_id in relevant:
-                value = 1.0 / hit.rank
-                break
-        per_query[ranking.query_id] = value
-    return _slice(f"MRR@{k}", k, per_query)
+
+    def reciprocal_rank(hits, relevant):
+        return next((1.0 / hit.rank for hit in hits if hit.item_id in relevant), 0.0)
+
+    return _metric("MRR", k, run, qrels, reciprocal_rank)
 
 
 def map_at_k(run: Sequence[RankedList], qrels: Qrels, k: int) -> MetricSlice:
     """Average precision truncated at k, normalized by min(|relevant|, k)."""
-    per_query = {}
-    for ranking in run:
-        relevant = _relevant_for(ranking, qrels)
+
+    def average_precision(hits, relevant):
         found = 0
         precision_sum = 0.0
-        for hit in ranking.hits[:k]:
+        for hit in hits:
             if hit.item_id in relevant:
                 found += 1
                 precision_sum += found / hit.rank
         denom = min(len(relevant), k)
-        per_query[ranking.query_id] = precision_sum / denom if denom else 0.0
-    return _slice(f"MAP@{k}", k, per_query)
+        return precision_sum / denom if denom else 0.0
+
+    return _metric("MAP", k, run, qrels, average_precision)
 
 
 def ndcg_at_k(run: Sequence[RankedList], qrels: Qrels, k: int) -> MetricSlice:
     """Binary-gain NDCG with the 1/log2(rank+1) discount."""
-    per_query = {}
-    for ranking in run:
-        relevant = _relevant_for(ranking, qrels)
-        dcg = math.fsum(
-            1.0 / math.log2(hit.rank + 1)
-            for hit in ranking.hits[:k]
-            if hit.item_id in relevant
-        )
+
+    def ndcg(hits, relevant):
+        dcg = math.fsum(1.0 / math.log2(hit.rank + 1) for hit in hits if hit.item_id in relevant)
         ideal = math.fsum(
-            1.0 / math.log2(rank + 1)
-            for rank in range(1, min(len(relevant), k) + 1)
+            1.0 / math.log2(rank + 1) for rank in range(1, min(len(relevant), k) + 1)
         )
-        per_query[ranking.query_id] = dcg / ideal if ideal else 0.0
-    return _slice(f"NDCG@{k}", k, per_query)
+        return dcg / ideal if ideal else 0.0
+
+    return _metric("NDCG", k, run, qrels, ndcg)
 
 
 def hit_rate_at_k(run: Sequence[RankedList], qrels: Qrels, k: int) -> MetricSlice:
     """1 if any relevant item appears in the top k, else 0."""
-    per_query = {}
-    for ranking in run:
-        relevant = _relevant_for(ranking, qrels)
-        hit = any(h.item_id in relevant for h in ranking.hits[:k])
-        per_query[ranking.query_id] = 1.0 if hit else 0.0
-    return _slice(f"HR@{k}", k, per_query)
+
+    def hit(hits, relevant):
+        return 1.0 if any(h.item_id in relevant for h in hits) else 0.0
+
+    return _metric("HR", k, run, qrels, hit)
 
 
-_METRIC_FAMILIES = (
-    ("MRR", mrr_at_k),
-    ("MAP", map_at_k),
-    ("NDCG", ndcg_at_k),
-    ("HR", hit_rate_at_k),
-)
+_METRIC_FAMILIES = (mrr_at_k, map_at_k, ndcg_at_k, hit_rate_at_k)
 
 
 def evaluate_run(
@@ -165,7 +152,7 @@ def evaluate_run(
     for k in k_list:
         if k < 1:
             raise ValueError(f"metric cutoff must be >= 1, got {k}")
-        for _, fn in _METRIC_FAMILIES:
+        for fn in _METRIC_FAMILIES:
             slices.append(fn(run, qrels, k))
     per_query: dict[str, dict[str, float]] = {
         ranking.query_id: {} for ranking in run
@@ -182,30 +169,3 @@ def evaluate_run(
         query_count=len(run),
         metrics=tuple(s.name for s in slices),
     )
-
-
-def load_qrels(path: Path | str) -> dict[str, set[str]]:
-    """Read qrels JSONL: ``{"query_id": ..., "relevant": [ids]}`` per line."""
-    qrels: dict[str, set[str]] = {}
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            qid = record["query_id"]
-            relevant = set(record["relevant"])
-            if not relevant:
-                raise ValueError(f"{path}: line {line_no}: query {qid!r} has no relevant ids")
-            if qid in qrels:
-                raise ValueError(f"{path}: line {line_no}: duplicate query id {qid!r}")
-            qrels[qid] = relevant
-    return qrels
-
-
-def save_qrels(qrels: Qrels, path: Path | str) -> None:
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for qid in sorted(qrels):
-            if not qrels[qid]:
-                raise ValueError(f"query {qid!r} has no relevant ids")
-            record = {"query_id": qid, "relevant": sorted(qrels[qid])}
-            handle.write(json.dumps(record) + "\n")

@@ -23,7 +23,7 @@ from riskrank.benchmark import (
 )
 from riskrank.corpus import (
     QAPair,
-    build_qrels,
+    build_eval_set,
     load_qa_pairs,
     save_qa_pairs,
     split_pairs,
@@ -250,7 +250,7 @@ def test_criterion_08_split_fidelity_and_leakage_guard(tmp_path):
         split = split_pairs(loaded, ratio=0.95, seed=7)
         assert len(split.train) == 7121
         assert len(split.test) == 375
-        assert len(build_qrels(split.test)) == 375
+        assert len(build_eval_set(loaded, split.test).qrels) == 375
 
         leaked = AdapterParams.identity(16)
         leaked.train_pair_ids = (split.test[0].pair_id,)

@@ -10,13 +10,14 @@ from riskrank.benchmark import (
     BenchmarkTable,
     EvalConfig,
     MetricComparison,
+    compare_adapter,
     compare_systems,
     emit_report,
     make_run_dir,
     register_rerank_hook,
     run_eval,
 )
-from riskrank.corpus import DatasetSplit, split_pairs, synth_dataset
+from riskrank.corpus import DatasetSplit, QAPair, split_pairs, synth_dataset
 from riskrank.embedding import HashEmbedder, l2_normalize
 from riskrank.finetune import AdapterParams
 from riskrank.index import ranked_list_from_scores
@@ -157,6 +158,60 @@ class TestRunEval:
         a = run_eval(pairs, split, embedder, config)
         b = run_eval(pairs, split, embedder, config)
         assert a.to_json_bytes() == b.to_json_bytes()
+
+    @pytest.mark.parametrize("mode", ["dense", "lexical", "hybrid"])
+    def test_questions_sharing_a_context_all_hit_it(self, mode):
+        shared = "capital buffer liquidity stress"
+        questions = ["capital buffer liquidity", "buffer liquidity stress",
+                     "liquidity stress capital", "stress capital buffer"]
+        test = tuple(QAPair(f"q{i}", q, shared) for i, q in enumerate(questions))
+        train = tuple(
+            QAPair(f"t{i}", f"other question {i}", f"unrelated passage number {i}")
+            for i in range(6)
+        )
+        split = DatasetSplit(train=train, test=test, ratio=0.6, seed=0)
+        config = EvalConfig(retrieval_mode=mode, k_list=(1, 10))
+        report = run_eval(train + test, split, HashEmbedder(dim=256, seed=0), config)
+        assert report.aggregate["MRR@10"] == 1.0
+        assert report.aggregate["HR@1"] == 1.0
+
+    def test_context_shared_with_a_train_pair_is_not_leakage(self):
+        train = (QAPair("t0", "what is the buffer", "capital buffer rules"),
+                 QAPair("t1", "who reports", "reporting duties"))
+        test = (QAPair("e0", "define the buffer", "capital buffer rules"),)
+        split = DatasetSplit(train=train, test=test, ratio=0.5, seed=0)
+        adapter = AdapterParams.identity(32)
+        adapter.train_pair_ids = ("t0", "t1")
+        embedder = HashEmbedder(dim=32, seed=0)
+        report = run_eval(train + test, split, embedder, EvalConfig(k_list=(1,)),
+                          adapter=adapter)
+        assert report.per_query["e0"]["HR@1"] == 1.0
+        adapter.train_pair_ids = ("t0", "e0")
+        with pytest.raises(ValueError, match="trained on"):
+            run_eval(train + test, split, embedder, EvalConfig(), adapter=adapter)
+
+    @pytest.mark.parametrize("mode", ["dense", "lexical", "hybrid"])
+    def test_compare_adapter_equals_two_runs_and_embeds_once(self, mode):
+        pairs, split = small_corpus()
+        embedder = HashEmbedder(dim=32, seed=0)
+        calls = []
+
+        class Counting:
+            def embed(self, texts):
+                calls.append(len(texts))
+                return embedder.embed(texts)
+
+        adapter = AdapterParams(
+            weight=np.eye(32) + 0.1 * np.random.default_rng(3).normal(size=(32, 32)),
+            bias=np.full(32, 0.01),
+        )
+        config = EvalConfig(retrieval_mode=mode)
+        comparison = compare_adapter(pairs, split, Counting(), config, adapter)
+        assert comparison.base.to_json_bytes() == run_eval(
+            pairs, split, embedder, config).to_json_bytes()
+        assert comparison.finetuned.to_json_bytes() == run_eval(
+            pairs, split, embedder, config, adapter=adapter).to_json_bytes()
+        assert calls == ([] if mode == "lexical" else [len(pairs), len(split.test)])
 
     def test_bad_embedder_output_count(self):
         pairs, split = small_corpus()

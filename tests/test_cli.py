@@ -7,6 +7,8 @@ import sys
 import pytest
 
 from riskrank.cli import main
+from riskrank.corpus import load_qa_pairs, split_pairs
+from riskrank.embedding import HashEmbedder
 
 
 def write_config(path, payload):
@@ -183,6 +185,20 @@ class TestIngestChunkEmbedIndex:
         assert (out / "vectors.bin").exists()
         assert (out / "postings.jsonl").exists()
 
+    def test_index_holds_one_item_per_distinct_context(self, tmp_path):
+        pairs = tmp_path / "pairs.jsonl"
+        records = [("a", "shared passage"), ("b", "own passage"), ("c", "shared passage")]
+        pairs.write_text("".join(
+            json.dumps({"pair_id": i, "question": f"question {i}", "context": c}) + "\n"
+            for i, c in records
+        ))
+        out = tmp_path / "idx"
+        assert main(["index", "--input", str(pairs), "--mode", "hybrid", "-o", str(out)]) == 0
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["count"] == 2
+        assert meta["item_ids"] == ["a", "b"]
+        assert sorted(meta["doc_len"]) == ["a", "b"]
+
 
 class TestTrainEvalBench:
     def test_full_pipeline(self, workspace, capsys):
@@ -208,6 +224,28 @@ class TestTrainEvalBench:
         payload = json.loads((run_dirs[0] / "report.json").read_text())
         assert payload["kind"] == "metric_comparison"
         assert "config_fingerprint" in payload
+
+    def test_eval_with_adapter_embeds_each_text_once(self, workspace, monkeypatch):
+        tmp_path, data_dir, config = workspace
+        cfg = write_config(tmp_path / "cfg.json", {**config, "out_dir": str(tmp_path / "adapter")})
+        assert main(["train", "-c", cfg]) == 0
+        calls = []
+        embed = HashEmbedder.embed
+
+        def counting(self, texts):
+            calls.append(list(texts))
+            return embed(self, texts)
+
+        monkeypatch.setattr(HashEmbedder, "embed", counting)
+        eval_cfg = write_config(
+            tmp_path / "eval.json",
+            {**config, "eval": {**config["eval"], "retrieval_mode": "hybrid"},
+             "out_dir": str(tmp_path / "runs")},
+        )
+        assert main(["eval", "-c", eval_cfg]) == 0
+        pairs = load_qa_pairs(data_dir / "pairs.jsonl")
+        test = split_pairs(pairs, ratio=0.9, seed=7).test
+        assert calls == [[p.context for p in pairs], [p.question for p in test]]
 
     def test_eval_without_adapter_single_report(self, workspace, capsys):
         tmp_path, data_dir, config = workspace

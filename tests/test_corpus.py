@@ -1,4 +1,4 @@
-"""Loaders, chunking, splitting, qrels, and the synthetic generator."""
+"""Loaders, chunking, splitting, eval sets, and the synthetic generator."""
 
 import json
 
@@ -8,7 +8,7 @@ import pytest
 from riskrank.corpus import (
     Document,
     QAPair,
-    build_qrels,
+    build_eval_set,
     chunk_document,
     load_documents,
     load_qa_pairs,
@@ -270,22 +270,57 @@ class TestSplitPairs:
 
 
 class TestBuildQrels:
+    """The qrels half of ``build_eval_set``."""
+
     def test_single_pair(self):
-        qrels = build_qrels([QAPair("p1", "q?", "c")])
-        assert qrels == {"p1": {"p1"}}
+        pair = QAPair("p1", "q?", "c")
+        assert build_eval_set([pair], [pair]).qrels == {"p1": {"p1"}}
 
     def test_empty(self):
-        assert build_qrels([]) == {}
+        assert build_eval_set([], []).qrels == {}
 
     def test_duplicate_question_id(self):
         pairs = [QAPair("p1", "q?", "c1"), QAPair("p1", "q2?", "c2")]
         with pytest.raises(ValueError, match="duplicate"):
-            build_qrels(pairs)
+            build_eval_set(pairs, pairs)
 
     def test_every_query_has_one_relevant(self):
-        qrels = build_qrels(make_pairs(25))
+        pairs = make_pairs(25)
+        qrels = build_eval_set(pairs, pairs).qrels
         assert len(qrels) == 25
         assert all(len(v) == 1 for v in qrels.values())
+
+
+class TestBuildEvalSet:
+    def test_distinct_contexts_keep_pair_ids(self):
+        pairs = make_pairs(5)
+        eval_set = build_eval_set(pairs, pairs[3:])
+        assert eval_set.item_ids == tuple(p.pair_id for p in pairs)
+        assert eval_set.item_texts == tuple(p.context for p in pairs)
+        assert eval_set.queries == {"p0003": "question 3", "p0004": "question 4"}
+        assert eval_set.qrels == {"p0003": {"p0003"}, "p0004": {"p0004"}}
+
+    def test_shared_context_is_one_item_under_first_pair_id(self):
+        pool = [
+            QAPair("b", "q b?", "shared"),
+            QAPair("x", "q x?", "other"),
+            QAPair("a", "q a?", "shared"),
+        ]
+        eval_set = build_eval_set(pool, [pool[2], pool[0]])
+        assert eval_set.item_ids == ("b", "x")
+        assert eval_set.item_texts == ("shared", "other")
+        assert list(eval_set.queries) == ["a", "b"]
+        assert eval_set.qrels == {"a": {"b"}, "b": {"b"}}
+
+    def test_pool_must_hold_test_contexts(self):
+        pairs = make_pairs(4)
+        with pytest.raises(ValueError, match="missing test contexts: \\['p0003'\\]"):
+            build_eval_set(pairs[:3], pairs[3:])
+
+    def test_test_context_held_by_another_pool_pair(self):
+        pool = [QAPair("train", "q1?", "shared")]
+        test = [QAPair("test", "q2?", "shared")]
+        assert build_eval_set(pool, test).qrels == {"test": {"train"}}
 
 
 class TestSynthDataset:

@@ -319,6 +319,31 @@ class TestTrainAdapter:
         _, report = train_adapter(pairs, embedder, config)
         assert [b.batch_size for b in report.batches] == [4, 4]
 
+    def test_shared_context_never_shares_a_batch(self):
+        # 4 contexts, 3 questions each; every text embeds to its context's
+        # basis vector, so a batch holding one context twice has loss >= log 2
+        pairs = [
+            QAPair(f"p{c}{i}", f"question {c} {i}", f"context {c}")
+            for c in range(4) for i in range(3)
+        ]
+        vectors = {}
+        for pair in pairs:
+            vectors[pair.question] = vectors[pair.context] = np.eye(8)[int(pair.pair_id[1])]
+
+        class ContextBasis:
+            def embed(self, texts):
+                return np.stack([vectors[t] for t in texts])
+
+        config = TrainingConfig(batch_size=4, epochs=3, learning_rate=0.0, scale=20.0, seed=3)
+        _, report = train_adapter(pairs, ContextBasis(), config)
+        assert report.batches
+        assert all(b.loss < 1e-6 for b in report.batches)
+
+    def test_one_context_has_no_negatives(self):
+        pairs = [QAPair(f"p{i}", f"question {i}", "same context") for i in range(4)]
+        with pytest.raises(ValueError, match="distinct contexts"):
+            train_adapter(pairs, HashEmbedder(dim=16), TrainingConfig(batch_size=2))
+
     def test_too_few_pairs_rejected(self):
         pairs = tiny_corpus(30)[:3]
         embedder = HashEmbedder(dim=16, seed=0)

@@ -18,12 +18,10 @@ from riskrank.index import (
     dense_search_many,
     lexical_search,
     load_index,
-    load_run,
     ranked_list_from_scores,
     rerank,
     rrf_fuse,
     save_index,
-    save_run,
     validate_ranked_list,
 )
 
@@ -531,19 +529,3 @@ class TestPersistence:
     def test_nothing_to_save(self, tmp_path):
         with pytest.raises(ValueError):
             save_index(tmp_path / "idx")
-
-    def test_run_round_trip(self, tmp_path):
-        run = [
-            ranked("q1", ("a", 2.0), ("b", 1.0)),
-            ranked("q2", ("c", 0.5)),
-        ]
-        save_run(tmp_path / "run.jsonl", run)
-        assert load_run(tmp_path / "run.jsonl") == run
-
-    def test_load_run_rejects_unsorted_scores(self, tmp_path):
-        (tmp_path / "run.jsonl").write_text(
-            '{"query_id": "q", "hits": [{"item_id": "a", "score": 0.1}, '
-            '{"item_id": "b", "score": 0.9}]}\n'
-        )
-        with pytest.raises(ValueError, match="line 1"):
-            load_run(tmp_path / "run.jsonl")

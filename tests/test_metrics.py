@@ -1,6 +1,5 @@
 """Metric definitions vs the naive reference, plus report plumbing."""
 
-import json
 import math
 
 import pytest
@@ -9,11 +8,9 @@ from riskrank.index import ranked_list_from_scores
 from riskrank.metrics import (
     evaluate_run,
     hit_rate_at_k,
-    load_qrels,
     map_at_k,
     mrr_at_k,
     ndcg_at_k,
-    save_qrels,
 )
 
 from reference import naive_ap, naive_hit_rate, naive_mrr, naive_ndcg
@@ -222,42 +219,3 @@ class TestReportPlumbing:
     def test_json_bytes_deterministic(self):
         report = evaluate_run([run_of("q", ["a", "b"])], {"q": {"b"}}, (10,))
         assert report.to_json_bytes() == report.to_json_bytes()
-
-    def test_qrels_round_trip(self, tmp_path):
-        qrels = {"q1": {"a", "b"}, "q2": {"c"}}
-        save_qrels(qrels, tmp_path / "qrels.jsonl")
-        assert load_qrels(tmp_path / "qrels.jsonl") == qrels
-
-    def test_qrels_reject_empty_relevant(self, tmp_path):
-        (tmp_path / "qrels.jsonl").write_text(
-            json.dumps({"query_id": "q", "relevant": []}) + "\n"
-        )
-        with pytest.raises(ValueError, match="no relevant"):
-            load_qrels(tmp_path / "qrels.jsonl")
-
-    def test_qrels_reject_duplicates(self, tmp_path):
-        lines = [
-            json.dumps({"query_id": "q", "relevant": ["a"]}),
-            json.dumps({"query_id": "q", "relevant": ["b"]}),
-        ]
-        (tmp_path / "qrels.jsonl").write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="duplicate"):
-            load_qrels(tmp_path / "qrels.jsonl")
-
-    def test_offline_evaluation_from_run_and_qrels_files(self, tmp_path):
-        """A persisted run plus persisted qrels can be scored later."""
-        from riskrank.index import load_run, save_run
-
-        run = [
-            run_of("q1", ["rel1", "x", "y"]),
-            run_of("q2", ["x", "rel2"]),
-        ]
-        qrels = {"q1": {"rel1"}, "q2": {"rel2"}}
-        save_run(tmp_path / "run.jsonl", run)
-        save_qrels(qrels, tmp_path / "qrels.jsonl")
-        report = evaluate_run(
-            load_run(tmp_path / "run.jsonl"),
-            load_qrels(tmp_path / "qrels.jsonl"),
-            (5, 10),
-        )
-        assert report.aggregate["MRR@5"] == pytest.approx(0.75, abs=1e-12)
