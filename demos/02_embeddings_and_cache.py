@@ -6,7 +6,6 @@ from tempfile import TemporaryDirectory
 import numpy as np
 
 from riskrank import HashEmbedder, VectorCache, cosine, text_digest, tokenize
-from riskrank.cache import EmbeddingRecord
 
 print("tokenize('Credit exposure, VaR-99.5%') ->",
       tokenize("Credit exposure, VaR-99.5%"))
@@ -23,14 +22,9 @@ print("re-embedding is bit-identical:",
 
 with TemporaryDirectory() as tmp:
     cache = VectorCache(tmp)
-    record = EmbeddingRecord(
-        text_digest=text_digest("capital adequacy"),
-        provider_id=embedder.provider_id,
-        model_id=embedder.model_id,
-        vector=embedder("capital adequacy"),
-    )
-    path = cache.put(record)
-    loaded = cache.get(record.text_digest, embedder.provider_id, embedder.model_id)
+    digest = text_digest("capital adequacy")
+    vector = embedder("capital adequacy")
+    path = cache.put(digest, embedder.provider_id, embedder.model_id, vector)
+    loaded = cache.get(digest, embedder.provider_id, embedder.model_id)
     print(f"\ncache file: .../{path.parent.name}/{path.name[:16]}...vec")
-    print("round-trip bit-exact:",
-          loaded.vector.tobytes() == record.vector.tobytes())
+    print("round-trip bit-exact:", loaded.tobytes() == vector.tobytes())

@@ -1,13 +1,17 @@
-"""Content-addressed disk cache for embedding vectors.
+"""Content-addressed disk cache for embedding vectors, and the RKV1 codec.
 
-One file per record at ``<root>/<provider>/<model>/<sha256-of-text>.vec``.
-File layout: magic bytes ``RKV1``, then the dimension as unsigned 32-bit
-little-endian, then ``dim`` IEEE-754 float32 little-endian values. Writes
-are atomic (temp file + rename), so concurrent writers of the same key are
-idempotent and readers never observe partial files.
+RKV1 is the one vector file layout in riskrank: magic bytes ``RKV1``, then
+the dimension as unsigned 32-bit little-endian, then row-major IEEE-754
+float32 little-endian values. A cache file holds one row; an index's
+``vectors.bin`` holds one row per item. ``write_rkv1`` writes atomically
+(temp file + rename), so concurrent writers of the same file are idempotent
+and readers never observe partial files; ``read_rkv1`` checks the magic and
+the length and names the file when either is wrong.
 
-``cached_embed`` is the one cache-first loop: look each text up, fetch all
-misses with one call, store what was fetched.
+The cache keeps one file per text at
+``<root>/<provider>/<model>/<sha256-of-text>.vec``. ``cached_embed`` is the
+one cache-first loop: look each distinct text up, fetch all misses with one
+call, store what was fetched.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ import os
 import re
 import struct
 import uuid
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -25,10 +28,11 @@ import numpy as np
 
 __all__ = [
     "CACHE_MAGIC",
-    "EmbeddingRecord",
     "CorruptCacheError",
     "VectorCache",
     "cached_embed",
+    "read_rkv1",
+    "write_rkv1",
     "text_digest",
     "default_cache_dir",
 ]
@@ -39,8 +43,8 @@ CACHE_DIR_ENV = "RISKRANK_CACHE_DIR"
 _SAFE_COMPONENT = re.compile(r"[^A-Za-z0-9._-]")
 
 
-class CorruptCacheError(RuntimeError):
-    """A cache file failed validation (bad magic, dim, or length)."""
+class CorruptCacheError(ValueError):
+    """An RKV1 file failed validation (bad magic, dim, or length)."""
 
 
 def text_digest(text: str) -> str:
@@ -55,18 +59,36 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "riskrank"
 
 
-@dataclass(frozen=True)
-class EmbeddingRecord:
-    """A cached vector keyed by (provider, model, content digest)."""
+def write_rkv1(path: Path | str, vectors: np.ndarray) -> None:
+    """Atomically write a vector or an ``(n, dim)`` matrix as one RKV1 file."""
+    values = np.asarray(vectors, dtype="<f4")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"refusing to write non-finite vector components to {path}")
+    payload = CACHE_MAGIC + struct.pack("<I", values.shape[-1]) + values.tobytes()
+    tmp = f"{path}.tmp-{uuid.uuid4().hex}"
+    with open(tmp, "wb") as handle:
+        handle.write(payload)
+    os.replace(tmp, path)
 
-    text_digest: str
-    provider_id: str
-    model_id: str
-    vector: np.ndarray  # 1-D float32
 
+def read_rkv1(path: Path | str, rows: int = 1) -> np.ndarray:
+    """Read an RKV1 file of ``rows`` vectors as a ``(rows, dim)`` float32 matrix.
 
-def _sanitize(component: str) -> str:
-    return _SAFE_COMPONENT.sub("_", component)
+    A missing file raises FileNotFoundError; a damaged one raises
+    CorruptCacheError naming the file.
+    """
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    if len(raw) < 8 or raw[:4] != CACHE_MAGIC:
+        raise CorruptCacheError(f"bad magic in RKV1 file {path}")
+    (dim,) = struct.unpack("<I", raw[4:8])
+    expected = 8 + 4 * rows * dim
+    if len(raw) != expected:
+        raise CorruptCacheError(
+            f"RKV1 file {path} has {len(raw)} bytes, expected {expected} "
+            f"for {rows} x {dim}"
+        )
+    return np.frombuffer(raw, dtype="<f4", offset=8).reshape(rows, dim).copy()
 
 
 class VectorCache:
@@ -74,50 +96,42 @@ class VectorCache:
 
     def __init__(self, root: Path | str | None = None):
         self.root = Path(root) if root is not None else default_cache_dir()
+        self._dirs: dict[tuple[str, str], str] = {}
 
-    def path_for(self, digest: str, provider_id: str, model_id: str) -> Path:
-        return (
-            self.root
-            / _sanitize(provider_id)
-            / _sanitize(model_id)
-            / f"{digest}.vec"
-        )
+    def path_for(self, digest: str, provider_id: str, model_id: str) -> str:
+        """Cache file path; each (provider, model) directory is built once."""
+        directory = self._dirs.get((provider_id, model_id))
+        if directory is None:
+            directory = os.path.join(
+                self.root,
+                _SAFE_COMPONENT.sub("_", provider_id),
+                _SAFE_COMPONENT.sub("_", model_id),
+            )
+            self._dirs[provider_id, model_id] = directory
+        return f"{directory}{os.sep}{digest}.vec"
 
-    def put(self, record: EmbeddingRecord) -> Path:
-        """Write a record atomically; returns the cache file path."""
-        vec = np.asarray(record.vector, dtype=np.float32).ravel()
-        if not np.all(np.isfinite(vec)):
-            raise ValueError("refusing to cache vector with non-finite components")
-        path = self.path_for(record.text_digest, record.provider_id, record.model_id)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = CACHE_MAGIC + struct.pack("<I", vec.shape[0]) + vec.tobytes()
-        tmp = path.with_suffix(f".tmp-{uuid.uuid4().hex}")
-        tmp.write_bytes(payload)
-        os.replace(tmp, path)
-        return path
+    def put(
+        self, digest: str, provider_id: str, model_id: str, vector: np.ndarray
+    ) -> Path:
+        """Write one vector atomically; returns the cache file path.
 
-    def get(self, digest: str, provider_id: str, model_id: str) -> EmbeddingRecord | None:
-        """Read a record back, or None if absent. Raises CorruptCacheError on damage."""
+        The directory is made only when the first write into it finds it missing.
+        """
         path = self.path_for(digest, provider_id, model_id)
+        vector = np.ravel(vector)
         try:
-            raw = path.read_bytes()
+            write_rkv1(path, vector)
+        except FileNotFoundError:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            write_rkv1(path, vector)
+        return Path(path)
+
+    def get(self, digest: str, provider_id: str, model_id: str) -> np.ndarray | None:
+        """The cached float32 vector, or None if absent. Raises CorruptCacheError on damage."""
+        try:
+            return read_rkv1(self.path_for(digest, provider_id, model_id))[0]
         except FileNotFoundError:
             return None
-        if len(raw) < 8 or raw[:4] != CACHE_MAGIC:
-            raise CorruptCacheError(f"bad magic in cache file {path}")
-        (dim,) = struct.unpack("<I", raw[4:8])
-        expected = 8 + 4 * dim
-        if len(raw) != expected:
-            raise CorruptCacheError(
-                f"cache file {path} has {len(raw)} bytes, expected {expected} for dim {dim}"
-            )
-        vector = np.frombuffer(raw[8:], dtype="<f4").copy()
-        return EmbeddingRecord(
-            text_digest=digest,
-            provider_id=provider_id,
-            model_id=model_id,
-            vector=vector,
-        )
 
 
 def cached_embed(
@@ -129,29 +143,35 @@ def cached_embed(
     """Cache-first embedding: returns the ``(n, dim)`` float32 matrix and the hit count.
 
     ``key`` is any object with ``provider_id``, ``model_id`` and ``dim``, such
-    as an embedder or a ProviderConfig. Every text is looked up under it;
-    ``fetch`` is called once, with all the misses in input order, and must
-    return one vector per miss. Fetched vectors are stored as they are, so
-    the cache holds what ``fetch`` makes. A cached vector of another
-    dimension raises CorruptCacheError.
+    as an embedder or a ProviderConfig. Each distinct text is looked up under
+    it once; ``fetch`` is called once, with each distinct miss in order of
+    first occurrence, and must return one vector per text it is given.
+    Fetched vectors are stored as they are, so the cache holds what ``fetch``
+    makes. Rows keep input order; the hit count is the number of rows served
+    from the cache. A cached vector of another dimension raises
+    CorruptCacheError.
     """
-    digests = [text_digest(t) for t in texts]
+    rows: dict[str, list[int]] = {}
+    for i, text in enumerate(texts):
+        rows.setdefault(text_digest(text), []).append(i)
     out = np.zeros((len(texts), key.dim), dtype=np.float32)
-    misses: list[int] = []
-    for i, digest in enumerate(digests):
-        record = cache.get(digest, key.provider_id, key.model_id)
-        if record is None:
-            misses.append(i)
-        elif record.vector.shape[0] != key.dim:
+    misses: list[str] = []
+    hits = 0
+    for digest, positions in rows.items():
+        vector = cache.get(digest, key.provider_id, key.model_id)
+        if vector is None:
+            misses.append(digest)
+        elif vector.shape[0] != key.dim:
             raise CorruptCacheError(
                 f"cache file {cache.path_for(digest, key.provider_id, key.model_id)} "
-                f"holds dim {record.vector.shape[0]}, expected dim {key.dim}"
+                f"holds dim {vector.shape[0]}, expected dim {key.dim}"
             )
         else:
-            out[i] = record.vector
+            out[positions] = vector
+            hits += len(positions)
     if misses:
-        vectors = fetch([texts[i] for i in misses])
-        for i, vec in zip(misses, vectors):
-            cache.put(EmbeddingRecord(digests[i], key.provider_id, key.model_id, vec))
-            out[i] = vec
-    return out, len(texts) - len(misses)
+        vectors = fetch([texts[rows[digest][0]] for digest in misses])
+        for digest, vector in zip(misses, vectors):
+            cache.put(digest, key.provider_id, key.model_id, vector)
+            out[rows[digest]] = vector
+    return out, hits

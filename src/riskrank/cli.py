@@ -31,6 +31,8 @@ from .benchmark import (
 )
 from .cache import VectorCache, cached_embed
 from .corpus import (
+    _jsonl_records,
+    _require_str,
     build_eval_set,
     chunk_document,
     load_documents,
@@ -203,12 +205,7 @@ def _build_embedder(cfg: dict[str, Any]) -> HashEmbedder | RemoteEmbedder:
             timeout_ms=int(spec.get("timeout_ms", 30_000)),
         )
         cache = VectorCache(cfg.get("cache_dir"))
-        return RemoteEmbedder(
-            provider,
-            cache,
-            jobs=int(cfg.get("jobs", 1)),
-            normalize=bool(spec.get("normalize", True)),
-        )
+        return RemoteEmbedder(provider, cache, jobs=int(cfg.get("jobs", 1)))
     raise UsageError(f"unknown embedder kind {kind!r} (expected hash or remote)")
 
 
@@ -309,15 +306,10 @@ def cmd_embed(args: argparse.Namespace) -> int:
     )
     input_path = Path(_require(cfg, "input", "embed"))
     field = cfg["text_field"]
-    texts = []
-    with input_path.open("r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            if field not in record:
-                raise ValueError(f"{input_path}: line {line_no}: missing field {field!r}")
-            texts.append(record[field])
+    texts = [
+        _require_str(record, field, input_path, line_no)
+        for line_no, record in _jsonl_records(input_path)
+    ]
     if not texts:
         print("nothing to embed")
         return 0

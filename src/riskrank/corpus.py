@@ -21,7 +21,7 @@ import math
 import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -120,6 +120,21 @@ def _optional_str(record: dict, key: str, path: Path, line_no: int) -> str | Non
     return value
 
 
+def _jsonl_records(path: Path) -> Iterator[tuple[int, dict]]:
+    """``(line_no, record)`` for each nonblank line; bad lines raise ValueError."""
+    with path.open("r", encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: line {line_no}: invalid JSON: {exc}") from exc
+            if not isinstance(record, dict):
+                raise ValueError(f"{path}: line {line_no}: record must be an object")
+            yield line_no, record
+
+
 def load_qa_pairs(path: Path | str, format: str | None = None) -> list[QAPair]:
     """Load question-context pairs from a JSONL or CSV file.
 
@@ -153,17 +168,8 @@ def load_qa_pairs(path: Path | str, format: str | None = None) -> list[QAPair]:
                             context=context, doc_id=doc_id))
 
     if format == "jsonl":
-        with path.open("r", encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"{path}: line {line_no}: invalid JSON: {exc}") from exc
-                if not isinstance(record, dict):
-                    raise ValueError(f"{path}: line {line_no}: record must be an object")
-                add(record, line_no)
+        for line_no, record in _jsonl_records(path):
+            add(record, line_no)
     else:
         with path.open("r", encoding="utf-8", newline="") as handle:
             reader = csv.DictReader(handle)
@@ -194,6 +200,17 @@ def save_qa_pairs(pairs: Iterable[QAPair], path: Path | str) -> None:
             handle.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
+def _document(record: dict, path: Path, line_no: int) -> Document:
+    doc_id = _require_str(record, "doc_id", path, line_no)
+    title = record.get("title", doc_id)
+    if not isinstance(title, str):
+        raise ValueError(f"{path}: line {line_no}: field 'title' must be a string")
+    meta = record.get("source_meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: line {line_no}: field 'source_meta' must be an object")
+    return Document(doc_id, title, _require_str(record, "body", path, line_no), meta)
+
+
 def load_documents(source: Path | str | Sequence[Path | str]) -> list[Document]:
     """Load documents from plain-text files or from one documents JSONL file.
 
@@ -205,14 +222,7 @@ def load_documents(source: Path | str | Sequence[Path | str]) -> list[Document]:
     if isinstance(source, (str, Path)):
         root = Path(source)
         if root.suffix == ".jsonl":
-            with root.open("r", encoding="utf-8") as handle:
-                records = [json.loads(line) for line in handle if line.strip()]
-            return [
-                Document(
-                    r["doc_id"], r.get("title", r["doc_id"]), r["body"], r.get("source_meta", {})
-                )
-                for r in records
-            ]
+            return [_document(record, root, line_no) for line_no, record in _jsonl_records(root)]
         if root.is_dir():
             paths = sorted(root.glob("*.txt"))
         else:

@@ -12,16 +12,15 @@ accumulates scores term at a time over the postings, adding each item's
 term weights in the same order as ``bm25_score``.
 
 Persistence writes a directory with ``meta.json`` (counts, dimension, BM25
-parameters, item ids), ``vectors.bin`` (magic ``RKV1`` + u32 little-endian
-dim + row-major float32 little-endian values, the embedding-cache layout),
-and ``postings.jsonl`` (one term per line).
+parameters, item ids), ``vectors.bin`` (the item rows as one RKV1 file,
+through the codec in ``riskrank.cache``), and ``postings.jsonl`` (one term
+per line).
 """
 
 from __future__ import annotations
 
 import json
 import math
-import struct
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,7 +28,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .cache import CACHE_MAGIC
+from .cache import read_rkv1, write_rkv1
 from .embedding import exact_norm, tokenize
 
 __all__ = [
@@ -395,7 +394,8 @@ def rrf_fuse(
     """Reciprocal-rank fusion: item score = sum of 1 / (k_rrf + rank).
 
     Only occurrences within ``depth`` of the top of each input list count.
-    Input lists must share a query id.
+    Each sum is exactly rounded (``math.fsum``), so the order of the input
+    lists never changes a score. Input lists must share a query id.
     """
     if not lists:
         raise ValueError("need at least one ranked list to fuse")
@@ -406,13 +406,14 @@ def rrf_fuse(
     query_ids = {rl.query_id for rl in lists}
     if len(query_ids) != 1:
         raise ValueError(f"cannot fuse lists with differing query ids: {sorted(query_ids)}")
-    fused: dict[str, float] = {}
+    terms: dict[str, list[float]] = {}
     for ranking in lists:
         for hit in ranking.hits:
-            if hit.rank > depth:
-                continue
-            fused[hit.item_id] = fused.get(hit.item_id, 0.0) + 1.0 / (k_rrf + hit.rank)
-    return ranked_list_from_scores(lists[0].query_id, fused.items())
+            if hit.rank <= depth:
+                terms.setdefault(hit.item_id, []).append(1.0 / (k_rrf + hit.rank))
+    return ranked_list_from_scores(
+        lists[0].query_id, [(i, math.fsum(t)) for i, t in terms.items()]
+    )
 
 
 RerankHook = Callable[[str, RankedList], RankedList]
@@ -470,9 +471,7 @@ def save_index(
     }
     if dense is not None:
         meta["dim"] = dense.dim
-        payload = CACHE_MAGIC + struct.pack("<I", dense.dim)
-        payload += np.ascontiguousarray(dense.matrix, dtype="<f4").tobytes()
-        (path / "vectors.bin").write_bytes(payload)
+        write_rkv1(path / "vectors.bin", dense.matrix)
     if lexical is not None:
         meta["k1"] = lexical.k1
         meta["b"] = lexical.b
@@ -500,20 +499,12 @@ def load_index(path: Path | str) -> tuple[DenseIndex | None, LexicalIndex | None
     dense = None
     lexical = None
     if meta.get("has_dense"):
-        raw = (path / "vectors.bin").read_bytes()
-        if len(raw) < 8 or raw[:4] != CACHE_MAGIC:
-            raise ValueError(f"bad magic in {path / 'vectors.bin'}")
-        (dim,) = struct.unpack("<I", raw[4:8])
-        expected = 8 + 4 * dim * meta["count"]
-        if dim != meta["dim"] or len(raw) != expected:
+        matrix = read_rkv1(path / "vectors.bin", rows=meta["count"])
+        if matrix.shape[1] != meta["dim"]:
             raise ValueError(
-                f"{path / 'vectors.bin'}: {len(raw)} bytes, expected {expected} "
-                f"for {meta['count']} x {meta['dim']}"
+                f"{path / 'vectors.bin'}: dim {matrix.shape[1]}, expected {meta['dim']}"
             )
-        matrix = (
-            np.frombuffer(raw[8:], dtype="<f4").reshape(meta["count"], dim).copy()
-        )
-        dense = DenseIndex(item_ids=ids, matrix=matrix, dim=dim)
+        dense = DenseIndex(item_ids=ids, matrix=matrix, dim=meta["dim"])
     if meta.get("has_lexical"):
         known = set(ids)
         if set(meta["doc_len"]) != known:

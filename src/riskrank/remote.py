@@ -5,12 +5,13 @@ Wire format: ``POST {base_url}/embeddings`` with JSON body
 ``Authorization: Bearer <key>``; the response is
 ``{"data": [{"index": i, "embedding": [floats]}, ...]}``.
 
-``remote_embed`` goes through ``cache.cached_embed``: texts already in the
-vector cache are served locally, and all misses go to one fetch that sends
-them in batches of at most ``max_batch`` texts per request. Batches may be
-issued concurrently; ordering is restored by position, never by arrival.
-The cache keeps the raw provider vectors; normalization is applied on the
-way out. The API key is read only when some text misses the cache.
+``RemoteEmbedder.embed`` goes through ``cache.cached_embed``: texts already
+in the vector cache are served locally, and all misses go to one
+``RemoteEmbedder.fetch`` that sends them in batches of at most ``max_batch``
+texts per request. Batches may be issued concurrently; ordering is restored
+by position, never by arrival. The cache keeps the raw provider vectors;
+L2 normalization is applied on the way out. The API key is read only when
+some text misses the cache.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import requests
 from .cache import VectorCache, cached_embed
 from .embedding import l2_normalize
 
-__all__ = ["ProviderConfig", "RemoteEmbedError", "remote_embed", "RemoteEmbedder"]
+__all__ = ["ProviderConfig", "RemoteEmbedError", "RemoteEmbedder"]
 
 logger = logging.getLogger(__name__)
 
@@ -123,65 +124,15 @@ def _fetch_batch(config: ProviderConfig, key: str, batch: list[str]) -> list[np.
     return vectors
 
 
-def _fetch_all(config: ProviderConfig, texts: list[str], jobs: int) -> list[np.ndarray]:
-    """Raw provider vectors for ``texts``, in order, ``max_batch`` texts per request."""
-    key = _api_key(config)
-    batches = [
-        texts[start : start + config.max_batch]
-        for start in range(0, len(texts), config.max_batch)
-    ]
-    logger.info(
-        "remote_embed: %d cache misses, %d batches to %s",
-        len(texts), len(batches), config.provider_id,
-    )
-    run = partial(_fetch_batch, config, key)
-    if jobs > 1 and len(batches) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, batches))
-    else:
-        results = [run(batch) for batch in batches]
-    return [vec for vectors in results for vec in vectors]
-
-
-def remote_embed(
-    config: ProviderConfig,
-    texts: list[str],
-    cache: VectorCache,
-    *,
-    jobs: int = 1,
-    normalize: bool = True,
-) -> np.ndarray:
-    """Embed ``texts`` via the configured API, returning an ``(n, dim)`` matrix.
-
-    Cache-first: cached digests never touch the network. Raw provider vectors
-    are what gets cached; L2 normalization (on by default) is applied on the
-    way out, so toggling ``normalize`` never invalidates the cache.
-    """
-    if not texts:
-        raise ValueError("texts must be nonempty")
-    matrix, _ = cached_embed(
-        cache, config, texts, lambda misses: _fetch_all(config, misses, jobs)
-    )
-    if normalize:
-        matrix = np.stack([l2_normalize(row) for row in matrix])
-    return matrix
-
-
 class RemoteEmbedder:
-    """Batch embedder over ``remote_embed`` with a fixed config and cache."""
+    """Cache-first batch embedder over one embedding API."""
 
     def __init__(
-        self,
-        config: ProviderConfig,
-        cache: VectorCache | None = None,
-        *,
-        jobs: int = 1,
-        normalize: bool = True,
+        self, config: ProviderConfig, cache: VectorCache | None = None, *, jobs: int = 1
     ):
         self.config = config
         self.cache = cache if cache is not None else VectorCache()
         self.jobs = jobs
-        self.normalize = normalize
 
     @property
     def dim(self) -> int:
@@ -196,10 +147,32 @@ class RemoteEmbedder:
         return self.config.model_id
 
     def embed(self, texts: list[str]) -> np.ndarray:
-        return remote_embed(
-            self.config, texts, self.cache, jobs=self.jobs, normalize=self.normalize
-        )
+        """Embed ``texts`` into an ``(n, dim)`` matrix of L2-normalized rows.
+
+        Cached digests never touch the network; the cache keeps the raw
+        provider vectors, and each row is normalized on the way out.
+        """
+        if not texts:
+            raise ValueError("texts must be nonempty")
+        matrix, _ = cached_embed(self.cache, self.config, texts, self.fetch)
+        return np.stack([l2_normalize(row) for row in matrix])
 
     def fetch(self, texts: list[str]) -> list[np.ndarray]:
-        """Raw provider vectors for ``texts``, bypassing the cache."""
-        return _fetch_all(self.config, texts, self.jobs)
+        """Raw provider vectors for ``texts``, in order, bypassing the cache."""
+        config = self.config
+        key = _api_key(config)
+        batches = [
+            texts[start : start + config.max_batch]
+            for start in range(0, len(texts), config.max_batch)
+        ]
+        logger.info(
+            "fetching %d texts in %d batches from %s",
+            len(texts), len(batches), config.provider_id,
+        )
+        run = partial(_fetch_batch, config, key)
+        if self.jobs > 1 and len(batches) > 1:
+            with ThreadPoolExecutor(max_workers=self.jobs) as pool:
+                results = list(pool.map(run, batches))
+        else:
+            results = [run(batch) for batch in batches]
+        return [vec for vectors in results for vec in vectors]

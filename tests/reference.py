@@ -110,14 +110,16 @@ def brute_force_dense(
 def brute_force_rrf(
     rankings: list[list[str]], k_rrf: int, depth: int
 ) -> dict[str, float]:
-    """Fused scores over the union of items, straight from the definition."""
-    scores: dict[str, float] = {}
+    """Fused scores over the union of items, straight from the definition:
+    each item's float terms 1 / (k_rrf + position), summed exactly and
+    rounded once."""
+    terms: dict[str, list[float]] = {}
     for ranking in rankings:
         for position, item in enumerate(ranking, start=1):
             if position > depth:
                 continue
-            scores[item] = scores.get(item, 0.0) + 1.0 / (k_rrf + position)
-    return scores
+            terms.setdefault(item, []).append(1.0 / (k_rrf + position))
+    return {item: math.fsum(values) for item, values in terms.items()}
 
 
 def bm25_by_hand(

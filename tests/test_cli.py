@@ -89,6 +89,28 @@ class TestRuntimeErrors:
         assert main(["train", "-c", config, "--verbose"]) == 2
         assert "Traceback" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command,bad_line,problem",
+        [
+            ("embed", '{"context": 42}', "field 'context'"),
+            ("embed", "{not json", "invalid JSON"),
+            ("chunk", '{"doc_id": "d2", "title": "t"}', "field 'body'"),
+            ("chunk", '["d2", "body"]', "record must be an object"),
+        ],
+        ids=["embed-not-a-string", "embed-not-json", "chunk-no-body", "chunk-not-an-object"],
+    )
+    def test_malformed_jsonl_names_file_line_and_field(
+        self, tmp_path, capsys, command, bad_line, problem
+    ):
+        good = {"embed": {"context": "fine"}, "chunk": {"doc_id": "d1", "body": "fine"}}
+        path = tmp_path / "input.jsonl"
+        path.write_text(json.dumps(good[command]) + "\n" + bad_line + "\n")
+        flag = "--input" if command == "embed" else "--docs"
+        assert main([command, flag, str(path), "-o", str(tmp_path / "out.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"riskrank: error: ValueError: {path}: line 2: ")
+        assert problem in err
+
 
 class TestSynth:
     def test_writes_pairs_and_documents(self, tmp_path, capsys):

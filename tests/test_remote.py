@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from riskrank.cache import CorruptCacheError, EmbeddingRecord, VectorCache, text_digest
+from riskrank.cache import CorruptCacheError, VectorCache, cached_embed, text_digest
 from riskrank.corpus import QAPair
 from riskrank.embedding import l2_normalize
 from riskrank.finetune import TrainingConfig, train_adapter
-from riskrank.remote import ProviderConfig, RemoteEmbedder, RemoteEmbedError, remote_embed
+from riskrank.remote import ProviderConfig, RemoteEmbedder, RemoteEmbedError
 
 from conftest import server_vector
 
@@ -26,6 +26,15 @@ def make_config(server, model="ok-8", dim=8, max_batch=10) -> ProviderConfig:
     )
 
 
+def embed_remote(config, texts, cache, jobs=1) -> np.ndarray:
+    return RemoteEmbedder(config, cache, jobs=jobs).embed(texts)
+
+
+def unit_vector(text: str, dim: int = 8) -> np.ndarray:
+    """What ``RemoteEmbedder.embed`` returns for ``text``: the server vector, normalized."""
+    return l2_normalize(np.asarray(server_vector(text, dim), dtype=np.float32))
+
+
 @pytest.fixture(autouse=True)
 def api_key(monkeypatch, embedding_server):
     monkeypatch.setenv("RISKRANK_TEST_API_KEY", "sekret")
@@ -36,23 +45,23 @@ def test_cold_cache_batching(embedding_server, tmp_path):
     config = make_config(embedding_server, max_batch=10)
     cache = VectorCache(tmp_path)
     texts = [f"text number {i}" for i in range(25)]
-    matrix = remote_embed(config, texts, cache, normalize=False)
+    matrix = embed_remote(config, texts, cache)
     assert matrix.shape == (25, 8)
     requests = embedding_server.requests
     assert len(requests) == 3  # ceil(25 / 10)
     assert all(r["path"] == "/embeddings" for r in requests)
     assert all(r["auth"] == "Bearer sekret" for r in requests)
     for i, text in enumerate(texts):
-        assert np.allclose(matrix[i], server_vector(text, 8))
+        assert np.array_equal(matrix[i], unit_vector(text))
 
 
 def test_warm_cache_makes_no_requests(embedding_server, tmp_path):
     config = make_config(embedding_server)
     cache = VectorCache(tmp_path)
     texts = ["alpha", "beta", "gamma"]
-    first = remote_embed(config, texts, cache, normalize=False)
+    first = embed_remote(config, texts, cache)
     embedding_server.reset()
-    second = remote_embed(config, texts, cache, normalize=False)
+    second = embed_remote(config, texts, cache)
     assert embedding_server.requests == []
     assert np.array_equal(first, second)
 
@@ -60,10 +69,10 @@ def test_warm_cache_makes_no_requests(embedding_server, tmp_path):
 def test_warm_cache_needs_no_api_key(embedding_server, tmp_path, monkeypatch):
     config = make_config(embedding_server)
     cache = VectorCache(tmp_path)
-    first = remote_embed(config, ["alpha", "beta"], cache)
+    first = embed_remote(config, ["alpha", "beta"], cache)
     embedding_server.reset()
     monkeypatch.delenv("RISKRANK_TEST_API_KEY")
-    second = remote_embed(config, ["beta", "alpha"], cache)
+    second = embed_remote(config, ["beta", "alpha"], cache)
     assert embedding_server.requests == []
     assert np.array_equal(second, first[::-1])
 
@@ -71,11 +80,9 @@ def test_warm_cache_needs_no_api_key(embedding_server, tmp_path, monkeypatch):
 def test_cached_vector_of_wrong_dim_is_corruption(embedding_server, tmp_path):
     config = make_config(embedding_server, dim=8)
     cache = VectorCache(tmp_path)
-    path = cache.put(
-        EmbeddingRecord(text_digest("alpha"), "testprov", "ok-8", np.ones(4, dtype=np.float32))
-    )
+    path = cache.put(text_digest("alpha"), "testprov", "ok-8", np.ones(4, dtype=np.float32))
     with pytest.raises(CorruptCacheError) as excinfo:
-        remote_embed(config, ["alpha"], cache)
+        embed_remote(config, ["alpha"], cache)
     message = str(excinfo.value)
     assert str(path) in message
     assert "dim 4" in message and "dim 8" in message
@@ -85,9 +92,9 @@ def test_cached_vector_of_wrong_dim_is_corruption(embedding_server, tmp_path):
 def test_partial_cache_only_fetches_misses(embedding_server, tmp_path):
     config = make_config(embedding_server, max_batch=50)
     cache = VectorCache(tmp_path)
-    remote_embed(config, ["alpha", "beta"], cache, normalize=False)
+    embed_remote(config, ["alpha", "beta"], cache)
     embedding_server.reset()
-    remote_embed(config, ["alpha", "gamma", "beta"], cache, normalize=False)
+    embed_remote(config, ["alpha", "gamma", "beta"], cache)
     requests = embedding_server.requests
     assert len(requests) == 1
     assert requests[0]["inputs"] == ["gamma"]
@@ -97,33 +104,51 @@ def test_order_restored_with_parallel_batches(embedding_server, tmp_path):
     config = make_config(embedding_server, max_batch=2)
     cache = VectorCache(tmp_path)
     texts = [f"item {i}" for i in range(11)]
-    matrix = remote_embed(config, texts, cache, jobs=4, normalize=False)
+    matrix = embed_remote(config, texts, cache, jobs=4)
     for i, text in enumerate(texts):
-        assert np.allclose(matrix[i], server_vector(text, 8))
+        assert np.array_equal(matrix[i], unit_vector(text))
 
 
-def test_normalize_on_by_default(embedding_server, tmp_path):
+def test_embed_normalizes_and_cache_keeps_raw(embedding_server, tmp_path):
     config = make_config(embedding_server)
     cache = VectorCache(tmp_path)
-    matrix = remote_embed(config, ["alpha"], cache)
-    expected = l2_normalize(np.asarray(server_vector("alpha", 8), dtype=np.float32))
-    assert np.array_equal(matrix[0], expected)
-    # the cache keeps the raw vector, so flipping the flag is safe
-    raw = remote_embed(config, ["alpha"], cache, normalize=False)
-    assert np.allclose(raw[0], server_vector("alpha", 8))
+    embedder = RemoteEmbedder(config, cache)
+    matrix = embedder.embed(["alpha"])
+    raw = np.asarray(server_vector("alpha", 8), dtype=np.float32)
+    assert np.array_equal(matrix[0], l2_normalize(raw))
+    assert np.array_equal(cache.get(text_digest("alpha"), "testprov", "ok-8"), raw)
+    assert np.array_equal(embedder.fetch(["alpha"])[0], raw)
+
+
+def test_repeated_texts_are_fetched_and_stored_once(embedding_server, tmp_path):
+    config = make_config(embedding_server, max_batch=50)
+    cache = VectorCache(tmp_path)
+    texts = ["ctx a", "ctx a", "ctx b", "ctx a"]
+    matrix = embed_remote(config, texts, cache)
+    assert [r["inputs"] for r in embedding_server.requests] == [["ctx a", "ctx b"]]
+    assert len(list(tmp_path.rglob("*.vec"))) == 2
+    for i, text in enumerate(texts):
+        assert np.array_equal(matrix[i], unit_vector(text))
+
+    def no_fetch(misses):
+        raise AssertionError(f"unexpected fetch of {misses}")
+
+    raw, hits = cached_embed(cache, config, texts + ["ctx b"], no_fetch)
+    assert hits == 5  # rows served from the cache, repeats included
+    assert np.array_equal(raw[3], np.asarray(server_vector("ctx a", 8), dtype=np.float32))
 
 
 def test_dim_mismatch_is_hard_error(embedding_server, tmp_path):
     config = make_config(embedding_server, model="wrong-dim", dim=8)
     with pytest.raises(RemoteEmbedError) as excinfo:
-        remote_embed(config, ["alpha"], VectorCache(tmp_path))
+        embed_remote(config, ["alpha"], VectorCache(tmp_path))
     assert not excinfo.value.retryable
 
 
 def test_partial_response_is_hard_error(embedding_server, tmp_path):
     config = make_config(embedding_server, model="partial")
     with pytest.raises(RemoteEmbedError) as excinfo:
-        remote_embed(config, ["alpha", "beta"], VectorCache(tmp_path))
+        embed_remote(config, ["alpha", "beta"], VectorCache(tmp_path))
     assert not excinfo.value.retryable
 
 
@@ -131,7 +156,7 @@ def test_non_finite_vector_is_hard_error(embedding_server, tmp_path):
     config = make_config(embedding_server, model="nan")
     cache = VectorCache(tmp_path)
     with pytest.raises(RemoteEmbedError) as excinfo:
-        remote_embed(config, ["alpha", "beta"], cache)
+        embed_remote(config, ["alpha", "beta"], cache)
     assert not excinfo.value.retryable
     assert "testprov" in str(excinfo.value)
     assert not list(tmp_path.rglob("*.vec"))
@@ -140,7 +165,7 @@ def test_non_finite_vector_is_hard_error(embedding_server, tmp_path):
 def test_http_failure_is_retryable(embedding_server, tmp_path):
     config = make_config(embedding_server, model="boom")
     with pytest.raises(RemoteEmbedError) as excinfo:
-        remote_embed(config, ["alpha"], VectorCache(tmp_path))
+        embed_remote(config, ["alpha"], VectorCache(tmp_path))
     assert excinfo.value.retryable
     assert "testprov" in str(excinfo.value)
 
@@ -155,7 +180,7 @@ def test_connection_failure_is_retryable(tmp_path):
         timeout_ms=500,
     )
     with pytest.raises(RemoteEmbedError) as excinfo:
-        remote_embed(config, ["alpha"], VectorCache(tmp_path))
+        embed_remote(config, ["alpha"], VectorCache(tmp_path))
     assert excinfo.value.retryable
 
 
@@ -163,14 +188,14 @@ def test_missing_api_key(embedding_server, tmp_path, monkeypatch):
     monkeypatch.delenv("RISKRANK_TEST_API_KEY")
     config = make_config(embedding_server)
     with pytest.raises(ValueError) as excinfo:
-        remote_embed(config, ["alpha"], VectorCache(tmp_path))
+        embed_remote(config, ["alpha"], VectorCache(tmp_path))
     assert "RISKRANK_TEST_API_KEY" in str(excinfo.value)
 
 
 def test_empty_texts_rejected(embedding_server, tmp_path):
     config = make_config(embedding_server)
     with pytest.raises(ValueError):
-        remote_embed(config, [], VectorCache(tmp_path))
+        embed_remote(config, [], VectorCache(tmp_path))
 
 
 def test_config_validation():
@@ -181,14 +206,12 @@ def test_config_validation():
 
 
 def test_embedder_wrapper(embedding_server, tmp_path):
-    embedder = RemoteEmbedder(
-        make_config(embedding_server), VectorCache(tmp_path), normalize=False
-    )
-    assert embedder.dim == 8
+    embedder = RemoteEmbedder(make_config(embedding_server), VectorCache(tmp_path))
+    assert (embedder.dim, embedder.provider_id, embedder.model_id) == (8, "testprov", "ok-8")
     matrix = embedder.embed(["alpha", "beta"])
     assert matrix.shape == (2, 8)
-    assert np.allclose(matrix[0], server_vector("alpha", 8))
-    assert np.allclose(matrix[1], server_vector("beta", 8))
+    assert np.array_equal(matrix[0], unit_vector("alpha"))
+    assert np.array_equal(matrix[1], unit_vector("beta"))
 
 
 @pytest.mark.parametrize("n_pairs,max_batch", [(10, 4), (9, 3)])
