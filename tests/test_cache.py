@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from riskrank.cache import (
+    CACHE_MAGIC,
     CorruptCacheError,
     VectorCache,
     default_cache_dir,
@@ -44,6 +45,26 @@ def test_round_trip_many_random_vectors(tmp_path):
         put(cache, f"text-{i}", vec)
         loaded = cache.get(text_digest(f"text-{i}"), "prov", "model-1")
         assert loaded.tobytes() == vec.tobytes()
+
+
+def test_truncated_file_is_corruption_error(tmp_path):
+    cache = VectorCache(tmp_path)
+    path = put(cache, "doc", [1.0, 2.0, 3.0])
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-2])
+    with pytest.raises(CorruptCacheError) as excinfo:
+        cache.get(text_digest("doc"), "prov", "model-1")
+    assert str(path) in str(excinfo.value)
+
+
+def test_bad_magic_is_corruption_error(tmp_path):
+    cache = VectorCache(tmp_path)
+    path = put(cache, "doc", [1.0])
+    payload = path.read_bytes()
+    assert payload[:4] == CACHE_MAGIC
+    path.write_bytes(b"XXXX" + payload[4:])
+    with pytest.raises(CorruptCacheError):
+        cache.get(text_digest("doc"), "prov", "model-1")
 
 
 # The two writers of RKV1 files: each writes ``vector`` and returns the file
