@@ -8,7 +8,11 @@ arithmetic.
 
 The hashed embedder is a fast, fully deterministic stand-in for a frozen
 sentence encoder: each token is hashed to a coordinate and a sign, signed
-counts are accumulated, and the result is L2-normalized.
+counts are accumulated, and the result is L2-normalized. One batch kernel
+serves ``hash_embed``, ``HashEmbedder.__call__`` and ``HashEmbedder.embed``:
+it hashes each distinct token once per call, scatters a block of rows'
+signed counts with one ``np.bincount`` and writes the normalized rows into
+one float32 matrix, with the same bits as normalizing one text at a time.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+from itertools import chain
 from typing import Protocol
 
 import numpy as np
@@ -95,13 +100,48 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     return max(-1.0, min(1.0, c))
 
 
-def _token_slot(token: str, seed: int) -> tuple[int, int]:
-    """Stable (bucket, sign) for a token under a seed, via keyed blake2b."""
+# Rows per bincount block: bounds the float64 count block (rows x dim) that
+# one scatter fills, so batch embedding does not raise peak memory.
+_ROW_CHUNK = 256
+
+
+# Equal bit for bit to adding each token's sign into a float64 vector and
+# dividing by ``exact_norm``: counts and the sum of squared counts are small
+# integers in float64 (exact below 2**53, i.e. below ~9.5e7 tokens a text),
+# so every summation order gives the same exact values; ``np.sqrt`` and
+# ``math.sqrt`` are both correctly rounded; the division is elementwise IEEE
+# in float64 and the cast to float32 is the same single rounding.
+def _hash_rows(token_lists: list[list[str]], dim: int, seed: int) -> np.ndarray:
+    """Hash-embed each token list into one row of an ``(n, dim)`` float32 matrix.
+
+    Each distinct token is hashed once per call; the table is not kept.
+    """
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
     key = (seed & _U64).to_bytes(8, "little")
-    digest = hashlib.blake2b(token.encode("utf-8"), digest_size=9, key=key).digest()
-    bucket = int.from_bytes(digest[:8], "little")
-    sign = 1 if digest[8] & 1 else -1
-    return bucket, sign
+    slot_of: dict[str, int] = {}
+    buckets: list[int] = []
+    signs: list[float] = []
+    out = np.empty((len(token_lists), dim), dtype=np.float32)
+    for start in range(0, len(token_lists), _ROW_CHUNK):
+        block = token_lists[start : start + _ROW_CHUNK]
+        flat = list(chain.from_iterable(block))
+        for token in set(flat).difference(slot_of):
+            digest = hashlib.blake2b(token.encode("utf-8"), digest_size=9, key=key).digest()
+            slot_of[token] = len(buckets)
+            buckets.append(int.from_bytes(digest[:8], "little") % dim)
+            signs.append(1.0 if digest[8] & 1 else -1.0)
+        slots = np.fromiter(map(slot_of.__getitem__, flat), dtype=np.intp, count=len(flat))
+        rows = np.repeat(np.arange(len(block)), [len(tokens) for tokens in block])
+        counts = np.bincount(
+            rows * dim + np.array(buckets, dtype=np.intp)[slots],
+            weights=np.array(signs)[slots],
+            minlength=len(block) * dim,
+        ).reshape(len(block), dim)
+        norms = np.sqrt(np.einsum("ij,ij->i", counts, counts))
+        norms[norms == 0.0] = 1.0
+        np.divide(counts, norms[:, None], out=out[start : start + len(block)], casting="unsafe")
+    return out
 
 
 def hash_embed(tokens: list[str], dim: int, seed: int = 0) -> np.ndarray:
@@ -111,13 +151,7 @@ def hash_embed(tokens: list[str], dim: int, seed: int = 0) -> np.ndarray:
     sign; counts accumulate and the result is L2-normalized. An empty token
     list yields the all-zero vector. Deterministic under (tokens, dim, seed).
     """
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    counts = np.zeros(dim, dtype=np.float64)
-    for token in tokens:
-        bucket, sign = _token_slot(token, seed)
-        counts[bucket % dim] += sign
-    return l2_normalize(counts)
+    return _hash_rows([tokens], dim, seed)[0]
 
 
 class Embedder(Protocol):
@@ -150,10 +184,7 @@ class HashEmbedder:
 
     def embed(self, texts: list[str]) -> np.ndarray:
         """Embed a batch of texts into an ``(n, dim)`` float32 matrix."""
-        out = np.zeros((len(texts), self.dim), dtype=np.float32)
-        for i, text in enumerate(texts):
-            out[i] = self(text)
-        return out
+        return _hash_rows([tokenize(text) for text in texts], self.dim, self.seed)
 
     # The vector cache keeps hash vectors as embedded: fetching is embedding.
     fetch = embed

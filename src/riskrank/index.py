@@ -29,6 +29,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .cache import read_rkv1, write_rkv1
+from .corpus import _jsonl_records, _require_str
 from .embedding import exact_norm, tokenize
 
 __all__ = [
@@ -510,17 +511,29 @@ def load_index(path: Path | str) -> tuple[DenseIndex | None, LexicalIndex | None
         if set(meta["doc_len"]) != known:
             raise ValueError(f"{path / 'meta.json'}: doc_len keys differ from item_ids")
         postings: dict[str, tuple[tuple[str, int], ...]] = {}
-        with (path / "postings.jsonl").open("r", encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                record = json.loads(line)
-                entries = tuple((item_id, int(tf)) for item_id, tf in record["postings"])
-                unknown = sorted({item_id for item_id, _ in entries} - known)
-                if unknown:
-                    raise ValueError(
-                        f"{path / 'postings.jsonl'}: line {line_no}: postings of "
-                        f"{record['term']!r} name ids not in item_ids: {unknown[:5]}"
-                    )
-                postings[record["term"]] = entries
+        postings_path = path / "postings.jsonl"
+        for line_no, record in _jsonl_records(postings_path):
+            term = _require_str(record, "term", postings_path, line_no)
+            raw = record.get("postings")
+            if not isinstance(raw, list) or not all(
+                isinstance(entry, list)
+                and len(entry) == 2
+                and isinstance(entry[0], str)
+                and type(entry[1]) is int
+                for entry in raw
+            ):
+                raise ValueError(
+                    f"{postings_path}: line {line_no}: field 'postings' must be "
+                    f"a list of [item_id, tf] pairs"
+                )
+            entries = tuple(map(tuple, raw))
+            unknown = sorted({item_id for item_id, _ in entries} - known)
+            if unknown:
+                raise ValueError(
+                    f"{postings_path}: line {line_no}: postings of "
+                    f"{term!r} name ids not in item_ids: {unknown[:5]}"
+                )
+            postings[term] = entries
         lexical = LexicalIndex(
             item_ids=ids,
             postings=postings,

@@ -10,6 +10,7 @@ including a Fraction-based exact-rounding cross-check.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -51,6 +52,29 @@ def naive_ndcg(retrieved: list[str], relevant: set[str], k: int) -> float:
 
 def naive_hit_rate(retrieved: list[str], relevant: set[str], k: int) -> float:
     return 1.0 if any(item in relevant for item in retrieved[:k]) else 0.0
+
+
+# ---------------------------------------------------------------------------
+# Hashed embeddings, one token at a time
+# ---------------------------------------------------------------------------
+
+
+def reference_hash_embed(tokens: list[str], dim: int, seed: int) -> np.ndarray:
+    """Feature hashing token by token, straight from the definition.
+
+    Each token occurrence is hashed with blake2b keyed by the seed's low 64
+    bits: the first 8 digest bytes (little endian) mod ``dim`` pick the
+    coordinate, the low bit of the 9th picks the sign. Signed counts add up
+    in float64; the vector is divided by sqrt of the exact sum of squares
+    and rounded to float32. No tokens gives the all-zero vector.
+    """
+    key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+    counts = np.zeros(dim, dtype=np.float64)
+    for token in tokens:
+        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=9, key=key).digest()
+        counts[int.from_bytes(digest[:8], "little") % dim] += 1 if digest[8] & 1 else -1
+    norm = math.sqrt(math.fsum((counts * counts).tolist()))
+    return (counts / norm if norm != 0.0 else counts).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------

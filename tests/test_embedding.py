@@ -1,7 +1,11 @@
 """Tokenizer, hashed embedder, and vector-math contracts."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from riskrank.embedding import (
     HashEmbedder,
@@ -12,8 +16,9 @@ from riskrank.embedding import (
     l2_normalize,
     tokenize,
 )
+from riskrank.embedding import _ROW_CHUNK
 
-from reference import fraction_dot
+from reference import fraction_dot, reference_hash_embed
 
 
 class TestTokenize:
@@ -173,3 +178,116 @@ class TestHashEmbedder:
     def test_invalid_dim(self):
         with pytest.raises(ValueError):
             HashEmbedder(dim=0)
+
+
+GOLDEN_TEXTS = (
+    [
+        "",
+        "   ",
+        "Credit exposure at default",
+        "VaR-99.5% stressed VaR",
+        "risk risk risk risk capital risk",
+        "loss_given_default LGD lgd Lgd",
+        "Ünïcödé Straße STRASSE naïve café",
+        "信用风险 市场风险 δ-hedge Ω",
+        "!!! --- ???",
+        "a b c d e f g h i j k l m n o p q r s t u v w x y z",
+    ]
+    + [f"context {i} liquidity coverage ratio {i % 7} tier {i % 13} risk" for i in range(300)]
+    + ["capital " * 40 + "buffer"]
+)
+
+# SHA-256 of HashEmbedder(dim, seed).embed(GOLDEN_TEXTS).tobytes(), recorded
+# from the token-at-a-time embedder that the batch kernel replaced.
+GOLDEN_SHA256 = {
+    (1, 0): "963ad352b7f6bfe9c8b43e69faa2db218fb5c767ca5e550b8fd4f32c570dadf0",
+    (7, 3): "de8736057677d28a60e4668b7098add3d35fb83dea6646cfecbcde0dec194d18",
+    (64, 2**63): "b5e8a03addcb23c5363316166b52c8ee627f5538768da455b88f91a901da5324",
+    (256, 0): "b73613d6d729bcfc94eeb9ad4bebc3d9b5170510acba1ca0c82bc44c8a80b53f",
+    (300, 2**64 - 1): "ad49190a232b72dfa120ae35098b7454c71b2c586340e37cb9b9f5cef303ed76",
+}
+
+
+class TestHashVectorPin:
+    """Every entry point reproduces the pinned vector bytes."""
+
+    @pytest.mark.parametrize("dim,seed", sorted(GOLDEN_SHA256))
+    def test_embed_bytes(self, dim, seed):
+        matrix = HashEmbedder(dim, seed).embed(GOLDEN_TEXTS)
+        assert matrix.shape == (len(GOLDEN_TEXTS), dim)
+        assert matrix.dtype == np.float32
+        assert hashlib.sha256(matrix.tobytes()).hexdigest() == GOLDEN_SHA256[dim, seed]
+
+    @pytest.mark.parametrize("dim,seed", sorted(GOLDEN_SHA256))
+    def test_single_text_paths_match_rows(self, dim, seed):
+        embedder = HashEmbedder(dim, seed)
+        matrix = embedder.embed(GOLDEN_TEXTS)
+        for row, text in zip(matrix, GOLDEN_TEXTS):
+            assert row.tobytes() == hash_embed(tokenize(text), dim, seed).tobytes()
+            assert row.tobytes() == embedder(text).tobytes()
+
+
+PROPERTY_SETTINGS = settings(
+    max_examples=200,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+WORDS = ["risk", "capital", "Risk", "VaR", "信用", "straße", "99"]
+
+texts = st.one_of(
+    st.text(max_size=40),
+    st.lists(st.sampled_from(WORDS), max_size=12).map(" ".join),
+)
+
+
+@st.composite
+def hash_batches(draw):
+    """A batch of texts: random unicode and repeated words, either a handful
+    or a batch that runs just under, onto or past a row-chunk boundary."""
+    pool = draw(st.lists(texts, min_size=1, max_size=6))
+    size = draw(st.one_of(
+        st.integers(0, len(pool)),
+        st.sampled_from([_ROW_CHUNK - 1, _ROW_CHUNK, _ROW_CHUNK + 1, 2 * _ROW_CHUNK + 3]),
+    ))
+    if size <= len(pool):
+        return pool[:size]
+    return [f"{pool[i % len(pool)]} n{i % 5}" for i in range(size)]
+
+
+seeds = st.one_of(
+    st.integers(0, 2**16),
+    st.integers(2**63 - 2, 2**64 + 2),
+    st.integers(-(2**70), 2**70),
+)
+
+
+class TestHashKernelProperties:
+    """The batch kernel against the token-at-a-time definition, bit for bit."""
+
+    @PROPERTY_SETTINGS
+    @given(hash_batches(), st.integers(1, 300), seeds)
+    def test_embed_matches_reference(self, batch, dim, seed):
+        matrix = HashEmbedder(dim, seed).embed(batch)
+        assert matrix.shape == (len(batch), dim)
+        assert matrix.dtype == np.float32
+        expected = (
+            np.stack([reference_hash_embed(tokenize(t), dim, seed) for t in batch])
+            if batch
+            else np.zeros((0, dim), dtype=np.float32)
+        )
+        assert np.array_equal(matrix.view(np.uint32), expected.view(np.uint32))
+
+    @PROPERTY_SETTINGS
+    @given(texts, st.integers(1, 300), seeds)
+    def test_single_text_paths_match_reference(self, text, dim, seed):
+        expected = reference_hash_embed(tokenize(text), dim, seed).view(np.uint32)
+        assert np.array_equal(hash_embed(tokenize(text), dim, seed).view(np.uint32), expected)
+        assert np.array_equal(HashEmbedder(dim, seed)(text).view(np.uint32), expected)
+
+    @pytest.mark.parametrize("dim", [1, 7, 256])
+    def test_empty_batch_shape(self, dim):
+        matrix = HashEmbedder(dim).embed([])
+        assert matrix.shape == (0, dim)
+        assert matrix.dtype == np.float32

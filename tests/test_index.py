@@ -526,6 +526,32 @@ class TestPersistence:
         with pytest.raises(ValueError, match=r"postings\.jsonl: line \d+: .*\['z'\]"):
             load_index(path)
 
+    def test_postings_invalid_json_line(self, tmp_path):
+        path, _ = self.saved_abc(tmp_path)
+        postings = path / "postings.jsonl"
+        postings.write_text(postings.read_text() + "{bad\n")
+        lines = postings.read_text().count("\n")
+        with pytest.raises(ValueError, match=rf"postings\.jsonl: line {lines}: invalid JSON"):
+            load_index(path)
+
+    @pytest.mark.parametrize(
+        "record,field",
+        [
+            ({"postings": [["a", 1]]}, "term"),
+            ({"term": 7, "postings": [["a", 1]]}, "term"),
+            ({"term": "risk"}, "postings"),
+            ({"term": "risk", "postings": {"a": 1}}, "postings"),
+            ({"term": "risk", "postings": [["a", "1"]]}, "postings"),
+            ({"term": "risk", "postings": [["a"]]}, "postings"),
+        ],
+    )
+    def test_postings_missing_or_mistyped_field(self, tmp_path, record, field):
+        path, _ = self.saved_abc(tmp_path)
+        postings = path / "postings.jsonl"
+        postings.write_text(json.dumps(record) + "\n" + postings.read_text())
+        with pytest.raises(ValueError, match=rf"postings\.jsonl: line 1: .*'{field}'"):
+            load_index(path)
+
     def test_nothing_to_save(self, tmp_path):
         with pytest.raises(ValueError):
             save_index(tmp_path / "idx")

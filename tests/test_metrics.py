@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from riskrank.index import ranked_list_from_scores
 from riskrank.metrics import (
@@ -128,6 +130,72 @@ class TestAgainstNaiveReference:
                 assert hit_rate_at_k(run, qrels, k).per_query["q"] == pytest.approx(
                     naive_hit_rate(order, relevant, k), abs=1e-12
                 )
+
+
+PROPERTY_SETTINGS = settings(
+    max_examples=300,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+UNIVERSE = [f"i{i}" for i in range(12)]
+MISSING = ["m0", "m1", "m2"]
+
+
+@st.composite
+def metric_cases(draw):
+    """Up to four queries, each a ranking of distinct ids (possibly empty)
+    and a relevant set (possibly empty, possibly naming ids never ranked),
+    with k from 1 to past the longest ranking."""
+    queries = draw(st.lists(
+        st.tuples(
+            st.lists(st.sampled_from(UNIVERSE), unique=True),
+            st.sets(st.sampled_from(UNIVERSE + MISSING)),
+        ),
+        min_size=1,
+        max_size=4,
+    ))
+    k = draw(st.integers(1, len(UNIVERSE) + 3))
+    return queries, k
+
+
+class TestAgainstNaiveReferenceProperties:
+    """Every metric family against its naive definition, per query and mean."""
+
+    @PROPERTY_SETTINGS
+    @given(metric_cases())
+    def test_metrics_match_naive(self, case):
+        queries, k = case
+        run = [run_of(f"q{i}", order) for i, (order, _) in enumerate(queries)]
+        qrels = {f"q{i}": relevant for i, (_, relevant) in enumerate(queries)}
+        exact = [(mrr_at_k, naive_mrr), (map_at_k, naive_ap), (hit_rate_at_k, naive_hit_rate)]
+        for metric, naive in exact:
+            got = metric(run, qrels, k)
+            want = [naive(order, relevant, k) for order, relevant in queries]
+            assert [got.per_query[f"q{i}"] for i in range(len(queries))] == want
+            assert got.aggregate == math.fsum(want) / len(want)
+        got = ndcg_at_k(run, qrels, k)
+        for i, (order, relevant) in enumerate(queries):
+            assert got.per_query[f"q{i}"] == pytest.approx(
+                naive_ndcg(order, relevant, k), abs=1e-12
+            )
+
+    @PROPERTY_SETTINGS
+    @given(metric_cases())
+    def test_bounds_and_orderings(self, case):
+        queries, k = case
+        run = [run_of(f"q{i}", order) for i, (order, _) in enumerate(queries)]
+        qrels = {f"q{i}": relevant for i, (_, relevant) in enumerate(queries)}
+        report = evaluate_run(run, qrels, (k,))
+        for i, (order, relevant) in enumerate(queries):
+            values = report.per_query[f"q{i}"]
+            hr = values[f"HR@{k}"]
+            assert hr == (1.0 if set(order[:k]) & relevant else 0.0)
+            for name in (f"MRR@{k}", f"MAP@{k}", f"NDCG@{k}"):
+                assert 0.0 <= values[name] <= hr
+            if not order or not relevant:
+                assert all(v == 0.0 for v in values.values())
 
 
 class TestInvariants:
