@@ -63,9 +63,16 @@ def exact_dot(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def exact_norm(v: np.ndarray) -> float:
-    """Euclidean norm computed as ``sqrt`` of the exactly rounded sum of squares."""
+    """Euclidean norm computed as ``sqrt`` of the exactly rounded sum of squares.
+
+    Only the nonzero components are squared and summed. The square of a
+    zero is +0, never -0, and adding +0 to a sum of non-negative terms
+    changes neither its value nor its sign, so the result is bit for bit
+    ``sqrt(fsum(v*v))`` over every component.
+    """
     v64 = np.asarray(v, dtype=np.float64)
-    return math.sqrt(math.fsum((v64 * v64).tolist()))
+    nonzero = v64[v64 != 0.0]
+    return math.sqrt(math.fsum((nonzero * nonzero).tolist()))
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:

@@ -7,9 +7,10 @@ re-implementation of the same arithmetic reproduces them bit-for-bit.
 Dense search gets there by filter-then-verify: one float64 matmul per
 block of queries gives approximate scores, a rigorous forward-error bound
 keeps every row that could reach the top k (the whole band of ties at the
-k-th score included), and only those rows are scored exactly. BM25 search
-accumulates scores term at a time over the postings, adding each item's
-term weights in the same order as ``bm25_score``.
+k-th score included), and only those rows are scored exactly, over the
+query's nonzero coordinates (a zero sum is redone over the full row). BM25
+search accumulates scores term at a time over the postings, adding each
+item's term weights in the same order as ``bm25_score``.
 
 Persistence writes a directory with ``meta.json`` (counts, dimension, BM25
 parameters, item ids), ``vectors.bin`` (the item rows as one RKV1 file,
@@ -58,8 +59,11 @@ DEFAULT_RRF_K = 60
 DEFAULT_RRF_DEPTH = 100
 
 # Queries per dense-search block: a block's approximate scores, queries
-# times index rows, stay near this many float64 values.
+# times index rows, stay near _BLOCK_ITEMS float64 values, but a block never
+# holds fewer than _MIN_BLOCK_QUERIES queries, so that on a large index each
+# pass of the matmul over the float64 rows serves many queries, not one.
 _BLOCK_ITEMS = 50_000
+_MIN_BLOCK_QUERIES = 64
 
 
 @dataclass(frozen=True)
@@ -233,6 +237,15 @@ def dense_search_many(
 # included, and cannot reach the top k.  Ranking the kept rows by exact
 # score thus gives the full scan's hits, scores and order bit for bit.  The
 # bound needs finite inputs, hence the checks.
+#
+# The exact score of a kept row sums only the products at the query's
+# nonzero coordinates (``_exact_scores``).  Each dropped product is
+# x_j * (+-0) = +-0 with x_j finite, and adding zeros does not change the
+# real value of a sum, so whenever that value is nonzero the exactly rounded
+# sum is the same float.  Only a zero sum can differ, in its sign: the sign
+# of an exact zero sum depends on the signs of all its terms (and on how a
+# given Python version's fsum signs zeros), so a row whose restricted sum is
+# +-0 is scored again over its full row, as the full scan scores it.
 def _dense_topk(
     index: DenseIndex,
     queries: np.ndarray,
@@ -248,7 +261,8 @@ def _dense_topk(
     if n == 0:
         return [RankedList(query_id=query_id, hits=()) for query_id in query_ids]
     rows = index.matrix.astype(np.float64)
-    row_l1 = np.abs(rows).sum(axis=1)
+    # From the float32 rows: a float64 |rows| temporary would set peak memory.
+    row_l1 = np.abs(index.matrix).sum(axis=1, dtype=np.float64)
     if not np.isfinite(row_l1).all():
         bad = int(np.flatnonzero(~np.isfinite(row_l1))[0])
         raise ValueError(f"index row of item {index.item_ids[bad]!r} has non-finite values")
@@ -256,7 +270,7 @@ def _dense_topk(
     unit = queries / np.where(norms != 0.0, norms, 1.0)[:, None]
     error_scale = (rows.shape[1] + 2) * 2.0**-49 * float(row_l1.max())
     kth = max(n - k, 0)
-    block = max(1, _BLOCK_ITEMS // n)
+    block = max(_MIN_BLOCK_QUERIES, _BLOCK_ITEMS // n)
     results = []
     for start in range(0, len(unit), block):
         chunk = unit[start:start + block]
@@ -268,11 +282,30 @@ def _dense_topk(
         keep = approx >= (threshold - 2.0 * error)[:, None]
         for query_id, q, mask in zip(query_ids[start:start + block], chunk, keep):
             kept = np.flatnonzero(mask)
-            scores = [math.fsum(row) for row in (rows[kept] * q).tolist()]
             results.append(ranked_list_from_scores(
-                query_id, zip([index.item_ids[i] for i in kept.tolist()], scores), k=k
+                query_id,
+                zip([index.item_ids[i] for i in kept.tolist()], _exact_scores(rows, kept, q)),
+                k=k,
             ))
     return results
+
+
+def _exact_scores(rows: np.ndarray, kept: np.ndarray, q: np.ndarray) -> list[float]:
+    """``math.fsum`` of ``rows[i] * q`` for each ``i`` in ``kept``, bit for bit.
+
+    A query with zero coordinates sums only its nonzero ones, and rescores
+    over the full row any row whose sum is zero (see the comment above
+    ``_dense_topk``); a fully dense query gathers nothing.
+    """
+    nonzero = np.flatnonzero(q)
+    if len(nonzero) == len(q):
+        return [math.fsum(p) for p in (rows[kept] * q).tolist()]
+    products = rows[kept[:, None], nonzero] * q[nonzero]
+    scores = [math.fsum(p) for p in products.tolist()]
+    for i, score in enumerate(scores):
+        if score == 0.0:  # +0.0 or -0.0
+            scores[i] = math.fsum((rows[kept[i]] * q).tolist())
+    return scores
 
 
 @dataclass(frozen=True)
@@ -526,12 +559,23 @@ def load_index(path: Path | str) -> tuple[DenseIndex | None, LexicalIndex | None
                     f"{postings_path}: line {line_no}: field 'postings' must be "
                     f"a list of [item_id, tf] pairs"
                 )
+            if term in postings:
+                raise ValueError(
+                    f"{postings_path}: line {line_no}: term {term!r} is listed "
+                    f"on an earlier line too"
+                )
             entries = tuple(map(tuple, raw))
             unknown = sorted({item_id for item_id, _ in entries} - known)
             if unknown:
                 raise ValueError(
                     f"{postings_path}: line {line_no}: postings of "
                     f"{term!r} name ids not in item_ids: {unknown[:5]}"
+                )
+            non_positive = [entry for entry in entries if entry[1] < 1]
+            if non_positive:
+                raise ValueError(
+                    f"{postings_path}: line {line_no}: postings of {term!r} hold "
+                    f"a tf below 1: {non_positive[:5]}"
                 )
             postings[term] = entries
         lexical = LexicalIndex(

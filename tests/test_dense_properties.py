@@ -4,10 +4,14 @@ The cases are built to sit where a filter on approximate scores could go
 wrong: exact duplicates and rows one float32 ulp apart planted at the k-th
 score, zero rows, zero queries, k above the item count, empty indexes, and
 rows of any length and magnitude stored directly in a ``DenseIndex``.
+Sparse cases sit where summing only a query's nonzero coordinates could go
+wrong: rows whose products there are all zero or cancel exactly. Scores are
+compared by their bits (``float.hex``), so the sign of a zero counts.
 """
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -15,8 +19,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from riskrank.index import DenseIndex, build_dense_index, dense_search, dense_search_many
+from riskrank.index import _MIN_BLOCK_QUERIES
 
-from reference import brute_force_dense, fraction_dot
+from reference import brute_force_dense, fraction_dot, reference_unit_rows
 
 PROPERTY_SETTINGS = settings(
     max_examples=200,
@@ -26,19 +31,47 @@ PROPERTY_SETTINGS = settings(
 )
 
 
+_fsum = math.fsum
+
+
+def signed_zero_fsum(terms):
+    """``math.fsum``, except that an exact zero sum of terms that are all -0.0
+    is -0.0, as IEEE addition signs it. Python versions differ here, so the
+    sign of a zero score is checked under both conventions."""
+    terms = list(terms)
+    total = _fsum(terms)
+    if total == 0.0 and terms and all(math.copysign(1.0, t) < 0.0 for t in terms):
+        return -0.0
+    return total
+
+
+FSUMS = [math.fsum, signed_zero_fsum]
+
+
 def exact_scan(ids, rows, query, k):
-    """Rank stored rows as they are (no renormalization) by exact score."""
+    """Rank stored rows as they are (no renormalization) by exact score.
+
+    An exact zero takes its sign from ``math.fsum`` over the row's
+    products, which is how the library defines a score.
+    """
     q64 = np.asarray(query, dtype=np.float64)
     qnorm = math.sqrt(math.fsum((q64 * q64).tolist()))
     qn = q64 / qnorm if qnorm != 0.0 else q64
-    scored = [(item_id, fraction_dot(row, qn)) for item_id, row in zip(ids, rows)]
+    scored = [
+        (item_id, fraction_dot(row, qn) or math.fsum((row.astype(np.float64) * qn).tolist()))
+        for item_id, row in zip(ids, rows)
+    ]
     scored.sort(key=lambda pair: pair[0])
     scored.sort(key=lambda pair: pair[1], reverse=True)
-    return scored[:k]
+    return bits(scored[:k])
+
+
+def bits(scored):
+    return [(item_id, score.hex()) for item_id, score in scored]
 
 
 def hits(ranking):
-    return [(h.item_id, h.score) for h in ranking.hits]
+    return bits((h.item_id, h.score) for h in ranking.hits)
 
 
 def plant_near_ties(draw, rows, query, k):
@@ -94,7 +127,7 @@ def test_many_matches_brute_force_on_built_index(case):
     got = dense_search_many(index, queries, k, query_ids)
     assert [r.query_id for r in got] == query_ids
     for query, ranking in zip(queries, got):
-        assert hits(ranking) == brute_force_dense(ids, vectors, query, k)
+        assert hits(ranking) == bits(brute_force_dense(ids, vectors, query, k))
 
 
 @PROPERTY_SETTINGS
@@ -144,13 +177,114 @@ def test_query_blocks_and_wide_ties():
     vectors[: n // 2] = vectors[0]  # 2 000 rows tie at the top score
     ids = [f"item-{i:04d}" for i in range(n)]
     index = build_dense_index(ids, vectors)
-    queries = np.vstack([vectors[0], rng.normal(size=(30, dim))])
+    queries = np.vstack([vectors[0], rng.normal(size=(_MIN_BLOCK_QUERIES + 5, dim))])
+    queries[1::3, :4] = 0.0  # every third query is sparse
     query_ids = [f"q{i}" for i in range(len(queries))]
     got = dense_search_many(index, queries, k, query_ids)
     assert [r.query_id for r in got] == query_ids
     for query, ranking in zip(queries, got):
-        assert hits(ranking) == brute_force_dense(ids, vectors, query, k)
+        assert hits(ranking) == bits(brute_force_dense(ids, vectors, query, k))
     assert got[0].item_ids == ids[:k]
+
+
+@st.composite
+def sparse_cases(draw, elements):
+    """Queries with one to three nonzero coordinates and +0 or -0 elsewhere.
+
+    The first query's nonzero coordinates share one magnitude, and some rows
+    are planted to hold, at those coordinates, either only zeros of either
+    sign or values whose products cancel exactly (negative components
+    included); their other coordinates are drawn as usual.
+    """
+    dim = draw(st.integers(2, 10))
+    n = draw(st.integers(1, 24))
+    n_queries = draw(st.integers(1, 4))
+    rows = draw(arrays(np.float32, (n, dim), elements=elements))
+    queries = np.where(draw(arrays(np.bool_, (n_queries, dim))), -0.0, 0.0)
+    for i, query in enumerate(queries):
+        nonzero = draw(st.lists(st.integers(0, dim - 1), min_size=1, max_size=3, unique=True))
+        if i == 0:
+            scale = draw(st.floats(2.0**-20, 2.0, width=32))
+            values = [scale * draw(st.sampled_from([-1.0, 1.0])) for _ in nonzero]
+        else:
+            values = [draw(st.floats(-2, 2, width=32).filter(bool)) for _ in nonzero]
+        query[nonzero] = values
+    first = queries[0]
+    support = np.flatnonzero(first)
+    for target in draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True)):
+        if draw(st.booleans()):
+            rows[target, support] = draw(arrays(
+                np.float32, len(support), elements=st.sampled_from([0.0, -0.0])
+            ))
+        else:
+            magnitude = draw(st.floats(2.0**-30, 1, width=32))
+            signs = draw(st.permutations([1.0, -1.0] * (len(support) // 2)))
+            planted = [magnitude * s * math.copysign(1.0, first[j]) for s, j in zip(signs, support)]
+            if len(support) % 2:  # the unpaired last coordinate holds a zero
+                planted.append(draw(st.sampled_from([0.0, -0.0])))
+            rows[target, support] = planted
+    k = draw(st.integers(1, n + 3))
+    ids = [f"item-{i:02d}" for i in range(n)]
+    query_ids = [f"q{i}" for i in range(n_queries)]
+    return ids, rows, queries, query_ids, k
+
+
+@PROPERTY_SETTINGS
+@given(sparse_cases(st.floats(-1, 1, width=32)))
+def test_sparse_queries_match_brute_force_bits(case):
+    ids, vectors, queries, query_ids, k = case
+    index = build_dense_index(ids, vectors.astype(np.float64))
+    for fsum in FSUMS:
+        with mock.patch.object(math, "fsum", fsum):
+            got = dense_search_many(index, queries, k, query_ids)
+            want = [bits(brute_force_dense(ids, vectors, q, k)) for q in queries]
+        assert [hits(ranking) for ranking in got] == want
+
+
+@PROPERTY_SETTINGS
+@given(sparse_cases(
+    st.one_of(st.floats(-1e6, 1e6, width=32), st.floats(-(2.0**-100), 2.0**-100, width=32))
+))
+def test_sparse_queries_match_exact_scan_bits(case):
+    ids, rows, queries, query_ids, k = case
+    index = DenseIndex(item_ids=tuple(ids), matrix=rows, dim=rows.shape[1])
+    for fsum in FSUMS:
+        with mock.patch.object(math, "fsum", fsum):
+            got = dense_search_many(index, queries, k, query_ids)
+            want = [exact_scan(ids, rows, q, k) for q in queries]
+        assert [hits(ranking) for ranking in got] == want
+
+
+vector_components = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-1e150, 1e150),
+    st.floats(-(2.0**-1022), 2.0**-1022),  # subnormals: their squares underflow
+)
+
+
+@st.composite
+def raw_vectors(draw):
+    """float64 rows up to 1e150 or float32 rows over the full finite range,
+    with subnormal components and some rows set to zeros of either sign."""
+    shape = (draw(st.integers(1, 10)), draw(st.integers(1, 12)))
+    if draw(st.booleans()):
+        vectors = draw(arrays(np.float64, shape, elements=vector_components))
+    else:
+        finite32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+        vectors = draw(arrays(np.float32, shape, elements=finite32))
+    for target in draw(st.lists(st.integers(0, shape[0] - 1), max_size=2, unique=True)):
+        vectors[target] = draw(st.sampled_from([0.0, -0.0]))
+    return vectors
+
+
+@PROPERTY_SETTINGS
+@given(raw_vectors())
+def test_built_rows_match_reference_bits(vectors):
+    ids = [f"item-{i:02d}" for i in range(len(vectors))]
+    index = build_dense_index(ids, vectors)
+    want = reference_unit_rows(vectors)
+    assert index.matrix.dtype == want.dtype == np.float32
+    assert np.array_equal(index.matrix.view(np.uint32), want.view(np.uint32))
 
 
 def test_empty_inputs():

@@ -1,11 +1,13 @@
 """Tokenizer, hashed embedder, and vector-math contracts."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from riskrank.embedding import (
     HashEmbedder,
@@ -291,3 +293,21 @@ class TestHashKernelProperties:
         matrix = HashEmbedder(dim).embed([])
         assert matrix.shape == (0, dim)
         assert matrix.dtype == np.float32
+
+
+norm_vectors = st.one_of(
+    arrays(np.float64, st.integers(0, 40), elements=st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.floats(-1e150, 1e150),
+        st.floats(-(2.0**-1022), 2.0**-1022),  # subnormals: their squares underflow
+    )),
+    arrays(np.float32, st.integers(0, 40),
+           elements=st.floats(width=32, allow_nan=False, allow_infinity=False)),
+)
+
+
+@PROPERTY_SETTINGS
+@given(norm_vectors)
+def test_exact_norm_equals_full_sum_of_squares(v):
+    v64 = v.astype(np.float64)
+    assert exact_norm(v).hex() == math.sqrt(math.fsum((v64 * v64).tolist())).hex()

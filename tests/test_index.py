@@ -534,6 +534,32 @@ class TestPersistence:
         with pytest.raises(ValueError, match=rf"postings\.jsonl: line {lines}: invalid JSON"):
             load_index(path)
 
+    def test_postings_term_listed_twice(self, tmp_path):
+        path, _ = self.saved_abc(tmp_path)
+        postings = path / "postings.jsonl"
+        postings.write_text(
+            postings.read_text() + json.dumps({"term": "risk", "postings": [["c", 3]]}) + "\n"
+        )
+        lines = postings.read_text().count("\n")
+        with pytest.raises(
+            ValueError, match=rf"postings\.jsonl: line {lines}: term 'risk' is listed"
+        ):
+            load_index(path)
+
+    @pytest.mark.parametrize("tf", [0, -3])
+    def test_postings_tf_below_one(self, tmp_path, tf):
+        path, _ = self.saved_abc(tmp_path)
+        postings = path / "postings.jsonl"
+        postings.write_text(
+            json.dumps({"term": "delta", "postings": [["a", 1], ["c", tf]]}) + "\n"
+            + postings.read_text()
+        )
+        with pytest.raises(
+            ValueError,
+            match=rf"postings\.jsonl: line 1: postings of 'delta' .*\[\('c', {tf}\)\]",
+        ):
+            load_index(path)
+
     @pytest.mark.parametrize(
         "record,field",
         [
