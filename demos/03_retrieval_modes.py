@@ -30,16 +30,16 @@ lexical_hits = lexical_search(lexical_index, query, k=5, query_id="q1")
 
 print(f"query: {query!r}\n")
 print("dense (cosine):")
-for hit in dense_hits.hits:
-    print(f"  {hit.rank}. {hit.item_id:<9} {hit.score:+.4f}")
+for rank, (item_id, score) in enumerate(dense_hits.hits, 1):
+    print(f"  {rank}. {item_id:<9} {score:+.4f}")
 print("lexical (BM25):")
-for hit in lexical_hits.hits:
-    print(f"  {hit.rank}. {hit.item_id:<9} {hit.score:+.4f}")
+for rank, (item_id, score) in enumerate(lexical_hits.hits, 1):
+    print(f"  {rank}. {item_id:<9} {score:+.4f}")
 
 fused = rrf_fuse([dense_hits, lexical_hits], k_rrf=60, depth=100)
 print("hybrid (reciprocal-rank fusion):")
-for hit in fused.hits:
-    print(f"  {hit.rank}. {hit.item_id:<9} {hit.score:.6f}")
+for rank, (item_id, score) in enumerate(fused.hits, 1):
+    print(f"  {rank}. {item_id:<9} {score:.6f}")
 
 # A hook may rescore or permute the candidates, but never add or drop any.
 identity = rerank(None, query, fused)

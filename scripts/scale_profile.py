@@ -2,7 +2,7 @@
 
 Usage, from the repository root:
 
-    PYTHONPATH=src python scripts/scale_profile.py [--repeats 3] [--pairs 5000,50000]
+    PYTHONPATH=src python scripts/scale_profile.py [--repeats 3] [--pairs 500,5000,50000]
 
 Each scale is ``synth_dataset(pairs // 100, 100, 50, seed=7)`` split 0.95
 with seed 7, embedded by ``HashEmbedder(dim=256)`` and evaluated over the
@@ -102,7 +102,7 @@ def profile_scale(pairs_count: int, repeats: int) -> list[dict]:
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--pairs", default="5000,50000", help="comma-separated pair counts")
+    parser.add_argument("--pairs", default="500,5000,50000", help="comma-separated pair counts")
     args = parser.parse_args(argv)
     scales = sorted(int(p) for p in args.pairs.split(","))
     settings = {

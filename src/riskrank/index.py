@@ -1,9 +1,11 @@
 """Exact dense top-k search, Okapi BM25, reciprocal-rank fusion, re-ranking.
 
-All rankings are deterministic total orders: scores sort descending and
-ties break by ascending item id. Dense scores are exactly-rounded float64
-dot products of unit vectors (see ``riskrank.embedding``), so a full-scan
-re-implementation of the same arithmetic reproduces them bit-for-bit.
+A ranking is a tuple of ``(item_id, score)`` pairs, best first; the rank
+of ``hits[i]`` is ``i + 1``. All rankings are deterministic total orders:
+scores sort descending and ties break by ascending item id. Dense scores
+are exactly-rounded float64 dot products of unit vectors (see
+``riskrank.embedding``), so a full-scan re-implementation of the same
+arithmetic reproduces them bit-for-bit.
 Dense search gets there by filter-then-verify: one float64 matmul per
 block of queries gives approximate scores, a rigorous forward-error bound
 keeps every row that could reach the top k (the whole band of ties at the
@@ -34,7 +36,6 @@ from .corpus import _jsonl_records, _require_str
 from .embedding import exact_norm, tokenize
 
 __all__ = [
-    "RankedHit",
     "RankedList",
     "DenseIndex",
     "LexicalIndex",
@@ -67,22 +68,15 @@ _MIN_BLOCK_QUERIES = 64
 
 
 @dataclass(frozen=True)
-class RankedHit:
-    item_id: str
-    score: float
-    rank: int  # 1-based
-
-
-@dataclass(frozen=True)
 class RankedList:
-    """Ordered retrieval hits for one query."""
+    """Retrieval hits for one query: ``(item_id, score)`` pairs, best first."""
 
     query_id: str
-    hits: tuple[RankedHit, ...]
+    hits: tuple[tuple[str, float], ...]
 
     @property
     def item_ids(self) -> list[str]:
-        return [h.item_id for h in self.hits]
+        return [item_id for item_id, _ in self.hits]
 
 
 def _require_unique(ids: Sequence[str], message: str) -> None:
@@ -92,35 +86,33 @@ def _require_unique(ids: Sequence[str], message: str) -> None:
         raise ValueError(f"{message}: {sorted(i for i, n in counts.items() if n > 1)}")
 
 
+def _require_no_nan(query_id: str, scores: Iterable[float]) -> None:
+    """Raise ValueError naming ``query_id`` if a score is NaN."""
+    if any(map(math.isnan, scores)):
+        raise ValueError(f"ranking for {query_id!r} holds a NaN score")
+
+
 def ranked_list_from_scores(
     query_id: str,
     scored: Iterable[tuple[str, float]],
     k: int | None = None,
 ) -> RankedList:
-    """Rank (item_id, score) pairs descending, ties by ascending item id."""
-    items = list(scored)
+    """Rank (item_id, score) pairs descending, ties by ascending item id.
+
+    Scores become Python floats before they are compared; a NaN score raises ValueError.
+    """
+    items = [(item_id, float(score)) for item_id, score in scored]
     _require_unique([item_id for item_id, _ in items], "duplicate item ids in ranking")
+    _require_no_nan(query_id, (score for _, score in items))
     items.sort(key=lambda pair: (-pair[1], pair[0]))
-    if k is not None:
-        items = items[:k]
-    hits = tuple(
-        RankedHit(item_id=item_id, score=float(score), rank=rank)
-        for rank, (item_id, score) in enumerate(items, start=1)
-    )
-    return RankedList(query_id=query_id, hits=hits)
+    return RankedList(query_id=query_id, hits=tuple(items[:k]))
 
 
 def validate_ranked_list(ranking: RankedList) -> None:
-    """Raise ValueError unless ranks are 1..n, scores non-increasing, ids distinct."""
-    ids = ranking.item_ids
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"ranking for {ranking.query_id!r} repeats item ids")
-    for position, hit in enumerate(ranking.hits, start=1):
-        if hit.rank != position:
-            raise ValueError(
-                f"ranking for {ranking.query_id!r}: rank {hit.rank} at position {position}"
-            )
-    scores = [h.score for h in ranking.hits]
+    """Raise ValueError unless ids are distinct and scores non-NaN, non-increasing."""
+    _require_unique(ranking.item_ids, f"ranking for {ranking.query_id!r} repeats item ids")
+    scores = [score for _, score in ranking.hits]
+    _require_no_nan(ranking.query_id, scores)
     for a, b in zip(scores, scores[1:]):
         if b > a:
             raise ValueError(
@@ -442,9 +434,8 @@ def rrf_fuse(
         raise ValueError(f"cannot fuse lists with differing query ids: {sorted(query_ids)}")
     terms: dict[str, list[float]] = {}
     for ranking in lists:
-        for hit in ranking.hits:
-            if hit.rank <= depth:
-                terms.setdefault(hit.item_id, []).append(1.0 / (k_rrf + hit.rank))
+        for rank, (item_id, _) in enumerate(ranking.hits[:depth], start=1):
+            terms.setdefault(item_id, []).append(1.0 / (k_rrf + rank))
     return ranked_list_from_scores(
         lists[0].query_id, [(i, math.fsum(t)) for i, t in terms.items()]
     )
@@ -571,6 +562,10 @@ def load_index(path: Path | str) -> tuple[DenseIndex | None, LexicalIndex | None
                     f"{postings_path}: line {line_no}: postings of "
                     f"{term!r} name ids not in item_ids: {unknown[:5]}"
                 )
+            _require_unique(
+                [item_id for item_id, _ in entries],
+                f"{postings_path}: line {line_no}: postings of {term!r} repeat ids",
+            )
             non_positive = [entry for entry in entries if entry[1] < 1]
             if non_positive:
                 raise ValueError(

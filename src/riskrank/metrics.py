@@ -1,9 +1,10 @@
 """Ranking metrics over binary relevance: MRR@k, MAP@k, NDCG@k, HR@k.
 
-All metrics are rank-based (invariant under monotone score transforms) and
-live in [0, 1]. A query with an empty ranked list scores 0 on everything;
-a query absent from the qrels is an error. Aggregates are arithmetic means
-over the queries present in the run.
+A hit's rank is its 1-based position in the list. All metrics are
+rank-based (invariant under monotone score transforms) and live in [0, 1].
+A query with an empty ranked list scores 0 on everything; a query absent
+from the qrels, or ranked twice in a run, is an error. Aggregates are
+arithmetic means over the queries present in the run.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from .index import RankedHit, RankedList
+from .index import RankedList
 
 __all__ = [
     "MetricSlice",
@@ -78,13 +79,15 @@ def _metric(
     k: int,
     run: Sequence[RankedList],
     qrels: Qrels,
-    value: Callable[[tuple[RankedHit, ...], set[str]], float],
+    value: Callable[[tuple[tuple[str, float], ...], set[str]], float],
 ) -> MetricSlice:
     """``value(top-k hits, relevant ids)`` for each query, and their mean."""
     per_query = {}
     for ranking in run:
         if ranking.query_id not in qrels:
             raise ValueError(f"query {ranking.query_id!r} missing from qrels")
+        if ranking.query_id in per_query:
+            raise ValueError(f"query {ranking.query_id!r} is ranked twice in the run")
         per_query[ranking.query_id] = value(ranking.hits[:k], qrels[ranking.query_id])
     aggregate = math.fsum(per_query.values()) / len(per_query) if per_query else 0.0
     return MetricSlice(name=f"{name}@{k}", k=k, per_query=per_query, aggregate=aggregate)
@@ -94,7 +97,7 @@ def mrr_at_k(run: Sequence[RankedList], qrels: Qrels, k: int) -> MetricSlice:
     """Reciprocal rank of the first relevant hit within the top k, else 0."""
 
     def reciprocal_rank(hits, relevant):
-        return next((1.0 / hit.rank for hit in hits if hit.item_id in relevant), 0.0)
+        return next((1.0 / rank for rank, (i, _) in enumerate(hits, 1) if i in relevant), 0.0)
 
     return _metric("MRR", k, run, qrels, reciprocal_rank)
 
@@ -105,10 +108,10 @@ def map_at_k(run: Sequence[RankedList], qrels: Qrels, k: int) -> MetricSlice:
     def average_precision(hits, relevant):
         found = 0
         precision_sum = 0.0
-        for hit in hits:
-            if hit.item_id in relevant:
+        for rank, (item_id, _) in enumerate(hits, 1):
+            if item_id in relevant:
                 found += 1
-                precision_sum += found / hit.rank
+                precision_sum += found / rank
         denom = min(len(relevant), k)
         return precision_sum / denom if denom else 0.0
 
@@ -119,7 +122,9 @@ def ndcg_at_k(run: Sequence[RankedList], qrels: Qrels, k: int) -> MetricSlice:
     """Binary-gain NDCG with the 1/log2(rank+1) discount."""
 
     def ndcg(hits, relevant):
-        dcg = math.fsum(1.0 / math.log2(hit.rank + 1) for hit in hits if hit.item_id in relevant)
+        dcg = math.fsum(
+            1.0 / math.log2(rank + 1) for rank, (i, _) in enumerate(hits, 1) if i in relevant
+        )
         ideal = math.fsum(
             1.0 / math.log2(rank + 1) for rank in range(1, min(len(relevant), k) + 1)
         )
@@ -132,7 +137,7 @@ def hit_rate_at_k(run: Sequence[RankedList], qrels: Qrels, k: int) -> MetricSlic
     """1 if any relevant item appears in the top k, else 0."""
 
     def hit(hits, relevant):
-        return 1.0 if any(h.item_id in relevant for h in hits) else 0.0
+        return 1.0 if any(item_id in relevant for item_id, _ in hits) else 0.0
 
     return _metric("HR", k, run, qrels, hit)
 

@@ -71,7 +71,7 @@ def bits(scored):
 
 
 def hits(ranking):
-    return bits((h.item_id, h.score) for h in ranking.hits)
+    return bits(ranking.hits)
 
 
 def plant_near_ties(draw, rows, query, k):

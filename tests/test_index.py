@@ -8,7 +8,6 @@ import pytest
 from riskrank.index import (
     DenseIndex,
     LexicalIndex,
-    RankedHit,
     RankedList,
     bm25_score,
     bm25_term_weight,
@@ -36,20 +35,33 @@ class TestRankedList:
     def test_tie_break_by_item_id(self):
         rl = ranked("q", ("b", 1.0), ("a", 1.0), ("c", 2.0))
         assert rl.item_ids == ["c", "a", "b"]
-        assert [h.rank for h in rl.hits] == [1, 2, 3]
+        assert rl.hits == (("c", 2.0), ("a", 1.0), ("b", 1.0))
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             ranked("q", ("a", 1.0), ("a", 0.5))
 
-    def test_validate_catches_bad_ranks(self):
-        bad = RankedList("q", (RankedHit("a", 1.0, 1), RankedHit("b", 0.5, 3)))
-        with pytest.raises(ValueError, match="rank"):
+    def test_validate_catches_repeated_ids(self):
+        bad = RankedList("q", (("a", 1.0), ("b", 0.5), ("a", 0.5)))
+        with pytest.raises(ValueError, match=r"'q' repeats item ids: \['a'\]"):
             validate_ranked_list(bad)
 
     def test_validate_catches_increasing_scores(self):
-        bad = RankedList("q", (RankedHit("a", 0.5, 1), RankedHit("b", 1.0, 2)))
+        bad = RankedList("q", (("a", 0.5), ("b", 1.0)))
         with pytest.raises(ValueError, match="increase"):
+            validate_ranked_list(bad)
+
+    @pytest.mark.parametrize("scored", [
+        [("a", 1.0), ("b", float("nan")), ("c", 2.0)],
+        [("c", 2.0), ("b", float("nan")), ("a", 1.0)],
+    ])
+    def test_nan_score_rejected(self, scored):
+        with pytest.raises(ValueError, match="'q7'.*NaN"):
+            ranked_list_from_scores("q7", scored)
+
+    def test_validate_catches_nan_score(self):
+        bad = RankedList("q7", (("a", 2.0), ("b", float("nan")), ("c", 1.0)))
+        with pytest.raises(ValueError, match="'q7'.*NaN"):
             validate_ranked_list(bad)
 
 
@@ -92,9 +104,7 @@ class TestDenseSearch:
         basis = np.eye(5)
         index = build_dense_index([f"i{i}" for i in range(5)], basis)
         result = dense_search(index, basis[2], k=3, query_id="q")
-        assert result.hits[0].item_id == "i2"
-        assert result.hits[0].score == 1.0
-        assert result.hits[0].rank == 1
+        assert result.hits[0] == ("i2", 1.0)
 
     def test_identical_vectors_tie_by_id(self):
         v = np.array([1.0, 2.0, 3.0])
@@ -106,12 +116,12 @@ class TestDenseSearch:
         index = build_dense_index(["zero", "one"], [np.zeros(3), np.ones(3)])
         result = dense_search(index, np.ones(3), k=2)
         assert result.item_ids == ["one", "zero"]
-        assert result.hits[1].score == 0.0
+        assert result.hits[1][1] == 0.0
 
     def test_zero_query_scores_all_zero(self):
         index = build_dense_index(["b", "a"], [np.ones(3), 2 * np.ones(3)])
         result = dense_search(index, np.zeros(3), k=2)
-        assert [h.score for h in result.hits] == [0.0, 0.0]
+        assert result.hits == (("a", 0.0), ("b", 0.0))
         assert result.item_ids == ["a", "b"]  # pure id tie-break
 
     def test_fewer_items_than_k(self):
@@ -176,7 +186,7 @@ class TestDenseSearch:
             k = int(rng.integers(1, 12))
             expected = brute_force_dense(ids, vectors, query, k)
             result = dense_search(build_dense_index(ids, vectors), query, k)
-            assert [(h.item_id, h.score) for h in result.hits] == expected
+            assert list(result.hits) == expected
 
 
 class TestBM25:
@@ -265,7 +275,7 @@ class TestLexicalSearch:
             ),
             key=lambda pair: (-pair[1], pair[0]),
         )
-        assert [(h.item_id, h.score) for h in result.hits] == expected
+        assert list(result.hits) == expected
 
     def test_shared_vocabulary_matches_bm25_score(self, rng):
         """Long postings: every term occurs in most items, unlike the
@@ -287,7 +297,7 @@ class TestLexicalSearch:
             )
             for k in (len(ids), 25):
                 result = lexical_search(index, query, k=k, query_id="q")
-                assert [(h.item_id, h.score) for h in result.hits] == expected[:k]
+                assert list(result.hits) == expected[:k]
 
     def test_posting_for_unknown_item(self):
         index = build_lexical_index(["d1"], ["credit risk"])
@@ -320,14 +330,14 @@ class TestRRF:
         a = ranked("q", ("x", 9.0), ("y", 1.0))
         b = ranked("q", ("x", 0.8), ("z", 0.2))
         fused = rrf_fuse([a, b], k_rrf=60)
-        assert fused.hits[0].item_id == "x"
-        assert fused.hits[0].score == pytest.approx(2.0 / 61.0, abs=1e-15)
+        assert fused.hits[0][0] == "x"
+        assert fused.hits[0][1] == pytest.approx(2.0 / 61.0, abs=1e-15)
 
     def test_item_in_one_list_at_rank_three(self):
         a = ranked("q", ("x", 3.0), ("y", 2.0), ("z", 1.0))
         b = ranked("q", ("x", 5.0), ("y", 4.0))
         fused = rrf_fuse([a, b], k_rrf=60)
-        z_score = {h.item_id: h.score for h in fused.hits}["z"]
+        z_score = dict(fused.hits)["z"]
         assert z_score == pytest.approx(1.0 / 63.0, abs=1e-15)
 
     def test_mismatched_query_ids(self):
@@ -355,7 +365,7 @@ class TestRRF:
             k_rrf = int(rng.integers(1, 100))
             expected = brute_force_rrf(id_lists, k_rrf, depth)
             fused = rrf_fuse(lists, k_rrf=k_rrf, depth=depth)
-            got = {h.item_id: h.score for h in fused.hits}
+            got = dict(fused.hits)
             assert got.keys() == expected.keys()
             for item, score in expected.items():
                 assert got[item] == pytest.approx(score, abs=1e-15)
@@ -373,7 +383,7 @@ class TestRRF:
                     ranked("q", *[(item, float(len(order) - i)) for i, item in enumerate(order)])
                 )
             fused = rrf_fuse(lists)
-            assert fused.hits[0].item_id == winner
+            assert fused.hits[0][0] == winner
 
     def test_improving_rank_never_decreases_score(self):
         base_a = ["x", "y", "z", "w"]
@@ -387,24 +397,22 @@ class TestRRF:
             before = brute_force_rrf([base_a, base_b], 60, 100)[target]
             after_lists = [improved, base_b]
             after = brute_force_rrf(after_lists, 60, 100)[target]
-            fused_before = {
-                h.item_id: h.score
-                for h in rrf_fuse(
+            fused_before = dict(
+                rrf_fuse(
                     [
                         ranked("q", *[(i, float(9 - r)) for r, i in enumerate(base_a)]),
                         ranked("q", *[(i, float(9 - r)) for r, i in enumerate(base_b)]),
                     ]
                 ).hits
-            }[target]
-            fused_after = {
-                h.item_id: h.score
-                for h in rrf_fuse(
+            )[target]
+            fused_after = dict(
+                rrf_fuse(
                     [
                         ranked("q", *[(i, float(9 - r)) for r, i in enumerate(improved)]),
                         ranked("q", *[(i, float(9 - r)) for r, i in enumerate(base_b)]),
                     ]
                 ).hits
-            }[target]
+            )[target]
             assert after >= before
             assert fused_after >= fused_before
 
@@ -479,9 +487,7 @@ class TestPersistence:
         query = rng.normal(size=4)
         a = dense_search(dense, query, k=5)
         b = dense_search(dense2, query, k=5)
-        assert [(h.item_id, h.score) for h in a.hits] == [
-            (h.item_id, h.score) for h in b.hits
-        ]
+        assert a.hits == b.hits
 
     def test_corrupt_vectors_file(self, tmp_path):
         dense = build_dense_index(["a"], [np.ones(3)])
@@ -532,6 +538,23 @@ class TestPersistence:
         postings.write_text(postings.read_text() + "{bad\n")
         lines = postings.read_text().count("\n")
         with pytest.raises(ValueError, match=rf"postings\.jsonl: line {lines}: invalid JSON"):
+            load_index(path)
+
+    def test_postings_item_listed_twice_in_a_term(self, tmp_path):
+        path, _ = self.saved_abc(tmp_path)
+        postings = path / "postings.jsonl"
+        postings.write_text(
+            postings.read_text().replace(
+                json.dumps({"term": "risk", "postings": [["a", 1], ["b", 1]]}),
+                json.dumps({"term": "risk", "postings": [["a", 1], ["a", 1], ["b", 1]]}),
+            )
+        )
+        line = postings.read_text().splitlines().index(
+            json.dumps({"term": "risk", "postings": [["a", 1], ["a", 1], ["b", 1]]})
+        ) + 1
+        with pytest.raises(
+            ValueError, match=rf"postings\.jsonl: line {line}: postings of 'risk' .*\['a'\]"
+        ):
             load_index(path)
 
     def test_postings_term_listed_twice(self, tmp_path):

@@ -1,6 +1,7 @@
-"""Property tests: RRF fusion and BM25 search against their oracles.
+"""Property tests: rankings, RRF fusion and BM25 search against their oracles.
 
-RRF cases share ids across lists, tie scores inside a list (ids break the
+A ranking from scores is the pairs sorted by (-score, id), cut to k, with
+Python float scores whatever number type came in. RRF cases share ids across lists, tie scores inside a list (ids break the
 tie), cut lists at ``depth`` and fuse up to five lists, where a running sum
 would depend on the order of the lists. BM25 cases draw tiny corpora over
 a six-word vocabulary, so terms repeat within and across items, and queries
@@ -9,6 +10,7 @@ that repeat terms and use words no item holds.
 
 import math
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -36,6 +38,27 @@ WORDS = ["risk", "capital", "stress", "credit", "basel", "audit"]
 MISSING = ["liquidity", "zeta"]
 
 
+SCORES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0]),
+    st.floats(allow_nan=False),
+    st.floats(width=32, allow_nan=False).map(np.float32),
+    st.integers(-3, 3),
+)
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.lists(st.tuples(st.sampled_from(UNIVERSE), SCORES), unique_by=lambda p: p[0]),
+    st.none() | st.integers(1, len(UNIVERSE) + 1),
+)
+def test_ranked_list_from_scores_sorts_and_cuts(scored, k):
+    ranking = ranked_list_from_scores("q", scored, k=k)
+    expected = sorted(((i, float(s)) for i, s in scored), key=lambda p: (-p[1], p[0]))[:k]
+    assert list(ranking.hits) == expected
+    assert all(type(score) is float for _, score in ranking.hits)
+    validate_ranked_list(ranking)
+
+
 @st.composite
 def rrf_cases(draw):
     """Ranked lists for one query (scores from a small set, so ties are common)."""
@@ -49,17 +72,13 @@ def rrf_cases(draw):
     return lists, draw(st.integers(1, 100)), draw(st.integers(1, 10))
 
 
-def hits(ranking):
-    return [(h.item_id, h.score, h.rank) for h in ranking.hits]
-
-
 @PROPERTY_SETTINGS
 @given(rrf_cases())
 def test_rrf_matches_brute_force(case):
     lists, k_rrf, depth = case
     fused = rrf_fuse(lists, k_rrf=k_rrf, depth=depth)
     expected = brute_force_rrf([rl.item_ids for rl in lists], k_rrf, depth)
-    assert {h.item_id: h.score for h in fused.hits} == expected
+    assert dict(fused.hits) == expected
     assert fused.item_ids == sorted(expected, key=lambda item: (-expected[item], item))
     validate_ranked_list(fused)
 
@@ -70,8 +89,9 @@ def test_rrf_ignores_the_order_of_its_lists(case, random):
     lists, k_rrf, depth = case
     shuffled = list(lists)
     random.shuffle(shuffled)
-    assert hits(rrf_fuse(shuffled, k_rrf=k_rrf, depth=depth)) == hits(
-        rrf_fuse(lists, k_rrf=k_rrf, depth=depth)
+    assert (
+        rrf_fuse(shuffled, k_rrf=k_rrf, depth=depth).hits
+        == rrf_fuse(lists, k_rrf=k_rrf, depth=depth).hits
     )
 
 
@@ -94,7 +114,7 @@ def test_lexical_search_equals_bm25_score(case):
     scored = [(item, bm25_score(index, tokenize(query_text), item)) for item in ids]
     expected = sorted(((i, s) for i, s in scored if s > 0.0), key=lambda p: (-p[1], p[0]))[:k]
     result = lexical_search(index, query_text, k=k, query_id="q")
-    assert [(h.item_id, h.score) for h in result.hits] == expected
+    assert list(result.hits) == expected
     validate_ranked_list(result)
 
 

@@ -43,6 +43,11 @@ class TestMRR:
         with pytest.raises(ValueError, match="missing from qrels"):
             mrr_at_k([run_of("q", ["a"])], {}, 10)
 
+    def test_query_ranked_twice(self):
+        run = [run_of("q", ["rel", "x"]), run_of("q", ["x", "rel"])]
+        with pytest.raises(ValueError, match="'q' is ranked twice"):
+            evaluate_run(run, {"q": {"rel"}}, (5,))
+
 
 class TestMAP:
     def test_single_relevant_at_rank_four(self):
