@@ -1,4 +1,4 @@
-"""Time ``run_eval`` in dense, lexical and hybrid mode at fixed synthetic scales.
+"""Time ``run_eval``, ``train_adapter`` and ``compare_adapter`` at fixed synthetic scales.
 
 Usage, from the repository root:
 
@@ -6,16 +6,25 @@ Usage, from the repository root:
 
 Each scale is ``synth_dataset(pairs // 100, 100, 50, seed=7)`` split 0.95
 with seed 7, embedded by ``HashEmbedder(dim=256)`` and evaluated over the
-all_contexts pool with k_list (5, 10, 100). One timed ``run_eval`` call
-embeds, indexes, retrieves and scores. The script prints one JSON object:
-the machine, the settings, and per scale and mode the median and minimum
-wall time over the repeats, the SHA-256 of the report's JSON bytes (equal
-in every repeat, or the script fails), and the process's peak RSS so far.
+all_contexts pool with k_list (5, 10, 100). At each scale the script times:
+
+- ``run_eval`` in dense, lexical and hybrid mode (one call embeds, indexes,
+  retrieves and scores);
+- ``train_adapter`` on the training split, 2 epochs, seed 7;
+- ``compare_adapter`` in hybrid mode, base against that adapter: the
+  paper's base-versus-finetuned comparison.
+
+It prints one JSON object: the machine, the settings, and per scale and
+step the median and minimum wall time over the repeats, a SHA-256 of the
+result (equal in every repeat, or the script fails) and the process's peak
+RSS so far. The digest is of the report's JSON bytes for ``run_eval``, of
+the base then the finetuned report's JSON bytes for ``compare_adapter``,
+and of the trained float64 weight (and bias) bytes for ``train_adapter``.
 Scales run in increasing order, so a scale's peak RSS is its own.
 
 BLAS is held to one thread, as in ``perfbench/``. The script is not part
 of the test suite: the largest default scale takes minutes and about
-600 MB of memory.
+650 MB of memory.
 """
 
 from __future__ import annotations
@@ -35,9 +44,10 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402  (after the BLAS thread limit)
 
-from riskrank.benchmark import EvalConfig, run_eval  # noqa: E402
+from riskrank.benchmark import EvalConfig, compare_adapter, run_eval  # noqa: E402
 from riskrank.corpus import split_pairs, synth_dataset  # noqa: E402
 from riskrank.embedding import HashEmbedder  # noqa: E402
+from riskrank.finetune import TrainingConfig, train_adapter  # noqa: E402
 
 SEED = 7
 DIM = 256
@@ -46,6 +56,7 @@ VOCAB_PER_CLUSTER = 50
 SPLIT_RATIO = 0.95
 K_LIST = (5, 10, 100)
 MODES = ("dense", "lexical", "hybrid")
+EPOCHS = 2
 
 
 def machine() -> dict:
@@ -68,6 +79,29 @@ def machine() -> dict:
     }
 
 
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def timed(label: str, repeats: int, call, digest, digest_key="report_sha256") -> tuple:
+    """Run ``call`` ``repeats`` times; its result, timings and its one digest."""
+    times, digests = [], set()
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = call()
+        times.append(time.perf_counter() - start)
+        digests.add(digest(result))
+    if len(digests) != 1:
+        raise SystemExit(f"{label}: results differ between repeats")
+    return result, {
+        "median_s": round(statistics.median(times), 4),
+        "min_s": round(min(times), 4),
+        "times_s": [round(t, 4) for t in times],
+        digest_key: digests.pop(),
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+    }
+
+
 def profile_scale(pairs_count: int, repeats: int) -> list[dict]:
     _, pairs = synth_dataset(
         pairs_count // PAIRS_PER_CLUSTER, PAIRS_PER_CLUSTER, VOCAB_PER_CLUSTER, SEED
@@ -75,27 +109,41 @@ def profile_scale(pairs_count: int, repeats: int) -> list[dict]:
     split = split_pairs(pairs, ratio=SPLIT_RATIO, seed=SEED)
     embedder = HashEmbedder(dim=DIM)
     entries = []
+
+    def record(entry: dict) -> None:
+        entries.append(entry)
+        print(json.dumps(entry), file=sys.stderr, flush=True)
+
+    def eval_config(mode: str) -> EvalConfig:
+        return EvalConfig(retrieval_mode=mode, k_list=K_LIST, seed=SEED)
+
     for mode in MODES:
-        config = EvalConfig(retrieval_mode=mode, k_list=K_LIST, seed=SEED)
-        times, digests = [], set()
-        for _ in range(repeats):
-            start = time.perf_counter()
-            report = run_eval(pairs, split, embedder, config)
-            times.append(time.perf_counter() - start)
-            digests.add(hashlib.sha256(report.to_json_bytes()).hexdigest())
-        if len(digests) != 1:
-            raise SystemExit(f"{pairs_count} pairs, {mode}: reports differ between repeats")
-        entries.append({
-            "pairs": len(pairs),
-            "mode": mode,
-            "queries": report.query_count,
-            "median_s": round(statistics.median(times), 4),
-            "min_s": round(min(times), 4),
-            "times_s": [round(t, 4) for t in times],
-            "report_sha256": digests.pop(),
-            "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
-        })
-        print(json.dumps(entries[-1]), file=sys.stderr, flush=True)
+        report, stats = timed(
+            f"{pairs_count} pairs, {mode}", repeats,
+            lambda: run_eval(pairs, split, embedder, eval_config(mode)),
+            lambda report: sha256(report.to_json_bytes()),
+        )
+        record({"pairs": len(pairs), "mode": mode, "queries": report.query_count, **stats})
+
+    (adapter, _), stats = timed(
+        f"{pairs_count} pairs, train_adapter", repeats,
+        lambda: train_adapter(split.train, embedder, TrainingConfig(epochs=EPOCHS, seed=SEED)),
+        lambda trained: sha256(
+            trained[0].weight.tobytes()
+            + (b"" if trained[0].bias is None else trained[0].bias.tobytes())
+        ),
+        digest_key="adapter_sha256",
+    )
+    record({"pairs": len(pairs), "mode": "train_adapter", "epochs": EPOCHS,
+            "train_pairs": len(split.train), **stats})
+
+    comparison, stats = timed(
+        f"{pairs_count} pairs, compare_adapter", repeats,
+        lambda: compare_adapter(pairs, split, embedder, eval_config("hybrid"), adapter),
+        lambda c: sha256(c.base.to_json_bytes() + c.finetuned.to_json_bytes()),
+    )
+    record({"pairs": len(pairs), "mode": "compare_adapter_hybrid",
+            "queries": comparison.base.query_count, **stats})
     return entries
 
 
@@ -108,7 +156,8 @@ def main(argv: list[str] | None = None) -> None:
     settings = {
         "seed": SEED, "dim": DIM, "pairs_per_cluster": PAIRS_PER_CLUSTER,
         "vocab_per_cluster": VOCAB_PER_CLUSTER, "split": SPLIT_RATIO,
-        "k_list": list(K_LIST), "pool": "all_contexts", "repeats": args.repeats,
+        "k_list": list(K_LIST), "pool": "all_contexts", "epochs": EPOCHS,
+        "repeats": args.repeats,
     }
     runs = [entry for scale in scales for entry in profile_scale(scale, args.repeats)]
     print(json.dumps({"machine": machine(), "settings": settings, "runs": runs}, indent=2))

@@ -5,8 +5,9 @@ the dimension as unsigned 32-bit little-endian, then row-major IEEE-754
 float32 little-endian values. A cache file holds one row; an index's
 ``vectors.bin`` holds one row per item. ``write_rkv1`` writes atomically
 (temp file + rename), so concurrent writers of the same file are idempotent
-and readers never observe partial files; ``read_rkv1`` checks the magic and
-the length and names the file when either is wrong.
+and readers never observe partial files; ``read_rkv1`` checks the magic,
+the length and that every value is finite (``write_rkv1`` refuses NaN and
+Inf, so one on disk means damage), and names the file when a check fails.
 
 The cache keeps one file per text at
 ``<root>/<provider>/<model>/<sha256-of-text>.vec``. ``cached_embed`` is the
@@ -44,7 +45,7 @@ _SAFE_COMPONENT = re.compile(r"[^A-Za-z0-9._-]")
 
 
 class CorruptCacheError(ValueError):
-    """An RKV1 file failed validation (bad magic, dim, or length)."""
+    """An RKV1 file failed validation (bad magic, dim, length, or a non-finite value)."""
 
 
 def text_digest(text: str) -> str:
@@ -88,7 +89,10 @@ def read_rkv1(path: Path | str, rows: int = 1) -> np.ndarray:
             f"RKV1 file {path} has {len(raw)} bytes, expected {expected} "
             f"for {rows} x {dim}"
         )
-    return np.frombuffer(raw, dtype="<f4", offset=8).reshape(rows, dim).copy()
+    values = np.frombuffer(raw, dtype="<f4", offset=8).reshape(rows, dim)
+    if not np.isfinite(values).all():
+        raise CorruptCacheError(f"RKV1 file {path} holds non-finite values")
+    return values.copy()
 
 
 class VectorCache:

@@ -6,13 +6,18 @@ IEEE-rounded products), so similarity scores are reproducible bit-for-bit
 across platforms, BLAS builds, and re-implementations of the same
 arithmetic.
 
+``unit_rows`` is the one L2 normalizer for vectors that come from outside
+the hash kernel (index rows, queries, remote vectors): each row is divided
+in float64 by its ``exact_norm``, and zero rows stay zero.
+
 The hashed embedder is a fast, fully deterministic stand-in for a frozen
 sentence encoder: each token is hashed to a coordinate and a sign, signed
-counts are accumulated, and the result is L2-normalized. One batch kernel
-serves ``hash_embed``, ``HashEmbedder.__call__`` and ``HashEmbedder.embed``:
-it hashes each distinct token once per call, scatters a block of rows'
-signed counts with one ``np.bincount`` and writes the normalized rows into
-one float32 matrix, with the same bits as normalizing one text at a time.
+counts are accumulated, and the result is L2-normalized. One batch kernel,
+``_hash_rows``, serves ``HashEmbedder.embed`` (and ``__call__``, a batch of
+one): it hashes each distinct token once per call, scatters a block of
+rows' signed counts with one ``np.bincount`` and writes the normalized rows
+into one float32 matrix, with the same bits as normalizing one text at a
+time.
 """
 
 from __future__ import annotations
@@ -21,14 +26,13 @@ import hashlib
 import math
 import re
 from itertools import chain
-from typing import Protocol
+from typing import Protocol, Sequence
 
 import numpy as np
 
 __all__ = [
     "tokenize",
-    "hash_embed",
-    "l2_normalize",
+    "unit_rows",
     "cosine",
     "exact_dot",
     "exact_norm",
@@ -75,19 +79,22 @@ def exact_norm(v: np.ndarray) -> float:
     return math.sqrt(math.fsum((nonzero * nonzero).tolist()))
 
 
-def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """Scale ``v`` to unit L2 norm; an all-zero vector is returned unchanged.
+def unit_rows(matrix: np.ndarray, ids: Sequence[str], kind: str = "row") -> np.ndarray:
+    """Each row of the ``(n, dim)`` ``matrix`` divided by its ``exact_norm``.
 
-    Raises ValueError if any component is non-finite. The division is done
-    in float64 and the result is stored as float32.
+    Returns a new float64 matrix; the division is IEEE float64, done in
+    place on that copy. Zero rows stay zero. A row holding NaN or Inf
+    raises ValueError ``"<kind> <id> has non-finite values"``, with the
+    row's id from ``ids``.
     """
-    v64 = np.asarray(v, dtype=np.float64)
-    if not np.all(np.isfinite(v64)):
-        raise ValueError("cannot normalize vector with non-finite components")
-    norm = exact_norm(v64)
-    if norm == 0.0:
-        return v64.astype(np.float32)
-    return (v64 / norm).astype(np.float32)
+    rows = np.array(matrix, dtype=np.float64)
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        bad = ids[int(np.flatnonzero(~finite)[0])]
+        raise ValueError(f"{kind} {bad!r} has non-finite values")
+    norms = np.array([exact_norm(row) for row in rows])
+    rows /= np.where(norms != 0.0, norms, 1.0)[:, None]
+    return rows
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -151,16 +158,6 @@ def _hash_rows(token_lists: list[list[str]], dim: int, seed: int) -> np.ndarray:
     return out
 
 
-def hash_embed(tokens: list[str], dim: int, seed: int = 0) -> np.ndarray:
-    """Signed-count feature hashing of a token list into a unit float32 vector.
-
-    Each token lands in a seeded hash bucket in ``[0, dim)`` with a hash-derived
-    sign; counts accumulate and the result is L2-normalized. An empty token
-    list yields the all-zero vector. Deterministic under (tokens, dim, seed).
-    """
-    return _hash_rows([tokens], dim, seed)[0]
-
-
 class Embedder(Protocol):
     """What riskrank embeds text through: one batch call, one row per text."""
 
@@ -171,7 +168,7 @@ class Embedder(Protocol):
 
 
 class HashEmbedder:
-    """Deterministic local text embedder: ``tokenize`` then ``hash_embed``.
+    """Deterministic local text embedder: ``tokenize`` then the hash kernel.
 
     Carries ``provider_id``/``model_id`` so its vectors can share the same
     content-addressed cache as remote providers.
@@ -187,7 +184,8 @@ class HashEmbedder:
         self.model_id = f"hash-d{dim}-s{seed}"
 
     def __call__(self, text: str) -> np.ndarray:
-        return hash_embed(tokenize(text), self.dim, self.seed)
+        """One text's row of ``embed``."""
+        return self.embed([text])[0]
 
     def embed(self, texts: list[str]) -> np.ndarray:
         """Embed a batch of texts into an ``(n, dim)`` float32 matrix."""

@@ -33,7 +33,7 @@ import numpy as np
 
 from .cache import read_rkv1, write_rkv1
 from .corpus import _jsonl_records, _require_str
-from .embedding import exact_norm, tokenize
+from .embedding import tokenize, unit_rows
 
 __all__ = [
     "RankedList",
@@ -145,30 +145,23 @@ def build_dense_index(
     vectors: Sequence[np.ndarray] | np.ndarray,
     dim: int | None = None,
 ) -> DenseIndex:
-    """Normalize and stack vectors into a searchable index.
+    """Normalize vectors with ``unit_rows`` and store them as float32 rows.
 
     ``dim`` is only needed for an empty index. Duplicate ids, dimension
     mismatches and vectors holding NaN or Inf raise ValueError. All-zero
     vectors are kept as zero rows and score 0 against every query.
     """
-    rows = [np.asarray(v, dtype=np.float64) for v in vectors]
-    if len(ids) != len(rows):
-        raise ValueError(f"got {len(ids)} ids but {len(rows)} vectors")
+    if len(ids) != len(vectors):
+        raise ValueError(f"got {len(ids)} ids but {len(vectors)} vectors")
     _require_unique(ids, "duplicate item ids")
-    if rows:
-        dims = {row.shape for row in rows}
-        if len(dims) != 1 or rows[0].ndim != 1:
-            raise ValueError(f"vectors must share one 1-D shape, got {sorted(dims)}")
-        dim = rows[0].shape[0]
-    elif dim is None:
-        dim = 0
-    matrix = np.zeros((len(rows), dim), dtype=np.float32)
-    for i, (item_id, row) in enumerate(zip(ids, rows)):
-        if not np.isfinite(row).all():
-            raise ValueError(f"vector for item {item_id!r} has non-finite values")
-        norm = exact_norm(row)
-        matrix[i] = (row / norm if norm != 0.0 else row).astype(np.float32)
-    return DenseIndex(item_ids=tuple(ids), matrix=matrix, dim=dim)
+    if not len(vectors):
+        dim = dim or 0
+        return DenseIndex(item_ids=(), matrix=np.zeros((0, dim), dtype=np.float32), dim=dim)
+    shapes = {np.shape(v) for v in vectors}
+    if len(shapes) != 1 or len(next(iter(shapes))) != 1:
+        raise ValueError(f"vectors must share one 1-D shape, got {sorted(shapes)}")
+    matrix = unit_rows(vectors, ids, "vector for item").astype(np.float32)
+    return DenseIndex(item_ids=tuple(ids), matrix=matrix, dim=matrix.shape[1])
 
 
 def dense_search(
@@ -204,7 +197,7 @@ def dense_search_many(
     q = np.asarray(queries, dtype=np.float64)
     if len(q) != len(query_ids):
         raise ValueError(f"got {len(q)} queries but {len(query_ids)} query ids")
-    if index.count and len(q) and q.shape[1:] != (index.dim,):
+    if len(q) and (q.ndim != 2 or index.count and q.shape[1] != index.dim):
         raise ValueError(f"queries have shape {q.shape}, index dim is {index.dim}")
     return _dense_topk(index, q, k, query_ids)
 
@@ -246,9 +239,9 @@ def _dense_topk(
 ) -> list[RankedList]:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    for query_id, q in zip(query_ids, queries):
-        if not np.isfinite(q).all():
-            raise ValueError(f"query {query_id!r} has non-finite values")
+    if not len(queries):
+        return []
+    unit = unit_rows(queries, query_ids, "query")
     n = index.count
     if n == 0:
         return [RankedList(query_id=query_id, hits=()) for query_id in query_ids]
@@ -258,8 +251,6 @@ def _dense_topk(
     if not np.isfinite(row_l1).all():
         bad = int(np.flatnonzero(~np.isfinite(row_l1))[0])
         raise ValueError(f"index row of item {index.item_ids[bad]!r} has non-finite values")
-    norms = np.array([exact_norm(q) for q in queries])
-    unit = queries / np.where(norms != 0.0, norms, 1.0)[:, None]
     error_scale = (rows.shape[1] + 2) * 2.0**-49 * float(row_l1.max())
     kth = max(n - k, 0)
     block = max(_MIN_BLOCK_QUERIES, _BLOCK_ITEMS // n)

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .index import RankedList
 
@@ -74,75 +75,26 @@ class MetricReport:
         ).encode("utf-8")
 
 
-def _metric(
-    name: str,
-    k: int,
-    run: Sequence[RankedList],
-    qrels: Qrels,
-    value: Callable[[tuple[tuple[str, float], ...], set[str]], float],
-) -> MetricSlice:
-    """``value(top-k hits, relevant ids)`` for each query, and their mean."""
-    per_query = {}
-    for ranking in run:
-        if ranking.query_id not in qrels:
-            raise ValueError(f"query {ranking.query_id!r} missing from qrels")
-        if ranking.query_id in per_query:
-            raise ValueError(f"query {ranking.query_id!r} is ranked twice in the run")
-        per_query[ranking.query_id] = value(ranking.hits[:k], qrels[ranking.query_id])
-    aggregate = math.fsum(per_query.values()) / len(per_query) if per_query else 0.0
-    return MetricSlice(name=f"{name}@{k}", k=k, per_query=per_query, aggregate=aggregate)
+def _query_values(ranks: list[int], n_relevant: int, k_list: Sequence[int]) -> dict[str, float]:
+    """Every family at every cutoff from the ascending ranks of the relevant hits.
 
-
-def mrr_at_k(run: Sequence[RankedList], qrels: Qrels, k: int) -> MetricSlice:
-    """Reciprocal rank of the first relevant hit within the top k, else 0."""
-
-    def reciprocal_rank(hits, relevant):
-        return next((1.0 / rank for rank, (i, _) in enumerate(hits, 1) if i in relevant), 0.0)
-
-    return _metric("MRR", k, run, qrels, reciprocal_rank)
-
-
-def map_at_k(run: Sequence[RankedList], qrels: Qrels, k: int) -> MetricSlice:
-    """Average precision truncated at k, normalized by min(|relevant|, k)."""
-
-    def average_precision(hits, relevant):
-        found = 0
+    MAP adds ``found / rank`` in rank order and NDCG sums with ``math.fsum``,
+    as a scan of the top-k hits would.
+    """
+    values = {}
+    for k in k_list:
+        top = ranks[:bisect_right(ranks, k)]
         precision_sum = 0.0
-        for rank, (item_id, _) in enumerate(hits, 1):
-            if item_id in relevant:
-                found += 1
-                precision_sum += found / rank
-        denom = min(len(relevant), k)
-        return precision_sum / denom if denom else 0.0
-
-    return _metric("MAP", k, run, qrels, average_precision)
-
-
-def ndcg_at_k(run: Sequence[RankedList], qrels: Qrels, k: int) -> MetricSlice:
-    """Binary-gain NDCG with the 1/log2(rank+1) discount."""
-
-    def ndcg(hits, relevant):
-        dcg = math.fsum(
-            1.0 / math.log2(rank + 1) for rank, (i, _) in enumerate(hits, 1) if i in relevant
-        )
-        ideal = math.fsum(
-            1.0 / math.log2(rank + 1) for rank in range(1, min(len(relevant), k) + 1)
-        )
-        return dcg / ideal if ideal else 0.0
-
-    return _metric("NDCG", k, run, qrels, ndcg)
-
-
-def hit_rate_at_k(run: Sequence[RankedList], qrels: Qrels, k: int) -> MetricSlice:
-    """1 if any relevant item appears in the top k, else 0."""
-
-    def hit(hits, relevant):
-        return 1.0 if any(item_id in relevant for item_id, _ in hits) else 0.0
-
-    return _metric("HR", k, run, qrels, hit)
-
-
-_METRIC_FAMILIES = (mrr_at_k, map_at_k, ndcg_at_k, hit_rate_at_k)
+        for found, rank in enumerate(top, 1):
+            precision_sum += found / rank
+        ideal_count = min(n_relevant, k)
+        dcg = math.fsum(1.0 / math.log2(rank + 1) for rank in top)
+        ideal = math.fsum(1.0 / math.log2(rank + 1) for rank in range(1, ideal_count + 1))
+        values[f"MRR@{k}"] = 1.0 / top[0] if top else 0.0
+        values[f"MAP@{k}"] = precision_sum / ideal_count if ideal_count else 0.0
+        values[f"NDCG@{k}"] = dcg / ideal if ideal else 0.0
+        values[f"HR@{k}"] = 1.0 if top else 0.0
+    return values
 
 
 def evaluate_run(
@@ -150,27 +102,72 @@ def evaluate_run(
     qrels: Qrels,
     k_list: Sequence[int] = (5, 10, 100),
 ) -> MetricReport:
-    """Compute all four metric families at every cutoff in ``k_list``."""
+    """Compute all four metric families at every cutoff in ``k_list``.
+
+    Each ranking is scanned once, to the largest cutoff, for the ranks of
+    its relevant hits; every family and cutoff is computed from those.
+    """
     if not k_list:
         raise ValueError("k_list must be nonempty")
-    slices = []
     for k in k_list:
         if k < 1:
             raise ValueError(f"metric cutoff must be >= 1, got {k}")
-        for fn in _METRIC_FAMILIES:
-            slices.append(fn(run, qrels, k))
-    per_query: dict[str, dict[str, float]] = {
-        ranking.query_id: {} for ranking in run
+    depth = max(k_list)
+    per_query: dict[str, dict[str, float]] = {}
+    for ranking in run:
+        if ranking.query_id not in qrels:
+            raise ValueError(f"query {ranking.query_id!r} missing from qrels")
+        if ranking.query_id in per_query:
+            raise ValueError(f"query {ranking.query_id!r} is ranked twice in the run")
+        relevant = qrels[ranking.query_id]
+        ranks = [
+            rank
+            for rank, (item_id, _) in enumerate(ranking.hits[:depth], 1)
+            if item_id in relevant
+        ]
+        per_query[ranking.query_id] = _query_values(ranks, len(relevant), k_list)
+    names = tuple(_query_values([], 0, k_list))
+    aggregate = {
+        name: math.fsum(values[name] for values in per_query.values()) / len(per_query)
+        if per_query else 0.0
+        for name in names
     }
-    aggregate: dict[str, float] = {}
-    for s in slices:
-        aggregate[s.name] = s.aggregate
-        for qid, value in s.per_query.items():
-            per_query[qid][s.name] = value
     return MetricReport(
         per_query=per_query,
         aggregate=aggregate,
         k_list=tuple(k_list),
         query_count=len(run),
-        metrics=tuple(s.name for s in slices),
+        metrics=names,
     )
+
+
+def _slice(family: str, run: Sequence[RankedList], qrels: Qrels, k: int) -> MetricSlice:
+    """One family at one cutoff, read from ``evaluate_run(run, qrels, (k,))``."""
+    report = evaluate_run(run, qrels, (k,))
+    name = f"{family}@{k}"
+    return MetricSlice(
+        name=name,
+        k=k,
+        per_query={qid: values[name] for qid, values in report.per_query.items()},
+        aggregate=report.aggregate[name],
+    )
+
+
+def mrr_at_k(run: Sequence[RankedList], qrels: Qrels, k: int) -> MetricSlice:
+    """Reciprocal rank of the first relevant hit within the top k, else 0."""
+    return _slice("MRR", run, qrels, k)
+
+
+def map_at_k(run: Sequence[RankedList], qrels: Qrels, k: int) -> MetricSlice:
+    """Average precision truncated at k, normalized by min(|relevant|, k)."""
+    return _slice("MAP", run, qrels, k)
+
+
+def ndcg_at_k(run: Sequence[RankedList], qrels: Qrels, k: int) -> MetricSlice:
+    """Binary-gain NDCG with the 1/log2(rank+1) discount."""
+    return _slice("NDCG", run, qrels, k)
+
+
+def hit_rate_at_k(run: Sequence[RankedList], qrels: Qrels, k: int) -> MetricSlice:
+    """1 if any relevant item appears in the top k, else 0."""
+    return _slice("HR", run, qrels, k)

@@ -10,8 +10,8 @@ in the vector cache are served locally, and all misses go to one
 ``RemoteEmbedder.fetch`` that sends them in batches of at most ``max_batch``
 texts per request. Batches may be issued concurrently; ordering is restored
 by position, never by arrival. The cache keeps the raw provider vectors;
-L2 normalization is applied on the way out. The API key is read only when
-some text misses the cache.
+``embedding.unit_rows`` normalizes them on the way out, as it does index
+rows and queries. The API key is read only when some text misses the cache.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 import requests
 
 from .cache import VectorCache, cached_embed
-from .embedding import l2_normalize
+from .embedding import unit_rows
 
 __all__ = ["ProviderConfig", "RemoteEmbedError", "RemoteEmbedder"]
 
@@ -150,12 +150,12 @@ class RemoteEmbedder:
         """Embed ``texts`` into an ``(n, dim)`` matrix of L2-normalized rows.
 
         Cached digests never touch the network; the cache keeps the raw
-        provider vectors, and each row is normalized on the way out.
+        provider vectors, and ``unit_rows`` normalizes them on the way out.
         """
         if not texts:
             raise ValueError("texts must be nonempty")
         matrix, _ = cached_embed(self.cache, self.config, texts, self.fetch)
-        return np.stack([l2_normalize(row) for row in matrix])
+        return unit_rows(matrix, texts, "text").astype(np.float32)
 
     def fetch(self, texts: list[str]) -> list[np.ndarray]:
         """Raw provider vectors for ``texts``, in order, bypassing the cache."""

@@ -18,10 +18,12 @@ from riskrank.benchmark import (
     run_eval,
 )
 from riskrank.corpus import DatasetSplit, QAPair, split_pairs, synth_dataset
-from riskrank.embedding import HashEmbedder, l2_normalize
+from riskrank.embedding import HashEmbedder
 from riskrank.finetune import AdapterParams
 from riskrank.index import ranked_list_from_scores
 from riskrank.metrics import MetricReport, evaluate_run
+
+from reference import reference_unit_rows
 
 
 def small_corpus():
@@ -37,7 +39,7 @@ class PerfectEmbedder:
         rng = np.random.default_rng(5)
         self.lookup = {}
         for pair in pairs:
-            vec = l2_normalize(rng.normal(size=dim))
+            vec = reference_unit_rows([rng.normal(size=dim)])[0]
             self.lookup[pair.question] = vec
             self.lookup[pair.context] = vec
 

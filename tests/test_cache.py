@@ -100,6 +100,18 @@ def test_rkv1_format(tmp_path, writer):
         assert str(path) in str(excinfo.value), what
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("writer", [_cache_writer, _index_writer], ids=["cache", "index"])
+def test_non_finite_value_on_disk_is_corruption(tmp_path, writer, bad):
+    vector = np.array([1.0, -2.5, 0.1, 3.25], dtype=np.float32)
+    path, read = writer(tmp_path, vector)
+    payload = path.read_bytes()
+    path.write_bytes(payload[:12] + struct.pack("<f", bad) + payload[16:])
+    with pytest.raises(CorruptCacheError, match="non-finite") as excinfo:
+        read()
+    assert str(path) in str(excinfo.value)
+
+
 def test_nonfinite_vector_rejected(tmp_path):
     cache = VectorCache(tmp_path)
     with pytest.raises(ValueError):

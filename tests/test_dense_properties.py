@@ -295,3 +295,4 @@ def test_empty_inputs():
     ]
     index = build_dense_index(["x"], [np.ones(3)])
     assert dense_search_many(index, np.zeros((0, 3)), 4, []) == []
+    assert dense_search_many(index, [], 4, []) == []

@@ -14,13 +14,12 @@ from riskrank.embedding import (
     cosine,
     exact_dot,
     exact_norm,
-    hash_embed,
-    l2_normalize,
     tokenize,
+    unit_rows,
 )
-from riskrank.embedding import _ROW_CHUNK
+from riskrank.embedding import _ROW_CHUNK, _hash_rows
 
-from reference import fraction_dot, reference_hash_embed
+from reference import fraction_dot, reference_hash_embed, reference_unit_rows
 
 
 class TestTokenize:
@@ -38,32 +37,39 @@ class TestTokenize:
 
 
 class TestL2Normalize:
+    """``unit_rows``: each row over its exact norm, zero rows kept."""
+
     def test_three_four_five(self):
-        out = l2_normalize(np.array([3.0, 4.0]))
-        np.testing.assert_allclose(out, [0.6, 0.8], rtol=1e-7)
-        assert out.dtype == np.float32
+        out = unit_rows(np.array([[3.0, 4.0]]), ["a"])
+        np.testing.assert_allclose(out, [[0.6, 0.8]], rtol=1e-15)
+        assert out.dtype == np.float64
 
     def test_zero_vector_unchanged(self):
-        out = l2_normalize(np.zeros(2))
-        assert np.array_equal(out, np.zeros(2, dtype=np.float32))
+        out = unit_rows(np.array([[0.0, -0.0], [1.0, 0.0]]), ["z", "x"])
+        assert out[0].tobytes() == np.array([0.0, -0.0]).tobytes()
 
     def test_symmetry(self):
-        out = l2_normalize(np.ones(4))
-        np.testing.assert_allclose(out, [0.5, 0.5, 0.5, 0.5], rtol=0)
+        out = unit_rows(np.ones((1, 4)), ["a"])
+        np.testing.assert_allclose(out, [[0.5, 0.5, 0.5, 0.5]], rtol=0)
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            l2_normalize(np.array([1.0, np.nan]))
-        with pytest.raises(ValueError):
-            l2_normalize(np.array([np.inf, 0.0]))
+        with pytest.raises(ValueError, match="row 'b' has non-finite"):
+            unit_rows(np.array([[1.0, 0.0], [1.0, np.nan]]), ["a", "b"])
+        with pytest.raises(ValueError, match="query 'q' has non-finite"):
+            unit_rows(np.array([[np.inf, 0.0]]), ["q"], "query")
 
     def test_norm_is_zero_or_one(self):
         rng = np.random.default_rng(11)
         for _ in range(300):
             dim = int(rng.integers(1, 64))
-            v = rng.normal(scale=rng.uniform(1e-3, 1e3), size=dim)
-            norm = float(np.linalg.norm(l2_normalize(v).astype(np.float64)))
+            v = rng.normal(scale=rng.uniform(1e-3, 1e3), size=(1, dim))
+            norm = float(np.linalg.norm(unit_rows(v, ["v"]).astype(np.float32).astype(np.float64)))
             assert norm == pytest.approx(1.0, abs=1e-6) or norm == 0.0
+
+    def test_input_is_not_modified(self):
+        v = np.array([[3.0, 4.0]])
+        unit_rows(v, ["a"])
+        assert v.tolist() == [[3.0, 4.0]]
 
 
 class TestCosine:
@@ -127,30 +133,32 @@ class TestExactArithmetic:
 
 
 class TestHashEmbed:
+    """The hash kernel ``_hash_rows`` on token lists."""
+
     def test_empty_tokens_zero_vector(self):
-        out = hash_embed([], dim=16)
-        assert np.array_equal(out, np.zeros(16, dtype=np.float32))
+        out = _hash_rows([[]], dim=16, seed=0)
+        assert np.array_equal(out, np.zeros((1, 16), dtype=np.float32))
 
     def test_deterministic(self):
         tokens = ["credit", "risk", "credit"]
-        a = hash_embed(tokens, dim=32, seed=9)
-        b = hash_embed(tokens, dim=32, seed=9)
+        a = _hash_rows([tokens], dim=32, seed=9)
+        b = _hash_rows([tokens], dim=32, seed=9)
         assert np.array_equal(a, b)
 
     def test_single_token_unit_coordinate(self):
-        out = hash_embed(["risk"], dim=8, seed=0)
+        out = _hash_rows([["risk"]], dim=8, seed=0)[0]
         nonzero = np.nonzero(out)[0]
         assert len(nonzero) == 1
         assert abs(out[nonzero[0]]) == 1.0
 
     def test_seed_changes_layout(self):
-        a = hash_embed(["risk", "capital"], dim=64, seed=0)
-        b = hash_embed(["risk", "capital"], dim=64, seed=1)
+        a = _hash_rows([["risk", "capital"]], dim=64, seed=0)
+        b = _hash_rows([["risk", "capital"]], dim=64, seed=1)
         assert not np.array_equal(a, b)
 
     def test_invalid_dim(self):
         with pytest.raises(ValueError):
-            hash_embed(["x"], dim=0)
+            _hash_rows([["x"]], dim=0, seed=0)
 
     def test_purity_over_random_token_lists(self):
         rng = np.random.default_rng(23)
@@ -159,8 +167,8 @@ class TestHashEmbed:
             tokens = [words[i] for i in rng.integers(0, len(words), size=rng.integers(0, 12))]
             dim = int(rng.integers(1, 48))
             seed = int(rng.integers(0, 2**63))
-            first = hash_embed(tokens, dim, seed)
-            again = hash_embed(tokens, dim, seed)
+            first = _hash_rows([tokens], dim, seed)
+            again = _hash_rows([tokens], dim, seed)
             assert first.dtype == again.dtype == np.float32
             assert np.array_equal(first, again)
 
@@ -225,7 +233,7 @@ class TestHashVectorPin:
         embedder = HashEmbedder(dim, seed)
         matrix = embedder.embed(GOLDEN_TEXTS)
         for row, text in zip(matrix, GOLDEN_TEXTS):
-            assert row.tobytes() == hash_embed(tokenize(text), dim, seed).tobytes()
+            assert row.tobytes() == _hash_rows([tokenize(text)], dim, seed)[0].tobytes()
             assert row.tobytes() == embedder(text).tobytes()
 
 
@@ -285,7 +293,7 @@ class TestHashKernelProperties:
     @given(texts, st.integers(1, 300), seeds)
     def test_single_text_paths_match_reference(self, text, dim, seed):
         expected = reference_hash_embed(tokenize(text), dim, seed).view(np.uint32)
-        assert np.array_equal(hash_embed(tokenize(text), dim, seed).view(np.uint32), expected)
+        assert np.array_equal(_hash_rows([tokenize(text)], dim, seed)[0].view(np.uint32), expected)
         assert np.array_equal(HashEmbedder(dim, seed)(text).view(np.uint32), expected)
 
     @pytest.mark.parametrize("dim", [1, 7, 256])
@@ -311,3 +319,40 @@ norm_vectors = st.one_of(
 def test_exact_norm_equals_full_sum_of_squares(v):
     v64 = v.astype(np.float64)
     assert exact_norm(v).hex() == math.sqrt(math.fsum((v64 * v64).tolist())).hex()
+
+
+# float64 components up to 1e153 (12 squares still sum below the float64
+# maximum) with subnormals, or float32 over its full finite range.
+unit_row_matrices = st.integers(1, 12).flatmap(lambda dim: st.one_of(
+    arrays(np.float64, st.tuples(st.integers(0, 8), st.just(dim)), elements=st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.floats(-1e153, 1e153),
+        st.floats(-(2.0**-1022), 2.0**-1022),
+    )),
+    arrays(np.float32, st.tuples(st.integers(0, 8), st.just(dim)),
+           elements=st.floats(width=32, allow_nan=False, allow_infinity=False)),
+))
+
+
+@PROPERTY_SETTINGS
+@given(unit_row_matrices, st.data())
+def test_unit_rows_match_reference_bits(matrix, data):
+    for target in data.draw(st.lists(st.integers(0, 7), max_size=2, unique=True)):
+        if target < len(matrix):
+            matrix[target] = data.draw(st.sampled_from([0.0, -0.0]))
+    ids = [f"r{i}" for i in range(len(matrix))]
+    out = unit_rows(matrix, ids)
+    assert out.dtype == np.float64 and out.shape == matrix.shape
+    want = (
+        reference_unit_rows(matrix)
+        if len(matrix)
+        else np.zeros(matrix.shape, dtype=np.float32)
+    )
+    assert np.array_equal(out.astype(np.float32).view(np.uint32), want.view(np.uint32))
+    if len(matrix):
+        bad = data.draw(st.integers(0, len(matrix) - 1))
+        matrix[bad, data.draw(st.integers(0, matrix.shape[1] - 1))] = data.draw(
+            st.sampled_from([np.nan, np.inf, -np.inf])
+        )
+        with pytest.raises(ValueError, match=rf"row 'r{bad}' has non-finite values"):
+            unit_rows(matrix, ids)

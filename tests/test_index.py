@@ -169,6 +169,9 @@ class TestDenseSearch:
         index = build_dense_index(["a"], [np.ones(3)])
         with pytest.raises(ValueError, match="dim"):
             dense_search_many(index, np.ones((2, 4)), 1, ["q1", "q2"])
+        empty = build_dense_index([], [], dim=3)
+        with pytest.raises(ValueError, match=r"queries have shape \(3,\)"):
+            dense_search_many(empty, np.ones(3), 1, ["q1", "q2", "q3"])
         with pytest.raises(ValueError, match="query ids"):
             dense_search_many(index, np.ones((2, 3)), 1, ["q1"])
         with pytest.raises(ValueError, match="k must be"):

@@ -283,6 +283,12 @@ class TestReportPlumbing:
         with pytest.raises(ValueError):
             evaluate_run([], {}, (0,))
 
+    @pytest.mark.parametrize("family", [mrr_at_k, map_at_k, ndcg_at_k, hit_rate_at_k])
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_family_cutoff_validation(self, family, k):
+        with pytest.raises(ValueError, match="cutoff must be >= 1"):
+            family([run_of("q", ["a"])], {"q": {"a"}}, k)
+
     def test_to_dict_has_display_column(self):
         report = evaluate_run([run_of("q", ["a", "b"])], {"q": {"b"}}, (10,))
         payload = report.to_dict()

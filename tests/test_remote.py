@@ -7,11 +7,11 @@ import pytest
 
 from riskrank.cache import CorruptCacheError, VectorCache, cached_embed, text_digest
 from riskrank.corpus import QAPair
-from riskrank.embedding import l2_normalize
 from riskrank.finetune import TrainingConfig, train_adapter
 from riskrank.remote import ProviderConfig, RemoteEmbedder, RemoteEmbedError
 
 from conftest import server_vector
+from reference import reference_unit_rows
 
 
 def make_config(server, model="ok-8", dim=8, max_batch=10) -> ProviderConfig:
@@ -32,7 +32,7 @@ def embed_remote(config, texts, cache, jobs=1) -> np.ndarray:
 
 def unit_vector(text: str, dim: int = 8) -> np.ndarray:
     """What ``RemoteEmbedder.embed`` returns for ``text``: the server vector, normalized."""
-    return l2_normalize(np.asarray(server_vector(text, dim), dtype=np.float32))
+    return reference_unit_rows([np.asarray(server_vector(text, dim), dtype=np.float32)])[0]
 
 
 @pytest.fixture(autouse=True)
@@ -115,7 +115,7 @@ def test_embed_normalizes_and_cache_keeps_raw(embedding_server, tmp_path):
     embedder = RemoteEmbedder(config, cache)
     matrix = embedder.embed(["alpha"])
     raw = np.asarray(server_vector("alpha", 8), dtype=np.float32)
-    assert np.array_equal(matrix[0], l2_normalize(raw))
+    assert np.array_equal(matrix[0], reference_unit_rows([raw])[0])
     assert np.array_equal(cache.get(text_digest("alpha"), "testprov", "ok-8"), raw)
     assert np.array_equal(embedder.fetch(["alpha"])[0], raw)
 
