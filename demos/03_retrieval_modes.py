@@ -5,7 +5,7 @@ from riskrank import (
     HashEmbedder,
     build_dense_index,
     build_lexical_index,
-    dense_search,
+    dense_search_many,
     lexical_search,
     rerank,
     rrf_fuse,
@@ -25,7 +25,7 @@ ids = list(items)
 dense_index = build_dense_index(ids, embedder.embed(list(items.values())))
 lexical_index = build_lexical_index(ids, list(items.values()))
 
-dense_hits = dense_search(dense_index, embedder(query), k=5, query_id="q1")
+[dense_hits] = dense_search_many(dense_index, embedder.embed([query]), 5, ["q1"])
 lexical_hits = lexical_search(lexical_index, query, k=5, query_id="q1")
 
 print(f"query: {query!r}\n")

@@ -29,7 +29,7 @@ from .corpus import (
     split_pairs,
     synth_dataset,
 )
-from .embedding import HashEmbedder, cosine, tokenize
+from .embedding import HashEmbedder, tokenize
 from .finetune import (
     AdapterParams,
     LossReport,
@@ -49,21 +49,12 @@ from .index import (
     RankedList,
     build_dense_index,
     build_lexical_index,
-    bm25_score,
-    dense_search,
     dense_search_many,
     lexical_search,
     rerank,
     rrf_fuse,
 )
-from .metrics import (
-    MetricReport,
-    evaluate_run,
-    hit_rate_at_k,
-    map_at_k,
-    mrr_at_k,
-    ndcg_at_k,
-)
+from .metrics import MetricReport, evaluate_run
 from .remote import ProviderConfig, RemoteEmbedder, RemoteEmbedError
 
 __version__ = "0.1.0"
@@ -92,28 +83,21 @@ __all__ = [
     "VectorCache",
     "apply_adapter",
     "batch_similarity",
-    "bm25_score",
     "build_dense_index",
     "build_eval_set",
     "build_lexical_index",
     "chunk_document",
     "compare_adapter",
     "compare_systems",
-    "cosine",
-    "dense_search",
     "dense_search_many",
     "emit_report",
     "evaluate_run",
-    "hit_rate_at_k",
     "lexical_search",
     "load_adapter",
     "load_documents",
     "load_qa_pairs",
-    "map_at_k",
     "mnr_loss",
     "mnr_loss_grad",
-    "mrr_at_k",
-    "ndcg_at_k",
     "rerank",
     "rrf_fuse",
     "run_eval",

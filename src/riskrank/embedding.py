@@ -8,7 +8,8 @@ arithmetic.
 
 ``unit_rows`` is the one L2 normalizer for vectors that come from outside
 the hash kernel (index rows, queries, remote vectors): each row is divided
-in float64 by its ``exact_norm``, and zero rows stay zero.
+in float64 by its ``exact_norm``, after an exact power-of-two scaling if
+its squares would overflow, and zero rows stay zero.
 
 The hashed embedder is a fast, fully deterministic stand-in for a frozen
 sentence encoder: each token is hashed to a coordinate and a sign, signed
@@ -33,8 +34,6 @@ import numpy as np
 __all__ = [
     "tokenize",
     "unit_rows",
-    "cosine",
-    "exact_dot",
     "exact_norm",
     "Embedder",
     "HashEmbedder",
@@ -50,20 +49,6 @@ def tokenize(text: str) -> list[str]:
     Empty tokens are dropped: ``"VaR-99.5%"`` -> ``["var", "99", "5"]``.
     """
     return _TOKEN_RE.findall(text.lower())
-
-
-def exact_dot(u: np.ndarray, v: np.ndarray) -> float:
-    """Exactly rounded float64 dot product of two equal-length vectors.
-
-    Each product is rounded once (IEEE float64 multiply); the sum of the
-    rounded products is exact (``math.fsum``). The result is therefore a
-    pure function of the input bits, independent of vectorization or BLAS.
-    """
-    u64 = np.asarray(u, dtype=np.float64)
-    v64 = np.asarray(v, dtype=np.float64)
-    if u64.shape != v64.shape:
-        raise ValueError(f"dimension mismatch: {u64.shape} vs {v64.shape}")
-    return math.fsum((u64 * v64).tolist())
 
 
 def exact_norm(v: np.ndarray) -> float:
@@ -83,35 +68,35 @@ def unit_rows(matrix: np.ndarray, ids: Sequence[str], kind: str = "row") -> np.n
     """Each row of the ``(n, dim)`` ``matrix`` divided by its ``exact_norm``.
 
     Returns a new float64 matrix; the division is IEEE float64, done in
-    place on that copy. Zero rows stay zero. A row holding NaN or Inf
+    place on that copy. Zero rows stay zero. A row whose squares or their
+    sum could overflow is first scaled down by a power of two, so it
+    normalizes as its scaled-down copies do. A row holding NaN or Inf
     raises ValueError ``"<kind> <id> has non-finite values"``, with the
     row's id from ``ids``.
     """
     rows = np.array(matrix, dtype=np.float64)
-    finite = np.isfinite(rows).all(axis=1)
+    # Each row's largest magnitude; NaN or Inf if the row holds one.
+    peak = np.maximum(rows.max(axis=1, initial=0.0), -rows.min(axis=1, initial=0.0))
+    finite = np.isfinite(peak)
     if not finite.all():
         bad = ids[int(np.flatnonzero(~finite)[0])]
         raise ValueError(f"{kind} {bad!r} has non-finite values")
+    # With every entry below 2**top, each square is below 2**(1023 - b),
+    # b = dim.bit_length(), so the sum of dim < 2**b squares stays below
+    # 2**1023.  A row whose largest entry is not below 2**top is scaled by
+    # 2**-shift, which brings that entry below 2**top.  A power of two
+    # changes no significand and the division by the norm cancels it, so
+    # the row normalizes bit for bit as it would without overflow, unless
+    # an entry or a square falls below the normal range.  Rows with no
+    # shift are not touched.
+    top = (1023 - rows.shape[1].bit_length()) // 2
+    _, exponents = np.frexp(peak)
+    shift = np.maximum(exponents - top, 0)
+    big = np.flatnonzero(shift)
+    rows[big] = np.ldexp(rows[big], -shift[big, None])
     norms = np.array([exact_norm(row) for row in rows])
     rows /= np.where(norms != 0.0, norms, 1.0)[:, None]
     return rows
-
-
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity in [-1, 1]; defined as 0.0 if either vector is zero.
-
-    Raises ValueError on dimension mismatch.
-    """
-    u64 = np.asarray(u, dtype=np.float64)
-    v64 = np.asarray(v, dtype=np.float64)
-    if u64.shape != v64.shape:
-        raise ValueError(f"dimension mismatch: {u64.shape} vs {v64.shape}")
-    nu = exact_norm(u64)
-    nv = exact_norm(v64)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    c = exact_dot(u64, v64) / (nu * nv)
-    return max(-1.0, min(1.0, c))
 
 
 # Rows per bincount block: bounds the float64 count block (rows x dim) that

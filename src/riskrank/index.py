@@ -11,8 +11,8 @@ block of queries gives approximate scores, a rigorous forward-error bound
 keeps every row that could reach the top k (the whole band of ties at the
 k-th score included), and only those rows are scored exactly, over the
 query's nonzero coordinates (a zero sum is redone over the full row). BM25
-search accumulates scores term at a time over the postings, adding each
-item's term weights in the same order as ``bm25_score``.
+search accumulates scores term at a time over the postings: each item
+adds its term weights in the order of the sorted distinct query terms.
 
 Persistence writes a directory with ``meta.json`` (counts, dimension, BM25
 parameters, item ids), ``vectors.bin`` (the item rows as one RKV1 file,
@@ -42,11 +42,9 @@ __all__ = [
     "ranked_list_from_scores",
     "validate_ranked_list",
     "build_dense_index",
-    "dense_search",
     "dense_search_many",
     "build_lexical_index",
     "bm25_term_weight",
-    "bm25_score",
     "lexical_search",
     "rrf_fuse",
     "rerank",
@@ -164,44 +162,6 @@ def build_dense_index(
     return DenseIndex(item_ids=tuple(ids), matrix=matrix, dim=matrix.shape[1])
 
 
-def dense_search(
-    index: DenseIndex,
-    query_vec: np.ndarray,
-    k: int,
-    query_id: str = "",
-) -> RankedList:
-    """Exact top-k by cosine over the whole index.
-
-    The query is normalized in float64 (a zero query scores 0 everywhere);
-    each item's score is the exactly-rounded dot product with its stored
-    row. Fewer than k items means all items are returned. A query holding
-    NaN or Inf raises ValueError naming ``query_id``.
-
-    Only rows that can reach the top k are scored exactly: an approximate
-    score from BLAS plus a rigorous bound on its error rules the others
-    out, so hits, scores and order are those of a full exact scan.
-    """
-    q = np.asarray(query_vec, dtype=np.float64)
-    if index.count and q.shape != (index.dim,):
-        raise ValueError(f"query has shape {q.shape}, index dim is {index.dim}")
-    return _dense_topk(index, q.reshape(1, -1), k, [query_id])[0]
-
-
-def dense_search_many(
-    index: DenseIndex,
-    queries: Sequence[np.ndarray] | np.ndarray,
-    k: int,
-    query_ids: Sequence[str],
-) -> list[RankedList]:
-    """``dense_search`` for each row of ``queries``, with ids ``query_ids``."""
-    q = np.asarray(queries, dtype=np.float64)
-    if len(q) != len(query_ids):
-        raise ValueError(f"got {len(q)} queries but {len(query_ids)} query ids")
-    if len(q) and (q.ndim != 2 or index.count and q.shape[1] != index.dim):
-        raise ValueError(f"queries have shape {q.shape}, index dim is {index.dim}")
-    return _dense_topk(index, q, k, query_ids)
-
-
 # Filter-then-verify.  For an index row x (float32, widened exactly) and a
 # query q as normalized (float64), s is the exactly rounded sum of the
 # float64 products x_j*q_j and a is the same dot product from BLAS.  With
@@ -231,12 +191,29 @@ def dense_search_many(
 # of an exact zero sum depends on the signs of all its terms (and on how a
 # given Python version's fsum signs zeros), so a row whose restricted sum is
 # +-0 is scored again over its full row, as the full scan scores it.
-def _dense_topk(
+def dense_search_many(
     index: DenseIndex,
-    queries: np.ndarray,
+    queries: Sequence[np.ndarray] | np.ndarray,
     k: int,
     query_ids: Sequence[str],
 ) -> list[RankedList]:
+    """Exact top-k by cosine over the whole index, one ranking per query row.
+
+    Row i of ``queries`` is ranked under ``query_ids[i]``. Each query is
+    normalized with ``unit_rows`` (a zero query scores 0 everywhere); each
+    item's score is the exactly-rounded dot product with its stored row.
+    Fewer than k items means all items are returned. A query holding NaN
+    or Inf raises ValueError naming its id.
+
+    Only rows that can reach the top k are scored exactly: an approximate
+    score from BLAS plus a rigorous bound on its error rules the others
+    out, so hits, scores and order are those of a full exact scan.
+    """
+    queries = np.asarray(queries, dtype=np.float64)
+    if len(queries) != len(query_ids):
+        raise ValueError(f"got {len(queries)} queries but {len(query_ids)} query ids")
+    if len(queries) and (queries.ndim != 2 or index.count and queries.shape[1] != index.dim):
+        raise ValueError(f"queries have shape {queries.shape}, index dim is {index.dim}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not len(queries):
@@ -278,7 +255,7 @@ def _exact_scores(rows: np.ndarray, kept: np.ndarray, q: np.ndarray) -> list[flo
 
     A query with zero coordinates sums only its nonzero ones, and rescores
     over the full row any row whose sum is zero (see the comment above
-    ``_dense_topk``); a fully dense query gathers nothing.
+    ``dense_search_many``); a fully dense query gathers nothing.
     """
     nonzero = np.flatnonzero(q)
     if len(nonzero) == len(q):
@@ -349,31 +326,6 @@ def bm25_term_weight(
     return idf * tf * (k1 + 1.0) / (tf + k1 * length_norm)
 
 
-def bm25_score(index: LexicalIndex, query_terms: Sequence[str], item_id: str) -> float:
-    """BM25 score of one item for a bag of query terms.
-
-    Repeated query terms are deduplicated (each distinct term contributes
-    once, with the document-side term frequency inside the formula).
-    """
-    if item_id not in index.doc_len:
-        raise ValueError(f"unknown item id {item_id!r}")
-    score = 0.0
-    for term in sorted(set(query_terms)):
-        entries = index.postings.get(term, ())
-        tf = 0
-        for posting_id, posting_tf in entries:
-            if posting_id == item_id:
-                tf = posting_tf
-                break
-        if tf == 0:
-            continue
-        score += bm25_term_weight(
-            tf, len(entries), index.doc_len[item_id], index.avgdl,
-            index.count, index.k1, index.b,
-        )
-    return score
-
-
 def lexical_search(
     index: LexicalIndex,
     query_text: str,
@@ -382,9 +334,9 @@ def lexical_search(
 ) -> RankedList:
     """Top-k items by BM25 for the tokenized query; zero scorers are dropped.
 
-    One pass over the query terms' postings, terms in sorted order: each
-    item's sum starts at 0.0 and adds the same weights in the same order as
-    ``bm25_score``, so the scores are equal bit for bit.
+    One pass over the postings of the sorted distinct query terms: each
+    item's score starts at 0.0 and adds its ``bm25_term_weight`` for each
+    of those terms it holds, in that order.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

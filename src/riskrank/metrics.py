@@ -17,29 +17,11 @@ from typing import Mapping, Sequence
 
 from .index import RankedList
 
-__all__ = [
-    "MetricSlice",
-    "MetricReport",
-    "mrr_at_k",
-    "map_at_k",
-    "ndcg_at_k",
-    "hit_rate_at_k",
-    "evaluate_run",
-]
+__all__ = ["MetricReport", "evaluate_run"]
 
 Qrels = Mapping[str, set[str]]
 
 DISPLAY_DECIMALS = 4
-
-
-@dataclass(frozen=True)
-class MetricSlice:
-    """One metric at one cutoff: per-query values plus their mean."""
-
-    name: str
-    k: int
-    per_query: dict[str, float]
-    aggregate: float
 
 
 @dataclass
@@ -104,6 +86,11 @@ def evaluate_run(
 ) -> MetricReport:
     """Compute all four metric families at every cutoff in ``k_list``.
 
+    At cutoff k: MRR is the reciprocal rank of the first relevant hit in
+    the top k, else 0; MAP is average precision over the top k divided by
+    min(|relevant|, k); NDCG has binary gains and the 1/log2(rank+1)
+    discount; HR is 1 if a relevant item is in the top k, else 0.
+
     Each ranking is scanned once, to the largest cutoff, for the ranks of
     its relevant hits; every family and cutoff is computed from those.
     """
@@ -139,35 +126,3 @@ def evaluate_run(
         query_count=len(run),
         metrics=names,
     )
-
-
-def _slice(family: str, run: Sequence[RankedList], qrels: Qrels, k: int) -> MetricSlice:
-    """One family at one cutoff, read from ``evaluate_run(run, qrels, (k,))``."""
-    report = evaluate_run(run, qrels, (k,))
-    name = f"{family}@{k}"
-    return MetricSlice(
-        name=name,
-        k=k,
-        per_query={qid: values[name] for qid, values in report.per_query.items()},
-        aggregate=report.aggregate[name],
-    )
-
-
-def mrr_at_k(run: Sequence[RankedList], qrels: Qrels, k: int) -> MetricSlice:
-    """Reciprocal rank of the first relevant hit within the top k, else 0."""
-    return _slice("MRR", run, qrels, k)
-
-
-def map_at_k(run: Sequence[RankedList], qrels: Qrels, k: int) -> MetricSlice:
-    """Average precision truncated at k, normalized by min(|relevant|, k)."""
-    return _slice("MAP", run, qrels, k)
-
-
-def ndcg_at_k(run: Sequence[RankedList], qrels: Qrels, k: int) -> MetricSlice:
-    """Binary-gain NDCG with the 1/log2(rank+1) discount."""
-    return _slice("NDCG", run, qrels, k)
-
-
-def hit_rate_at_k(run: Sequence[RankedList], qrels: Qrels, k: int) -> MetricSlice:
-    """1 if any relevant item appears in the top k, else 0."""
-    return _slice("HR", run, qrels, k)

@@ -1,11 +1,14 @@
 """Independent naive reference implementations used as test oracles.
 
-Everything here deliberately avoids the library's code paths: metrics use
-O(k^2) loops over plain id lists, dense scoring normalizes and ranks with
-its own mechanics, and fusion is a plain dict fold. Where the library
-defines scores as exactly-rounded float64 arithmetic, the references
-reproduce that arithmetic from its definition (IEEE products, exact sum),
-including a Fraction-based exact-rounding cross-check.
+Everything here but ``bm25_score`` deliberately avoids the library's code
+paths: metrics use O(k^2) loops over plain id lists, dense scoring
+normalizes and ranks with its own mechanics, and fusion is a plain dict
+fold. Where the library defines scores as exactly-rounded float64
+arithmetic, the references reproduce that arithmetic from its definition
+(IEEE products, exact sum), including a Fraction-based exact-rounding
+cross-check. ``bm25_score`` scores one item at a time with the library's
+``bm25_term_weight``; it is checked against ``bm25_by_hand``, a direct
+transcription of the Okapi formula.
 """
 
 from __future__ import annotations
@@ -13,8 +16,11 @@ from __future__ import annotations
 import hashlib
 import math
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
+
+from riskrank.index import LexicalIndex, bm25_term_weight
 
 
 # ---------------------------------------------------------------------------
@@ -154,3 +160,28 @@ def bm25_by_hand(
         return 0.0
     idf = math.log(1 + (n_docs - df + 0.5) / (df + 0.5))
     return idf * (tf * (k1 + 1)) / (tf + k1 * (1 - b + b * doc_len / avgdl))
+
+
+def bm25_score(index: LexicalIndex, query_terms: Sequence[str], item_id: str) -> float:
+    """BM25 score of one item for a bag of query terms.
+
+    Repeated query terms are deduplicated (each distinct term contributes
+    once, with the document-side term frequency inside the formula).
+    """
+    if item_id not in index.doc_len:
+        raise ValueError(f"unknown item id {item_id!r}")
+    score = 0.0
+    for term in sorted(set(query_terms)):
+        entries = index.postings.get(term, ())
+        tf = 0
+        for posting_id, posting_tf in entries:
+            if posting_id == item_id:
+                tf = posting_tf
+                break
+        if tf == 0:
+            continue
+        score += bm25_term_weight(
+            tf, len(entries), index.doc_len[item_id], index.avgdl,
+            index.count, index.k1, index.b,
+        )
+    return score

@@ -39,8 +39,15 @@ from riskrank.finetune import (
     train_adapter,
     _loss_and_param_grads,
 )
-from riskrank.index import build_dense_index, dense_search, build_lexical_index, bm25_score, ranked_list_from_scores, rrf_fuse
-from riskrank.metrics import MetricReport, hit_rate_at_k, map_at_k, mrr_at_k, ndcg_at_k
+from riskrank.index import (
+    build_dense_index,
+    build_lexical_index,
+    dense_search_many,
+    lexical_search,
+    ranked_list_from_scores,
+    rrf_fuse,
+)
+from riskrank.metrics import MetricReport, evaluate_run
 
 from gradcheck import finite_diff_check
 from reference import (
@@ -88,16 +95,17 @@ def test_criterion_01_metric_oracle_equivalence():
             ]
             qrels = {"q": relevant}
             checks = (
-                (mrr_at_k, naive_mrr, 10),
-                (map_at_k, naive_ap, 100),
-                (ndcg_at_k, naive_ndcg, 10),
-                (hit_rate_at_k, naive_hit_rate, 5),
+                ("MRR", naive_mrr, 10),
+                ("MAP", naive_ap, 100),
+                ("NDCG", naive_ndcg, 10),
+                ("HR", naive_hit_rate, 5),
             )
-            for ours, reference, k in checks:
-                mine = ours(run, qrels, k).per_query["q"]
+            values = evaluate_run(run, qrels, (5, 10, 100)).per_query["q"]
+            for family, reference, k in checks:
+                mine = values[f"{family}@{k}"]
                 theirs = reference(order, relevant, k)
                 assert abs(mine - theirs) <= 1e-12, (
-                    f"{ours.__name__}@{k}: {mine} vs reference {theirs}"
+                    f"{family}@{k}: {mine} vs reference {theirs}"
                 )
         elapsed = time.perf_counter() - started
         assert elapsed < 10.0, f"took {elapsed:.1f} s"
@@ -158,7 +166,7 @@ def test_criterion_04_dense_search_exactness():
             query = rng.normal(size=dim)
             k = int(rng.integers(1, 21))
             expected = brute_force_dense(ids, vectors, query, k)
-            got = dense_search(build_dense_index(ids, vectors), query, k)
+            got = dense_search_many(build_dense_index(ids, vectors), [query], k, ["q"])[0]
             assert list(got.hits) == expected, (
                 f"trial {trial}: mismatch on n={n} dim={dim} k={k}"
             )
@@ -324,8 +332,8 @@ def test_criterion_10_rrf_and_bm25_properties():
         index = build_lexical_index(
             ["d1", "d2"], ["risk capital risk", "capital"], k1=1.2, b=0.75
         )
-        score = bm25_score(index, ["risk"], "d1")
-        assert abs(score - 0.8355) <= 1e-4
-        assert score == pytest.approx(0.8355746834147286, abs=1e-12)
-        assert bm25_score(index, ["risk"], "d2") == 0.0
-        assert bm25_score(index, ["liquidity"], "d1") == 0.0
+        scores = dict(lexical_search(index, "risk", 2).hits)
+        assert abs(scores["d1"] - 0.8355) <= 1e-4
+        assert scores["d1"] == 0.8355746834147286
+        assert "d2" not in scores  # BM25 0: zero scorers are dropped
+        assert lexical_search(index, "liquidity", 2).hits == ()

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from riskrank.index import DenseIndex, build_dense_index, dense_search, dense_search_many
+from riskrank.index import DenseIndex, RankedList, build_dense_index, dense_search_many
 from riskrank.index import _MIN_BLOCK_QUERIES
 
 from reference import brute_force_dense, fraction_dot, reference_unit_rows
@@ -148,7 +148,8 @@ def test_many_equals_one_query_at_a_time(case):
     ids, rows, queries, query_ids, k = case
     index = DenseIndex(item_ids=tuple(ids), matrix=rows, dim=rows.shape[1])
     many = dense_search_many(index, queries, k, query_ids)
-    single = [dense_search(index, q, k, qid) for q, qid in zip(queries, query_ids)]
+    single = [dense_search_many(index, [q], k, [qid])[0]
+              for q, qid in zip(queries, query_ids)]
     assert many == single
 
 
@@ -290,8 +291,8 @@ def test_built_rows_match_reference_bits(vectors):
 def test_empty_inputs():
     empty = build_dense_index([], [], dim=3)
     assert dense_search_many(empty, np.ones((2, 3)), 4, ["a", "b"]) == [
-        dense_search(empty, np.ones(3), 4, "a"),
-        dense_search(empty, np.ones(3), 4, "b"),
+        RankedList(query_id="a", hits=()),
+        RankedList(query_id="b", hits=()),
     ]
     index = build_dense_index(["x"], [np.ones(3)])
     assert dense_search_many(index, np.zeros((0, 3)), 4, []) == []

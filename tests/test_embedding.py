@@ -11,15 +11,14 @@ from hypothesis.extra.numpy import arrays
 
 from riskrank.embedding import (
     HashEmbedder,
-    cosine,
-    exact_dot,
     exact_norm,
     tokenize,
     unit_rows,
 )
 from riskrank.embedding import _ROW_CHUNK, _hash_rows
+from riskrank.index import build_dense_index
 
-from reference import fraction_dot, reference_hash_embed, reference_unit_rows
+from reference import reference_hash_embed, reference_unit_rows
 
 
 class TestTokenize:
@@ -72,60 +71,8 @@ class TestL2Normalize:
         assert v.tolist() == [[3.0, 4.0]]
 
 
-class TestCosine:
-    def test_self_similarity(self):
-        v = np.array([0.2, -1.5, 3.0])
-        assert cosine(v, v) == pytest.approx(1.0, abs=1e-12)
-
-    def test_orthogonal(self):
-        assert cosine([1.0, 0.0], [0.0, 1.0]) == 0.0
-
-    def test_45_degrees(self):
-        assert cosine([1.0, 1.0], [1.0, 0.0]) == pytest.approx(0.70710678, abs=1e-8)
-
-    def test_zero_vector_convention(self):
-        assert cosine([0.0, 0.0], [1.0, 2.0]) == 0.0
-        assert cosine([1.0, 2.0], [0.0, 0.0]) == 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            cosine([1.0, 2.0], [1.0, 2.0, 3.0])
-
-    def test_symmetry_is_exact(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            dim = int(rng.integers(1, 40))
-            u = rng.normal(size=dim)
-            v = rng.normal(size=dim)
-            assert cosine(u, v) == cosine(v, u)
-
-    def test_scale_invariance(self):
-        rng = np.random.default_rng(4)
-        for _ in range(200):
-            dim = int(rng.integers(1, 40))
-            u = rng.normal(size=dim)
-            v = rng.normal(size=dim)
-            alpha = float(rng.uniform(1e-4, 1e4))
-            assert cosine(alpha * u, v) == pytest.approx(cosine(u, v), abs=1e-6)
-
-    def test_bounded(self):
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            u = rng.normal(size=8)
-            v = rng.normal(size=8)
-            assert -1.0 <= cosine(u, v) <= 1.0
-
-
 class TestExactArithmetic:
-    """The canonical score arithmetic matches exact rational rounding."""
-
-    def test_exact_dot_equals_fraction_dot(self):
-        rng = np.random.default_rng(17)
-        for _ in range(100):
-            dim = int(rng.integers(1, 50))
-            u = rng.normal(scale=rng.uniform(0.01, 100), size=dim)
-            v = rng.normal(scale=rng.uniform(0.01, 100), size=dim)
-            assert exact_dot(u, v) == fraction_dot(u, v)
+    """The norm is the square root of the exactly rounded sum of squares."""
 
     def test_exact_norm_definition(self):
         v = np.array([3.0, 4.0])
@@ -356,3 +303,34 @@ def test_unit_rows_match_reference_bits(matrix, data):
         )
         with pytest.raises(ValueError, match=rf"row 'r{bad}' has non-finite values"):
             unit_rows(matrix, ids)
+
+
+# Entries 0 or of magnitude 2**-200 to 2**200: every square and every sum of
+# 12 squares is a normal float64, so scaling by 2**k for k <= 800 (squares
+# and sums up to 2**2000) must leave the normalized rows' bits unchanged.
+scalable_matrices = arrays(
+    np.float64,
+    st.tuples(st.integers(1, 6), st.integers(1, 12)),
+    elements=st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.floats(2.0**-200, 2.0**200),
+        st.floats(-(2.0**200), -(2.0**-200)),
+    ),
+)
+
+
+@PROPERTY_SETTINGS
+@given(scalable_matrices, st.integers(0, 800))
+def test_unit_rows_ignore_power_of_two_scale(matrix, k):
+    ids = [f"r{i}" for i in range(len(matrix))]
+    scaled = unit_rows(np.ldexp(matrix, k), ids)
+    assert scaled.tobytes() == unit_rows(matrix, ids).tobytes()
+
+
+def test_unit_rows_whose_squares_overflow():
+    # 1e154**2 is finite but two of them overflow fsum; 1e200**2 is inf.
+    rows = np.array([[1e154, 1e154], [1e200, 1.0]])
+    out = unit_rows(rows, ["a", "b"])
+    assert out.tobytes() == unit_rows(np.ldexp(rows, -600), ["a", "b"]).tobytes()
+    assert out[1].tolist() == [1.0, 1.0 / 1e200]
+    assert build_dense_index(["b"], [rows[1]]).matrix.tolist() == [[1.0, 0.0]]

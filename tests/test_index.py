@@ -9,11 +9,9 @@ from riskrank.index import (
     DenseIndex,
     LexicalIndex,
     RankedList,
-    bm25_score,
     bm25_term_weight,
     build_dense_index,
     build_lexical_index,
-    dense_search,
     dense_search_many,
     lexical_search,
     load_index,
@@ -24,7 +22,7 @@ from riskrank.index import (
     validate_ranked_list,
 )
 
-from reference import bm25_by_hand, brute_force_dense, brute_force_rrf
+from reference import bm25_by_hand, bm25_score, brute_force_dense, brute_force_rrf
 
 
 def ranked(query_id, *pairs):
@@ -83,7 +81,7 @@ class TestDenseIndex:
 
     def test_empty_index_searchable(self):
         index = build_dense_index([], [], dim=4)
-        result = dense_search(index, np.ones(4), k=5, query_id="q")
+        [result] = dense_search_many(index, [np.ones(4)], 5, ["q"])
         assert result.hits == ()
 
     def test_duplicate_ids(self):
@@ -103,40 +101,40 @@ class TestDenseSearch:
     def test_exact_match_scores_one(self):
         basis = np.eye(5)
         index = build_dense_index([f"i{i}" for i in range(5)], basis)
-        result = dense_search(index, basis[2], k=3, query_id="q")
+        [result] = dense_search_many(index, [basis[2]], 3, ["q"])
         assert result.hits[0] == ("i2", 1.0)
 
     def test_identical_vectors_tie_by_id(self):
         v = np.array([1.0, 2.0, 3.0])
         index = build_dense_index(["beta", "alpha"], [v, v])
-        result = dense_search(index, v, k=2)
+        [result] = dense_search_many(index, [v], 2, ["q"])
         assert result.item_ids == ["alpha", "beta"]
 
     def test_zero_item_scores_zero(self):
         index = build_dense_index(["zero", "one"], [np.zeros(3), np.ones(3)])
-        result = dense_search(index, np.ones(3), k=2)
+        [result] = dense_search_many(index, [np.ones(3)], 2, ["q"])
         assert result.item_ids == ["one", "zero"]
         assert result.hits[1][1] == 0.0
 
     def test_zero_query_scores_all_zero(self):
         index = build_dense_index(["b", "a"], [np.ones(3), 2 * np.ones(3)])
-        result = dense_search(index, np.zeros(3), k=2)
+        [result] = dense_search_many(index, [np.zeros(3)], 2, ["q"])
         assert result.hits == (("a", 0.0), ("b", 0.0))
         assert result.item_ids == ["a", "b"]  # pure id tie-break
 
     def test_fewer_items_than_k(self):
         index = build_dense_index(["a"], [np.ones(2)])
-        assert len(dense_search(index, np.ones(2), k=10).hits) == 1
+        assert len(dense_search_many(index, [np.ones(2)], 10, ["q"])[0].hits) == 1
 
     def test_dim_mismatch(self):
         index = build_dense_index(["a"], [np.ones(3)])
         with pytest.raises(ValueError):
-            dense_search(index, np.ones(4), k=1)
+            dense_search_many(index, [np.ones(4)], 1, ["q"])
 
     def test_k_validation(self):
         index = build_dense_index(["a"], [np.ones(2)])
         with pytest.raises(ValueError):
-            dense_search(index, np.ones(2), k=0)
+            dense_search_many(index, [np.ones(2)], 0, ["q"])
 
     def test_non_finite_vector_names_item(self):
         for bad in (np.nan, np.inf, -np.inf):
@@ -147,7 +145,7 @@ class TestDenseSearch:
         index = build_dense_index(["a", "b"], [[1.0, 0.0], [0.0, 1.0]])
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="'q7'"):
-                dense_search(index, np.array([bad, 0.0]), k=1, query_id="q7")
+                dense_search_many(index, [np.array([bad, 0.0])], 1, ["q7"])
             with pytest.raises(ValueError, match="'q8'"):
                 dense_search_many(
                     index, np.array([[1.0, 0.0], [bad, 0.0]]), 1, ["q7", "q8"]
@@ -157,7 +155,7 @@ class TestDenseSearch:
         matrix = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=np.float32)
         index = DenseIndex(item_ids=("a", "b"), matrix=matrix, dim=2)
         with pytest.raises(ValueError, match="'a'"):
-            dense_search(index, np.array([0.0, 1.0]), k=1)
+            dense_search_many(index, [np.array([0.0, 1.0])], 1, ["q"])
 
     def test_matrix_must_match_ids_and_dim(self):
         with pytest.raises(ValueError, match=r"shape \(3, 3\).*\(1, 3\)"):
@@ -188,7 +186,7 @@ class TestDenseSearch:
             query = rng.normal(size=dim)
             k = int(rng.integers(1, 12))
             expected = brute_force_dense(ids, vectors, query, k)
-            result = dense_search(build_dense_index(ids, vectors), query, k)
+            [result] = dense_search_many(build_dense_index(ids, vectors), [query], k, ["q"])
             assert list(result.hits) == expected
 
 
@@ -197,33 +195,26 @@ class TestBM25:
         index = build_lexical_index(
             ["d1", "d2"], ["risk capital risk", "capital"], k1=1.2, b=0.75
         )
-        score = bm25_score(index, ["risk"], "d1")
+        scores = dict(lexical_search(index, "risk", k=2).hits)
         # tf=2, df=1, N=2, len=3, avgdl=2 pushed through the formula
-        assert score == pytest.approx(0.8355746834147286, abs=1e-12)
-        assert bm25_score(index, ["risk"], "d2") == 0.0
+        assert scores["d1"] == pytest.approx(0.8355746834147286, abs=1e-12)
+        assert "d2" not in scores  # BM25 0: zero scorers are dropped
 
     def test_absent_term_contributes_zero(self):
         index = build_lexical_index(["d1"], ["credit risk"])
-        assert bm25_score(index, ["liquidity"], "d1") == 0.0
+        assert lexical_search(index, "liquidity", k=1).hits == ()
 
     def test_empty_query(self):
         index = build_lexical_index(["d1", "d2"], ["credit risk", "capital"])
-        assert bm25_score(index, [], "d1") == 0.0
-        assert bm25_score(index, [], "d2") == 0.0
-
-    def test_unknown_item(self):
-        index = build_lexical_index(["d1"], ["credit risk"])
-        with pytest.raises(ValueError, match="unknown item"):
-            bm25_score(index, ["risk"], "nope")
+        assert lexical_search(index, "", k=2).hits == ()
 
     def test_repeated_query_term_equals_deduplicated(self):
         index = build_lexical_index(
             ["d1", "d2"], ["risk capital risk", "capital returns"]
         )
-        for item in ("d1", "d2"):
-            assert bm25_score(index, ["risk", "risk", "capital"], item) == bm25_score(
-                index, ["risk", "capital"], item
-            )
+        assert lexical_search(index, "risk risk capital", k=2) == lexical_search(
+            index, "risk capital", k=2
+        )
 
     def test_matches_hand_formula_on_random_corpora(self, rng):
         words = ["risk", "capital", "stress", "credit", "basel", "audit"]
@@ -237,14 +228,13 @@ class TestBM25:
             index = build_lexical_index(ids, texts)
             term = words[int(rng.integers(0, len(words)))]
             df = sum(1 for t in texts if term in t.split())
+            scores = dict(lexical_search(index, term, k=n).hits)
             for item_id, text in zip(ids, texts):
                 tokens = text.split()
                 expected = bm25_by_hand(
                     tokens.count(term), df, n, len(tokens), index.avgdl, 1.2, 0.75
                 )
-                assert bm25_score(index, [term], item_id) == pytest.approx(
-                    expected, abs=1e-12
-                )
+                assert scores.get(item_id, 0.0) == pytest.approx(expected, abs=1e-12)
 
     def test_tf_monotonicity_fixed_statistics(self):
         for df, doc_len, n_docs in [(1, 5, 10), (4, 20, 30), (9, 3, 9)]:
@@ -488,8 +478,8 @@ class TestPersistence:
         save_index(tmp_path / "idx", dense)
         dense2, _ = load_index(tmp_path / "idx")
         query = rng.normal(size=4)
-        a = dense_search(dense, query, k=5)
-        b = dense_search(dense2, query, k=5)
+        a = dense_search_many(dense, [query], 5, ["q"])[0]
+        b = dense_search_many(dense2, [query], 5, ["q"])[0]
         assert a.hits == b.hits
 
     def test_corrupt_vectors_file(self, tmp_path):

@@ -17,14 +17,13 @@ from hypothesis import strategies as st
 from riskrank.embedding import tokenize
 from riskrank.index import (
     build_lexical_index,
-    bm25_score,
     lexical_search,
     ranked_list_from_scores,
     rrf_fuse,
     validate_ranked_list,
 )
 
-from reference import bm25_by_hand, brute_force_rrf
+from reference import bm25_by_hand, bm25_score, brute_force_rrf
 
 PROPERTY_SETTINGS = settings(
     max_examples=200,

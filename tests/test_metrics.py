@@ -7,13 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from riskrank.index import ranked_list_from_scores
-from riskrank.metrics import (
-    evaluate_run,
-    hit_rate_at_k,
-    map_at_k,
-    mrr_at_k,
-    ndcg_at_k,
-)
+from riskrank.metrics import evaluate_run
 
 from reference import naive_ap, naive_hit_rate, naive_mrr, naive_ndcg
 
@@ -25,23 +19,26 @@ def run_of(query_id, ids):
     )
 
 
+def values_at(ids, relevant, k):
+    """Every metric at cutoff ``k`` for one query ranked as ``ids``."""
+    return evaluate_run([run_of("q", ids)], {"q": relevant}, (k,)).per_query["q"]
+
+
 class TestMRR:
     def test_first_rank(self):
-        s = mrr_at_k([run_of("q", ["rel", "x"])], {"q": {"rel"}}, 10)
-        assert s.per_query["q"] == 1.0
+        assert values_at(["rel", "x"], {"rel"}, 10)["MRR@10"] == 1.0
 
     def test_rank_three(self):
-        s = mrr_at_k([run_of("q", ["a", "b", "rel", "c"])], {"q": {"rel"}}, 10)
-        assert s.per_query["q"] == pytest.approx(1 / 3, abs=1e-12)
+        values = values_at(["a", "b", "rel", "c"], {"rel"}, 10)
+        assert values["MRR@10"] == pytest.approx(1 / 3, abs=1e-12)
 
     def test_absent_from_top_k(self):
         ids = [f"x{i}" for i in range(10)] + ["rel"]
-        s = mrr_at_k([run_of("q", ids)], {"q": {"rel"}}, 10)
-        assert s.per_query["q"] == 0.0
+        assert values_at(ids, {"rel"}, 10)["MRR@10"] == 0.0
 
     def test_missing_query_in_qrels(self):
         with pytest.raises(ValueError, match="missing from qrels"):
-            mrr_at_k([run_of("q", ["a"])], {}, 10)
+            evaluate_run([run_of("q", ["a"])], {}, (10,))
 
     def test_query_ranked_twice(self):
         run = [run_of("q", ["rel", "x"]), run_of("q", ["x", "rel"])]
@@ -51,47 +48,38 @@ class TestMRR:
 
 class TestMAP:
     def test_single_relevant_at_rank_four(self):
-        s = map_at_k([run_of("q", ["a", "b", "c", "rel"])], {"q": {"rel"}}, 100)
-        assert s.per_query["q"] == 0.25
+        assert values_at(["a", "b", "c", "rel"], {"rel"}, 100)["MAP@100"] == 0.25
 
     def test_two_relevant(self):
-        s = map_at_k([run_of("q", ["a", "b", "c", "d"])], {"q": {"a", "c"}}, 100)
-        assert s.per_query["q"] == pytest.approx((1.0 + 2 / 3) / 2, abs=1e-12)
+        values = values_at(["a", "b", "c", "d"], {"a", "c"}, 100)
+        assert values["MAP@100"] == pytest.approx((1.0 + 2 / 3) / 2, abs=1e-12)
 
     def test_none_retrieved(self):
-        s = map_at_k([run_of("q", ["a", "b"])], {"q": {"zzz"}}, 100)
-        assert s.per_query["q"] == 0.0
+        assert values_at(["a", "b"], {"zzz"}, 100)["MAP@100"] == 0.0
 
     def test_k_truncates_denominator(self):
         # three relevant but k=2: denominator is min(3, 2) = 2
-        s = map_at_k([run_of("q", ["r1", "r2", "r3"])], {"q": {"r1", "r2", "r3"}}, 2)
-        assert s.per_query["q"] == 1.0
+        assert values_at(["r1", "r2", "r3"], {"r1", "r2", "r3"}, 2)["MAP@2"] == 1.0
 
 
 class TestNDCG:
     def test_rank_one(self):
-        s = ndcg_at_k([run_of("q", ["rel", "b"])], {"q": {"rel"}}, 10)
-        assert s.per_query["q"] == 1.0
+        assert values_at(["rel", "b"], {"rel"}, 10)["NDCG@10"] == 1.0
 
     def test_rank_two(self):
-        s = ndcg_at_k([run_of("q", ["a", "rel"])], {"q": {"rel"}}, 10)
-        assert s.per_query["q"] == pytest.approx(0.6309297535714575, abs=1e-12)
+        values = values_at(["a", "rel"], {"rel"}, 10)
+        assert values["NDCG@10"] == pytest.approx(0.6309297535714575, abs=1e-12)
 
     def test_absent(self):
-        s = ndcg_at_k([run_of("q", ["a", "b"])], {"q": {"zzz"}}, 10)
-        assert s.per_query["q"] == 0.0
+        assert values_at(["a", "b"], {"zzz"}, 10)["NDCG@10"] == 0.0
 
 
 class TestHitRate:
     def test_boundary_inclusion(self):
-        s = hit_rate_at_k([run_of("q", ["a", "b", "c", "d", "rel"])], {"q": {"rel"}}, 5)
-        assert s.per_query["q"] == 1.0
+        assert values_at(["a", "b", "c", "d", "rel"], {"rel"}, 5)["HR@5"] == 1.0
 
     def test_boundary_exclusion(self):
-        s = hit_rate_at_k(
-            [run_of("q", ["a", "b", "c", "d", "e", "rel"])], {"q": {"rel"}}, 5
-        )
-        assert s.per_query["q"] == 0.0
+        assert values_at(["a", "b", "c", "d", "e", "rel"], {"rel"}, 5)["HR@5"] == 0.0
 
     def test_aggregate_is_mean(self):
         run = [
@@ -100,8 +88,8 @@ class TestHitRate:
             run_of("q3", ["rel3"]),
         ]
         qrels = {"q1": {"rel1"}, "q2": {"rel2"}, "q3": {"rel3"}}
-        s = hit_rate_at_k(run, qrels, 5)
-        assert s.aggregate == pytest.approx(2 / 3, abs=1e-12)
+        report = evaluate_run(run, qrels, (5,))
+        assert report.aggregate["HR@5"] == pytest.approx(2 / 3, abs=1e-12)
 
 
 def random_instance(rng):
@@ -123,16 +111,17 @@ class TestAgainstNaiveReference:
             run = [run_of("q", order)]
             qrels = {"q": relevant}
             for k in (1, 5, 10, 100):
-                assert mrr_at_k(run, qrels, k).per_query["q"] == pytest.approx(
+                values = evaluate_run(run, qrels, (k,)).per_query["q"]
+                assert values[f"MRR@{k}"] == pytest.approx(
                     naive_mrr(order, relevant, k), abs=1e-12
                 )
-                assert map_at_k(run, qrels, k).per_query["q"] == pytest.approx(
+                assert values[f"MAP@{k}"] == pytest.approx(
                     naive_ap(order, relevant, k), abs=1e-12
                 )
-                assert ndcg_at_k(run, qrels, k).per_query["q"] == pytest.approx(
+                assert values[f"NDCG@{k}"] == pytest.approx(
                     naive_ndcg(order, relevant, k), abs=1e-12
                 )
-                assert hit_rate_at_k(run, qrels, k).per_query["q"] == pytest.approx(
+                assert values[f"HR@{k}"] == pytest.approx(
                     naive_hit_rate(order, relevant, k), abs=1e-12
                 )
 
@@ -174,15 +163,15 @@ class TestAgainstNaiveReferenceProperties:
         queries, k = case
         run = [run_of(f"q{i}", order) for i, (order, _) in enumerate(queries)]
         qrels = {f"q{i}": relevant for i, (_, relevant) in enumerate(queries)}
-        exact = [(mrr_at_k, naive_mrr), (map_at_k, naive_ap), (hit_rate_at_k, naive_hit_rate)]
-        for metric, naive in exact:
-            got = metric(run, qrels, k)
+        report = evaluate_run(run, qrels, (k,))
+        exact = [("MRR", naive_mrr), ("MAP", naive_ap), ("HR", naive_hit_rate)]
+        for family, naive in exact:
+            name = f"{family}@{k}"
             want = [naive(order, relevant, k) for order, relevant in queries]
-            assert [got.per_query[f"q{i}"] for i in range(len(queries))] == want
-            assert got.aggregate == math.fsum(want) / len(want)
-        got = ndcg_at_k(run, qrels, k)
+            assert [report.per_query[f"q{i}"][name] for i in range(len(queries))] == want
+            assert report.aggregate[name] == math.fsum(want) / len(want)
         for i, (order, relevant) in enumerate(queries):
-            assert got.per_query[f"q{i}"] == pytest.approx(
+            assert report.per_query[f"q{i}"][f"NDCG@{k}"] == pytest.approx(
                 naive_ndcg(order, relevant, k), abs=1e-12
             )
 
@@ -211,10 +200,8 @@ class TestInvariants:
             run = [run_of("q", order)]
             qrels = {"q": relevant}
             for k in (5, 10, 100):
-                assert (
-                    mrr_at_k(run, qrels, k).per_query["q"]
-                    == map_at_k(run, qrels, k).per_query["q"]
-                )
+                values = evaluate_run(run, qrels, (k,)).per_query["q"]
+                assert values[f"MRR@{k}"] == values[f"MAP@{k}"]
 
     def test_single_relevant_orderings(self, rng):
         for _ in range(100):
@@ -222,10 +209,8 @@ class TestInvariants:
             relevant = {order[int(rng.integers(0, len(order)))]}
             run = [run_of("q", order)]
             qrels = {"q": relevant}
-            k = 10
-            mrr = mrr_at_k(run, qrels, k).per_query["q"]
-            ndcg = ndcg_at_k(run, qrels, k).per_query["q"]
-            hr = hit_rate_at_k(run, qrels, k).per_query["q"]
+            values = evaluate_run(run, qrels, (10,)).per_query["q"]
+            mrr, ndcg, hr = values["MRR@10"], values["NDCG@10"], values["HR@10"]
             assert hr >= mrr >= 0.0
             assert ndcg >= mrr  # 1/log2(r+1) >= 1/r for r >= 1
 
@@ -282,12 +267,9 @@ class TestReportPlumbing:
             evaluate_run([], {}, ())
         with pytest.raises(ValueError):
             evaluate_run([], {}, (0,))
-
-    @pytest.mark.parametrize("family", [mrr_at_k, map_at_k, ndcg_at_k, hit_rate_at_k])
-    @pytest.mark.parametrize("k", [0, -1])
-    def test_family_cutoff_validation(self, family, k):
-        with pytest.raises(ValueError, match="cutoff must be >= 1"):
-            family([run_of("q", ["a"])], {"q": {"a"}}, k)
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="cutoff must be >= 1"):
+                evaluate_run([run_of("q", ["a"])], {"q": {"a"}}, (5, k))
 
     def test_to_dict_has_display_column(self):
         report = evaluate_run([run_of("q", ["a", "b"])], {"q": {"b"}}, (10,))
