@@ -267,9 +267,18 @@ class TestReportPlumbing:
             evaluate_run([], {}, ())
         with pytest.raises(ValueError):
             evaluate_run([], {}, (0,))
-        for k in (0, -1):
+
+    @pytest.mark.parametrize(
+        "family", ["mrr_at_k", "map_at_k", "ndcg_at_k", "hit_rate_at_k"]
+    )
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_family_cutoff_validation(self, family, k):
+        label = {"mrr_at_k": "MRR", "map_at_k": "MAP", "ndcg_at_k": "NDCG",
+                 "hit_rate_at_k": "HR"}[family]
+        assert values_at(["a"], {"a"}, 5)[f"{label}@5"] == 1.0
+        for k_list in ((k,), (5, k)):
             with pytest.raises(ValueError, match="cutoff must be >= 1"):
-                evaluate_run([run_of("q", ["a"])], {"q": {"a"}}, (5, k))
+                evaluate_run([run_of("q", ["a"])], {"q": {"a"}}, k_list)
 
     def test_to_dict_has_display_column(self):
         report = evaluate_run([run_of("q", ["a", "b"])], {"q": {"b"}}, (10,))
