@@ -33,13 +33,10 @@ from .embedding import HashEmbedder, tokenize
 from .finetune import (
     AdapterParams,
     LossReport,
-    TrainingBatch,
     TrainingConfig,
     apply_adapter,
-    batch_similarity,
     load_adapter,
     mnr_loss,
-    mnr_loss_grad,
     save_adapter,
     train_adapter,
 )
@@ -78,11 +75,9 @@ __all__ = [
     "RankedList",
     "RemoteEmbedError",
     "RemoteEmbedder",
-    "TrainingBatch",
     "TrainingConfig",
     "VectorCache",
     "apply_adapter",
-    "batch_similarity",
     "build_dense_index",
     "build_eval_set",
     "build_lexical_index",
@@ -97,7 +92,6 @@ __all__ = [
     "load_documents",
     "load_qa_pairs",
     "mnr_loss",
-    "mnr_loss_grad",
     "rerank",
     "rrf_fuse",
     "run_eval",

@@ -269,16 +269,13 @@ def compare_systems(
 
 @dataclass(frozen=True)
 class MetricComparison:
-    """Base-versus-finetuned metric table (one row per metric)."""
+    """Base-versus-finetuned metric table, one row per name in ``TABLE1_METRICS``."""
 
     base: MetricReport
     finetuned: MetricReport
-    metric_names: tuple[str, ...] = TABLE1_METRICS
 
     def __post_init__(self) -> None:
-        if not self.metric_names:
-            raise ValueError("metric_names must be nonempty")
-        for name in self.metric_names:
+        for name in TABLE1_METRICS:
             for label, report in (("base", self.base), ("finetuned", self.finetuned)):
                 if name not in report.aggregate:
                     raise ValueError(f"{label} report is missing {name}")
@@ -318,12 +315,12 @@ def _render(obj) -> tuple[dict, list[list[str]], list[list]]:
     if isinstance(obj, MetricComparison):
         payload = {
             "kind": "metric_comparison",
-            "metrics": list(obj.metric_names),
+            "metrics": list(TABLE1_METRICS),
             "base": obj.base.to_dict(),
             "finetuned": obj.finetuned.to_dict(),
         }
         columns = {"base": obj.base, "finetuned": obj.finetuned}
-        names = obj.metric_names
+        names = TABLE1_METRICS
     elif isinstance(obj, MetricReport):
         if not obj.aggregate:
             raise ValueError("refusing to emit a metric report with no metrics")

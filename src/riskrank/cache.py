@@ -3,7 +3,8 @@
 RKV1 is the one vector file layout in riskrank: magic bytes ``RKV1``, then
 the dimension as unsigned 32-bit little-endian, then row-major IEEE-754
 float32 little-endian values. A cache file holds one row; an index's
-``vectors.bin`` holds one row per item. ``write_rkv1`` writes atomically
+``vectors.bin`` holds one row per item; an adapter's ``adapter.bin`` holds
+its weight, one row per output dimension. ``write_rkv1`` writes atomically
 (temp file + rename), so concurrent writers of the same file are idempotent
 and readers never observe partial files; ``read_rkv1`` checks the magic,
 the length and that every value is finite (``write_rkv1`` refuses NaN and

@@ -22,19 +22,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .cache import CorruptCacheError, read_rkv1, write_rkv1
 from .corpus import QAPair
 from .embedding import Embedder
 
 __all__ = [
     "AdapterParams",
     "TrainingConfig",
-    "TrainingBatch",
     "BatchStats",
     "LossReport",
     "apply_adapter",
-    "batch_similarity",
     "mnr_loss",
-    "mnr_loss_grad",
     "train_adapter",
     "save_adapter",
     "load_adapter",
@@ -111,29 +109,6 @@ class TrainingConfig:
 
 
 @dataclass(frozen=True)
-class TrainingBatch:
-    """Row i of ``query_vecs`` pairs with row i of ``positive_vecs``."""
-
-    query_vecs: np.ndarray
-    positive_vecs: np.ndarray
-
-    def __post_init__(self) -> None:
-        q = np.asarray(self.query_vecs, dtype=np.float64)
-        p = np.asarray(self.positive_vecs, dtype=np.float64)
-        if q.ndim != 2 or p.ndim != 2 or q.shape != p.shape:
-            raise ValueError(
-                f"query and positive matrices must share a 2-D shape, "
-                f"got {q.shape} and {p.shape}"
-            )
-        object.__setattr__(self, "query_vecs", q)
-        object.__setattr__(self, "positive_vecs", p)
-
-    @property
-    def size(self) -> int:
-        return self.query_vecs.shape[0]
-
-
-@dataclass(frozen=True)
 class BatchStats:
     epoch: int
     batch: int
@@ -178,26 +153,12 @@ def _normalize_rows(rows: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray
     return rows / norms[:, None], norms
 
 
-def batch_similarity(
-    adapter: AdapterParams, batch: TrainingBatch, scale: float
-) -> np.ndarray:
-    """All-pairs scaled cosine matrix of adapted vectors.
+def mnr_loss(similarity: np.ndarray) -> tuple[float, np.ndarray]:
+    """Sum over rows of softmax cross-entropy against the diagonal, and d(loss)/dS.
 
-    ``S[i, j] = scale * cos(adapt(q_i), adapt(p_j))``; the diagonal holds each
-    query's positive and the off-diagonal entries are its in-batch negatives.
-    """
-    adapted_q = apply_adapter(adapter, batch.query_vecs)
-    adapted_p = apply_adapter(adapter, batch.positive_vecs)
-    unit_q, _ = _normalize_rows(adapted_q, "query")
-    unit_p, _ = _normalize_rows(adapted_p, "positive")
-    return scale * (unit_q @ unit_p.T)
-
-
-def mnr_loss(similarity: np.ndarray) -> float:
-    """Sum over rows of softmax cross-entropy against the diagonal.
-
-    Computed with max subtraction for stability. A 1x1 matrix has no
-    negatives and yields exactly 0.
+    Computed with max subtraction for stability. The gradient is the
+    row-wise softmax minus the identity, so its rows sum to 0. A 1x1 matrix
+    has no negatives and yields exactly 0.
     """
     s = np.asarray(similarity, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
@@ -205,40 +166,31 @@ def mnr_loss(similarity: np.ndarray) -> float:
     if not np.all(np.isfinite(s)):
         raise ValueError("similarity matrix contains non-finite entries")
     row_max = s.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(s - row_max).sum(axis=1)) + row_max[:, 0]
-    return float(np.sum(logsumexp - np.diagonal(s)))
-
-
-def mnr_loss_grad(similarity: np.ndarray) -> np.ndarray:
-    """d(loss)/dS: row-wise softmax minus the identity. Rows sum to 0."""
-    s = np.asarray(similarity, dtype=np.float64)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ValueError(f"similarity matrix must be square, got shape {s.shape}")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("similarity matrix contains non-finite entries")
-    shifted = np.exp(s - s.max(axis=1, keepdims=True))
-    softmax = shifted / shifted.sum(axis=1, keepdims=True)
-    return softmax - np.eye(s.shape[0])
+    shifted = np.exp(s - row_max)
+    totals = shifted.sum(axis=1)
+    logsumexp = np.log(totals) + row_max[:, 0]
+    loss = float(np.sum(logsumexp - np.diagonal(s)))
+    return loss, shifted / totals[:, None] - np.eye(s.shape[0])
 
 
 def _loss_and_param_grads(
-    adapter: AdapterParams, batch: TrainingBatch, scale: float
+    adapter: AdapterParams, questions: np.ndarray, positives: np.ndarray, scale: float
 ) -> tuple[float, float, np.ndarray, np.ndarray | None]:
     """Forward pass plus analytic (loss, accuracy, dW, db) for one batch.
 
-    Backpropagates through the scale, the row normalization, and the linear
-    map: for a = W q, d(loss)/da = (g - u (u . g)) / |a| with u = a/|a|.
+    Row i of ``questions`` pairs with row i of ``positives``. The forward
+    pass builds ``S[i, j] = scale * cos(adapt(q_i), adapt(p_j))``: the
+    diagonal holds each question's positive and the off-diagonal entries are
+    its in-batch negatives. Backpropagates through the scale, the row
+    normalization, and the linear map: for a = W q,
+    d(loss)/da = (g - u (u . g)) / |a| with u = a/|a|.
     """
-    adapted_q = apply_adapter(adapter, batch.query_vecs)
-    adapted_p = apply_adapter(adapter, batch.positive_vecs)
-    unit_q, norm_q = _normalize_rows(adapted_q, "query")
-    unit_p, norm_p = _normalize_rows(adapted_p, "positive")
+    unit_q, norm_q = _normalize_rows(apply_adapter(adapter, questions), "query")
+    unit_p, norm_p = _normalize_rows(apply_adapter(adapter, positives), "positive")
     similarity = scale * (unit_q @ unit_p.T)
 
-    loss = mnr_loss(similarity)
-    grad_s = mnr_loss_grad(similarity)
-    diag = np.diagonal(similarity)
-    accuracy = float(np.mean(diag == similarity.max(axis=1)))
+    loss, grad_s = mnr_loss(similarity)
+    accuracy = float(np.mean(np.diagonal(similarity) == similarity.max(axis=1)))
 
     grad_unit_q = scale * (grad_s @ unit_p)
     grad_unit_p = scale * (grad_s.T @ unit_q)
@@ -249,7 +201,7 @@ def _loss_and_param_grads(
         grad_unit_p - unit_p * np.einsum("ij,ij->i", unit_p, grad_unit_p)[:, None]
     ) / norm_p[:, None]
 
-    grad_weight = grad_adapted_q.T @ batch.query_vecs + grad_adapted_p.T @ batch.positive_vecs
+    grad_weight = grad_adapted_q.T @ questions + grad_adapted_p.T @ positives
     grad_bias = None
     if adapter.bias is not None:
         grad_bias = grad_adapted_q.sum(axis=0) + grad_adapted_p.sum(axis=0)
@@ -313,9 +265,8 @@ def train_adapter(
             raise ValueError(f"pair {pair.pair_id}: base embedding of question is all-zero")
         if not p.any():
             raise ValueError(f"pair {pair.pair_id}: base embedding of context is all-zero")
-    dim = questions.shape[1]
 
-    adapter = AdapterParams.identity(dim, use_bias=config.use_bias)
+    adapter = AdapterParams.identity(questions.shape[1], use_bias=config.use_bias)
     adapter.train_pair_ids = tuple(pair.pair_id for pair in pairs)
     rng = np.random.default_rng(config.seed)
     report = LossReport()
@@ -332,28 +283,17 @@ def train_adapter(
         for rows in _batches(order, context_texts, config.batch_size):
             if len(rows) < 2:
                 continue  # a single-pair batch has no negatives
-            batch = TrainingBatch(
-                query_vecs=questions[rows], positive_vecs=contexts[rows]
-            )
             loss, accuracy, grad_weight, grad_bias = _loss_and_param_grads(
-                adapter, batch, config.scale
+                adapter, questions[rows], contexts[rows], config.scale
             )
             adapter.weight = adapter.weight - config.learning_rate * grad_weight
-            if adapter.bias is not None and grad_bias is not None:
+            if grad_bias is not None:
                 adapter.bias = adapter.bias - config.learning_rate * grad_bias
             batch_index += 1
             epoch_loss += loss
             epoch_pairs += len(rows)
             batch_accuracies.append(accuracy)
-            report.batches.append(
-                BatchStats(
-                    epoch=epoch,
-                    batch=batch_index,
-                    loss=loss,
-                    in_batch_accuracy=accuracy,
-                    batch_size=len(rows),
-                )
-            )
+            report.batches.append(BatchStats(epoch, batch_index, loss, accuracy, len(rows)))
         report.epoch_mean_loss.append(epoch_loss / epoch_pairs)
         report.epoch_accuracy.append(
             float(np.mean(batch_accuracies)) if batch_accuracies else 0.0
@@ -369,8 +309,9 @@ def train_adapter(
 
 
 # ---------------------------------------------------------------------------
-# Persistence: adapter.json (dims, scale, seed, config echo, train pair ids)
-# plus adapter.bin (row-major float32 little-endian weight, then bias).
+# Persistence: adapter.json (dims, use_bias, config echo, train pair ids),
+# adapter.bin (the d_out x d_in weight) and, with a bias, bias.bin (one row
+# of d_out values); both .bin files are RKV1 (see cache.py).
 # ---------------------------------------------------------------------------
 
 
@@ -383,8 +324,6 @@ def save_adapter(
         "d_out": adapter.d_out,
         "d_in": adapter.d_in,
         "use_bias": adapter.use_bias,
-        "scale": config.scale,
-        "seed": config.seed,
         "config": asdict(config),
         "train_pair_ids": (
             list(adapter.train_pair_ids) if adapter.train_pair_ids is not None else None
@@ -393,31 +332,67 @@ def save_adapter(
     (path / "adapter.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    blob = np.ascontiguousarray(adapter.weight, dtype="<f4").tobytes()
+    write_rkv1(path / "adapter.bin", adapter.weight)
     if adapter.bias is not None:
-        blob += np.ascontiguousarray(adapter.bias, dtype="<f4").tobytes()
-    (path / "adapter.bin").write_bytes(blob)
+        write_rkv1(path / "bias.bin", adapter.bias)
+
+
+# adapter.json field -> (check, what the check asks for)
+_META_FIELDS = {
+    "d_out": (lambda v: type(v) is int and v >= 1, "a positive integer"),
+    "d_in": (lambda v: type(v) is int and v >= 1, "a positive integer"),
+    "use_bias": (lambda v: type(v) is bool, "true or false"),
+    "config": (lambda v: type(v) is dict, "an object"),
+    "train_pair_ids": (
+        lambda v: v is None or (type(v) is list and all(type(i) is str for i in v)),
+        "null or a list of strings",
+    ),
+}
+
+
+def _read_meta(meta_path: Path) -> dict:
+    """``adapter.json`` with every field checked; errors name the file and the field."""
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{meta_path}: invalid JSON: {exc}") from exc
+    if type(meta) is not dict:
+        raise ValueError(f"{meta_path}: expected a JSON object")
+    for name, (ok, want) in _META_FIELDS.items():
+        if name not in meta:
+            raise ValueError(f"{meta_path}: missing field {name!r}")
+        if not ok(meta[name]):
+            raise ValueError(f"{meta_path}: field {name!r} must be {want}, got {meta[name]!r}")
+    return meta
+
+
+def _read_rows(path: Path, rows: int, dim: int) -> np.ndarray:
+    values = read_rkv1(path, rows)
+    if values.shape[1] != dim:
+        raise CorruptCacheError(
+            f"RKV1 file {path} holds dim {values.shape[1]}, adapter.json says {dim}"
+        )
+    return values.astype(np.float64)
 
 
 def load_adapter(path: Path | str) -> tuple[AdapterParams, TrainingConfig]:
+    """Read an adapter directory written by ``save_adapter``.
+
+    A malformed ``adapter.json`` raises ValueError naming the file and the
+    field; a damaged ``adapter.bin`` or ``bias.bin``, or one whose dimension
+    disagrees with ``adapter.json``, raises CorruptCacheError naming the file.
+    """
     path = Path(path)
-    meta = json.loads((path / "adapter.json").read_text(encoding="utf-8"))
-    d_out, d_in = meta["d_out"], meta["d_in"]
-    raw = (path / "adapter.bin").read_bytes()
-    expected = 4 * d_out * d_in + (4 * d_out if meta["use_bias"] else 0)
-    if len(raw) != expected:
-        raise ValueError(
-            f"{path / 'adapter.bin'}: {len(raw)} bytes, expected {expected}"
-        )
-    weight = np.frombuffer(raw[: 4 * d_out * d_in], dtype="<f4").reshape(d_out, d_in)
-    bias = None
-    if meta["use_bias"]:
-        bias = np.frombuffer(raw[4 * d_out * d_in :], dtype="<f4")
-    ids = meta.get("train_pair_ids")
+    meta_path = path / "adapter.json"
+    meta = _read_meta(meta_path)
+    try:
+        config = TrainingConfig(**meta["config"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{meta_path}: field 'config': {exc}") from exc
+    weight = _read_rows(path / "adapter.bin", meta["d_out"], meta["d_in"])
+    bias = _read_rows(path / "bias.bin", 1, meta["d_out"])[0] if meta["use_bias"] else None
+    ids = meta["train_pair_ids"]
     adapter = AdapterParams(
-        weight=weight.astype(np.float64),
-        bias=None if bias is None else bias.astype(np.float64),
-        train_pair_ids=tuple(ids) if ids is not None else None,
+        weight=weight, bias=bias, train_pair_ids=tuple(ids) if ids is not None else None
     )
-    config = TrainingConfig(**meta["config"])
     return adapter, config

@@ -32,9 +32,7 @@ from riskrank.corpus import (
 from riskrank.embedding import HashEmbedder
 from riskrank.finetune import (
     AdapterParams,
-    TrainingBatch,
     TrainingConfig,
-    batch_similarity,
     mnr_loss,
     train_adapter,
     _loss_and_param_grads,
@@ -114,11 +112,11 @@ def test_criterion_01_metric_oracle_equivalence():
 def test_criterion_02_loss_value_checks():
     """Closed-form loss values for the three pinned similarity matrices."""
     with criterion(2, "ranking-loss value checks (N=1, uniform N=2, diag 2)"):
-        assert mnr_loss(np.array([[0.73]])) == 0.0
-        assert mnr_loss(np.full((2, 2), 1.7)) == pytest.approx(
+        assert mnr_loss(np.array([[0.73]]))[0] == 0.0
+        assert mnr_loss(np.full((2, 2), 1.7))[0] == pytest.approx(
             2.0 * math.log(2.0), abs=1e-9
         )
-        assert mnr_loss(np.array([[2.0, 0.0], [0.0, 2.0]])) == pytest.approx(
+        assert mnr_loss(np.array([[2.0, 0.0], [0.0, 2.0]]))[0] == pytest.approx(
             2.0 * math.log(1.0 + math.exp(-2.0)), abs=1e-9
         )
 
@@ -129,18 +127,16 @@ def test_criterion_03_gradient_correctness():
         rng = np.random.default_rng(303)
         started = time.perf_counter()
         for trial in range(20):
-            batch = TrainingBatch(
-                query_vecs=rng.normal(size=(8, 16)),
-                positive_vecs=rng.normal(size=(8, 16)),
-            )
+            questions = rng.normal(size=(8, 16))
+            positives = rng.normal(size=(8, 16))
             weight = np.eye(16) + 0.1 * rng.normal(size=(16, 16))
             adapter = AdapterParams(weight=weight)
-            _, _, grad_weight, _ = _loss_and_param_grads(adapter, batch, 1.0)
+            _, _, grad_weight, _ = _loss_and_param_grads(adapter, questions, positives, 1.0)
 
-            def loss_of(w, batch=batch):
-                return mnr_loss(
-                    batch_similarity(AdapterParams(weight=w), batch, 1.0)
-                )
+            def loss_of(w, questions=questions, positives=positives):
+                return _loss_and_param_grads(
+                    AdapterParams(weight=w), questions, positives, 1.0
+                )[0]
 
             error = finite_diff_check(
                 loss_of, weight, grad_weight, eps=1e-3, max_coords=48, seed=trial

@@ -14,6 +14,7 @@ from riskrank.cache import (
     default_cache_dir,
     text_digest,
 )
+from riskrank.finetune import AdapterParams, TrainingConfig, load_adapter, save_adapter
 from riskrank.index import DenseIndex, load_index, save_index
 
 
@@ -67,7 +68,7 @@ def test_bad_magic_is_corruption_error(tmp_path):
         cache.get(text_digest("doc"), "prov", "model-1")
 
 
-# The two writers of RKV1 files: each writes ``vector`` and returns the file
+# The writers of RKV1 files: each writes ``vector`` and returns the file
 # path and a reader that loads the vector back through the public API.
 def _cache_writer(tmp_path, vector):
     cache = VectorCache(tmp_path)
@@ -80,7 +81,17 @@ def _index_writer(tmp_path, vector):
     return tmp_path / "idx" / "vectors.bin", lambda: load_index(tmp_path / "idx")[0].matrix[0]
 
 
-@pytest.mark.parametrize("writer", [_cache_writer, _index_writer], ids=["cache", "index"])
+def _adapter_writer(tmp_path, vector):
+    save_adapter(tmp_path / "ad", AdapterParams(weight=vector.reshape(1, -1)), TrainingConfig())
+    return (
+        tmp_path / "ad" / "adapter.bin",
+        lambda: load_adapter(tmp_path / "ad")[0].weight[0].astype(np.float32),
+    )
+
+
+@pytest.mark.parametrize(
+    "writer", [_cache_writer, _index_writer, _adapter_writer], ids=["cache", "index", "adapter"]
+)
 def test_rkv1_format(tmp_path, writer):
     vector = np.array([1.0, -2.5, 0.1, 3.25], dtype=np.float32)
     path, read = writer(tmp_path, vector)
@@ -101,7 +112,9 @@ def test_rkv1_format(tmp_path, writer):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize("writer", [_cache_writer, _index_writer], ids=["cache", "index"])
+@pytest.mark.parametrize(
+    "writer", [_cache_writer, _index_writer, _adapter_writer], ids=["cache", "index", "adapter"]
+)
 def test_non_finite_value_on_disk_is_corruption(tmp_path, writer, bad):
     vector = np.array([1.0, -2.5, 0.1, 3.25], dtype=np.float32)
     path, read = writer(tmp_path, vector)

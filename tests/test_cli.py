@@ -223,6 +223,21 @@ class TestIngestChunkEmbedIndex:
 
 
 class TestTrainEvalBench:
+    def test_eval_names_malformed_adapter_json(self, workspace, capsys):
+        tmp_path, _, config = workspace
+        out = {**config, "out_dir": str(tmp_path / "adapter")}
+        assert main(["train", "-c", write_config(tmp_path / "cfg.json", out)]) == 0
+        meta_path = tmp_path / "adapter" / "adapter.json"
+        meta = json.loads(meta_path.read_text())
+        del meta["d_out"]
+        meta_path.write_text(json.dumps(meta))
+        capsys.readouterr()
+        runs = {**config, "out_dir": str(tmp_path / "runs")}
+        assert main(["eval", "-c", write_config(tmp_path / "eval.json", runs)]) == 2
+        assert capsys.readouterr().err == (
+            f"riskrank: error: ValueError: {meta_path}: missing field 'd_out'\n"
+        )
+
     def test_full_pipeline(self, workspace, capsys):
         tmp_path, data_dir, config = workspace
         cfg = write_config(tmp_path / "cfg.json", {**config, "out_dir": str(tmp_path / "adapter")})

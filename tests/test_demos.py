@@ -45,6 +45,18 @@ hybrid (reciprocal-rank fusion):
 
 identity re-rank leaves the list unchanged: True
 """,
+    "04_adapter_training": """\
+base model (identity adapter): MRR@10 = 0.1483
+
+epoch | mean loss | in-batch acc | test MRR@10
+  1   |  1.1809   |    0.792     |   0.2597
+  2   |  0.9242   |    0.931     |   0.3615
+
+trained adapter: MRR@10 = 0.3615 (+0.2132 vs base)
+  MAP@100: 0.1701 -> 0.3790
+  NDCG@10: 0.1975 -> 0.4176
+  HR@5: 0.2400 -> 0.4800
+""",
 }
 
 

@@ -1,21 +1,24 @@
 """Loss values, gradients vs finite differences, and training behavior."""
 
+import hashlib
+import json
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
 
-from riskrank.corpus import QAPair, synth_dataset
+from riskrank.cache import CorruptCacheError
+from riskrank.corpus import QAPair, split_pairs, synth_dataset
 from riskrank.embedding import HashEmbedder
 from riskrank.finetune import (
     AdapterParams,
-    TrainingBatch,
     TrainingConfig,
+    _loss_and_param_grads,
     apply_adapter,
-    batch_similarity,
     load_adapter,
     mnr_loss,
-    mnr_loss_grad,
     save_adapter,
     train_adapter,
 )
@@ -28,11 +31,16 @@ def cosine(u, v):
     return float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
 
 
+def scalar_similarity(adapter, questions, positives, scale):
+    """``S[i, j] = scale * cos(adapt(q_i), adapt(p_j))``, one scalar cosine at a time."""
+    adapted_q = [apply_adapter(adapter, q) for q in questions]
+    adapted_p = [apply_adapter(adapter, p) for p in positives]
+    return np.array([[scale * cosine(q, p) for p in adapted_p] for q in adapted_q])
+
+
 def random_batch(rng, n=8, dim=16):
-    return TrainingBatch(
-        query_vecs=rng.normal(size=(n, dim)),
-        positive_vecs=rng.normal(size=(n, dim)),
-    )
+    """(questions, positives): row i of one pairs with row i of the other."""
+    return rng.normal(size=(n, dim)), rng.normal(size=(n, dim))
 
 
 class TestApplyAdapter:
@@ -67,55 +75,53 @@ class TestApplyAdapter:
 
 
 class TestBatchSimilarity:
+    """The forward pass of ``_loss_and_param_grads`` against the definition of S."""
+
     def test_single_pair(self, rng):
         q = rng.normal(size=(1, 5))
         p = rng.normal(size=(1, 5))
-        batch = TrainingBatch(query_vecs=q, positive_vecs=p)
-        s = batch_similarity(AdapterParams.identity(5), batch, scale=20.0)
-        assert s.shape == (1, 1)
-        assert s[0, 0] == pytest.approx(20.0 * cosine(q[0], p[0]), abs=1e-10)
+        adapter = AdapterParams.identity(5)
+        loss, accuracy, grad_weight, _ = _loss_and_param_grads(adapter, q, p, 20.0)
+        assert loss == 0.0 == mnr_loss(scalar_similarity(adapter, q, p, 20.0))[0]
+        assert accuracy == 1.0
+        assert not grad_weight.any()
 
     def test_self_pairs_have_unit_diagonal(self, rng):
         q = rng.normal(size=(6, 4))
-        batch = TrainingBatch(query_vecs=q, positive_vecs=q.copy())
-        s = batch_similarity(AdapterParams.identity(4), batch, scale=1.0)
-        np.testing.assert_allclose(np.diagonal(s), 1.0, atol=1e-12)
+        adapter = AdapterParams.identity(4)
+        loss, accuracy, _, _ = _loss_and_param_grads(adapter, q, q.copy(), 1.0)
+        s = scalar_similarity(adapter, q, q, 1.0)
+        np.fill_diagonal(s, 1.0)
+        assert loss == pytest.approx(mnr_loss(s)[0], abs=1e-12)
+        assert accuracy == 1.0
 
     def test_matches_scalar_cosine(self, rng):
-        batch = random_batch(rng, n=5, dim=7)
-        weight = rng.normal(size=(7, 7))
-        adapter = AdapterParams(weight=weight)
-        s = batch_similarity(adapter, batch, scale=20.0)
-        for i in range(5):
-            for j in range(5):
-                expected = 20.0 * cosine(
-                    apply_adapter(adapter, batch.query_vecs[i]),
-                    apply_adapter(adapter, batch.positive_vecs[j]),
-                )
-                assert s[i, j] == pytest.approx(expected, abs=1e-9)
+        questions, positives = random_batch(rng, n=5, dim=7)
+        adapter = AdapterParams(weight=rng.normal(size=(7, 7)))
+        loss, accuracy, _, _ = _loss_and_param_grads(adapter, questions, positives, 20.0)
+        s = scalar_similarity(adapter, questions, positives, 20.0)
+        assert loss == pytest.approx(mnr_loss(s)[0], abs=1e-9)
+        assert accuracy == np.mean(s.argmax(axis=1) == np.arange(5))
 
     def test_degenerate_adapter_rejected(self, rng):
-        batch = random_batch(rng, n=3, dim=4)
+        questions, positives = random_batch(rng, n=3, dim=4)
+        adapter = AdapterParams(weight=np.zeros((4, 4)))
         with pytest.raises(ValueError, match="zero"):
-            batch_similarity(AdapterParams(weight=np.zeros((4, 4))), batch, scale=1.0)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            TrainingBatch(query_vecs=np.ones((3, 4)), positive_vecs=np.ones((2, 4)))
+            _loss_and_param_grads(adapter, questions, positives, 1.0)
 
 
 class TestMnrLoss:
     def test_single_pair_is_exactly_zero(self):
-        assert mnr_loss(np.array([[3.7]])) == 0.0
+        assert mnr_loss(np.array([[3.7]]))[0] == 0.0
 
     def test_two_uniform_rows(self):
         s = np.full((2, 2), 0.5)
-        assert mnr_loss(s) == pytest.approx(2.0 * math.log(2.0), abs=1e-9)
+        assert mnr_loss(s)[0] == pytest.approx(2.0 * math.log(2.0), abs=1e-9)
 
     def test_diagonal_two(self):
         s = np.array([[2.0, 0.0], [0.0, 2.0]])
         expected = 2.0 * math.log(1.0 + math.exp(-2.0))
-        assert mnr_loss(s) == pytest.approx(expected, abs=1e-9)
+        assert mnr_loss(s)[0] == pytest.approx(expected, abs=1e-9)
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
@@ -130,7 +136,7 @@ class TestMnrLoss:
             n = int(rng.integers(1, 8))
             s = rng.normal(size=(n, n)) * 5.0
             c = float(rng.uniform(-100, 100))
-            assert mnr_loss(s + c) == pytest.approx(mnr_loss(s), abs=1e-9)
+            assert mnr_loss(s + c)[0] == pytest.approx(mnr_loss(s)[0], abs=1e-9)
 
     def test_loss_nonnegative_for_plausible_scores(self, rng):
         # with a zero-diagonal-dominant matrix the loss is positive;
@@ -138,12 +144,12 @@ class TestMnrLoss:
         for _ in range(50):
             n = int(rng.integers(2, 10))
             s = rng.normal(size=(n, n))
-            value = mnr_loss(s)
+            value = mnr_loss(s)[0]
             assert math.isfinite(value)
 
     def test_large_scores_stable(self):
         s = np.array([[1000.0, 999.0], [998.0, 1000.0]])
-        value = mnr_loss(s)
+        value = mnr_loss(s)[0]
         assert math.isfinite(value)
         assert value == pytest.approx(
             math.log(1 + math.exp(-1.0)) + math.log(1 + math.exp(-2.0)), abs=1e-9
@@ -152,27 +158,27 @@ class TestMnrLoss:
 
 class TestMnrLossGrad:
     def test_uniform_two_by_two(self):
-        grad = mnr_loss_grad(np.zeros((2, 2)))
+        grad = mnr_loss(np.zeros((2, 2)))[1]
         np.testing.assert_allclose(grad, [[-0.5, 0.5], [0.5, -0.5]], atol=1e-15)
 
     def test_rows_sum_to_zero(self, rng):
         for _ in range(50):
             n = int(rng.integers(1, 10))
-            grad = mnr_loss_grad(rng.normal(size=(n, n)) * 10)
+            grad = mnr_loss(rng.normal(size=(n, n)) * 10)[1]
             np.testing.assert_allclose(grad.sum(axis=1), 0.0, atol=1e-12)
 
     def test_matches_finite_differences(self, rng):
         for _ in range(10):
             s = rng.normal(size=(4, 4))
-            analytic = mnr_loss_grad(s)
+            analytic = mnr_loss(s)[1]
             eps = 1e-6
             for i in range(4):
                 for j in range(4):
                     bumped = s.copy()
                     bumped[i, j] += eps
-                    up = mnr_loss(bumped)
+                    up = mnr_loss(bumped)[0]
                     bumped[i, j] -= 2 * eps
-                    down = mnr_loss(bumped)
+                    down = mnr_loss(bumped)[0]
                     numeric = (up - down) / (2 * eps)
                     assert numeric == pytest.approx(
                         analytic[i, j], abs=1e-6, rel=1e-6
@@ -180,8 +186,7 @@ class TestMnrLossGrad:
 
 
 def pipeline_loss(weight, batch, scale, bias=None):
-    adapter = AdapterParams(weight=weight, bias=bias)
-    return mnr_loss(batch_similarity(adapter, batch, scale))
+    return _loss_and_param_grads(AdapterParams(weight=weight, bias=bias), *batch, scale)[0]
 
 
 class TestFiniteDiffCheck:
@@ -194,13 +199,11 @@ class TestFiniteDiffCheck:
 
     def test_mnr_pipeline_gradients_raw_similarity(self, rng):
         """Unscaled cosine similarity: eps=1e-3 stays within 1e-4 relative."""
-        from riskrank.finetune import _loss_and_param_grads
-
         for trial in range(5):
             batch = random_batch(rng, n=8, dim=16)
             weight = np.eye(16) + 0.1 * rng.normal(size=(16, 16))
             adapter = AdapterParams(weight=weight)
-            _, _, grad_weight, _ = _loss_and_param_grads(adapter, batch, 1.0)
+            _, _, grad_weight, _ = _loss_and_param_grads(adapter, *batch, 1.0)
             error = finite_diff_check(
                 lambda w: pipeline_loss(w, batch, 1.0),
                 weight,
@@ -213,13 +216,11 @@ class TestFiniteDiffCheck:
 
     def test_mnr_pipeline_gradients_training_scale(self, rng):
         """scale=20 steepens the loss, so the step must shrink accordingly."""
-        from riskrank.finetune import _loss_and_param_grads
-
         for trial in range(5):
             batch = random_batch(rng, n=8, dim=16)
             weight = np.eye(16) + 0.1 * rng.normal(size=(16, 16))
             adapter = AdapterParams(weight=weight)
-            _, _, grad_weight, _ = _loss_and_param_grads(adapter, batch, 20.0)
+            _, _, grad_weight, _ = _loss_and_param_grads(adapter, *batch, 20.0)
             error = finite_diff_check(
                 lambda w: pipeline_loss(w, batch, 20.0),
                 weight,
@@ -231,13 +232,11 @@ class TestFiniteDiffCheck:
             assert error < 1e-4
 
     def test_bias_gradient(self, rng):
-        from riskrank.finetune import _loss_and_param_grads
-
         batch = random_batch(rng, n=6, dim=8)
         weight = np.eye(8) + 0.05 * rng.normal(size=(8, 8))
         bias = 0.1 * rng.normal(size=8)
         adapter = AdapterParams(weight=weight, bias=bias)
-        _, _, _, grad_bias = _loss_and_param_grads(adapter, batch, 20.0)
+        _, _, _, grad_bias = _loss_and_param_grads(adapter, *batch, 20.0)
         error = finite_diff_check(
             lambda b: pipeline_loss(weight, batch, 20.0, bias=b),
             bias,
@@ -251,9 +250,7 @@ class TestFiniteDiffCheck:
         batch = random_batch(rng, n=4, dim=8)
         weight = np.eye(8)
         adapter = AdapterParams(weight=weight)
-        from riskrank.finetune import _loss_and_param_grads
-
-        _, _, grad_weight, _ = _loss_and_param_grads(adapter, batch, 20.0)
+        _, _, grad_weight, _ = _loss_and_param_grads(adapter, *batch, 20.0)
 
         def loss32(w):
             w32 = np.asarray(w, dtype=np.float32).astype(np.float64)
@@ -388,10 +385,24 @@ class TestTrainAdapter:
         report.write_jsonl(tmp_path / "log.jsonl")
         lines = (tmp_path / "log.jsonl").read_text().splitlines()
         assert len(lines) == len(report.batches)
-        import json
-
         first = json.loads(lines[0])
         assert {"epoch", "batch", "loss", "in_batch_accuracy"} <= set(first)
+
+    def test_pinned_training_bits(self):
+        # Digests of the float64 weight and of every batch's (loss, accuracy):
+        # any change to the order of a floating-point operation in training
+        # shows here.
+        pairs = split_pairs(synth_dataset(4, 30, 50, seed=7)[1], 0.95, 7).train
+        adapter, report = train_adapter(
+            pairs, HashEmbedder(dim=64, seed=0), TrainingConfig(batch_size=8, epochs=2, seed=7)
+        )
+        assert hashlib.sha256(adapter.weight.tobytes()).hexdigest() == (
+            "c0e837e2dcabb43a53190e41d7fc75732f94f11f18fe5d00f5eb948698e987e4"
+        )
+        stats = json.dumps([[b.loss, b.in_batch_accuracy] for b in report.batches])
+        assert hashlib.sha256(stats.encode()).hexdigest() == (
+            "bec2d35f4b1a358fd6a5e97e0534d5ef620d313844d190c54f573bd682fb312c"
+        )
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -402,18 +413,20 @@ class TestTrainAdapter:
             TrainingConfig(scale=0.0)
 
 
+def as_float32(values):
+    return np.asarray(values).astype(np.float32).astype(np.float64)
+
+
 class TestAdapterPersistence:
     def test_round_trip(self, tmp_path, rng):
         weight = np.eye(8) + 0.01 * rng.normal(size=(8, 8))
-        adapter = AdapterParams(
-            weight=weight, bias=0.1 * rng.normal(size=8), train_pair_ids=("a", "b")
-        )
+        bias = 0.1 * rng.normal(size=8)
+        adapter = AdapterParams(weight=weight, bias=bias, train_pair_ids=("a", "b"))
         config = TrainingConfig(batch_size=4, use_bias=True)
         save_adapter(tmp_path / "adapter", adapter, config)
         loaded, loaded_config = load_adapter(tmp_path / "adapter")
-        np.testing.assert_allclose(
-            loaded.weight, weight.astype(np.float32).astype(np.float64), atol=0
-        )
+        np.testing.assert_allclose(loaded.weight, as_float32(weight), atol=0)
+        assert loaded.bias.tobytes() == as_float32(bias).tobytes()
         assert loaded.train_pair_ids == ("a", "b")
         assert loaded_config == config
 
@@ -429,4 +442,67 @@ class TestAdapterPersistence:
         blob = (tmp_path / "adapter" / "adapter.bin").read_bytes()
         (tmp_path / "adapter" / "adapter.bin").write_bytes(blob[:-4])
         with pytest.raises(ValueError, match="adapter.bin"):
+            load_adapter(tmp_path / "adapter")
+
+    def test_files_are_rkv1(self, tmp_path):
+        weight = np.arange(6.0).reshape(2, 3)
+        save_adapter(
+            tmp_path / "adapter",
+            AdapterParams(weight=weight, bias=np.array([0.5, -1.0])),
+            TrainingConfig(),
+        )
+        assert (tmp_path / "adapter" / "adapter.bin").read_bytes() == (
+            b"RKV1" + struct.pack("<I", 3) + struct.pack("<6f", *range(6))
+        )
+        assert (tmp_path / "adapter" / "bias.bin").read_bytes() == (
+            b"RKV1" + struct.pack("<I", 2) + struct.pack("<2f", 0.5, -1.0)
+        )
+        meta = json.loads((tmp_path / "adapter" / "adapter.json").read_text())
+        assert set(meta) == {"config", "d_in", "d_out", "train_pair_ids", "use_bias"}
+
+    def test_pre_rkv1_adapter_rejected(self, tmp_path):
+        # Before RKV1, adapter.bin held the bare float32 values.
+        save_adapter(tmp_path / "adapter", AdapterParams.identity(4), TrainingConfig())
+        bin_path = tmp_path / "adapter" / "adapter.bin"
+        bin_path.write_bytes(np.eye(4, dtype="<f4").tobytes())
+        message = f"bad magic in RKV1 file {bin_path}"
+        with pytest.raises(CorruptCacheError, match=re.escape(message)):
+            load_adapter(tmp_path / "adapter")
+
+    @pytest.mark.parametrize("name", ["adapter.bin", "bias.bin"])
+    def test_dim_disagreeing_with_json_rejected(self, tmp_path, name):
+        config = TrainingConfig(use_bias=True)
+        save_adapter(tmp_path / "adapter", AdapterParams.identity(4, use_bias=True), config)
+        save_adapter(tmp_path / "other", AdapterParams.identity(5, use_bias=True), config)
+        (tmp_path / "adapter" / name).write_bytes((tmp_path / "other" / name).read_bytes())
+        damaged = tmp_path / "adapter" / name
+        with pytest.raises(CorruptCacheError, match=re.escape(str(damaged))):
+            load_adapter(tmp_path / "adapter")
+
+    @pytest.mark.parametrize(
+        "damage, field",
+        [
+            (lambda meta: meta.pop("d_out"), "missing field 'd_out'"),
+            (lambda meta: meta.update(d_in="4"), "field 'd_in'"),
+            (lambda meta: meta["config"].update(momentum=0.9), "field 'config'.*'momentum'"),
+            (lambda meta: meta.update(train_pair_ids="ab"), "field 'train_pair_ids'"),
+            ('{"d_out": 4,', "invalid JSON"),
+            ("[4, 4]", "expected a JSON object"),
+        ],
+        ids=[
+            "missing-d_out", "string-d_in", "unknown-config-key", "string-pair-ids",
+            "invalid-json", "not-an-object",
+        ],
+    )
+    def test_malformed_json_names_file_and_field(self, tmp_path, damage, field):
+        # ``damage`` edits the parsed adapter.json, or is the file's new text.
+        save_adapter(tmp_path / "adapter", AdapterParams.identity(4), TrainingConfig())
+        meta_path = tmp_path / "adapter" / "adapter.json"
+        if isinstance(damage, str):
+            meta_path.write_text(damage)
+        else:
+            meta = json.loads(meta_path.read_text())
+            damage(meta)
+            meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(meta_path))}: {field}"):
             load_adapter(tmp_path / "adapter")
