@@ -1,4 +1,4 @@
-"""Time ``run_eval``, ``train_adapter`` and ``compare_adapter`` at fixed synthetic scales.
+"""Time ``run_eval``, ``train_adapter``, ``compare_adapter`` and ``riskrank eval`` at fixed scales.
 
 Usage, from the repository root:
 
@@ -12,14 +12,19 @@ all_contexts pool with k_list (5, 10, 100). At each scale the script times:
   retrieves and scores);
 - ``train_adapter`` on the training split, 2 epochs, seed 7;
 - ``compare_adapter`` in hybrid mode, base against that adapter: the
-  paper's base-versus-finetuned comparison.
+  paper's base-versus-finetuned comparison;
+- ``riskrank eval`` in hybrid mode through ``cli.main``, with the pairs
+  and that adapter saved to a temporary directory: the same comparison
+  from the files, including reading the pairs and the adapter and writing
+  the report files.
 
 It prints one JSON object: the machine, the settings, and per scale and
 step the median and minimum wall time over the repeats, a SHA-256 of the
 result (equal in every repeat, or the script fails) and the process's peak
 RSS so far. The digest is of the report's JSON bytes for ``run_eval``, of
 the base then the finetuned report's JSON bytes for ``compare_adapter``,
-and of the trained float64 weight (and bias) bytes for ``train_adapter``.
+of the ``report.json`` file that ``riskrank eval`` writes, and of the
+trained float64 weight (and bias) bytes for ``train_adapter``.
 Scales run in increasing order, so a scale's peak RSS is its own.
 
 BLAS is held to one thread, as in ``perfbench/``. The script is not part
@@ -30,24 +35,29 @@ of the test suite: the largest default scale takes minutes and about
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import platform
 import resource
 import statistics
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_name] = "1"
 
 import numpy as np  # noqa: E402  (after the BLAS thread limit)
 
+from riskrank import cli  # noqa: E402
 from riskrank.benchmark import EvalConfig, compare_adapter, run_eval  # noqa: E402
-from riskrank.corpus import split_pairs, synth_dataset  # noqa: E402
+from riskrank.corpus import save_qa_pairs, split_pairs, synth_dataset  # noqa: E402
 from riskrank.embedding import HashEmbedder  # noqa: E402
-from riskrank.finetune import TrainingConfig, train_adapter  # noqa: E402
+from riskrank.finetune import TrainingConfig, save_adapter, train_adapter  # noqa: E402
 
 SEED = 7
 DIM = 256
@@ -125,9 +135,10 @@ def profile_scale(pairs_count: int, repeats: int) -> list[dict]:
         )
         record({"pairs": len(pairs), "mode": mode, "queries": report.query_count, **stats})
 
+    training = TrainingConfig(epochs=EPOCHS, seed=SEED)
     (adapter, _), stats = timed(
         f"{pairs_count} pairs, train_adapter", repeats,
-        lambda: train_adapter(split.train, embedder, TrainingConfig(epochs=EPOCHS, seed=SEED)),
+        lambda: train_adapter(split.train, embedder, training),
         lambda trained: sha256(
             trained[0].weight.tobytes()
             + (b"" if trained[0].bias is None else trained[0].bias.tobytes())
@@ -143,6 +154,33 @@ def profile_scale(pairs_count: int, repeats: int) -> list[dict]:
         lambda c: sha256(c.base.to_json_bytes() + c.finetuned.to_json_bytes()),
     )
     record({"pairs": len(pairs), "mode": "compare_adapter_hybrid",
+            "queries": comparison.base.query_count, **stats})
+
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        save_qa_pairs(pairs, work / "pairs.jsonl")
+        save_adapter(work / "adapter", adapter, training)
+        config = {
+            "pairs_path": str(work / "pairs.jsonl"),
+            "adapter_dir": str(work / "adapter"),
+            "split": {"ratio": SPLIT_RATIO, "seed": SEED},
+            "embedder": {"kind": "hash", "dim": DIM},
+            "eval": {"retrieval_mode": "hybrid", "k_list": list(K_LIST), "seed": SEED},
+        }
+        (work / "eval.json").write_text(json.dumps(config), encoding="utf-8")
+
+        def cli_eval() -> bytes:
+            """One ``riskrank eval`` into a new output directory; its report.json bytes."""
+            out = Path(tempfile.mkdtemp(dir=work))
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["eval", "-c", str(work / "eval.json"), "-o", str(out)])
+            if code != 0:
+                raise SystemExit(f"riskrank eval exited {code}")
+            (report,) = out.glob("*/report.json")
+            return report.read_bytes()
+
+        _, stats = timed(f"{pairs_count} pairs, riskrank eval", repeats, cli_eval, sha256)
+    record({"pairs": len(pairs), "mode": "cli_eval_hybrid_adapter",
             "queries": comparison.base.query_count, **stats})
     return entries
 

@@ -14,14 +14,13 @@ dispatches on the report type.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import logging
 from dataclasses import asdict, astuple, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .cache import json_digest, json_text, write_file
 from .corpus import DatasetSplit, EvalSet, QAPair, build_eval_set
 from .embedding import Embedder
 from .finetune import AdapterParams, apply_adapter
@@ -95,8 +94,7 @@ class EvalConfig:
         return asdict(self)
 
     def fingerprint(self) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+        return json_digest(self.to_dict())
 
 
 def run_eval(
@@ -361,7 +359,7 @@ def emit_report(
             payload["config_fingerprint"] = config.fingerprint()
         elif fingerprint is not None:
             payload["config_fingerprint"] = fingerprint
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = json_text(payload)
     elif format == "markdown":
         header, *rows = markdown_rows
         lines = [header, ["---"] * len(header), *rows]
@@ -370,7 +368,7 @@ def emit_report(
         text = "".join(",".join(map(str, cells)) + "\n" for cells in csv_rows)
     else:
         raise ValueError(f"unknown report format {format!r}")
-    path.write_text(text, encoding="utf-8")
+    write_file(path, text)
     return path
 
 

@@ -1,12 +1,16 @@
-"""Content-addressed disk cache for embedding vectors, and the RKV1 codec.
+"""riskrank's file layouts (JSON, JSONL, RKV1) and the disk cache for vectors.
+
+Every file riskrank writes goes through ``write_file`` (a temp file renamed
+over the target), so readers never see a partial file and a failed write
+leaves the old one. JSON is ``json_text``; JSONL is one compact UTF-8
+object per line. ``read_json`` and ``read_jsonl`` check each object against
+a field table and name the file, the line (JSONL) and the field on error.
 
 RKV1 is the one vector file layout in riskrank: magic bytes ``RKV1``, then
 the dimension as unsigned 32-bit little-endian, then row-major IEEE-754
 float32 little-endian values. A cache file holds one row; an index's
 ``vectors.bin`` holds one row per item; an adapter's ``adapter.bin`` holds
-its weight, one row per output dimension. ``write_rkv1`` writes atomically
-(temp file + rename), so concurrent writers of the same file are idempotent
-and readers never observe partial files; ``read_rkv1`` checks the magic,
+its weight, one row per output dimension. ``read_rkv1`` checks the magic,
 the length and that every value is finite (``write_rkv1`` refuses NaN and
 Inf, so one on disk means damage), and names the file when a check fails.
 
@@ -19,21 +23,30 @@ call, store what was fetched.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import re
 import struct
 import uuid
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
     "CACHE_MAGIC",
     "CorruptCacheError",
+    "NONEMPTY_STRING",
     "VectorCache",
     "cached_embed",
+    "check_fields",
+    "json_digest",
+    "json_text",
+    "read_json",
+    "read_jsonl",
     "read_rkv1",
+    "write_file",
+    "write_jsonl",
     "write_rkv1",
     "text_digest",
     "default_cache_dir",
@@ -61,16 +74,85 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "riskrank"
 
 
+def write_file(path: Path | str, data: bytes | str) -> None:
+    """Atomically replace ``path`` with ``data`` (a str is written as UTF-8)."""
+    tmp = f"{path}.tmp-{uuid.uuid4().hex}"
+    with open(tmp, "wb") as handle:
+        handle.write(data.encode("utf-8") if isinstance(data, str) else data)
+    os.replace(tmp, path)
+
+
+def json_text(obj: Any) -> str:
+    """The JSON file layout: two-space indent, sorted keys, ASCII, a final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def json_digest(obj: Any) -> str:
+    """The first 16 hex digits of the SHA-256 of ``obj`` as key-sorted compact JSON."""
+    canonical = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+
+
+def write_jsonl(path: Path | str, records: Iterable[dict]) -> int:
+    """Write one JSON object per line, all encoded before the write; returns the count."""
+    lines = [json.dumps(record, ensure_ascii=False) + "\n" for record in records]
+    write_file(path, "".join(lines))
+    return len(lines)
+
+
+# A field table maps a field name to (check, what the check asks for); the
+# check sees the field's value, or None when the object lacks the field.
+Fields = Mapping[str, tuple[Callable[[Any], bool], str]]
+
+NONEMPTY_STRING = (lambda v: type(v) is str and v != "", "a nonempty string")
+
+
+def check_fields(
+    record: dict, fields: Fields, path: Path | str, line_no: int | None = None
+) -> dict:
+    """``record`` if every field passes its check, else ValueError naming the field."""
+    for name, (ok, want) in fields.items():
+        value = record.get(name)
+        if not ok(value):
+            where = path if line_no is None else f"{path}: line {line_no}"
+            if name not in record:
+                raise ValueError(f"{where}: missing field {name!r}")
+            raise ValueError(f"{where}: field {name!r} must be {want}, got {value!r}")
+    return record
+
+
+def read_json(path: Path | str, fields: Fields) -> dict:
+    """A JSON object file, checked against ``fields``; errors name the file."""
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
+        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+    if type(obj) is not dict:
+        raise ValueError(f"{path}: expected a JSON object")
+    return check_fields(obj, fields, path)
+
+
+def read_jsonl(path: Path | str, fields: Fields) -> Iterator[tuple[int, dict]]:
+    """``(line_no, record)`` for each nonblank line, checked against ``fields``."""
+    with open(path, encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: line {line_no}: invalid JSON: {exc}") from exc
+            if type(record) is not dict:
+                raise ValueError(f"{path}: line {line_no}: record must be an object")
+            yield line_no, check_fields(record, fields, path, line_no)
+
+
 def write_rkv1(path: Path | str, vectors: np.ndarray) -> None:
     """Atomically write a vector or an ``(n, dim)`` matrix as one RKV1 file."""
     values = np.asarray(vectors, dtype="<f4")
     if not np.all(np.isfinite(values)):
         raise ValueError(f"refusing to write non-finite vector components to {path}")
-    payload = CACHE_MAGIC + struct.pack("<I", values.shape[-1]) + values.tobytes()
-    tmp = f"{path}.tmp-{uuid.uuid4().hex}"
-    with open(tmp, "wb") as handle:
-        handle.write(payload)
-    os.replace(tmp, path)
+    write_file(path, CACHE_MAGIC + struct.pack("<I", values.shape[-1]) + values.tobytes())
 
 
 def read_rkv1(path: Path | str, rows: int = 1) -> np.ndarray:

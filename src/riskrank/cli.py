@@ -12,7 +12,6 @@ traceback).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import sys
@@ -29,10 +28,10 @@ from .benchmark import (
     make_run_dir,
     run_eval,
 )
-from .cache import VectorCache, cached_embed
+from .cache import (
+    NONEMPTY_STRING, VectorCache, cached_embed, json_digest, read_json, read_jsonl, write_jsonl,
+)
 from .corpus import (
-    _jsonl_records,
-    _require_str,
     build_eval_set,
     chunk_document,
     load_documents,
@@ -132,21 +131,14 @@ def build_parser() -> _Parser:
 def _resolve_config(args: argparse.Namespace, defaults: dict[str, Any]) -> dict[str, Any]:
     cfg = json.loads(json.dumps(defaults))  # deep copy
     if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise UsageError(f"config file not found: {path}")
         try:
-            loaded = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise UsageError(f"config file {path} must hold a JSON object")
-        _deep_merge(cfg, loaded)
+            _deep_merge(cfg, read_json(args.config, {}))
+        except FileNotFoundError as exc:
+            raise UsageError(f"config file not found: {args.config}") from exc
+        except ValueError as exc:
+            raise UsageError(f"config file {exc}") from exc
     _apply_flag_overrides(cfg, args)
-    digest = hashlib.sha256(
-        json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    ).hexdigest()[:16]
-    print(f"config digest: {digest}")
+    print(f"config digest: {json_digest(cfg)}")
     logger.debug("resolved config: %s", cfg)
     return cfg
 
@@ -277,25 +269,12 @@ def cmd_chunk(args: argparse.Namespace) -> int:
         out.mkdir(parents=True, exist_ok=True)
         out = out / "chunks.jsonl"
     documents = load_documents(docs_path)
-    total = 0
-    with out.open("w", encoding="utf-8") as handle:
-        for doc in documents:
-            for chunk in chunk_document(doc, int(cfg["window"]), int(cfg["stride"])):
-                handle.write(
-                    json.dumps(
-                        {
-                            "chunk_id": chunk.chunk_id,
-                            "doc_id": chunk.doc_id,
-                            "ordinal": chunk.ordinal,
-                            "start_char": chunk.span[0],
-                            "end_char": chunk.span[1],
-                            "text": chunk.text,
-                        },
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
-                total += 1
+    total = write_jsonl(out, (
+        {"chunk_id": chunk.chunk_id, "doc_id": chunk.doc_id, "ordinal": chunk.ordinal,
+         "start_char": chunk.span[0], "end_char": chunk.span[1], "text": chunk.text}
+        for doc in documents
+        for chunk in chunk_document(doc, int(cfg["window"]), int(cfg["stride"]))
+    ))
     print(f"wrote {total} chunks from {len(documents)} documents -> {out}")
     return 0
 
@@ -306,10 +285,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
     )
     input_path = Path(_require(cfg, "input", "embed"))
     field = cfg["text_field"]
-    texts = [
-        _require_str(record, field, input_path, line_no)
-        for line_no, record in _jsonl_records(input_path)
-    ]
+    texts = [record[field] for _, record in read_jsonl(input_path, {field: NONEMPTY_STRING})]
     if not texts:
         print("nothing to embed")
         return 0

@@ -9,6 +9,9 @@ File formats:
     documents JSONL, one object per line with ``doc_id``, ``title``,
     ``body`` and ``source_meta``.
 
+JSONL goes through ``riskrank.cache``: writes are atomic, and a malformed
+record raises ValueError naming the file, the line and the field.
+
 Records without an explicit ``pair_id`` get the zero-padded 0-based record
 index (``"000042"``), so ids are stable across reloads of the same file.
 """
@@ -16,14 +19,15 @@ index (``"000042"``), so ids are stable across reloads of the same file.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
+
+from .cache import NONEMPTY_STRING, check_fields, read_jsonl, write_jsonl
 
 __all__ = [
     "Document",
@@ -102,37 +106,12 @@ class DatasetSplit:
     seed: int
 
 
-def _require_str(record: dict, key: str, path: Path, line_no: int) -> str:
-    value = record.get(key)
-    if not isinstance(value, str) or not value:
-        raise ValueError(
-            f"{path}: line {line_no}: missing or empty field {key!r}"
-        )
-    return value
-
-
-def _optional_str(record: dict, key: str, path: Path, line_no: int) -> str | None:
-    value = record.get(key)
-    if value is None or value == "":
-        return None
-    if not isinstance(value, str):
-        raise ValueError(f"{path}: line {line_no}: field {key!r} must be a string")
-    return value
-
-
-def _jsonl_records(path: Path) -> Iterator[tuple[int, dict]]:
-    """``(line_no, record)`` for each nonblank line; bad lines raise ValueError."""
-    with path.open("r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {line_no}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise ValueError(f"{path}: line {line_no}: record must be an object")
-            yield line_no, record
+# Field tables (see ``riskrank.cache``): QA records and documents JSONL records.
+_OPTIONAL_STRING = (lambda v: v is None or type(v) is str, "a string")
+_PAIR_FIELDS = {"pair_id": _OPTIONAL_STRING, "question": NONEMPTY_STRING,
+                "context": NONEMPTY_STRING, "doc_id": _OPTIONAL_STRING}
+_DOCUMENT_FIELDS = {"doc_id": NONEMPTY_STRING, "title": _OPTIONAL_STRING, "body": NONEMPTY_STRING,
+                    "source_meta": (lambda v: v is None or type(v) is dict, "an object")}
 
 
 def load_qa_pairs(path: Path | str, format: str | None = None) -> list[QAPair]:
@@ -152,23 +131,18 @@ def load_qa_pairs(path: Path | str, format: str | None = None) -> list[QAPair]:
     seen: dict[str, int] = {}
 
     def add(record: dict, line_no: int) -> None:
-        pair_id = _optional_str(record, "pair_id", path, line_no)
-        question = _require_str(record, "question", path, line_no)
-        context = _require_str(record, "context", path, line_no)
-        doc_id = _optional_str(record, "doc_id", path, line_no)
-        if pair_id is None:
-            pair_id = f"{len(pairs):06d}"
+        pair_id = record.get("pair_id") or f"{len(pairs):06d}"
         if pair_id in seen:
             raise ValueError(
                 f"{path}: line {line_no}: duplicate pair_id {pair_id!r} "
                 f"(first seen on line {seen[pair_id]})"
             )
         seen[pair_id] = line_no
-        pairs.append(QAPair(pair_id=pair_id, question=question,
-                            context=context, doc_id=doc_id))
+        pairs.append(QAPair(pair_id=pair_id, question=record["question"],
+                            context=record["context"], doc_id=record.get("doc_id") or None))
 
     if format == "jsonl":
-        for line_no, record in _jsonl_records(path):
+        for line_no, record in read_jsonl(path, _PAIR_FIELDS):
             add(record, line_no)
     else:
         with path.open("r", encoding="utf-8", newline="") as handle:
@@ -181,73 +155,46 @@ def load_qa_pairs(path: Path | str, format: str | None = None) -> list[QAPair]:
                     f"{path}: line 1: missing required column(s) {sorted(missing)}"
                 )
             for record in reader:
-                add(record, reader.line_num)
+                add(check_fields(record, _PAIR_FIELDS, path, reader.line_num), reader.line_num)
     return pairs
 
 
 def save_qa_pairs(pairs: Iterable[QAPair], path: Path | str) -> None:
     """Write pairs as QA JSONL; ``load_qa_pairs`` round-trips the sequence."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        for pair in pairs:
-            record: dict[str, str] = {
-                "pair_id": pair.pair_id,
-                "question": pair.question,
-                "context": pair.context,
-            }
-            if pair.doc_id is not None:
-                record["doc_id"] = pair.doc_id
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+    write_jsonl(path, (
+        {"pair_id": p.pair_id, "question": p.question, "context": p.context}
+        | ({} if p.doc_id is None else {"doc_id": p.doc_id})
+        for p in pairs
+    ))
 
 
-def _document(record: dict, path: Path, line_no: int) -> Document:
-    doc_id = _require_str(record, "doc_id", path, line_no)
-    title = record.get("title", doc_id)
-    if not isinstance(title, str):
-        raise ValueError(f"{path}: line {line_no}: field 'title' must be a string")
-    meta = record.get("source_meta", {})
-    if not isinstance(meta, dict):
-        raise ValueError(f"{path}: line {line_no}: field 'source_meta' must be an object")
-    return Document(doc_id, title, _require_str(record, "body", path, line_no), meta)
+def _document(record: dict) -> Document:
+    doc_id, title = record["doc_id"], record.get("title")
+    title = doc_id if title is None else title
+    return Document(doc_id, title, record["body"], record.get("source_meta") or {})
 
 
-def load_documents(source: Path | str | Sequence[Path | str]) -> list[Document]:
+def load_documents(source: Path | str) -> list[Document]:
     """Load documents from plain-text files or from one documents JSONL file.
 
     ``source`` may be a directory (its ``.txt`` files, non-recursively,
-    sorted by name; doc_id = file stem), a ``.jsonl`` file as written by
-    ``save_documents`` (``title`` defaults to the doc_id and ``source_meta``
-    to empty), or an explicit sequence of text file paths.
+    sorted by name; doc_id = file stem), one text file, or a ``.jsonl``
+    file as written by ``save_documents`` (``title`` defaults to the doc_id
+    and ``source_meta`` to empty).
     """
-    if isinstance(source, (str, Path)):
-        root = Path(source)
-        if root.suffix == ".jsonl":
-            return [_document(record, root, line_no) for line_no, record in _jsonl_records(root)]
-        if root.is_dir():
-            paths = sorted(root.glob("*.txt"))
-        else:
-            paths = [root]
-    else:
-        paths = [Path(p) for p in source]
-    docs = []
-    for p in paths:
-        body = p.read_text(encoding="utf-8")
-        docs.append(
-            Document(
-                doc_id=p.stem,
-                title=p.stem,
-                body=body,
-                source_meta={"source_path": str(p)},
-            )
-        )
-    return docs
+    root = Path(source)
+    if root.suffix == ".jsonl":
+        return [_document(record) for _, record in read_jsonl(root, _DOCUMENT_FIELDS)]
+    paths = sorted(root.glob("*.txt")) if root.is_dir() else [root]
+    return [
+        Document(p.stem, p.stem, p.read_text(encoding="utf-8"), {"source_path": str(p)})
+        for p in paths
+    ]
 
 
 def save_documents(documents: Iterable[Document], path: Path | str) -> None:
     """Write documents as JSONL, one object per line, readable by ``load_documents``."""
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for doc in documents:
-            handle.write(json.dumps(asdict(doc), ensure_ascii=False) + "\n")
+    write_jsonl(path, map(asdict, documents))
 
 
 def chunk_document(

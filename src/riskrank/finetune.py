@@ -15,14 +15,15 @@ central finite differences.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .cache import CorruptCacheError, read_rkv1, write_rkv1
+from .cache import (
+    CorruptCacheError, json_text, read_json, read_rkv1, write_file, write_jsonl, write_rkv1,
+)
 from .corpus import QAPair
 from .embedding import Embedder
 
@@ -98,6 +99,9 @@ class TrainingConfig:
     use_bias: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("batch_size", "epochs", "seed"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 (in-batch negatives required)")
         if self.epochs < 1:
@@ -126,9 +130,7 @@ class LossReport:
     epoch_accuracy: list[float] = field(default_factory=list)
 
     def write_jsonl(self, path: Path | str) -> None:
-        with Path(path).open("w", encoding="utf-8") as handle:
-            for stats in self.batches:
-                handle.write(json.dumps(asdict(stats)) + "\n")
+        write_jsonl(path, map(asdict, self.batches))
 
 
 def apply_adapter(adapter: AdapterParams, x: np.ndarray) -> np.ndarray:
@@ -329,9 +331,7 @@ def save_adapter(
             list(adapter.train_pair_ids) if adapter.train_pair_ids is not None else None
         ),
     }
-    (path / "adapter.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_file(path / "adapter.json", json_text(meta))
     write_rkv1(path / "adapter.bin", adapter.weight)
     if adapter.bias is not None:
         write_rkv1(path / "bias.bin", adapter.bias)
@@ -348,22 +348,6 @@ _META_FIELDS = {
         "null or a list of strings",
     ),
 }
-
-
-def _read_meta(meta_path: Path) -> dict:
-    """``adapter.json`` with every field checked; errors name the file and the field."""
-    try:
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{meta_path}: invalid JSON: {exc}") from exc
-    if type(meta) is not dict:
-        raise ValueError(f"{meta_path}: expected a JSON object")
-    for name, (ok, want) in _META_FIELDS.items():
-        if name not in meta:
-            raise ValueError(f"{meta_path}: missing field {name!r}")
-        if not ok(meta[name]):
-            raise ValueError(f"{meta_path}: field {name!r} must be {want}, got {meta[name]!r}")
-    return meta
 
 
 def _read_rows(path: Path, rows: int, dim: int) -> np.ndarray:
@@ -384,7 +368,7 @@ def load_adapter(path: Path | str) -> tuple[AdapterParams, TrainingConfig]:
     """
     path = Path(path)
     meta_path = path / "adapter.json"
-    meta = _read_meta(meta_path)
+    meta = read_json(meta_path, _META_FIELDS)
     try:
         config = TrainingConfig(**meta["config"])
     except (TypeError, ValueError) as exc:

@@ -15,14 +15,15 @@ search accumulates scores term at a time over the postings: each item
 adds its term weights in the order of the sorted distinct query terms.
 
 Persistence writes a directory with ``meta.json`` (counts, dimension, BM25
-parameters, item ids), ``vectors.bin`` (the item rows as one RKV1 file,
-through the codec in ``riskrank.cache``), and ``postings.jsonl`` (one term
-per line).
+parameters, item ids), ``vectors.bin`` (the item rows as one RKV1 file),
+and ``postings.jsonl`` (one term per line), each written atomically through
+``riskrank.cache``. Loading checks every ``meta.json`` field the index
+needs and every postings line, and names the file, the line and the field
+when a check fails.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -31,8 +32,10 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .cache import read_rkv1, write_rkv1
-from .corpus import _jsonl_records, _require_str
+from .cache import (
+    NONEMPTY_STRING, check_fields, json_text, read_json, read_jsonl, read_rkv1, write_file,
+    write_jsonl, write_rkv1,
+)
 from .embedding import tokenize, unit_rows
 
 __all__ = [
@@ -441,64 +444,73 @@ def save_index(
         meta["dim"] = dense.dim
         write_rkv1(path / "vectors.bin", dense.matrix)
     if lexical is not None:
-        meta["k1"] = lexical.k1
-        meta["b"] = lexical.b
-        meta["avgdl"] = lexical.avgdl
-        meta["doc_len"] = lexical.doc_len
-        with (path / "postings.jsonl").open("w", encoding="utf-8") as handle:
-            for term in sorted(lexical.postings):
-                entries = [[item_id, tf] for item_id, tf in lexical.postings[term]]
-                handle.write(json.dumps({"term": term, "postings": entries}) + "\n")
-    (path / "meta.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+        meta.update(k1=lexical.k1, b=lexical.b, avgdl=lexical.avgdl, doc_len=lexical.doc_len)
+        write_jsonl(path / "postings.jsonl", (
+            {"term": term, "postings": [[item_id, tf] for item_id, tf in lexical.postings[term]]}
+            for term in sorted(lexical.postings)
+        ))
+    write_file(path / "meta.json", json_text(meta))
+
+
+# Field tables (see ``riskrank.cache``): meta.json always, meta.json with a
+# dense or a lexical part, and each postings.jsonl line.
+_COUNT = (lambda v: type(v) is int and v >= 0, "a non-negative integer")
+_BOOL = (lambda v: type(v) is bool, "true or false")
+_NUMBER = (lambda v: type(v) in (int, float), "a number")
+_META_FIELDS = {
+    "count": _COUNT, "has_dense": _BOOL, "has_lexical": _BOOL,
+    "item_ids": (lambda v: type(v) is list and all(type(i) is str for i in v), "a list of strings"),
+}
+_DENSE_META_FIELDS = {"dim": _COUNT}
+_LEXICAL_META_FIELDS = {
+    "k1": _NUMBER, "b": _NUMBER, "avgdl": _NUMBER,
+    "doc_len": (lambda v: type(v) is dict and all(type(n) is int and n >= 0 for n in v.values()),
+                "an object of non-negative integer lengths"),
+}
+_POSTINGS_FIELDS = {
+    "term": NONEMPTY_STRING,
+    "postings": (lambda v: type(v) is list and all(
+        type(e) is list and len(e) == 2 and type(e[0]) is str and type(e[1]) is int for e in v
+    ), "a list of [item_id, tf] pairs"),
+}
 
 
 def load_index(path: Path | str) -> tuple[DenseIndex | None, LexicalIndex | None]:
     """Load whatever ``save_index`` wrote; validates sizes and ids against meta.json."""
     path = Path(path)
-    meta = json.loads((path / "meta.json").read_text(encoding="utf-8"))
+    meta_path = path / "meta.json"
+    meta = read_json(meta_path, _META_FIELDS)
     ids = tuple(meta["item_ids"])
     if len(ids) != meta["count"] or len(set(ids)) != len(ids):
         raise ValueError(
-            f"{path / 'meta.json'}: item_ids holds {len(set(ids))} distinct ids "
+            f"{meta_path}: item_ids holds {len(set(ids))} distinct ids "
             f"in {len(ids)} entries, but count is {meta['count']}"
         )
     dense = None
     lexical = None
-    if meta.get("has_dense"):
+    if meta["has_dense"]:
+        check_fields(meta, _DENSE_META_FIELDS, meta_path)
         matrix = read_rkv1(path / "vectors.bin", rows=meta["count"])
         if matrix.shape[1] != meta["dim"]:
             raise ValueError(
                 f"{path / 'vectors.bin'}: dim {matrix.shape[1]}, expected {meta['dim']}"
             )
         dense = DenseIndex(item_ids=ids, matrix=matrix, dim=meta["dim"])
-    if meta.get("has_lexical"):
+    if meta["has_lexical"]:
+        check_fields(meta, _LEXICAL_META_FIELDS, meta_path)
         known = set(ids)
         if set(meta["doc_len"]) != known:
-            raise ValueError(f"{path / 'meta.json'}: doc_len keys differ from item_ids")
+            raise ValueError(f"{meta_path}: doc_len keys differ from item_ids")
         postings: dict[str, tuple[tuple[str, int], ...]] = {}
         postings_path = path / "postings.jsonl"
-        for line_no, record in _jsonl_records(postings_path):
-            term = _require_str(record, "term", postings_path, line_no)
-            raw = record.get("postings")
-            if not isinstance(raw, list) or not all(
-                isinstance(entry, list)
-                and len(entry) == 2
-                and isinstance(entry[0], str)
-                and type(entry[1]) is int
-                for entry in raw
-            ):
-                raise ValueError(
-                    f"{postings_path}: line {line_no}: field 'postings' must be "
-                    f"a list of [item_id, tf] pairs"
-                )
+        for line_no, record in read_jsonl(postings_path, _POSTINGS_FIELDS):
+            term = record["term"]
             if term in postings:
                 raise ValueError(
                     f"{postings_path}: line {line_no}: term {term!r} is listed "
                     f"on an earlier line too"
                 )
-            entries = tuple(map(tuple, raw))
+            entries = tuple(map(tuple, record["postings"]))
             unknown = sorted({item_id for item_id, _ in entries} - known)
             if unknown:
                 raise ValueError(
@@ -519,7 +531,7 @@ def load_index(path: Path | str) -> tuple[DenseIndex | None, LexicalIndex | None
         lexical = LexicalIndex(
             item_ids=ids,
             postings=postings,
-            doc_len={k: int(v) for k, v in meta["doc_len"].items()},
+            doc_len=meta["doc_len"],
             avgdl=float(meta["avgdl"]),
             k1=float(meta["k1"]),
             b=float(meta["b"]),

@@ -9,12 +9,12 @@ arithmetic means over the queries present in the run.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+from .cache import json_text
 from .index import RankedList
 
 __all__ = ["MetricReport", "evaluate_run"]
@@ -52,9 +52,7 @@ class MetricReport:
         }
 
     def to_json_bytes(self) -> bytes:
-        return (
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        ).encode("utf-8")
+        return json_text(self.to_dict()).encode("utf-8")
 
 
 def _query_values(ranks: list[int], n_relevant: int, k_list: Sequence[int]) -> dict[str, float]:

@@ -1,5 +1,7 @@
-"""Vector cache and the RKV1 codec: bit-exact round-trips, corruption, concurrency."""
+"""The file layer (JSON, JSONL, atomic writes), the vector cache and the RKV1
+codec: bit-exact round-trips, corruption, concurrency."""
 
+import re
 import shutil
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -10,9 +12,14 @@ import pytest
 from riskrank.cache import (
     CACHE_MAGIC,
     CorruptCacheError,
+    NONEMPTY_STRING,
     VectorCache,
     default_cache_dir,
+    json_text,
+    read_json,
+    read_jsonl,
     text_digest,
+    write_jsonl,
 )
 from riskrank.finetune import AdapterParams, TrainingConfig, load_adapter, save_adapter
 from riskrank.index import DenseIndex, load_index, save_index
@@ -174,3 +181,53 @@ def test_concurrent_same_key_writes_are_idempotent(tmp_path):
 def test_default_cache_dir_honors_env(monkeypatch, tmp_path):
     monkeypatch.setenv("RISKRANK_CACHE_DIR", str(tmp_path / "custom"))
     assert default_cache_dir() == tmp_path / "custom"
+
+
+def test_jsonl_is_utf8_one_object_per_line(tmp_path):
+    path = tmp_path / "records.jsonl"
+    records = [{"text": "über", "n": 1}, {"text": "日本", "n": 2}]
+    assert write_jsonl(path, records) == 2
+    assert path.read_bytes() == (
+        '{"text": "über", "n": 1}\n{"text": "日本", "n": 2}\n'.encode("utf-8")
+    )
+    path.write_text(path.read_text(encoding="utf-8") + "\n", encoding="utf-8")
+    assert list(read_jsonl(path, {"text": NONEMPTY_STRING})) == [(1, records[0]), (2, records[1])]
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ('{"text": "ok"}\n{"text": ""}\n', "line 2: field 'text' must be a nonempty string"),
+        ('{"text": "ok"}\n\n{"other": 1}\n', "line 3: missing field 'text'"),
+        ('{"text": "ok"}\n[1]\n', "line 2: record must be an object"),
+        ('{"text": "ok"}\n{"text"\n', "line 2: invalid JSON"),
+    ],
+    ids=["empty-string", "missing-field", "not-an-object", "invalid-json"],
+)
+def test_read_jsonl_names_file_line_and_field(tmp_path, text, problem):
+    path = tmp_path / "records.jsonl"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(problem)}"):
+        list(read_jsonl(path, {"text": NONEMPTY_STRING}))
+
+
+@pytest.mark.parametrize(
+    "raw, problem",
+    [
+        (b'{"a": ', "invalid JSON"),
+        (b'{"a": "\xff"}', "invalid JSON"),
+        (b"[]", "expected a JSON object"),
+    ],
+    ids=["invalid-json", "invalid-utf8", "not-an-object"],
+)
+def test_read_json_names_the_file(tmp_path, raw, problem):
+    path = tmp_path / "meta.json"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {problem}"):
+        read_json(path, {})
+
+
+def test_json_text_layout():
+    assert json_text({"b": [1, 2], "a": "é"}) == (
+        '{\n  "a": "\\u00e9",\n  "b": [\n    1,\n    2\n  ]\n}\n'
+    )

@@ -69,6 +69,14 @@ class TestUsageErrors:
         bad.write_text("{nope")
         assert main(["eval", "-c", str(bad)]) == 1
 
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        bad = tmp_path / "list.json"
+        bad.write_text("[1, 2]")
+        assert main(["eval", "-c", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"riskrank: usage error: config file {bad}: expected a JSON object\n"
+        )
+
 
 class TestRuntimeErrors:
     def test_missing_pairs_file_is_exit_two(self, tmp_path, capsys):

@@ -143,6 +143,16 @@ class TestDocuments:
         first = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
         assert list(first) == ["doc_id", "title", "body", "source_meta"]
 
+    def test_failed_save_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "documents.jsonl"
+        save_documents([Document("d1", "Capital", "Tier 1 capital ratio")], path)
+        before = path.read_bytes()
+        unencodable = Document("d2", "Sets", "not JSON", {"tags": {"a", "b"}})
+        with pytest.raises(TypeError):
+            save_documents([Document("d3", "Fine", "fine"), unencodable], path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["documents.jsonl"]
+
     def test_jsonl_defaults_title_and_meta(self, tmp_path):
         path = tmp_path / "documents.jsonl"
         write_jsonl(path, [{"doc_id": "d1", "body": "stress testing"}])

@@ -412,6 +412,15 @@ class TestTrainAdapter:
         with pytest.raises(ValueError):
             TrainingConfig(scale=0.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("batch_size", 2.5), ("batch_size", True), ("epochs", 1.0), ("epochs", True),
+         ("seed", 7.0), ("seed", "7")],
+    )
+    def test_integer_fields_take_only_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            TrainingConfig(**{field: value})
+
 
 def as_float32(values):
     return np.asarray(values).astype(np.float32).astype(np.float64)
@@ -485,12 +494,14 @@ class TestAdapterPersistence:
             (lambda meta: meta.pop("d_out"), "missing field 'd_out'"),
             (lambda meta: meta.update(d_in="4"), "field 'd_in'"),
             (lambda meta: meta["config"].update(momentum=0.9), "field 'config'.*'momentum'"),
+            (lambda meta: meta["config"].update(batch_size=2.5), "field 'config'.*batch_size"),
             (lambda meta: meta.update(train_pair_ids="ab"), "field 'train_pair_ids'"),
             ('{"d_out": 4,', "invalid JSON"),
             ("[4, 4]", "expected a JSON object"),
         ],
         ids=[
-            "missing-d_out", "string-d_in", "unknown-config-key", "string-pair-ids",
+            "missing-d_out", "string-d_in", "unknown-config-key", "float-batch-size",
+            "string-pair-ids",
             "invalid-json", "not-an-object",
         ],
     )

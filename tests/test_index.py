@@ -1,6 +1,7 @@
 """Dense search vs brute force, BM25, fusion, re-ranking, persistence."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -593,6 +594,49 @@ class TestPersistence:
         postings.write_text(json.dumps(record) + "\n" + postings.read_text())
         with pytest.raises(ValueError, match=rf"postings\.jsonl: line 1: .*'{field}'"):
             load_index(path)
+
+    @pytest.mark.parametrize(
+        "damage, field",
+        [
+            ('{"count": 3,', "invalid JSON"),
+            ("[3]", "expected a JSON object"),
+            (lambda meta: meta.pop("count"), "missing field 'count'"),
+            (lambda meta: meta.update(item_ids="abc"), "field 'item_ids'"),
+            (lambda meta: meta.update(has_dense="no"), "field 'has_dense'"),
+            (lambda meta: meta.update(dim="3"), "field 'dim'"),
+            (lambda meta: meta.pop("avgdl"), "missing field 'avgdl'"),
+            (lambda meta: meta["doc_len"].update(a="2"), "field 'doc_len'"),
+        ],
+        ids=[
+            "invalid-json", "not-an-object", "missing-count", "string-item_ids",
+            "string-has_dense", "string-dim", "missing-avgdl", "string-doc_len-value",
+        ],
+    )
+    def test_malformed_meta_names_file_and_field(self, tmp_path, damage, field):
+        # ``damage`` edits the parsed meta.json, or is the file's new text.
+        path, meta = self.saved_abc(tmp_path)
+        if isinstance(damage, str):
+            (path / "meta.json").write_text(damage)
+        else:
+            damage(meta)
+            (path / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path / 'meta.json'))}: {field}"):
+            load_index(path)
+
+    def test_non_ascii_terms_round_trip(self, tmp_path):
+        ids = ["a", "b", "c"]
+        texts = ["über risk", "日本 capital", "über 日本 über"]
+        lexical = build_lexical_index(ids, texts)
+        assert {"über", "日本"} <= set(lexical.postings)
+        save_index(tmp_path / "idx", lexical=lexical)
+        _, loaded = load_index(tmp_path / "idx")
+        assert loaded.postings == lexical.postings
+        # The ASCII-escaped form of the same lines loads to the same index.
+        postings = tmp_path / "idx" / "postings.jsonl"
+        postings.write_text("".join(
+            json.dumps(json.loads(line)) + "\n" for line in postings.read_text().splitlines()
+        ))
+        assert load_index(tmp_path / "idx")[1].postings == lexical.postings
 
     def test_nothing_to_save(self, tmp_path):
         with pytest.raises(ValueError):
