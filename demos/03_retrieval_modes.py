@@ -1,5 +1,5 @@
 # Goal: build dense and lexical indexes over the same items, search both,
-# fuse them with reciprocal ranks, and apply a re-ranking hook.
+# and fuse them with reciprocal ranks.
 
 from riskrank import (
     HashEmbedder,
@@ -7,7 +7,6 @@ from riskrank import (
     build_lexical_index,
     dense_search_many,
     lexical_search,
-    rerank,
     rrf_fuse,
 )
 
@@ -40,7 +39,3 @@ fused = rrf_fuse([dense_hits, lexical_hits], k_rrf=60, depth=100)
 print("hybrid (reciprocal-rank fusion):")
 for rank, (item_id, score) in enumerate(fused.hits, 1):
     print(f"  {rank}. {item_id:<9} {score:.6f}")
-
-# A hook may rescore or permute the candidates, but never add or drop any.
-identity = rerank(None, query, fused)
-print("\nidentity re-rank leaves the list unchanged:", identity == fused)

@@ -48,7 +48,6 @@ from .index import (
     build_lexical_index,
     dense_search_many,
     lexical_search,
-    rerank,
     rrf_fuse,
 )
 from .metrics import MetricReport, evaluate_run
@@ -92,7 +91,6 @@ __all__ = [
     "load_documents",
     "load_qa_pairs",
     "mnr_loss",
-    "rerank",
     "rrf_fuse",
     "run_eval",
     "save_adapter",

@@ -26,12 +26,10 @@ from .embedding import Embedder
 from .finetune import AdapterParams, apply_adapter
 from .index import (
     RankedList,
-    RerankHook,
     build_dense_index,
     build_lexical_index,
     dense_search_many,
     lexical_search,
-    rerank,
     rrf_fuse,
 )
 from .metrics import DISPLAY_DECIMALS, MetricReport, evaluate_run
@@ -47,7 +45,6 @@ __all__ = [
     "compare_systems",
     "emit_report",
     "make_run_dir",
-    "register_rerank_hook",
 ]
 
 logger = logging.getLogger(__name__)
@@ -56,14 +53,6 @@ RETRIEVAL_MODES = ("dense", "lexical", "hybrid")
 CANDIDATE_POOLS = ("all_contexts", "test_contexts")
 TABLE1_METRICS = ("MRR@10", "MAP@100", "NDCG@10")
 
-_RERANK_HOOKS: dict[str, RerankHook] = {}
-
-
-def register_rerank_hook(name: str, hook: RerankHook) -> None:
-    """Make a re-ranking hook selectable by name in EvalConfig."""
-    _RERANK_HOOKS[name] = hook
-
-
 @dataclass(frozen=True)
 class EvalConfig:
     """Everything that determines an evaluation, fingerprinted into reports."""
@@ -71,7 +60,9 @@ class EvalConfig:
     retrieval_mode: str = "dense"
     candidate_pool: str = "all_contexts"
     k_list: tuple[int, ...] = (5, 10, 100)
-    rerank: str | None = None
+    # Always None: riskrank does not re-rank. The field stays because
+    # report.json echoes the config and pinned reports hold "rerank": null.
+    rerank: None = None
     system: str = ""
     seed: int = 0
     k_rrf: int = 60
@@ -88,6 +79,9 @@ class EvalConfig:
             )
         if not self.k_list:
             raise ValueError("k_list must be nonempty")
+        if self.rerank is not None:
+            raise ValueError(f"rerank must be None (riskrank does not re-rank), "
+                             f"got {self.rerank!r}")
         object.__setattr__(self, "k_list", tuple(int(k) for k in self.k_list))
 
     def to_dict(self) -> dict:
@@ -138,7 +132,7 @@ def _eval_set(
     config: EvalConfig,
     adapter: AdapterParams | None,
 ) -> EvalSet:
-    """Check the split, the adapter and the hook, then build the eval set."""
+    """Check the split and the adapter, then build the eval set."""
     if not split.test:
         raise ValueError("split.test must be nonempty")
     if adapter is not None and adapter.train_pair_ids is not None:
@@ -147,8 +141,6 @@ def _eval_set(
             raise ValueError(
                 f"adapter was trained on {len(leaked)} test pair(s): {leaked[:5]}"
             )
-    if config.rerank is not None and config.rerank not in _RERANK_HOOKS:
-        raise ValueError(f"unknown rerank hook {config.rerank!r}")
     pool = pairs if config.candidate_pool == "all_contexts" else split.test
     return build_eval_set(pool, split.test)
 
@@ -176,7 +168,6 @@ def _evaluate(
         config.retrieval_mode, config.candidate_pool, len(eval_set.item_ids),
         len(query_ids), config.fingerprint(),
     )
-    hook = _RERANK_HOOKS.get(config.rerank) if config.rerank is not None else None
     need_dense = config.retrieval_mode in ("dense", "hybrid")
 
     if need_dense:
@@ -192,23 +183,19 @@ def _evaluate(
 
     reports = []
     for adapter in adapters:
-        dense_run: list[RankedList] = []
+        run = lexical_run
         if need_dense:
             items, queries = item_matrix, query_matrix
             if adapter is not None:
                 items = apply_adapter(adapter, items)
                 queries = apply_adapter(adapter, queries)
             index = build_dense_index(eval_set.item_ids, items)
-            dense_run = dense_search_many(index, queries, depth, query_ids)
-        run = []
-        for position, text in enumerate(query_texts):
-            lists = [ranked[position] for ranked in (dense_run, lexical_run) if ranked]
-            if config.retrieval_mode == "hybrid":
-                ranking = rrf_fuse(lists, k_rrf=config.k_rrf, depth=config.rrf_depth)
-                ranking = RankedList(query_id=ranking.query_id, hits=ranking.hits[:depth])
-            else:
-                ranking = lists[0]
-            run.append(rerank(hook, text, ranking))
+            run = dense_search_many(index, queries, depth, query_ids)
+        if config.retrieval_mode == "hybrid":
+            run = [
+                rrf_fuse([dense, lexical], k_rrf=config.k_rrf, depth=config.rrf_depth, k=depth)
+                for dense, lexical in zip(run, lexical_run)
+            ]
         reports.append(evaluate_run(run, eval_set.qrels, config.k_list))
     return reports
 

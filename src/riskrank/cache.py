@@ -2,9 +2,10 @@
 
 Every file riskrank writes goes through ``write_file`` (a temp file renamed
 over the target), so readers never see a partial file and a failed write
-leaves the old one. JSON is ``json_text``; JSONL is one compact UTF-8
-object per line. ``read_json`` and ``read_jsonl`` check each object against
-a field table and name the file, the line (JSONL) and the field on error.
+leaves the old one and no temp file. JSON is ``json_text``; JSONL is one
+compact UTF-8 object per line. ``read_json`` and ``read_jsonl`` check each
+object against a field table and name the file, the line (JSONL) and the
+field on error.
 
 RKV1 is the one vector file layout in riskrank: magic bytes ``RKV1``, then
 the dimension as unsigned 32-bit little-endian, then row-major IEEE-754
@@ -22,6 +23,7 @@ call, store what was fetched.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -75,11 +77,27 @@ def default_cache_dir() -> Path:
 
 
 def write_file(path: Path | str, data: bytes | str) -> None:
-    """Atomically replace ``path`` with ``data`` (a str is written as UTF-8)."""
+    """Atomically replace ``path`` with ``data`` (a str is written as UTF-8).
+
+    A str that is not valid Unicode raises ValueError and a missing directory
+    FileNotFoundError, both naming ``path``; a failed write leaves no temp file.
+    """
+    if isinstance(data, str):
+        try:
+            data = data.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"{path}: cannot write as UTF-8: {exc}") from None
     tmp = f"{path}.tmp-{uuid.uuid4().hex}"
-    with open(tmp, "wb") as handle:
-        handle.write(data.encode("utf-8") if isinstance(data, str) else data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except FileNotFoundError as exc:  # no directory, so no temp file either
+        raise FileNotFoundError(exc.errno, exc.strerror, str(path)) from None
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def json_text(obj: Any) -> str:
@@ -134,14 +152,15 @@ def read_json(path: Path | str, fields: Fields) -> dict:
 
 def read_jsonl(path: Path | str, fields: Fields) -> Iterator[tuple[int, dict]]:
     """``(line_no, record)`` for each nonblank line, checked against ``fields``."""
-    with open(path, encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {line_no}: invalid JSON: {exc}") from exc
+                record = json.loads(line.decode("utf-8"))
+            except ValueError as exc:  # invalid UTF-8 or invalid JSON
+                what = "UTF-8" if isinstance(exc, UnicodeDecodeError) else "JSON"
+                raise ValueError(f"{path}: line {line_no}: invalid {what}: {exc}") from exc
             if type(record) is not dict:
                 raise ValueError(f"{path}: line {line_no}: record must be an object")
             yield line_no, check_fields(record, fields, path, line_no)

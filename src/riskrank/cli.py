@@ -17,7 +17,7 @@ import logging
 import sys
 import traceback
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from . import __version__
 from .benchmark import (
@@ -179,13 +179,24 @@ def _require(cfg: dict, key: str, what: str) -> Any:
     return value
 
 
-def _build_embedder(cfg: dict[str, Any]) -> HashEmbedder | RemoteEmbedder:
-    spec = cfg.get("embedder") or {"kind": "hash"}
+def _section(cfg: dict[str, Any], name: str, build: Callable[[dict[str, Any]], Any]) -> Any:
+    """``build(cfg[name])`` (``{}`` when absent): the one place a config section
+    becomes a typed value. A section that is not an object, or that ``build``
+    refuses with TypeError, KeyError or ValueError, is a usage error naming it."""
+    section = cfg.get(name) or {}
+    try:
+        if not isinstance(section, dict):
+            raise TypeError(f"expected an object, got {section!r}")
+        return build(section)
+    except (TypeError, KeyError, ValueError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise UsageError(f"config section {name!r}: {detail}") from exc
+
+
+def _embedder(spec: dict[str, Any], cfg: dict[str, Any]) -> HashEmbedder | RemoteEmbedder:
     kind = spec.get("kind", "hash")
     if kind == "hash":
-        return HashEmbedder(
-            dim=int(spec.get("dim", 256)), seed=int(spec.get("seed", 0))
-        )
+        return HashEmbedder(dim=int(spec.get("dim", 256)), seed=int(spec.get("seed", 0)))
     if kind == "remote":
         provider = ProviderConfig(
             provider_id=spec["provider_id"],
@@ -198,19 +209,26 @@ def _build_embedder(cfg: dict[str, Any]) -> HashEmbedder | RemoteEmbedder:
         )
         cache = VectorCache(cfg.get("cache_dir"))
         return RemoteEmbedder(provider, cache, jobs=int(cfg.get("jobs", 1)))
-    raise UsageError(f"unknown embedder kind {kind!r} (expected hash or remote)")
+    raise ValueError(f"unknown embedder kind {kind!r} (expected hash or remote)")
+
+
+def _build_embedder(cfg: dict[str, Any]) -> HashEmbedder | RemoteEmbedder:
+    return _section(cfg, "embedder", lambda spec: _embedder(spec, cfg))
+
+
+def _eval_config_from(cfg: dict[str, Any], system: str) -> EvalConfig:
+    return _section(cfg, "eval", lambda section: EvalConfig(
+        **{"seed": cfg.get("seed", 0), **section}, system=system
+    ))
 
 
 def _load_pairs_and_split(cfg: dict[str, Any], what: str):
     pairs_path = _require(cfg, "pairs_path", what)
+    ratio, seed = _section(cfg, "split", lambda section: (
+        float(section.get("ratio", 0.95)), int(section.get("seed", cfg.get("seed", 0)))
+    ))
     pairs = load_qa_pairs(pairs_path, cfg.get("pairs_format"))
-    split_cfg = cfg.get("split", {})
-    split = split_pairs(
-        pairs,
-        ratio=float(split_cfg.get("ratio", 0.95)),
-        seed=int(split_cfg.get("seed", cfg.get("seed", 0))),
-    )
-    return pairs, split
+    return pairs, split_pairs(pairs, ratio=ratio, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +337,9 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args, {"training": {}})
-    pairs, split = _load_pairs_and_split(cfg, "train")
     embedder = _build_embedder(cfg)
-    training = TrainingConfig(**{**cfg.get("training", {})})
+    training = _section(cfg, "training", lambda section: TrainingConfig(**section))
+    pairs, split = _load_pairs_and_split(cfg, "train")
     adapter, report = train_adapter(split.train, embedder, training)
     out_dir = Path(_require(cfg, "out_dir", "train"))
     save_adapter(out_dir, adapter, training)
@@ -337,14 +355,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _eval_config_from(cfg: dict[str, Any], system: str) -> EvalConfig:
-    section = dict(cfg.get("eval", {}))
-    section.setdefault("seed", cfg.get("seed", 0))
-    if "k_list" in section:
-        section["k_list"] = tuple(section["k_list"])
-    return EvalConfig(system=system, **section)
-
-
 def _emit_run(report, out_dir: Path, stem: str, config: EvalConfig, what: str) -> None:
     """Write ``<stem>.json``, ``<stem>.md`` and ``plotdata.csv`` into a new run
     directory under ``out_dir``, then print the markdown and the directory."""
@@ -358,13 +368,13 @@ def _emit_run(report, out_dir: Path, stem: str, config: EvalConfig, what: str) -
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args, {"eval": {}})
-    pairs, split = _load_pairs_and_split(cfg, "eval")
     embedder = _build_embedder(cfg)
+    label = cfg.get("system") or f"{embedder.provider_id}/{embedder.model_id}"
+    config = _eval_config_from(cfg, label)
+    pairs, split = _load_pairs_and_split(cfg, "eval")
     adapter = None
     if cfg.get("adapter_dir"):
         adapter, _ = load_adapter(cfg["adapter_dir"])
-    label = cfg.get("system") or f"{embedder.provider_id}/{embedder.model_id}"
-    config = _eval_config_from(cfg, label)
     out_dir = Path(_require(cfg, "out_dir", "eval"))
 
     if adapter is None:
@@ -381,10 +391,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not systems:
         raise UsageError("bench requires a 'systems' list in the config file")
     reference = _require(cfg, "reference", "bench")
+    shared_config = _eval_config_from(cfg, "bench")
     pairs, split = _load_pairs_and_split(cfg, "bench")
     reports = {}
     dims = {}
-    shared_config = _eval_config_from(cfg, "bench")
     for system in systems:
         name = system.get("name")
         if not name:

@@ -1,11 +1,12 @@
-"""Exact dense top-k search, Okapi BM25, reciprocal-rank fusion, re-ranking.
+"""Exact dense top-k search, Okapi BM25 and reciprocal-rank fusion.
 
-A ranking is a tuple of ``(item_id, score)`` pairs, best first; the rank
-of ``hits[i]`` is ``i + 1``. All rankings are deterministic total orders:
-scores sort descending and ties break by ascending item id. Dense scores
-are exactly-rounded float64 dot products of unit vectors (see
-``riskrank.embedding``), so a full-scan re-implementation of the same
-arithmetic reproduces them bit-for-bit.
+A ranking (``RankedList``) is a tuple of ``(item_id, score)`` pairs, best
+first; the rank of ``hits[i]`` is ``i + 1``. A ranking refuses repeated
+ids, NaN scores and rising scores when it is made. Every ranking this
+module returns is a deterministic total order: scores sort descending and
+ties break by ascending item id. Dense scores are exactly-rounded float64
+dot products of unit vectors (see ``riskrank.embedding``), so a full-scan
+re-implementation of the same arithmetic reproduces them bit-for-bit.
 Dense search gets there by filter-then-verify: one float64 matmul per
 block of queries gives approximate scores, a rigorous forward-error bound
 keeps every row that could reach the top k (the whole band of ties at the
@@ -25,10 +26,11 @@ when a check fails.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -43,14 +45,12 @@ __all__ = [
     "DenseIndex",
     "LexicalIndex",
     "ranked_list_from_scores",
-    "validate_ranked_list",
     "build_dense_index",
     "dense_search_many",
     "build_lexical_index",
     "bm25_term_weight",
     "lexical_search",
     "rrf_fuse",
-    "rerank",
     "save_index",
     "load_index",
 ]
@@ -70,10 +70,23 @@ _MIN_BLOCK_QUERIES = 64
 
 @dataclass(frozen=True)
 class RankedList:
-    """Retrieval hits for one query: ``(item_id, score)`` pairs, best first."""
+    """Retrieval hits for one query: ``(item_id, score)`` pairs, best first.
+    A repeated id, a NaN score or a rising score raises ValueError naming the query."""
 
     query_id: str
     hits: tuple[tuple[str, float], ...]
+
+    def __post_init__(self) -> None:
+        if not self.hits:
+            return
+        ids, scores = zip(*self.hits)
+        _require_unique(ids, f"ranking for {self.query_id!r} repeats item ids")
+        # A NaN fails every comparison, so past the first score the order
+        # check catches it too.
+        if math.isnan(scores[0]) or not all(map(operator.ge, scores, scores[1:])):
+            _require_no_nan(self.query_id, scores)
+            a, b = next((a, b) for a, b in zip(scores, scores[1:]) if b > a)
+            raise ValueError(f"ranking for {self.query_id!r}: scores increase ({a} -> {b})")
 
     @property
     def item_ids(self) -> list[str]:
@@ -82,8 +95,8 @@ class RankedList:
 
 def _require_unique(ids: Sequence[str], message: str) -> None:
     """Raise ValueError ``"<message>: <sorted repeated ids>"`` if an id repeats."""
-    counts = Counter(ids)
-    if len(counts) != len(ids):
+    if len(set(ids)) != len(ids):
+        counts = Counter(ids)
         raise ValueError(f"{message}: {sorted(i for i, n in counts.items() if n > 1)}")
 
 
@@ -100,25 +113,15 @@ def ranked_list_from_scores(
 ) -> RankedList:
     """Rank (item_id, score) pairs descending, ties by ascending item id.
 
-    Scores become Python floats before they are compared; a NaN score raises ValueError.
+    Scores become Python floats before they are compared. A repeated id or
+    a NaN score anywhere in ``scored`` raises ValueError, even one that the
+    cut at ``k`` would drop.
     """
     items = [(item_id, float(score)) for item_id, score in scored]
     _require_unique([item_id for item_id, _ in items], "duplicate item ids in ranking")
     _require_no_nan(query_id, (score for _, score in items))
     items.sort(key=lambda pair: (-pair[1], pair[0]))
     return RankedList(query_id=query_id, hits=tuple(items[:k]))
-
-
-def validate_ranked_list(ranking: RankedList) -> None:
-    """Raise ValueError unless ids are distinct and scores non-NaN, non-increasing."""
-    _require_unique(ranking.item_ids, f"ranking for {ranking.query_id!r} repeats item ids")
-    scores = [score for _, score in ranking.hits]
-    _require_no_nan(ranking.query_id, scores)
-    for a, b in zip(scores, scores[1:]):
-        if b > a:
-            raise ValueError(
-                f"ranking for {ranking.query_id!r}: scores increase ({a} -> {b})"
-            )
 
 
 @dataclass(frozen=True)
@@ -362,10 +365,12 @@ def rrf_fuse(
     lists: Sequence[RankedList],
     k_rrf: int = DEFAULT_RRF_K,
     depth: int = DEFAULT_RRF_DEPTH,
+    k: int | None = None,
 ) -> RankedList:
     """Reciprocal-rank fusion: item score = sum of 1 / (k_rrf + rank).
 
-    Only occurrences within ``depth`` of the top of each input list count.
+    Only occurrences within ``depth`` of the top of each input list count,
+    and only the top ``k`` fused items are returned (all when k is None).
     Each sum is exactly rounded (``math.fsum``), so the order of the input
     lists never changes a score. Input lists must share a query id.
     """
@@ -375,6 +380,8 @@ def rrf_fuse(
         raise ValueError(f"k_rrf must be >= 1, got {k_rrf}")
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
+    if k is not None and k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     query_ids = {rl.query_id for rl in lists}
     if len(query_ids) != 1:
         raise ValueError(f"cannot fuse lists with differing query ids: {sorted(query_ids)}")
@@ -383,37 +390,8 @@ def rrf_fuse(
         for rank, (item_id, _) in enumerate(ranking.hits[:depth], start=1):
             terms.setdefault(item_id, []).append(1.0 / (k_rrf + rank))
     return ranked_list_from_scores(
-        lists[0].query_id, [(i, math.fsum(t)) for i, t in terms.items()]
+        lists[0].query_id, [(i, math.fsum(t)) for i, t in terms.items()], k=k
     )
-
-
-RerankHook = Callable[[str, RankedList], RankedList]
-
-
-def rerank(
-    hook: RerankHook | None,
-    query_text: str,
-    candidates: RankedList,
-) -> RankedList:
-    """Apply a re-ranking hook; None is the identity.
-
-    The hook must return a (possibly rescored) permutation of the candidate
-    item set; anything else raises ValueError.
-    """
-    if hook is None:
-        return candidates
-    result = hook(query_text, candidates)
-    if result.query_id != candidates.query_id:
-        raise ValueError(
-            f"rerank hook changed query id {candidates.query_id!r} -> {result.query_id!r}"
-        )
-    if set(result.item_ids) != set(candidates.item_ids):
-        raise ValueError(
-            "rerank hook must permute the candidate set: "
-            f"got {sorted(set(result.item_ids) ^ set(candidates.item_ids))} changed"
-        )
-    validate_ranked_list(result)
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Ranking metrics over binary relevance: MRR@k, MAP@k, NDCG@k, HR@k.
 
 A hit's rank is its 1-based position in the list. All metrics are
-rank-based (invariant under monotone score transforms) and live in [0, 1].
+rank-based (invariant under monotone score transforms) and live in [0, 1],
+since a ``RankedList`` never repeats an item.
 A query with an empty ranked list scores 0 on everything; a query absent
 from the qrels, or ranked twice in a run, is an error. Aggregates are
 arithmetic means over the queries present in the run.
@@ -12,14 +13,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .cache import json_text
+from .corpus import Qrels
 from .index import RankedList
 
 __all__ = ["MetricReport", "evaluate_run"]
-
-Qrels = Mapping[str, set[str]]
 
 DISPLAY_DECIMALS = 4
 

@@ -2,13 +2,14 @@
 
 Everything here but ``bm25_score`` deliberately avoids the library's code
 paths: metrics use O(k^2) loops over plain id lists, dense scoring
-normalizes and ranks with its own mechanics, and fusion is a plain dict
-fold. Where the library defines scores as exactly-rounded float64
-arithmetic, the references reproduce that arithmetic from its definition
-(IEEE products, exact sum), including a Fraction-based exact-rounding
-cross-check. ``bm25_score`` scores one item at a time with the library's
-``bm25_term_weight``; it is checked against ``bm25_by_hand``, a direct
-transcription of the Okapi formula.
+normalizes and ranks with its own mechanics, fusion is a plain dict fold,
+and ``check_ranking`` walks the hits pair by pair. Where the library
+defines scores as exactly-rounded float64 arithmetic, the references
+reproduce that arithmetic from its definition (IEEE products, exact sum),
+including a Fraction-based exact-rounding cross-check. ``bm25_score``
+scores one item at a time with the library's ``bm25_term_weight``; it is
+checked against ``bm25_by_hand``, a direct transcription of the Okapi
+formula.
 """
 
 from __future__ import annotations
@@ -21,6 +22,19 @@ from typing import Sequence
 import numpy as np
 
 from riskrank.index import LexicalIndex, bm25_term_weight
+
+
+def check_ranking(hits) -> None:
+    """Assert that ``(item_id, score)`` hits hold distinct ids, no NaN score
+    and scores that never increase."""
+    seen = set()
+    previous = math.inf
+    for item_id, score in hits:
+        assert item_id not in seen, f"item id {item_id!r} repeats"
+        seen.add(item_id)
+        assert score == score, f"NaN score for {item_id!r}"
+        assert score <= previous, f"score rises from {previous} to {score} at {item_id!r}"
+        previous = score
 
 
 # ---------------------------------------------------------------------------

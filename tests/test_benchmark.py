@@ -14,7 +14,6 @@ from riskrank.benchmark import (
     compare_systems,
     emit_report,
     make_run_dir,
-    register_rerank_hook,
     run_eval,
 )
 from riskrank.corpus import DatasetSplit, QAPair, split_pairs, synth_dataset
@@ -64,6 +63,11 @@ class TestEvalConfig:
     def test_empty_k_list(self):
         with pytest.raises(ValueError):
             EvalConfig(k_list=())
+
+    def test_rerank_accepts_only_none(self):
+        assert EvalConfig().to_dict()["rerank"] is None
+        with pytest.raises(ValueError, match="rerank must be None"):
+            EvalConfig(rerank="x")
 
     def test_fingerprint_stable_and_sensitive(self):
         a = EvalConfig(seed=1)
@@ -123,23 +127,6 @@ class TestRunEval:
         pairs, split = small_corpus()
         with pytest.raises(ValueError, match="rerank"):
             run_eval(pairs, split, HashEmbedder(dim=8), EvalConfig(rerank="nope"))
-
-    def test_registered_rerank_hook_applies(self):
-        pairs, split = small_corpus()
-
-        def reverse(query_text, ranking):
-            ids = list(reversed(ranking.item_ids))
-            return ranked_list_from_scores(
-                ranking.query_id, [(i, float(len(ids) - r)) for r, i in enumerate(ids)]
-            )
-
-        register_rerank_hook("reverse-for-test", reverse)
-        embedder = HashEmbedder(dim=32, seed=0)
-        plain = run_eval(pairs, split, embedder, EvalConfig(k_list=(10,)))
-        flipped = run_eval(
-            pairs, split, embedder, EvalConfig(k_list=(10,), rerank="reverse-for-test")
-        )
-        assert flipped.aggregate["MRR@10"] <= plain.aggregate["MRR@10"]
 
     def test_lexical_and_hybrid_modes(self):
         pairs, split = small_corpus()

@@ -1,6 +1,7 @@
 """The file layer (JSON, JSONL, atomic writes), the vector cache and the RKV1
 codec: bit-exact round-trips, corruption, concurrency."""
 
+import os
 import re
 import shutil
 import struct
@@ -19,6 +20,7 @@ from riskrank.cache import (
     read_json,
     read_jsonl,
     text_digest,
+    write_file,
     write_jsonl,
 )
 from riskrank.finetune import AdapterParams, TrainingConfig, load_adapter, save_adapter
@@ -178,6 +180,31 @@ def test_concurrent_same_key_writes_are_idempotent(tmp_path):
     ]
 
 
+@pytest.mark.parametrize(
+    "target, data, error",
+    [
+        ("missing/out.jsonl", "{}\n", FileNotFoundError),
+        ("pairs.jsonl", '{"question": "\ud800"}\n', ValueError),
+    ],
+    ids=["missing-directory", "lone-surrogate"],
+)
+def test_failed_write_names_the_target_and_leaves_no_temp_file(tmp_path, target, data, error):
+    path = tmp_path / target
+    with pytest.raises(error, match=re.escape(str(path))):
+        write_file(path, data)
+    assert list(tmp_path.rglob("*")) == []
+
+
+def test_write_failing_after_the_open_removes_the_temp_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="No space left"):
+        write_file(tmp_path / "out.json", "{}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_default_cache_dir_honors_env(monkeypatch, tmp_path):
     monkeypatch.setenv("RISKRANK_CACHE_DIR", str(tmp_path / "custom"))
     assert default_cache_dir() == tmp_path / "custom"
@@ -195,18 +222,19 @@ def test_jsonl_is_utf8_one_object_per_line(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "text, problem",
+    "raw, problem",
     [
-        ('{"text": "ok"}\n{"text": ""}\n', "line 2: field 'text' must be a nonempty string"),
-        ('{"text": "ok"}\n\n{"other": 1}\n', "line 3: missing field 'text'"),
-        ('{"text": "ok"}\n[1]\n', "line 2: record must be an object"),
-        ('{"text": "ok"}\n{"text"\n', "line 2: invalid JSON"),
+        (b'{"text": "ok"}\n{"text": ""}\n', "line 2: field 'text' must be a nonempty string"),
+        (b'{"text": "ok"}\n\n{"other": 1}\n', "line 3: missing field 'text'"),
+        (b'{"text": "ok"}\n[1]\n', "line 2: record must be an object"),
+        (b'{"text": "ok"}\n{"text"\n', "line 2: invalid JSON"),
+        (b'{"text": "ok"}\n{"text": "\xff"}\n', "line 2: invalid UTF-8"),
     ],
-    ids=["empty-string", "missing-field", "not-an-object", "invalid-json"],
+    ids=["empty-string", "missing-field", "not-an-object", "invalid-json", "invalid-utf8"],
 )
-def test_read_jsonl_names_file_line_and_field(tmp_path, text, problem):
+def test_read_jsonl_names_file_line_and_field(tmp_path, raw, problem):
     path = tmp_path / "records.jsonl"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(raw)
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(problem)}"):
         list(read_jsonl(path, {"text": NONEMPTY_STRING}))
 

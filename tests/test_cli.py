@@ -78,6 +78,30 @@ class TestUsageErrors:
         )
 
 
+@pytest.mark.parametrize(
+    "section, value",
+    [
+        ("eval", {"bogus": 1}),
+        ("eval", {"k_list": 5}),
+        ("eval", "dense"),
+        ("split", {"ratio": "x"}),
+        ("embedder", {"kind": "remote"}),
+        ("eval", {"rerank": "x"}),
+    ],
+    ids=["eval-unknown-key", "eval-k-list-not-a-list", "eval-not-an-object",
+         "split-ratio-not-a-number", "embedder-missing-key", "eval-rerank"],
+)
+def test_config_section_its_type_refuses_is_a_usage_error(workspace, capsys, section, value):
+    tmp_path, _, config = workspace
+    cfg = write_config(
+        tmp_path / "cfg.json", {**config, "out_dir": str(tmp_path / "runs"), section: value}
+    )
+    assert main(["eval", "-c", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"riskrank: usage error: config section '{section}': "), err
+    assert not (tmp_path / "runs").exists()
+
+
 class TestRuntimeErrors:
     def test_missing_pairs_file_is_exit_two(self, tmp_path, capsys):
         config = write_config(
@@ -167,6 +191,16 @@ class TestIngestChunkEmbedIndex:
         assert main(["ingest", "--docs", str(docs), "-o", str(out)]) == 0
         record = json.loads((out / "documents.jsonl").read_text())
         assert record["doc_id"] == "guide"
+
+    def test_ingest_of_unwritable_text_names_the_output(self, tmp_path, capsys):
+        src = tmp_path / "raw.jsonl"
+        src.write_text('{"question": "\\ud800", "context": "c1"}\n')
+        out = tmp_path / "out"
+        assert main(["ingest", "--pairs", str(src), "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"riskrank: error: ValueError: {out / 'pairs.jsonl'}: cannot write as UTF-8"
+        )
+        assert list(out.iterdir()) == []
 
     def test_ingest_requires_input(self, tmp_path):
         assert main(["ingest", "-o", str(tmp_path)]) == 1

@@ -42,8 +42,6 @@ hybrid (reciprocal-rank fusion):
   3. guide-ops 0.031746
   4. guide-lcr 0.015625
   5. guide-sec 0.015385
-
-identity re-rank leaves the list unchanged: True
 """,
     "04_adapter_training": """\
 base model (identity adapter): MRR@10 = 0.1483

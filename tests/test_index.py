@@ -1,4 +1,4 @@
-"""Dense search vs brute force, BM25, fusion, re-ranking, persistence."""
+"""Rankings, dense search vs brute force, BM25, fusion, persistence."""
 
 import json
 import re
@@ -17,13 +17,13 @@ from riskrank.index import (
     lexical_search,
     load_index,
     ranked_list_from_scores,
-    rerank,
     rrf_fuse,
     save_index,
-    validate_ranked_list,
 )
 
-from reference import bm25_by_hand, bm25_score, brute_force_dense, brute_force_rrf
+from reference import (
+    bm25_by_hand, bm25_score, brute_force_dense, brute_force_rrf, check_ranking,
+)
 
 
 def ranked(query_id, *pairs):
@@ -41,14 +41,12 @@ class TestRankedList:
             ranked("q", ("a", 1.0), ("a", 0.5))
 
     def test_validate_catches_repeated_ids(self):
-        bad = RankedList("q", (("a", 1.0), ("b", 0.5), ("a", 0.5)))
         with pytest.raises(ValueError, match=r"'q' repeats item ids: \['a'\]"):
-            validate_ranked_list(bad)
+            RankedList("q", (("a", 1.0), ("b", 0.5), ("a", 0.5)))
 
     def test_validate_catches_increasing_scores(self):
-        bad = RankedList("q", (("a", 0.5), ("b", 1.0)))
-        with pytest.raises(ValueError, match="increase"):
-            validate_ranked_list(bad)
+        with pytest.raises(ValueError, match=r"'q': scores increase \(0.5 -> 1.0\)"):
+            RankedList("q", (("a", 0.5), ("b", 1.0)))
 
     @pytest.mark.parametrize("scored", [
         [("a", 1.0), ("b", float("nan")), ("c", 2.0)],
@@ -59,9 +57,17 @@ class TestRankedList:
             ranked_list_from_scores("q7", scored)
 
     def test_validate_catches_nan_score(self):
-        bad = RankedList("q7", (("a", 2.0), ("b", float("nan")), ("c", 1.0)))
         with pytest.raises(ValueError, match="'q7'.*NaN"):
-            validate_ranked_list(bad)
+            RankedList("q7", (("a", 2.0), ("b", float("nan")), ("c", 1.0)))
+
+    @pytest.mark.parametrize("hits", [
+        (("a", float("nan")),),
+        (("a", float("nan")), ("b", 1.0)),
+        (("a", 1.0), ("b", 0.5), ("c", float("nan"))),
+    ], ids=["one-hit", "first-of-two", "last-of-three"])
+    def test_constructor_rejects_nan_anywhere(self, hits):
+        with pytest.raises(ValueError, match="'q7' holds a NaN score"):
+            RankedList("q7", hits)
 
 
 class TestDenseIndex:
@@ -316,7 +322,7 @@ class TestLexicalSearch:
         ]
         index = build_lexical_index([f"d{i}" for i in range(12)], texts)
         for query in ["risk capital", "stress", "credit credit risk"]:
-            validate_ranked_list(lexical_search(index, query, k=5))
+            check_ranking(lexical_search(index, query, k=5).hits)
 
 
 class TestRRF:
@@ -363,7 +369,7 @@ class TestRRF:
             assert got.keys() == expected.keys()
             for item, score in expected.items():
                 assert got[item] == pytest.approx(score, abs=1e-15)
-            validate_ranked_list(fused)
+            check_ranking(fused.hits)
 
     def test_rank_one_everywhere_stays_first(self, rng):
         for _ in range(100):
@@ -418,43 +424,8 @@ class TestRRF:
             rrf_fuse([a], k_rrf=0)
         with pytest.raises(ValueError):
             rrf_fuse([a], depth=0)
-
-
-class TestRerank:
-    def test_identity_hook(self):
-        candidates = ranked("q", ("a", 2.0), ("b", 1.0))
-        assert rerank(None, "query", candidates) == candidates
-
-    def test_reverse_hook(self):
-        candidates = ranked("q", ("a", 3.0), ("b", 2.0), ("c", 1.0))
-
-        def reverse(query_text, ranking):
-            reversed_ids = list(reversed(ranking.item_ids))
-            return ranked_list_from_scores(
-                ranking.query_id,
-                [(item, float(len(reversed_ids) - i)) for i, item in enumerate(reversed_ids)],
-            )
-
-        result = rerank(reverse, "query", candidates)
-        assert result.item_ids == ["c", "b", "a"]
-
-    def test_hook_dropping_item_is_error(self):
-        candidates = ranked("q", ("a", 2.0), ("b", 1.0))
-
-        def dropper(query_text, ranking):
-            return ranked_list_from_scores(ranking.query_id, [("a", 1.0)])
-
-        with pytest.raises(ValueError, match="permute"):
-            rerank(dropper, "query", candidates)
-
-    def test_hook_adding_item_is_error(self):
-        candidates = ranked("q", ("a", 2.0))
-
-        def adder(query_text, ranking):
-            return ranked_list_from_scores(ranking.query_id, [("a", 2.0), ("new", 1.0)])
-
-        with pytest.raises(ValueError, match="permute"):
-            rerank(adder, "query", candidates)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            rrf_fuse([a], k=0)
 
 
 class TestPersistence:

@@ -20,10 +20,9 @@ from riskrank.index import (
     lexical_search,
     ranked_list_from_scores,
     rrf_fuse,
-    validate_ranked_list,
 )
 
-from reference import bm25_by_hand, bm25_score, brute_force_rrf
+from reference import bm25_by_hand, bm25_score, brute_force_rrf, check_ranking
 
 PROPERTY_SETTINGS = settings(
     max_examples=200,
@@ -55,7 +54,7 @@ def test_ranked_list_from_scores_sorts_and_cuts(scored, k):
     expected = sorted(((i, float(s)) for i, s in scored), key=lambda p: (-p[1], p[0]))[:k]
     assert list(ranking.hits) == expected
     assert all(type(score) is float for _, score in ranking.hits)
-    validate_ranked_list(ranking)
+    check_ranking(ranking.hits)
 
 
 @st.composite
@@ -79,7 +78,7 @@ def test_rrf_matches_brute_force(case):
     expected = brute_force_rrf([rl.item_ids for rl in lists], k_rrf, depth)
     assert dict(fused.hits) == expected
     assert fused.item_ids == sorted(expected, key=lambda item: (-expected[item], item))
-    validate_ranked_list(fused)
+    check_ranking(fused.hits)
 
 
 @PROPERTY_SETTINGS
@@ -92,6 +91,14 @@ def test_rrf_ignores_the_order_of_its_lists(case, random):
         rrf_fuse(shuffled, k_rrf=k_rrf, depth=depth).hits
         == rrf_fuse(lists, k_rrf=k_rrf, depth=depth).hits
     )
+
+
+@PROPERTY_SETTINGS
+@given(rrf_cases(), st.integers(1, len(UNIVERSE) + 1))
+def test_rrf_cut_at_k_is_the_head_of_the_full_fusion(case, k):
+    lists, k_rrf, depth = case
+    fused = rrf_fuse(lists, k_rrf=k_rrf, depth=depth, k=k)
+    assert fused.hits == rrf_fuse(lists, k_rrf=k_rrf, depth=depth).hits[:k]
 
 
 @st.composite
@@ -114,7 +121,7 @@ def test_lexical_search_equals_bm25_score(case):
     expected = sorted(((i, s) for i, s in scored if s > 0.0), key=lambda p: (-p[1], p[0]))[:k]
     result = lexical_search(index, query_text, k=k, query_id="q")
     assert list(result.hits) == expected
-    validate_ranked_list(result)
+    check_ranking(result.hits)
 
 
 @PROPERTY_SETTINGS

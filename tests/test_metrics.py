@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from riskrank.index import ranked_list_from_scores
+from riskrank.index import RankedList, ranked_list_from_scores
 from riskrank.metrics import evaluate_run
 
 from reference import naive_ap, naive_hit_rate, naive_mrr, naive_ndcg
@@ -251,6 +251,12 @@ class TestInvariants:
             assert 0.0 <= value <= 1.0
             mean = math.fsum(report.per_query[q][name] for q in report.per_query) / 30
             assert value == pytest.approx(mean, abs=1e-12)
+
+    def test_a_ranking_that_repeats_an_id_never_reaches_the_metrics(self):
+        # Scored, this run would give MAP@5 = 2.0 and NDCG@5 = 1.63.
+        with pytest.raises(ValueError, match=r"'q' repeats item ids: \['a'\]"):
+            evaluate_run([RankedList("q", (("a", 1.0), ("a", 0.5), ("b", 0.1)))],
+                         {"q": {"a"}}, (5,))
 
 
 class TestReportPlumbing:
