@@ -21,6 +21,7 @@ from .corpus import (
     Document,
     EvalSet,
     QAPair,
+    SplitConfig,
     build_eval_set,
     chunk_document,
     load_documents,
@@ -74,6 +75,7 @@ __all__ = [
     "RankedList",
     "RemoteEmbedError",
     "RemoteEmbedder",
+    "SplitConfig",
     "TrainingConfig",
     "VectorCache",
     "apply_adapter",

@@ -20,11 +20,12 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .cache import json_digest, json_text, write_file
+from .cache import INTEGER, POSITIVE_INTEGER, check_values, json_digest, json_text, write_file
 from .corpus import DatasetSplit, EvalSet, QAPair, build_eval_set
 from .embedding import Embedder
 from .finetune import AdapterParams, apply_adapter
 from .index import (
+    DEFAULT_RRF_DEPTH, DEFAULT_RRF_K,
     RankedList,
     build_dense_index,
     build_lexical_index,
@@ -65,30 +66,30 @@ class EvalConfig:
     rerank: None = None
     system: str = ""
     seed: int = 0
-    k_rrf: int = 60
-    rrf_depth: int = 100
+    k_rrf: int = DEFAULT_RRF_K
+    rrf_depth: int = DEFAULT_RRF_DEPTH
 
     def __post_init__(self) -> None:
-        if self.retrieval_mode not in RETRIEVAL_MODES:
-            raise ValueError(
-                f"retrieval_mode must be one of {RETRIEVAL_MODES}, got {self.retrieval_mode!r}"
-            )
-        if self.candidate_pool not in CANDIDATE_POOLS:
-            raise ValueError(
-                f"candidate_pool must be one of {CANDIDATE_POOLS}, got {self.candidate_pool!r}"
-            )
-        if not self.k_list:
-            raise ValueError("k_list must be nonempty")
-        if self.rerank is not None:
-            raise ValueError(f"rerank must be None (riskrank does not re-rank), "
-                             f"got {self.rerank!r}")
-        object.__setattr__(self, "k_list", tuple(int(k) for k in self.k_list))
+        check_values(self, _EVAL_CHECKS)
+        object.__setattr__(self, "k_list", tuple(self.k_list))
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     def fingerprint(self) -> str:
         return json_digest(self.to_dict())
+
+
+_EVAL_CHECKS = {
+    "retrieval_mode": (lambda v: v in RETRIEVAL_MODES, f"one of {RETRIEVAL_MODES}"),
+    "candidate_pool": (lambda v: v in CANDIDATE_POOLS, f"one of {CANDIDATE_POOLS}"),
+    "k_list": (lambda v: type(v) in (list, tuple) and len(v) > 0
+               and all(type(k) is int and k >= 1 for k in v), "a nonempty list of integers >= 1"),
+    "rerank": (lambda v: v is None, "None (riskrank does not re-rank)"),
+    "seed": INTEGER,
+    "k_rrf": POSITIVE_INTEGER,
+    "rrf_depth": POSITIVE_INTEGER,
+}
 
 
 def run_eval(

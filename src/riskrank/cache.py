@@ -4,8 +4,8 @@ Every file riskrank writes goes through ``write_file`` (a temp file renamed
 over the target), so readers never see a partial file and a failed write
 leaves the old one and no temp file. JSON is ``json_text``; JSONL is one
 compact UTF-8 object per line. ``read_json`` and ``read_jsonl`` check each
-object against a field table and name the file, the line (JSONL) and the
-field on error.
+object against a field table, naming the file, the line (JSONL) and the
+field on error; ``check_values`` checks a typed config's fields against one.
 
 RKV1 is the one vector file layout in riskrank: magic bytes ``RKV1``, then
 the dimension as unsigned 32-bit little-endian, then row-major IEEE-754
@@ -37,11 +37,16 @@ import numpy as np
 
 __all__ = [
     "CACHE_MAGIC",
+    "BOOLEAN",
     "CorruptCacheError",
+    "INTEGER",
     "NONEMPTY_STRING",
+    "NUMBER",
+    "POSITIVE_INTEGER",
     "VectorCache",
     "cached_embed",
     "check_fields",
+    "check_values",
     "json_digest",
     "json_text",
     "read_json",
@@ -123,6 +128,18 @@ def write_jsonl(path: Path | str, records: Iterable[dict]) -> int:
 Fields = Mapping[str, tuple[Callable[[Any], bool], str]]
 
 NONEMPTY_STRING = (lambda v: type(v) is str and v != "", "a nonempty string")
+INTEGER = (lambda v: type(v) is int, "an integer")
+POSITIVE_INTEGER = (lambda v: type(v) is int and v >= 1, "an integer >= 1")
+NUMBER = (lambda v: type(v) in (int, float), "a number")
+BOOLEAN = (lambda v: type(v) is bool, "true or false")
+
+
+def check_values(obj: Any, fields: Fields) -> None:
+    """ValueError ``"<name> must be <want>, got <value>"`` for the first failing attribute."""
+    for name, (ok, want) in fields.items():
+        value = getattr(obj, name)
+        if not ok(value):
+            raise ValueError(f"{name} must be {want}, got {value!r}")
 
 
 def check_fields(
@@ -174,24 +191,26 @@ def write_rkv1(path: Path | str, vectors: np.ndarray) -> None:
     write_file(path, CACHE_MAGIC + struct.pack("<I", values.shape[-1]) + values.tobytes())
 
 
-def read_rkv1(path: Path | str, rows: int = 1) -> np.ndarray:
+def read_rkv1(path: Path | str, rows: int = 1, dim: int | None = None) -> np.ndarray:
     """Read an RKV1 file of ``rows`` vectors as a ``(rows, dim)`` float32 matrix.
 
-    A missing file raises FileNotFoundError; a damaged one raises
-    CorruptCacheError naming the file.
+    A missing file raises FileNotFoundError; a damaged one, or (with ``dim``)
+    one of another dimension, raises CorruptCacheError naming the file.
     """
     with open(path, "rb") as handle:
         raw = handle.read()
     if len(raw) < 8 or raw[:4] != CACHE_MAGIC:
         raise CorruptCacheError(f"bad magic in RKV1 file {path}")
-    (dim,) = struct.unpack("<I", raw[4:8])
-    expected = 8 + 4 * rows * dim
+    (found,) = struct.unpack("<I", raw[4:8])
+    if dim is not None and found != dim:
+        raise CorruptCacheError(f"RKV1 file {path} holds dim {found}, expected dim {dim}")
+    expected = 8 + 4 * rows * found
     if len(raw) != expected:
         raise CorruptCacheError(
             f"RKV1 file {path} has {len(raw)} bytes, expected {expected} "
-            f"for {rows} x {dim}"
+            f"for {rows} x {found}"
         )
-    values = np.frombuffer(raw, dtype="<f4", offset=8).reshape(rows, dim)
+    values = np.frombuffer(raw, dtype="<f4", offset=8).reshape(rows, found)
     if not np.isfinite(values).all():
         raise CorruptCacheError(f"RKV1 file {path} holds non-finite values")
     return values.copy()
@@ -232,10 +251,12 @@ class VectorCache:
             write_rkv1(path, vector)
         return Path(path)
 
-    def get(self, digest: str, provider_id: str, model_id: str) -> np.ndarray | None:
-        """The cached float32 vector, or None if absent. Raises CorruptCacheError on damage."""
+    def get(
+        self, digest: str, provider_id: str, model_id: str, dim: int | None = None
+    ) -> np.ndarray | None:
+        """The cached float32 vector, or None if absent; ``read_rkv1`` checks it."""
         try:
-            return read_rkv1(self.path_for(digest, provider_id, model_id))[0]
+            return read_rkv1(self.path_for(digest, provider_id, model_id), 1, dim)[0]
         except FileNotFoundError:
             return None
 
@@ -264,14 +285,9 @@ def cached_embed(
     misses: list[str] = []
     hits = 0
     for digest, positions in rows.items():
-        vector = cache.get(digest, key.provider_id, key.model_id)
+        vector = cache.get(digest, key.provider_id, key.model_id, key.dim)
         if vector is None:
             misses.append(digest)
-        elif vector.shape[0] != key.dim:
-            raise CorruptCacheError(
-                f"cache file {cache.path_for(digest, key.provider_id, key.model_id)} "
-                f"holds dim {vector.shape[0]}, expected dim {key.dim}"
-            )
         else:
             out[positions] = vector
             hits += len(positions)

@@ -3,10 +3,13 @@
     riskrank synth | ingest | chunk | embed | index | train | eval | bench
 
 Each run resolves its configuration from defaults, then the JSON config
-file (``-c``), then flag overrides (flags win), prints the resolved config
-digest, and exits 0 on success, 1 on usage errors, or 2 on runtime errors
-(single-line ``riskrank: error: ...`` on stderr; pass ``--verbose`` for a
-traceback).
+file (``-c``), then flag overrides (flags win), and prints the resolved
+config digest. Each section goes as it is to its typed config (SplitConfig,
+TrainingConfig, EvalConfig, HashEmbedder or ProviderConfig), which owns its
+defaults and checks and refuses unknown keys; a top-level ``seed`` is the
+default seed of ``split``, ``training`` and ``eval``. Exit codes: 0 on
+success, 1 on usage errors (a refused config value among them), 2 on runtime
+errors (one ``riskrank: error: ...`` line; ``--verbose`` adds a traceback).
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import json
 import logging
 import sys
 import traceback
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable
 
@@ -32,6 +36,7 @@ from .cache import (
     NONEMPTY_STRING, VectorCache, cached_embed, json_digest, read_json, read_jsonl, write_jsonl,
 )
 from .corpus import (
+    SplitConfig,
     build_eval_set,
     chunk_document,
     load_documents,
@@ -127,6 +132,10 @@ def build_parser() -> _Parser:
 # Config resolution: defaults < file < flags, then print the digest.
 # ---------------------------------------------------------------------------
 
+# The sections whose typed config has a seed; a top-level "seed" is their
+# default. The hash embedder's "seed" names the model and is not one of them.
+SEEDED_SECTIONS = ("split", "training", "eval")
+
 
 def _resolve_config(args: argparse.Namespace, defaults: dict[str, Any]) -> dict[str, Any]:
     cfg = json.loads(json.dumps(defaults))  # deep copy
@@ -157,19 +166,19 @@ def _apply_flag_overrides(cfg: dict[str, Any], args: argparse.Namespace) -> None
     if getattr(args, "jobs", None) is not None:
         cfg["jobs"] = args.jobs
     if getattr(args, "mode", None):
-        cfg.setdefault("eval", {})["retrieval_mode"] = args.mode
+        _object(cfg, "eval", create=True)["retrieval_mode"] = args.mode
         cfg["mode"] = args.mode
     if getattr(args, "k", None):
         try:
             k_list = [int(part) for part in args.k.split(",") if part]
         except ValueError as exc:
             raise UsageError(f"--k expects comma-separated integers: {args.k!r}") from exc
-        cfg.setdefault("eval", {})["k_list"] = k_list
+        _object(cfg, "eval", create=True)["k_list"] = k_list
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
-        for section in ("split", "training", "eval"):
-            if isinstance(cfg.get(section), dict):
-                cfg[section]["seed"] = args.seed
+        for section in SEEDED_SECTIONS:
+            if section in cfg:
+                _object(cfg, section)["seed"] = args.seed
 
 
 def _require(cfg: dict, key: str, what: str) -> Any:
@@ -179,56 +188,46 @@ def _require(cfg: dict, key: str, what: str) -> Any:
     return value
 
 
-def _section(cfg: dict[str, Any], name: str, build: Callable[[dict[str, Any]], Any]) -> Any:
-    """``build(cfg[name])`` (``{}`` when absent): the one place a config section
-    becomes a typed value. A section that is not an object, or that ``build``
-    refuses with TypeError, KeyError or ValueError, is a usage error naming it."""
-    section = cfg.get(name) or {}
+def _object(cfg: dict[str, Any], name: str, create: bool = False) -> dict[str, Any]:
+    """``cfg[name]`` if it is an object, ``{}`` if absent (stored when ``create``)."""
+    section = cfg.setdefault(name, {}) if create else cfg.get(name, {})
+    if type(section) is not dict:
+        raise UsageError(f"config section {name!r}: expected an object, got {section!r}")
+    return section
+
+
+def _section(cfg: dict[str, Any], name: str, build: Callable[..., Any], **extra: Any) -> Any:
+    """``build(**cfg[name], **extra)``: the one place a config section becomes a
+    typed value. A top-level ``seed`` is the default of ``SEEDED_SECTIONS``; what
+    ``build`` refuses (TypeError, ValueError) is a usage error naming the section."""
+    values = _object(cfg, name)
+    if name in SEEDED_SECTIONS and "seed" in cfg:
+        values = {"seed": cfg["seed"], **values}
     try:
-        if not isinstance(section, dict):
-            raise TypeError(f"expected an object, got {section!r}")
-        return build(section)
-    except (TypeError, KeyError, ValueError) as exc:
-        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        raise UsageError(f"config section {name!r}: {detail}") from exc
+        return build(**values, **extra)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"config section {name!r}: {exc}") from exc
 
 
-def _embedder(spec: dict[str, Any], cfg: dict[str, Any]) -> HashEmbedder | RemoteEmbedder:
-    kind = spec.get("kind", "hash")
+def _embedder(cfg: dict, kind: str = "hash", **spec: Any) -> HashEmbedder | RemoteEmbedder:
+    """The embedder that ``spec`` (the ``embedder`` section less its ``kind``) describes."""
     if kind == "hash":
-        return HashEmbedder(dim=int(spec.get("dim", 256)), seed=int(spec.get("seed", 0)))
+        return HashEmbedder(**spec)
     if kind == "remote":
-        provider = ProviderConfig(
-            provider_id=spec["provider_id"],
-            model_id=spec["model_id"],
-            base_url=spec["base_url"],
-            api_key_env=spec["api_key_env"],
-            dim=int(spec["dim"]),
-            max_batch=int(spec.get("max_batch", 16)),
-            timeout_ms=int(spec.get("timeout_ms", 30_000)),
-        )
-        cache = VectorCache(cfg.get("cache_dir"))
-        return RemoteEmbedder(provider, cache, jobs=int(cfg.get("jobs", 1)))
+        jobs = {"jobs": cfg["jobs"]} if "jobs" in cfg else {}
+        return RemoteEmbedder(ProviderConfig(**spec), VectorCache(cfg.get("cache_dir")), **jobs)
     raise ValueError(f"unknown embedder kind {kind!r} (expected hash or remote)")
 
 
 def _build_embedder(cfg: dict[str, Any]) -> HashEmbedder | RemoteEmbedder:
-    return _section(cfg, "embedder", lambda spec: _embedder(spec, cfg))
-
-
-def _eval_config_from(cfg: dict[str, Any], system: str) -> EvalConfig:
-    return _section(cfg, "eval", lambda section: EvalConfig(
-        **{"seed": cfg.get("seed", 0), **section}, system=system
-    ))
+    return _section(cfg, "embedder", partial(_embedder, cfg))
 
 
 def _load_pairs_and_split(cfg: dict[str, Any], what: str):
     pairs_path = _require(cfg, "pairs_path", what)
-    ratio, seed = _section(cfg, "split", lambda section: (
-        float(section.get("ratio", 0.95)), int(section.get("seed", cfg.get("seed", 0)))
-    ))
+    split = _section(cfg, "split", SplitConfig)
     pairs = load_qa_pairs(pairs_path, cfg.get("pairs_format"))
-    return pairs, split_pairs(pairs, ratio=ratio, seed=seed)
+    return pairs, split_pairs(pairs, ratio=split.ratio, seed=split.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +337,7 @@ def cmd_index(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args, {"training": {}})
     embedder = _build_embedder(cfg)
-    training = _section(cfg, "training", lambda section: TrainingConfig(**section))
+    training = _section(cfg, "training", TrainingConfig)
     pairs, split = _load_pairs_and_split(cfg, "train")
     adapter, report = train_adapter(split.train, embedder, training)
     out_dir = Path(_require(cfg, "out_dir", "train"))
@@ -370,7 +369,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args, {"eval": {}})
     embedder = _build_embedder(cfg)
     label = cfg.get("system") or f"{embedder.provider_id}/{embedder.model_id}"
-    config = _eval_config_from(cfg, label)
+    config = _section(cfg, "eval", EvalConfig, system=label)
     pairs, split = _load_pairs_and_split(cfg, "eval")
     adapter = None
     if cfg.get("adapter_dir"):
@@ -388,10 +387,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args, {"eval": {}})
     systems = cfg.get("systems")
-    if not systems:
-        raise UsageError("bench requires a 'systems' list in the config file")
+    if not systems or type(systems) is not list or any(type(s) is not dict for s in systems):
+        raise UsageError(f"config section 'systems': bench requires a nonempty list "
+                         f"of objects, got {systems!r}")
     reference = _require(cfg, "reference", "bench")
-    shared_config = _eval_config_from(cfg, "bench")
+    shared_config = _section(cfg, "eval", EvalConfig, system="bench")
     pairs, split = _load_pairs_and_split(cfg, "bench")
     reports = {}
     dims = {}
@@ -401,12 +401,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
             raise UsageError("every system in 'systems' needs a 'name'")
         sys_cfg = {**cfg, **system}
         embedder = _build_embedder(sys_cfg)
+        dims[name] = dim = system.get("dim", embedder.dim)
+        if type(dim) is not int or dim < 1:
+            raise UsageError(f"config section 'systems': system {name!r}: "
+                             f"dim must be an integer >= 1, got {dim!r}")
         adapter = None
         if system.get("adapter_dir"):
             adapter, _ = load_adapter(system["adapter_dir"])
-        config = _eval_config_from(cfg, name)
+        config = _section(cfg, "eval", EvalConfig, system=name)
         reports[name] = run_eval(pairs, split, embedder, config, adapter=adapter)
-        dims[name] = int(system.get("dim", embedder.dim))
     table = compare_systems(reports, reference, dims)
     out_dir = Path(_require(cfg, "out_dir", "bench"))
     _emit_run(table, out_dir, "table", shared_config, "benchmark")

@@ -27,13 +27,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cache import NONEMPTY_STRING, check_fields, read_jsonl, write_jsonl
+from .cache import INTEGER, NONEMPTY_STRING, check_fields, check_values, read_jsonl, write_jsonl
 
 __all__ = [
     "Document",
     "Chunk",
     "QAPair",
     "DatasetSplit",
+    "SplitConfig",
     "EvalSet",
     "Qrels",
     "load_qa_pairs",
@@ -230,14 +231,27 @@ def chunk_document(
     return chunks
 
 
+@dataclass(frozen=True)
+class SplitConfig:
+    """How ``split_pairs`` splits: the train fraction and the shuffle seed."""
+
+    ratio: float = 0.95
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        check_values(self, {
+            "ratio": (lambda v: type(v) in (int, float) and 0 < v < 1, "a number in (0, 1)"),
+            "seed": INTEGER,
+        })
+
+
 def split_pairs(pairs: Sequence[QAPair], ratio: float, seed: int) -> DatasetSplit:
     """Deterministic shuffled split: first ``floor(ratio * N)`` pairs train.
 
     The shuffle is a NumPy PCG64 permutation seeded with ``seed``, so the
     same inputs always produce the same member sets and order.
     """
-    if not 0.0 < ratio < 1.0:
-        raise ValueError(f"ratio must be in (0, 1), got {ratio}")
+    SplitConfig(ratio, seed)  # checks both
     if len(pairs) < 2:
         raise ValueError(f"need at least 2 pairs to split, got {len(pairs)}")
     order = np.random.default_rng(seed).permutation(len(pairs))

@@ -8,8 +8,8 @@ arithmetic.
 
 ``unit_rows`` is the one L2 normalizer for vectors that come from outside
 the hash kernel (index rows, queries, remote vectors): each row is divided
-in float64 by its ``exact_norm``, after an exact power-of-two scaling if
-its squares would overflow, and zero rows stay zero.
+in float64 by its ``exact_norm``, after an exact power-of-two scaling
+that keeps its squares in range, and zero rows stay zero.
 
 The hashed embedder is a fast, fully deterministic stand-in for a frozen
 sentence encoder: each token is hashed to a coordinate and a sign, signed
@@ -30,6 +30,8 @@ from itertools import chain
 from typing import Protocol, Sequence
 
 import numpy as np
+
+from .cache import INTEGER, POSITIVE_INTEGER, check_values
 
 __all__ = [
     "tokenize",
@@ -68,11 +70,12 @@ def unit_rows(matrix: np.ndarray, ids: Sequence[str], kind: str = "row") -> np.n
     """Each row of the ``(n, dim)`` ``matrix`` divided by its ``exact_norm``.
 
     Returns a new float64 matrix; the division is IEEE float64, done in
-    place on that copy. Zero rows stay zero. A row whose squares or their
-    sum could overflow is first scaled down by a power of two, so it
-    normalizes as its scaled-down copies do. A row holding NaN or Inf
-    raises ValueError ``"<kind> <id> has non-finite values"``, with the
-    row's id from ``ids``.
+    place on that copy. Zero rows stay zero. Each row is first scaled by
+    the power of two that puts its largest entry just below where the sum
+    of its squares could overflow, so it normalizes as its power-of-two
+    copies do, and a row whose squares would underflow is not taken for
+    zero. A row holding NaN or Inf raises ValueError ``"<kind> <id> has
+    non-finite values"``, with the row's id from ``ids``.
     """
     rows = np.array(matrix, dtype=np.float64)
     # Each row's largest magnitude; NaN or Inf if the row holds one.
@@ -83,17 +86,16 @@ def unit_rows(matrix: np.ndarray, ids: Sequence[str], kind: str = "row") -> np.n
         raise ValueError(f"{kind} {bad!r} has non-finite values")
     # With every entry below 2**top, each square is below 2**(1023 - b),
     # b = dim.bit_length(), so the sum of dim < 2**b squares stays below
-    # 2**1023.  A row whose largest entry is not below 2**top is scaled by
-    # 2**-shift, which brings that entry below 2**top.  A power of two
-    # changes no significand and the division by the norm cancels it, so
-    # the row normalizes bit for bit as it would without overflow, unless
-    # an entry or a square falls below the normal range.  Rows with no
-    # shift are not touched.
+    # 2**1023.  Each row is scaled by the power of two that brings its
+    # largest entry into [2**(top-1), 2**top): that is as far from
+    # underflow as overflow allows, so the squares of entries within
+    # 2**-1020 of the largest stay normal.  A power of two changes no
+    # significand and the division by the norm cancels it, so a row
+    # normalizes bit for bit as its power-of-two copies do, unless an entry
+    # or a square falls below the normal range.
     top = (1023 - rows.shape[1].bit_length()) // 2
     _, exponents = np.frexp(peak)
-    shift = np.maximum(exponents - top, 0)
-    big = np.flatnonzero(shift)
-    rows[big] = np.ldexp(rows[big], -shift[big, None])
+    np.ldexp(rows, (top - exponents)[:, None], out=rows)
     norms = np.array([exact_norm(row) for row in rows])
     rows /= np.where(norms != 0.0, norms, 1.0)[:, None]
     return rows
@@ -162,10 +164,9 @@ class HashEmbedder:
     provider_id = "local"
 
     def __init__(self, dim: int = 256, seed: int = 0):
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
         self.dim = dim
         self.seed = seed
+        check_values(self, {"dim": POSITIVE_INTEGER, "seed": INTEGER})
         self.model_id = f"hash-d{dim}-s{seed}"
 
     def __call__(self, text: str) -> np.ndarray:

@@ -22,7 +22,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cache import (
-    CorruptCacheError, json_text, read_json, read_rkv1, write_file, write_jsonl, write_rkv1,
+    BOOLEAN, INTEGER, POSITIVE_INTEGER, check_values, json_text, read_json, read_rkv1,
+    write_file, write_jsonl, write_rkv1,
 )
 from .corpus import QAPair
 from .embedding import Embedder
@@ -99,17 +100,18 @@ class TrainingConfig:
     use_bias: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("batch_size", "epochs", "seed"):
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2 (in-batch negatives required)")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if not self.scale > 0:
-            raise ValueError(f"scale must be > 0, got {self.scale}")
-        if not np.isfinite(self.learning_rate):
-            raise ValueError("learning_rate must be finite")
+        check_values(self, _TRAINING_CHECKS)
+
+
+_TRAINING_CHECKS = {
+    "batch_size": (lambda v: type(v) is int and v >= 2, "an integer >= 2 (in-batch negatives)"),
+    "epochs": POSITIVE_INTEGER,
+    "learning_rate": (lambda v: type(v) in (int, float) and np.isfinite(v), "a finite number"),
+    "scale": (lambda v: type(v) in (int, float) and v > 0, "a number > 0"),
+    "seed": INTEGER,
+    "shuffle_each_epoch": BOOLEAN,
+    "use_bias": BOOLEAN,
+}
 
 
 @dataclass(frozen=True)
@@ -339,24 +341,15 @@ def save_adapter(
 
 # adapter.json field -> (check, what the check asks for)
 _META_FIELDS = {
-    "d_out": (lambda v: type(v) is int and v >= 1, "a positive integer"),
-    "d_in": (lambda v: type(v) is int and v >= 1, "a positive integer"),
-    "use_bias": (lambda v: type(v) is bool, "true or false"),
+    "d_out": POSITIVE_INTEGER,
+    "d_in": POSITIVE_INTEGER,
+    "use_bias": BOOLEAN,
     "config": (lambda v: type(v) is dict, "an object"),
     "train_pair_ids": (
         lambda v: v is None or (type(v) is list and all(type(i) is str for i in v)),
         "null or a list of strings",
     ),
 }
-
-
-def _read_rows(path: Path, rows: int, dim: int) -> np.ndarray:
-    values = read_rkv1(path, rows)
-    if values.shape[1] != dim:
-        raise CorruptCacheError(
-            f"RKV1 file {path} holds dim {values.shape[1]}, adapter.json says {dim}"
-        )
-    return values.astype(np.float64)
 
 
 def load_adapter(path: Path | str) -> tuple[AdapterParams, TrainingConfig]:
@@ -373,8 +366,8 @@ def load_adapter(path: Path | str) -> tuple[AdapterParams, TrainingConfig]:
         config = TrainingConfig(**meta["config"])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{meta_path}: field 'config': {exc}") from exc
-    weight = _read_rows(path / "adapter.bin", meta["d_out"], meta["d_in"])
-    bias = _read_rows(path / "bias.bin", 1, meta["d_out"])[0] if meta["use_bias"] else None
+    weight = read_rkv1(path / "adapter.bin", meta["d_out"], meta["d_in"])
+    bias = read_rkv1(path / "bias.bin", 1, meta["d_out"])[0] if meta["use_bias"] else None
     ids = meta["train_pair_ids"]
     adapter = AdapterParams(
         weight=weight, bias=bias, train_pair_ids=tuple(ids) if ids is not None else None

@@ -35,8 +35,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .cache import (
-    NONEMPTY_STRING, check_fields, json_text, read_json, read_jsonl, read_rkv1, write_file,
-    write_jsonl, write_rkv1,
+    BOOLEAN, NONEMPTY_STRING, NUMBER, check_fields, json_text, read_json, read_jsonl, read_rkv1,
+    write_file, write_jsonl, write_rkv1,
 )
 from .embedding import tokenize, unit_rows
 
@@ -433,15 +433,13 @@ def save_index(
 # Field tables (see ``riskrank.cache``): meta.json always, meta.json with a
 # dense or a lexical part, and each postings.jsonl line.
 _COUNT = (lambda v: type(v) is int and v >= 0, "a non-negative integer")
-_BOOL = (lambda v: type(v) is bool, "true or false")
-_NUMBER = (lambda v: type(v) in (int, float), "a number")
 _META_FIELDS = {
-    "count": _COUNT, "has_dense": _BOOL, "has_lexical": _BOOL,
+    "count": _COUNT, "has_dense": BOOLEAN, "has_lexical": BOOLEAN,
     "item_ids": (lambda v: type(v) is list and all(type(i) is str for i in v), "a list of strings"),
 }
 _DENSE_META_FIELDS = {"dim": _COUNT}
 _LEXICAL_META_FIELDS = {
-    "k1": _NUMBER, "b": _NUMBER, "avgdl": _NUMBER,
+    "k1": NUMBER, "b": NUMBER, "avgdl": NUMBER,
     "doc_len": (lambda v: type(v) is dict and all(type(n) is int and n >= 0 for n in v.values()),
                 "an object of non-negative integer lengths"),
 }
@@ -468,11 +466,7 @@ def load_index(path: Path | str) -> tuple[DenseIndex | None, LexicalIndex | None
     lexical = None
     if meta["has_dense"]:
         check_fields(meta, _DENSE_META_FIELDS, meta_path)
-        matrix = read_rkv1(path / "vectors.bin", rows=meta["count"])
-        if matrix.shape[1] != meta["dim"]:
-            raise ValueError(
-                f"{path / 'vectors.bin'}: dim {matrix.shape[1]}, expected {meta['dim']}"
-            )
+        matrix = read_rkv1(path / "vectors.bin", meta["count"], meta["dim"])
         dense = DenseIndex(item_ids=ids, matrix=matrix, dim=meta["dim"])
     if meta["has_lexical"]:
         check_fields(meta, _LEXICAL_META_FIELDS, meta_path)

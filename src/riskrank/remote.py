@@ -25,7 +25,7 @@ from functools import partial
 import numpy as np
 import requests
 
-from .cache import VectorCache, cached_embed
+from .cache import POSITIVE_INTEGER, VectorCache, cached_embed, check_values
 from .embedding import unit_rows
 
 __all__ = ["ProviderConfig", "RemoteEmbedError", "RemoteEmbedder"]
@@ -46,10 +46,7 @@ class ProviderConfig:
     timeout_ms: int = 30_000
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
+        check_values(self, dict.fromkeys(("dim", "max_batch", "timeout_ms"), POSITIVE_INTEGER))
 
 
 class RemoteEmbedError(RuntimeError):
@@ -133,6 +130,7 @@ class RemoteEmbedder:
         self.config = config
         self.cache = cache if cache is not None else VectorCache()
         self.jobs = jobs
+        check_values(self, {"jobs": POSITIVE_INTEGER})
 
     @property
     def dim(self) -> int:

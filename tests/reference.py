@@ -118,11 +118,17 @@ def reference_unit_rows(vectors) -> np.ndarray:
     """Normalize raw vectors exactly as the index contract states.
 
     Norm = sqrt of the exact sum of IEEE-squared components (float64), then
-    divide in float64 and round the rows to float32 for storage.
+    divide in float64 and round the rows to float32 for storage. A nonzero
+    row whose largest square falls below the normal range is first scaled
+    up by a power of two, which changes no significand, so that its
+    largest entry lies in [0.5, 1).
     """
     rows = []
     for vec in vectors:
         v64 = np.asarray(vec, dtype=np.float64)
+        peak = float(np.max(np.abs(v64), initial=0.0))
+        if 0.0 < peak < 2.0**-511:
+            v64 = np.ldexp(v64, -math.frexp(peak)[1])
         squares = (v64 * v64).tolist()
         norm = math.sqrt(math.fsum(squares))
         rows.append((v64 / norm if norm != 0.0 else v64).astype(np.float32))

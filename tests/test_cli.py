@@ -1,8 +1,10 @@
 """Exit codes, config precedence, and the synth -> train -> eval -> bench path."""
 
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -78,25 +80,56 @@ class TestUsageErrors:
         )
 
 
+# A remote embedder spec that fails before any request: no API key is set.
+REMOTE_SPEC = {"kind": "remote", "provider_id": "p", "model_id": "m",
+               "base_url": "http://127.0.0.1:9", "api_key_env": "RISKRANK_UNSET_KEY", "dim": 8}
+EVAL_HYBRID = ["eval", "--mode", "hybrid"]
+
+
 @pytest.mark.parametrize(
-    "section, value",
+    "overrides, argv",
     [
-        ("eval", {"bogus": 1}),
-        ("eval", {"k_list": 5}),
-        ("eval", "dense"),
-        ("split", {"ratio": "x"}),
-        ("embedder", {"kind": "remote"}),
-        ("eval", {"rerank": "x"}),
+        ({"eval": {"bogus": 1}}, ["eval"]),
+        ({"eval": {"k_list": 5}}, ["eval"]),
+        ({"eval": "dense"}, ["eval"]),
+        ({"split": {"ratio": "x"}}, ["eval"]),
+        ({"embedder": {"kind": "remote"}}, ["eval"]),
+        ({"eval": {"rerank": "x"}}, ["eval"]),
+        ({"split": {"ratio": 1.5}}, EVAL_HYBRID),
+        ({"eval": {"k_list": [0]}}, EVAL_HYBRID),
+        ({"eval": {"k_rrf": 0}}, EVAL_HYBRID),
+        ({"eval": {"rrf_depth": 0}}, EVAL_HYBRID),
+        ({"eval": "dense"}, EVAL_HYBRID),
+        ({"embedder": {"kind": "hash", "dimm": 16}}, EVAL_HYBRID),
+        ({"embedder": {"kind": "hash", "dim": 16.7}}, EVAL_HYBRID),
+        ({"split": {"seed": 1.5}}, EVAL_HYBRID),
+        ({"eval": {"seed": 1.5}}, EVAL_HYBRID),
+        ({"training": {"use_bias": "no"}}, ["train"]),
+        ({"training": []}, ["train"]),
+        ({"eval": []}, ["eval", "--seed", "3"]),
+        ({"systems": "abc"}, ["bench"]),
+        ({"systems": [{"name": "a", "dim": 64.5}], "reference": "a"}, ["bench"]),
+        ({"embedder": REMOTE_SPEC}, ["eval", "--jobs", "0"]),
+        ({"embedder": REMOTE_SPEC, "jobs": "2"}, ["eval"]),
+        ({"embedder": {**REMOTE_SPEC, "timeout_ms": 1.5}}, ["eval"]),
     ],
     ids=["eval-unknown-key", "eval-k-list-not-a-list", "eval-not-an-object",
-         "split-ratio-not-a-number", "embedder-missing-key", "eval-rerank"],
+         "split-ratio-not-a-number", "embedder-missing-key", "eval-rerank",
+         "split-ratio-out-of-range", "eval-cutoff-zero", "eval-k-rrf-zero",
+         "eval-rrf-depth-zero", "eval-not-an-object-under-mode-flag",
+         "embedder-unknown-key", "embedder-float-dim", "split-float-seed",
+         "eval-float-seed", "training-string-use-bias", "training-empty-list",
+         "eval-empty-list-under-seed-flag", "systems-not-a-list", "systems-float-dim",
+         "jobs-flag-zero", "jobs-string", "embedder-float-timeout"],
 )
-def test_config_section_its_type_refuses_is_a_usage_error(workspace, capsys, section, value):
+def test_config_section_its_type_refuses_is_a_usage_error(workspace, capsys, overrides, argv):
+    # The first key of ``overrides`` is the section the error must name.
+    section = next(iter(overrides))
     tmp_path, _, config = workspace
     cfg = write_config(
-        tmp_path / "cfg.json", {**config, "out_dir": str(tmp_path / "runs"), section: value}
+        tmp_path / "cfg.json", {**config, "out_dir": str(tmp_path / "runs"), **overrides}
     )
-    assert main(["eval", "-c", cfg]) == 1
+    assert main([argv[0], "-c", cfg, *argv[1:]]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"riskrank: usage error: config section '{section}': "), err
     assert not (tmp_path / "runs").exists()
@@ -386,6 +419,76 @@ class TestTrainEvalBench:
         tmp_path, data_dir, config = workspace
         cfg = write_config(tmp_path / "cfg.json", {**config, "out_dir": str(tmp_path)})
         assert main(["bench", "-c", cfg]) == 1
+
+
+class TestConfigContract:
+    # Captured before the typed configs took over the CLI's conversions:
+    # (printed config digest, EvalConfig fingerprint, report.json SHA-256).
+    PINNED = {
+        "no-flags": ("d57e05d47a39276b", "cc52965bf9e80448",
+                     "c6c15189bc7460456556884771bc66bb7f327d81f6e9a6f7b12cc183a0b7de0b"),
+        "mode": ("7abdac271bbf0ce4", "ad56244a3c83b30d",
+                 "797c77b8c2b7b5fa5e43c45af52048f54c81305487d899c52b3486b31edff45c"),
+        "k": ("9db03359a083e2e9", "0e4421a55116566d",
+              "ea711543d2c1f5c23787d1ce4f7876c0929625cfea51c0dc3f304a718c74be38"),
+        "seed": ("118eb0603ac8c96c", "b6ff0c8efc4f9fe8",
+                 "f888eb4d5477bdd635658e0e4fe1387dd41e7c6bf3ec039799285bfdd395ac46"),
+        "all-three": ("754c8ebe7a834f7a", "cf97a7a02055f65c",
+                      "52cbbb9a0c254561e025777ecce320de7650771ae5aae74ae760c4543371e755"),
+    }
+
+    @pytest.mark.parametrize(
+        "case, flags",
+        [("no-flags", []), ("mode", ["--mode", "hybrid"]), ("k", ["--k", "1,5"]),
+         ("seed", ["--seed", "3"]),
+         ("all-three", ["--mode", "lexical", "--k", "3", "--seed", "11"])],
+    )
+    def test_valid_config_keeps_digest_and_fingerprint(
+        self, workspace, capsys, monkeypatch, case, flags
+    ):
+        tmp_path, _, config = workspace
+        monkeypatch.chdir(tmp_path)  # relative paths keep the digest independent of tmp_path
+        config = {k: v for k, v in config.items() if k != "adapter_dir"}
+        config.update(pairs_path="data/pairs.jsonl", cache_dir="cache", out_dir="runs")
+        capsys.readouterr()
+        assert main(["eval", "-c", write_config(tmp_path / "cfg.json", config), *flags]) == 0
+        digest, fingerprint, report_sha = self.PINNED[case]
+        assert capsys.readouterr().out.splitlines()[0] == f"config digest: {digest}"
+        [run_dir] = (tmp_path / "runs").iterdir()
+        assert run_dir.name.endswith(f"-{fingerprint[:8]}")
+        report = (run_dir / "report.json").read_bytes()
+        assert json.loads(report)["config_fingerprint"] == fingerprint
+        assert hashlib.sha256(report).hexdigest() == report_sha
+
+    def test_top_level_seed_reaches_training(self, workspace):
+        tmp_path, _, config = workspace
+        training = {k: v for k, v in config["training"].items() if k != "seed"}
+        cfg = write_config(tmp_path / "cfg.json", {
+            **config, "seed": 3, "training": training, "out_dir": str(tmp_path / "adapter"),
+        })
+        assert main(["train", "-c", cfg]) == 0
+        meta = json.loads((tmp_path / "adapter" / "adapter.json").read_text())
+        assert meta["config"]["seed"] == 3
+
+    def test_readme_config_trains_and_evaluates(self, tmp_path, monkeypatch, capsys):
+        # The README's command block and its cfg.json, run in tmp_path, where
+        # the config's relative paths resolve.
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Command line", 1)[1]
+        commands = section.split("```bash\n", 1)[1].split("```", 1)[0].splitlines()
+        config = section.split("with `cfg.json` such as:", 1)[1]
+        config = config.split("```json\n", 1)[1].split("```", 1)[0]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(config)
+        assert [line.split()[:2] for line in commands] == [
+            ["riskrank", "synth"], ["riskrank", "train"], ["riskrank", "eval"],
+        ]
+        for line in commands:
+            assert main(line.split()[1:]) == 0, line
+        assert "riskrank: " not in capsys.readouterr().err
+        [run_dir] = [d for d in (tmp_path / "runs").iterdir() if d.name != "adapter"]
+        report = json.loads((run_dir / "report.json").read_text())
+        assert report["kind"] == "metric_comparison"
 
 
 def test_module_entry_point(tmp_path):

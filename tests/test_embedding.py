@@ -16,7 +16,7 @@ from riskrank.embedding import (
     unit_rows,
 )
 from riskrank.embedding import _ROW_CHUNK, _hash_rows
-from riskrank.index import build_dense_index
+from riskrank.index import build_dense_index, dense_search_many
 
 from reference import reference_hash_embed, reference_unit_rows
 
@@ -306,8 +306,10 @@ def test_unit_rows_match_reference_bits(matrix, data):
 
 
 # Entries 0 or of magnitude 2**-200 to 2**200: every square and every sum of
-# 12 squares is a normal float64, so scaling by 2**k for k <= 800 (squares
-# and sums up to 2**2000) must leave the normalized rows' bits unchanged.
+# 12 squares is a normal float64, so scaling by 2**k for |k| <= 800 must
+# leave the normalized rows' bits unchanged: k up to 800 drives squares and
+# sums up to 2**2000, past overflow, and k down to -800 drives squares down
+# to 2**-2000, below the normal range, while every entry stays normal.
 scalable_matrices = arrays(
     np.float64,
     st.tuples(st.integers(1, 6), st.integers(1, 12)),
@@ -320,7 +322,7 @@ scalable_matrices = arrays(
 
 
 @PROPERTY_SETTINGS
-@given(scalable_matrices, st.integers(0, 800))
+@given(scalable_matrices, st.integers(-800, 800))
 def test_unit_rows_ignore_power_of_two_scale(matrix, k):
     ids = [f"r{i}" for i in range(len(matrix))]
     scaled = unit_rows(np.ldexp(matrix, k), ids)
@@ -334,3 +336,15 @@ def test_unit_rows_whose_squares_overflow():
     assert out.tobytes() == unit_rows(np.ldexp(rows, -600), ["a", "b"]).tobytes()
     assert out[1].tolist() == [1.0, 1.0 / 1e200]
     assert build_dense_index(["b"], [rows[1]]).matrix.tolist() == [[1.0, 0.0]]
+
+
+def test_unit_rows_whose_squares_underflow():
+    # 1e-200**2 is below the smallest subnormal, so the unscaled norm is 0.
+    rows = np.array([[1e-200, 2e-200]])
+    out = unit_rows(rows, ["a"])
+    assert out.tobytes() == unit_rows(np.ldexp(rows, 600), ["a"]).tobytes()
+    assert np.array_equal(out.astype(np.float32), reference_unit_rows(rows))
+    index = build_dense_index(["x"], [np.array([0.0, 1.0])])
+    [ranking] = dense_search_many(index, rows, 1, ["q"])
+    assert ranking.hits == (("x", out[0, 1]),)
+    assert out[0, 1] == pytest.approx(2 / math.sqrt(5), rel=1e-15)
