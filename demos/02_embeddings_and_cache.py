@@ -34,10 +34,13 @@ print("re-embedding is bit-identical:",
       np.array_equal(a, embedder.embed(["capital adequacy requirements for credit risk"])[0]))
 
 with TemporaryDirectory() as tmp:
+    # One put stores a whole batch as one segment: <segment>.vec plus <segment>.keys.
     cache = VectorCache(tmp)
-    digest = text_digest("capital adequacy")
-    [vector] = embedder.embed(["capital adequacy"])
-    path = cache.put(digest, embedder.provider_id, embedder.model_id, vector)
-    loaded = cache.get(digest, embedder.provider_id, embedder.model_id)
-    print(f"\ncache file: .../{path.parent.name}/{path.name[:16]}...vec")
-    print("round-trip bit-exact:", loaded.tobytes() == vector.tobytes())
+    texts = ["capital adequacy", "liquidity coverage"]
+    digests = [text_digest(text) for text in texts]
+    vectors = embedder.embed(texts)
+    path = cache.put(digests, embedder.provider_id, embedder.model_id, vectors)
+    loaded = [cache.get(digest, embedder.provider_id, embedder.model_id) for digest in digests]
+    print(f"\ncache segment: .../{path.parent.name}/{path.name[:16]}...vec, {len(texts)} rows")
+    print("round-trip bit-exact:",
+          all(row.tobytes() == vector.tobytes() for row, vector in zip(loaded, vectors)))

@@ -238,6 +238,9 @@ def compare_systems(
             raise ValueError(f"report {name!r} is missing HR@5")
         if name not in dims:
             raise ValueError(f"no embedding dim given for system {name!r}")
+        dim = dims[name]
+        if type(dim) is not int or dim < 1:
+            raise ValueError(f"system {name!r}: dim must be an integer >= 1, got {dim!r}")
         hit_rates[name] = report.aggregate["HR@5"]
     ref_rate = hit_rates[reference]
     rows = tuple(
@@ -245,7 +248,7 @@ def compare_systems(
             name=name,
             hit_rate_at_5=hit_rates[name],
             improvement_points=(ref_rate - hit_rates[name]) * 100.0,
-            embedding_dim=int(dims[name]),
+            embedding_dim=dims[name],
             is_reference=(name == reference),
         )
         for name in sorted(hit_rates, key=lambda n: (hit_rates[n], n))

@@ -9,16 +9,21 @@ field on error; ``check_values`` checks a typed config's fields against one.
 
 RKV1 is the one vector file layout in riskrank: magic bytes ``RKV1``, then
 the dimension as unsigned 32-bit little-endian, then row-major IEEE-754
-float32 little-endian values. A cache file holds one row; an index's
-``vectors.bin`` holds one row per item; an adapter's ``adapter.bin`` holds
-its weight, one row per output dimension. ``read_rkv1`` checks the magic,
-the length and that every value is finite (``write_rkv1`` refuses NaN and
-Inf, so one on disk means damage), and names the file when a check fails.
+float32 little-endian values. A cache segment holds one row per text; an
+index's ``vectors.bin`` holds one row per item; an adapter's ``adapter.bin``
+holds its weight, one row per output dimension. ``read_rkv1`` checks the
+magic, the length and that every value is finite (``write_rkv1`` refuses NaN
+and Inf, so one on disk means damage), and names the file when a check fails.
 
-The cache keeps one file per text at
-``<root>/<provider>/<model>/<sha256-of-text>.vec``. ``cached_embed`` is the
-one cache-first loop: look each distinct text up, fetch all misses with one
-call, store what was fetched.
+The vector cache keeps one segment per fetch in
+``<root>/<provider>/<model>/``: ``<segment>.vec``, one RKV1 file of n rows,
+and ``<segment>.keys``, the n text digests (SHA-256 of the UTF-8 text, 64
+lowercase hex digits and a newline each) in row order. ``<segment>`` is the
+SHA-256 of the ``.keys`` bytes, so writers of the same misses write the same
+files. ``.vec`` is written first, so a segment exists once its ``.keys``
+does, and a ``.vec`` alone (a write cut short) is never read. ``cached_embed``
+is the one cache-first loop: look each distinct text up, fetch all misses
+with one call, store what was fetched as one segment.
 """
 
 from __future__ import annotations
@@ -63,10 +68,13 @@ CACHE_MAGIC = b"RKV1"
 CACHE_DIR_ENV = "RISKRANK_CACHE_DIR"
 
 _SAFE_COMPONENT = re.compile(r"[^A-Za-z0-9._-]")
+# A segment's keys: one or more SHA-256 hex digests, a newline after each.
+_KEYS = re.compile(rb"(?:[0-9a-f]{64}\n)+")
 
 
 class CorruptCacheError(ValueError):
-    """An RKV1 file failed validation (bad magic, dim, length, or a non-finite value)."""
+    """An RKV1 file (bad magic, dim, length, or a non-finite value) or a
+    cache segment's ``.keys`` file failed validation."""
 
 
 def text_digest(text: str) -> str:
@@ -135,9 +143,10 @@ BOOLEAN = (lambda v: type(v) is bool, "true or false")
 
 
 def check_values(obj: Any, fields: Fields) -> None:
-    """ValueError ``"<name> must be <want>, got <value>"`` for the first failing attribute."""
+    """ValueError ``"<name> must be <want>, got <value>"`` for the first failing
+    attribute of ``obj``, or entry when ``obj`` is a dict."""
     for name, (ok, want) in fields.items():
-        value = getattr(obj, name)
+        value = obj[name] if type(obj) is dict else getattr(obj, name)
         if not ok(value):
             raise ValueError(f"{name} must be {want}, got {value!r}")
 
@@ -217,14 +226,28 @@ def read_rkv1(path: Path | str, rows: int = 1, dim: int | None = None) -> np.nda
 
 
 class VectorCache:
-    """Filesystem-backed vector store with bit-exact round-trips."""
+    """Filesystem-backed vector store with bit-exact round-trips.
+
+    ``get`` finds a digest's segment and row through an index of the
+    ``.keys`` files read so far; the index lives as long as the cache object,
+    the vectors only as long as one ``cached_embed`` lookup.
+    """
 
     def __init__(self, root: Path | str | None = None):
         self.root = Path(root) if root is not None else default_cache_dir()
         self._dirs: dict[tuple[str, str], str] = {}
+        # (directory, digest) -> (segment path less its suffix, row, rows)
+        self._rows: dict[tuple[str, str], tuple[str, int, int]] = {}
+        # the segments whose keys are in ``_rows``
+        self._indexed: set[str] = set()
+        # While ``cached_embed`` looks texts up: each segment loaded, with its
+        # matrix, and each directory listed (a directory of an older cache
+        # can hold thousands of per-text files, so each is listed once).
+        self._held: dict[str, np.ndarray] | None = None
+        self._listed: set[str] | None = None
 
-    def path_for(self, digest: str, provider_id: str, model_id: str) -> str:
-        """Cache file path; each (provider, model) directory is built once."""
+    def _directory(self, provider_id: str, model_id: str) -> str:
+        """The (provider, model) directory; each is built once per cache object."""
         directory = self._dirs.get((provider_id, model_id))
         if directory is None:
             directory = os.path.join(
@@ -233,32 +256,109 @@ class VectorCache:
                 _SAFE_COMPONENT.sub("_", model_id),
             )
             self._dirs[provider_id, model_id] = directory
-        return f"{directory}{os.sep}{digest}.vec"
+        return directory
+
+    def _index(self, directory: str, segment: str, digests: Sequence[str]) -> None:
+        for row, digest in enumerate(digests):
+            self._rows[directory, digest] = (segment, row, len(digests))
+        self._indexed.add(segment)
+
+    def _scan(self, directory: str) -> None:
+        """Index each ``.keys`` file in ``directory`` not indexed yet."""
+        if self._listed is not None:
+            self._listed.add(directory)
+        try:
+            names = os.listdir(directory)
+        except FileNotFoundError:
+            return
+        for name in names:
+            if not name.endswith(".keys"):
+                continue
+            segment = os.path.join(directory, name[: -len(".keys")])
+            if segment not in self._indexed:
+                try:
+                    digests = _read_keys(segment)
+                except FileNotFoundError:  # removed since the listing
+                    continue
+                self._index(directory, segment, digests)
 
     def put(
-        self, digest: str, provider_id: str, model_id: str, vector: np.ndarray
+        self, digests: Sequence[str], provider_id: str, model_id: str, matrix: np.ndarray
     ) -> Path:
-        """Write one vector atomically; returns the cache file path.
+        """Write ``matrix``, one row per digest, as one segment; returns its ``.vec`` path.
 
         The directory is made only when the first write into it finds it missing.
         """
-        path = self.path_for(digest, provider_id, model_id)
-        vector = np.ravel(vector)
+        keys = "".join(f"{digest}\n" for digest in digests).encode("utf-8")
+        if not _KEYS.fullmatch(keys):
+            raise ValueError("put needs one or more 64-hex text digests")
+        values = np.asarray(matrix, dtype=np.float32)
+        if values.ndim != 2 or len(values) != len(digests):
+            raise ValueError(
+                f"put needs one row per digest: {len(digests)} digests, "
+                f"matrix of shape {values.shape}"
+            )
+        directory = self._directory(provider_id, model_id)
+        segment = os.path.join(directory, hashlib.sha256(keys).hexdigest())
         try:
-            write_rkv1(path, vector)
+            write_rkv1(segment + ".vec", values)
         except FileNotFoundError:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            write_rkv1(path, vector)
-        return Path(path)
+            os.makedirs(directory, exist_ok=True)
+            write_rkv1(segment + ".vec", values)
+        write_file(segment + ".keys", keys)
+        self._index(directory, segment, digests)
+        return Path(segment + ".vec")
 
     def get(
         self, digest: str, provider_id: str, model_id: str, dim: int | None = None
     ) -> np.ndarray | None:
-        """The cached float32 vector, or None if absent; ``read_rkv1`` checks it."""
+        """The cached float32 vector, or None if absent.
+
+        A digest not in the index lists the directory again (once per
+        ``cached_embed`` lookup), so a segment another process wrote is found.
+        ``read_rkv1`` checks each segment it loads against the row count of
+        its keys and against ``dim``.
+        """
+        directory = self._directory(provider_id, model_id)
+        found = self._rows.get((directory, digest))
+        if found is None:
+            if self._listed is None or directory not in self._listed:
+                self._scan(directory)
+            found = self._rows.get((directory, digest))
+            if found is None:
+                return None
+        segment, row, rows = found
+        held = self._held
+        matrix = None if held is None else held.get(segment)
+        if matrix is None:
+            try:
+                matrix = read_rkv1(segment + ".vec", rows, dim)
+            except FileNotFoundError:  # the segment was removed after it was indexed
+                return None
+            if held is not None:
+                held[segment] = matrix
+        return matrix[row].copy()
+
+    @contextlib.contextmanager
+    def _holding(self) -> Iterator[None]:
+        """Within the block, ``get`` reads each segment and lists each directory once."""
+        self._held, self._listed = {}, set()
         try:
-            return read_rkv1(self.path_for(digest, provider_id, model_id), 1, dim)[0]
-        except FileNotFoundError:
-            return None
+            yield
+        finally:
+            self._held = self._listed = None
+
+
+def _read_keys(segment: str) -> list[str]:
+    """The digests of a segment's ``.keys`` file; CorruptCacheError names a damaged one."""
+    path = segment + ".keys"
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    if not _KEYS.fullmatch(raw):
+        raise CorruptCacheError(f"keys file {path} is not one 64-hex digest per line")
+    if hashlib.sha256(raw).hexdigest() != os.path.basename(segment):
+        raise CorruptCacheError(f"keys file {path} does not hash to its name")
+    return raw.decode("ascii").split()
 
 
 def cached_embed(
@@ -273,10 +373,10 @@ def cached_embed(
     as an embedder or a ProviderConfig. Each distinct text is looked up under
     it once; ``fetch`` is called once, with each distinct miss in order of
     first occurrence, and must return one vector per text it is given.
-    Fetched vectors are stored as they are, so the cache holds what ``fetch``
-    makes. Rows keep input order; the hit count is the number of rows served
-    from the cache. A cached vector of another dimension raises
-    CorruptCacheError.
+    The fetched vectors are stored as they are, as one segment, so the cache
+    holds what ``fetch`` makes. Rows keep input order; the hit count is the
+    number of rows served from the cache. A cached vector of another
+    dimension raises CorruptCacheError.
     """
     rows: dict[str, list[int]] = {}
     for i, text in enumerate(texts):
@@ -284,16 +384,21 @@ def cached_embed(
     out = np.zeros((len(texts), key.dim), dtype=np.float32)
     misses: list[str] = []
     hits = 0
-    for digest, positions in rows.items():
-        vector = cache.get(digest, key.provider_id, key.model_id, key.dim)
-        if vector is None:
-            misses.append(digest)
-        else:
-            out[positions] = vector
-            hits += len(positions)
+    with cache._holding():
+        for digest, positions in rows.items():
+            vector = cache.get(digest, key.provider_id, key.model_id, key.dim)
+            if vector is None:
+                misses.append(digest)
+            else:
+                out[positions] = vector
+                hits += len(positions)
     if misses:
-        vectors = fetch([texts[rows[digest][0]] for digest in misses])
-        for digest, vector in zip(misses, vectors):
-            cache.put(digest, key.provider_id, key.model_id, vector)
+        fetched = np.asarray(fetch([texts[rows[digest][0]] for digest in misses]), np.float32)
+        if fetched.shape != (len(misses), key.dim):
+            raise ValueError(
+                f"fetch returned shape {fetched.shape} for {len(misses)} texts of dim {key.dim}"
+            )
+        cache.put(misses, key.provider_id, key.model_id, fetched)
+        for digest, vector in zip(misses, fetched):
             out[rows[digest]] = vector
     return out, hits

@@ -38,6 +38,7 @@ from .cache import (
 from .corpus import (
     SplitConfig,
     build_eval_set,
+    check_chunking,
     chunk_document,
     load_documents,
     load_qa_pairs,
@@ -246,13 +247,16 @@ def cmd_synth(args: argparse.Namespace) -> int:
         },
     )
     out_dir = Path(_require(cfg, "out_dir", "synth"))
+    try:
+        documents, pairs = synth_dataset(
+            n_clusters=cfg["clusters"],
+            pairs_per_cluster=cfg["pairs_per_cluster"],
+            vocab_per_cluster=cfg["vocab_per_cluster"],
+            seed=cfg["seed"],
+        )
+    except ValueError as exc:
+        raise UsageError(f"synth: {exc}") from exc
     out_dir.mkdir(parents=True, exist_ok=True)
-    documents, pairs = synth_dataset(
-        n_clusters=int(cfg["clusters"]),
-        pairs_per_cluster=int(cfg["pairs_per_cluster"]),
-        vocab_per_cluster=int(cfg["vocab_per_cluster"]),
-        seed=int(cfg["seed"]),
-    )
     save_qa_pairs(pairs, out_dir / "pairs.jsonl")
     save_documents(documents, out_dir / "documents.jsonl")
     print(f"wrote {len(pairs)} pairs and {len(documents)} documents to {out_dir}")
@@ -282,6 +286,10 @@ def cmd_chunk(args: argparse.Namespace) -> int:
     )
     docs_path = _require(cfg, "docs", "chunk")
     out = Path(_require(cfg, "out_dir", "chunk"))
+    try:
+        check_chunking(cfg["window"], cfg["stride"])
+    except ValueError as exc:
+        raise UsageError(f"chunk: {exc}") from exc
     if out.suffix != ".jsonl":
         out.mkdir(parents=True, exist_ok=True)
         out = out / "chunks.jsonl"
@@ -290,7 +298,7 @@ def cmd_chunk(args: argparse.Namespace) -> int:
         {"chunk_id": chunk.chunk_id, "doc_id": chunk.doc_id, "ordinal": chunk.ordinal,
          "start_char": chunk.span[0], "end_char": chunk.span[1], "text": chunk.text}
         for doc in documents
-        for chunk in chunk_document(doc, int(cfg["window"]), int(cfg["stride"]))
+        for chunk in chunk_document(doc, cfg["window"], cfg["stride"])
     ))
     print(f"wrote {total} chunks from {len(documents)} documents -> {out}")
     return 0

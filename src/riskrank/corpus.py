@@ -27,7 +27,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cache import INTEGER, NONEMPTY_STRING, check_fields, check_values, read_jsonl, write_jsonl
+from .cache import (
+    INTEGER, NONEMPTY_STRING, POSITIVE_INTEGER, check_fields, check_values, read_jsonl, write_jsonl,
+)
 
 __all__ = [
     "Document",
@@ -42,6 +44,7 @@ __all__ = [
     "load_documents",
     "save_documents",
     "chunk_document",
+    "check_chunking",
     "split_pairs",
     "build_eval_set",
     "synth_dataset",
@@ -198,6 +201,14 @@ def save_documents(documents: Iterable[Document], path: Path | str) -> None:
     write_jsonl(path, map(asdict, documents))
 
 
+def check_chunking(window: int, stride: int) -> None:
+    """ValueError unless ``window`` and ``stride`` are integers with 1 <= stride <= window."""
+    check_values({"window": window, "stride": stride},
+                 dict.fromkeys(("window", "stride"), POSITIVE_INTEGER))
+    if stride > window:
+        raise ValueError(f"stride must be at most window ({window}), got {stride}")
+
+
 def chunk_document(
     doc: Document,
     window: int = DEFAULT_CHUNK_WINDOW,
@@ -208,10 +219,7 @@ def chunk_document(
     Tokens are whitespace-delimited; spans map back to character offsets in
     the original body, and the final partial window is emitted if nonempty.
     """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    if not 1 <= stride <= window:
-        raise ValueError(f"stride must be in [1, window], got {stride}")
+    check_chunking(window, stride)
     token_spans = [(m.start(), m.end()) for m in re.finditer(r"\S+", doc.body)]
     if not token_spans:
         raise ValueError(f"document {doc.doc_id}: body has no tokens")
@@ -332,8 +340,9 @@ def synth_dataset(
     cluster document. Questions and contexts sample mostly from their own
     cluster's vocabulary with a small amount of cross-cluster noise.
     """
-    if n_clusters < 1 or pairs_per_cluster < 1 or vocab_per_cluster < 1:
-        raise ValueError("all synth_dataset counts must be >= 1")
+    values = {"n_clusters": n_clusters, "pairs_per_cluster": pairs_per_cluster,
+              "vocab_per_cluster": vocab_per_cluster, "seed": seed}
+    check_values(values, {**dict.fromkeys(values, POSITIVE_INTEGER), "seed": INTEGER})
     rng = np.random.default_rng(seed)
     vocab = [
         [f"c{c:02d}w{i:03d}" for i in range(vocab_per_cluster)]

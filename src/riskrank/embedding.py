@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+from array import array
 from itertools import chain
 from typing import Protocol, Sequence
 
@@ -121,8 +122,10 @@ def _hash_rows(token_lists: list[list[str]], dim: int, seed: int) -> np.ndarray:
         raise ValueError(f"dim must be >= 1, got {dim}")
     key = (seed & _U64).to_bytes(8, "little")
     slot_of: dict[str, int] = {}
-    buckets: list[int] = []
-    signs: list[float] = []
+    # Grown in place, one entry per distinct token; each block reads them as
+    # numpy views, released before the next block appends.
+    buckets = array("q")
+    signs = array("d")
     out = np.empty((len(token_lists), dim), dtype=np.float32)
     for start in range(0, len(token_lists), _ROW_CHUNK):
         block = token_lists[start : start + _ROW_CHUNK]
@@ -135,8 +138,8 @@ def _hash_rows(token_lists: list[list[str]], dim: int, seed: int) -> np.ndarray:
         slots = np.fromiter(map(slot_of.__getitem__, flat), dtype=np.intp, count=len(flat))
         rows = np.repeat(np.arange(len(block)), [len(tokens) for tokens in block])
         counts = np.bincount(
-            rows * dim + np.array(buckets, dtype=np.intp)[slots],
-            weights=np.array(signs)[slots],
+            rows * dim + np.frombuffer(buckets, dtype=np.int64)[slots],
+            weights=np.frombuffer(signs)[slots],
             minlength=len(block) * dim,
         ).reshape(len(block), dim)
         norms = np.sqrt(np.einsum("ij,ij->i", counts, counts))

@@ -259,6 +259,11 @@ class TestCompareSystems:
         with pytest.raises(ValueError, match="dim"):
             compare_systems({"a": report_with(0.5)}, "a", {})
 
+    @pytest.mark.parametrize("dim", [64.9, 0, True, "64"])
+    def test_dim_that_is_not_a_positive_integer(self, dim):
+        with pytest.raises(ValueError, match=f"system 'a': dim must be an integer >= 1, got {dim!r}"):
+            compare_systems({"a": report_with(0.5)}, "a", {"a": dim})
+
     def test_empty_reports(self):
         with pytest.raises(ValueError):
             compare_systems({}, "a", {})

@@ -200,6 +200,24 @@ class TestSynth:
                       if "config digest" in l][0]
         assert digest_one != digest_two
 
+    @pytest.mark.parametrize(
+        "counts, problem",
+        [
+            ({"clusters": 2.7, "pairs_per_cluster": 3.9}, "n_clusters must be an integer >= 1, got 2.7"),
+            ({"pairs_per_cluster": 3.9}, "pairs_per_cluster must be an integer >= 1, got 3.9"),
+            ({"vocab_per_cluster": 0}, "vocab_per_cluster must be an integer >= 1, got 0"),
+        ],
+        ids=["float-clusters", "float-pairs", "zero-vocab"],
+    )
+    def test_counts_that_are_not_positive_integers_are_usage_errors(
+        self, tmp_path, capsys, counts, problem
+    ):
+        config = write_config(tmp_path / "cfg.json", counts)
+        out = tmp_path / "data"
+        assert main(["synth", "-c", config, "-o", str(out)]) == 1
+        assert f"riskrank: usage error: synth: {problem}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_same_seed_identical_output(self, tmp_path):
         main(["synth", "--pairs", "3", "--seed", "9", "-o", str(tmp_path / "a")])
         main(["synth", "--pairs", "3", "--seed", "9", "-o", str(tmp_path / "b")])
@@ -248,6 +266,24 @@ class TestIngestChunkEmbedIndex:
         lines = [json.loads(l) for l in out.read_text().splitlines()]
         assert len(lines) == 6
         assert lines[0]["chunk_id"] == "a::c0000"
+
+    @pytest.mark.parametrize(
+        "values, problem",
+        [({"window": 10.5}, "window must be an integer >= 1, got 10.5"),
+         ({"stride": 4.9}, "stride must be an integer >= 1, got 4.9"),
+         ({"window": 4, "stride": 5}, "stride must be at most window (4), got 5")],
+        ids=["float-window", "float-stride", "stride-above-window"],
+    )
+    def test_chunk_sizes_that_are_not_positive_integers_are_usage_errors(
+        self, tmp_path, capsys, values, problem
+    ):
+        (tmp_path / "a.txt").write_text(" ".join(f"tok{i}" for i in range(30)))
+        config = write_config(tmp_path / "cfg.json", values)
+        out = tmp_path / "chunks.jsonl"
+        assert main(["chunk", "-c", config, "--docs", str(tmp_path / "a.txt"),
+                     "-o", str(out)]) == 1
+        assert f"riskrank: usage error: chunk: {problem}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["hash", "remote"])
     def test_embed_populates_cache(

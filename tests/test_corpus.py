@@ -225,6 +225,10 @@ class TestChunkDocument:
             chunk_document(doc, window=4, stride=0)
         with pytest.raises(ValueError):
             chunk_document(doc, window=4, stride=5)
+        with pytest.raises(ValueError, match="window must be an integer >= 1, got 4.5"):
+            chunk_document(doc, window=4.5, stride=2)
+        with pytest.raises(ValueError, match="stride must be an integer >= 1, got 2.0"):
+            chunk_document(doc, window=4, stride=2.0)
 
     def test_whitespace_only_body(self):
         doc = Document("d", "t", "   ")
@@ -334,6 +338,17 @@ class TestBuildEvalSet:
 
 
 class TestSynthDataset:
+    @pytest.mark.parametrize(
+        "args, problem",
+        [((2.7, 3, 5), "n_clusters must be an integer >= 1, got 2.7"),
+         ((2, 0, 5), "pairs_per_cluster must be an integer >= 1, got 0"),
+         ((2, 3, True), "vocab_per_cluster must be an integer >= 1, got True")],
+        ids=["float", "zero", "bool"],
+    )
+    def test_counts_must_be_positive_integers(self, args, problem):
+        with pytest.raises(ValueError, match=problem):
+            synth_dataset(*args, seed=1)
+
     def test_counts_and_cluster_tags(self):
         documents, pairs = synth_dataset(5, 100, 50, seed=7)
         assert len(pairs) == 500

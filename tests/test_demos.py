@@ -20,7 +20,7 @@ cosine(related texts)   = +0.8165
 cosine(unrelated texts) = +0.0000
 re-embedding is bit-identical: True
 
-cache file: .../hash-d256-s0/7241263820b910c9...vec
+cache segment: .../hash-d256-s0/398007a3945697af...vec, 2 rows
 round-trip bit-exact: True
 """,
     "03_retrieval_modes": """\

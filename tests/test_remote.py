@@ -80,7 +80,7 @@ def test_warm_cache_needs_no_api_key(embedding_server, tmp_path, monkeypatch):
 def test_cached_vector_of_wrong_dim_is_corruption(embedding_server, tmp_path):
     config = make_config(embedding_server, dim=8)
     cache = VectorCache(tmp_path)
-    path = cache.put(text_digest("alpha"), "testprov", "ok-8", np.ones(4, dtype=np.float32))
+    path = cache.put([text_digest("alpha")], "testprov", "ok-8", np.ones((1, 4), np.float32))
     with pytest.raises(CorruptCacheError) as excinfo:
         embed_remote(config, ["alpha"], cache)
     message = str(excinfo.value)
@@ -126,7 +126,9 @@ def test_repeated_texts_are_fetched_and_stored_once(embedding_server, tmp_path):
     texts = ["ctx a", "ctx a", "ctx b", "ctx a"]
     matrix = embed_remote(config, texts, cache)
     assert [r["inputs"] for r in embedding_server.requests] == [["ctx a", "ctx b"]]
-    assert len(list(tmp_path.rglob("*.vec"))) == 2
+    [segment] = tmp_path.rglob("*.vec")
+    keys = [text_digest("ctx a"), text_digest("ctx b")]
+    assert segment.with_suffix(".keys").read_text().split() == keys
     for i, text in enumerate(texts):
         assert np.array_equal(matrix[i], unit_vector(text))
 
