@@ -14,6 +14,7 @@ dispatches on the report type.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import asdict, astuple, dataclass
 from datetime import datetime, timezone
@@ -22,7 +23,7 @@ from typing import Mapping, Sequence
 
 from .cache import INTEGER, POSITIVE_INTEGER, check_values, json_digest, json_text, write_file
 from .corpus import DatasetSplit, EvalSet, QAPair, build_eval_set
-from .embedding import Embedder
+from .embedding import Embedder, checked_embed
 from .finetune import AdapterParams, apply_adapter
 from .index import (
     DEFAULT_RRF_DEPTH, DEFAULT_RRF_K,
@@ -146,13 +147,6 @@ def _eval_set(
     return build_eval_set(pool, split.test)
 
 
-def _embed(embedder: Embedder, texts: Sequence[str], what: str):
-    matrix = embedder.embed(list(texts))
-    if matrix.shape[0] != len(texts):
-        raise ValueError(f"embedder returned {matrix.shape[0]} vectors for {len(texts)} {what}")
-    return matrix
-
-
 def _evaluate(
     eval_set: EvalSet,
     embedder: Embedder,
@@ -172,8 +166,8 @@ def _evaluate(
     need_dense = config.retrieval_mode in ("dense", "hybrid")
 
     if need_dense:
-        item_matrix = _embed(embedder, eval_set.item_texts, "contexts")
-        query_matrix = _embed(embedder, query_texts, "questions")
+        item_matrix = checked_embed(embedder, eval_set.item_texts, "contexts")
+        query_matrix = checked_embed(embedder, query_texts, "questions")
     lexical_run: list[RankedList] = []
     if config.retrieval_mode in ("lexical", "hybrid"):
         lexical_index = build_lexical_index(eval_set.item_ids, eval_set.item_texts)
@@ -364,8 +358,18 @@ def emit_report(
 
 
 def make_run_dir(base: Path | str, fingerprint: str, now: datetime | None = None) -> Path:
-    """Create ``<base>/<UTC timestamp>-<fingerprint prefix>`` and return it."""
+    """Create a new directory ``<base>/<UTC timestamp>-<fingerprint prefix>`` and return it.
+
+    The name is never reused: when it is taken (a run of the same config in
+    the same second), ``-2``, ``-3`` and so on are appended.
+    """
     stamp = (now or datetime.now(timezone.utc)).strftime("%Y%m%dT%H%M%S")
-    run_dir = Path(base) / f"{stamp}-{fingerprint[:8]}"
-    run_dir.mkdir(parents=True, exist_ok=True)
-    return run_dir
+    name = f"{stamp}-{fingerprint[:8]}"
+    Path(base).mkdir(parents=True, exist_ok=True)
+    for n in itertools.count(1):
+        run_dir = Path(base) / (name if n == 1 else f"{name}-{n}")
+        try:
+            run_dir.mkdir()
+        except FileExistsError:
+            continue
+        return run_dir

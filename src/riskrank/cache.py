@@ -285,10 +285,7 @@ class VectorCache:
     def put(
         self, digests: Sequence[str], provider_id: str, model_id: str, matrix: np.ndarray
     ) -> Path:
-        """Write ``matrix``, one row per digest, as one segment; returns its ``.vec`` path.
-
-        The directory is made only when the first write into it finds it missing.
-        """
+        """Write ``matrix``, one row per digest, as one segment; returns its ``.vec`` path."""
         keys = "".join(f"{digest}\n" for digest in digests).encode("utf-8")
         if not _KEYS.fullmatch(keys):
             raise ValueError("put needs one or more 64-hex text digests")
@@ -300,11 +297,8 @@ class VectorCache:
             )
         directory = self._directory(provider_id, model_id)
         segment = os.path.join(directory, hashlib.sha256(keys).hexdigest())
-        try:
-            write_rkv1(segment + ".vec", values)
-        except FileNotFoundError:
-            os.makedirs(directory, exist_ok=True)
-            write_rkv1(segment + ".vec", values)
+        os.makedirs(directory, exist_ok=True)
+        write_rkv1(segment + ".vec", values)
         write_file(segment + ".keys", keys)
         self._index(directory, segment, digests)
         return Path(segment + ".vec")
@@ -365,14 +359,14 @@ def cached_embed(
     cache: VectorCache,
     key: Any,
     texts: list[str],
-    fetch: Callable[[list[str]], Sequence[np.ndarray]],
+    fetch: Callable[[list[str]], np.ndarray],
 ) -> tuple[np.ndarray, int]:
     """Cache-first embedding: returns the ``(n, dim)`` float32 matrix and the hit count.
 
     ``key`` is any object with ``provider_id``, ``model_id`` and ``dim``, such
     as an embedder or a ProviderConfig. Each distinct text is looked up under
     it once; ``fetch`` is called once, with each distinct miss in order of
-    first occurrence, and must return one vector per text it is given.
+    first occurrence, and must return a matrix of one row per text it is given.
     The fetched vectors are stored as they are, as one segment, so the cache
     holds what ``fetch`` makes. Rows keep input order; the hit count is the
     number of rows served from the cache. A cached vector of another

@@ -19,12 +19,12 @@ import json
 import logging
 import sys
 import traceback
-from functools import partial
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from . import __version__
 from .benchmark import (
+    RETRIEVAL_MODES,
     EvalConfig,
     compare_adapter,
     compare_systems,
@@ -138,7 +138,11 @@ def build_parser() -> _Parser:
 SEEDED_SECTIONS = ("split", "training", "eval")
 
 
-def _resolve_config(args: argparse.Namespace, defaults: dict[str, Any]) -> dict[str, Any]:
+def _resolve_config(
+    args: argparse.Namespace, defaults: dict[str, Any], required: Sequence[str] = ()
+) -> dict[str, Any]:
+    """The resolved config; a key of ``required`` that is missing or empty is a
+    usage error, raised before the command does any work."""
     cfg = json.loads(json.dumps(defaults))  # deep copy
     if args.config:
         try:
@@ -148,6 +152,9 @@ def _resolve_config(args: argparse.Namespace, defaults: dict[str, Any]) -> dict[
         except ValueError as exc:
             raise UsageError(f"config file {exc}") from exc
     _apply_flag_overrides(cfg, args)
+    for key in required:
+        if cfg.get(key) in (None, ""):
+            raise UsageError(f"{args.command} requires {key!r} (config key or flag)")
     print(f"config digest: {json_digest(cfg)}")
     logger.debug("resolved config: %s", cfg)
     return cfg
@@ -182,13 +189,6 @@ def _apply_flag_overrides(cfg: dict[str, Any], args: argparse.Namespace) -> None
                 _object(cfg, section)["seed"] = args.seed
 
 
-def _require(cfg: dict, key: str, what: str) -> Any:
-    value = cfg.get(key)
-    if value in (None, ""):
-        raise UsageError(f"{what} requires {key!r} (config key or flag)")
-    return value
-
-
 def _object(cfg: dict[str, Any], name: str, create: bool = False) -> dict[str, Any]:
     """``cfg[name]`` if it is an object, ``{}`` if absent (stored when ``create``)."""
     section = cfg.setdefault(name, {}) if create else cfg.get(name, {})
@@ -210,24 +210,24 @@ def _section(cfg: dict[str, Any], name: str, build: Callable[..., Any], **extra:
         raise UsageError(f"config section {name!r}: {exc}") from exc
 
 
-def _embedder(cfg: dict, kind: str = "hash", **spec: Any) -> HashEmbedder | RemoteEmbedder:
-    """The embedder that ``spec`` (the ``embedder`` section less its ``kind``) describes."""
-    if kind == "hash":
-        return HashEmbedder(**spec)
-    if kind == "remote":
-        jobs = {"jobs": cfg["jobs"]} if "jobs" in cfg else {}
-        return RemoteEmbedder(ProviderConfig(**spec), VectorCache(cfg.get("cache_dir")), **jobs)
-    raise ValueError(f"unknown embedder kind {kind!r} (expected hash or remote)")
-
-
 def _build_embedder(cfg: dict[str, Any]) -> HashEmbedder | RemoteEmbedder:
-    return _section(cfg, "embedder", partial(_embedder, cfg))
+    """The embedder the ``embedder`` section describes; its ``kind`` is hash
+    (the default) or remote, and the rest of it goes to that kind's config."""
+
+    def build(kind: str = "hash", **spec: Any) -> HashEmbedder | RemoteEmbedder:
+        if kind == "hash":
+            return HashEmbedder(**spec)
+        if kind == "remote":
+            jobs = {"jobs": cfg["jobs"]} if "jobs" in cfg else {}
+            return RemoteEmbedder(ProviderConfig(**spec), VectorCache(cfg.get("cache_dir")), **jobs)
+        raise ValueError(f"unknown embedder kind {kind!r} (expected hash or remote)")
+
+    return _section(cfg, "embedder", build)
 
 
-def _load_pairs_and_split(cfg: dict[str, Any], what: str):
-    pairs_path = _require(cfg, "pairs_path", what)
+def _load_pairs_and_split(cfg: dict[str, Any]):
     split = _section(cfg, "split", SplitConfig)
-    pairs = load_qa_pairs(pairs_path, cfg.get("pairs_format"))
+    pairs = load_qa_pairs(cfg["pairs_path"], cfg.get("pairs_format"))
     return pairs, split_pairs(pairs, ratio=split.ratio, seed=split.seed)
 
 
@@ -245,8 +245,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
             "vocab_per_cluster": args.vocab,
             "seed": 7,
         },
+        required=("out_dir",),
     )
-    out_dir = Path(_require(cfg, "out_dir", "synth"))
+    out_dir = Path(cfg["out_dir"])
     try:
         documents, pairs = synth_dataset(
             n_clusters=cfg["clusters"],
@@ -264,10 +265,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args, {"pairs_path": args.pairs, "docs_dir": args.docs})
+    cfg = _resolve_config(
+        args, {"pairs_path": args.pairs, "docs_dir": args.docs}, required=("out_dir",)
+    )
     if not cfg.get("pairs_path") and not cfg.get("docs_dir"):
         raise UsageError("ingest requires --pairs and/or --docs")
-    out_dir = Path(_require(cfg, "out_dir", "ingest"))
+    out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     if cfg.get("pairs_path"):
         pairs = load_qa_pairs(cfg["pairs_path"], args.format or cfg.get("pairs_format"))
@@ -282,10 +285,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_chunk(args: argparse.Namespace) -> int:
     cfg = _resolve_config(
-        args, {"docs": args.docs, "window": args.window, "stride": args.stride}
+        args,
+        {"docs": args.docs, "window": args.window, "stride": args.stride},
+        required=("docs", "out_dir"),
     )
-    docs_path = _require(cfg, "docs", "chunk")
-    out = Path(_require(cfg, "out_dir", "chunk"))
+    out = Path(cfg["out_dir"])
     try:
         check_chunking(cfg["window"], cfg["stride"])
     except ValueError as exc:
@@ -293,7 +297,7 @@ def cmd_chunk(args: argparse.Namespace) -> int:
     if out.suffix != ".jsonl":
         out.mkdir(parents=True, exist_ok=True)
         out = out / "chunks.jsonl"
-    documents = load_documents(docs_path)
+    documents = load_documents(cfg["docs"])
     total = write_jsonl(out, (
         {"chunk_id": chunk.chunk_id, "doc_id": chunk.doc_id, "ordinal": chunk.ordinal,
          "start_char": chunk.span[0], "end_char": chunk.span[1], "text": chunk.text}
@@ -306,11 +310,10 @@ def cmd_chunk(args: argparse.Namespace) -> int:
 
 def cmd_embed(args: argparse.Namespace) -> int:
     cfg = _resolve_config(
-        args, {"input": args.input, "text_field": args.text_field}
+        args, {"input": args.input, "text_field": args.text_field}, required=("input",)
     )
-    input_path = Path(_require(cfg, "input", "embed"))
     field = cfg["text_field"]
-    texts = [record[field] for _, record in read_jsonl(input_path, {field: NONEMPTY_STRING})]
+    texts = [record[field] for _, record in read_jsonl(cfg["input"], {field: NONEMPTY_STRING})]
     if not texts:
         print("nothing to embed")
         return 0
@@ -325,11 +328,14 @@ def cmd_embed(args: argparse.Namespace) -> int:
 
 
 def cmd_index(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args, {"input": args.input, "mode": args.mode or "dense"})
-    input_path = _require(cfg, "input", "index")
+    cfg = _resolve_config(
+        args, {"input": args.input, "mode": args.mode or "dense"}, required=("input", "out_dir")
+    )
     mode = cfg["mode"]
-    out_dir = Path(_require(cfg, "out_dir", "index"))
-    items = build_eval_set(load_qa_pairs(input_path, cfg.get("pairs_format")), ())
+    if mode not in RETRIEVAL_MODES:
+        raise UsageError(f"index: mode must be one of {RETRIEVAL_MODES}, got {mode!r}")
+    out_dir = Path(cfg["out_dir"])
+    items = build_eval_set(load_qa_pairs(cfg["input"], cfg.get("pairs_format")), ())
     dense = None
     lexical = None
     if mode in ("dense", "hybrid"):
@@ -343,12 +349,12 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args, {"training": {}})
+    cfg = _resolve_config(args, {"training": {}}, required=("pairs_path", "out_dir"))
     embedder = _build_embedder(cfg)
     training = _section(cfg, "training", TrainingConfig)
-    pairs, split = _load_pairs_and_split(cfg, "train")
+    pairs, split = _load_pairs_and_split(cfg)
     adapter, report = train_adapter(split.train, embedder, training)
-    out_dir = Path(_require(cfg, "out_dir", "train"))
+    out_dir = Path(cfg["out_dir"])
     save_adapter(out_dir, adapter, training)
     report.write_jsonl(out_dir / "training_log.jsonl")
     for epoch, (loss, acc) in enumerate(
@@ -374,15 +380,15 @@ def _emit_run(report, out_dir: Path, stem: str, config: EvalConfig, what: str) -
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args, {"eval": {}})
+    cfg = _resolve_config(args, {"eval": {}}, required=("pairs_path", "out_dir"))
     embedder = _build_embedder(cfg)
     label = cfg.get("system") or f"{embedder.provider_id}/{embedder.model_id}"
     config = _section(cfg, "eval", EvalConfig, system=label)
-    pairs, split = _load_pairs_and_split(cfg, "eval")
+    pairs, split = _load_pairs_and_split(cfg)
     adapter = None
     if cfg.get("adapter_dir"):
         adapter, _ = load_adapter(cfg["adapter_dir"])
-    out_dir = Path(_require(cfg, "out_dir", "eval"))
+    out_dir = Path(cfg["out_dir"])
 
     if adapter is None:
         report = run_eval(pairs, split, embedder, config)
@@ -393,22 +399,22 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args, {"eval": {}})
+    cfg = _resolve_config(args, {"eval": {}}, required=("pairs_path", "out_dir"))
     systems = cfg.get("systems")
     if not systems or type(systems) is not list or any(type(s) is not dict for s in systems):
         raise UsageError(f"config section 'systems': bench requires a nonempty list "
                          f"of objects, got {systems!r}")
-    reference = _require(cfg, "reference", "bench")
     shared_config = _section(cfg, "eval", EvalConfig, system="bench")
-    pairs, split = _load_pairs_and_split(cfg, "bench")
-    reports = {}
+    runs = {}  # name -> (embedder, config, adapter), every entry checked before any run
     dims = {}
     for system in systems:
         name = system.get("name")
-        if not name:
-            raise UsageError("every system in 'systems' needs a 'name'")
-        sys_cfg = {**cfg, **system}
-        embedder = _build_embedder(sys_cfg)
+        if type(name) is not str or not name:
+            raise UsageError(f"every system in 'systems' needs a 'name' (a nonempty string), "
+                             f"got {name!r}")
+        if name in runs:
+            raise UsageError(f"config section 'systems': system {name!r} appears twice")
+        embedder = _build_embedder({**cfg, **system})
         dims[name] = dim = system.get("dim", embedder.dim)
         if type(dim) is not int or dim < 1:
             raise UsageError(f"config section 'systems': system {name!r}: "
@@ -416,11 +422,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
         adapter = None
         if system.get("adapter_dir"):
             adapter, _ = load_adapter(system["adapter_dir"])
-        config = _section(cfg, "eval", EvalConfig, system=name)
-        reports[name] = run_eval(pairs, split, embedder, config, adapter=adapter)
+        runs[name] = (embedder, _section(cfg, "eval", EvalConfig, system=name), adapter)
+    reference = cfg.get("reference")
+    if type(reference) is not str or reference not in runs:
+        raise UsageError(f"bench requires 'reference' naming one of the systems "
+                         f"{list(runs)}, got {reference!r}")
+    pairs, split = _load_pairs_and_split(cfg)
+    reports = {
+        name: run_eval(pairs, split, embedder, config, adapter=adapter)
+        for name, (embedder, config, adapter) in runs.items()
+    }
     table = compare_systems(reports, reference, dims)
-    out_dir = Path(_require(cfg, "out_dir", "bench"))
-    _emit_run(table, out_dir, "table", shared_config, "benchmark")
+    _emit_run(table, Path(cfg["out_dir"]), "table", shared_config, "benchmark")
     return 0
 
 

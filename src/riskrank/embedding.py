@@ -40,6 +40,7 @@ __all__ = [
     "exact_norm",
     "Embedder",
     "HashEmbedder",
+    "checked_embed",
 ]
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -155,6 +156,15 @@ class Embedder(Protocol):
 
     def embed(self, texts: list[str]) -> np.ndarray:
         """Embed ``texts`` into an ``(len(texts), dim)`` float32 matrix."""
+
+
+def checked_embed(embedder: Embedder, texts: Sequence[str], what: str) -> np.ndarray:
+    """``embedder.embed(texts)``; ValueError ``"embedder returned <m> vectors
+    for <n> <what>"`` unless it holds one row per text."""
+    matrix = embedder.embed(list(texts))
+    if matrix.shape[0] != len(texts):
+        raise ValueError(f"embedder returned {matrix.shape[0]} vectors for {len(texts)} {what}")
+    return matrix
 
 
 class HashEmbedder:

@@ -26,7 +26,7 @@ from .cache import (
     write_file, write_jsonl, write_rkv1,
 )
 from .corpus import QAPair
-from .embedding import Embedder
+from .embedding import Embedder, checked_embed
 
 __all__ = [
     "AdapterParams",
@@ -245,13 +245,13 @@ def train_adapter(
     """Gradient-descent training of a linear adapter on question-context pairs.
 
     Base embeddings come from two batch calls, ``base_embed.embed`` of all
-    questions and of all contexts; a pair either of which embeds to zero is
-    rejected by id. The weight starts at identity, so the epoch-0 model
-    equals the base model; each epoch reshuffles with the seeded generator
-    and fills batches in that order, moving a pair whose context the batch
-    already holds on to a later batch, so no pair's positive is another's
-    negative; a batch is kept only if it still contains a negative
-    (size >= 2). The run is deterministic under (pairs, embedder, config).
+    questions and of all contexts, each checked by ``checked_embed`` to hold
+    one row per text; a pair either of which embeds to zero is rejected by
+    id. The weight starts at identity, so the epoch-0 model equals the base
+    model; each epoch reshuffles with the seeded generator and fills
+    batches in that order, moving a pair whose context the batch already
+    holds on to a later batch, so no pair's positive is another's negative;
+    a batch is kept only if it still contains a negative (size >= 2). The run is deterministic under (pairs, embedder, config).
     ``epoch_callback`` receives a snapshot of the parameters after every
     epoch, e.g. to record per-epoch retrieval quality on a held-out set.
     """
@@ -262,8 +262,10 @@ def train_adapter(
     context_texts = [p.context for p in pairs]
     if len(set(context_texts)) < 2:
         raise ValueError("need at least 2 distinct contexts for in-batch negatives")
-    questions = np.asarray(base_embed.embed([p.question for p in pairs]), dtype=np.float64)
-    contexts = np.asarray(base_embed.embed(context_texts), dtype=np.float64)
+    questions = np.asarray(
+        checked_embed(base_embed, [p.question for p in pairs], "questions"), dtype=np.float64
+    )
+    contexts = np.asarray(checked_embed(base_embed, context_texts, "contexts"), dtype=np.float64)
     for pair, q, p in zip(pairs, questions, contexts):
         if not q.any():
             raise ValueError(f"pair {pair.pair_id}: base embedding of question is all-zero")

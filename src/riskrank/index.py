@@ -259,13 +259,11 @@ def dense_search_many(
 def _exact_scores(rows: np.ndarray, kept: np.ndarray, q: np.ndarray) -> list[float]:
     """``math.fsum`` of ``rows[i] * q`` for each ``i`` in ``kept``, bit for bit.
 
-    A query with zero coordinates sums only its nonzero ones, and rescores
-    over the full row any row whose sum is zero (see the comment above
-    ``dense_search_many``); a fully dense query gathers nothing.
+    Only the query's nonzero coordinates are summed, and any row whose sum
+    is zero is scored again over its full row (see the comment above
+    ``dense_search_many``).
     """
     nonzero = np.flatnonzero(q)
-    if len(nonzero) == len(q):
-        return [math.fsum(p) for p in (rows[kept] * q).tolist()]
     products = rows[kept[:, None], nonzero] * q[nonzero]
     scores = [math.fsum(p) for p in products.tolist()]
     for i, score in enumerate(scores):

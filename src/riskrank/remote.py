@@ -8,8 +8,10 @@ Wire format: ``POST {base_url}/embeddings`` with JSON body
 ``RemoteEmbedder.embed`` goes through ``cache.cached_embed``: texts already
 in the vector cache are served locally, and all misses go to one
 ``RemoteEmbedder.fetch`` that sends them in batches of at most ``max_batch``
-texts per request. Batches may be issued concurrently; ordering is restored
-by position, never by arrival. The cache keeps the raw provider vectors;
+texts per request. Every batch goes through one thread pool of ``jobs``
+workers and comes back as one checked ``(len(batch), dim)`` float32 matrix;
+``fetch`` joins them by position, never by arrival, into one matrix, which
+``cached_embed`` stores as it is. The cache keeps the raw provider vectors;
 ``embedding.unit_rows`` normalizes them on the way out, as it does index
 rows and queries. The API key is read only when some text misses the cache.
 """
@@ -68,7 +70,8 @@ def _api_key(config: ProviderConfig) -> str:
     return key
 
 
-def _fetch_batch(config: ProviderConfig, key: str, batch: list[str]) -> list[np.ndarray]:
+def _fetch_batch(config: ProviderConfig, key: str, batch: list[str]) -> np.ndarray:
+    """The provider's ``(len(batch), dim)`` float32 matrix for ``batch``, checked."""
     url = config.base_url.rstrip("/") + "/embeddings"
     try:
         resp = requests.post(
@@ -91,58 +94,49 @@ def _fetch_batch(config: ProviderConfig, key: str, batch: list[str]) -> list[np.
     try:
         data = resp.json()["data"]
         by_index = {int(entry["index"]): entry["embedding"] for entry in data}
+        if sorted(by_index) != list(range(len(batch))):
+            raise RemoteEmbedError(
+                f"provider {config.provider_id}: partial response: got indices "
+                f"{sorted(by_index)} for a batch of {len(batch)}",
+                retryable=False,
+            )
+        # A ragged or non-numeric list of embeddings raises ValueError or TypeError.
+        matrix = np.asarray([by_index[i] for i in range(len(batch))], dtype=np.float32)
     except (KeyError, TypeError, ValueError) as exc:
         raise RemoteEmbedError(
             f"provider {config.provider_id}: malformed response body: {exc}",
             retryable=False,
         ) from exc
-    if sorted(by_index) != list(range(len(batch))):
+    if matrix.shape != (len(batch), config.dim):
         raise RemoteEmbedError(
-            f"provider {config.provider_id}: partial response: got indices "
-            f"{sorted(by_index)} for a batch of {len(batch)}",
+            f"provider {config.provider_id}: expected dim {config.dim}, "
+            f"got {matrix.shape[1:]}",
             retryable=False,
         )
-    vectors = []
-    for i in range(len(batch)):
-        vec = np.asarray(by_index[i], dtype=np.float32)
-        if vec.ndim != 1 or vec.shape[0] != config.dim:
-            raise RemoteEmbedError(
-                f"provider {config.provider_id}: expected dim {config.dim}, "
-                f"got {vec.shape}",
-                retryable=False,
-            )
-        if not np.all(np.isfinite(vec)):
-            raise RemoteEmbedError(
-                f"provider {config.provider_id} ({config.model_id}): "
-                f"non-finite vector for input {i} of a batch of {len(batch)}",
-                retryable=False,
-            )
-        vectors.append(vec)
-    return vectors
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        raise RemoteEmbedError(
+            f"provider {config.provider_id} ({config.model_id}): non-finite vector "
+            f"for input {int(np.argmin(finite))} of a batch of {len(batch)}",
+            retryable=False,
+        )
+    return matrix
 
 
 class RemoteEmbedder:
-    """Cache-first batch embedder over one embedding API."""
+    """Cache-first batch embedder over one embedding API.
+
+    ``jobs`` bounds the requests in flight to the provider at once.
+    """
 
     def __init__(
         self, config: ProviderConfig, cache: VectorCache | None = None, *, jobs: int = 1
     ):
         self.config = config
+        self.dim, self.provider_id, self.model_id = config.dim, config.provider_id, config.model_id
         self.cache = cache if cache is not None else VectorCache()
         self.jobs = jobs
         check_values(self, {"jobs": POSITIVE_INTEGER})
-
-    @property
-    def dim(self) -> int:
-        return self.config.dim
-
-    @property
-    def provider_id(self) -> str:
-        return self.config.provider_id
-
-    @property
-    def model_id(self) -> str:
-        return self.config.model_id
 
     def embed(self, texts: list[str]) -> np.ndarray:
         """Embed ``texts`` into an ``(n, dim)`` matrix of L2-normalized rows.
@@ -150,14 +144,18 @@ class RemoteEmbedder:
         Cached digests never touch the network; the cache keeps the raw
         provider vectors, and ``unit_rows`` normalizes them on the way out.
         """
-        if not texts:
-            raise ValueError("texts must be nonempty")
         matrix, _ = cached_embed(self.cache, self.config, texts, self.fetch)
         return unit_rows(matrix, texts, "text").astype(np.float32)
 
-    def fetch(self, texts: list[str]) -> list[np.ndarray]:
-        """Raw provider vectors for ``texts``, in order, bypassing the cache."""
+    def fetch(self, texts: list[str]) -> np.ndarray:
+        """The raw ``(n, dim)`` float32 provider matrix for ``texts``, bypassing the cache.
+
+        Every batch goes through one pool of ``jobs`` threads; the batch
+        matrices are joined in input order. No texts, no request.
+        """
         config = self.config
+        if not texts:
+            return np.empty((0, config.dim), dtype=np.float32)
         key = _api_key(config)
         batches = [
             texts[start : start + config.max_batch]
@@ -167,10 +165,5 @@ class RemoteEmbedder:
             "fetching %d texts in %d batches from %s",
             len(texts), len(batches), config.provider_id,
         )
-        run = partial(_fetch_batch, config, key)
-        if self.jobs > 1 and len(batches) > 1:
-            with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-                results = list(pool.map(run, batches))
-        else:
-            results = [run(batch) for batch in batches]
-        return [vec for vectors in results for vec in vectors]
+        with ThreadPoolExecutor(max_workers=self.jobs) as pool:
+            return np.concatenate(list(pool.map(partial(_fetch_batch, config, key), batches)))

@@ -16,8 +16,9 @@ class _EmbeddingHandler(BaseHTTPRequestHandler):
     """Minimal embeddings endpoint; the model id selects the behavior.
 
     ``ok-<dim>`` answers correctly, ``wrong-dim`` answers with 4-dim vectors,
-    ``partial`` drops the last entry, ``nan`` puts a NaN in the last vector,
-    and ``boom`` returns HTTP 500.
+    ``ragged`` makes the last vector 4-dim among 8-dim ones, ``partial`` drops
+    the last entry, ``nan`` puts a NaN in the last vector, and ``boom``
+    returns HTTP 500.
     """
 
     def do_POST(self):  # noqa: N802  (http.server API)
@@ -48,6 +49,8 @@ class _EmbeddingHandler(BaseHTTPRequestHandler):
             {"index": i, "embedding": server_vector(text, dim)}
             for i, text in enumerate(texts)
         ]
+        if model == "ragged" and data:
+            data[-1]["embedding"] = data[-1]["embedding"][:4]
         if model == "partial" and data:
             data = data[:-1]
         if model == "nan" and data:

@@ -430,3 +430,13 @@ class TestRunDir:
         run_dir = make_run_dir(tmp_path, "deadbeefcafe0123", now=stamp)
         assert run_dir.name == "20240801T120000-deadbeef"
         assert run_dir.is_dir()
+
+    def test_a_taken_name_is_never_reused(self, tmp_path):
+        from datetime import datetime, timezone
+
+        stamp = datetime(2024, 8, 1, 12, 0, 0, tzinfo=timezone.utc)
+        names = [make_run_dir(tmp_path, "deadbeefcafe0123", now=stamp).name for _ in range(3)]
+        assert names == [
+            "20240801T120000-deadbeef", "20240801T120000-deadbeef-2", "20240801T120000-deadbeef-3",
+        ]
+        assert sorted(path.name for path in tmp_path.iterdir()) == names

@@ -8,9 +8,14 @@ from pathlib import Path
 
 import pytest
 
+from riskrank import cli
 from riskrank.cli import main
 from riskrank.corpus import load_qa_pairs, split_pairs
 from riskrank.embedding import HashEmbedder
+
+
+def fail_if_called(*args, **kwargs):
+    raise AssertionError("work started before every operand was checked")
 
 
 def write_config(path, payload):
@@ -318,6 +323,17 @@ class TestIngestChunkEmbedIndex:
         assert (out / "vectors.bin").exists()
         assert (out / "postings.jsonl").exists()
 
+    def test_index_mode_outside_the_modes_is_a_usage_error(self, workspace, capsys):
+        tmp_path, data_dir, config = workspace
+        cfg = write_config(tmp_path / "cfg.json", {**config, "mode": "foo"})
+        out = tmp_path / "idx"
+        assert main(["index", "-c", cfg, "--input", str(data_dir / "pairs.jsonl"),
+                     "-o", str(out)]) == 1
+        assert "mode must be one of ('dense', 'lexical', 'hybrid'), got 'foo'" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
     def test_index_holds_one_item_per_distinct_context(self, tmp_path):
         pairs = tmp_path / "pairs.jsonl"
         records = [("a", "shared passage"), ("b", "own passage"), ("c", "shared passage")]
@@ -455,6 +471,33 @@ class TestTrainEvalBench:
         tmp_path, data_dir, config = workspace
         cfg = write_config(tmp_path / "cfg.json", {**config, "out_dir": str(tmp_path)})
         assert main(["bench", "-c", cfg]) == 1
+
+    def test_train_without_out_dir_trains_nothing(self, workspace, monkeypatch, capsys):
+        tmp_path, _, config = workspace
+        monkeypatch.setattr(cli, "train_adapter", fail_if_called)
+        assert main(["train", "-c", write_config(tmp_path / "cfg.json", config)]) == 1
+        assert "train requires 'out_dir'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bench, problem",
+        [
+            ({"systems": [{"name": "a"}], "reference": "a", "out_dir": None},
+             "bench requires 'out_dir'"),
+            ({"systems": [{"name": "a"}, {"dim": 8}], "reference": "a"}, "needs a 'name'"),
+            ({"systems": [{"name": "a"}, {"name": "a"}], "reference": "a"}, "appears twice"),
+            ({"systems": [{"name": "a"}], "reference": "b"}, "naming one of the systems"),
+        ],
+        ids=["no-out-dir", "system-without-name", "duplicate-name", "unknown-reference"],
+    )
+    def test_bench_checks_every_system_before_any_run(
+        self, workspace, monkeypatch, capsys, bench, problem
+    ):
+        tmp_path, _, config = workspace
+        monkeypatch.setattr(cli, "run_eval", fail_if_called)
+        cfg = {**config, "out_dir": str(tmp_path / "bench"), **bench}
+        assert main(["bench", "-c", write_config(tmp_path / "bench.json", cfg)]) == 1
+        assert problem in capsys.readouterr().err
+        assert not (tmp_path / "bench").exists()
 
 
 class TestConfigContract:

@@ -362,6 +362,19 @@ class TestTrainAdapter:
         with pytest.raises(ValueError, match="bad-2"):
             train_adapter(pairs, embedder, TrainingConfig(batch_size=2))
 
+    @pytest.mark.parametrize("extra", [-3, 1])
+    def test_embedder_row_count_is_checked(self, extra):
+        pairs = tiny_corpus()
+        hash_embedder = HashEmbedder(dim=16, seed=0)
+
+        class WrongRows:  # ``extra`` rows more than texts, the rows repeating
+            def embed(self, texts):
+                return np.resize(hash_embedder.embed(texts), (len(texts) + extra, 16))
+
+        n = len(pairs)
+        with pytest.raises(ValueError, match=f"embedder returned {n + extra} vectors for {n} "):
+            train_adapter(pairs, WrongRows(), TrainingConfig(batch_size=4))
+
     def test_epoch_callback_sees_snapshots(self):
         pairs = tiny_corpus()
         embedder = HashEmbedder(dim=16, seed=0)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from riskrank import remote
 from riskrank.cache import CorruptCacheError, VectorCache, cached_embed, text_digest
 from riskrank.corpus import QAPair
 from riskrank.finetune import TrainingConfig, train_adapter
@@ -147,6 +148,33 @@ def test_dim_mismatch_is_hard_error(embedding_server, tmp_path):
     assert not excinfo.value.retryable
 
 
+def test_ragged_response_is_hard_error(embedding_server, tmp_path):
+    config = make_config(embedding_server, model="ragged")
+    with pytest.raises(RemoteEmbedError) as excinfo:
+        embed_remote(config, ["alpha", "beta"], VectorCache(tmp_path))
+    assert not excinfo.value.retryable
+    assert "testprov" in str(excinfo.value)
+    assert not list(tmp_path.rglob("*.vec"))
+
+
+@pytest.mark.parametrize("embedding", ["not a vector", ["x"] * 8, [None, {}] * 4])
+def test_non_numeric_embedding_is_hard_error(tmp_path, monkeypatch, embedding):
+    class Response:
+        status_code = 200
+
+        def json(self):
+            return {"data": [{"index": 0, "embedding": embedding}]}
+
+    monkeypatch.setattr(remote.requests, "post", lambda *args, **kwargs: Response())
+    config = ProviderConfig(
+        "testprov", "ok-8", "http://127.0.0.1:9", "RISKRANK_TEST_API_KEY", dim=8
+    )
+    with pytest.raises(RemoteEmbedError) as excinfo:
+        RemoteEmbedder(config, VectorCache(tmp_path)).fetch(["alpha"])
+    assert not excinfo.value.retryable
+    assert "testprov" in str(excinfo.value)
+
+
 def test_partial_response_is_hard_error(embedding_server, tmp_path):
     config = make_config(embedding_server, model="partial")
     with pytest.raises(RemoteEmbedError) as excinfo:
@@ -172,6 +200,25 @@ def test_http_failure_is_retryable(embedding_server, tmp_path):
     assert "testprov" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("jobs", [1, 4])
+def test_failing_fetch_stops_sending(embedding_server, tmp_path, jobs):
+    config = make_config(embedding_server, model="boom", max_batch=1)
+    embedder = RemoteEmbedder(config, VectorCache(tmp_path), jobs=jobs)
+    with pytest.raises(RemoteEmbedError):
+        embedder.fetch([f"text {i}" for i in range(200)])
+    assert 1 <= len(embedding_server.requests) <= 2 * jobs + 2
+
+
+def test_parallel_and_serial_fetches_are_byte_identical(embedding_server, tmp_path):
+    config = make_config(embedding_server, max_batch=3)
+    texts = [f"item {i}" for i in range(23)]
+    serial = RemoteEmbedder(config, VectorCache(tmp_path), jobs=1).fetch(texts)
+    parallel = RemoteEmbedder(config, VectorCache(tmp_path), jobs=4).fetch(texts)
+    assert serial.shape == (23, 8) and serial.dtype == np.float32
+    assert parallel.tobytes() == serial.tobytes()
+    assert serial.tolist() == [server_vector(text, 8) for text in texts]
+
+
 def test_connection_failure_is_retryable(tmp_path):
     config = ProviderConfig(
         provider_id="nowhere",
@@ -194,10 +241,12 @@ def test_missing_api_key(embedding_server, tmp_path, monkeypatch):
     assert "RISKRANK_TEST_API_KEY" in str(excinfo.value)
 
 
-def test_empty_texts_rejected(embedding_server, tmp_path):
-    config = make_config(embedding_server)
-    with pytest.raises(ValueError):
-        embed_remote(config, [], VectorCache(tmp_path))
+def test_empty_texts_give_an_empty_matrix_and_no_request(embedding_server, tmp_path, monkeypatch):
+    monkeypatch.delenv("RISKRANK_TEST_API_KEY")
+    embedder = RemoteEmbedder(make_config(embedding_server), VectorCache(tmp_path))
+    for matrix in (embedder.fetch([]), embedder.embed([])):
+        assert matrix.shape == (0, 8) and matrix.dtype == np.float32
+    assert embedding_server.requests == []
 
 
 def test_config_validation():
