@@ -2,14 +2,20 @@
 
     riskrank synth | ingest | chunk | embed | index | train | eval | bench
 
-Each run resolves its configuration from defaults, then the JSON config
-file (``-c``), then flag overrides (flags win), and prints the resolved
-config digest. Each section goes as it is to its typed config (SplitConfig,
-TrainingConfig, EvalConfig, HashEmbedder or ProviderConfig), which owns its
-defaults and checks and refuses unknown keys; a top-level ``seed`` is the
-default seed of ``split``, ``training`` and ``eval``. Exit codes: 0 on
-success, 1 on usage errors (a refused config value among them), 2 on runtime
-errors (one ``riskrank: error: ...`` line; ``--verbose`` adds a traceback).
+Each run resolves its configuration once, from the subcommand's defaults,
+then the JSON config file (-c), then the flags given (flags > file >
+defaults), and prints the resolved config digest. Every flag but -c and
+--verbose sets the config key of its own name, except -o (out_dir), --k
+(eval.k_list), --text-field (text_field), synth's --pairs and --vocab
+(pairs_per_cluster, vocab_per_cluster) and ingest's --pairs, --format and
+--docs (pairs_path, pairs_format, docs_dir). A flag not given sets nothing.
+--mode also sets eval.retrieval_mode, and --seed the seed of each of split,
+training and eval that is present; a top-level seed is their default. Each
+section goes as it is to its typed config (SplitConfig, TrainingConfig,
+EvalConfig, HashEmbedder or ProviderConfig), which owns its defaults and
+checks and refuses unknown keys. Exit codes: 0 on success, 1 on usage errors
+(a refused config value among them), 2 on runtime errors (one "riskrank:
+error: ..." line; --verbose adds a traceback).
 """
 
 from __future__ import annotations
@@ -64,12 +70,42 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+class _ConfigFlag(argparse.Action):
+    """A flag whose ``dest`` is the config key it sets (``eval.k_list`` is the key
+    ``k_list`` of the section ``eval``). It has no default: a flag that is not
+    given stays out of ``namespace.flags``, so it never masks the config file."""
+
+    def __init__(self, option_strings: list[str], dest: str, **kwargs: Any) -> None:
+        super().__init__(option_strings, dest, default=argparse.SUPPRESS, **kwargs)
+
+    def __call__(self, parser, namespace, values, option_string=None) -> None:
+        namespace.flags = {**namespace.flags, self.dest: values}
+
+
+def _k_list(text: str) -> list[int]:
+    try:
+        return [int(part) for part in text.split(",") if part]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects comma-separated integers: {text!r}") from None
+
+
+def _command(
+    subs, name: str, handler: Callable[[dict[str, Any]], int], help: str,
+    defaults: dict[str, Any], required: Sequence[str],
+) -> argparse.ArgumentParser:
+    """Subcommand ``name`` with the flags every subcommand has. ``defaults`` is its
+    config before the file and the flags; each key of ``required`` must end up set."""
+    sub = subs.add_parser(name, help=help)
     sub.add_argument("-c", "--config", metavar="PATH", help="JSON config file")
-    sub.add_argument("-o", "--out", metavar="DIR", help="output directory or file")
-    sub.add_argument("--seed", type=int, help="override every seed in the config")
-    sub.add_argument("--jobs", type=int, help="parallelism bound for embedding batches")
+    sub.add_argument("-o", "--out", dest="out_dir", action=_ConfigFlag, metavar="DIR",
+                     help="output directory or file")
+    sub.add_argument("--seed", action=_ConfigFlag, type=int,
+                     help="override every seed in the config")
+    sub.add_argument("--jobs", action=_ConfigFlag, type=int,
+                     help="parallelism bound for embedding batches")
     sub.add_argument("--verbose", action="store_true", help="debug logging and tracebacks")
+    sub.set_defaults(handler=handler, defaults=defaults, required=required, flags={})
+    return sub
 
 
 def build_parser() -> _Parser:
@@ -77,54 +113,54 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"riskrank {__version__}")
     subs = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    p = subs.add_parser("synth", help="generate a clustered synthetic QA corpus")
-    _add_common(p)
-    p.add_argument("--clusters", type=int, default=5)
-    p.add_argument("--pairs", type=int, default=100, help="pairs per cluster")
-    p.add_argument("--vocab", type=int, default=50, help="words per cluster vocabulary")
-    p.set_defaults(handler=cmd_synth)
+    p = _command(subs, "synth", cmd_synth, "generate a clustered synthetic QA corpus",
+                 {"clusters": 5, "pairs_per_cluster": 100, "vocab_per_cluster": 50, "seed": 7},
+                 required=("out_dir",))
+    p.add_argument("--clusters", action=_ConfigFlag, type=int)
+    p.add_argument("--pairs", dest="pairs_per_cluster", action=_ConfigFlag, type=int,
+                   metavar="PAIRS", help="pairs per cluster")
+    p.add_argument("--vocab", dest="vocab_per_cluster", action=_ConfigFlag, type=int,
+                   metavar="VOCAB", help="words per cluster vocabulary")
 
-    p = subs.add_parser("ingest", help="normalize QA pair files and text documents")
-    _add_common(p)
-    p.add_argument("--pairs", metavar="PATH", help="QA pairs file (jsonl or csv)")
-    p.add_argument("--format", choices=("jsonl", "csv"), help="force the pairs format")
-    p.add_argument("--docs", metavar="DIR", help="directory of plain-text documents")
-    p.set_defaults(handler=cmd_ingest)
+    p = _command(subs, "ingest", cmd_ingest, "normalize QA pair files and text documents",
+                 {"pairs_path": None, "docs_dir": None}, required=("out_dir",))
+    p.add_argument("--pairs", dest="pairs_path", action=_ConfigFlag, metavar="PATH",
+                   help="QA pairs file (jsonl or csv)")
+    p.add_argument("--format", dest="pairs_format", action=_ConfigFlag,
+                   choices=("jsonl", "csv"), help="force the pairs format")
+    p.add_argument("--docs", dest="docs_dir", action=_ConfigFlag, metavar="DIR",
+                   help="directory of plain-text documents")
 
-    p = subs.add_parser("chunk", help="split documents into overlapping token windows")
-    _add_common(p)
-    p.add_argument("--docs", metavar="PATH", help="documents.jsonl or a directory of .txt")
-    p.add_argument("--window", type=int, default=256)
-    p.add_argument("--stride", type=int, default=192)
-    p.set_defaults(handler=cmd_chunk)
+    p = _command(subs, "chunk", cmd_chunk, "split documents into overlapping token windows",
+                 {"docs": None, "window": 256, "stride": 192}, required=("docs", "out_dir"))
+    p.add_argument("--docs", action=_ConfigFlag, metavar="PATH",
+                   help="documents.jsonl or a directory of .txt")
+    p.add_argument("--window", action=_ConfigFlag, type=int)
+    p.add_argument("--stride", action=_ConfigFlag, type=int)
 
-    p = subs.add_parser("embed", help="embed texts into the vector cache")
-    _add_common(p)
-    p.add_argument("--input", metavar="PATH", help="JSONL file holding the texts")
-    p.add_argument("--text-field", default="context", help="JSON field to embed")
-    p.set_defaults(handler=cmd_embed)
+    p = _command(subs, "embed", cmd_embed, "embed texts into the vector cache",
+                 {"input": None, "text_field": "context"}, required=("input",))
+    p.add_argument("--input", action=_ConfigFlag, metavar="PATH",
+                   help="JSONL file holding the texts")
+    p.add_argument("--text-field", action=_ConfigFlag, help="JSON field to embed")
 
-    p = subs.add_parser("index", help="build and persist a retrieval index")
-    _add_common(p)
-    p.add_argument("--input", metavar="PATH", help="pairs.jsonl whose contexts are indexed")
-    p.add_argument("--mode", choices=("dense", "lexical", "hybrid"))
-    p.set_defaults(handler=cmd_index)
+    p = _command(subs, "index", cmd_index, "build and persist a retrieval index",
+                 {"input": None, "mode": "dense"}, required=("input", "out_dir"))
+    p.add_argument("--input", action=_ConfigFlag, metavar="PATH",
+                   help="pairs.jsonl whose contexts are indexed")
+    p.add_argument("--mode", action=_ConfigFlag, choices=RETRIEVAL_MODES)
 
-    p = subs.add_parser("train", help="train a linear adapter on the train split")
-    _add_common(p)
-    p.set_defaults(handler=cmd_train)
+    _command(subs, "train", cmd_train, "train a linear adapter on the train split",
+             {"training": {}}, required=("pairs_path", "out_dir"))
 
-    p = subs.add_parser("eval", help="retrieve and score the test split")
-    _add_common(p)
-    p.add_argument("--mode", choices=("dense", "lexical", "hybrid"))
-    p.add_argument("--k", metavar="LIST", help="comma-separated metric cutoffs")
-    p.set_defaults(handler=cmd_eval)
-
-    p = subs.add_parser("bench", help="compare systems and emit the benchmark table")
-    _add_common(p)
-    p.add_argument("--mode", choices=("dense", "lexical", "hybrid"))
-    p.add_argument("--k", metavar="LIST", help="comma-separated metric cutoffs")
-    p.set_defaults(handler=cmd_bench)
+    for name, handler, help in (
+        ("eval", cmd_eval, "retrieve and score the test split"),
+        ("bench", cmd_bench, "compare systems and emit the benchmark table"),
+    ):
+        p = _command(subs, name, handler, help, {"eval": {}}, required=("pairs_path", "out_dir"))
+        p.add_argument("--mode", action=_ConfigFlag, choices=RETRIEVAL_MODES)
+        p.add_argument("--k", dest="eval.k_list", action=_ConfigFlag, type=_k_list,
+                       metavar="LIST", help="comma-separated metric cutoffs")
 
     return parser
 
@@ -138,12 +174,11 @@ def build_parser() -> _Parser:
 SEEDED_SECTIONS = ("split", "training", "eval")
 
 
-def _resolve_config(
-    args: argparse.Namespace, defaults: dict[str, Any], required: Sequence[str] = ()
-) -> dict[str, Any]:
-    """The resolved config; a key of ``required`` that is missing or empty is a
-    usage error, raised before the command does any work."""
-    cfg = json.loads(json.dumps(defaults))  # deep copy
+def _resolve_config(args: argparse.Namespace) -> dict[str, Any]:
+    """The subcommand's defaults, then the ``-c`` file, then the flags given. A
+    key of ``args.required`` that is missing or empty is a usage error, raised
+    before the command does any work."""
+    cfg = json.loads(json.dumps(args.defaults))  # deep copy
     if args.config:
         try:
             _deep_merge(cfg, read_json(args.config, {}))
@@ -151,8 +186,8 @@ def _resolve_config(
             raise UsageError(f"config file not found: {args.config}") from exc
         except ValueError as exc:
             raise UsageError(f"config file {exc}") from exc
-    _apply_flag_overrides(cfg, args)
-    for key in required:
+    _apply_flags(cfg, args.flags)
+    for key in args.required:
         if cfg.get(key) in (None, ""):
             raise UsageError(f"{args.command} requires {key!r} (config key or flag)")
     print(f"config digest: {json_digest(cfg)}")
@@ -168,25 +203,19 @@ def _deep_merge(base: dict, extra: dict) -> None:
             base[key] = value
 
 
-def _apply_flag_overrides(cfg: dict[str, Any], args: argparse.Namespace) -> None:
-    if getattr(args, "out", None):
-        cfg["out_dir"] = args.out
-    if getattr(args, "jobs", None) is not None:
-        cfg["jobs"] = args.jobs
-    if getattr(args, "mode", None):
-        _object(cfg, "eval", create=True)["retrieval_mode"] = args.mode
-        cfg["mode"] = args.mode
-    if getattr(args, "k", None):
-        try:
-            k_list = [int(part) for part in args.k.split(",") if part]
-        except ValueError as exc:
-            raise UsageError(f"--k expects comma-separated integers: {args.k!r}") from exc
-        _object(cfg, "eval", create=True)["k_list"] = k_list
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
+def _apply_flags(cfg: dict[str, Any], flags: dict[str, Any]) -> None:
+    """Set the config key of each flag given. ``--mode`` also sets
+    ``eval.retrieval_mode``, and ``--seed`` also sets the seed of each of
+    ``SEEDED_SECTIONS`` present once the other flags are set."""
+    if "mode" in flags:
+        _object(cfg, "eval", create=True)["retrieval_mode"] = flags["mode"]
+    for key, value in flags.items():
+        section, _, leaf = key.rpartition(".")
+        (_object(cfg, section, create=True) if section else cfg)[leaf] = value
+    if "seed" in flags:
         for section in SEEDED_SECTIONS:
             if section in cfg:
-                _object(cfg, section)["seed"] = args.seed
+                _object(cfg, section)["seed"] = flags["seed"]
 
 
 def _object(cfg: dict[str, Any], name: str, create: bool = False) -> dict[str, Any]:
@@ -236,17 +265,7 @@ def _load_pairs_and_split(cfg: dict[str, Any]):
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(
-        args,
-        {
-            "clusters": args.clusters,
-            "pairs_per_cluster": args.pairs,
-            "vocab_per_cluster": args.vocab,
-            "seed": 7,
-        },
-        required=("out_dir",),
-    )
+def cmd_synth(cfg: dict[str, Any]) -> int:
     out_dir = Path(cfg["out_dir"])
     try:
         documents, pairs = synth_dataset(
@@ -264,16 +283,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_ingest(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(
-        args, {"pairs_path": args.pairs, "docs_dir": args.docs}, required=("out_dir",)
-    )
+def cmd_ingest(cfg: dict[str, Any]) -> int:
     if not cfg.get("pairs_path") and not cfg.get("docs_dir"):
         raise UsageError("ingest requires --pairs and/or --docs")
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     if cfg.get("pairs_path"):
-        pairs = load_qa_pairs(cfg["pairs_path"], args.format or cfg.get("pairs_format"))
+        pairs = load_qa_pairs(cfg["pairs_path"], cfg.get("pairs_format"))
         save_qa_pairs(pairs, out_dir / "pairs.jsonl")
         print(f"ingested {len(pairs)} pairs -> {out_dir / 'pairs.jsonl'}")
     if cfg.get("docs_dir"):
@@ -283,12 +299,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_chunk(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(
-        args,
-        {"docs": args.docs, "window": args.window, "stride": args.stride},
-        required=("docs", "out_dir"),
-    )
+def cmd_chunk(cfg: dict[str, Any]) -> int:
     out = Path(cfg["out_dir"])
     try:
         check_chunking(cfg["window"], cfg["stride"])
@@ -308,10 +319,7 @@ def cmd_chunk(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_embed(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(
-        args, {"input": args.input, "text_field": args.text_field}, required=("input",)
-    )
+def cmd_embed(cfg: dict[str, Any]) -> int:
     field = cfg["text_field"]
     texts = [record[field] for _, record in read_jsonl(cfg["input"], {field: NONEMPTY_STRING})]
     if not texts:
@@ -327,10 +335,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_index(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(
-        args, {"input": args.input, "mode": args.mode or "dense"}, required=("input", "out_dir")
-    )
+def cmd_index(cfg: dict[str, Any]) -> int:
     mode = cfg["mode"]
     if mode not in RETRIEVAL_MODES:
         raise UsageError(f"index: mode must be one of {RETRIEVAL_MODES}, got {mode!r}")
@@ -348,8 +353,7 @@ def cmd_index(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args, {"training": {}}, required=("pairs_path", "out_dir"))
+def cmd_train(cfg: dict[str, Any]) -> int:
     embedder = _build_embedder(cfg)
     training = _section(cfg, "training", TrainingConfig)
     pairs, split = _load_pairs_and_split(cfg)
@@ -379,27 +383,21 @@ def _emit_run(report, out_dir: Path, stem: str, config: EvalConfig, what: str) -
     print(f"{what} artifacts -> {run_dir}")
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args, {"eval": {}}, required=("pairs_path", "out_dir"))
+def cmd_eval(cfg: dict[str, Any]) -> int:
     embedder = _build_embedder(cfg)
     label = cfg.get("system") or f"{embedder.provider_id}/{embedder.model_id}"
     config = _section(cfg, "eval", EvalConfig, system=label)
     pairs, split = _load_pairs_and_split(cfg)
-    adapter = None
     if cfg.get("adapter_dir"):
         adapter, _ = load_adapter(cfg["adapter_dir"])
-    out_dir = Path(cfg["out_dir"])
-
-    if adapter is None:
-        report = run_eval(pairs, split, embedder, config)
-    else:
         report = compare_adapter(pairs, split, embedder, config, adapter)
-    _emit_run(report, out_dir, "report", config, "eval")
+    else:
+        report = run_eval(pairs, split, embedder, config)
+    _emit_run(report, Path(cfg["out_dir"]), "report", config, "eval")
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args, {"eval": {}}, required=("pairs_path", "out_dir"))
+def cmd_bench(cfg: dict[str, Any]) -> int:
     systems = cfg.get("systems")
     if not systems or type(systems) is not list or any(type(s) is not dict for s in systems):
         raise UsageError(f"config section 'systems': bench requires a nonempty list "
@@ -415,13 +413,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if name in runs:
             raise UsageError(f"config section 'systems': system {name!r} appears twice")
         embedder = _build_embedder({**cfg, **system})
-        dims[name] = dim = system.get("dim", embedder.dim)
-        if type(dim) is not int or dim < 1:
-            raise UsageError(f"config section 'systems': system {name!r}: "
-                             f"dim must be an integer >= 1, got {dim!r}")
         adapter = None
         if system.get("adapter_dir"):
             adapter, _ = load_adapter(system["adapter_dir"])
+        dims[name] = embedder.dim if adapter is None else adapter.d_out
+        if "dim" in system and (type(system["dim"]) is not int or system["dim"] != dims[name]):
+            raise UsageError(f"config section 'systems': system {name!r}: dim must be "
+                             f"its embedding size {dims[name]}, got {system['dim']!r}")
         runs[name] = (embedder, _section(cfg, "eval", EvalConfig, system=name), adapter)
     reference = cfg.get("reference")
     if type(reference) is not str or reference not in runs:
@@ -455,7 +453,7 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return args.handler(args)
+        return args.handler(_resolve_config(args))
     except UsageError as exc:
         print(f"riskrank: usage error: {exc}", file=sys.stderr)
         print(f"run 'riskrank {args.command} --help' for usage", file=sys.stderr)

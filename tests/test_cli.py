@@ -1,7 +1,9 @@
 """Exit codes, config precedence, and the synth -> train -> eval -> bench path."""
 
+import argparse
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from riskrank import cli
-from riskrank.cli import main
+from riskrank.cli import build_parser, main
 from riskrank.corpus import load_qa_pairs, split_pairs
 from riskrank.embedding import HashEmbedder
 
@@ -117,6 +119,8 @@ EVAL_HYBRID = ["eval", "--mode", "hybrid"]
         ({"embedder": REMOTE_SPEC}, ["eval", "--jobs", "0"]),
         ({"embedder": REMOTE_SPEC, "jobs": "2"}, ["eval"]),
         ({"embedder": {**REMOTE_SPEC, "timeout_ms": 1.5}}, ["eval"]),
+        ({"eval": {}}, ["eval", "--k", ""]),
+        ({"systems": [{"name": "a", "dim": 999}], "reference": "a"}, ["bench"]),
     ],
     ids=["eval-unknown-key", "eval-k-list-not-a-list", "eval-not-an-object",
          "split-ratio-not-a-number", "embedder-missing-key", "eval-rerank",
@@ -125,7 +129,8 @@ EVAL_HYBRID = ["eval", "--mode", "hybrid"]
          "embedder-unknown-key", "embedder-float-dim", "split-float-seed",
          "eval-float-seed", "training-string-use-bias", "training-empty-list",
          "eval-empty-list-under-seed-flag", "systems-not-a-list", "systems-float-dim",
-         "jobs-flag-zero", "jobs-string", "embedder-float-timeout"],
+         "jobs-flag-zero", "jobs-string", "embedder-float-timeout", "eval-k-flag-empty",
+         "systems-dim-not-the-embedding-size"],
 )
 def test_config_section_its_type_refuses_is_a_usage_error(workspace, capsys, overrides, argv):
     # The first key of ``overrides`` is the section the error must name.
@@ -138,6 +143,65 @@ def test_config_section_its_type_refuses_is_a_usage_error(workspace, capsys, ove
     err = capsys.readouterr().err
     assert err.startswith(f"riskrank: usage error: config section '{section}': "), err
     assert not (tmp_path / "runs").exists()
+
+
+BODY_30 = " ".join(f"tok{i}" for i in range(30))
+
+
+@pytest.mark.parametrize(
+    "argv, file_values, shows",
+    [
+        (["synth", "--clusters", "2"], {"clusters": 3, "pairs_per_cluster": 2}, "wrote 4 pairs"),
+        (["synth", "--pairs", "2"], {"clusters": 2, "pairs_per_cluster": 3}, "wrote 4 pairs"),
+        (["synth", "--vocab", "50"],
+         {"clusters": 1, "pairs_per_cluster": 5, "vocab_per_cluster": 3}, "c00w049"),
+        (["ingest", "--pairs", "two.jsonl"], {"pairs_path": "three.jsonl"}, "ingested 2 pairs"),
+        (["ingest", "--docs", "docs2"], {"docs_dir": "docs1"}, "ingested 2 documents"),
+        (["chunk", "--docs", "docs2"], {"docs": "docs1"}, "from 2 documents"),
+        (["chunk", "--docs", "docs1", "--window", "30"], {"window": 5, "stride": 5},
+         json.dumps({"text": BODY_30})[1:-1]),
+        (["chunk", "--docs", "docs1", "--stride", "5"], {"window": 10, "stride": 10},
+         "wrote 6 chunks"),
+        (["embed", "--input", "two.jsonl"], {"input": "three.jsonl"}, "embedded 2 texts"),
+        (["embed", "--input", "contexts.jsonl", "--text-field", "context"],
+         {"text_field": "question"}, "embedded 2 texts"),
+        (["index", "--input", "two.jsonl"], {"input": "three.jsonl"}, "indexed 2 items"),
+    ],
+    ids=["synth-clusters", "synth-pairs", "synth-vocab", "ingest-pairs", "ingest-docs",
+         "chunk-docs", "chunk-window", "chunk-stride", "embed-input", "embed-text-field",
+         "index-input"],
+)
+def test_flag_wins_over_the_config_file(tmp_path, monkeypatch, capsys, argv, file_values, shows):
+    # ``shows`` is in what the run prints or writes only if the flag's value was used.
+    monkeypatch.chdir(tmp_path)
+    for name, count in (("two.jsonl", 2), ("three.jsonl", 3)):
+        Path(name).write_text("".join(
+            json.dumps({"question": f"q{i}", "context": f"context {i}"}) + "\n"
+            for i in range(count)
+        ))
+    Path("contexts.jsonl").write_text('{"context": "c0"}\n{"context": "c1"}\n')
+    for name, count in (("docs1", 1), ("docs2", 2)):
+        Path(name).mkdir()
+        for i in range(count):
+            Path(name, f"d{i}.txt").write_text(BODY_30)
+    cfg = write_config(tmp_path / "cfg.json",
+                       {"out_dir": "out", "cache_dir": "cache", **file_values})
+    assert main([argv[0], "-c", cfg, *argv[1:]]) == 0
+    written = "".join(p.read_text() for p in sorted(Path("out").rglob("*.jsonl")))
+    assert shows in capsys.readouterr().out + written
+
+
+def test_ingest_format_flag_is_part_of_the_config(tmp_path, capsys):
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("question,context\nq1,c1\n")
+    runs = [[], ["--format", "csv"],
+            ["-c", write_config(tmp_path / "cfg.json", {"pairs_format": "csv"})]]
+    codes, digests = [], []
+    for extra in runs:
+        codes.append(main(["ingest", "--pairs", str(pairs), "-o", str(tmp_path / "out"), *extra]))
+        digests.append(capsys.readouterr().out.splitlines()[0])
+    assert codes == [2, 0, 0]  # without a format, the .txt suffix names none
+    assert digests[1] == digests[2] != digests[0]
 
 
 class TestRuntimeErrors:
@@ -453,7 +517,7 @@ class TestTrainEvalBench:
             "out_dir": str(tmp_path / "bench"),
             "reference": "adapted-hash-64",
             "systems": [
-                {"name": "base-hash-64"},
+                {"name": "base-hash-64", "dim": 64},
                 {"name": "adapted-hash-64", "adapter_dir": str(tmp_path / "adapter")},
             ],
         }
@@ -463,8 +527,8 @@ class TestTrainEvalBench:
         assert "| System | HR@5 | Improvement | Embedding Size |" in out
         run_dir = next((tmp_path / "bench").iterdir())
         table = json.loads((run_dir / "table.json").read_text())
-        assert {row["name"] for row in table["rows"]} == {
-            "base-hash-64", "adapted-hash-64",
+        assert {row["name"]: row["embedding_dim"] for row in table["rows"]} == {
+            "base-hash-64": 64, "adapted-hash-64": 64,
         }
 
     def test_bench_requires_systems(self, workspace):
@@ -568,6 +632,30 @@ class TestConfigContract:
         [run_dir] = [d for d in (tmp_path / "runs").iterdir() if d.name != "adapter"]
         report = json.loads((run_dir / "report.json").read_text())
         assert report["kind"] == "metric_comparison"
+
+    def test_readme_flag_table_lists_every_config_flag(self):
+        # Each row of the README's flag table, read as {(subcommand, flag): key}.
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+        rows = [line.split("|")[1:-1] for line in section.splitlines()
+                if line.startswith("| `")]
+        parser = build_parser()
+        [commands] = [a.choices for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+        listed = {}
+        for flags, subcommands, key, _default in rows:
+            names = list(commands) if subcommands.strip() == "all" else re.findall(
+                r"`([^`]+)`", subcommands)
+            for name in names:
+                for flag in re.findall(r"`([^`]+)`", flags):
+                    listed[name, flag] = re.findall(r"`([^`]+)`", key)[0]
+        declared = {
+            (name, flag): action.dest
+            for name, sub in commands.items()
+            for action in sub._actions if isinstance(action, cli._ConfigFlag)
+            for flag in action.option_strings
+        }
+        assert listed == declared
 
 
 def test_module_entry_point(tmp_path):
