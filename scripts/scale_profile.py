@@ -13,6 +13,9 @@ all_contexts pool with k_list (5, 10, 100). At each scale the script times:
 - ``train_adapter`` on the training split, 2 epochs, seed 7;
 - ``compare_adapter`` in hybrid mode, base against that adapter: the
   paper's base-versus-finetuned comparison;
+- the finetuned side's dense layers alone: ``build_dense_index`` over the
+  adapted item rows and ``dense_search_many`` of the adapted queries at
+  depth 100 (adapter outputs are fully dense rows, unlike hash vectors);
 - ``riskrank eval`` in hybrid mode through ``cli.main``, with the pairs
   and that adapter saved to a temporary directory: the same comparison
   from the files, including reading the pairs and the adapter and writing
@@ -23,8 +26,10 @@ step the median and minimum wall time over the repeats, a SHA-256 of the
 result (equal in every repeat, or the script fails) and the process's peak
 RSS so far. The digest is of the report's JSON bytes for ``run_eval``, of
 the base then the finetuned report's JSON bytes for ``compare_adapter``,
-of the ``report.json`` file that ``riskrank eval`` writes, and of the
-trained float64 weight (and bias) bytes for ``train_adapter``.
+of the ``report.json`` file that ``riskrank eval`` writes, of the
+trained float64 weight (and bias) bytes for ``train_adapter``, of the
+stored float32 rows for ``build_dense_index`` and of every query id, hit
+id and score (as ``float.hex``) for ``dense_search_many``.
 Scales run in increasing order, so a scale's peak RSS is its own.
 
 BLAS is held to one thread, as in ``perfbench/``. The script is not part
@@ -55,9 +60,12 @@ import numpy as np  # noqa: E402  (after the BLAS thread limit)
 
 from riskrank import cli  # noqa: E402
 from riskrank.benchmark import EvalConfig, compare_adapter, run_eval  # noqa: E402
-from riskrank.corpus import save_qa_pairs, split_pairs, synth_dataset  # noqa: E402
+from riskrank.corpus import build_eval_set, save_qa_pairs, split_pairs, synth_dataset  # noqa: E402
 from riskrank.embedding import HashEmbedder  # noqa: E402
-from riskrank.finetune import TrainingConfig, save_adapter, train_adapter  # noqa: E402
+from riskrank.finetune import (  # noqa: E402
+    TrainingConfig, apply_adapter, save_adapter, train_adapter,
+)
+from riskrank.index import build_dense_index, dense_search_many  # noqa: E402
 
 SEED = 7
 DIM = 256
@@ -155,6 +163,30 @@ def profile_scale(pairs_count: int, repeats: int) -> list[dict]:
     )
     record({"pairs": len(pairs), "mode": "compare_adapter_hybrid",
             "queries": comparison.base.query_count, **stats})
+
+    eval_set = build_eval_set(pairs, split.test)
+    query_ids = list(eval_set.queries)
+    items = apply_adapter(adapter, embedder.embed(eval_set.item_texts))
+    queries = apply_adapter(adapter, embedder.embed(list(eval_set.queries.values())))
+    index, stats = timed(
+        f"{pairs_count} pairs, adapter build_dense_index", repeats,
+        lambda: build_dense_index(eval_set.item_ids, items),
+        lambda index: sha256(index.matrix.tobytes()),
+        digest_key="index_sha256",
+    )
+    record({"pairs": len(pairs), "mode": "build_dense_index_adapter",
+            "items": index.count, **stats})
+    _, stats = timed(
+        f"{pairs_count} pairs, adapter dense_search_many", repeats,
+        lambda: dense_search_many(index, queries, 100, query_ids),
+        lambda run: sha256(json.dumps(
+            [[r.query_id, [[i, s.hex()] for i, s in r.hits]] for r in run]
+        ).encode()),
+        digest_key="run_sha256",
+    )
+    record({"pairs": len(pairs), "mode": "dense_search_many_adapter",
+            "queries": len(query_ids), **stats})
+    del items, queries, index
 
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)

@@ -9,11 +9,12 @@ defaults), and prints the resolved config digest. Every flag but -c and
 (eval.k_list), --text-field (text_field), synth's --pairs and --vocab
 (pairs_per_cluster, vocab_per_cluster) and ingest's --pairs, --format and
 --docs (pairs_path, pairs_format, docs_dir). A flag not given sets nothing.
---mode also sets eval.retrieval_mode, and --seed the seed of each of split,
-training and eval that is present; a top-level seed is their default. Each
-section goes as it is to its typed config (SplitConfig, TrainingConfig,
-EvalConfig, HashEmbedder or ProviderConfig), which owns its defaults and
-checks and refuses unknown keys. Exit codes: 0 on success, 1 on usage errors
+The --mode of eval and bench also sets eval.retrieval_mode (that of index
+sets only mode), and --seed the seed of each of split, training and eval
+that is present; a top-level seed is their default. Each section goes as it
+is to its typed config (SplitConfig, TrainingConfig, EvalConfig,
+HashEmbedder or ProviderConfig), which owns its defaults and checks and
+refuses unknown keys. Exit codes: 0 on success, 1 on usage errors
 (a refused config value among them), 2 on runtime errors (one "riskrank:
 error: ..." line; --verbose adds a traceback).
 """
@@ -72,14 +73,18 @@ class _Parser(argparse.ArgumentParser):
 
 class _ConfigFlag(argparse.Action):
     """A flag whose ``dest`` is the config key it sets (``eval.k_list`` is the key
-    ``k_list`` of the section ``eval``). It has no default: a flag that is not
-    given stays out of ``namespace.flags``, so it never masks the config file."""
+    ``k_list`` of the section ``eval``), and ``also`` more keys it sets to the same
+    value. It has no default: a flag that is not given stays out of
+    ``namespace.flags``, so it never masks the config file."""
 
-    def __init__(self, option_strings: list[str], dest: str, **kwargs: Any) -> None:
+    def __init__(
+        self, option_strings: list[str], dest: str, also: Sequence[str] = (), **kwargs: Any
+    ) -> None:
         super().__init__(option_strings, dest, default=argparse.SUPPRESS, **kwargs)
+        self.keys = (dest, *also)
 
     def __call__(self, parser, namespace, values, option_string=None) -> None:
-        namespace.flags = {**namespace.flags, self.dest: values}
+        namespace.flags = {**namespace.flags, **dict.fromkeys(self.keys, values)}
 
 
 def _k_list(text: str) -> list[int]:
@@ -158,7 +163,8 @@ def build_parser() -> _Parser:
         ("bench", cmd_bench, "compare systems and emit the benchmark table"),
     ):
         p = _command(subs, name, handler, help, {"eval": {}}, required=("pairs_path", "out_dir"))
-        p.add_argument("--mode", action=_ConfigFlag, choices=RETRIEVAL_MODES)
+        p.add_argument("--mode", action=_ConfigFlag, also=("eval.retrieval_mode",),
+                       choices=RETRIEVAL_MODES)
         p.add_argument("--k", dest="eval.k_list", action=_ConfigFlag, type=_k_list,
                        metavar="LIST", help="comma-separated metric cutoffs")
 
@@ -204,11 +210,8 @@ def _deep_merge(base: dict, extra: dict) -> None:
 
 
 def _apply_flags(cfg: dict[str, Any], flags: dict[str, Any]) -> None:
-    """Set the config key of each flag given. ``--mode`` also sets
-    ``eval.retrieval_mode``, and ``--seed`` also sets the seed of each of
-    ``SEEDED_SECTIONS`` present once the other flags are set."""
-    if "mode" in flags:
-        _object(cfg, "eval", create=True)["retrieval_mode"] = flags["mode"]
+    """Set the config keys of each flag given. ``--seed`` also sets the seed of
+    each of ``SEEDED_SECTIONS`` present once the other flags are set."""
     for key, value in flags.items():
         section, _, leaf = key.rpartition(".")
         (_object(cfg, section, create=True) if section else cfg)[leaf] = value

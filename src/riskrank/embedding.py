@@ -9,7 +9,11 @@ arithmetic.
 ``unit_rows`` is the one L2 normalizer for vectors that come from outside
 the hash kernel (index rows, queries, remote vectors): each row is divided
 in float64 by its ``exact_norm``, after an exact power-of-two scaling
-that keeps its squares in range, and zero rows stay zero.
+that keeps its squares in range, and zero rows stay zero. Its sums of
+squares come from ``_exact_row_sums``, a vectorized kernel that returns
+``math.fsum`` of each row of a matrix bit for bit: it certifies almost
+every row from an error-free summation tree and sends the rest to
+``math.fsum``.
 
 The hashed embedder is a fast, fully deterministic stand-in for a frozen
 sentence encoder: each token is hashed to a coordinate and a sign, signed
@@ -46,6 +50,11 @@ __all__ = [
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _U64 = 0xFFFFFFFFFFFFFFFF
 
+# Squares per ``_exact_row_sums`` call in ``unit_rows``: a call's temporaries
+# are a few times this many float64 values, so normalizing a large matrix
+# does not raise peak memory.
+_SQUARES_PER_CALL = 16_384
+
 
 def tokenize(text: str) -> list[str]:
     """Lowercase ``text`` and split on runs of non-alphanumeric characters.
@@ -68,6 +77,94 @@ def exact_norm(v: np.ndarray) -> float:
     return math.sqrt(math.fsum((nonzero * nonzero).tolist()))
 
 
+# Certified exact row sums.  For a row p_1..p_n of finite float64 terms,
+# with u = 2^-53 and T the real sum, ``_exact_row_sums`` returns the
+# correctly rounded T, which is what ``math.fsum`` returns, or asks fsum.
+#
+# Tree.  The row, padded with +0.0 to a power of two N, is summed by a
+# balanced tree of TwoSum steps (Knuth; Ogita, Rump & Oishi, "Accurate Sum
+# and Dot Product", SISC 2005): s = a + b, z = s - a, e = (a - (s - z)) +
+# (b - z) gives a + b = s + e exactly for any floats a and b whose sum does
+# not overflow.  This holds under gradual underflow too: a sum that falls
+# below the normal range is exact, and e, a difference of nearby floats, is
+# a float.  So the root S and the N - 1 error terms e_i satisfy T = S + sum
+# e_i exactly.  The +0.0 padding changes no sum but the sign of a zero one.
+#
+# Error sum.  np.sum adds the N - 1 terms e_i in some order, N - 2 roundings,
+# so its result sigma is within gamma_{N-2}*E of sum e_i, E = sum |e_i|,
+# gamma_m = m*u/(1 - m*u) (Higham, "Accuracy and Stability of Numerical
+# Algorithms", ch. 4); additions that underflow are exact, so no absolute
+# term joins.  The computed E, a sum of non-negative terms, is low by at most
+# a factor 1 - gamma_{N-2}.  So B = fl((N+2)*2^-52 * E) + 2^-1074, about
+# 2(N+2)*u*E, is still above gamma_{N-2}*E (by about a factor 2) for
+# N < 2^40; the 2^-1074 covers a product that rounds below the normal range.
+#
+# Rounding test (Rump, Ogita & Oishi, "Accurate Floating-Point Summation
+# Part II", SISC 2008).  With h + l = S + sigma exactly (one more TwoSum),
+# |T - h| <= |l| + B.  Let g be the smaller gap between h and its float
+# neighbours; below |h| it is |h| - nextafter(|h|, 0), and g/2 is exact or,
+# in the subnormal range, rounds down.  If fl(|l| + B) < g/2 (strict), then
+# |l| + B < g/2 too, as rounding is monotone and g/2 is a float; so T lies
+# strictly inside h's rounding interval, not on its edge, and every
+# correctly rounded sum of the row, fsum's included, is h.  A row with h = 0
+# falls back: T may be 0, and the sign of an exact zero sum is fsum's (and
+# a given Python version's) to decide.  A non-finite h falls back too.
+#
+# Range.  When every |p_j| is at most P and n*P < 2^1023, every tree node,
+# TwoSum temporary, S, sigma, h and B stays within a few ulps of sum |p_j|
+# or below, so finite.  fsum is safe there too: each of its TwoSum steps
+# turns two values it holds into hi and lo with |hi| + |lo| <= |x| + |y| +
+# 2u|hi|, so for n < 2^30 (a row of 8 GiB) all it holds stays below
+# (1 + 2^-10) * sum |p_j| and it cannot raise "intermediate overflow".  A
+# call whose terms are not all in that range (NaN, infinities, values near
+# the float64 maximum) sends every row to fsum, which returns or raises as
+# it always did.
+def _exact_row_sums(products: np.ndarray) -> list[float]:
+    """``math.fsum`` of each row of the float64 matrix ``products``, bit for bit.
+
+    Rows the rounding test cannot certify (see the comment above) go to
+    ``math.fsum``, looked up at call time. Temporaries are about three
+    times the size of ``products``.
+    """
+    m, n = products.shape
+    width = 1 << max(n - 1, 0).bit_length()
+    peak = float(max(products.max(initial=0.0), -products.min(initial=0.0)))
+    if not peak * n < 2.0**1023:
+        return [math.fsum(row) for row in products.tolist()]
+    # Column j holds row j's terms, so each tree level adds two contiguous halves.
+    level = np.zeros((width, m))
+    level[:n] = products.T
+    errors = np.empty((width - 1, m))
+    used = 0
+    while width > 1:
+        width //= 2
+        a, b = level[:width], level[width:]
+        s = a + b
+        z = s - a
+        e = errors[used:used + width]
+        np.subtract(s, z, out=e)
+        np.subtract(a, e, out=e)
+        np.subtract(b, z, out=z)
+        e += z
+        level = s
+        used += width
+    total = level[0]
+    sigma = errors.sum(axis=0)
+    bound = np.abs(errors, out=errors).sum(axis=0)
+    bound *= (len(errors) + 3) * 2.0**-52
+    bound += 2.0**-1074
+    h = total + sigma
+    z = h - total
+    low = (total - (h - z)) + (sigma - z)
+    magnitude = np.abs(h)
+    half_gap = (magnitude - np.nextafter(magnitude, 0.0)) * 0.5
+    certified = (np.abs(low) + bound < half_gap) & (h != 0.0) & np.isfinite(h)
+    sums = h.tolist()
+    for i in np.flatnonzero(~certified).tolist():
+        sums[i] = math.fsum(products[i].tolist())
+    return sums
+
+
 def unit_rows(matrix: np.ndarray, ids: Sequence[str], kind: str = "row") -> np.ndarray:
     """Each row of the ``(n, dim)`` ``matrix`` divided by its ``exact_norm``.
 
@@ -77,7 +174,10 @@ def unit_rows(matrix: np.ndarray, ids: Sequence[str], kind: str = "row") -> np.n
     of its squares could overflow, so it normalizes as its power-of-two
     copies do, and a row whose squares would underflow is not taken for
     zero. A row holding NaN or Inf raises ValueError ``"<kind> <id> has
-    non-finite values"``, with the row's id from ``ids``.
+    non-finite values"``, with the row's id from ``ids``. The sums of
+    squares come from ``_exact_row_sums``, about ``_SQUARES_PER_CALL``
+    squares per call: it certifies almost every row and sends the rest to
+    ``math.fsum``, so each norm has ``exact_norm``'s bits.
     """
     rows = np.array(matrix, dtype=np.float64)
     # Each row's largest magnitude; NaN or Inf if the row holds one.
@@ -98,7 +198,14 @@ def unit_rows(matrix: np.ndarray, ids: Sequence[str], kind: str = "row") -> np.n
     top = (1023 - rows.shape[1].bit_length()) // 2
     _, exponents = np.frexp(peak)
     np.ldexp(rows, (top - exponents)[:, None], out=rows)
-    norms = np.array([exact_norm(row) for row in rows])
+    # The squares of zeros are +0, which change no sum of squares, and a
+    # zero sum is +0 either way, so these are ``exact_norm``'s bits.
+    step = max(1, _SQUARES_PER_CALL // max(rows.shape[1], 1))
+    norms = np.sqrt([
+        total
+        for start in range(0, len(rows), step)
+        for total in _exact_row_sums(np.square(rows[start:start + step]))
+    ])
     rows /= np.where(norms != 0.0, norms, 1.0)[:, None]
     return rows
 

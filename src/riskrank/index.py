@@ -10,8 +10,9 @@ re-implementation of the same arithmetic reproduces them bit-for-bit.
 Dense search gets there by filter-then-verify: one float64 matmul per
 block of queries gives approximate scores, a rigorous forward-error bound
 keeps every row that could reach the top k (the whole band of ties at the
-k-th score included), and only those rows are scored exactly, over the
-query's nonzero coordinates (a zero sum is redone over the full row). BM25
+k-th score included), and only those rows are scored exactly: by a
+certified vectorized sum for dense queries, or over a sparse query's
+nonzero coordinates (a zero sum is redone over the full row). BM25
 search accumulates scores term at a time over the postings: each item
 adds its term weights in the order of the sorted distinct query terms.
 
@@ -38,7 +39,7 @@ from .cache import (
     BOOLEAN, NONEMPTY_STRING, NUMBER, check_fields, json_text, read_json, read_jsonl, read_rkv1,
     write_file, write_jsonl, write_rkv1,
 )
-from .embedding import tokenize, unit_rows
+from .embedding import _exact_row_sums, tokenize, unit_rows
 
 __all__ = [
     "RankedList",
@@ -66,6 +67,14 @@ DEFAULT_RRF_DEPTH = 100
 # pass of the matmul over the float64 rows serves many queries, not one.
 _BLOCK_ITEMS = 50_000
 _MIN_BLOCK_QUERIES = 64
+
+# Queries with at least this many nonzero coordinates are dense: one
+# ``_exact_row_sums`` call over their kept rows' full products beats one
+# fsum per row over the nonzero coordinates.  Hash queries hold one nonzero
+# per distinct token, a few dozen at most; model vectors and adapter outputs
+# are fully dense.  At dim 256 and 100 kept rows the two paths cost the same
+# near 32 nonzeros.
+_DENSE_NONZERO = 32
 
 
 @dataclass(frozen=True)
@@ -189,14 +198,21 @@ def build_dense_index(
 # score thus gives the full scan's hits, scores and order bit for bit.  The
 # bound needs finite inputs, hence the checks.
 #
-# The exact score of a kept row sums only the products at the query's
-# nonzero coordinates (``_exact_scores``).  Each dropped product is
-# x_j * (+-0) = +-0 with x_j finite, and adding zeros does not change the
-# real value of a sum, so whenever that value is nonzero the exactly rounded
-# sum is the same float.  Only a zero sum can differ, in its sign: the sign
-# of an exact zero sum depends on the signs of all its terms (and on how a
-# given Python version's fsum signs zeros), so a row whose restricted sum is
-# +-0 is scored again over its full row, as the full scan scores it.
+# The exact score of a kept row is fsum of its d products (``_exact_scores``),
+# got one of two ways that give fsum's bits.  A dense query, one with at
+# least ``_DENSE_NONZERO`` nonzero coordinates (adapter outputs, model
+# vectors), has its kept rows' products summed by ``_exact_row_sums``: an
+# error-free TwoSum tree whose result is certified correctly rounded, with
+# fsum for every row it cannot certify, a zero sum among them (see the
+# comment above that kernel in ``riskrank.embedding``).  A sparse query (hash
+# vectors) sums only the products at its nonzero coordinates, one fsum per
+# row.  Each dropped product is x_j * (+-0) = +-0 with x_j finite, and adding
+# zeros does not change the real value of a sum, so whenever that value is
+# nonzero the exactly rounded sum is the same float.  Only a zero sum can
+# differ, in its sign: the sign of an exact zero sum depends on the signs of
+# all its terms (and on how a given Python version's fsum signs zeros), so a
+# row whose restricted sum is +-0 is scored again over its full row, as the
+# full scan scores it.
 def dense_search_many(
     index: DenseIndex,
     queries: Sequence[np.ndarray] | np.ndarray,
@@ -259,11 +275,20 @@ def dense_search_many(
 def _exact_scores(rows: np.ndarray, kept: np.ndarray, q: np.ndarray) -> list[float]:
     """``math.fsum`` of ``rows[i] * q`` for each ``i`` in ``kept``, bit for bit.
 
-    Only the query's nonzero coordinates are summed, and any row whose sum
-    is zero is scored again over its full row (see the comment above
-    ``dense_search_many``).
+    A query with at least ``_DENSE_NONZERO`` nonzero coordinates has its
+    kept rows summed by ``_exact_row_sums``, about ``_BLOCK_ITEMS`` products
+    per call. For any other query only its nonzero coordinates are summed,
+    and any row whose sum is zero is scored again over its full row (see the
+    comment above ``dense_search_many``).
     """
     nonzero = np.flatnonzero(q)
+    if len(nonzero) >= _DENSE_NONZERO:
+        step = max(1, _BLOCK_ITEMS // len(q))
+        return [
+            score
+            for start in range(0, len(kept), step)
+            for score in _exact_row_sums(rows[kept[start:start + step]] * q)
+        ]
     products = rows[kept[:, None], nonzero] * q[nonzero]
     scores = [math.fsum(p) for p in products.tolist()]
     for i, score in enumerate(scores):

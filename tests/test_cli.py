@@ -398,6 +398,17 @@ class TestIngestChunkEmbedIndex:
         )
         assert not out.exists()
 
+    def test_index_mode_flag_leaves_the_eval_section_alone(self, workspace):
+        # index never reads "eval", so a value there that eval would refuse
+        # must not turn `index --mode` into a usage error.
+        tmp_path, data_dir, config = workspace
+        cfg = write_config(tmp_path / "cfg.json", {**config, "eval": "x"})
+        argv = ["index", "-c", cfg, "--input", str(data_dir / "pairs.jsonl")]
+        assert main([*argv, "-o", str(tmp_path / "a")]) == 0
+        assert main([*argv, "--mode", "lexical", "-o", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "b" / "postings.jsonl").exists()
+        assert not (tmp_path / "b" / "vectors.bin").exists()
+
     def test_index_holds_one_item_per_distinct_context(self, tmp_path):
         pairs = tmp_path / "pairs.jsonl"
         records = [("a", "shared passage"), ("b", "own passage"), ("c", "shared passage")]

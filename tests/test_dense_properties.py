@@ -5,8 +5,10 @@ wrong: exact duplicates and rows one float32 ulp apart planted at the k-th
 score, zero rows, zero queries, k above the item count, empty indexes, and
 rows of any length and magnitude stored directly in a ``DenseIndex``.
 Sparse cases sit where summing only a query's nonzero coordinates could go
-wrong: rows whose products there are all zero or cancel exactly. Scores are
-compared by their bits (``float.hex``), so the sign of a zero counts.
+wrong: rows whose products there are all zero or cancel exactly. Wide cases
+give queries at least ``_DENSE_NONZERO`` nonzero coordinates, so their kept
+rows are summed by ``_exact_row_sums``. Scores are compared by their bits
+(``float.hex``), so the sign of a zero counts.
 """
 
 import itertools
@@ -18,8 +20,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from riskrank import index as index_module
+from riskrank.embedding import unit_rows
 from riskrank.index import DenseIndex, RankedList, build_dense_index, dense_search_many
-from riskrank.index import _MIN_BLOCK_QUERIES
+from riskrank.index import _DENSE_NONZERO, _MIN_BLOCK_QUERIES
 
 from reference import brute_force_dense, fraction_dot, reference_unit_rows
 
@@ -101,12 +105,19 @@ def plant_near_ties(draw, rows, query, k):
 
 
 @st.composite
-def dense_cases(draw, elements):
-    dim = draw(st.integers(1, 8))
+def dense_cases(draw, elements, dims=st.integers(1, 8)):
+    dim = draw(dims)
     n = draw(st.integers(0, 24))
     n_queries = draw(st.integers(1, 4))
     rows = draw(arrays(np.float32, (n, dim), elements=elements))
     queries = draw(arrays(np.float64, (n_queries, dim), elements=st.floats(-2, 2, width=32)))
+    if dim >= _DENSE_NONZERO:
+        # Each query keeps at least _DENSE_NONZERO nonzero coordinates.
+        for query in queries:
+            query[query == 0.0] = draw(st.floats(2.0**-20, 2, width=32))
+            zeros = draw(st.lists(st.integers(0, dim - 1), max_size=dim - _DENSE_NONZERO,
+                                  unique=True))
+            query[zeros] = 0.0
     first = draw(st.sampled_from(["as drawn", "zero", "constant"]))
     if first == "zero":
         queries[0] = 0.0
@@ -151,6 +162,52 @@ def test_many_equals_one_query_at_a_time(case):
     single = [dense_search_many(index, [q], k, [qid])[0]
               for q, qid in zip(queries, query_ids)]
     assert many == single
+
+
+wide_dims = st.one_of(st.integers(_DENSE_NONZERO, _DENSE_NONZERO + 40), st.sampled_from([256, 300]))
+
+
+def dense_queries_reach_the_kernel(search, index, queries):
+    """``search()``, checking that ``_exact_row_sums`` scored the kept rows
+    of the queries with at least ``_DENSE_NONZERO`` nonzero coordinates."""
+    with mock.patch.object(
+        index_module, "_exact_row_sums", wraps=index_module._exact_row_sums
+    ) as kernel:
+        got = search()
+    dense = sum(np.count_nonzero(q) >= _DENSE_NONZERO for q in np.asarray(queries))
+    assert kernel.call_count >= (dense if index.count else 0)
+    return got
+
+
+@PROPERTY_SETTINGS
+@given(dense_cases(st.floats(-1, 1, width=32), wide_dims))
+def test_wide_queries_match_brute_force_bits(case):
+    ids, vectors, queries, query_ids, k = case
+    index = build_dense_index(ids, vectors.astype(np.float64), dim=vectors.shape[1])
+    for fsum in FSUMS:
+        with mock.patch.object(math, "fsum", fsum):
+            got = dense_queries_reach_the_kernel(
+                lambda: dense_search_many(index, queries, k, query_ids), index, queries
+            )
+            want = [bits(brute_force_dense(ids, vectors, q, k)) for q in queries]
+        assert [hits(ranking) for ranking in got] == want
+
+
+@PROPERTY_SETTINGS
+@given(dense_cases(
+    st.one_of(st.floats(-1e6, 1e6, width=32), st.floats(-(2.0**-100), 2.0**-100, width=32)),
+    wide_dims,
+))
+def test_wide_queries_match_exact_scan_bits(case):
+    ids, rows, queries, query_ids, k = case
+    index = DenseIndex(item_ids=tuple(ids), matrix=rows, dim=rows.shape[1])
+    for fsum in FSUMS:
+        with mock.patch.object(math, "fsum", fsum):
+            got = dense_queries_reach_the_kernel(
+                lambda: dense_search_many(index, queries, k, query_ids), index, queries
+            )
+            want = [exact_scan(ids, rows, q, k) for q in queries]
+        assert [hits(ranking) for ranking in got] == want
 
 
 def test_exact_ties_that_blas_splits():
@@ -264,10 +321,10 @@ vector_components = st.one_of(
 
 
 @st.composite
-def raw_vectors(draw):
+def raw_vectors(draw, dims=st.integers(1, 12)):
     """float64 rows up to 1e150 or float32 rows over the full finite range,
     with subnormal components and some rows set to zeros of either sign."""
-    shape = (draw(st.integers(1, 10)), draw(st.integers(1, 12)))
+    shape = (draw(st.integers(1, 10)), draw(dims))
     if draw(st.booleans()):
         vectors = draw(arrays(np.float64, shape, elements=vector_components))
     else:
@@ -286,6 +343,17 @@ def test_built_rows_match_reference_bits(vectors):
     want = reference_unit_rows(vectors)
     assert index.matrix.dtype == want.dtype == np.float32
     assert np.array_equal(index.matrix.view(np.uint32), want.view(np.uint32))
+
+
+@PROPERTY_SETTINGS
+@given(raw_vectors(wide_dims))
+def test_dense_unit_rows_match_reference_bits(vectors):
+    ids = [f"item-{i:02d}" for i in range(len(vectors))]
+    for fsum in FSUMS:
+        with mock.patch.object(math, "fsum", fsum):
+            got = unit_rows(vectors, ids).astype(np.float32)
+            want = reference_unit_rows(vectors)
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
 def test_empty_inputs():
