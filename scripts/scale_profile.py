@@ -13,6 +13,8 @@ all_contexts pool with k_list (5, 10, 100). At each scale the script times:
 - ``train_adapter`` on the training split, 2 epochs, seed 7;
 - ``compare_adapter`` in hybrid mode, base against that adapter: the
   paper's base-versus-finetuned comparison;
+- the BM25 layers alone: ``build_lexical_index`` over the items and
+  ``lexical_search`` of every test question at depth 100;
 - the finetuned side's dense layers alone: ``build_dense_index`` over the
   adapted item rows and ``dense_search_many`` of the adapted queries at
   depth 100 (adapter outputs are fully dense rows, unlike hash vectors);
@@ -23,14 +25,24 @@ all_contexts pool with k_list (5, 10, 100). At each scale the script times:
 
 It prints one JSON object: the machine, the settings, and per scale and
 step the median and minimum wall time over the repeats, a SHA-256 of the
-result (equal in every repeat, or the script fails) and the process's peak
-RSS so far. The digest is of the report's JSON bytes for ``run_eval``, of
+result (equal in every repeat, or the script fails) and the step's peak
+RSS. The digest is of the report's JSON bytes for ``run_eval``, of
 the base then the finetuned report's JSON bytes for ``compare_adapter``,
 of the ``report.json`` file that ``riskrank eval`` writes, of the
 trained float64 weight (and bias) bytes for ``train_adapter``, of the
-stored float32 rows for ``build_dense_index`` and of every query id, hit
-id and score (as ``float.hex``) for ``dense_search_many``.
-Scales run in increasing order, so a scale's peak RSS is its own.
+``postings.jsonl`` file that ``save_index`` writes for
+``build_lexical_index``, of the stored float32 rows for
+``build_dense_index``, and of every query id, hit id and score (as
+``float.hex``) for ``lexical_search`` and ``dense_search_many``.
+
+Each step, with all its repeats, runs in a child process forked for it,
+and its ``peak_rss_mb`` is that child's ``ru_maxrss`` as ``os.wait4``
+returns it. The child starts with the pages of the parent, which holds
+only the data set, the embedder, the trained adapter and the saved files,
+so a step's peak is that resident set plus what the step itself
+allocates, never what an earlier step allocated. A child builds what its
+step needs (the evaluation set, an index to search) before the timing
+starts. The script starts no threads, so forking it is safe.
 
 BLAS is held to one thread, as in ``perfbench/``. The script is not part
 of the test suite: the largest default scale takes minutes and about
@@ -45,12 +57,13 @@ import hashlib
 import io
 import json
 import os
+import pickle
 import platform
-import resource
 import statistics
 import sys
 import tempfile
 import time
+import traceback
 from pathlib import Path
 
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -65,7 +78,9 @@ from riskrank.embedding import HashEmbedder  # noqa: E402
 from riskrank.finetune import (  # noqa: E402
     TrainingConfig, apply_adapter, save_adapter, train_adapter,
 )
-from riskrank.index import build_dense_index, dense_search_many  # noqa: E402
+from riskrank.index import (  # noqa: E402
+    build_dense_index, build_lexical_index, dense_search_many, lexical_search, save_index,
+)
 
 SEED = 7
 DIM = 256
@@ -73,6 +88,7 @@ PAIRS_PER_CLUSTER = 100
 VOCAB_PER_CLUSTER = 50
 SPLIT_RATIO = 0.95
 K_LIST = (5, 10, 100)
+DEPTH = 100
 MODES = ("dense", "lexical", "hybrid")
 EPOCHS = 2
 
@@ -116,8 +132,41 @@ def timed(label: str, repeats: int, call, digest, digest_key="report_sha256") ->
         "min_s": round(min(times), 4),
         "times_s": [round(t, 4) for t in times],
         digest_key: digests.pop(),
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
+
+
+def in_child(label: str, step) -> tuple:
+    """``step()`` run in a forked child: its ``(entry, value)`` result, with
+    the child's peak RSS added to ``entry`` as ``peak_rss_mb``."""
+    sys.stdout.flush()
+    sys.stderr.flush()
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            with os.fdopen(write_end, "wb") as pipe:
+                pipe.write(pickle.dumps(step()))
+            code = 0
+        except BaseException:
+            traceback.print_exc()
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as pipe:
+        payload = pipe.read()
+    _, status, usage = os.wait4(pid, 0)
+    if status != 0:
+        raise SystemExit(f"{label}: the child running it failed (wait status {status})")
+    entry, value = pickle.loads(payload)
+    return {**entry, "peak_rss_mb": round(usage.ru_maxrss / 1024, 1)}, value
+
+
+def ranking_digest(run) -> str:
+    return sha256(json.dumps(
+        [[r.query_id, [[i, s.hex()] for i, s in r.hits]] for r in run]
+    ).encode())
 
 
 def profile_scale(pairs_count: int, repeats: int) -> list[dict]:
@@ -126,67 +175,121 @@ def profile_scale(pairs_count: int, repeats: int) -> list[dict]:
     )
     split = split_pairs(pairs, ratio=SPLIT_RATIO, seed=SEED)
     embedder = HashEmbedder(dim=DIM)
+    training = TrainingConfig(epochs=EPOCHS, seed=SEED)
     entries = []
 
-    def record(entry: dict) -> None:
+    def run(label: str, step):
+        """Run ``step`` in its own child, record its entry and return its value."""
+        entry, value = in_child(f"{pairs_count} pairs, {label}", step)
+        entry = {"pairs": len(pairs), **entry}
         entries.append(entry)
         print(json.dumps(entry), file=sys.stderr, flush=True)
+        return value
 
     def eval_config(mode: str) -> EvalConfig:
         return EvalConfig(retrieval_mode=mode, k_list=K_LIST, seed=SEED)
 
-    for mode in MODES:
+    def eval_set():
+        """The evaluation set, its query ids and its query texts."""
+        items = build_eval_set(pairs, split.test)
+        return items, list(items.queries), list(items.queries.values())
+
+    def eval_mode(mode: str):
         report, stats = timed(
             f"{pairs_count} pairs, {mode}", repeats,
             lambda: run_eval(pairs, split, embedder, eval_config(mode)),
             lambda report: sha256(report.to_json_bytes()),
         )
-        record({"pairs": len(pairs), "mode": mode, "queries": report.query_count, **stats})
+        return {"mode": mode, "queries": report.query_count, **stats}, None
 
-    training = TrainingConfig(epochs=EPOCHS, seed=SEED)
-    (adapter, _), stats = timed(
-        f"{pairs_count} pairs, train_adapter", repeats,
-        lambda: train_adapter(split.train, embedder, training),
-        lambda trained: sha256(
-            trained[0].weight.tobytes()
-            + (b"" if trained[0].bias is None else trained[0].bias.tobytes())
-        ),
-        digest_key="adapter_sha256",
-    )
-    record({"pairs": len(pairs), "mode": "train_adapter", "epochs": EPOCHS,
-            "train_pairs": len(split.train), **stats})
+    def train():
+        (adapter, _), stats = timed(
+            f"{pairs_count} pairs, train_adapter", repeats,
+            lambda: train_adapter(split.train, embedder, training),
+            lambda trained: sha256(
+                trained[0].weight.tobytes()
+                + (b"" if trained[0].bias is None else trained[0].bias.tobytes())
+            ),
+            digest_key="adapter_sha256",
+        )
+        return {"mode": "train_adapter", "epochs": EPOCHS,
+                "train_pairs": len(split.train), **stats}, adapter
 
-    comparison, stats = timed(
-        f"{pairs_count} pairs, compare_adapter", repeats,
-        lambda: compare_adapter(pairs, split, embedder, eval_config("hybrid"), adapter),
-        lambda c: sha256(c.base.to_json_bytes() + c.finetuned.to_json_bytes()),
-    )
-    record({"pairs": len(pairs), "mode": "compare_adapter_hybrid",
-            "queries": comparison.base.query_count, **stats})
+    def compare():
+        comparison, stats = timed(
+            f"{pairs_count} pairs, compare_adapter", repeats,
+            lambda: compare_adapter(pairs, split, embedder, eval_config("hybrid"), adapter),
+            lambda c: sha256(c.base.to_json_bytes() + c.finetuned.to_json_bytes()),
+        )
+        return {"mode": "compare_adapter_hybrid",
+                "queries": comparison.base.query_count, **stats}, None
 
-    eval_set = build_eval_set(pairs, split.test)
-    query_ids = list(eval_set.queries)
-    items = apply_adapter(adapter, embedder.embed(eval_set.item_texts))
-    queries = apply_adapter(adapter, embedder.embed(list(eval_set.queries.values())))
-    index, stats = timed(
-        f"{pairs_count} pairs, adapter build_dense_index", repeats,
-        lambda: build_dense_index(eval_set.item_ids, items),
-        lambda index: sha256(index.matrix.tobytes()),
-        digest_key="index_sha256",
-    )
-    record({"pairs": len(pairs), "mode": "build_dense_index_adapter",
-            "items": index.count, **stats})
-    _, stats = timed(
-        f"{pairs_count} pairs, adapter dense_search_many", repeats,
-        lambda: dense_search_many(index, queries, 100, query_ids),
-        lambda run: sha256(json.dumps(
-            [[r.query_id, [[i, s.hex()] for i, s in r.hits]] for r in run]
-        ).encode()),
-        digest_key="run_sha256",
-    )
-    record({"pairs": len(pairs), "mode": "dense_search_many_adapter",
-            "queries": len(query_ids), **stats})
-    del items, queries, index
+    def saved_postings(index) -> str:
+        with tempfile.TemporaryDirectory() as tmp:
+            save_index(tmp, lexical=index)
+            return sha256((Path(tmp) / "postings.jsonl").read_bytes())
+
+    def lexical_build():
+        items, _, _ = eval_set()
+        index, stats = timed(
+            f"{pairs_count} pairs, build_lexical_index", repeats,
+            lambda: build_lexical_index(items.item_ids, items.item_texts),
+            saved_postings,
+            digest_key="postings_sha256",
+        )
+        return {"mode": "build_lexical_index", "items": index.count, **stats}, None
+
+    def lexical_searches():
+        items, query_ids, query_texts = eval_set()
+        index = build_lexical_index(items.item_ids, items.item_texts)
+        _, stats = timed(
+            f"{pairs_count} pairs, lexical_search", repeats,
+            lambda: [
+                lexical_search(index, text, DEPTH, query_id)
+                for query_id, text in zip(query_ids, query_texts)
+            ],
+            ranking_digest,
+            digest_key="run_sha256",
+        )
+        return {"mode": "lexical_search", "queries": len(query_ids), **stats}, None
+
+    def adapted():
+        items, query_ids, query_texts = eval_set()
+        return (
+            items, query_ids,
+            apply_adapter(adapter, embedder.embed(items.item_texts)),
+            apply_adapter(adapter, embedder.embed(query_texts)),
+        )
+
+    def dense_build():
+        items, _, rows, _ = adapted()
+        index, stats = timed(
+            f"{pairs_count} pairs, adapter build_dense_index", repeats,
+            lambda: build_dense_index(items.item_ids, rows),
+            lambda index: sha256(index.matrix.tobytes()),
+            digest_key="index_sha256",
+        )
+        return {"mode": "build_dense_index_adapter", "items": index.count, **stats}, None
+
+    def dense_searches():
+        items, query_ids, rows, queries = adapted()
+        index = build_dense_index(items.item_ids, rows)
+        _, stats = timed(
+            f"{pairs_count} pairs, adapter dense_search_many", repeats,
+            lambda: dense_search_many(index, queries, DEPTH, query_ids),
+            ranking_digest,
+            digest_key="run_sha256",
+        )
+        return {"mode": "dense_search_many_adapter", "queries": len(query_ids), **stats}, None
+
+    for mode in MODES:
+        run(mode, lambda: eval_mode(mode))
+    adapter = run("train_adapter", train)
+    run("compare_adapter", compare)
+    run("build_lexical_index", lexical_build)
+    run("lexical_search", lexical_searches)
+    run("adapter build_dense_index", dense_build)
+    run("adapter dense_search_many", dense_searches)
 
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -211,9 +314,12 @@ def profile_scale(pairs_count: int, repeats: int) -> list[dict]:
             (report,) = out.glob("*/report.json")
             return report.read_bytes()
 
-        _, stats = timed(f"{pairs_count} pairs, riskrank eval", repeats, cli_eval, sha256)
-    record({"pairs": len(pairs), "mode": "cli_eval_hybrid_adapter",
-            "queries": comparison.base.query_count, **stats})
+        def eval_files():
+            _, stats = timed(f"{pairs_count} pairs, riskrank eval", repeats, cli_eval, sha256)
+            queries = len(eval_set()[1])
+            return {"mode": "cli_eval_hybrid_adapter", "queries": queries, **stats}, None
+
+        run("riskrank eval", eval_files)
     return entries
 
 

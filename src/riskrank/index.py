@@ -12,32 +12,42 @@ block of queries gives approximate scores, a rigorous forward-error bound
 keeps every row that could reach the top k (the whole band of ties at the
 k-th score included), and only those rows are scored exactly: by a
 certified vectorized sum for dense queries, or over a sparse query's
-nonzero coordinates (a zero sum is redone over the full row). BM25
-search accumulates scores term at a time over the postings: each item
-adds its term weights in the order of the sorted distinct query terms.
+nonzero coordinates (a zero sum is redone over the full row).
+
+The BM25 index holds its postings as compressed sparse rows: each term
+owns one slice of two int32 arrays, item numbers and term frequencies, and
+each item its BM25 length normalization, computed once when the index is
+made. One ``np.unique`` over (term, item) keys builds the postings. A
+search adds one vector of weights per sorted distinct query term into a
+float64 accumulator, so each item adds its term weights in the order of
+those terms, exactly as ``bm25_term_weight`` computes them one by one.
 
 Persistence writes a directory with ``meta.json`` (counts, dimension, BM25
-parameters, item ids), ``vectors.bin`` (the item rows as one RKV1 file),
-and ``postings.jsonl`` (one term per line), each written atomically through
-``riskrank.cache``. Loading checks every ``meta.json`` field the index
-needs and every postings line, and names the file, the line and the field
-when a check fails.
+parameters, item ids, token counts), ``vectors.bin`` (the item rows as one
+RKV1 file), and ``postings.jsonl`` (one term per line, sorted by term,
+each ``[item_id, tf]`` pair in index order), each written atomically
+through ``riskrank.cache``; the arrays are a memory layout only and never
+reach the files. Loading checks every ``meta.json`` field the index needs
+and every postings line, and names the file, the line and the field when a
+check fails. It keeps each term's postings in the order of its line, so
+saving a loaded index writes the same bytes.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
-from dataclasses import dataclass
+from array import array
+from collections import Counter, defaultdict
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .cache import (
-    BOOLEAN, NONEMPTY_STRING, NUMBER, check_fields, json_text, read_json, read_jsonl, read_rkv1,
-    write_file, write_jsonl, write_rkv1,
+    BOOLEAN, NONEMPTY_STRING, NUMBER, POSITIVE_INTEGER, check_fields, check_values, json_text,
+    read_json, read_jsonl, read_rkv1, write_file, write_jsonl, write_rkv1,
 )
 from .embedding import _exact_row_sums, tokenize, unit_rows
 
@@ -109,6 +119,12 @@ def _require_unique(ids: Sequence[str], message: str) -> None:
         raise ValueError(f"{message}: {sorted(i for i, n in counts.items() if n > 1)}")
 
 
+def _require_counts(**values: object) -> None:
+    """Raise ValueError ``"<name> must be an integer >= 1, got <value>"`` for
+    the first value that is not one."""
+    check_values(values, dict.fromkeys(values, POSITIVE_INTEGER))
+
+
 def _require_no_nan(query_id: str, scores: Iterable[float]) -> None:
     """Raise ValueError naming ``query_id`` if a score is NaN."""
     if any(map(math.isnan, scores)):
@@ -124,8 +140,10 @@ def ranked_list_from_scores(
 
     Scores become Python floats before they are compared. A repeated id or
     a NaN score anywhere in ``scored`` raises ValueError, even one that the
-    cut at ``k`` would drop.
+    cut at ``k`` would drop, and so does a ``k`` that is not an integer >= 1.
     """
+    if k is not None:
+        _require_counts(k=k)
     items = [(item_id, float(score)) for item_id, score in scored]
     _require_unique([item_id for item_id, _ in items], "duplicate item ids in ranking")
     _require_no_nan(query_id, (score for _, score in items))
@@ -236,8 +254,7 @@ def dense_search_many(
         raise ValueError(f"got {len(queries)} queries but {len(query_ids)} query ids")
     if len(queries) and (queries.ndim != 2 or index.count and queries.shape[1] != index.dim):
         raise ValueError(f"queries have shape {queries.shape}, index dim is {index.dim}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _require_counts(k=k)
     if not len(queries):
         return []
     unit = unit_rows(queries, query_ids, "query")
@@ -299,18 +316,65 @@ def _exact_scores(rows: np.ndarray, kept: np.ndarray, q: np.ndarray) -> list[flo
 
 @dataclass(frozen=True)
 class LexicalIndex:
-    """Inverted index with the statistics BM25 needs."""
+    """An inverted index as compressed sparse rows, with what BM25 needs.
+
+    ``terms`` numbers the terms, and the postings of the term numbered ``r``
+    are the slice ``starts[r]:starts[r + 1]`` of two parallel int32 arrays:
+    ``docs`` holds the item numbers (positions in ``item_ids``) that contain
+    the term and ``tf`` how often each contains it. ``build_lexical_index``
+    and ``load_index`` give each term its own slice, naming each item at
+    most once; an index built by hand must keep to that too. ``doc_len``
+    is each item's token count, and ``length_norm``, derived from it, each
+    item's float64 ``1 - b + b * doc_len / avgdl``, with every length taken
+    as 0 when ``avgdl`` is not above 0.
+
+    A ``k1`` that is not a finite number >= 0, a ``b`` outside [0, 1],
+    arrays whose sizes disagree, ``starts`` that do not rise from 0 to
+    ``len(docs)``, or an item number outside ``item_ids`` raise ValueError
+    naming what is wrong.
+    """
 
     item_ids: tuple[str, ...]
-    postings: dict[str, tuple[tuple[str, int], ...]]  # term -> ((item_id, tf), ...)
-    doc_len: dict[str, int]
+    terms: dict[str, int]
+    starts: np.ndarray
+    docs: np.ndarray
+    tf: np.ndarray
+    doc_len: np.ndarray
     avgdl: float
     k1: float = DEFAULT_K1
     b: float = DEFAULT_B
+    length_norm: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        check_values(self, _BM25_FIELDS)
+        n = len(self.item_ids)
+        if len(self.doc_len) != n or len(self.tf) != len(self.docs):
+            raise ValueError(
+                f"{n} items with {len(self.doc_len)} lengths, "
+                f"and {len(self.docs)} postings with {len(self.tf)} tf values"
+            )
+        starts = self.starts
+        if (len(starts) != len(self.terms) + 1 or starts[0] != 0
+                or starts[-1] != len(self.docs) or (starts[1:] < starts[:-1]).any()):
+            raise ValueError(
+                f"starts of {len(self.terms)} terms must rise from 0 to {len(self.docs)}"
+            )
+        if len(self.docs) and not 0 <= int(self.docs.min()) <= int(self.docs.max()) < n:
+            bad = int(self.docs[(self.docs < 0) | (self.docs >= n)][0])
+            raise ValueError(f"postings name item number {bad}, but the index holds {n} items")
+        length_norm = _length_norm(self.doc_len.astype(np.float64), self.avgdl, self.b)
+        object.__setattr__(self, "length_norm", length_norm)
 
     @property
     def count(self) -> int:
         return len(self.item_ids)
+
+
+# BM25 parameters, for ``LexicalIndex`` and the ``meta.json`` of a saved index.
+_BM25_FIELDS = {
+    "k1": (lambda v: type(v) in (int, float) and 0 <= v < math.inf, "a finite number >= 0"),
+    "b": (lambda v: type(v) in (int, float) and 0 <= v <= 1, "a number in [0, 1]"),
+}
 
 
 def build_lexical_index(
@@ -319,25 +383,60 @@ def build_lexical_index(
     k1: float = DEFAULT_K1,
     b: float = DEFAULT_B,
 ) -> LexicalIndex:
+    """BM25 index of ``tokenize(texts[i])`` under ``ids[i]``.
+
+    Each text's tokens become term numbers as it is read, so only one
+    text's token strings are alive at a time. Terms are then renumbered in
+    sorted order, and one ``np.unique`` over ``term * n + item`` for every
+    token yields each (term, item) pair once, in that order, with its count
+    as the tf: each term's postings list its items in the order of ``ids``.
+    """
     if len(ids) != len(texts):
         raise ValueError(f"got {len(ids)} ids but {len(texts)} texts")
     _require_unique(ids, "duplicate item ids")
-    postings: dict[str, list[tuple[str, int]]] = {}
-    doc_len: dict[str, int] = {}
-    for item_id, text in zip(ids, texts):
+    n = len(ids)
+    seen: defaultdict[str, int] = defaultdict()
+    seen.default_factory = seen.__len__  # a new term takes the next number
+    first_use = array("q")  # each token's term, numbered in order of first use
+    lengths = array("q")
+    for text in texts:
         tokens = tokenize(text)
-        doc_len[item_id] = len(tokens)
-        for term, tf in sorted(Counter(tokens).items()):
-            postings.setdefault(term, []).append((item_id, tf))
-    avgdl = math.fsum(doc_len.values()) / len(doc_len) if doc_len else 0.0
+        lengths.append(len(tokens))
+        first_use.extend(map(seen.__getitem__, tokens))
+    vocabulary = sorted(seen)
+    rank = np.empty(len(vocabulary), dtype=np.int64)
+    rank[[seen[term] for term in vocabulary]] = np.arange(len(vocabulary))
+    doc_len = np.asarray(lengths).astype(np.int32)
+    keys, tf = np.unique(
+        rank[np.asarray(first_use)] * n + np.repeat(np.arange(n, dtype=np.int64), doc_len),
+        return_counts=True,
+    )
     return LexicalIndex(
         item_ids=tuple(ids),
-        postings={term: tuple(entries) for term, entries in postings.items()},
+        terms=dict(zip(vocabulary, range(len(vocabulary)))),
+        starts=np.searchsorted(keys, np.arange(len(vocabulary) + 1, dtype=np.int64) * n),
+        docs=(keys % n).astype(np.int32),
+        tf=tf.astype(np.int32),
         doc_len=doc_len,
-        avgdl=avgdl,
+        avgdl=float(doc_len.sum()) / n if n else 0.0,
         k1=k1,
         b=b,
     )
+
+
+# The one BM25 formula: ``bm25_term_weight`` applies it to Python numbers,
+# ``lexical_search`` to a term's postings at once.  Elementwise, numpy runs
+# the same IEEE operations in the same order, so both give the same bits.
+def _idf(df: int, n_items: int) -> float:
+    return math.log(1.0 + (n_items - df + 0.5) / (df + 0.5))
+
+
+def _length_norm(doc_len, avgdl: float, b: float):
+    return 1.0 - b + b * (doc_len / avgdl if avgdl > 0 else 0.0 * doc_len)
+
+
+def _bm25_weight(idf: float, tf, length_norm, k1: float):
+    return idf * tf * (k1 + 1.0) / (tf + k1 * length_norm)
 
 
 def bm25_term_weight(
@@ -350,9 +449,7 @@ def bm25_term_weight(
     """
     if tf == 0:
         return 0.0
-    idf = math.log(1.0 + (n_items - df + 0.5) / (df + 0.5))
-    length_norm = 1.0 - b + b * (doc_len / avgdl if avgdl > 0 else 0.0)
-    return idf * tf * (k1 + 1.0) / (tf + k1 * length_norm)
+    return _bm25_weight(_idf(df, n_items), tf, _length_norm(doc_len, avgdl, b), k1)
 
 
 def lexical_search(
@@ -363,24 +460,26 @@ def lexical_search(
 ) -> RankedList:
     """Top-k items by BM25 for the tokenized query; zero scorers are dropped.
 
-    One pass over the postings of the sorted distinct query terms: each
-    item's score starts at 0.0 and adds its ``bm25_term_weight`` for each
-    of those terms it holds, in that order.
+    One float64 accumulator over the items, starting at 0.0, adds the
+    weights of each sorted distinct query term's postings in turn, so each
+    item adds its ``bm25_term_weight`` for each of those terms it holds, in
+    that order. A term names an item at most once in its postings, so the
+    fancy-indexed ``+=`` adds each weight exactly once.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    scores: dict[str, float] = {}
+    scores = np.zeros(index.count)
     for term in sorted(set(tokenize(query_text))):
-        entries = index.postings.get(term, ())
-        for item_id, tf in entries:
-            if item_id not in index.doc_len:
-                raise ValueError(f"unknown item id {item_id!r}")
-            scores[item_id] = scores.get(item_id, 0.0) + bm25_term_weight(
-                tf, len(entries), index.doc_len[item_id], index.avgdl,
-                index.count, index.k1, index.b,
-            )
+        row = index.terms.get(term)
+        if row is None:
+            continue
+        start, stop = index.starts[row:row + 2].tolist()
+        docs = index.docs[start:stop]
+        scores[docs] += _bm25_weight(
+            _idf(stop - start, index.count), index.tf[start:stop], index.length_norm[docs],
+            index.k1,
+        )
+    hits = np.flatnonzero(scores > 0.0)
     return ranked_list_from_scores(
-        query_id, [(i, s) for i, s in scores.items() if s > 0.0], k=k
+        query_id, zip([index.item_ids[i] for i in hits.tolist()], scores[hits].tolist()), k=k
     )
 
 
@@ -395,16 +494,12 @@ def rrf_fuse(
     Only occurrences within ``depth`` of the top of each input list count,
     and only the top ``k`` fused items are returned (all when k is None).
     Each sum is exactly rounded (``math.fsum``), so the order of the input
-    lists never changes a score. Input lists must share a query id.
+    lists never changes a score. Input lists must share a query id;
+    ``k_rrf``, ``depth`` and ``k`` (when given) must be integers >= 1.
     """
     if not lists:
         raise ValueError("need at least one ranked list to fuse")
-    if k_rrf < 1:
-        raise ValueError(f"k_rrf must be >= 1, got {k_rrf}")
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    if k is not None and k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _require_counts(k_rrf=k_rrf, depth=depth)
     query_ids = {rl.query_id for rl in lists}
     if len(query_ids) != 1:
         raise ValueError(f"cannot fuse lists with differing query ids: {sorted(query_ids)}")
@@ -445,10 +540,15 @@ def save_index(
         meta["dim"] = dense.dim
         write_rkv1(path / "vectors.bin", dense.matrix)
     if lexical is not None:
-        meta.update(k1=lexical.k1, b=lexical.b, avgdl=lexical.avgdl, doc_len=lexical.doc_len)
+        meta.update(
+            k1=lexical.k1, b=lexical.b, avgdl=lexical.avgdl,
+            doc_len=dict(zip(ids, lexical.doc_len.tolist())),
+        )
+        pairs = [[ids[d], tf] for d, tf in zip(lexical.docs.tolist(), lexical.tf.tolist())]
+        starts = lexical.starts.tolist()
         write_jsonl(path / "postings.jsonl", (
-            {"term": term, "postings": [[item_id, tf] for item_id, tf in lexical.postings[term]]}
-            for term in sorted(lexical.postings)
+            {"term": term, "postings": pairs[starts[r]:starts[r + 1]]}
+            for term, r in sorted(lexical.terms.items())
         ))
     write_file(path / "meta.json", json_text(meta))
 
@@ -461,10 +561,12 @@ _META_FIELDS = {
     "item_ids": (lambda v: type(v) is list and all(type(i) is str for i in v), "a list of strings"),
 }
 _DENSE_META_FIELDS = {"dim": _COUNT}
+_INT32_END = 2**31
 _LEXICAL_META_FIELDS = {
-    "k1": NUMBER, "b": NUMBER, "avgdl": NUMBER,
-    "doc_len": (lambda v: type(v) is dict and all(type(n) is int and n >= 0 for n in v.values()),
-                "an object of non-negative integer lengths"),
+    **_BM25_FIELDS, "avgdl": NUMBER,
+    "doc_len": (lambda v: type(v) is dict and all(
+        type(n) is int and 0 <= n < _INT32_END for n in v.values()
+    ), "an object of integer lengths in [0, 2**31)"),
 }
 _POSTINGS_FIELDS = {
     "term": NONEMPTY_STRING,
@@ -493,20 +595,23 @@ def load_index(path: Path | str) -> tuple[DenseIndex | None, LexicalIndex | None
         dense = DenseIndex(item_ids=ids, matrix=matrix, dim=meta["dim"])
     if meta["has_lexical"]:
         check_fields(meta, _LEXICAL_META_FIELDS, meta_path)
-        known = set(ids)
-        if set(meta["doc_len"]) != known:
+        number = {item_id: i for i, item_id in enumerate(ids)}
+        if meta["doc_len"].keys() != number.keys():
             raise ValueError(f"{meta_path}: doc_len keys differ from item_ids")
-        postings: dict[str, tuple[tuple[str, int], ...]] = {}
+        terms: dict[str, int] = {}
+        starts = [0]
+        docs: list[int] = []
+        tfs: list[int] = []
         postings_path = path / "postings.jsonl"
         for line_no, record in read_jsonl(postings_path, _POSTINGS_FIELDS):
             term = record["term"]
-            if term in postings:
+            if term in terms:
                 raise ValueError(
                     f"{postings_path}: line {line_no}: term {term!r} is listed "
                     f"on an earlier line too"
                 )
             entries = tuple(map(tuple, record["postings"]))
-            unknown = sorted({item_id for item_id, _ in entries} - known)
+            unknown = sorted({item_id for item_id, _ in entries} - number.keys())
             if unknown:
                 raise ValueError(
                     f"{postings_path}: line {line_no}: postings of "
@@ -516,17 +621,23 @@ def load_index(path: Path | str) -> tuple[DenseIndex | None, LexicalIndex | None
                 [item_id for item_id, _ in entries],
                 f"{postings_path}: line {line_no}: postings of {term!r} repeat ids",
             )
-            non_positive = [entry for entry in entries if entry[1] < 1]
-            if non_positive:
+            out_of_range = [entry for entry in entries if not 1 <= entry[1] < _INT32_END]
+            if out_of_range:
                 raise ValueError(
                     f"{postings_path}: line {line_no}: postings of {term!r} hold "
-                    f"a tf below 1: {non_positive[:5]}"
+                    f"a tf outside [1, 2**31): {out_of_range[:5]}"
                 )
-            postings[term] = entries
+            terms[term] = len(terms)
+            docs.extend(number[item_id] for item_id, _ in entries)
+            tfs.extend(tf for _, tf in entries)
+            starts.append(len(docs))
         lexical = LexicalIndex(
             item_ids=ids,
-            postings=postings,
-            doc_len=meta["doc_len"],
+            terms=terms,
+            starts=np.array(starts, dtype=np.int64),
+            docs=np.array(docs, dtype=np.int32),
+            tf=np.array(tfs, dtype=np.int32),
+            doc_len=np.array([meta["doc_len"][item_id] for item_id in ids], dtype=np.int32),
             avgdl=float(meta["avgdl"]),
             k1=float(meta["k1"]),
             b=float(meta["b"]),

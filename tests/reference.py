@@ -186,22 +186,28 @@ def bm25_score(index: LexicalIndex, query_terms: Sequence[str], item_id: str) ->
     """BM25 score of one item for a bag of query terms.
 
     Repeated query terms are deduplicated (each distinct term contributes
-    once, with the document-side term frequency inside the formula).
+    once, with the document-side term frequency inside the formula). Each
+    term's postings are read as plain Python lists and walked one posting
+    at a time for the item's number.
     """
-    if item_id not in index.doc_len:
+    if item_id not in index.item_ids:
         raise ValueError(f"unknown item id {item_id!r}")
+    item = index.item_ids.index(item_id)
     score = 0.0
     for term in sorted(set(query_terms)):
-        entries = index.postings.get(term, ())
+        if term not in index.terms:
+            continue
+        row = index.terms[term]
+        start, stop = int(index.starts[row]), int(index.starts[row + 1])
         tf = 0
-        for posting_id, posting_tf in entries:
-            if posting_id == item_id:
+        for doc, posting_tf in zip(index.docs[start:stop].tolist(), index.tf[start:stop].tolist()):
+            if doc == item:
                 tf = posting_tf
                 break
         if tf == 0:
             continue
         score += bm25_term_weight(
-            tf, len(entries), index.doc_len[item_id], index.avgdl,
+            tf, stop - start, int(index.doc_len[item]), index.avgdl,
             index.count, index.k1, index.b,
         )
     return score

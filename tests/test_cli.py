@@ -386,6 +386,15 @@ class TestIngestChunkEmbedIndex:
         assert (out / "meta.json").exists()
         assert (out / "vectors.bin").exists()
         assert (out / "postings.jsonl").exists()
+        # The lexical files' bytes are pinned: the in-memory index layout
+        # never reaches them.
+        assert {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("postings.jsonl", "meta.json")
+        } == {
+            "postings.jsonl": "b67af2f126c8fbf2fe1d3717d2d96460dff20000628a85c6034c21a94b527ebf",
+            "meta.json": "e77cabab2c3f224a316d74f6ab064f852c684999bdc354c1e5cae32fc26465cd",
+        }
 
     def test_index_mode_outside_the_modes_is_a_usage_error(self, workspace, capsys):
         tmp_path, data_dir, config = workspace

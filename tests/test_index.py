@@ -30,6 +30,17 @@ def ranked(query_id, *pairs):
     return ranked_list_from_scores(query_id, pairs)
 
 
+def postings_of(index):
+    """Each term's postings as ``(item_id, tf)`` pairs, in index order."""
+    return {
+        term: list(zip(
+            [index.item_ids[d] for d in index.docs[index.starts[r]:index.starts[r + 1]]],
+            index.tf[index.starts[r]:index.starts[r + 1]].tolist(),
+        ))
+        for term, r in index.terms.items()
+    }
+
+
 class TestRankedList:
     def test_tie_break_by_item_id(self):
         rl = ranked("q", ("b", 1.0), ("a", 1.0), ("c", 2.0))
@@ -252,6 +263,71 @@ class TestBM25:
             assert all(b >= a for a, b in zip(weights, weights[1:]))
             assert weights[0] == 0.0
 
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"b": float("nan")}, "b must be a number in [0, 1], got nan"),
+            ({"b": -0.25}, "b must be a number in [0, 1], got -0.25"),
+            ({"b": 1.5}, "b must be a number in [0, 1], got 1.5"),
+            ({"k1": -1.0}, "k1 must be a finite number >= 0, got -1.0"),
+            ({"k1": float("inf")}, "k1 must be a finite number >= 0, got inf"),
+            ({"k1": float("nan")}, "k1 must be a finite number >= 0, got nan"),
+            ({"k1": True}, "k1 must be a finite number >= 0, got True"),
+            ({"k1": "1.2"}, "k1 must be a finite number >= 0, got '1.2'"),
+        ],
+    )
+    def test_parameters_out_of_range_are_refused(self, params, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_lexical_index(["a", "b"], ["risk x", "risk"], **params)
+
+    @pytest.mark.parametrize("k1, b", [(0.0, 0.0), (0.0, 1.0), (1.2, 0.0), (1.2, 1.0), (0, 1)])
+    def test_extreme_parameters_match_bm25_score(self, k1, b):
+        texts = ["risk risk capital", "capital", "", "risk stress stress stress", "audit"]
+        ids = [f"d{i}" for i in range(len(texts))]
+        index = build_lexical_index(ids, texts, k1=k1, b=b)
+        for query in ["risk", "risk capital stress", "audit nope"]:
+            expected = sorted(
+                ((item, bm25_score(index, query.split(), item)) for item in ids),
+                key=lambda pair: (-pair[1], pair[0]),
+            )
+            result = lexical_search(index, query, k=len(ids), query_id="q")
+            assert list(result.hits) == [(i, s) for i, s in expected if s > 0.0]
+
+    def test_empty_index(self):
+        index = build_lexical_index([], [])
+        assert (index.count, index.terms, index.avgdl) == (0, {}, 0.0)
+        assert lexical_search(index, "risk", k=3).hits == ()
+
+    def test_item_without_tokens(self):
+        index = build_lexical_index(["a", "b", "c"], ["risk capital", "-- !!", "risk"])
+        assert index.doc_len.tolist() == [2, 0, 1]
+        assert index.avgdl == 1.0
+        assert lexical_search(index, "risk capital", k=3).item_ids == ["a", "c"]
+        assert lexical_search(index, "liquidity zeta", k=3).hits == ()
+
+    def test_all_texts_empty(self):
+        index = build_lexical_index(["a", "b"], ["", "..."], b=0.75)
+        assert index.avgdl == 0.0
+        assert index.length_norm.tolist() == [0.25, 0.25]
+        assert lexical_search(index, "risk", k=2).hits == ()
+
+    def test_average_length_zero_counts_every_length_as_zero(self, tmp_path):
+        # Only a saved index can hold postings with avgdl 0: the rule of
+        # bm25_term_weight holds for each posting of a search as well.
+        save_index(tmp_path / "idx", lexical=build_lexical_index(
+            ["a", "b", "c"], ["risk risk capital", "risk", "capital audit"]
+        ))
+        meta = json.loads((tmp_path / "idx" / "meta.json").read_text())
+        meta["avgdl"] = 0.0
+        (tmp_path / "idx" / "meta.json").write_text(json.dumps(meta))
+        _, index = load_index(tmp_path / "idx")
+        assert index.length_norm.tolist() == [0.25] * 3
+        scores = dict(lexical_search(index, "risk", k=3).hits)
+        assert scores == {
+            "a": bm25_term_weight(2, 2, 3, 0.0, 3, 1.2, 0.75),
+            "b": bm25_term_weight(1, 2, 1, 0.0, 3, 1.2, 0.75),
+        }
+
 
 class TestLexicalSearch:
     def test_no_indexed_term_gives_empty(self):
@@ -287,7 +363,7 @@ class TestLexicalSearch:
         ]
         ids = [f"d{i:03d}" for i in rng.permutation(400)]
         index = build_lexical_index(ids, texts)
-        assert min(len(index.postings[w]) for w in words) > 200
+        assert min(len(postings_of(index)[w]) for w in words) > 200
         for query in ["risk", "capital risk stress", "audit audit basel credit", "risk nope"]:
             terms = query.split()
             scored = [(item, bm25_score(index, terms, item)) for item in ids]
@@ -301,14 +377,40 @@ class TestLexicalSearch:
 
     def test_posting_for_unknown_item(self):
         index = build_lexical_index(["d1"], ["credit risk"])
-        broken = LexicalIndex(
-            item_ids=index.item_ids,
-            postings={**index.postings, "risk": (("d1", 1), ("ghost", 2))},
-            doc_len=index.doc_len,
-            avgdl=index.avgdl,
+        for ghost in (1, -1):
+            with pytest.raises(ValueError, match=f"item number {ghost}, but the index holds 1"):
+                LexicalIndex(
+                    item_ids=index.item_ids,
+                    terms={"credit": 0, "risk": 1},
+                    starts=np.array([0, 1, 3]),
+                    docs=np.array([0, 0, ghost], dtype=np.int32),
+                    tf=np.array([1, 1, 2], dtype=np.int32),
+                    doc_len=index.doc_len,
+                    avgdl=index.avgdl,
+                )
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"starts": np.array([0, 1])},
+            {"starts": np.array([1, 1, 2])},
+            {"starts": np.array([0, 2, 1])},
+            {"starts": np.array([0, 1, 3])},
+            {"tf": np.array([1], dtype=np.int32)},
+            {"doc_len": np.array([2, 2], dtype=np.int32)},
+        ],
+        ids=["too-few-starts", "not-from-0", "falling", "past-the-postings", "tf-size",
+             "doc_len-size"],
+    )
+    def test_hand_built_arrays_must_agree(self, change):
+        index = build_lexical_index(["d1"], ["credit risk"])
+        fields = dict(
+            item_ids=index.item_ids, terms=index.terms, starts=index.starts, docs=index.docs,
+            tf=index.tf, doc_len=index.doc_len, avgdl=index.avgdl,
         )
-        with pytest.raises(ValueError, match="unknown item id 'ghost'"):
-            lexical_search(broken, "risk", k=5)
+        LexicalIndex(**fields)
+        with pytest.raises(ValueError):
+            LexicalIndex(**{**fields, **change})
 
     def test_zero_scores_excluded(self):
         index = build_lexical_index(["d1", "d2"], ["risk", "capital"])
@@ -424,8 +526,29 @@ class TestRRF:
             rrf_fuse([a], k_rrf=0)
         with pytest.raises(ValueError):
             rrf_fuse([a], depth=0)
-        with pytest.raises(ValueError, match="k must be >= 1"):
+        with pytest.raises(ValueError, match="k must be an integer >= 1, got 0"):
             rrf_fuse([a], k=0)
+
+
+@pytest.mark.parametrize("value", [0, -2, 1.5, True, "3"], ids=repr)
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("k", lambda v: dense_search_many(
+            build_dense_index(["a"], [np.ones(2)]), [np.ones(2)], v, ["q"])),
+        ("k", lambda v: lexical_search(build_lexical_index(["a"], ["risk"]), "risk", v)),
+        ("k", lambda v: ranked_list_from_scores("q", [("a", 1.0)], k=v)),
+        ("k_rrf", lambda v: rrf_fuse([ranked("q", ("a", 1.0))], k_rrf=v)),
+        ("depth", lambda v: rrf_fuse([ranked("q", ("a", 1.0))], depth=v)),
+        ("k", lambda v: rrf_fuse([ranked("q", ("a", 1.0))], k=v)),
+    ],
+    ids=["dense_search_many", "lexical_search", "ranked_list_from_scores", "rrf_fuse-k_rrf",
+         "rrf_fuse-depth", "rrf_fuse-k"],
+)
+def test_counts_must_be_integers_of_at_least_one(name, call, value):
+    message = f"{name} must be an integer >= 1, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(value)
 
 
 class TestPersistence:
@@ -439,9 +562,38 @@ class TestPersistence:
         dense2, lexical2 = load_index(tmp_path / "idx")
         assert dense2.item_ids == dense.item_ids
         assert dense2.matrix.tobytes() == dense.matrix.tobytes()
-        assert lexical2.postings == lexical.postings
-        assert lexical2.doc_len == lexical.doc_len
-        assert lexical2.avgdl == lexical.avgdl
+        assert lexical2.terms == lexical.terms
+        for name in ("starts", "docs", "tf", "doc_len", "length_norm"):
+            assert getattr(lexical2, name).tolist() == getattr(lexical, name).tolist()
+        assert (lexical2.avgdl, lexical2.k1, lexical2.b) == (lexical.avgdl, lexical.k1, lexical.b)
+
+    def test_shuffled_postings_load_rank_and_save_alike(self, tmp_path, rng):
+        words = ["risk", "capital", "stress", "credit", "basel", "audit", "liquidity"]
+        texts = [
+            " ".join(words[i] for i in rng.integers(0, len(words), size=rng.integers(0, 15)))
+            for _ in range(60)
+        ]
+        ids = [f"d{i:02d}" for i in rng.permutation(60)]
+        built = build_lexical_index(ids, texts)
+        save_index(tmp_path / "idx", lexical=built)
+        path = tmp_path / "idx" / "postings.jsonl"
+        lines = []
+        for line in path.read_text().splitlines():
+            record = json.loads(line)
+            record["postings"] = [record["postings"][i] for i in rng.permutation(
+                len(record["postings"])
+            )]
+            lines.append(json.dumps(record, ensure_ascii=False))
+        shuffled = "".join(line + "\n" for line in lines)
+        assert shuffled != path.read_text(encoding="utf-8")
+        path.write_text(shuffled, encoding="utf-8")
+        _, loaded = load_index(tmp_path / "idx")
+        for query in ["risk", "capital stress risk", "audit basel credit liquidity", "nope"]:
+            for k in (1, 10, 60):
+                assert lexical_search(loaded, query, k) == lexical_search(built, query, k)
+        save_index(tmp_path / "again", lexical=loaded)
+        for name in ("postings.jsonl", "meta.json"):
+            assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "idx" / name).read_bytes()
 
     def test_search_equivalence_after_reload(self, tmp_path, rng):
         ids = [f"i{i}" for i in range(10)]
@@ -548,6 +700,19 @@ class TestPersistence:
         ):
             load_index(path)
 
+    def test_postings_tf_past_int32(self, tmp_path):
+        path, _ = self.saved_abc(tmp_path)
+        postings = path / "postings.jsonl"
+        postings.write_text(
+            json.dumps({"term": "delta", "postings": [["a", 2**31]]}) + "\n"
+            + postings.read_text()
+        )
+        with pytest.raises(
+            ValueError,
+            match=r"postings\.jsonl: line 1: postings of 'delta' .*\[\('a', 2147483648\)\]",
+        ):
+            load_index(path)
+
     @pytest.mark.parametrize(
         "record,field",
         [
@@ -577,10 +742,18 @@ class TestPersistence:
             (lambda meta: meta.update(dim="3"), "field 'dim'"),
             (lambda meta: meta.pop("avgdl"), "missing field 'avgdl'"),
             (lambda meta: meta["doc_len"].update(a="2"), "field 'doc_len'"),
+            (lambda meta: meta["doc_len"].update(a=2**31), "field 'doc_len'"),
+            (lambda meta: meta.update(k1=-1.0), "field 'k1' must be a finite number >= 0"),
+            (lambda meta: meta.update(k1=float("inf")), "field 'k1'"),
+            (lambda meta: meta.update(b=float("nan")), "field 'b' must be a number in"),
+            (lambda meta: meta.update(b=1.5), "field 'b'"),
+            (lambda meta: meta.update(b="0.75"), "field 'b'"),
         ],
         ids=[
             "invalid-json", "not-an-object", "missing-count", "string-item_ids",
             "string-has_dense", "string-dim", "missing-avgdl", "string-doc_len-value",
+            "doc_len-past-int32", "negative-k1", "infinite-k1", "nan-b", "b-above-one",
+            "string-b",
         ],
     )
     def test_malformed_meta_names_file_and_field(self, tmp_path, damage, field):
@@ -598,16 +771,16 @@ class TestPersistence:
         ids = ["a", "b", "c"]
         texts = ["über risk", "日本 capital", "über 日本 über"]
         lexical = build_lexical_index(ids, texts)
-        assert {"über", "日本"} <= set(lexical.postings)
+        assert {"über", "日本"} <= set(lexical.terms)
         save_index(tmp_path / "idx", lexical=lexical)
         _, loaded = load_index(tmp_path / "idx")
-        assert loaded.postings == lexical.postings
+        assert postings_of(loaded) == postings_of(lexical)
         # The ASCII-escaped form of the same lines loads to the same index.
         postings = tmp_path / "idx" / "postings.jsonl"
         postings.write_text("".join(
             json.dumps(json.loads(line)) + "\n" for line in postings.read_text().splitlines()
         ))
-        assert load_index(tmp_path / "idx")[1].postings == lexical.postings
+        assert postings_of(load_index(tmp_path / "idx")[1]) == postings_of(lexical)
 
     def test_nothing_to_save(self, tmp_path):
         with pytest.raises(ValueError):

@@ -5,7 +5,9 @@ Python float scores whatever number type came in. RRF cases share ids across lis
 tie), cut lists at ``depth`` and fuse up to five lists, where a running sum
 would depend on the order of the lists. BM25 cases draw tiny corpora over
 a six-word vocabulary, so terms repeat within and across items, and queries
-that repeat terms and use words no item holds.
+that repeat terms and use words no item holds, under BM25 parameters that
+include the ends of their ranges (k1 = 0, b = 0 and b = 1). The oracle
+walks each term's postings one by one in Python.
 """
 
 import math
@@ -110,12 +112,16 @@ def bm25_cases(draw):
     return texts, query, draw(st.integers(1, len(texts) + 2))
 
 
+K1 = st.sampled_from([0.0, 1.2, 2.0]) | st.floats(0.0, 10.0)
+B = st.sampled_from([0.0, 0.75, 1.0]) | st.floats(0.0, 1.0)
+
+
 @PROPERTY_SETTINGS
-@given(bm25_cases())
-def test_lexical_search_equals_bm25_score(case):
+@given(bm25_cases(), K1, B)
+def test_lexical_search_equals_bm25_score(case, k1, b):
     texts, query, k = case
     ids = [f"d{i}" for i in range(len(texts))]
-    index = build_lexical_index(ids, texts)
+    index = build_lexical_index(ids, texts, k1=k1, b=b)
     query_text = " ".join(query)
     scored = [(item, bm25_score(index, tokenize(query_text), item)) for item in ids]
     expected = sorted(((i, s) for i, s in scored if s > 0.0), key=lambda p: (-p[1], p[0]))[:k]
