@@ -13,8 +13,11 @@ all_contexts pool with k_list (5, 10, 100). At each scale the script times:
 - ``train_adapter`` on the training split, 2 epochs, seed 7;
 - ``compare_adapter`` in hybrid mode, base against that adapter: the
   paper's base-versus-finetuned comparison;
+- ``HashEmbedder.embed`` alone, over the items;
 - the BM25 layers alone: ``build_lexical_index`` over the items and
   ``lexical_search`` of every test question at depth 100;
+- hash-mode ``dense_search_many`` alone: the test questions' hash vectors
+  over the items' at depth 100 (hash vectors are sparse rows);
 - the finetuned side's dense layers alone: ``build_dense_index`` over the
   adapted item rows and ``dense_search_many`` of the adapted queries at
   depth 100 (adapter outputs are fully dense rows, unlike hash vectors);
@@ -32,8 +35,9 @@ of the ``report.json`` file that ``riskrank eval`` writes, of the
 trained float64 weight (and bias) bytes for ``train_adapter``, of the
 ``postings.jsonl`` file that ``save_index`` writes for
 ``build_lexical_index``, of the stored float32 rows for
-``build_dense_index``, and of every query id, hit id and score (as
-``float.hex``) for ``lexical_search`` and ``dense_search_many``.
+``build_dense_index``, of the float32 rows for ``HashEmbedder.embed``,
+and of every query id, hit id and score (as ``float.hex``) for
+``lexical_search`` and ``dense_search_many``.
 
 Each step, with all its repeats, runs in a child process forked for it,
 and its ``peak_rss_mb`` is that child's ``ru_maxrss`` as ``os.wait4``
@@ -253,6 +257,28 @@ def profile_scale(pairs_count: int, repeats: int) -> list[dict]:
         )
         return {"mode": "lexical_search", "queries": len(query_ids), **stats}, None
 
+    def embed_items():
+        items, _, _ = eval_set()
+        rows, stats = timed(
+            f"{pairs_count} pairs, HashEmbedder.embed", repeats,
+            lambda: embedder.embed(items.item_texts),
+            lambda rows: sha256(rows.tobytes()),
+            digest_key="rows_sha256",
+        )
+        return {"mode": "embed_items", "items": len(rows), **stats}, None
+
+    def hash_searches():
+        items, query_ids, query_texts = eval_set()
+        index = build_dense_index(items.item_ids, embedder.embed(items.item_texts))
+        queries = embedder.embed(query_texts)
+        _, stats = timed(
+            f"{pairs_count} pairs, hash dense_search_many", repeats,
+            lambda: dense_search_many(index, queries, DEPTH, query_ids),
+            ranking_digest,
+            digest_key="run_sha256",
+        )
+        return {"mode": "dense_search_many_hash", "queries": len(query_ids), **stats}, None
+
     def adapted():
         items, query_ids, query_texts = eval_set()
         return (
@@ -286,8 +312,10 @@ def profile_scale(pairs_count: int, repeats: int) -> list[dict]:
         run(mode, lambda: eval_mode(mode))
     adapter = run("train_adapter", train)
     run("compare_adapter", compare)
+    run("HashEmbedder.embed", embed_items)
     run("build_lexical_index", lexical_build)
     run("lexical_search", lexical_searches)
+    run("hash dense_search_many", hash_searches)
     run("adapter build_dense_index", dense_build)
     run("adapter dense_search_many", dense_searches)
 

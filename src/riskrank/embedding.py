@@ -48,19 +48,32 @@ __all__ = [
 ]
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# ASCII bytes as ``tokenize`` sees them: letters lowercased, digits kept,
+# every other byte a space.
+_ASCII_TOKEN_BYTES = bytes(
+    ord(ch.lower()) if ch.isalnum() else 0x20 for ch in map(chr, range(128))
+) + b" " * 128
 _U64 = 0xFFFFFFFFFFFFFFFF
 
-# Squares per ``_exact_row_sums`` call in ``unit_rows``: a call's temporaries
-# are a few times this many float64 values, so normalizing a large matrix
-# does not raise peak memory.
-_SQUARES_PER_CALL = 16_384
+# Terms per ``_exact_row_sums`` call where it sums many short rows: the
+# squares of ``unit_rows`` and the products of sparse queries in the dense
+# verify of ``riskrank.index``.  A call's temporaries are a few times this
+# many float64 values, so neither raises peak memory.
+_TERMS_PER_CALL = 16_384
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercase ``text`` and split on runs of non-alphanumeric characters.
 
     Empty tokens are dropped: ``"VaR-99.5%"`` -> ``["var", "99", "5"]``.
+    The tokens are the runs of ``[^\\W_]`` in ``text.lower()``. ASCII text
+    takes a faster path to the same tokens: one byte table maps its letters
+    to lowercase, keeps its digits and turns every other byte into a space,
+    and the result is split on spaces. Given an ASCII character, ``[^\\W_]``
+    matches exactly the ASCII letters and digits, so both paths agree.
     """
+    if text.isascii():
+        return text.encode("ascii").translate(_ASCII_TOKEN_BYTES).decode("ascii").split()
     return _TOKEN_RE.findall(text.lower())
 
 
@@ -175,8 +188,9 @@ def unit_rows(matrix: np.ndarray, ids: Sequence[str], kind: str = "row") -> np.n
     copies do, and a row whose squares would underflow is not taken for
     zero. A row holding NaN or Inf raises ValueError ``"<kind> <id> has
     non-finite values"``, with the row's id from ``ids``. The sums of
-    squares come from ``_exact_row_sums``, about ``_SQUARES_PER_CALL``
-    squares per call: it certifies almost every row and sends the rest to
+    squares come from ``_exact_row_sums``, about ``_TERMS_PER_CALL``
+    squares per call, over each row's nonzero squares when they are at most
+    half the row: it certifies almost every row and sends the rest to
     ``math.fsum``, so each norm has ``exact_norm``'s bits.
     """
     rows = np.array(matrix, dtype=np.float64)
@@ -199,13 +213,20 @@ def unit_rows(matrix: np.ndarray, ids: Sequence[str], kind: str = "row") -> np.n
     _, exponents = np.frexp(peak)
     np.ldexp(rows, (top - exponents)[:, None], out=rows)
     # The squares of zeros are +0, which change no sum of squares, and a
-    # zero sum is +0 either way, so these are ``exact_norm``'s bits.
-    step = max(1, _SQUARES_PER_CALL // max(rows.shape[1], 1))
-    norms = np.sqrt([
-        total
-        for start in range(0, len(rows), step)
-        for total in _exact_row_sums(np.square(rows[start:start + step]))
-    ])
+    # zero sum is +0 either way, so these are ``exact_norm``'s bits.  For
+    # the same reason, and as a certified sum does not depend on the order
+    # of its terms, a chunk whose rows hold at most w <= dim/2 nonzero
+    # squares each is summed over the w largest squares of each row only.
+    dim = rows.shape[1]
+    step = max(1, _TERMS_PER_CALL // max(dim, 1))
+    sums = []
+    for start in range(0, len(rows), step):
+        squares = np.square(rows[start:start + step])
+        width = max(int(np.count_nonzero(squares, axis=1).max()), 1)
+        if 2 * width <= dim:
+            squares = np.partition(squares, dim - width, axis=1)[:, dim - width:]
+        sums.extend(_exact_row_sums(squares))
+    norms = np.sqrt(sums)
     rows /= np.where(norms != 0.0, norms, 1.0)[:, None]
     return rows
 

@@ -10,9 +10,10 @@ re-implementation of the same arithmetic reproduces them bit-for-bit.
 Dense search gets there by filter-then-verify: one float64 matmul per
 block of queries gives approximate scores, a rigorous forward-error bound
 keeps every row that could reach the top k (the whole band of ties at the
-k-th score included), and only those rows are scored exactly: by a
-certified vectorized sum for dense queries, or over a sparse query's
-nonzero coordinates (a zero sum is redone over the full row).
+k-th score included), and only those rows are scored exactly: one
+certified vectorized sum per block of queries over the kept rows'
+products, restricted to the queries' nonzero coordinates when at most half
+of them are nonzero (a zero sum is redone over the full row).
 
 The BM25 index holds its postings as compressed sparse rows: each term
 owns one slice of two int32 arrays, item numbers and term frequencies, and
@@ -49,7 +50,7 @@ from .cache import (
     BOOLEAN, NONEMPTY_STRING, NUMBER, POSITIVE_INTEGER, check_fields, check_values, json_text,
     read_json, read_jsonl, read_rkv1, write_file, write_jsonl, write_rkv1,
 )
-from .embedding import _exact_row_sums, tokenize, unit_rows
+from .embedding import _TERMS_PER_CALL, _exact_row_sums, tokenize, unit_rows
 
 __all__ = [
     "RankedList",
@@ -75,16 +76,10 @@ DEFAULT_RRF_DEPTH = 100
 # times index rows, stay near _BLOCK_ITEMS float64 values, but a block never
 # holds fewer than _MIN_BLOCK_QUERIES queries, so that on a large index each
 # pass of the matmul over the float64 rows serves many queries, not one.
+# The exact verify of a block passes about as many full-row products to
+# each ``_exact_row_sums`` call.
 _BLOCK_ITEMS = 50_000
 _MIN_BLOCK_QUERIES = 64
-
-# Queries with at least this many nonzero coordinates are dense: one
-# ``_exact_row_sums`` call over their kept rows' full products beats one
-# fsum per row over the nonzero coordinates.  Hash queries hold one nonzero
-# per distinct token, a few dozen at most; model vectors and adapter outputs
-# are fully dense.  At dim 256 and 100 kept rows the two paths cost the same
-# near 32 nonzeros.
-_DENSE_NONZERO = 32
 
 
 @dataclass(frozen=True)
@@ -151,9 +146,12 @@ def ranked_list_from_scores(
     return RankedList(query_id=query_id, hits=tuple(items[:k]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DenseIndex:
-    """Item ids plus an (n, dim) float32 matrix of L2-normalized rows."""
+    """Item ids plus an (n, dim) float32 matrix of L2-normalized rows.
+
+    Indexes compare and hash by identity: their arrays have no one truth value.
+    """
 
     item_ids: tuple[str, ...]
     matrix: np.ndarray
@@ -216,21 +214,22 @@ def build_dense_index(
 # score thus gives the full scan's hits, scores and order bit for bit.  The
 # bound needs finite inputs, hence the checks.
 #
-# The exact score of a kept row is fsum of its d products (``_exact_scores``),
-# got one of two ways that give fsum's bits.  A dense query, one with at
-# least ``_DENSE_NONZERO`` nonzero coordinates (adapter outputs, model
-# vectors), has its kept rows' products summed by ``_exact_row_sums``: an
-# error-free TwoSum tree whose result is certified correctly rounded, with
-# fsum for every row it cannot certify, a zero sum among them (see the
-# comment above that kernel in ``riskrank.embedding``).  A sparse query (hash
-# vectors) sums only the products at its nonzero coordinates, one fsum per
-# row.  Each dropped product is x_j * (+-0) = +-0 with x_j finite, and adding
-# zeros does not change the real value of a sum, so whenever that value is
-# nonzero the exactly rounded sum is the same float.  Only a zero sum can
-# differ, in its sign: the sign of an exact zero sum depends on the signs of
-# all its terms (and on how a given Python version's fsum signs zeros), so a
-# row whose restricted sum is +-0 is scored again over its full row, as the
-# full scan scores it.
+# The exact score of a kept row is fsum of its d products, and each block
+# of queries gets it from a few ``_exact_row_sums`` calls: an error-free
+# TwoSum tree whose result is certified correctly rounded, with fsum for
+# every row it cannot certify, a zero sum among them (see the comment above
+# that kernel in ``riskrank.embedding``).
+# A block whose widest query has w <= d/2 nonzero coordinates (hash vectors)
+# sums, for each kept (query, row) pair, only the w products at that query's
+# nonzero coordinates and, for a narrower query, at some of its zero ones; a
+# block with a wider query (model vectors, adapter outputs) sums the d
+# products of each pair.  Each dropped or padding product is x_j * (+-0) =
+# +-0 with x_j finite, and adding zeros does not change the real value of a
+# sum, so whenever that value is nonzero the exactly rounded sum is the same
+# float, in any order of the terms.  Only a zero sum can differ, in its sign:
+# the sign of an exact zero sum depends on the signs of all its terms (and on
+# how a given Python version's fsum signs zeros), so a pair whose sum is +-0
+# is scored again by fsum over its full row, as the full scan scores it.
 def dense_search_many(
     index: DenseIndex,
     queries: Sequence[np.ndarray] | np.ndarray,
@@ -279,42 +278,52 @@ def dense_search_many(
             error_scale * np.abs(chunk).max(axis=1, initial=0.0), 2.0**-1000
         )
         keep = approx >= (threshold - 2.0 * error)[:, None]
-        for query_id, q, mask in zip(query_ids[start:start + block], chunk, keep):
-            kept = np.flatnonzero(mask)
-            results.append(ranked_list_from_scores(
-                query_id,
-                zip([index.item_ids[i] for i in kept.tolist()], _exact_scores(rows, kept, q)),
-                k=k,
-            ))
+        which, kept, scores = _kept_scores(rows, chunk, keep)
+        ids = [index.item_ids[i] for i in kept.tolist()]
+        bounds = np.searchsorted(which, np.arange(len(chunk) + 1)).tolist()
+        for query_id, lo, hi in zip(query_ids[start:start + block], bounds, bounds[1:]):
+            results.append(ranked_list_from_scores(query_id, zip(ids[lo:hi], scores[lo:hi]), k=k))
+        # Freed before the next block's matmul: held across it, the pairs
+        # often left the C heap fragmented, some 4 MB more peak RSS in a
+        # hybrid run_eval over 3 000 items.
+        del which, kept, scores, ids, bounds
     return results
 
 
-def _exact_scores(rows: np.ndarray, kept: np.ndarray, q: np.ndarray) -> list[float]:
-    """``math.fsum`` of ``rows[i] * q`` for each ``i`` in ``kept``, bit for bit.
+def _kept_scores(
+    rows: np.ndarray, chunk: np.ndarray, keep: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """The kept ``(query, row)`` pairs of a block, by query then row, and
+    ``math.fsum`` of ``rows[row] * chunk[query]`` for each, bit for bit.
 
-    A query with at least ``_DENSE_NONZERO`` nonzero coordinates has its
-    kept rows summed by ``_exact_row_sums``, about ``_BLOCK_ITEMS`` products
-    per call. For any other query only its nonzero coordinates are summed,
-    and any row whose sum is zero is scored again over its full row (see the
-    comment above ``dense_search_many``).
+    ``keep`` holds one boolean per query of ``chunk`` and row of ``rows``.
+    The products of every pair go to ``_exact_row_sums``: over the nonzero
+    coordinates of the queries, about ``_TERMS_PER_CALL`` per call, when the
+    widest has at most half its coordinates nonzero, and else over full
+    rows, about ``_BLOCK_ITEMS`` per call. A zero sum is redone over the
+    full row (see the comment above ``dense_search_many``).
     """
-    nonzero = np.flatnonzero(q)
-    if len(nonzero) >= _DENSE_NONZERO:
-        step = max(1, _BLOCK_ITEMS // len(q))
-        return [
-            score
-            for start in range(0, len(kept), step)
-            for score in _exact_row_sums(rows[kept[start:start + step]] * q)
-        ]
-    products = rows[kept[:, None], nonzero] * q[nonzero]
-    scores = [math.fsum(p) for p in products.tolist()]
-    for i, score in enumerate(scores):
-        if score == 0.0:  # +0.0 or -0.0
-            scores[i] = math.fsum((rows[kept[i]] * q).tolist())
-    return scores
+    which, kept = np.divmod(np.flatnonzero(keep), keep.shape[1])
+    dim = chunk.shape[1]
+    width = max(int(np.count_nonzero(chunk, axis=1).max()), 1)
+    gather = 2 * width <= dim
+    if gather:
+        # Each query's nonzero coordinates, then enough of its zero ones to
+        # fill the block's width.
+        columns = np.argsort(chunk == 0.0, axis=1, kind="stable")[:, :width]
+        values = np.take_along_axis(chunk, columns, axis=1)
+    step = max(1, _TERMS_PER_CALL // width if gather else _BLOCK_ITEMS // dim)
+    scores: list[float] = []
+    for start in range(0, len(kept), step):
+        q, r = which[start:start + step], kept[start:start + step]
+        products = rows[r[:, None], columns[q]] * values[q] if gather else rows[r] * chunk[q]
+        scores.extend(_exact_row_sums(products))
+    for i in [i for i, score in enumerate(scores) if score == 0.0]:  # +0.0 or -0.0
+        scores[i] = math.fsum((rows[kept[i]] * chunk[which[i]]).tolist())
+    return which, kept, scores
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LexicalIndex:
     """An inverted index as compressed sparse rows, with what BM25 needs.
 
@@ -331,7 +340,8 @@ class LexicalIndex:
     A ``k1`` that is not a finite number >= 0, a ``b`` outside [0, 1],
     arrays whose sizes disagree, ``starts`` that do not rise from 0 to
     ``len(docs)``, or an item number outside ``item_ids`` raise ValueError
-    naming what is wrong.
+    naming what is wrong. Like ``DenseIndex``, it compares and hashes by
+    identity.
     """
 
     item_ids: tuple[str, ...]
@@ -343,7 +353,7 @@ class LexicalIndex:
     avgdl: float
     k1: float = DEFAULT_K1
     b: float = DEFAULT_B
-    length_norm: np.ndarray = field(init=False, repr=False, compare=False)
+    length_norm: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         check_values(self, _BM25_FIELDS)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 from fractions import Fraction
 from typing import Sequence
 
@@ -77,6 +78,11 @@ def naive_hit_rate(retrieved: list[str], relevant: set[str], k: int) -> float:
 # ---------------------------------------------------------------------------
 # Hashed embeddings, one token at a time
 # ---------------------------------------------------------------------------
+
+
+def reference_tokenize(text: str) -> list[str]:
+    """The runs of letters and digits (``[^\\W_]``, Unicode) in ``text.lower()``."""
+    return re.findall(r"[^\W_]+", text.lower())
 
 
 def reference_hash_embed(tokens: list[str], dim: int, seed: int) -> np.ndarray:

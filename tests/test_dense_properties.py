@@ -6,9 +6,12 @@ score, zero rows, zero queries, k above the item count, empty indexes, and
 rows of any length and magnitude stored directly in a ``DenseIndex``.
 Sparse cases sit where summing only a query's nonzero coordinates could go
 wrong: rows whose products there are all zero or cancel exactly. Wide cases
-give queries at least ``_DENSE_NONZERO`` nonzero coordinates, so their kept
-rows are summed by ``_exact_row_sums``. Scores are compared by their bits
-(``float.hex``), so the sign of a zero counts.
+give queries at least ``WIDE_NONZERO`` nonzero coordinates, and mixed cases
+put sparse, wide and zero queries in one block, so that a block is verified
+over its queries' nonzero coordinates or over full rows. Those tests also
+check that the rows passed to ``_exact_row_sums`` are the kept pairs of
+every query. Scores are compared by their bits (``float.hex``), so the sign
+of a zero counts.
 """
 
 import itertools
@@ -23,7 +26,7 @@ from hypothesis.extra.numpy import arrays
 from riskrank import index as index_module
 from riskrank.embedding import unit_rows
 from riskrank.index import DenseIndex, RankedList, build_dense_index, dense_search_many
-from riskrank.index import _DENSE_NONZERO, _MIN_BLOCK_QUERIES
+from riskrank.index import _MIN_BLOCK_QUERIES
 
 from reference import brute_force_dense, fraction_dot, reference_unit_rows
 
@@ -34,6 +37,12 @@ PROPERTY_SETTINGS = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
+
+# Wide cases give each query at least this many nonzero coordinates: the
+# dims up to WIDE_NONZERO + 40 put queries on either side of half their
+# coordinates, and 256 and 300 below it, as hash vectors are.
+WIDE_NONZERO = 32
+wide_dims = st.one_of(st.integers(WIDE_NONZERO, WIDE_NONZERO + 40), st.sampled_from([256, 300]))
 
 _fsum = math.fsum
 
@@ -111,11 +120,11 @@ def dense_cases(draw, elements, dims=st.integers(1, 8)):
     n_queries = draw(st.integers(1, 4))
     rows = draw(arrays(np.float32, (n, dim), elements=elements))
     queries = draw(arrays(np.float64, (n_queries, dim), elements=st.floats(-2, 2, width=32)))
-    if dim >= _DENSE_NONZERO:
-        # Each query keeps at least _DENSE_NONZERO nonzero coordinates.
+    if dim >= WIDE_NONZERO:
+        # Each query keeps at least WIDE_NONZERO nonzero coordinates.
         for query in queries:
             query[query == 0.0] = draw(st.floats(2.0**-20, 2, width=32))
-            zeros = draw(st.lists(st.integers(0, dim - 1), max_size=dim - _DENSE_NONZERO,
+            zeros = draw(st.lists(st.integers(0, dim - 1), max_size=dim - WIDE_NONZERO,
                                   unique=True))
             query[zeros] = 0.0
     first = draw(st.sampled_from(["as drawn", "zero", "constant"]))
@@ -164,19 +173,38 @@ def test_many_equals_one_query_at_a_time(case):
     assert many == single
 
 
-wide_dims = st.one_of(st.integers(_DENSE_NONZERO, _DENSE_NONZERO + 40), st.sampled_from([256, 300]))
+def kept_pairs_reach_the_kernel(search, index):
+    """``search()`` and every matrix it passed to ``_exact_row_sums``,
+    checking that those rows are the kept ``(query, row)`` pairs of each
+    block, each once and in order: the nonzero products in kernel row t are
+    those of pair t, and every hit of every query is a kept pair."""
+    blocks = []
+    kept_scores, kernel = index_module._kept_scores, index_module._exact_row_sums
 
+    def record_block(rows, chunk, keep):
+        blocks.append((rows, chunk, keep, []))
+        return kept_scores(rows, chunk, keep)
 
-def dense_queries_reach_the_kernel(search, index, queries):
-    """``search()``, checking that ``_exact_row_sums`` scored the kept rows
-    of the queries with at least ``_DENSE_NONZERO`` nonzero coordinates."""
-    with mock.patch.object(
-        index_module, "_exact_row_sums", wraps=index_module._exact_row_sums
-    ) as kernel:
+    def record_call(products):
+        blocks[-1][3].append(products)
+        return kernel(products)
+
+    with mock.patch.object(index_module, "_kept_scores", record_block), \
+            mock.patch.object(index_module, "_exact_row_sums", record_call):
         got = search()
-    dense = sum(np.count_nonzero(q) >= _DENSE_NONZERO for q in np.asarray(queries))
-    assert kernel.call_count >= (dense if index.count else 0)
-    return got
+    assert sum(len(chunk) for _, chunk, _, _ in blocks) == (len(got) if index.count else 0)
+    position = {item_id: i for i, item_id in enumerate(index.item_ids)}
+    keeps = [keep_row for _, _, keep, _ in blocks for keep_row in keep]
+    for keep_row, ranking in zip(keeps, got):
+        assert all(keep_row[position[item_id]] for item_id in ranking.item_ids)
+    for rows, chunk, keep, calls in blocks:
+        inputs = np.concatenate(calls)
+        which, kept = np.nonzero(keep)
+        assert len(inputs) == len(which)
+        for products, q, r in zip(inputs, which, kept):
+            full = rows[r] * chunk[q]
+            assert products[products != 0.0].tolist() == full[full != 0.0].tolist()
+    return got, [products for *_, calls in blocks for products in calls]
 
 
 @PROPERTY_SETTINGS
@@ -186,8 +214,8 @@ def test_wide_queries_match_brute_force_bits(case):
     index = build_dense_index(ids, vectors.astype(np.float64), dim=vectors.shape[1])
     for fsum in FSUMS:
         with mock.patch.object(math, "fsum", fsum):
-            got = dense_queries_reach_the_kernel(
-                lambda: dense_search_many(index, queries, k, query_ids), index, queries
+            got, _ = kept_pairs_reach_the_kernel(
+                lambda: dense_search_many(index, queries, k, query_ids), index
             )
             want = [bits(brute_force_dense(ids, vectors, q, k)) for q in queries]
         assert [hits(ranking) for ranking in got] == want
@@ -203,8 +231,8 @@ def test_wide_queries_match_exact_scan_bits(case):
     index = DenseIndex(item_ids=tuple(ids), matrix=rows, dim=rows.shape[1])
     for fsum in FSUMS:
         with mock.patch.object(math, "fsum", fsum):
-            got = dense_queries_reach_the_kernel(
-                lambda: dense_search_many(index, queries, k, query_ids), index, queries
+            got, _ = kept_pairs_reach_the_kernel(
+                lambda: dense_search_many(index, queries, k, query_ids), index
             )
             want = [exact_scan(ids, rows, q, k) for q in queries]
         assert [hits(ranking) for ranking in got] == want
@@ -294,7 +322,9 @@ def test_sparse_queries_match_brute_force_bits(case):
     index = build_dense_index(ids, vectors.astype(np.float64))
     for fsum in FSUMS:
         with mock.patch.object(math, "fsum", fsum):
-            got = dense_search_many(index, queries, k, query_ids)
+            got, _ = kept_pairs_reach_the_kernel(
+                lambda: dense_search_many(index, queries, k, query_ids), index
+            )
             want = [bits(brute_force_dense(ids, vectors, q, k)) for q in queries]
         assert [hits(ranking) for ranking in got] == want
 
@@ -308,9 +338,98 @@ def test_sparse_queries_match_exact_scan_bits(case):
     index = DenseIndex(item_ids=tuple(ids), matrix=rows, dim=rows.shape[1])
     for fsum in FSUMS:
         with mock.patch.object(math, "fsum", fsum):
-            got = dense_search_many(index, queries, k, query_ids)
+            got, _ = kept_pairs_reach_the_kernel(
+                lambda: dense_search_many(index, queries, k, query_ids), index
+            )
             want = [exact_scan(ids, rows, q, k) for q in queries]
         assert [hits(ranking) for ranking in got] == want
+
+
+@st.composite
+def mixed_blocks(draw, elements):
+    """One block of sparse, wide and zero queries, in any order, with zeros
+    of either sign: a sparse query holds at most half its coordinates
+    nonzero and a wide one more than half, so a block holding a wide query
+    is verified over full rows and any other over its widest query's
+    nonzero count. The last value is the products per kernel call that the
+    verify aims at, small ones splitting a block's pairs over many calls."""
+    dim = draw(st.one_of(st.integers(2, 12), st.sampled_from([64, 256])))
+    n = draw(st.integers(1, 24))
+    rows = draw(arrays(np.float32, (n, dim), elements=elements))
+    kinds = draw(st.lists(st.sampled_from(["sparse", "wide", "zero"]), min_size=1, max_size=6))
+    queries = np.where(draw(arrays(np.bool_, (len(kinds), dim))), -0.0, 0.0)
+    for query, kind in zip(queries, kinds):
+        if kind == "zero":
+            continue
+        count = draw(st.integers(1, dim // 2) if kind == "sparse" else st.integers(dim // 2 + 1, dim))
+        nonzero = draw(st.permutations(range(dim)))[:count]
+        query[nonzero] = [draw(st.floats(-2, 2, width=32).filter(bool)) for _ in nonzero]
+    k = draw(st.integers(1, n + 3))
+    rows = plant_near_ties(draw, rows, queries[0], k)
+    ids = [f"item-{i:02d}" for i in range(n)]
+    query_ids = [f"q{i}" for i in range(len(kinds))]
+    return ids, rows, queries, query_ids, k, draw(st.sampled_from([1, 16, 16_384]))
+
+
+def products_per_call(count):
+    return mock.patch.multiple(index_module, _TERMS_PER_CALL=count, _BLOCK_ITEMS=count)
+
+
+@PROPERTY_SETTINGS
+@given(mixed_blocks(st.floats(-1, 1, width=32)))
+def test_mixed_blocks_match_brute_force_bits(case):
+    ids, vectors, queries, query_ids, k, per_call = case
+    index = build_dense_index(ids, vectors.astype(np.float64))
+    for fsum in FSUMS:
+        with mock.patch.object(math, "fsum", fsum), products_per_call(per_call):
+            got, _ = kept_pairs_reach_the_kernel(
+                lambda: dense_search_many(index, queries, k, query_ids), index
+            )
+            want = [bits(brute_force_dense(ids, vectors, q, k)) for q in queries]
+        assert [hits(ranking) for ranking in got] == want
+
+
+@PROPERTY_SETTINGS
+@given(mixed_blocks(
+    st.one_of(st.floats(-1e6, 1e6, width=32), st.floats(-(2.0**-100), 2.0**-100, width=32))
+))
+def test_mixed_blocks_match_exact_scan_bits(case):
+    ids, rows, queries, query_ids, k, per_call = case
+    index = DenseIndex(item_ids=tuple(ids), matrix=rows, dim=rows.shape[1])
+    for fsum in FSUMS:
+        with mock.patch.object(math, "fsum", fsum), products_per_call(per_call):
+            got, _ = kept_pairs_reach_the_kernel(
+                lambda: dense_search_many(index, queries, k, query_ids), index
+            )
+            want = [exact_scan(ids, rows, q, k) for q in queries]
+        assert [hits(ranking) for ranking in got] == want
+
+
+def test_one_row_sends_a_whole_kernel_call_to_fsum():
+    """A row whose product reaches 2**1023 fails the range check of
+    ``_exact_row_sums``, so every row of its call goes to fsum, over the
+    nonzero coordinates of one-hot queries and over full rows for a block
+    with a wide query. Float32 rows cannot get there, so this index stores
+    float64 rows."""
+    rng = np.random.default_rng(11)
+    rows = rng.normal(size=(30, 8))
+    rows[7] = 0.0
+    rows[7, 0] = 1.5 * 2.0**1023
+    rows[9, 3] = -0.0
+    ids = [f"item-{i:02d}" for i in range(len(rows))]
+    index = DenseIndex(item_ids=tuple(ids), matrix=rows, dim=8)
+    one_hot = np.eye(8)[[0, 3]]
+    blocks = [one_hot, np.vstack([one_hot, rng.normal(size=8), np.zeros(8)])]
+    for queries, k in itertools.product(blocks, (1, 5, 40)):
+        query_ids = [f"q{i}" for i in range(len(queries))]
+        for fsum in FSUMS:
+            with mock.patch.object(math, "fsum", fsum):
+                got, calls = kept_pairs_reach_the_kernel(
+                    lambda: dense_search_many(index, queries, k, query_ids), index
+                )
+                want = [exact_scan(ids, rows, q, k) for q in queries]
+            assert [hits(ranking) for ranking in got] == want
+            assert any(float(np.abs(p).max()) * p.shape[1] >= 2.0**1023 for p in calls)
 
 
 vector_components = st.one_of(

@@ -18,7 +18,7 @@ from riskrank.embedding import (
 from riskrank.embedding import _ROW_CHUNK, _hash_rows
 from riskrank.index import build_dense_index, dense_search_many
 
-from reference import reference_hash_embed, reference_unit_rows
+from reference import reference_hash_embed, reference_tokenize, reference_unit_rows
 
 
 class TestTokenize:
@@ -33,6 +33,26 @@ class TestTokenize:
 
     def test_underscore_splits(self):
         assert tokenize("loss_given_default") == ["loss", "given", "default"]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "\x1c\x1d\x1e\x1f",  # separators that str.split() splits on
+            "A\x0bB\x0cC\x85D",  # vertical tab, form feed, next line
+            "\u212a",  # Kelvin sign: lowercases to an ASCII "k"
+            "İstanbul",  # lowercases to "i" plus a combining dot
+            "ＡＢ１２",  # full-width letters and digits
+            "loss_given_default",
+            "",
+        ],
+    )
+    def test_matches_reference_on_edge_cases(self, text):
+        assert tokenize(text) == reference_tokenize(text)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.one_of(st.text(), st.text(st.characters(max_codepoint=127))))
+    def test_matches_reference(self, text):
+        assert tokenize(text) == reference_tokenize(text)
 
 
 class TestL2Normalize:

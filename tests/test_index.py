@@ -115,6 +115,24 @@ class TestDenseIndex:
             build_dense_index(["a", "b"], [np.ones(2), np.ones(3)])
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_dense_index(["a", "b"], np.eye(2)),
+        lambda: build_lexical_index(["a", "b"], ["credit risk", "market risk"]),
+    ],
+    ids=["dense", "lexical"],
+)
+def test_indexes_compare_and_hash_by_identity(build):
+    """Two indexes built alike are two objects: ``==`` answers False
+    instead of asking an array for one truth value, and both hash."""
+    first, second = build(), build()
+    assert first == first
+    assert first != second
+    assert hash(first) != hash(second)
+    assert len({first, second, first}) == 2
+
+
 class TestDenseSearch:
     def test_exact_match_scores_one(self):
         basis = np.eye(5)
