@@ -8,11 +8,13 @@ arithmetic.
 
 ``unit_rows`` is the one L2 normalizer for vectors that come from outside
 the hash kernel (index rows, queries, remote vectors): each row is divided
-in float64 by its ``exact_norm``, after an exact power-of-two scaling
-that keeps its squares in range, and zero rows stay zero. Its sums of
-squares come from ``_exact_row_sums``, a vectorized kernel that returns
-``math.fsum`` of each row of a matrix bit for bit: it certifies almost
-every row from an error-free summation tree and sends the rest to
+in float64 by ``sqrt`` of its exactly rounded sum of squares, after an
+exact power-of-two scaling that keeps its squares in range, and zero rows
+stay zero. Those sums, and the exact scores of dense search, come from
+``_exact_dots``: ``math.fsum`` of the products of (row, query) pairs, bit
+for bit, summed over the queries' nonzero coordinates when they are sparse.
+It passes them to ``_exact_row_sums``, a vectorized kernel that certifies
+almost every sum from an error-free summation tree and sends the rest to
 ``math.fsum``.
 
 The hashed embedder is a fast, fully deterministic stand-in for a frozen
@@ -41,7 +43,6 @@ from .cache import INTEGER, POSITIVE_INTEGER, check_values
 __all__ = [
     "tokenize",
     "unit_rows",
-    "exact_norm",
     "Embedder",
     "HashEmbedder",
     "checked_embed",
@@ -55,11 +56,10 @@ _ASCII_TOKEN_BYTES = bytes(
 ) + b" " * 128
 _U64 = 0xFFFFFFFFFFFFFFFF
 
-# Terms per ``_exact_row_sums`` call where it sums many short rows: the
-# squares of ``unit_rows`` and the products of sparse queries in the dense
-# verify of ``riskrank.index``.  A call's temporaries are a few times this
-# many float64 values, so neither raises peak memory.
-_TERMS_PER_CALL = 16_384
+# Terms per ``_exact_row_sums`` call of ``_exact_dots``: a call's temporaries
+# are a few MB, and each call pays some 40 us of fixed numpy overhead, so
+# rows of 256 products summed 1.25x slower in calls of 16 384 terms.
+_TERMS_PER_CALL = 50_000
 
 
 def tokenize(text: str) -> list[str]:
@@ -75,19 +75,6 @@ def tokenize(text: str) -> list[str]:
     if text.isascii():
         return text.encode("ascii").translate(_ASCII_TOKEN_BYTES).decode("ascii").split()
     return _TOKEN_RE.findall(text.lower())
-
-
-def exact_norm(v: np.ndarray) -> float:
-    """Euclidean norm computed as ``sqrt`` of the exactly rounded sum of squares.
-
-    Only the nonzero components are squared and summed. The square of a
-    zero is +0, never -0, and adding +0 to a sum of non-negative terms
-    changes neither its value nor its sign, so the result is bit for bit
-    ``sqrt(fsum(v*v))`` over every component.
-    """
-    v64 = np.asarray(v, dtype=np.float64)
-    nonzero = v64[v64 != 0.0]
-    return math.sqrt(math.fsum((nonzero * nonzero).tolist()))
 
 
 # Certified exact row sums.  For a row p_1..p_n of finite float64 terms,
@@ -119,9 +106,16 @@ def exact_norm(v: np.ndarray) -> float:
 # in the subnormal range, rounds down.  If fl(|l| + B) < g/2 (strict), then
 # |l| + B < g/2 too, as rounding is monotone and g/2 is a float; so T lies
 # strictly inside h's rounding interval, not on its edge, and every
-# correctly rounded sum of the row, fsum's included, is h.  A row with h = 0
-# falls back: T may be 0, and the sign of an exact zero sum is fsum's (and
-# a given Python version's) to decide.  A non-finite h falls back too.
+# correctly rounded sum of the row, fsum's included, is h.
+#
+# One error term.  If the tree leaves at most one nonzero e_i, sigma is
+# exact, so h = fl(S + sigma) is T rounded to nearest, ties to even, as fsum
+# rounds it: such a row is certified even on a rounding midpoint (|l| = g/2),
+# where the test above cannot pass.
+#
+# Either way, a row with h = 0 falls back: T may be 0, and the sign of an
+# exact zero sum is fsum's (and a given Python version's) to decide.  A
+# non-finite h falls back too.
 #
 # Range.  When every |p_j| is at most P and n*P < 2^1023, every tree node,
 # TwoSum temporary, S, sigma, h and B stays within a few ulps of sum |p_j|
@@ -135,7 +129,7 @@ def exact_norm(v: np.ndarray) -> float:
 def _exact_row_sums(products: np.ndarray) -> list[float]:
     """``math.fsum`` of each row of the float64 matrix ``products``, bit for bit.
 
-    Rows the rounding test cannot certify (see the comment above) go to
+    Rows it cannot certify (see the comment above) go to
     ``math.fsum``, looked up at call time. Temporaries are about three
     times the size of ``products``.
     """
@@ -171,15 +165,58 @@ def _exact_row_sums(products: np.ndarray) -> list[float]:
     low = (total - (h - z)) + (sigma - z)
     magnitude = np.abs(h)
     half_gap = (magnitude - np.nextafter(magnitude, 0.0)) * 0.5
-    certified = (np.abs(low) + bound < half_gap) & (h != 0.0) & np.isfinite(h)
+    certified = np.abs(low) + bound < half_gap
+    # Rows with one nonzero error term pass too (see "One error term" above).
+    ties = np.flatnonzero(~certified)
+    certified[ties] = np.count_nonzero(errors[:, ties], axis=0) <= 1
+    certified &= (h != 0.0) & np.isfinite(h)
     sums = h.tolist()
     for i in np.flatnonzero(~certified).tolist():
         sums[i] = math.fsum(products[i].tolist())
     return sums
 
 
+# Exact dot products.  ``_exact_dots`` sums the products of each (row,
+# query) pair it is given, with certified ``_exact_row_sums`` calls.  When
+# the widest of its queries has w <= d/2 nonzero coordinates (hash vectors,
+# and the squares of sparse rows), it sums, for each pair, only the w
+# products at that query's nonzero coordinates and, for a narrower query,
+# at some of its zero ones; with a wider query (model vectors, adapter
+# outputs) it sums the d products of each pair.  Each dropped or padding
+# product is x_j * (+-0) = +-0 with x_j finite, and adding zeros does not
+# change the real value of a sum, so whenever that value is nonzero the
+# exactly rounded sum is the same float, in any order of the terms.  Only a
+# zero sum can differ, in its sign: the sign of an exact zero sum depends
+# on the signs of all its terms (and on how a given Python version's fsum
+# signs zeros), so a pair whose sum is +-0 is summed again by fsum over its
+# full row.
+def _exact_dots(
+    rows: np.ndarray, queries: np.ndarray, row_of: np.ndarray, query_of: np.ndarray
+) -> list[float]:
+    """``math.fsum((rows[row_of[t]] * queries[query_of[t]]).tolist())`` for
+    each t, bit for bit, for finite float64 ``rows`` and ``queries`` of one
+    width (see the comment above)."""
+    dim = queries.shape[1]
+    width = max(int(np.count_nonzero(queries, axis=1).max(initial=0)), 1)
+    gather = 2 * width <= dim
+    if gather:
+        # Each query's nonzero coordinates, then enough of its zero ones to
+        # fill the width.
+        columns = np.argpartition(queries == 0.0, width - 1, axis=1)[:, :width]
+        values = np.take_along_axis(queries, columns, axis=1)
+    step = max(1, _TERMS_PER_CALL // (width if gather else max(dim, 1)))
+    sums: list[float] = []
+    for start in range(0, len(row_of), step):
+        r, q = row_of[start:start + step], query_of[start:start + step]
+        products = rows[r[:, None], columns[q]] * values[q] if gather else rows[r] * queries[q]
+        sums.extend(_exact_row_sums(products))
+    for t in [t for t, total in enumerate(sums) if total == 0.0]:  # +0.0 or -0.0
+        sums[t] = math.fsum((rows[row_of[t]] * queries[query_of[t]]).tolist())
+    return sums
+
+
 def unit_rows(matrix: np.ndarray, ids: Sequence[str], kind: str = "row") -> np.ndarray:
-    """Each row of the ``(n, dim)`` ``matrix`` divided by its ``exact_norm``.
+    """Each row of the ``(n, dim)`` ``matrix`` divided by its Euclidean norm.
 
     Returns a new float64 matrix; the division is IEEE float64, done in
     place on that copy. Zero rows stay zero. Each row is first scaled by
@@ -187,11 +224,10 @@ def unit_rows(matrix: np.ndarray, ids: Sequence[str], kind: str = "row") -> np.n
     of its squares could overflow, so it normalizes as its power-of-two
     copies do, and a row whose squares would underflow is not taken for
     zero. A row holding NaN or Inf raises ValueError ``"<kind> <id> has
-    non-finite values"``, with the row's id from ``ids``. The sums of
-    squares come from ``_exact_row_sums``, about ``_TERMS_PER_CALL``
-    squares per call, over each row's nonzero squares when they are at most
-    half the row: it certifies almost every row and sends the rest to
-    ``math.fsum``, so each norm has ``exact_norm``'s bits.
+    non-finite values"``, with the row's id from ``ids``. Each norm is
+    ``sqrt`` of the row's exactly rounded sum of squares, ``math.fsum``'s
+    bits, from one ``_exact_dots`` call of each row with itself per chunk
+    of about ``_TERMS_PER_CALL`` entries.
     """
     rows = np.array(matrix, dtype=np.float64)
     # Each row's largest magnitude; NaN or Inf if the row holds one.
@@ -212,20 +248,12 @@ def unit_rows(matrix: np.ndarray, ids: Sequence[str], kind: str = "row") -> np.n
     top = (1023 - rows.shape[1].bit_length()) // 2
     _, exponents = np.frexp(peak)
     np.ldexp(rows, (top - exponents)[:, None], out=rows)
-    # The squares of zeros are +0, which change no sum of squares, and a
-    # zero sum is +0 either way, so these are ``exact_norm``'s bits.  For
-    # the same reason, and as a certified sum does not depend on the order
-    # of its terms, a chunk whose rows hold at most w <= dim/2 nonzero
-    # squares each is summed over the w largest squares of each row only.
-    dim = rows.shape[1]
-    step = max(1, _TERMS_PER_CALL // max(dim, 1))
+    step = max(1, _TERMS_PER_CALL // max(rows.shape[1], 1))
     sums = []
     for start in range(0, len(rows), step):
-        squares = np.square(rows[start:start + step])
-        width = max(int(np.count_nonzero(squares, axis=1).max()), 1)
-        if 2 * width <= dim:
-            squares = np.partition(squares, dim - width, axis=1)[:, dim - width:]
-        sums.extend(_exact_row_sums(squares))
+        chunk = rows[start:start + step]
+        each = np.arange(len(chunk))
+        sums.extend(_exact_dots(chunk, chunk, each, each))
     norms = np.sqrt(sums)
     rows /= np.where(norms != 0.0, norms, 1.0)[:, None]
     return rows
@@ -237,11 +265,12 @@ _ROW_CHUNK = 256
 
 
 # Equal bit for bit to adding each token's sign into a float64 vector and
-# dividing by ``exact_norm``: counts and the sum of squared counts are small
-# integers in float64 (exact below 2**53, i.e. below ~9.5e7 tokens a text),
-# so every summation order gives the same exact values; ``np.sqrt`` and
-# ``math.sqrt`` are both correctly rounded; the division is elementwise IEEE
-# in float64 and the cast to float32 is the same single rounding.
+# dividing by sqrt of its exactly rounded sum of squares: counts and the sum
+# of squared counts are small integers in float64 (exact below 2**53, i.e.
+# below ~9.5e7 tokens a text), so every summation order gives the same exact
+# values; ``np.sqrt`` and ``math.sqrt`` are both correctly rounded; the
+# division is elementwise IEEE in float64 and the cast to float32 is the
+# same single rounding.
 def _hash_rows(token_lists: list[list[str]], dim: int, seed: int) -> np.ndarray:
     """Hash-embed each token list into one row of an ``(n, dim)`` float32 matrix.
 

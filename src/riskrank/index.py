@@ -10,10 +10,10 @@ re-implementation of the same arithmetic reproduces them bit-for-bit.
 Dense search gets there by filter-then-verify: one float64 matmul per
 block of queries gives approximate scores, a rigorous forward-error bound
 keeps every row that could reach the top k (the whole band of ties at the
-k-th score included), and only those rows are scored exactly: one
-certified vectorized sum per block of queries over the kept rows'
-products, restricted to the queries' nonzero coordinates when at most half
-of them are nonzero (a zero sum is redone over the full row).
+k-th score included), and only those rows are scored exactly, by one
+``_exact_dots`` call per block of queries (see ``riskrank.embedding``):
+certified vectorized sums of the kept rows' products, at the queries'
+nonzero coordinates when at most half of them are nonzero.
 
 The BM25 index holds its postings as compressed sparse rows: each term
 owns one slice of two int32 arrays, item numbers and term frequencies, and
@@ -50,7 +50,8 @@ from .cache import (
     BOOLEAN, NONEMPTY_STRING, NUMBER, POSITIVE_INTEGER, check_fields, check_values, json_text,
     read_json, read_jsonl, read_rkv1, write_file, write_jsonl, write_rkv1,
 )
-from .embedding import _TERMS_PER_CALL, _exact_row_sums, tokenize, unit_rows
+from . import embedding
+from .embedding import tokenize, unit_rows
 
 __all__ = [
     "RankedList",
@@ -76,8 +77,6 @@ DEFAULT_RRF_DEPTH = 100
 # times index rows, stay near _BLOCK_ITEMS float64 values, but a block never
 # holds fewer than _MIN_BLOCK_QUERIES queries, so that on a large index each
 # pass of the matmul over the float64 rows serves many queries, not one.
-# The exact verify of a block passes about as many full-row products to
-# each ``_exact_row_sums`` call.
 _BLOCK_ITEMS = 50_000
 _MIN_BLOCK_QUERIES = 64
 
@@ -214,22 +213,9 @@ def build_dense_index(
 # score thus gives the full scan's hits, scores and order bit for bit.  The
 # bound needs finite inputs, hence the checks.
 #
-# The exact score of a kept row is fsum of its d products, and each block
-# of queries gets it from a few ``_exact_row_sums`` calls: an error-free
-# TwoSum tree whose result is certified correctly rounded, with fsum for
-# every row it cannot certify, a zero sum among them (see the comment above
-# that kernel in ``riskrank.embedding``).
-# A block whose widest query has w <= d/2 nonzero coordinates (hash vectors)
-# sums, for each kept (query, row) pair, only the w products at that query's
-# nonzero coordinates and, for a narrower query, at some of its zero ones; a
-# block with a wider query (model vectors, adapter outputs) sums the d
-# products of each pair.  Each dropped or padding product is x_j * (+-0) =
-# +-0 with x_j finite, and adding zeros does not change the real value of a
-# sum, so whenever that value is nonzero the exactly rounded sum is the same
-# float, in any order of the terms.  Only a zero sum can differ, in its sign:
-# the sign of an exact zero sum depends on the signs of all its terms (and on
-# how a given Python version's fsum signs zeros), so a pair whose sum is +-0
-# is scored again by fsum over its full row, as the full scan scores it.
+# The exact score of a kept row is fsum of its d products; each block gets
+# its kept pairs' scores from one ``_exact_dots`` call (see the comments
+# above it and ``_exact_row_sums`` in ``riskrank.embedding``).
 def dense_search_many(
     index: DenseIndex,
     queries: Sequence[np.ndarray] | np.ndarray,
@@ -278,7 +264,8 @@ def dense_search_many(
             error_scale * np.abs(chunk).max(axis=1, initial=0.0), 2.0**-1000
         )
         keep = approx >= (threshold - 2.0 * error)[:, None]
-        which, kept, scores = _kept_scores(rows, chunk, keep)
+        which, kept = np.divmod(np.flatnonzero(keep), n)
+        scores = embedding._exact_dots(rows, chunk, kept, which)
         ids = [index.item_ids[i] for i in kept.tolist()]
         bounds = np.searchsorted(which, np.arange(len(chunk) + 1)).tolist()
         for query_id, lo, hi in zip(query_ids[start:start + block], bounds, bounds[1:]):
@@ -288,39 +275,6 @@ def dense_search_many(
         # hybrid run_eval over 3 000 items.
         del which, kept, scores, ids, bounds
     return results
-
-
-def _kept_scores(
-    rows: np.ndarray, chunk: np.ndarray, keep: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """The kept ``(query, row)`` pairs of a block, by query then row, and
-    ``math.fsum`` of ``rows[row] * chunk[query]`` for each, bit for bit.
-
-    ``keep`` holds one boolean per query of ``chunk`` and row of ``rows``.
-    The products of every pair go to ``_exact_row_sums``: over the nonzero
-    coordinates of the queries, about ``_TERMS_PER_CALL`` per call, when the
-    widest has at most half its coordinates nonzero, and else over full
-    rows, about ``_BLOCK_ITEMS`` per call. A zero sum is redone over the
-    full row (see the comment above ``dense_search_many``).
-    """
-    which, kept = np.divmod(np.flatnonzero(keep), keep.shape[1])
-    dim = chunk.shape[1]
-    width = max(int(np.count_nonzero(chunk, axis=1).max()), 1)
-    gather = 2 * width <= dim
-    if gather:
-        # Each query's nonzero coordinates, then enough of its zero ones to
-        # fill the block's width.
-        columns = np.argsort(chunk == 0.0, axis=1, kind="stable")[:, :width]
-        values = np.take_along_axis(chunk, columns, axis=1)
-    step = max(1, _TERMS_PER_CALL // width if gather else _BLOCK_ITEMS // dim)
-    scores: list[float] = []
-    for start in range(0, len(kept), step):
-        q, r = which[start:start + step], kept[start:start + step]
-        products = rows[r[:, None], columns[q]] * values[q] if gather else rows[r] * chunk[q]
-        scores.extend(_exact_row_sums(products))
-    for i in [i for i, score in enumerate(scores) if score == 0.0]:  # +0.0 or -0.0
-        scores[i] = math.fsum((rows[kept[i]] * chunk[which[i]]).tolist())
-    return which, kept, scores
 
 
 @dataclass(frozen=True, eq=False)

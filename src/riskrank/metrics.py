@@ -91,12 +91,14 @@ def evaluate_run(
 
     Each ranking is scanned once, to the largest cutoff, for the ranks of
     its relevant hits; every family and cutoff is computed from those.
+    An empty ``k_list``, or a cutoff that is not an integer >= 1, raises
+    ValueError.
     """
     if not k_list:
         raise ValueError("k_list must be nonempty")
     for k in k_list:
-        if k < 1:
-            raise ValueError(f"metric cutoff must be >= 1, got {k}")
+        if type(k) is not int or k < 1:
+            raise ValueError(f"metric cutoff must be >= 1 and an integer, got {k!r}")
     depth = max(k_list)
     per_query: dict[str, dict[str, float]] = {}
     for ranking in run:

@@ -120,6 +120,19 @@ def fraction_dot(u, v) -> float:
     return float(sum(Fraction(p) for p in products.tolist()))
 
 
+def exact_norm(v) -> float:
+    """Euclidean norm computed as ``sqrt`` of the exactly rounded sum of squares.
+
+    Only the nonzero components are squared and summed. The square of a
+    zero is +0, never -0, and adding +0 to a sum of non-negative terms
+    changes neither its value nor its sign, so the result is bit for bit
+    ``sqrt(fsum(v*v))`` over every component.
+    """
+    v64 = np.asarray(v, dtype=np.float64)
+    nonzero = v64[v64 != 0.0]
+    return math.sqrt(math.fsum((nonzero * nonzero).tolist()))
+
+
 def reference_unit_rows(vectors) -> np.ndarray:
     """Normalize raw vectors exactly as the index contract states.
 

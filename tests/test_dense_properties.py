@@ -9,9 +9,11 @@ wrong: rows whose products there are all zero or cancel exactly. Wide cases
 give queries at least ``WIDE_NONZERO`` nonzero coordinates, and mixed cases
 put sparse, wide and zero queries in one block, so that a block is verified
 over its queries' nonzero coordinates or over full rows. Those tests also
-check that the rows passed to ``_exact_row_sums`` are the kept pairs of
-every query. Scores are compared by their bits (``float.hex``), so the sign
-of a zero counts.
+check each ``_exact_dots`` call, row by row: the rows it passes to
+``_exact_row_sums`` are its pairs' products, and a dense block's pairs are
+the kept pairs of its queries. ``unit_rows`` gets the same check over
+chunks of sparse rows and of wide rows. Scores are compared by their bits
+(``float.hex``), so the sign of a zero counts.
 """
 
 import itertools
@@ -23,7 +25,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from riskrank import index as index_module
+from riskrank import embedding as embedding_module
 from riskrank.embedding import unit_rows
 from riskrank.index import DenseIndex, RankedList, build_dense_index, dense_search_many
 from riskrank.index import _MIN_BLOCK_QUERIES
@@ -173,38 +175,80 @@ def test_many_equals_one_query_at_a_time(case):
     assert many == single
 
 
-def kept_pairs_reach_the_kernel(search, index):
-    """``search()`` and every matrix it passed to ``_exact_row_sums``,
-    checking that those rows are the kept ``(query, row)`` pairs of each
-    block, each once and in order: the nonzero products in kernel row t are
-    those of pair t, and every hit of every query is a kept pair."""
-    blocks = []
-    kept_scores, kernel = index_module._kept_scores, index_module._exact_row_sums
+class DotsCall:
+    """One ``_exact_dots`` call: its arguments and result, the matrices it
+    passed to ``_exact_row_sums``, and the term lists it passed to fsum."""
 
-    def record_block(rows, chunk, keep):
-        blocks.append((rows, chunk, keep, []))
-        return kept_scores(rows, chunk, keep)
+    def __init__(self, rows, queries, row_of, query_of):
+        self.rows, self.queries, self.row_of, self.query_of = rows, queries, row_of, query_of
+        self.kernel, self.fsums, self.sums = [], [], None
 
-    def record_call(products):
-        blocks[-1][3].append(products)
+    def check(self):
+        """Kernel row t holds exactly the nonzero products of pair t, in
+        some order, and a zero sum was summed again by fsum over the pair's
+        full row."""
+        inputs = np.concatenate(self.kernel) if self.kernel else np.zeros((0, 0))
+        assert len(inputs) == len(self.row_of) == len(self.sums)
+        for products, r, q, total in zip(inputs, self.row_of, self.query_of, self.sums):
+            full = self.rows[r] * self.queries[q]
+            assert sorted(products[products != 0.0]) == sorted(full[full != 0.0])
+            if total == 0.0:
+                assert full.tolist() in self.fsums
+
+
+def exact_dots_calls(run):
+    """``run()`` and a checked ``DotsCall`` for every ``_exact_dots`` call
+    it made, ``unit_rows``' calls included."""
+    dots, kernel, fsum = embedding_module._exact_dots, embedding_module._exact_row_sums, math.fsum
+    calls, active = [], []
+
+    def record_dots(rows, queries, row_of, query_of):
+        call = DotsCall(rows, queries, row_of, query_of)
+        calls.append(call)
+        active.append(call)
+        try:
+            call.sums = dots(rows, queries, row_of, query_of)
+        finally:
+            active.pop()
+        call.check()
+        return call.sums
+
+    def record_kernel(products):
+        active[-1].kernel.append(products)
         return kernel(products)
 
-    with mock.patch.object(index_module, "_kept_scores", record_block), \
-            mock.patch.object(index_module, "_exact_row_sums", record_call):
-        got = search()
-    assert sum(len(chunk) for _, chunk, _, _ in blocks) == (len(got) if index.count else 0)
+    def record_fsum(terms):
+        terms = list(terms)
+        if active:
+            active[-1].fsums.append(terms)
+        return fsum(terms)
+
+    with mock.patch.object(embedding_module, "_exact_dots", record_dots), \
+            mock.patch.object(embedding_module, "_exact_row_sums", record_kernel), \
+            mock.patch.object(math, "fsum", record_fsum):
+        got = run()
+    return got, calls
+
+
+def kept_pairs_reach_the_kernel(search, index):
+    """``search()`` and every matrix its blocks passed to ``_exact_row_sums``,
+    checking each ``_exact_dots`` call row by row, and that a block's pairs
+    are kept pairs of its queries, each once and by query then row, that
+    hold every hit of every query."""
+    got, calls = exact_dots_calls(search)
+    # ``unit_rows`` passes a chunk as both rows and queries; a block passes
+    # the index rows and its queries.
+    blocks = [call for call in calls if call.rows is not call.queries]
+    assert sum(len(block.queries) for block in blocks) == (len(got) if index.count else 0)
     position = {item_id: i for i, item_id in enumerate(index.item_ids)}
-    keeps = [keep_row for _, _, keep, _ in blocks for keep_row in keep]
-    for keep_row, ranking in zip(keeps, got):
-        assert all(keep_row[position[item_id]] for item_id in ranking.item_ids)
-    for rows, chunk, keep, calls in blocks:
-        inputs = np.concatenate(calls)
-        which, kept = np.nonzero(keep)
-        assert len(inputs) == len(which)
-        for products, q, r in zip(inputs, which, kept):
-            full = rows[r] * chunk[q]
-            assert products[products != 0.0].tolist() == full[full != 0.0].tolist()
-    return got, [products for *_, calls in blocks for products in calls]
+    rankings = iter(got)
+    for block in blocks:
+        pairs = list(zip(block.query_of.tolist(), block.row_of.tolist()))
+        assert pairs == sorted(set(pairs))
+        kept = set(pairs)
+        for q, ranking in zip(range(len(block.queries)), rankings):
+            assert all((q, position[item_id]) in kept for item_id in ranking.item_ids)
+    return got, [products for block in blocks for products in block.kernel]
 
 
 @PROPERTY_SETTINGS
@@ -372,7 +416,7 @@ def mixed_blocks(draw, elements):
 
 
 def products_per_call(count):
-    return mock.patch.multiple(index_module, _TERMS_PER_CALL=count, _BLOCK_ITEMS=count)
+    return mock.patch.object(embedding_module, "_TERMS_PER_CALL", count)
 
 
 @PROPERTY_SETTINGS
@@ -473,6 +517,43 @@ def test_dense_unit_rows_match_reference_bits(vectors):
             got = unit_rows(vectors, ids).astype(np.float32)
             want = reference_unit_rows(vectors)
         assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+@st.composite
+def sparse_or_wide_rows(draw):
+    """``raw_vectors`` whose rows are all sparse (at most half their
+    coordinates nonzero), all as drawn, or each one or the other, and the
+    squares per kernel call that ``unit_rows`` aims at."""
+    vectors = draw(raw_vectors(st.one_of(st.integers(1, 12), wide_dims)))
+    kind = draw(st.sampled_from(["sparse", "as drawn", "mixed"]))
+    dim = vectors.shape[1]
+    for row in vectors:
+        if kind == "sparse" or kind == "mixed" and draw(st.booleans()):
+            zeros = draw(st.permutations(range(dim)))[:dim - draw(st.integers(0, dim // 2))]
+            row[zeros] = draw(st.sampled_from([0.0, -0.0]))
+    return vectors, kind, draw(st.sampled_from([1, 16, 16_384]))
+
+
+@PROPERTY_SETTINGS
+@given(sparse_or_wide_rows())
+def test_unit_rows_reach_the_kernel_row_by_row(case):
+    """``unit_rows`` sums each row's squares as one ``_exact_dots`` pair of
+    the row with itself, every row once and in order: over the nonzero
+    squares of a chunk of sparse rows and over the full rows of a chunk
+    with a wide row."""
+    vectors, kind, per_call = case
+    ids = [f"item-{i:02d}" for i in range(len(vectors))]
+    dim = vectors.shape[1]
+    with products_per_call(per_call):
+        got, calls = exact_dots_calls(lambda: unit_rows(vectors, ids))
+    want = reference_unit_rows(vectors)
+    assert np.array_equal(got.astype(np.float32).view(np.uint32), want.view(np.uint32))
+    assert sum(len(call.rows) for call in calls) == len(vectors)
+    for call in calls:
+        assert call.rows is call.queries
+        assert call.row_of.tolist() == call.query_of.tolist() == list(range(len(call.rows)))
+        if kind == "sparse" and dim >= 2:
+            assert all(2 * products.shape[1] <= dim for products in call.kernel)
 
 
 def test_empty_inputs():

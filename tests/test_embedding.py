@@ -11,14 +11,13 @@ from hypothesis.extra.numpy import arrays
 
 from riskrank.embedding import (
     HashEmbedder,
-    exact_norm,
     tokenize,
     unit_rows,
 )
 from riskrank.embedding import _ROW_CHUNK, _hash_rows
 from riskrank.index import build_dense_index, dense_search_many
 
-from reference import reference_hash_embed, reference_tokenize, reference_unit_rows
+from reference import exact_norm, reference_hash_embed, reference_tokenize, reference_unit_rows
 
 
 class TestTokenize:

@@ -191,6 +191,22 @@ def test_just_past_the_midpoint_below_a_power_of_two():
     check([[-1.0, 0.0, 2.0**-54, 2.0**-130]])
 
 
+def test_one_error_term_is_certified_on_a_midpoint():
+    """Each sum is a rounding tie, where the rounding test cannot pass, but
+    the tree leaves one nonzero error term, so the error sum is exact and
+    the kernel certifies every row without calling fsum."""
+    rows = [
+        [1.0, 2.0**-53, 0.0, 0.0],
+        [1.0 + 2.0**-52, 2.0**-53, 0.0, 0.0],
+        [-1.0, 0.0, -(2.0**-53), 0.0],
+        [float.fromhex("0x1.302c60266fe63p-3"), float.fromhex("0x1.95907f1c8d4dbp-4"), 0.0, 0.0],
+    ]
+    want = [math.fsum(row).hex() for row in rows]
+    with mock.patch.object(math, "fsum", side_effect=AssertionError("fsum called")):
+        got = [total.hex() for total in _exact_row_sums(np.array(rows))]
+    assert got == want
+
+
 def test_edge_shapes():
     check([[3.0]])
     check([[-0.0]])

@@ -277,7 +277,7 @@ class TestReportPlumbing:
     @pytest.mark.parametrize(
         "family", ["mrr_at_k", "map_at_k", "ndcg_at_k", "hit_rate_at_k"]
     )
-    @pytest.mark.parametrize("k", [0, -1])
+    @pytest.mark.parametrize("k", [0, -1, True, 2.0, "5"])
     def test_family_cutoff_validation(self, family, k):
         label = {"mrr_at_k": "MRR", "map_at_k": "MAP", "ndcg_at_k": "NDCG",
                  "hit_rate_at_k": "HR"}[family]
