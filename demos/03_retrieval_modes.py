@@ -6,7 +6,7 @@ from riskrank import (
     build_dense_index,
     build_lexical_index,
     dense_search_many,
-    lexical_search,
+    lexical_search_many,
     rrf_fuse,
 )
 
@@ -25,7 +25,7 @@ dense_index = build_dense_index(ids, embedder.embed(list(items.values())))
 lexical_index = build_lexical_index(ids, list(items.values()))
 
 [dense_hits] = dense_search_many(dense_index, embedder.embed([query]), 5, ["q1"])
-lexical_hits = lexical_search(lexical_index, query, k=5, query_id="q1")
+lexical_hits = lexical_search_many(lexical_index, [query], 5, ["q1"])[0]
 
 print(f"query: {query!r}\n")
 print("dense (cosine):")

@@ -14,10 +14,12 @@ all_contexts pool with k_list (5, 10, 100). At each scale the script times:
 - ``compare_adapter`` in hybrid mode, base against that adapter: the
   paper's base-versus-finetuned comparison;
 - ``HashEmbedder.embed`` alone, over the items;
-- the BM25 layers alone: ``build_lexical_index`` over the items and
-  ``lexical_search`` of every test question at depth 100;
+- the BM25 layers alone: ``build_lexical_index`` over the items and one
+  ``lexical_search_many`` call for every test question at depth 100;
 - hash-mode ``dense_search_many`` alone: the test questions' hash vectors
   over the items' at depth 100 (hash vectors are sparse rows);
+- ``rrf_fuse`` alone: each test question's hash-mode dense run fused with
+  its lexical run at depth 100, as hybrid ``run_eval`` fuses them;
 - the finetuned side's dense layers alone: ``build_dense_index`` over the
   adapted item rows and ``dense_search_many`` of the adapted queries at
   depth 100 (adapter outputs are fully dense rows, unlike hash vectors);
@@ -37,7 +39,7 @@ trained float64 weight (and bias) bytes for ``train_adapter``, of the
 ``build_lexical_index``, of the stored float32 rows for
 ``build_dense_index``, of the float32 rows for ``HashEmbedder.embed``,
 and of every query id, hit id and score (as ``float.hex``) for
-``lexical_search`` and ``dense_search_many``.
+``lexical_search_many``, ``dense_search_many`` and ``rrf_fuse``.
 
 Each step, with all its repeats, runs in a child process forked for it,
 and its ``peak_rss_mb`` is that child's ``ru_maxrss`` as ``os.wait4``
@@ -83,7 +85,8 @@ from riskrank.finetune import (  # noqa: E402
     TrainingConfig, apply_adapter, save_adapter, train_adapter,
 )
 from riskrank.index import (  # noqa: E402
-    build_dense_index, build_lexical_index, dense_search_many, lexical_search, save_index,
+    build_dense_index, build_lexical_index, dense_search_many, lexical_search_many, rrf_fuse,
+    save_index,
 )
 
 SEED = 7
@@ -247,11 +250,8 @@ def profile_scale(pairs_count: int, repeats: int) -> list[dict]:
         items, query_ids, query_texts = eval_set()
         index = build_lexical_index(items.item_ids, items.item_texts)
         _, stats = timed(
-            f"{pairs_count} pairs, lexical_search", repeats,
-            lambda: [
-                lexical_search(index, text, DEPTH, query_id)
-                for query_id, text in zip(query_ids, query_texts)
-            ],
+            f"{pairs_count} pairs, lexical_search_many", repeats,
+            lambda: lexical_search_many(index, query_texts, DEPTH, query_ids),
             ranking_digest,
             digest_key="run_sha256",
         )
@@ -278,6 +278,26 @@ def profile_scale(pairs_count: int, repeats: int) -> list[dict]:
             digest_key="run_sha256",
         )
         return {"mode": "dense_search_many_hash", "queries": len(query_ids), **stats}, None
+
+    def fusions():
+        items, query_ids, query_texts = eval_set()
+        dense_run = dense_search_many(
+            build_dense_index(items.item_ids, embedder.embed(items.item_texts)),
+            embedder.embed(query_texts), DEPTH, query_ids,
+        )
+        lexical_run = lexical_search_many(
+            build_lexical_index(items.item_ids, items.item_texts), query_texts, DEPTH, query_ids
+        )
+        _, stats = timed(
+            f"{pairs_count} pairs, rrf_fuse", repeats,
+            lambda: [
+                rrf_fuse([dense, lexical], depth=DEPTH, k=DEPTH)
+                for dense, lexical in zip(dense_run, lexical_run)
+            ],
+            ranking_digest,
+            digest_key="run_sha256",
+        )
+        return {"mode": "rrf_fuse", "queries": len(query_ids), **stats}, None
 
     def adapted():
         items, query_ids, query_texts = eval_set()
@@ -314,8 +334,9 @@ def profile_scale(pairs_count: int, repeats: int) -> list[dict]:
     run("compare_adapter", compare)
     run("HashEmbedder.embed", embed_items)
     run("build_lexical_index", lexical_build)
-    run("lexical_search", lexical_searches)
+    run("lexical_search_many", lexical_searches)
     run("hash dense_search_many", hash_searches)
+    run("rrf_fuse", fusions)
     run("adapter build_dense_index", dense_build)
     run("adapter dense_search_many", dense_searches)
 

@@ -48,7 +48,7 @@ from .index import (
     build_dense_index,
     build_lexical_index,
     dense_search_many,
-    lexical_search,
+    lexical_search_many,
     rrf_fuse,
 )
 from .metrics import MetricReport, evaluate_run
@@ -88,7 +88,7 @@ __all__ = [
     "dense_search_many",
     "emit_report",
     "evaluate_run",
-    "lexical_search",
+    "lexical_search_many",
     "load_adapter",
     "load_documents",
     "load_qa_pairs",

@@ -31,7 +31,7 @@ from .index import (
     build_dense_index,
     build_lexical_index,
     dense_search_many,
-    lexical_search,
+    lexical_search_many,
     rrf_fuse,
 )
 from .metrics import DISPLAY_DECIMALS, MetricReport, evaluate_run
@@ -171,10 +171,7 @@ def _evaluate(
     lexical_run: list[RankedList] = []
     if config.retrieval_mode in ("lexical", "hybrid"):
         lexical_index = build_lexical_index(eval_set.item_ids, eval_set.item_texts)
-        lexical_run = [
-            lexical_search(lexical_index, text, depth, query_id)
-            for query_id, text in zip(query_ids, query_texts)
-        ]
+        lexical_run = lexical_search_many(lexical_index, query_texts, depth, query_ids)
 
     reports = []
     for adapter in adapters:

@@ -19,9 +19,11 @@ The BM25 index holds its postings as compressed sparse rows: each term
 owns one slice of two int32 arrays, item numbers and term frequencies, and
 each item its BM25 length normalization, computed once when the index is
 made. One ``np.unique`` over (term, item) keys builds the postings. A
-search adds one vector of weights per sorted distinct query term into a
-float64 accumulator, so each item adds its term weights in the order of
-those terms, exactly as ``bm25_term_weight`` computes them one by one.
+search runs a block of queries at once: the postings of each query's sorted
+distinct terms are gathered for the whole block, weighed by one vector
+expression, and added by one ``np.bincount`` into one float64 accumulator
+per query, in input order, so each item adds its term weights in the order
+of those terms, exactly as ``bm25_term_weight`` computes them one by one.
 
 Persistence writes a directory with ``meta.json`` (counts, dimension, BM25
 parameters, item ids, token counts), ``vectors.bin`` (the item rows as one
@@ -62,7 +64,7 @@ __all__ = [
     "dense_search_many",
     "build_lexical_index",
     "bm25_term_weight",
-    "lexical_search",
+    "lexical_search_many",
     "rrf_fuse",
     "save_index",
     "load_index",
@@ -73,10 +75,10 @@ DEFAULT_B = 0.75
 DEFAULT_RRF_K = 60
 DEFAULT_RRF_DEPTH = 100
 
-# Queries per dense-search block: a block's approximate scores, queries
-# times index rows, stay near _BLOCK_ITEMS float64 values, but a block never
-# holds fewer than _MIN_BLOCK_QUERIES queries, so that on a large index each
-# pass of the matmul over the float64 rows serves many queries, not one.
+# Queries per search block: a block's scores, queries times index rows,
+# stay near _BLOCK_ITEMS float64 values, but a dense block never holds fewer
+# than _MIN_BLOCK_QUERIES queries, so that on a large index each pass of the
+# matmul over the float64 rows serves many queries, not one.
 _BLOCK_ITEMS = 50_000
 _MIN_BLOCK_QUERIES = 64
 
@@ -125,6 +127,10 @@ def _require_no_nan(query_id: str, scores: Iterable[float]) -> None:
         raise ValueError(f"ranking for {query_id!r} holds a NaN score")
 
 
+_ID = operator.itemgetter(0)
+_SCORE = operator.itemgetter(1)
+
+
 def ranked_list_from_scores(
     query_id: str,
     scored: Iterable[tuple[str, float]],
@@ -139,9 +145,12 @@ def ranked_list_from_scores(
     if k is not None:
         _require_counts(k=k)
     items = [(item_id, float(score)) for item_id, score in scored]
-    _require_unique([item_id for item_id, _ in items], "duplicate item ids in ranking")
-    _require_no_nan(query_id, (score for _, score in items))
-    items.sort(key=lambda pair: (-pair[1], pair[0]))
+    _require_unique(list(map(_ID, items)), "duplicate item ids in ranking")
+    _require_no_nan(query_id, map(_SCORE, items))
+    # Two stable passes give the (-score, id) order: a reverse sort keeps
+    # equal scores (0.0 and -0.0 among them) in the order of the first pass.
+    items.sort(key=_ID)
+    items.sort(key=_SCORE, reverse=True)
     return RankedList(query_id=query_id, hits=tuple(items[:k]))
 
 
@@ -389,7 +398,7 @@ def build_lexical_index(
 
 
 # The one BM25 formula: ``bm25_term_weight`` applies it to Python numbers,
-# ``lexical_search`` to a term's postings at once.  Elementwise, numpy runs
+# ``lexical_search_many`` to postings at once.  Elementwise, numpy runs
 # the same IEEE operations in the same order, so both give the same bits.
 def _idf(df: int, n_items: int) -> float:
     return math.log(1.0 + (n_items - df + 0.5) / (df + 0.5))
@@ -416,35 +425,64 @@ def bm25_term_weight(
     return _bm25_weight(_idf(df, n_items), tf, _length_norm(doc_len, avgdl, b), k1)
 
 
-def lexical_search(
+# BM25 for a block of queries.  Each query's sorted distinct known terms
+# pick their postings slices, gathered for the whole block in query order
+# and, within a query, in term order; one ``_bm25_weight`` expression weighs
+# them all.  ``np.bincount(query * n + docs, weights)`` then adds weights[t]
+# into its bin one t after the other (a plain sequential float64 loop over
+# bins that start at 0.0), so each item of each query adds its term weights
+# in sorted-term order, the same additions in the same order as one float64
+# accumulator per query that adds one term's weights at a time.  A term
+# names an item at most once in its postings, so each weight is added once.
+def lexical_search_many(
     index: LexicalIndex,
-    query_text: str,
+    query_texts: Sequence[str],
     k: int,
-    query_id: str = "",
-) -> RankedList:
-    """Top-k items by BM25 for the tokenized query; zero scorers are dropped.
+    query_ids: Sequence[str],
+) -> list[RankedList]:
+    """Top-k items by BM25 for each tokenized query text; zero scorers are dropped.
 
-    One float64 accumulator over the items, starting at 0.0, adds the
-    weights of each sorted distinct query term's postings in turn, so each
-    item adds its ``bm25_term_weight`` for each of those terms it holds, in
-    that order. A term names an item at most once in its postings, so the
-    fancy-indexed ``+=`` adds each weight exactly once.
+    ``query_texts[i]`` is ranked under ``query_ids[i]``; lengths that
+    differ raise ValueError. Each item's score is the sum of its
+    ``bm25_term_weight`` for each sorted distinct query term it holds, added
+    in that order.
     """
-    scores = np.zeros(index.count)
-    for term in sorted(set(tokenize(query_text))):
-        row = index.terms.get(term)
-        if row is None:
-            continue
-        start, stop = index.starts[row:row + 2].tolist()
-        docs = index.docs[start:stop]
-        scores[docs] += _bm25_weight(
-            _idf(stop - start, index.count), index.tf[start:stop], index.length_norm[docs],
-            index.k1,
+    _require_counts(k=k)
+    if len(query_texts) != len(query_ids):
+        raise ValueError(f"got {len(query_texts)} query texts but {len(query_ids)} query ids")
+    n = index.count
+    block = max(1, _BLOCK_ITEMS // max(n, 1))
+    results = []
+    for start in range(0, len(query_texts), block):
+        texts = query_texts[start:start + block]
+        rows = [
+            [index.terms[term] for term in sorted(set(tokenize(text))) if term in index.terms]
+            for text in texts
+        ]
+        term_rows = np.array([r for query_rows in rows for r in query_rows], dtype=np.int64)
+        first = index.starts[term_rows]
+        df = index.starts[term_rows + 1] - first
+        # math.log, as bm25_term_weight: np.log need not round the same way.
+        idf = np.array([_idf(d, n) for d in df.tolist()], dtype=np.float64)
+        # Where each slice starts among the block's postings.  Through
+        # ndarray.cumsum, these tiny sums kept the memory of a whole search's
+        # rankings from going back to the system once they were freed (some
+        # 16 MB over 2 500 queries of 50 000 items); np.add.accumulate did not.
+        offsets = np.add.accumulate(df) - df
+        postings = np.arange(df.sum()) + np.repeat(first - offsets, df)
+        docs = index.docs[postings]
+        weights = _bm25_weight(
+            np.repeat(idf, df), index.tf[postings], index.length_norm[docs], index.k1
         )
-    hits = np.flatnonzero(scores > 0.0)
-    return ranked_list_from_scores(
-        query_id, zip([index.item_ids[i] for i in hits.tolist()], scores[hits].tolist()), k=k
-    )
+        query_of = np.repeat(np.repeat(np.arange(len(texts)), list(map(len, rows))), df)
+        scores = np.bincount(query_of * n + docs, weights, minlength=len(texts) * n)
+        hits = np.flatnonzero(scores > 0.0)
+        ids = [index.item_ids[i] for i in (hits % n).tolist()]
+        values = scores[hits].tolist()
+        bounds = np.searchsorted(hits, np.arange(len(texts) + 1) * n).tolist()
+        for query_id, lo, hi in zip(query_ids[start:start + block], bounds, bounds[1:]):
+            results.append(ranked_list_from_scores(query_id, zip(ids[lo:hi], values[lo:hi]), k=k))
+    return results
 
 
 def rrf_fuse(
@@ -457,9 +495,13 @@ def rrf_fuse(
 
     Only occurrences within ``depth`` of the top of each input list count,
     and only the top ``k`` fused items are returned (all when k is None).
-    Each sum is exactly rounded (``math.fsum``), so the order of the input
-    lists never changes a score. Input lists must share a query id;
-    ``k_rrf``, ``depth`` and ``k`` (when given) must be integers >= 1.
+    Each sum is exactly rounded, so the order of the input lists never
+    changes a score. A list names an item at most once, so with one or two
+    lists an item has at most two terms, and the plain ``a + b`` is their
+    exactly rounded sum; with three or more, ``math.fsum`` adds them, as a
+    running sum may differ (``(1/2 + 1/3) + 1/6`` is 0.9999999999999999).
+    Input lists must share a query id; ``k_rrf``, ``depth`` and ``k`` (when
+    given) must be integers >= 1.
     """
     if not lists:
         raise ValueError("need at least one ranked list to fuse")
@@ -467,13 +509,22 @@ def rrf_fuse(
     query_ids = {rl.query_id for rl in lists}
     if len(query_ids) != 1:
         raise ValueError(f"cannot fuse lists with differing query ids: {sorted(query_ids)}")
-    terms: dict[str, list[float]] = {}
-    for ranking in lists:
-        for rank, (item_id, _) in enumerate(ranking.hits[:depth], start=1):
-            terms.setdefault(item_id, []).append(1.0 / (k_rrf + rank))
-    return ranked_list_from_scores(
-        lists[0].query_id, [(i, math.fsum(t)) for i, t in terms.items()], k=k
-    )
+    longest = max(len(rl.hits) for rl in lists)
+    weights = [1.0 / (k_rrf + rank) for rank in range(1, min(depth, longest) + 1)]
+    if len(lists) <= 2:
+        first, *rest = lists
+        scores = dict(zip(map(_ID, first.hits), weights))
+        for ranking in rest:
+            for item_id, weight in zip(map(_ID, ranking.hits), weights):
+                scores[item_id] = scores.get(item_id, 0.0) + weight
+        scored = scores.items()
+    else:
+        terms: dict[str, list[float]] = {}
+        for ranking in lists:
+            for item_id, weight in zip(map(_ID, ranking.hits), weights):
+                terms.setdefault(item_id, []).append(weight)
+        scored = [(i, math.fsum(t)) for i, t in terms.items()]
+    return ranked_list_from_scores(lists[0].query_id, scored, k=k)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from riskrank.index import (
     build_dense_index,
     build_lexical_index,
     dense_search_many,
-    lexical_search,
+    lexical_search_many,
     ranked_list_from_scores,
     rrf_fuse,
 )
@@ -328,8 +328,8 @@ def test_criterion_10_rrf_and_bm25_properties():
         index = build_lexical_index(
             ["d1", "d2"], ["risk capital risk", "capital"], k1=1.2, b=0.75
         )
-        scores = dict(lexical_search(index, "risk", 2).hits)
+        scores = dict(lexical_search_many(index, ["risk"], 2, ["q"])[0].hits)
         assert abs(scores["d1"] - 0.8355) <= 1e-4
         assert scores["d1"] == 0.8355746834147286
         assert "d2" not in scores  # BM25 0: zero scorers are dropped
-        assert lexical_search(index, "liquidity", 2).hits == ()
+        assert lexical_search_many(index, ["liquidity"], 2, ["q"])[0].hits == ()

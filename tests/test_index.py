@@ -14,7 +14,7 @@ from riskrank.index import (
     build_dense_index,
     build_lexical_index,
     dense_search_many,
-    lexical_search,
+    lexical_search_many,
     load_index,
     ranked_list_from_scores,
     rrf_fuse,
@@ -231,25 +231,25 @@ class TestBM25:
         index = build_lexical_index(
             ["d1", "d2"], ["risk capital risk", "capital"], k1=1.2, b=0.75
         )
-        scores = dict(lexical_search(index, "risk", k=2).hits)
+        scores = dict(lexical_search_many(index, ["risk"], 2, ["q"])[0].hits)
         # tf=2, df=1, N=2, len=3, avgdl=2 pushed through the formula
         assert scores["d1"] == pytest.approx(0.8355746834147286, abs=1e-12)
         assert "d2" not in scores  # BM25 0: zero scorers are dropped
 
     def test_absent_term_contributes_zero(self):
         index = build_lexical_index(["d1"], ["credit risk"])
-        assert lexical_search(index, "liquidity", k=1).hits == ()
+        assert lexical_search_many(index, ["liquidity"], 1, ["q"])[0].hits == ()
 
     def test_empty_query(self):
         index = build_lexical_index(["d1", "d2"], ["credit risk", "capital"])
-        assert lexical_search(index, "", k=2).hits == ()
+        assert lexical_search_many(index, [""], 2, ["q"])[0].hits == ()
 
     def test_repeated_query_term_equals_deduplicated(self):
         index = build_lexical_index(
             ["d1", "d2"], ["risk capital risk", "capital returns"]
         )
-        assert lexical_search(index, "risk risk capital", k=2) == lexical_search(
-            index, "risk capital", k=2
+        assert lexical_search_many(index, ["risk risk capital"], 2, ["q"]) == lexical_search_many(
+            index, ["risk capital"], 2, ["q"]
         )
 
     def test_matches_hand_formula_on_random_corpora(self, rng):
@@ -264,7 +264,7 @@ class TestBM25:
             index = build_lexical_index(ids, texts)
             term = words[int(rng.integers(0, len(words)))]
             df = sum(1 for t in texts if term in t.split())
-            scores = dict(lexical_search(index, term, k=n).hits)
+            scores = dict(lexical_search_many(index, [term], n, ["q"])[0].hits)
             for item_id, text in zip(ids, texts):
                 tokens = text.split()
                 expected = bm25_by_hand(
@@ -308,26 +308,26 @@ class TestBM25:
                 ((item, bm25_score(index, query.split(), item)) for item in ids),
                 key=lambda pair: (-pair[1], pair[0]),
             )
-            result = lexical_search(index, query, k=len(ids), query_id="q")
+            result = lexical_search_many(index, [query], len(ids), ["q"])[0]
             assert list(result.hits) == [(i, s) for i, s in expected if s > 0.0]
 
     def test_empty_index(self):
         index = build_lexical_index([], [])
         assert (index.count, index.terms, index.avgdl) == (0, {}, 0.0)
-        assert lexical_search(index, "risk", k=3).hits == ()
+        assert lexical_search_many(index, ["risk"], 3, ["q"])[0].hits == ()
 
     def test_item_without_tokens(self):
         index = build_lexical_index(["a", "b", "c"], ["risk capital", "-- !!", "risk"])
         assert index.doc_len.tolist() == [2, 0, 1]
         assert index.avgdl == 1.0
-        assert lexical_search(index, "risk capital", k=3).item_ids == ["a", "c"]
-        assert lexical_search(index, "liquidity zeta", k=3).hits == ()
+        assert lexical_search_many(index, ["risk capital"], 3, ["q"])[0].item_ids == ["a", "c"]
+        assert lexical_search_many(index, ["liquidity zeta"], 3, ["q"])[0].hits == ()
 
     def test_all_texts_empty(self):
         index = build_lexical_index(["a", "b"], ["", "..."], b=0.75)
         assert index.avgdl == 0.0
         assert index.length_norm.tolist() == [0.25, 0.25]
-        assert lexical_search(index, "risk", k=2).hits == ()
+        assert lexical_search_many(index, ["risk"], 2, ["q"])[0].hits == ()
 
     def test_average_length_zero_counts_every_length_as_zero(self, tmp_path):
         # Only a saved index can hold postings with avgdl 0: the rule of
@@ -340,7 +340,7 @@ class TestBM25:
         (tmp_path / "idx" / "meta.json").write_text(json.dumps(meta))
         _, index = load_index(tmp_path / "idx")
         assert index.length_norm.tolist() == [0.25] * 3
-        scores = dict(lexical_search(index, "risk", k=3).hits)
+        scores = dict(lexical_search_many(index, ["risk"], 3, ["q"])[0].hits)
         assert scores == {
             "a": bm25_term_weight(2, 2, 3, 0.0, 3, 1.2, 0.75),
             "b": bm25_term_weight(1, 2, 1, 0.0, 3, 1.2, 0.75),
@@ -350,7 +350,7 @@ class TestBM25:
 class TestLexicalSearch:
     def test_no_indexed_term_gives_empty(self):
         index = build_lexical_index(["d1"], ["credit risk"])
-        assert lexical_search(index, "liquidity coverage", k=5).hits == ()
+        assert lexical_search_many(index, ["liquidity coverage"], 5, ["q"])[0].hits == ()
 
     def test_single_term_ranking_matches_full_scoring(self):
         texts = {
@@ -360,7 +360,7 @@ class TestLexicalSearch:
             "d4": "risk",
         }
         index = build_lexical_index(list(texts), list(texts.values()))
-        result = lexical_search(index, "risk", k=10, query_id="q")
+        result = lexical_search_many(index, ["risk"], 10, ["q"])[0]
         expected = sorted(
             (
                 (item, bm25_score(index, ["risk"], item))
@@ -390,7 +390,7 @@ class TestLexicalSearch:
                 key=lambda pair: (-pair[1], pair[0]),
             )
             for k in (len(ids), 25):
-                result = lexical_search(index, query, k=k, query_id="q")
+                result = lexical_search_many(index, [query], k, ["q"])[0]
                 assert list(result.hits) == expected[:k]
 
     def test_posting_for_unknown_item(self):
@@ -430,9 +430,47 @@ class TestLexicalSearch:
         with pytest.raises(ValueError):
             LexicalIndex(**{**fields, **change})
 
+    def test_zero_queries(self):
+        index = build_lexical_index(["d1"], ["credit risk"])
+        assert lexical_search_many(index, [], 3, []) == []
+
+    def test_k_is_checked_first(self):
+        index = build_lexical_index(["d1"], ["credit risk"])
+        with pytest.raises(ValueError, match=re.escape("k must be an integer >= 1, got 0")):
+            lexical_search_many(index, [], 0, [])
+        with pytest.raises(ValueError, match=re.escape("k must be an integer >= 1, got 0")):
+            lexical_search_many(index, ["risk"], 0, [])
+
+    def test_lengths_must_agree(self):
+        index = build_lexical_index(["d1"], ["credit risk"])
+        with pytest.raises(ValueError, match="got 2 query texts but 1 query ids"):
+            lexical_search_many(index, ["risk", "credit"], 3, ["q"])
+        with pytest.raises(ValueError, match="got 0 query texts but 1 query ids"):
+            lexical_search_many(index, [], 3, ["q"])
+
+    def test_empty_index_ranks_every_query_empty(self):
+        index = build_lexical_index([], [])
+        results = lexical_search_many(index, ["risk", "", "capital risk"], 3, ["a", "b", "c"])
+        assert [(r.query_id, r.hits) for r in results] == [("a", ()), ("b", ()), ("c", ())]
+
+    def test_queries_without_indexed_terms_beside_others(self):
+        index = build_lexical_index(["d1", "d2"], ["credit risk", "capital risk"])
+        results = lexical_search_many(
+            index, ["liquidity", "risk capital", "", "zeta zeta"], 5, ["a", "b", "c", "d"]
+        )
+        assert [results[i].hits for i in (0, 2, 3)] == [(), (), ()]
+        assert results[1] == lexical_search_many(index, ["risk capital"], 5, ["b"])[0]
+        assert results[1].item_ids == ["d2", "d1"]
+
+    def test_same_text_twice(self):
+        index = build_lexical_index(["d1", "d2"], ["risk capital risk", "capital returns"])
+        first, second = lexical_search_many(index, ["risk capital"] * 2, 2, ["q1", "q2"])
+        assert (first.query_id, second.query_id) == ("q1", "q2")
+        assert first.hits == second.hits != ()
+
     def test_zero_scores_excluded(self):
         index = build_lexical_index(["d1", "d2"], ["risk", "capital"])
-        result = lexical_search(index, "risk", k=5)
+        result = lexical_search_many(index, ["risk"], 5, ["q"])[0]
         assert result.item_ids == ["d1"]
 
     def test_well_formed_output(self, rng):
@@ -442,7 +480,7 @@ class TestLexicalSearch:
         ]
         index = build_lexical_index([f"d{i}" for i in range(12)], texts)
         for query in ["risk capital", "stress", "credit credit risk"]:
-            check_ranking(lexical_search(index, query, k=5).hits)
+            check_ranking(lexical_search_many(index, [query], 5, ["q"])[0].hits)
 
 
 class TestRRF:
@@ -459,6 +497,26 @@ class TestRRF:
         fused = rrf_fuse([a, b], k_rrf=60)
         z_score = dict(fused.hits)["z"]
         assert z_score == pytest.approx(1.0 / 63.0, abs=1e-15)
+
+    def test_three_lists_sum_exactly(self):
+        # x at ranks 1, 2 and 5 with k_rrf=1: 1/2 + 1/3 + 1/6, which a
+        # running sum in list order rounds to 0.9999999999999999.
+        lists = [
+            ranked("q", ("x", 9.0)),
+            ranked("q", ("a", 9.0), ("x", 8.0)),
+            ranked("q", ("b", 9.0), ("c", 8.0), ("d", 7.0), ("e", 6.0), ("x", 5.0)),
+        ]
+        assert (1 / 2 + 1 / 3) + 1 / 6 == 0.9999999999999999
+        assert dict(rrf_fuse(lists, k_rrf=1).hits)["x"] == 1.0
+
+    def test_two_lists_equal_brute_force(self):
+        a = ["x", "y", "z", "w", "v"]
+        b = ["w", "u", "x", "t", "y", "z"]
+        lists = [ranked("q", *[(i, float(9 - r)) for r, i in enumerate(ids)]) for ids in (a, b)]
+        for k_rrf, depth in [(1, 100), (60, 100), (7, 3)]:
+            fused = rrf_fuse(lists, k_rrf=k_rrf, depth=depth)
+            assert dict(fused.hits) == brute_force_rrf([a, b], k_rrf, depth)
+            check_ranking(fused.hits)
 
     def test_mismatched_query_ids(self):
         with pytest.raises(ValueError, match="query ids"):
@@ -554,7 +612,8 @@ class TestRRF:
     [
         ("k", lambda v: dense_search_many(
             build_dense_index(["a"], [np.ones(2)]), [np.ones(2)], v, ["q"])),
-        ("k", lambda v: lexical_search(build_lexical_index(["a"], ["risk"]), "risk", v)),
+        ("k", lambda v: lexical_search_many(
+            build_lexical_index(["a"], ["risk"]), ["risk"], v, ["q"])),
         ("k", lambda v: ranked_list_from_scores("q", [("a", 1.0)], k=v)),
         ("k_rrf", lambda v: rrf_fuse([ranked("q", ("a", 1.0))], k_rrf=v)),
         ("depth", lambda v: rrf_fuse([ranked("q", ("a", 1.0))], depth=v)),
@@ -608,7 +667,9 @@ class TestPersistence:
         _, loaded = load_index(tmp_path / "idx")
         for query in ["risk", "capital stress risk", "audit basel credit liquidity", "nope"]:
             for k in (1, 10, 60):
-                assert lexical_search(loaded, query, k) == lexical_search(built, query, k)
+                assert lexical_search_many(loaded, [query], k, ["q"]) == lexical_search_many(
+                    built, [query], k, ["q"]
+                )
         save_index(tmp_path / "again", lexical=loaded)
         for name in ("postings.jsonl", "meta.json"):
             assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "idx" / name).read_bytes()

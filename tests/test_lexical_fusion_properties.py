@@ -6,20 +6,23 @@ tie), cut lists at ``depth`` and fuse up to five lists, where a running sum
 would depend on the order of the lists. BM25 cases draw tiny corpora over
 a six-word vocabulary, so terms repeat within and across items, and queries
 that repeat terms and use words no item holds, under BM25 parameters that
-include the ends of their ranges (k1 = 0, b = 0 and b = 1). The oracle
-walks each term's postings one by one in Python.
+include the ends of their ranges (k1 = 0, b = 0 and b = 1); several
+queries also go through one call in blocks of 1, 2 or all of them. The
+oracle walks each term's postings one by one in Python.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from riskrank import index as index_module
 from riskrank.embedding import tokenize
 from riskrank.index import (
     build_lexical_index,
-    lexical_search,
+    lexical_search_many,
     ranked_list_from_scores,
     rrf_fuse,
 )
@@ -125,9 +128,35 @@ def test_lexical_search_equals_bm25_score(case, k1, b):
     query_text = " ".join(query)
     scored = [(item, bm25_score(index, tokenize(query_text), item)) for item in ids]
     expected = sorted(((i, s) for i, s in scored if s > 0.0), key=lambda p: (-p[1], p[0]))[:k]
-    result = lexical_search(index, query_text, k=k, query_id="q")
+    result = lexical_search_many(index, [query_text], k, ["q"])[0]
     assert list(result.hits) == expected
     check_ranking(result.hits)
+
+
+@PROPERTY_SETTINGS
+@given(
+    bm25_cases(),
+    st.lists(st.lists(st.sampled_from(WORDS + MISSING), max_size=8), max_size=6),
+    st.sampled_from([1, 2, None]),
+    K1,
+    B,
+)
+def test_lexical_search_many_equals_bm25_score_per_query(case, more_queries, block, k1, b):
+    """Several queries at once, in blocks of 1, 2 or all of them."""
+    texts, query, k = case
+    ids = [f"d{i}" for i in range(len(texts))]
+    index = build_lexical_index(ids, texts, k1=k1, b=b)
+    query_texts = [" ".join(query)] + [" ".join(words) for words in more_queries]
+    query_ids = [f"q{i}" for i in range(len(query_texts))]
+    per_block = len(query_texts) if block is None else block
+    with mock.patch.object(index_module, "_BLOCK_ITEMS", per_block * len(ids)):
+        results = lexical_search_many(index, query_texts, k, query_ids)
+    assert [r.query_id for r in results] == query_ids
+    for text, result in zip(query_texts, results):
+        scored = [(item, bm25_score(index, tokenize(text), item)) for item in ids]
+        expected = sorted(((i, s) for i, s in scored if s > 0.0), key=lambda p: (-p[1], p[0]))
+        assert list(result.hits) == expected[:k]
+        check_ranking(result.hits)
 
 
 @PROPERTY_SETTINGS
