@@ -46,7 +46,6 @@ __all__ = [
     "CorruptCacheError",
     "INTEGER",
     "NONEMPTY_STRING",
-    "NUMBER",
     "POSITIVE_INTEGER",
     "VectorCache",
     "cached_embed",
@@ -138,7 +137,6 @@ Fields = Mapping[str, tuple[Callable[[Any], bool], str]]
 NONEMPTY_STRING = (lambda v: type(v) is str and v != "", "a nonempty string")
 INTEGER = (lambda v: type(v) is int, "an integer")
 POSITIVE_INTEGER = (lambda v: type(v) is int and v >= 1, "an integer >= 1")
-NUMBER = (lambda v: type(v) in (int, float), "a number")
 BOOLEAN = (lambda v: type(v) is bool, "true or false")
 
 

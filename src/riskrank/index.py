@@ -21,9 +21,10 @@ each item its BM25 length normalization, computed once when the index is
 made. One ``np.unique`` over (term, item) keys builds the postings. A
 search runs a block of queries at once: the postings of each query's sorted
 distinct terms are gathered for the whole block, weighed by one vector
-expression, and added by one ``np.bincount`` into one float64 accumulator
-per query, in input order, so each item adds its term weights in the order
-of those terms, exactly as ``bm25_term_weight`` computes them one by one.
+expression, and added by one ``np.bincount`` over the (query, item) keys
+that occur, in input order, so each item adds its term weights in the order
+of those terms. Both searches hand each block's (query, item, score) pairs
+to one tail that sorts each query's pairs and cuts them at k.
 
 Persistence writes a directory with ``meta.json`` (counts, dimension, BM25
 parameters, item ids, token counts), ``vectors.bin`` (the item rows as one
@@ -49,7 +50,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .cache import (
-    BOOLEAN, NONEMPTY_STRING, NUMBER, POSITIVE_INTEGER, check_fields, check_values, json_text,
+    BOOLEAN, NONEMPTY_STRING, POSITIVE_INTEGER, check_fields, check_values, json_text,
     read_json, read_jsonl, read_rkv1, write_file, write_jsonl, write_rkv1,
 )
 from . import embedding
@@ -63,7 +64,6 @@ __all__ = [
     "build_dense_index",
     "dense_search_many",
     "build_lexical_index",
-    "bm25_term_weight",
     "lexical_search_many",
     "rrf_fuse",
     "save_index",
@@ -75,12 +75,16 @@ DEFAULT_B = 0.75
 DEFAULT_RRF_K = 60
 DEFAULT_RRF_DEPTH = 100
 
-# Queries per search block: a block's scores, queries times index rows,
-# stay near _BLOCK_ITEMS float64 values, but a dense block never holds fewer
-# than _MIN_BLOCK_QUERIES queries, so that on a large index each pass of the
-# matmul over the float64 rows serves many queries, not one.
+# Queries per search block, dense and BM25 alike: a dense block's scores,
+# queries times n index rows, stay near _BLOCK_ITEMS float64 values, but no
+# block holds fewer than _MIN_BLOCK_QUERIES queries, so that on a large
+# index each pass over the rows or the postings serves many queries, not one.
 _BLOCK_ITEMS = 50_000
 _MIN_BLOCK_QUERIES = 64
+
+
+def _block_queries(n: int) -> int:
+    return max(_MIN_BLOCK_QUERIES, _BLOCK_ITEMS // max(n, 1))
 
 
 @dataclass(frozen=True)
@@ -145,13 +149,26 @@ def ranked_list_from_scores(
     if k is not None:
         _require_counts(k=k)
     items = [(item_id, float(score)) for item_id, score in scored]
-    _require_unique(list(map(_ID, items)), "duplicate item ids in ranking")
-    _require_no_nan(query_id, map(_SCORE, items))
-    # Two stable passes give the (-score, id) order: a reverse sort keeps
-    # equal scores (0.0 and -0.0 among them) in the order of the first pass.
-    items.sort(key=_ID)
-    items.sort(key=_SCORE, reverse=True)
-    return RankedList(query_id=query_id, hits=tuple(items[:k]))
+    ids, scores = list(map(_ID, items)), list(map(_SCORE, items))
+    _require_unique(ids, "duplicate item ids in ranking")
+    _require_no_nan(query_id, scores)
+    return _rankings([query_id], [0, len(items)], ids, scores, k)[0]
+
+
+def _rankings(
+    query_ids: Sequence[str], bounds: list[int], ids: list[str], scores: list[float], k: int | None
+) -> list[RankedList]:
+    """For each i, rank pairs ``bounds[i]:bounds[i + 1]`` of ``ids`` and float
+    ``scores`` under ``query_ids[i]``, by ``(-score, id)`` and cut at ``k``."""
+    results = []
+    for query_id, lo, hi in zip(query_ids, bounds, bounds[1:]):
+        items = list(zip(ids[lo:hi], scores[lo:hi]))
+        # Two stable passes give the (-score, id) order: a reverse sort keeps
+        # equal scores (0.0 and -0.0 among them) in the order of the first pass.
+        items.sort(key=_ID)
+        items.sort(key=_SCORE, reverse=True)
+        results.append(RankedList(query_id=query_id, hits=tuple(items[:k])))
+    return results
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,7 +280,7 @@ def dense_search_many(
         raise ValueError(f"index row of item {index.item_ids[bad]!r} has non-finite values")
     error_scale = (rows.shape[1] + 2) * 2.0**-49 * float(row_l1.max())
     kth = max(n - k, 0)
-    block = max(_MIN_BLOCK_QUERIES, _BLOCK_ITEMS // n)
+    block = _block_queries(n)
     results = []
     for start in range(0, len(unit), block):
         chunk = unit[start:start + block]
@@ -273,12 +290,13 @@ def dense_search_many(
             error_scale * np.abs(chunk).max(axis=1, initial=0.0), 2.0**-1000
         )
         keep = approx >= (threshold - 2.0 * error)[:, None]
+        # Each query's pairs name distinct rows, and an exact sum of finite
+        # products is never NaN.
         which, kept = np.divmod(np.flatnonzero(keep), n)
         scores = embedding._exact_dots(rows, chunk, kept, which)
         ids = [index.item_ids[i] for i in kept.tolist()]
         bounds = np.searchsorted(which, np.arange(len(chunk) + 1)).tolist()
-        for query_id, lo, hi in zip(query_ids[start:start + block], bounds, bounds[1:]):
-            results.append(ranked_list_from_scores(query_id, zip(ids[lo:hi], scores[lo:hi]), k=k))
+        results += _rankings(query_ids[start:start + block], bounds, ids, scores, k)
         # Freed before the next block's matmul: held across it, the pairs
         # often left the C heap fragmented, some 4 MB more peak RSS in a
         # hybrid run_eval over 3 000 items.
@@ -335,8 +353,9 @@ class LexicalIndex:
         if len(self.docs) and not 0 <= int(self.docs.min()) <= int(self.docs.max()) < n:
             bad = int(self.docs[(self.docs < 0) | (self.docs >= n)][0])
             raise ValueError(f"postings name item number {bad}, but the index holds {n} items")
-        length_norm = _length_norm(self.doc_len.astype(np.float64), self.avgdl, self.b)
-        object.__setattr__(self, "length_norm", length_norm)
+        doc_len = self.doc_len.astype(np.float64)
+        ratio = doc_len / self.avgdl if self.avgdl > 0 else 0.0 * doc_len
+        object.__setattr__(self, "length_norm", 1.0 - self.b + self.b * ratio)
 
     @property
     def count(self) -> int:
@@ -344,9 +363,10 @@ class LexicalIndex:
 
 
 # BM25 parameters, for ``LexicalIndex`` and the ``meta.json`` of a saved index.
+_FINITE = (lambda v: type(v) in (int, float) and 0 <= v < math.inf, "a finite number >= 0")
 _BM25_FIELDS = {
-    "k1": (lambda v: type(v) in (int, float) and 0 <= v < math.inf, "a finite number >= 0"),
-    "b": (lambda v: type(v) in (int, float) and 0 <= v <= 1, "a number in [0, 1]"),
+    "k1": _FINITE, "b": (lambda v: type(v) in (int, float) and 0 <= v <= 1, "a number in [0, 1]"),
+    "avgdl": _FINITE,
 }
 
 
@@ -397,43 +417,17 @@ def build_lexical_index(
     )
 
 
-# The one BM25 formula: ``bm25_term_weight`` applies it to Python numbers,
-# ``lexical_search_many`` to postings at once.  Elementwise, numpy runs
-# the same IEEE operations in the same order, so both give the same bits.
-def _idf(df: int, n_items: int) -> float:
-    return math.log(1.0 + (n_items - df + 0.5) / (df + 0.5))
-
-
-def _length_norm(doc_len, avgdl: float, b: float):
-    return 1.0 - b + b * (doc_len / avgdl if avgdl > 0 else 0.0 * doc_len)
-
-
-def _bm25_weight(idf: float, tf, length_norm, k1: float):
-    return idf * tf * (k1 + 1.0) / (tf + k1 * length_norm)
-
-
-def bm25_term_weight(
-    tf: int, df: int, doc_len: int, avgdl: float, n_items: int, k1: float, b: float
-) -> float:
-    """One term's Okapi BM25 contribution with +1-smoothed idf.
-
-    ``idf = ln(1 + (N - df + 0.5) / (df + 0.5))``; a term with tf == 0
-    contributes exactly 0.
-    """
-    if tf == 0:
-        return 0.0
-    return _bm25_weight(_idf(df, n_items), tf, _length_norm(doc_len, avgdl, b), k1)
-
-
 # BM25 for a block of queries.  Each query's sorted distinct known terms
 # pick their postings slices, gathered for the whole block in query order
-# and, within a query, in term order; one ``_bm25_weight`` expression weighs
-# them all.  ``np.bincount(query * n + docs, weights)`` then adds weights[t]
-# into its bin one t after the other (a plain sequential float64 loop over
-# bins that start at 0.0), so each item of each query adds its term weights
-# in sorted-term order, the same additions in the same order as one float64
-# accumulator per query that adds one term's weights at a time.  A term
-# names an item at most once in its postings, so each weight is added once.
+# and, within a query, in term order; one vector expression weighs them all
+# (idf by math.log: np.log need not round the same way).  ``np.unique``
+# numbers the (query, item) keys that occur, and ``np.bincount(slot,
+# weights)`` adds weights[t] into bin slot[t] one t after the other (a plain
+# sequential float64 loop over bins that start at 0.0), so each item of each
+# query adds its term weights in sorted-term order, the same additions in
+# the same order as one accumulator per query that adds one term's weights
+# at a time.  A term names an item at most once in its postings, so each
+# weight is added once.
 def lexical_search_many(
     index: LexicalIndex,
     query_texts: Sequence[str],
@@ -443,15 +437,16 @@ def lexical_search_many(
     """Top-k items by BM25 for each tokenized query text; zero scorers are dropped.
 
     ``query_texts[i]`` is ranked under ``query_ids[i]``; lengths that
-    differ raise ValueError. Each item's score is the sum of its
-    ``bm25_term_weight`` for each sorted distinct query term it holds, added
-    in that order.
+    differ raise ValueError. Each item's score is the sum of one Okapi BM25
+    weight, ``idf * tf * (k1 + 1) / (tf + k1 * length_norm)`` with
+    ``idf = ln(1 + (N - df + 0.5) / (df + 0.5))``, for each sorted distinct
+    query term it holds, added in that order.
     """
     _require_counts(k=k)
     if len(query_texts) != len(query_ids):
         raise ValueError(f"got {len(query_texts)} query texts but {len(query_ids)} query ids")
     n = index.count
-    block = max(1, _BLOCK_ITEMS // max(n, 1))
+    block = _block_queries(n)
     results = []
     for start in range(0, len(query_texts), block):
         texts = query_texts[start:start + block]
@@ -462,8 +457,7 @@ def lexical_search_many(
         term_rows = np.array([r for query_rows in rows for r in query_rows], dtype=np.int64)
         first = index.starts[term_rows]
         df = index.starts[term_rows + 1] - first
-        # math.log, as bm25_term_weight: np.log need not round the same way.
-        idf = np.array([_idf(d, n) for d in df.tolist()], dtype=np.float64)
+        idf = np.array([math.log(1.0 + (n - d + 0.5) / (d + 0.5)) for d in df.tolist()])
         # Where each slice starts among the block's postings.  Through
         # ndarray.cumsum, these tiny sums kept the memory of a whole search's
         # rankings from going back to the system once they were freed (some
@@ -471,17 +465,19 @@ def lexical_search_many(
         offsets = np.add.accumulate(df) - df
         postings = np.arange(df.sum()) + np.repeat(first - offsets, df)
         docs = index.docs[postings]
-        weights = _bm25_weight(
-            np.repeat(idf, df), index.tf[postings], index.length_norm[docs], index.k1
+        tf = index.tf[postings]
+        weights = np.repeat(idf, df) * tf * (index.k1 + 1.0) / (
+            tf + index.k1 * index.length_norm[docs]
         )
         query_of = np.repeat(np.repeat(np.arange(len(texts)), list(map(len, rows))), df)
-        scores = np.bincount(query_of * n + docs, weights, minlength=len(texts) * n)
-        hits = np.flatnonzero(scores > 0.0)
-        ids = [index.item_ids[i] for i in (hits % n).tolist()]
-        values = scores[hits].tolist()
-        bounds = np.searchsorted(hits, np.arange(len(texts) + 1) * n).tolist()
-        for query_id, lo, hi in zip(query_ids[start:start + block], bounds, bounds[1:]):
-            results.append(ranked_list_from_scores(query_id, zip(ids[lo:hi], values[lo:hi]), k=k))
+        keys, slot = np.unique(query_of * n + docs, return_inverse=True)
+        scores = np.bincount(slot, weights)
+        # np.unique keys are distinct pairs, and ``> 0.0`` drops a NaN sum.
+        hits = scores > 0.0
+        which, items = np.divmod(keys[hits], n)
+        ids = [index.item_ids[i] for i in items.tolist()]
+        bounds = np.searchsorted(which, np.arange(len(texts) + 1)).tolist()
+        results += _rankings(query_ids[start:start + block], bounds, ids, scores[hits].tolist(), k)
     return results
 
 
@@ -506,6 +502,8 @@ def rrf_fuse(
     if not lists:
         raise ValueError("need at least one ranked list to fuse")
     _require_counts(k_rrf=k_rrf, depth=depth)
+    if k is not None:
+        _require_counts(k=k)
     query_ids = {rl.query_id for rl in lists}
     if len(query_ids) != 1:
         raise ValueError(f"cannot fuse lists with differing query ids: {sorted(query_ids)}")
@@ -517,14 +515,15 @@ def rrf_fuse(
         for ranking in rest:
             for item_id, weight in zip(map(_ID, ranking.hits), weights):
                 scores[item_id] = scores.get(item_id, 0.0) + weight
-        scored = scores.items()
     else:
         terms: dict[str, list[float]] = {}
         for ranking in lists:
             for item_id, weight in zip(map(_ID, ranking.hits), weights):
                 terms.setdefault(item_id, []).append(weight)
-        scored = [(i, math.fsum(t)) for i, t in terms.items()]
-    return ranked_list_from_scores(lists[0].query_id, scored, k=k)
+        scores = {i: math.fsum(t) for i, t in terms.items()}
+    # Dict keys are distinct items, and sums of finite weights are never NaN.
+    ids, values = list(scores), list(scores.values())
+    return _rankings([lists[0].query_id], [0, len(ids)], ids, values, k)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +577,7 @@ _META_FIELDS = {
 _DENSE_META_FIELDS = {"dim": _COUNT}
 _INT32_END = 2**31
 _LEXICAL_META_FIELDS = {
-    **_BM25_FIELDS, "avgdl": NUMBER,
+    **_BM25_FIELDS,
     "doc_len": (lambda v: type(v) is dict and all(
         type(n) is int and 0 <= n < _INT32_END for n in v.values()
     ), "an object of integer lengths in [0, 2**31)"),

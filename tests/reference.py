@@ -1,15 +1,15 @@
 """Independent naive reference implementations used as test oracles.
 
-Everything here but ``bm25_score`` deliberately avoids the library's code
-paths: metrics use O(k^2) loops over plain id lists, dense scoring
-normalizes and ranks with its own mechanics, fusion is a plain dict fold,
-and ``check_ranking`` walks the hits pair by pair. Where the library
-defines scores as exactly-rounded float64 arithmetic, the references
-reproduce that arithmetic from its definition (IEEE products, exact sum),
-including a Fraction-based exact-rounding cross-check. ``bm25_score``
-scores one item at a time with the library's ``bm25_term_weight``; it is
-checked against ``bm25_by_hand``, a direct transcription of the Okapi
-formula.
+Everything here deliberately avoids the library's code paths: metrics use
+O(k^2) loops over plain id lists, dense scoring normalizes and ranks with
+its own mechanics, fusion is a plain dict fold, and ``check_ranking`` walks
+the hits pair by pair. Where the library defines scores as exactly-rounded
+float64 arithmetic, the references reproduce that arithmetic from its
+definition (IEEE products, exact sum), including a Fraction-based
+exact-rounding cross-check. ``bm25_score`` scores one item at a time with
+``bm25_term_weight``, the Okapi formula on Python numbers in the library's
+order of operations, so it gives the library's bits; it is checked against
+``bm25_by_hand``, a direct transcription of the formula.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from riskrank.index import LexicalIndex, bm25_term_weight
+from riskrank.index import LexicalIndex
 
 
 def check_ranking(hits) -> None:
@@ -199,6 +199,19 @@ def bm25_by_hand(
         return 0.0
     idf = math.log(1 + (n_docs - df + 0.5) / (df + 0.5))
     return idf * (tf * (k1 + 1)) / (tf + k1 * (1 - b + b * doc_len / avgdl))
+
+
+def bm25_term_weight(
+    tf: int, df: int, doc_len: int, avgdl: float, n_items: int, k1: float, b: float
+) -> float:
+    """One term's Okapi BM25 contribution with +1-smoothed idf,
+    ``ln(1 + (N - df + 0.5) / (df + 0.5))``; a term with tf == 0 contributes
+    exactly 0. Every length counts as 0 when ``avgdl`` is not above 0."""
+    if tf == 0:
+        return 0.0
+    idf = math.log(1.0 + (n_items - df + 0.5) / (df + 0.5))
+    length_norm = 1.0 - b + b * (doc_len / avgdl if avgdl > 0 else 0.0 * doc_len)
+    return idf * tf * (k1 + 1.0) / (tf + k1 * length_norm)
 
 
 def bm25_score(index: LexicalIndex, query_terms: Sequence[str], item_id: str) -> float:

@@ -2,15 +2,16 @@
 
 import json
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from riskrank import index as index_module
 from riskrank.index import (
     DenseIndex,
     LexicalIndex,
     RankedList,
-    bm25_term_weight,
     build_dense_index,
     build_lexical_index,
     dense_search_many,
@@ -22,7 +23,7 @@ from riskrank.index import (
 )
 
 from reference import (
-    bm25_by_hand, bm25_score, brute_force_dense, brute_force_rrf, check_ranking,
+    bm25_by_hand, bm25_score, bm25_term_weight, brute_force_dense, brute_force_rrf, check_ranking,
 )
 
 
@@ -273,13 +274,24 @@ class TestBM25:
                 assert scores.get(item_id, 0.0) == pytest.approx(expected, abs=1e-12)
 
     def test_tf_monotonicity_fixed_statistics(self):
+        """One term in the first df of n_docs items, each of length doc_len,
+        at every tf from 1 to 29: a search scores them alike, never less for
+        a higher tf, and drops the items without the term."""
         for df, doc_len, n_docs in [(1, 5, 10), (4, 20, 30), (9, 3, 9)]:
-            weights = [
-                bm25_term_weight(tf, df, doc_len, 10.0, n_docs, 1.2, 0.75)
-                for tf in range(0, 30)
-            ]
+            ids = tuple(f"d{i:02d}" for i in range(n_docs))
+            weights = []
+            for tf in range(1, 30):
+                index = LexicalIndex(
+                    item_ids=ids, terms={"risk": 0}, starts=np.array([0, df]),
+                    docs=np.arange(df, dtype=np.int32), tf=np.full(df, tf, dtype=np.int32),
+                    doc_len=np.full(n_docs, doc_len, dtype=np.int32), avgdl=10.0,
+                )
+                hits = lexical_search_many(index, ["risk"], n_docs, ["q"])[0].hits
+                assert [item for item, _ in hits] == list(ids[:df])
+                assert len({score for _, score in hits}) == 1
+                weights.append(hits[0][1])
             assert all(b >= a for a, b in zip(weights, weights[1:]))
-            assert weights[0] == 0.0
+            assert weights[0] > 0.0
 
     @pytest.mark.parametrize(
         "params, message",
@@ -429,6 +441,27 @@ class TestLexicalSearch:
         LexicalIndex(**fields)
         with pytest.raises(ValueError):
             LexicalIndex(**{**fields, **change})
+
+    @pytest.mark.parametrize("avgdl", [float("nan"), float("inf"), -3.0, "2"], ids=repr)
+    def test_hand_built_average_length_is_checked(self, avgdl):
+        index = build_lexical_index(["d1"], ["credit risk"])
+        message = f"avgdl must be a finite number >= 0, got {avgdl!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LexicalIndex(
+                item_ids=index.item_ids, terms=index.terms, starts=index.starts,
+                docs=index.docs, tf=index.tf, doc_len=index.doc_len, avgdl=avgdl,
+            )
+
+    def test_large_index_keeps_many_queries_per_block(self):
+        """Past _BLOCK_ITEMS items, a block still holds _MIN_BLOCK_QUERIES queries."""
+        index = build_lexical_index([f"d{i:02d}" for i in range(20)], ["risk capital"] * 20)
+        texts = ["risk"] * (index_module._MIN_BLOCK_QUERIES + 1)
+        with mock.patch.object(index_module, "_BLOCK_ITEMS", 10), mock.patch.object(
+            index_module, "_rankings", wraps=index_module._rankings
+        ) as tail:
+            results = lexical_search_many(index, texts, 3, [f"q{i}" for i in range(len(texts))])
+        assert tail.call_count == 2
+        assert {r.item_ids == ["d00", "d01", "d02"] for r in results} == {True}
 
     def test_zero_queries(self):
         index = build_lexical_index(["d1"], ["credit risk"])
@@ -604,6 +637,32 @@ class TestRRF:
             rrf_fuse([a], depth=0)
         with pytest.raises(ValueError, match="k must be an integer >= 1, got 0"):
             rrf_fuse([a], k=0)
+
+
+def test_each_ranking_is_checked_once(rng):
+    """Searches and fusion leave their rankings' checks to RankedList; only
+    ranked_list_from_scores checks its whole input first, as a cut at k can
+    drop a repeat."""
+    ids = [f"d{i}" for i in range(6)]
+    dense = build_dense_index(ids, rng.normal(size=(6, 4)))
+    lexical = build_lexical_index(ids, ["risk capital", "risk", "audit", "risk", "credit", "x"])
+    a = ranked("q", ("x", 1.0), ("y", 0.5))
+    b = ranked("q", ("y", 0.9), ("z", 0.1))
+    calls = [
+        (lambda: dense_search_many(dense, rng.normal(size=(3, 4)), 4, ["q1", "q2", "q3"]), 3),
+        (lambda: lexical_search_many(lexical, ["risk", "capital", "audit credit"], 4,
+                                     ["q1", "q2", "q3"]), 3),
+        (lambda: [rrf_fuse([a, b])], 1),
+        (lambda: [rrf_fuse([a, b, a], k=2)], 1),
+        (lambda: [ranked_list_from_scores("q", [("a", 1.0), ("b", 2.0)], k=1)], 2),
+    ]
+    for call, checks in calls:
+        with mock.patch.object(
+            index_module, "_require_unique", wraps=index_module._require_unique
+        ) as spy:
+            rankings = call()
+        assert all(ranking.hits for ranking in rankings)
+        assert spy.call_count == checks
 
 
 @pytest.mark.parametrize("value", [0, -2, 1.5, True, "3"], ids=repr)
@@ -820,6 +879,10 @@ class TestPersistence:
             (lambda meta: meta.update(has_dense="no"), "field 'has_dense'"),
             (lambda meta: meta.update(dim="3"), "field 'dim'"),
             (lambda meta: meta.pop("avgdl"), "missing field 'avgdl'"),
+            (lambda meta: meta.update(avgdl=float("nan")), "field 'avgdl' must be a finite"),
+            (lambda meta: meta.update(avgdl=float("inf")), "field 'avgdl'"),
+            (lambda meta: meta.update(avgdl=-float("inf")), "field 'avgdl'"),
+            (lambda meta: meta.update(avgdl=-3.0), "field 'avgdl'"),
             (lambda meta: meta["doc_len"].update(a="2"), "field 'doc_len'"),
             (lambda meta: meta["doc_len"].update(a=2**31), "field 'doc_len'"),
             (lambda meta: meta.update(k1=-1.0), "field 'k1' must be a finite number >= 0"),
@@ -830,7 +893,8 @@ class TestPersistence:
         ],
         ids=[
             "invalid-json", "not-an-object", "missing-count", "string-item_ids",
-            "string-has_dense", "string-dim", "missing-avgdl", "string-doc_len-value",
+            "string-has_dense", "string-dim", "missing-avgdl", "nan-avgdl", "infinite-avgdl",
+            "minus-infinite-avgdl", "negative-avgdl", "string-doc_len-value",
             "doc_len-past-int32", "negative-k1", "infinite-k1", "nan-b", "b-above-one",
             "string-b",
         ],

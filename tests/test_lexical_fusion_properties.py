@@ -8,7 +8,8 @@ a six-word vocabulary, so terms repeat within and across items, and queries
 that repeat terms and use words no item holds, under BM25 parameters that
 include the ends of their ranges (k1 = 0, b = 0 and b = 1); several
 queries also go through one call in blocks of 1, 2 or all of them. The
-oracle walks each term's postings one by one in Python.
+oracle walks each term's postings one by one in Python, and weighs them
+with the Okapi formula on Python numbers.
 """
 
 import math
@@ -149,8 +150,11 @@ def test_lexical_search_many_equals_bm25_score_per_query(case, more_queries, blo
     query_texts = [" ".join(query)] + [" ".join(words) for words in more_queries]
     query_ids = [f"q{i}" for i in range(len(query_texts))]
     per_block = len(query_texts) if block is None else block
-    with mock.patch.object(index_module, "_BLOCK_ITEMS", per_block * len(ids)):
+    with mock.patch.object(index_module, "_BLOCK_ITEMS", per_block * len(ids)), \
+            mock.patch.object(index_module, "_MIN_BLOCK_QUERIES", 1), \
+            mock.patch.object(index_module, "_rankings", wraps=index_module._rankings) as tail:
         results = lexical_search_many(index, query_texts, k, query_ids)
+    assert tail.call_count == -(-len(query_texts) // per_block)
     assert [r.query_id for r in results] == query_ids
     for text, result in zip(query_texts, results):
         scored = [(item, bm25_score(index, tokenize(text), item)) for item in ids]
