@@ -18,8 +18,9 @@ all_contexts pool with k_list (5, 10, 100). At each scale the script times:
   ``lexical_search_many`` call for every test question at depth 100;
 - hash-mode ``dense_search_many`` alone: the test questions' hash vectors
   over the items' at depth 100 (hash vectors are sparse rows);
-- ``rrf_fuse`` alone: each test question's hash-mode dense run fused with
-  its lexical run at depth 100, as hybrid ``run_eval`` fuses them;
+- ``rrf_fuse`` alone: the test questions' hash-mode dense run fused with
+  their lexical run in one call at depth 100, as hybrid ``run_eval`` fuses
+  them;
 - the finetuned side's dense layers alone: ``build_dense_index`` over the
   adapted item rows and ``dense_search_many`` of the adapted queries at
   depth 100 (adapter outputs are fully dense rows, unlike hash vectors);
@@ -290,10 +291,7 @@ def profile_scale(pairs_count: int, repeats: int) -> list[dict]:
         )
         _, stats = timed(
             f"{pairs_count} pairs, rrf_fuse", repeats,
-            lambda: [
-                rrf_fuse([dense, lexical], depth=DEPTH, k=DEPTH)
-                for dense, lexical in zip(dense_run, lexical_run)
-            ],
+            lambda: rrf_fuse([dense_run, lexical_run], depth=DEPTH, k=DEPTH),
             ranking_digest,
             digest_key="run_sha256",
         )

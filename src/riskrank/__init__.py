@@ -45,6 +45,7 @@ from .index import (
     DenseIndex,
     LexicalIndex,
     RankedList,
+    Run,
     build_dense_index,
     build_lexical_index,
     dense_search_many,
@@ -75,6 +76,7 @@ __all__ = [
     "RankedList",
     "RemoteEmbedError",
     "RemoteEmbedder",
+    "Run",
     "SplitConfig",
     "TrainingConfig",
     "VectorCache",

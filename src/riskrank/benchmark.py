@@ -27,7 +27,6 @@ from .embedding import Embedder, checked_embed
 from .finetune import AdapterParams, apply_adapter
 from .index import (
     DEFAULT_RRF_DEPTH, DEFAULT_RRF_K,
-    RankedList,
     build_dense_index,
     build_lexical_index,
     dense_search_many,
@@ -168,7 +167,7 @@ def _evaluate(
     if need_dense:
         item_matrix = checked_embed(embedder, eval_set.item_texts, "contexts")
         query_matrix = checked_embed(embedder, query_texts, "questions")
-    lexical_run: list[RankedList] = []
+    lexical_run = None
     if config.retrieval_mode in ("lexical", "hybrid"):
         lexical_index = build_lexical_index(eval_set.item_ids, eval_set.item_texts)
         lexical_run = lexical_search_many(lexical_index, query_texts, depth, query_ids)
@@ -182,12 +181,14 @@ def _evaluate(
                 items = apply_adapter(adapter, items)
                 queries = apply_adapter(adapter, queries)
             index = build_dense_index(eval_set.item_ids, items)
+            # Freed once used: an adapter's float64 output held through the
+            # search, or a side's index held through the next side's build,
+            # set the peak memory of compare_adapter.
+            del items
             run = dense_search_many(index, queries, depth, query_ids)
+            del index
         if config.retrieval_mode == "hybrid":
-            run = [
-                rrf_fuse([dense, lexical], k_rrf=config.k_rrf, depth=config.rrf_depth, k=depth)
-                for dense, lexical in zip(run, lexical_run)
-            ]
+            run = rrf_fuse([run, lexical_run], k_rrf=config.k_rrf, depth=config.rrf_depth, k=depth)
         reports.append(evaluate_run(run, eval_set.qrels, config.k_list))
     return reports
 

@@ -126,8 +126,9 @@ def tokenize(text: str) -> list[str]:
 # call whose terms are not all in that range (NaN, infinities, values near
 # the float64 maximum) sends every row to fsum, which returns or raises as
 # it always did.
-def _exact_row_sums(products: np.ndarray) -> list[float]:
-    """``math.fsum`` of each row of the float64 matrix ``products``, bit for bit.
+def _exact_row_sums(products: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each row of the float64 matrix ``products``, bit for
+    bit, as a float64 array.
 
     Rows it cannot certify (see the comment above) go to
     ``math.fsum``, looked up at call time. Temporaries are about three
@@ -137,7 +138,7 @@ def _exact_row_sums(products: np.ndarray) -> list[float]:
     width = 1 << max(n - 1, 0).bit_length()
     peak = float(max(products.max(initial=0.0), -products.min(initial=0.0)))
     if not peak * n < 2.0**1023:
-        return [math.fsum(row) for row in products.tolist()]
+        return np.array([math.fsum(row) for row in products.tolist()], dtype=np.float64)
     # Column j holds row j's terms, so each tree level adds two contiguous halves.
     level = np.zeros((width, m))
     level[:n] = products.T
@@ -170,10 +171,9 @@ def _exact_row_sums(products: np.ndarray) -> list[float]:
     ties = np.flatnonzero(~certified)
     certified[ties] = np.count_nonzero(errors[:, ties], axis=0) <= 1
     certified &= (h != 0.0) & np.isfinite(h)
-    sums = h.tolist()
     for i in np.flatnonzero(~certified).tolist():
-        sums[i] = math.fsum(products[i].tolist())
-    return sums
+        h[i] = math.fsum(products[i].tolist())
+    return h
 
 
 # Exact dot products.  ``_exact_dots`` sums the products of each (row,
@@ -192,10 +192,10 @@ def _exact_row_sums(products: np.ndarray) -> list[float]:
 # full row.
 def _exact_dots(
     rows: np.ndarray, queries: np.ndarray, row_of: np.ndarray, query_of: np.ndarray
-) -> list[float]:
+) -> np.ndarray:
     """``math.fsum((rows[row_of[t]] * queries[query_of[t]]).tolist())`` for
-    each t, bit for bit, for finite float64 ``rows`` and ``queries`` of one
-    width (see the comment above)."""
+    each t, bit for bit, as a float64 array, for finite float64 ``rows`` and
+    ``queries`` of one width (see the comment above)."""
     dim = queries.shape[1]
     width = max(int(np.count_nonzero(queries, axis=1).max(initial=0)), 1)
     gather = 2 * width <= dim
@@ -205,12 +205,12 @@ def _exact_dots(
         columns = np.argpartition(queries == 0.0, width - 1, axis=1)[:, :width]
         values = np.take_along_axis(queries, columns, axis=1)
     step = max(1, _TERMS_PER_CALL // (width if gather else max(dim, 1)))
-    sums: list[float] = []
+    sums = np.empty(len(row_of))
     for start in range(0, len(row_of), step):
         r, q = row_of[start:start + step], query_of[start:start + step]
         products = rows[r[:, None], columns[q]] * values[q] if gather else rows[r] * queries[q]
-        sums.extend(_exact_row_sums(products))
-    for t in [t for t, total in enumerate(sums) if total == 0.0]:  # +0.0 or -0.0
+        sums[start:start + step] = _exact_row_sums(products)
+    for t in np.flatnonzero(sums == 0.0).tolist():  # +0.0 or -0.0
         sums[t] = math.fsum((rows[row_of[t]] * queries[query_of[t]]).tolist())
     return sums
 
@@ -249,11 +249,11 @@ def unit_rows(matrix: np.ndarray, ids: Sequence[str], kind: str = "row") -> np.n
     _, exponents = np.frexp(peak)
     np.ldexp(rows, (top - exponents)[:, None], out=rows)
     step = max(1, _TERMS_PER_CALL // max(rows.shape[1], 1))
-    sums = []
+    sums = np.empty(len(rows))
     for start in range(0, len(rows), step):
         chunk = rows[start:start + step]
         each = np.arange(len(chunk))
-        sums.extend(_exact_dots(chunk, chunk, each, each))
+        sums[start:start + step] = _exact_dots(chunk, chunk, each, each)
     norms = np.sqrt(sums)
     rows /= np.where(norms != 0.0, norms, 1.0)[:, None]
     return rows

@@ -2,15 +2,20 @@
 
 A ranking (``RankedList``) is a tuple of ``(item_id, score)`` pairs, best
 first; the rank of ``hits[i]`` is ``i + 1``. A ranking refuses repeated
-ids, NaN scores and rising scores when it is made. Every ranking this
-module returns is a deterministic total order: scores sort descending and
-ties break by ascending item id. Dense scores are exactly-rounded float64
-dot products of unit vectors (see ``riskrank.embedding``), so a full-scan
-re-implementation of the same arithmetic reproduces them bit-for-bit.
-Dense search gets there by filter-then-verify: one float64 matmul per
-block of queries gives approximate scores, a rigorous forward-error bound
-keeps every row that could reach the top k (the whole band of ties at the
-k-th score included), and only those rows are scored exactly, by one
+ids, NaN scores and rising scores when it is made. A ``Run`` holds the
+rankings of many queries as arrays: for each query, a slice of int32 item
+numbers into the index's ids and of float64 scores. It checks its scores
+in one vectorized pass when it is made, and builds a query's
+``RankedList`` only when asked for it. Both searches and ``rrf_fuse``
+return runs. Every ranking this module returns is a deterministic total
+order: scores sort descending and ties break by ascending item id.
+Dense scores are exactly-rounded float64 dot products of unit vectors
+(see ``riskrank.embedding``), so a full-scan re-implementation of the same
+arithmetic reproduces them bit-for-bit. Dense search gets there by
+filter-then-verify: one float64 matmul per block of queries gives
+approximate scores, a rigorous forward-error bound keeps every row that
+could reach the top k (the whole band of ties at the k-th score
+included), and only those rows are scored exactly, by one
 ``_exact_dots`` call per block of queries (see ``riskrank.embedding``):
 certified vectorized sums of the kept rows' products, at the queries'
 nonzero coordinates when at most half of them are nonzero.
@@ -21,10 +26,12 @@ each item its BM25 length normalization, computed once when the index is
 made. One ``np.unique`` over (term, item) keys builds the postings. A
 search runs a block of queries at once: the postings of each query's sorted
 distinct terms are gathered for the whole block, weighed by one vector
-expression, and added by one ``np.bincount`` over the (query, item) keys
-that occur, in input order, so each item adds its term weights in the order
-of those terms. Both searches hand each block's (query, item, score) pairs
-to one tail that sorts each query's pairs and cuts them at k.
+expression, and added by ``_keyed_sum`` over the (query, item) keys, in
+input order, so each item adds its term weights in the order of those
+terms. The fusion adds its reciprocal ranks through the same keyed sum.
+Both searches and the fusion hand their (query, item, score) arrays to one
+tail, ``_top_k``, which orders them by one ``np.lexsort`` and cuts each
+query at k. Searching and fusing runs makes no Python loop over hits.
 
 Persistence writes a directory with ``meta.json`` (counts, dimension, BM25
 parameters, item ids, token counts), ``vectors.bin`` (the item rows as one
@@ -58,6 +65,7 @@ from .embedding import tokenize, unit_rows
 
 __all__ = [
     "RankedList",
+    "Run",
     "DenseIndex",
     "LexicalIndex",
     "ranked_list_from_scores",
@@ -131,8 +139,67 @@ def _require_no_nan(query_id: str, scores: Iterable[float]) -> None:
         raise ValueError(f"ranking for {query_id!r} holds a NaN score")
 
 
-_ID = operator.itemgetter(0)
-_SCORE = operator.itemgetter(1)
+class Run(Sequence[RankedList]):
+    """The rankings of many queries, as arrays.
+
+    Ranking ``i`` is ranked under ``query_ids[i]`` and holds the pairs
+    ``bounds[i]:bounds[i + 1]`` of ``items``, int32 positions in
+    ``item_ids``, and ``scores``, float64, best first. ``item_ids`` is kept
+    as given (an index's ids are shared, not copied). ``run[i]`` builds
+    ranking ``i`` as a ``RankedList``, which checks its ids, and iterating
+    a run builds each ranking in turn. Sizes that disagree, bounds that do
+    not rise from 0 to the number of pairs, an item number outside
+    ``item_ids``, a NaN score or a score that rises within a ranking raise
+    ValueError. A run compares and hashes by identity.
+    """
+
+    def __init__(
+        self,
+        query_ids: Sequence[str],
+        item_ids: Sequence[str],
+        bounds: np.ndarray,
+        items: np.ndarray,
+        scores: np.ndarray,
+    ) -> None:
+        self.query_ids = tuple(query_ids)
+        self.item_ids = item_ids
+        self.bounds = np.asarray(bounds, dtype=np.int64)
+        self.items = np.asarray(items, dtype=np.int32)
+        self.scores = np.asarray(scores, dtype=np.float64)
+        pairs = len(self.items)
+        counts = np.diff(self.bounds)
+        if (len(self.bounds) != len(self.query_ids) + 1 or len(self.scores) != pairs
+                or self.bounds[0] != 0 or self.bounds[-1] != pairs or (counts < 0).any()):
+            raise ValueError(
+                f"bounds of {len(self.query_ids)} rankings must rise from 0 to {pairs}, "
+                f"the number of items, and there are {len(self.scores)} scores"
+            )
+        if pairs and not 0 <= int(self.items.min()) <= int(self.items.max()) < len(item_ids):
+            raise ValueError(f"item numbers must lie in [0, {len(item_ids)})")
+        ranking_of = np.repeat(np.arange(len(self.query_ids)), counts)
+        scores = self.scores
+        bad = np.isnan(scores)
+        bad[1:] |= (scores[1:] > scores[:-1]) & (ranking_of[1:] == ranking_of[:-1])
+        if bad.any():
+            t = int(np.flatnonzero(bad)[0])
+            query_id = self.query_ids[ranking_of[t]]
+            if np.isnan(scores[t]):
+                raise ValueError(f"ranking for {query_id!r} holds a NaN score")
+            raise ValueError(
+                f"ranking for {query_id!r}: scores increase "
+                f"({float(scores[t - 1])} -> {float(scores[t])})"
+            )
+
+    def __len__(self) -> int:
+        return len(self.query_ids)
+
+    def __getitem__(self, i: int | slice) -> RankedList | list[RankedList]:
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]  # IndexError past either end
+        lo, hi = self.bounds[i:i + 2].tolist()
+        ids = map(self.item_ids.__getitem__, self.items[lo:hi].tolist())
+        return RankedList(self.query_ids[i], tuple(zip(ids, self.scores[lo:hi].tolist())))
 
 
 def ranked_list_from_scores(
@@ -149,26 +216,72 @@ def ranked_list_from_scores(
     if k is not None:
         _require_counts(k=k)
     items = [(item_id, float(score)) for item_id, score in scored]
-    ids, scores = list(map(_ID, items)), list(map(_SCORE, items))
+    ids = [item_id for item_id, _ in items]
+    scores = [score for _, score in items]
     _require_unique(ids, "duplicate item ids in ranking")
     _require_no_nan(query_id, scores)
-    return _rankings([query_id], [0, len(items)], ids, scores, k)[0]
+    which = np.zeros(len(ids), dtype=np.int64)
+    top = _top_k(which, np.arange(len(ids)), np.array(scores), _id_rank(ids), 1, k)
+    return _run([query_id], ids, [top])[0]
 
 
-def _rankings(
-    query_ids: Sequence[str], bounds: list[int], ids: list[str], scores: list[float], k: int | None
-) -> list[RankedList]:
-    """For each i, rank pairs ``bounds[i]:bounds[i + 1]`` of ``ids`` and float
-    ``scores`` under ``query_ids[i]``, by ``(-score, id)`` and cut at ``k``."""
-    results = []
-    for query_id, lo, hi in zip(query_ids, bounds, bounds[1:]):
-        items = list(zip(ids[lo:hi], scores[lo:hi]))
-        # Two stable passes give the (-score, id) order: a reverse sort keeps
-        # equal scores (0.0 and -0.0 among them) in the order of the first pass.
-        items.sort(key=_ID)
-        items.sort(key=_SCORE, reverse=True)
-        results.append(RankedList(query_id=query_id, hits=tuple(items[:k])))
-    return results
+def _id_rank(item_ids: Sequence[str]) -> np.ndarray:
+    """Each id's rank in Python string order. (A numpy string array would
+    not do: it drops trailing NULs, so ``"b\\x00"`` would read as ``"b"``.)"""
+    rank = np.empty(len(item_ids), dtype=np.int64)
+    rank[sorted(range(len(item_ids)), key=item_ids.__getitem__)] = np.arange(len(item_ids))
+    return rank
+
+
+# The one ranking tail.  ``np.lexsort`` sorts stably by its last key first:
+# by query, then by -score, then by id rank.  It compares floats by value,
+# so 0.0 and -0.0 tie and their ids decide, as in the (-score, id) order.
+def _top_k(
+    which: np.ndarray,
+    items: np.ndarray,
+    scores: np.ndarray,
+    id_rank: np.ndarray,
+    queries: int,
+    k: int | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs ``(which[t], items[t], scores[t])`` of queries ``0 ..
+    queries - 1``, each query's pairs ordered by ``(-score, id)`` and cut at
+    ``k`` (none when k is None): their items, their scores and how many
+    each query keeps."""
+    order = np.lexsort((id_rank[items], -scores, which))
+    which = which[order]
+    counts = np.bincount(which, minlength=queries)
+    k = len(which) if k is None else min(k, len(which))
+    keep = np.arange(len(which)) - (np.add.accumulate(counts) - counts)[which] < k
+    return items[order][keep], scores[order][keep], np.minimum(counts, k)
+
+
+def _run(query_ids: Sequence[str], item_ids: Sequence[str], parts: list[tuple]) -> Run:
+    """One run from the ``_top_k`` results of consecutive blocks of queries."""
+    empty = (np.zeros(0, dtype=np.int32), np.zeros(0), np.zeros(0, dtype=np.int64))
+    items, scores, counts = (np.concatenate(arrays) for arrays in zip(empty, *parts))
+    return Run(query_ids, item_ids, np.append(0, np.add.accumulate(counts)), items, scores)
+
+
+# One keyed sum, for a BM25 block and for the fusion.  A stable argsort
+# puts equal keys together in input order, and ``np.bincount(slot,
+# weights)`` adds weights[t] into bin slot[t] one t after the other (a
+# plain sequential float64 loop over bins that start at 0.0), so each key
+# adds its weights in input order, the same additions in the same order as
+# one accumulator per key.
+def _keyed_sum(
+    keys: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct ``keys`` ascending and each one's ``weights`` added in
+    input order; then the weights grouped by key and where each key's group
+    starts among them, with one more start at the end."""
+    order = np.argsort(keys, kind="stable")
+    keys, weights = keys[order], weights[order]
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    slot = np.add.accumulate(first, dtype=np.intp) - 1
+    starts = np.append(np.flatnonzero(first), len(keys))
+    return keys[first], np.bincount(slot, weights), weights, starts
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,7 +360,7 @@ def dense_search_many(
     queries: Sequence[np.ndarray] | np.ndarray,
     k: int,
     query_ids: Sequence[str],
-) -> list[RankedList]:
+) -> Run:
     """Exact top-k by cosine over the whole index, one ranking per query row.
 
     Row i of ``queries`` is ranked under ``query_ids[i]``. Each query is
@@ -266,12 +379,11 @@ def dense_search_many(
     if len(queries) and (queries.ndim != 2 or index.count and queries.shape[1] != index.dim):
         raise ValueError(f"queries have shape {queries.shape}, index dim is {index.dim}")
     _require_counts(k=k)
-    if not len(queries):
-        return []
-    unit = unit_rows(queries, query_ids, "query")
+    if len(queries):
+        unit = unit_rows(queries, query_ids, "query")
     n = index.count
-    if n == 0:
-        return [RankedList(query_id=query_id, hits=()) for query_id in query_ids]
+    if not len(queries) or n == 0:
+        return Run(query_ids, index.item_ids, np.zeros(len(query_ids) + 1), [], [])
     rows = index.matrix.astype(np.float64)
     # From the float32 rows: a float64 |rows| temporary would set peak memory.
     row_l1 = np.abs(index.matrix).sum(axis=1, dtype=np.float64)
@@ -281,7 +393,8 @@ def dense_search_many(
     error_scale = (rows.shape[1] + 2) * 2.0**-49 * float(row_l1.max())
     kth = max(n - k, 0)
     block = _block_queries(n)
-    results = []
+    id_rank = _id_rank(index.item_ids)
+    parts = []
     for start in range(0, len(unit), block):
         chunk = unit[start:start + block]
         approx = chunk @ rows.T
@@ -294,14 +407,12 @@ def dense_search_many(
         # products is never NaN.
         which, kept = np.divmod(np.flatnonzero(keep), n)
         scores = embedding._exact_dots(rows, chunk, kept, which)
-        ids = [index.item_ids[i] for i in kept.tolist()]
-        bounds = np.searchsorted(which, np.arange(len(chunk) + 1)).tolist()
-        results += _rankings(query_ids[start:start + block], bounds, ids, scores, k)
+        parts.append(_top_k(which, kept, scores, id_rank, len(chunk), k))
         # Freed before the next block's matmul: held across it, the pairs
         # often left the C heap fragmented, some 4 MB more peak RSS in a
         # hybrid run_eval over 3 000 items.
-        del which, kept, scores, ids, bounds
-    return results
+        del which, kept, scores
+    return _run(query_ids, index.item_ids, parts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,8 +429,9 @@ class LexicalIndex:
     item's float64 ``1 - b + b * doc_len / avgdl``, with every length taken
     as 0 when ``avgdl`` is not above 0.
 
-    A ``k1`` that is not a finite number >= 0, a ``b`` outside [0, 1],
-    arrays whose sizes disagree, ``starts`` that do not rise from 0 to
+    A ``k1`` that is not a finite number >= 0, a ``b`` outside [0, 1], an
+    ``avgdl`` so small that a length norm is not finite, arrays whose sizes
+    disagree, ``starts`` that do not rise from 0 to
     ``len(docs)``, or an item number outside ``item_ids`` raise ValueError
     naming what is wrong. Like ``DenseIndex``, it compares and hashes by
     identity.
@@ -354,8 +466,17 @@ class LexicalIndex:
             bad = int(self.docs[(self.docs < 0) | (self.docs >= n)][0])
             raise ValueError(f"postings name item number {bad}, but the index holds {n} items")
         doc_len = self.doc_len.astype(np.float64)
-        ratio = doc_len / self.avgdl if self.avgdl > 0 else 0.0 * doc_len
-        object.__setattr__(self, "length_norm", 1.0 - self.b + self.b * ratio)
+        # A positive avgdl can be so small that a length over it overflows.
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratio = doc_len / self.avgdl if self.avgdl > 0 else 0.0 * doc_len
+            length_norm = 1.0 - self.b + self.b * ratio
+        if not np.isfinite(length_norm).all():
+            bad = int(np.flatnonzero(~np.isfinite(length_norm))[0])
+            raise ValueError(
+                f"avgdl {self.avgdl!r} is too small: item {self.item_ids[bad]!r} of "
+                f"{int(self.doc_len[bad])} tokens gets a length norm of {length_norm[bad]}"
+            )
+        object.__setattr__(self, "length_norm", length_norm)
 
     @property
     def count(self) -> int:
@@ -420,20 +541,18 @@ def build_lexical_index(
 # BM25 for a block of queries.  Each query's sorted distinct known terms
 # pick their postings slices, gathered for the whole block in query order
 # and, within a query, in term order; one vector expression weighs them all
-# (idf by math.log: np.log need not round the same way).  ``np.unique``
-# numbers the (query, item) keys that occur, and ``np.bincount(slot,
-# weights)`` adds weights[t] into bin slot[t] one t after the other (a plain
-# sequential float64 loop over bins that start at 0.0), so each item of each
-# query adds its term weights in sorted-term order, the same additions in
-# the same order as one accumulator per query that adds one term's weights
-# at a time.  A term names an item at most once in its postings, so each
-# weight is added once.
+# (idf by math.log: np.log need not round the same way).  ``_keyed_sum``
+# adds them by (query, item) key in that order, so each item of each query
+# adds its term weights in sorted-term order, the same additions in the
+# same order as one accumulator per query that adds one term's weights at a
+# time.  A term names an item at most once in its postings, so each weight
+# is added once.
 def lexical_search_many(
     index: LexicalIndex,
     query_texts: Sequence[str],
     k: int,
     query_ids: Sequence[str],
-) -> list[RankedList]:
+) -> Run:
     """Top-k items by BM25 for each tokenized query text; zero scorers are dropped.
 
     ``query_texts[i]`` is ranked under ``query_ids[i]``; lengths that
@@ -447,7 +566,8 @@ def lexical_search_many(
         raise ValueError(f"got {len(query_texts)} query texts but {len(query_ids)} query ids")
     n = index.count
     block = _block_queries(n)
-    results = []
+    id_rank = _id_rank(index.item_ids)
+    parts = []
     for start in range(0, len(query_texts), block):
         texts = query_texts[start:start + block]
         rows = [
@@ -470,60 +590,80 @@ def lexical_search_many(
             tf + index.k1 * index.length_norm[docs]
         )
         query_of = np.repeat(np.repeat(np.arange(len(texts)), list(map(len, rows))), df)
-        keys, slot = np.unique(query_of * n + docs, return_inverse=True)
-        scores = np.bincount(slot, weights)
-        # np.unique keys are distinct pairs, and ``> 0.0`` drops a NaN sum.
+        keys, scores, _, _ = _keyed_sum(query_of * n + docs, weights)
+        # The keys are distinct pairs, and ``> 0.0`` drops a NaN sum.
         hits = scores > 0.0
         which, items = np.divmod(keys[hits], n)
-        ids = [index.item_ids[i] for i in items.tolist()]
-        bounds = np.searchsorted(which, np.arange(len(texts) + 1)).tolist()
-        results += _rankings(query_ids[start:start + block], bounds, ids, scores[hits].tolist(), k)
-    return results
+        parts.append(_top_k(which, items, scores[hits], id_rank, len(texts), k))
+    return _run(query_ids, index.item_ids, parts)
 
 
 def rrf_fuse(
-    lists: Sequence[RankedList],
+    lists: Sequence[Run] | Sequence[RankedList],
     k_rrf: int = DEFAULT_RRF_K,
     depth: int = DEFAULT_RRF_DEPTH,
     k: int | None = None,
-) -> RankedList:
+) -> Run | RankedList:
     """Reciprocal-rank fusion: item score = sum of 1 / (k_rrf + rank).
 
-    Only occurrences within ``depth`` of the top of each input list count,
-    and only the top ``k`` fused items are returned (all when k is None).
-    Each sum is exactly rounded, so the order of the input lists never
-    changes a score. A list names an item at most once, so with one or two
-    lists an item has at most two terms, and the plain ``a + b`` is their
-    exactly rounded sum; with three or more, ``math.fsum`` adds them, as a
-    running sum may differ (``(1/2 + 1/3) + 1/6`` is 0.9999999999999999).
-    Input lists must share a query id; ``k_rrf``, ``depth`` and ``k`` (when
-    given) must be integers >= 1.
+    ``lists`` are either runs over the same item ids and query ids, fused
+    query by query into one run, or rankings that share a query id, fused
+    into one ``RankedList``. Only occurrences within ``depth`` of the top
+    of each input ranking count, and only the top ``k`` fused items are
+    returned (all when k is None). Each sum is exactly rounded, so the
+    order of the inputs never changes a score. A ranking names an item at
+    most once, so with one or two inputs an item has at most two terms,
+    and adding them from 0.0 rounds once; an item with three or more terms
+    is summed by ``math.fsum``, as a running sum may differ
+    (``(1/2 + 1/3) + 1/6`` is 0.9999999999999999). ``k_rrf``, ``depth``
+    and ``k`` (when given) must be integers >= 1.
     """
     if not lists:
         raise ValueError("need at least one ranked list to fuse")
     _require_counts(k_rrf=k_rrf, depth=depth)
     if k is not None:
         _require_counts(k=k)
-    query_ids = {rl.query_id for rl in lists}
+    if all(isinstance(ranking, RankedList) for ranking in lists):
+        return rrf_fuse(_one_query_runs(lists), k_rrf, depth, k)[0]
+    if not all(isinstance(run, Run) for run in lists):
+        raise TypeError("rrf_fuse takes runs or RankedLists, not a mix of them")
+    first = lists[0]
+    if any(run.query_ids != first.query_ids for run in lists):
+        raise ValueError("cannot fuse runs with differing query ids")
+    if any(run.item_ids != first.item_ids for run in lists):
+        raise ValueError("cannot fuse runs over differing item ids")
+    n, queries = len(first.item_ids), len(first)
+    longest = max(int(np.diff(run.bounds).max(initial=0)) for run in lists)
+    weights = np.array([1.0 / (k_rrf + rank) for rank in range(1, min(depth, longest) + 1)])
+    keys, terms = [], []
+    for run in lists:
+        counts = np.diff(run.bounds)
+        position = np.arange(len(run.items)) - np.repeat(run.bounds[:-1], counts)
+        top = position < depth
+        keys.append((np.repeat(np.arange(queries), counts) * n + run.items)[top])
+        terms.append(weights[position[top]])
+    keys, sums, terms, starts = _keyed_sum(np.concatenate(keys), np.concatenate(terms))
+    for i in np.flatnonzero(np.diff(starts) >= 3).tolist():
+        sums[i] = math.fsum(terms[starts[i]:starts[i + 1]].tolist())
+    # The keys are distinct pairs, and sums of finite weights are never NaN.
+    which, items = np.divmod(keys, n)
+    top_k = _top_k(which, items, sums, _id_rank(first.item_ids), queries, k)
+    return _run(first.query_ids, first.item_ids, [top_k])
+
+
+def _one_query_runs(lists: Sequence[RankedList]) -> list[Run]:
+    """Rankings that share a query id as one-query runs over the union of their ids."""
+    query_ids = {ranking.query_id for ranking in lists}
     if len(query_ids) != 1:
         raise ValueError(f"cannot fuse lists with differing query ids: {sorted(query_ids)}")
-    longest = max(len(rl.hits) for rl in lists)
-    weights = [1.0 / (k_rrf + rank) for rank in range(1, min(depth, longest) + 1)]
-    if len(lists) <= 2:
-        first, *rest = lists
-        scores = dict(zip(map(_ID, first.hits), weights))
-        for ranking in rest:
-            for item_id, weight in zip(map(_ID, ranking.hits), weights):
-                scores[item_id] = scores.get(item_id, 0.0) + weight
-    else:
-        terms: dict[str, list[float]] = {}
-        for ranking in lists:
-            for item_id, weight in zip(map(_ID, ranking.hits), weights):
-                terms.setdefault(item_id, []).append(weight)
-        scores = {i: math.fsum(t) for i, t in terms.items()}
-    # Dict keys are distinct items, and sums of finite weights are never NaN.
-    ids, values = list(scores), list(scores.values())
-    return _rankings([lists[0].query_id], [0, len(ids)], ids, values, k)[0]
+    item_ids = sorted({item_id for ranking in lists for item_id, _ in ranking.hits})
+    number = {item_id: i for i, item_id in enumerate(item_ids)}
+    return [
+        Run([ranking.query_id], item_ids, [0, len(ranking.hits)],
+            [number[item_id] for item_id, _ in ranking.hits],
+            [score for _, score in ranking.hits])
+        for ranking in lists
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -645,15 +785,18 @@ def load_index(path: Path | str) -> tuple[DenseIndex | None, LexicalIndex | None
             docs.extend(number[item_id] for item_id, _ in entries)
             tfs.extend(tf for _, tf in entries)
             starts.append(len(docs))
-        lexical = LexicalIndex(
-            item_ids=ids,
-            terms=terms,
-            starts=np.array(starts, dtype=np.int64),
-            docs=np.array(docs, dtype=np.int32),
-            tf=np.array(tfs, dtype=np.int32),
-            doc_len=np.array([meta["doc_len"][item_id] for item_id in ids], dtype=np.int32),
-            avgdl=float(meta["avgdl"]),
-            k1=float(meta["k1"]),
-            b=float(meta["b"]),
-        )
+        try:
+            lexical = LexicalIndex(
+                item_ids=ids,
+                terms=terms,
+                starts=np.array(starts, dtype=np.int64),
+                docs=np.array(docs, dtype=np.int32),
+                tf=np.array(tfs, dtype=np.int32),
+                doc_len=np.array([meta["doc_len"][item_id] for item_id in ids], dtype=np.int32),
+                avgdl=float(meta["avgdl"]),
+                k1=float(meta["k1"]),
+                b=float(meta["b"]),
+            )
+        except ValueError as error:
+            raise ValueError(f"{meta_path}: {error}") from None
     return dense, lexical

@@ -3,7 +3,10 @@
 Everything here deliberately avoids the library's code paths: metrics use
 O(k^2) loops over plain id lists, dense scoring normalizes and ranks with
 its own mechanics, fusion is a plain dict fold, and ``check_ranking`` walks
-the hits pair by pair. Where the library defines scores as exactly-rounded
+the hits pair by pair. ``reference_rankings`` and ``reference_rrf_fuse``
+keep the list path that searches and fusion ranked through before they
+returned runs: Python tuples sorted in two stable passes, and a dict of
+sums per fused item. Where the library defines scores as exactly-rounded
 float64 arithmetic, the references reproduce that arithmetic from its
 definition (IEEE products, exact sum), including a Fraction-based
 exact-rounding cross-check. ``bm25_score`` scores one item at a time with
@@ -18,6 +21,7 @@ import hashlib
 import math
 import re
 from fractions import Fraction
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -189,6 +193,49 @@ def brute_force_rrf(
                 continue
             terms.setdefault(item, []).append(1.0 / (k_rrf + position))
     return {item: math.fsum(values) for item, values in terms.items()}
+
+
+def reference_rankings(
+    query_ids: Sequence[str], bounds: Sequence[int], ids: Sequence[str],
+    scores: Sequence[float], k: int | None,
+) -> list[tuple[str, tuple[tuple[str, float], ...]]]:
+    """For each i, the pairs ``bounds[i]:bounds[i + 1]`` of ``ids`` and float
+    ``scores``, ranked by ``(-score, id)`` and cut at ``k``, as
+    ``(query_ids[i], hits)``."""
+    results = []
+    for query_id, lo, hi in zip(query_ids, bounds, bounds[1:]):
+        items = list(zip(ids[lo:hi], scores[lo:hi]))
+        # Two stable passes give the (-score, id) order: a reverse sort keeps
+        # equal scores (0.0 and -0.0 among them) in the order of the first pass.
+        items.sort(key=itemgetter(0))
+        items.sort(key=itemgetter(1), reverse=True)
+        results.append((query_id, tuple(items[:k])))
+    return results
+
+
+def reference_rrf_fuse(
+    rankings: Sequence[Sequence[tuple[str, float]]], k_rrf: int, depth: int, k: int | None
+) -> tuple[tuple[str, float], ...]:
+    """The hits of one query's rankings fused by reciprocal rank through a
+    dict: with one or two rankings, each item's weights are added with
+    plain ``+``, the first ranking's weight first; with more, each item's
+    weights are summed by ``math.fsum``. Ranked by ``reference_rankings``."""
+    longest = max(map(len, rankings))
+    weights = [1.0 / (k_rrf + rank) for rank in range(1, min(depth, longest) + 1)]
+    if len(rankings) <= 2:
+        first, *rest = rankings
+        scores = dict(zip(map(itemgetter(0), first), weights))
+        for ranking in rest:
+            for item_id, weight in zip(map(itemgetter(0), ranking), weights):
+                scores[item_id] = scores.get(item_id, 0.0) + weight
+    else:
+        terms: dict[str, list[float]] = {}
+        for ranking in rankings:
+            for item_id, weight in zip(map(itemgetter(0), ranking), weights):
+                terms.setdefault(item_id, []).append(weight)
+        scores = {item_id: math.fsum(t) for item_id, t in terms.items()}
+    ids, values = list(scores), list(scores.values())
+    return reference_rankings(["q"], [0, len(ids)], ids, values, k)[0][1]
 
 
 def bm25_by_hand(

@@ -172,7 +172,7 @@ def test_many_equals_one_query_at_a_time(case):
     many = dense_search_many(index, queries, k, query_ids)
     single = [dense_search_many(index, [q], k, [qid])[0]
               for q, qid in zip(queries, query_ids)]
-    assert many == single
+    assert list(many) == single
 
 
 class DotsCall:
@@ -558,10 +558,10 @@ def test_unit_rows_reach_the_kernel_row_by_row(case):
 
 def test_empty_inputs():
     empty = build_dense_index([], [], dim=3)
-    assert dense_search_many(empty, np.ones((2, 3)), 4, ["a", "b"]) == [
+    assert list(dense_search_many(empty, np.ones((2, 3)), 4, ["a", "b"])) == [
         RankedList(query_id="a", hits=()),
         RankedList(query_id="b", hits=()),
     ]
     index = build_dense_index(["x"], [np.ones(3)])
-    assert dense_search_many(index, np.zeros((0, 3)), 4, []) == []
-    assert dense_search_many(index, [], 4, []) == []
+    assert list(dense_search_many(index, np.zeros((0, 3)), 4, [])) == []
+    assert list(dense_search_many(index, [], 4, [])) == []

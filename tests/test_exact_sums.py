@@ -210,8 +210,8 @@ def test_one_error_term_is_certified_on_a_midpoint():
 def test_edge_shapes():
     check([[3.0]])
     check([[-0.0]])
-    assert _exact_row_sums(np.zeros((2, 0))) == [0.0, 0.0]
-    assert _exact_row_sums(np.zeros((0, 5))) == []
+    assert _exact_row_sums(np.zeros((2, 0))).tolist() == [0.0, 0.0]
+    assert _exact_row_sums(np.zeros((0, 5))).tolist() == []
 
 
 def test_few_rows_fall_back():

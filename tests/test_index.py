@@ -249,8 +249,8 @@ class TestBM25:
         index = build_lexical_index(
             ["d1", "d2"], ["risk capital risk", "capital returns"]
         )
-        assert lexical_search_many(index, ["risk risk capital"], 2, ["q"]) == lexical_search_many(
-            index, ["risk capital"], 2, ["q"]
+        assert list(lexical_search_many(index, ["risk risk capital"], 2, ["q"])) == list(
+            lexical_search_many(index, ["risk capital"], 2, ["q"])
         )
 
     def test_matches_hand_formula_on_random_corpora(self, rng):
@@ -452,12 +452,35 @@ class TestLexicalSearch:
                 docs=index.docs, tf=index.tf, doc_len=index.doc_len, avgdl=avgdl,
             )
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k1", [0.0, 1.2])
+    def test_average_length_too_small_is_refused(self, tmp_path, k1):
+        """A positive avgdl so small that a length over it overflows would
+        make every length norm inf, each BM25 weight 0 (k1 > 0) or NaN
+        (k1 = 0) and every ranking empty; it is refused, with no warning."""
+        built = build_lexical_index(["a", "b", "c"], ["", "risk capital", "risk"], k1=k1)
+        fields = dict(
+            item_ids=built.item_ids, terms=built.terms, starts=built.starts, docs=built.docs,
+            tf=built.tf, doc_len=built.doc_len, k1=k1,
+        )
+        message = "avgdl 5e-324 is too small: item 'b' of 2 tokens gets a length norm of inf"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LexicalIndex(**fields, avgdl=5e-324)
+        assert LexicalIndex(**fields, avgdl=1e-300).length_norm[0] == 0.25
+        save_index(tmp_path / "idx", lexical=built)
+        meta_path = tmp_path / "idx" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["avgdl"] = 5e-324
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=re.escape(f"{meta_path}: {message}")):
+            load_index(tmp_path / "idx")
+
     def test_large_index_keeps_many_queries_per_block(self):
         """Past _BLOCK_ITEMS items, a block still holds _MIN_BLOCK_QUERIES queries."""
         index = build_lexical_index([f"d{i:02d}" for i in range(20)], ["risk capital"] * 20)
         texts = ["risk"] * (index_module._MIN_BLOCK_QUERIES + 1)
         with mock.patch.object(index_module, "_BLOCK_ITEMS", 10), mock.patch.object(
-            index_module, "_rankings", wraps=index_module._rankings
+            index_module, "_top_k", wraps=index_module._top_k
         ) as tail:
             results = lexical_search_many(index, texts, 3, [f"q{i}" for i in range(len(texts))])
         assert tail.call_count == 2
@@ -465,7 +488,7 @@ class TestLexicalSearch:
 
     def test_zero_queries(self):
         index = build_lexical_index(["d1"], ["credit risk"])
-        assert lexical_search_many(index, [], 3, []) == []
+        assert list(lexical_search_many(index, [], 3, [])) == []
 
     def test_k_is_checked_first(self):
         index = build_lexical_index(["d1"], ["credit risk"])
@@ -640,9 +663,9 @@ class TestRRF:
 
 
 def test_each_ranking_is_checked_once(rng):
-    """Searches and fusion leave their rankings' checks to RankedList; only
-    ranked_list_from_scores checks its whole input first, as a cut at k can
-    drop a repeat."""
+    """Searches and fusion leave their rankings' checks to RankedList, which
+    a run builds for each query as it is read; only ranked_list_from_scores
+    checks its whole input first, as a cut at k can drop a repeat."""
     ids = [f"d{i}" for i in range(6)]
     dense = build_dense_index(ids, rng.normal(size=(6, 4)))
     lexical = build_lexical_index(ids, ["risk capital", "risk", "audit", "risk", "credit", "x"])
@@ -660,7 +683,7 @@ def test_each_ranking_is_checked_once(rng):
         with mock.patch.object(
             index_module, "_require_unique", wraps=index_module._require_unique
         ) as spy:
-            rankings = call()
+            rankings = list(call())
         assert all(ranking.hits for ranking in rankings)
         assert spy.call_count == checks
 
@@ -726,8 +749,8 @@ class TestPersistence:
         _, loaded = load_index(tmp_path / "idx")
         for query in ["risk", "capital stress risk", "audit basel credit liquidity", "nope"]:
             for k in (1, 10, 60):
-                assert lexical_search_many(loaded, [query], k, ["q"]) == lexical_search_many(
-                    built, [query], k, ["q"]
+                assert list(lexical_search_many(loaded, [query], k, ["q"])) == list(
+                    lexical_search_many(built, [query], k, ["q"])
                 )
         save_index(tmp_path / "again", lexical=loaded)
         for name in ("postings.jsonl", "meta.json"):

@@ -152,7 +152,7 @@ def test_lexical_search_many_equals_bm25_score_per_query(case, more_queries, blo
     per_block = len(query_texts) if block is None else block
     with mock.patch.object(index_module, "_BLOCK_ITEMS", per_block * len(ids)), \
             mock.patch.object(index_module, "_MIN_BLOCK_QUERIES", 1), \
-            mock.patch.object(index_module, "_rankings", wraps=index_module._rankings) as tail:
+            mock.patch.object(index_module, "_top_k", wraps=index_module._top_k) as tail:
         results = lexical_search_many(index, query_texts, k, query_ids)
     assert tail.call_count == -(-len(query_texts) // per_block)
     assert [r.query_id for r in results] == query_ids
