@@ -21,6 +21,7 @@ all_contexts pool with k_list (5, 10, 100). At each scale the script times:
 - ``rrf_fuse`` alone: the test questions' hash-mode dense run fused with
   their lexical run in one call at depth 100, as hybrid ``run_eval`` fuses
   them;
+- ``evaluate_run`` alone: that fused run scored against the test qrels;
 - the finetuned side's dense layers alone: ``build_dense_index`` over the
   adapted item rows and ``dense_search_many`` of the adapted queries at
   depth 100 (adapter outputs are fully dense rows, unlike hash vectors);
@@ -34,6 +35,7 @@ step the median and minimum wall time over the repeats, a SHA-256 of the
 result (equal in every repeat, or the script fails) and the step's peak
 RSS. The digest is of the report's JSON bytes for ``run_eval``, of
 the base then the finetuned report's JSON bytes for ``compare_adapter``,
+of the report's JSON bytes for ``evaluate_run``,
 of the ``report.json`` file that ``riskrank eval`` writes, of the
 trained float64 weight (and bias) bytes for ``train_adapter``, of the
 ``postings.jsonl`` file that ``save_index`` writes for
@@ -89,6 +91,7 @@ from riskrank.index import (  # noqa: E402
     build_dense_index, build_lexical_index, dense_search_many, lexical_search_many, rrf_fuse,
     save_index,
 )
+from riskrank.metrics import evaluate_run  # noqa: E402
 
 SEED = 7
 DIM = 256
@@ -280,7 +283,8 @@ def profile_scale(pairs_count: int, repeats: int) -> list[dict]:
         )
         return {"mode": "dense_search_many_hash", "queries": len(query_ids), **stats}, None
 
-    def fusions():
+    def hybrid_runs():
+        """The evaluation set and the test questions' hash-mode dense run and lexical run."""
         items, query_ids, query_texts = eval_set()
         dense_run = dense_search_many(
             build_dense_index(items.item_ids, embedder.embed(items.item_texts)),
@@ -289,13 +293,27 @@ def profile_scale(pairs_count: int, repeats: int) -> list[dict]:
         lexical_run = lexical_search_many(
             build_lexical_index(items.item_ids, items.item_texts), query_texts, DEPTH, query_ids
         )
+        return items, dense_run, lexical_run
+
+    def fusions():
+        _, dense_run, lexical_run = hybrid_runs()
         _, stats = timed(
             f"{pairs_count} pairs, rrf_fuse", repeats,
             lambda: rrf_fuse([dense_run, lexical_run], depth=DEPTH, k=DEPTH),
             ranking_digest,
             digest_key="run_sha256",
         )
-        return {"mode": "rrf_fuse", "queries": len(query_ids), **stats}, None
+        return {"mode": "rrf_fuse", "queries": len(dense_run), **stats}, None
+
+    def evaluations():
+        items, dense_run, lexical_run = hybrid_runs()
+        fused = rrf_fuse([dense_run, lexical_run], depth=DEPTH, k=DEPTH)
+        report, stats = timed(
+            f"{pairs_count} pairs, evaluate_run", repeats,
+            lambda: evaluate_run(fused, items.qrels, K_LIST),
+            lambda report: sha256(report.to_json_bytes()),
+        )
+        return {"mode": "evaluate_run", "queries": report.query_count, **stats}, None
 
     def adapted():
         items, query_ids, query_texts = eval_set()
@@ -335,6 +353,7 @@ def profile_scale(pairs_count: int, repeats: int) -> list[dict]:
     run("lexical_search_many", lexical_searches)
     run("hash dense_search_many", hash_searches)
     run("rrf_fuse", fusions)
+    run("evaluate_run", evaluations)
     run("adapter build_dense_index", dense_build)
     run("adapter dense_search_many", dense_searches)
 

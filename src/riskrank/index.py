@@ -1,14 +1,18 @@
 """Exact dense top-k search, Okapi BM25 and reciprocal-rank fusion.
 
-A ranking (``RankedList``) is a tuple of ``(item_id, score)`` pairs, best
-first; the rank of ``hits[i]`` is ``i + 1``. A ranking refuses repeated
-ids, NaN scores and rising scores when it is made. A ``Run`` holds the
-rankings of many queries as arrays: for each query, a slice of int32 item
-numbers into the index's ids and of float64 scores. It checks its scores
-in one vectorized pass when it is made, and builds a query's
-``RankedList`` only when asked for it. Both searches and ``rrf_fuse``
-return runs. Every ranking this module returns is a deterministic total
-order: scores sort descending and ties break by ascending item id.
+A ``Run`` is the one form a ranking takes from search to report: the
+rankings of many queries as arrays, for each query a slice of int32 item
+numbers into the index's ids and of float64 scores, best first. It refuses
+an item repeated within one ranking, NaN scores and rising scores, and
+item numbers or bounds that are not integers or would wrap, in one
+vectorized pass when it is made. Both searches and ``rrf_fuse`` return
+runs, and ``riskrank.metrics`` scores a run from its arrays. A
+``RankedList``, a tuple of ``(item_id, score)`` pairs best first (the rank
+of ``hits[i]`` is ``i + 1``), is the public view of one query: ``run[i]``
+builds one, and it makes the same checks on its own. ``Run.from_rankings``
+turns RankedLists into a run over the sorted union of their ids. Every
+ranking this module returns is a deterministic total order: scores sort
+descending and ties break by ascending item id.
 Dense scores are exactly-rounded float64 dot products of unit vectors
 (see ``riskrank.embedding``), so a full-scan re-implementation of the same
 arithmetic reproduces them bit-for-bit. Dense search gets there by
@@ -145,12 +149,15 @@ class Run(Sequence[RankedList]):
     Ranking ``i`` is ranked under ``query_ids[i]`` and holds the pairs
     ``bounds[i]:bounds[i + 1]`` of ``items``, int32 positions in
     ``item_ids``, and ``scores``, float64, best first. ``item_ids`` is kept
-    as given (an index's ids are shared, not copied). ``run[i]`` builds
-    ranking ``i`` as a ``RankedList``, which checks its ids, and iterating
-    a run builds each ranking in turn. Sizes that disagree, bounds that do
-    not rise from 0 to the number of pairs, an item number outside
-    ``item_ids``, a NaN score or a score that rises within a ranking raise
-    ValueError. A run compares and hashes by identity.
+    as given (an index's ids are shared, not copied). A run holds the whole
+    contract of a ``RankedList``, checked in one vectorized pass when it is
+    made: sizes that disagree, bounds or item numbers that are not integers,
+    bounds that do not rise from 0 to the number of pairs, an item number
+    outside ``item_ids``, an item that repeats within one ranking, a NaN
+    score or a score that rises within a ranking raise ValueError, with
+    ``RankedList``'s messages where it has one. ``run[i]`` builds ranking
+    ``i`` as a ``RankedList``, and iterating a run builds each ranking in
+    turn. A run compares and hashes by identity.
     """
 
     def __init__(
@@ -163,20 +170,32 @@ class Run(Sequence[RankedList]):
     ) -> None:
         self.query_ids = tuple(query_ids)
         self.item_ids = item_ids
-        self.bounds = np.asarray(bounds, dtype=np.int64)
-        self.items = np.asarray(items, dtype=np.int32)
+        self.bounds = _integers(bounds, "bounds", np.int64)
+        self.items = _integers(items, "item numbers", np.int32)
         self.scores = np.asarray(scores, dtype=np.float64)
         pairs = len(self.items)
-        counts = np.diff(self.bounds)
         if (len(self.bounds) != len(self.query_ids) + 1 or len(self.scores) != pairs
-                or self.bounds[0] != 0 or self.bounds[-1] != pairs or (counts < 0).any()):
+                or self.bounds[0] != 0 or self.bounds[-1] != pairs
+                or (self.bounds[1:] < self.bounds[:-1]).any()):
             raise ValueError(
                 f"bounds of {len(self.query_ids)} rankings must rise from 0 to {pairs}, "
                 f"the number of items, and there are {len(self.scores)} scores"
             )
-        if pairs and not 0 <= int(self.items.min()) <= int(self.items.max()) < len(item_ids):
-            raise ValueError(f"item numbers must lie in [0, {len(item_ids)})")
-        ranking_of = np.repeat(np.arange(len(self.query_ids)), counts)
+        n = len(item_ids)
+        if pairs and not 0 <= int(self.items.min()) <= int(self.items.max()) < n:
+            raise ValueError(f"item numbers must lie in [0, {n})")
+        ranking_of, _ = self.positions()
+        # Sorted (ranking, item) keys put a ranking's repeats side by side,
+        # and the first repeated key belongs to the first such ranking.
+        keys = ranking_of * n + self.items
+        keys.sort()
+        repeats = keys[1:][keys[1:] == keys[:-1]]
+        if len(repeats):
+            ranking = int(repeats[0]) // n
+            ids = {item_ids[i] for i in (repeats[repeats // n == ranking] % n).tolist()}
+            raise ValueError(
+                f"ranking for {self.query_ids[ranking]!r} repeats item ids: {sorted(ids)}"
+            )
         scores = self.scores
         bad = np.isnan(scores)
         bad[1:] |= (scores[1:] > scores[:-1]) & (ranking_of[1:] == ranking_of[:-1])
@@ -190,6 +209,26 @@ class Run(Sequence[RankedList]):
                 f"({float(scores[t - 1])} -> {float(scores[t])})"
             )
 
+    @classmethod
+    def from_rankings(cls, rankings: Sequence[RankedList]) -> Run:
+        """The rankings as one run, in their order, over the sorted union of their ids."""
+        item_ids = sorted({item_id for ranking in rankings for item_id, _ in ranking.hits})
+        number = dict(zip(item_ids, range(len(item_ids))))
+        hits = [hit for ranking in rankings for hit in ranking.hits]
+        return cls(
+            [ranking.query_id for ranking in rankings], item_ids,
+            np.cumsum([0, *(len(ranking.hits) for ranking in rankings)]),
+            [number[item_id] for item_id, _ in hits], [score for _, score in hits],
+        )
+
+    def positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """For each pair, in order: the number of its ranking, and its
+        position within that ranking, 0 for the best. Computed on each call,
+        so that a run holds only its own arrays."""
+        counts = np.diff(self.bounds)
+        ranking_of = np.repeat(np.arange(len(counts)), counts)
+        return ranking_of, np.arange(len(self.items)) - np.repeat(self.bounds[:-1], counts)
+
     def __len__(self) -> int:
         return len(self.query_ids)
 
@@ -200,6 +239,23 @@ class Run(Sequence[RankedList]):
         lo, hi = self.bounds[i:i + 2].tolist()
         ids = map(self.item_ids.__getitem__, self.items[lo:hi].tolist())
         return RankedList(self.query_ids[i], tuple(zip(ids, self.scores[lo:hi].tolist())))
+
+
+def _integers(values: object, name: str, dtype: type) -> np.ndarray:
+    """``values`` as an array that ``dtype`` holds exactly: values that are
+    not integers, or that ``dtype`` cannot hold, raise ValueError rather than
+    be truncated or wrap. An empty list is fine."""
+    array = np.asarray(values)
+    if array.size:
+        if array.dtype.kind not in "iu":
+            raise ValueError(f"{name} must be integers, got {array.dtype} values")
+        info = np.iinfo(dtype)
+        low, high = int(array.min()), int(array.max())
+        if low < info.min or high > info.max:
+            raise ValueError(
+                f"{name} must fit in {np.dtype(dtype)}, got {low if low < info.min else high}"
+            )
+    return array.astype(dtype, copy=False)
 
 
 def ranked_list_from_scores(
@@ -383,7 +439,7 @@ def dense_search_many(
         unit = unit_rows(queries, query_ids, "query")
     n = index.count
     if not len(queries) or n == 0:
-        return Run(query_ids, index.item_ids, np.zeros(len(query_ids) + 1), [], [])
+        return Run(query_ids, index.item_ids, np.zeros(len(query_ids) + 1, dtype=np.int64), [], [])
     rows = index.matrix.astype(np.float64)
     # From the float32 rows: a float64 |rows| temporary would set peak memory.
     row_l1 = np.abs(index.matrix).sum(axis=1, dtype=np.float64)
@@ -624,7 +680,18 @@ def rrf_fuse(
     if k is not None:
         _require_counts(k=k)
     if all(isinstance(ranking, RankedList) for ranking in lists):
-        return rrf_fuse(_one_query_runs(lists), k_rrf, depth, k)[0]
+        query_ids = {ranking.query_id for ranking in lists}
+        if len(query_ids) != 1:
+            raise ValueError(f"cannot fuse lists with differing query ids: {sorted(query_ids)}")
+        # Each list becomes a one-query run over the sorted union of their ids.
+        whole = Run.from_rankings(lists)
+        bounds = whole.bounds.tolist()
+        runs = [
+            Run(whole.query_ids[:1], whole.item_ids, [0, hi - lo],
+                whole.items[lo:hi], whole.scores[lo:hi])
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        return rrf_fuse(runs, k_rrf, depth, k)[0]
     if not all(isinstance(run, Run) for run in lists):
         raise TypeError("rrf_fuse takes runs or RankedLists, not a mix of them")
     first = lists[0]
@@ -637,10 +704,9 @@ def rrf_fuse(
     weights = np.array([1.0 / (k_rrf + rank) for rank in range(1, min(depth, longest) + 1)])
     keys, terms = [], []
     for run in lists:
-        counts = np.diff(run.bounds)
-        position = np.arange(len(run.items)) - np.repeat(run.bounds[:-1], counts)
+        query_of, position = run.positions()
         top = position < depth
-        keys.append((np.repeat(np.arange(queries), counts) * n + run.items)[top])
+        keys.append((query_of * n + run.items)[top])
         terms.append(weights[position[top]])
     keys, sums, terms, starts = _keyed_sum(np.concatenate(keys), np.concatenate(terms))
     for i in np.flatnonzero(np.diff(starts) >= 3).tolist():
@@ -649,21 +715,6 @@ def rrf_fuse(
     which, items = np.divmod(keys, n)
     top_k = _top_k(which, items, sums, _id_rank(first.item_ids), queries, k)
     return _run(first.query_ids, first.item_ids, [top_k])
-
-
-def _one_query_runs(lists: Sequence[RankedList]) -> list[Run]:
-    """Rankings that share a query id as one-query runs over the union of their ids."""
-    query_ids = {ranking.query_id for ranking in lists}
-    if len(query_ids) != 1:
-        raise ValueError(f"cannot fuse lists with differing query ids: {sorted(query_ids)}")
-    item_ids = sorted({item_id for ranking in lists for item_id, _ in ranking.hits})
-    number = {item_id: i for i, item_id in enumerate(item_ids)}
-    return [
-        Run([ranking.query_id], item_ids, [0, len(ranking.hits)],
-            [number[item_id] for item_id, _ in ranking.hits],
-            [score for _, score in ranking.hits])
-        for ranking in lists
-    ]
 
 
 # ---------------------------------------------------------------------------

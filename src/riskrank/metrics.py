@@ -2,10 +2,15 @@
 
 A hit's rank is its 1-based position in the list. All metrics are
 rank-based (invariant under monotone score transforms) and live in [0, 1],
-since a ``RankedList`` never repeats an item.
+since a ``Run`` refuses a ranking that repeats an item and a run whose
+``item_ids`` repeat an id is refused here.
 A query with an empty ranked list scores 0 on everything; a query absent
 from the qrels, or ranked twice in a run, is an error. Aggregates are
 arithmetic means over the queries present in the run.
+
+Scoring reads the run's arrays: the relevant items of every query become
+(query, item number) keys, and one ``np.isin`` over the pairs within the
+largest cutoff finds the ranks of the relevant hits of every query at once.
 """
 
 from __future__ import annotations
@@ -15,9 +20,11 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from .cache import json_text
 from .corpus import Qrels
-from .index import RankedList
+from .index import RankedList, Run, _require_unique
 
 __all__ = ["MetricReport", "evaluate_run"]
 
@@ -78,7 +85,7 @@ def _query_values(ranks: list[int], n_relevant: int, k_list: Sequence[int]) -> d
 
 
 def evaluate_run(
-    run: Sequence[RankedList],
+    run: Run | Sequence[RankedList],
     qrels: Qrels,
     k_list: Sequence[int] = (5, 10, 100),
 ) -> MetricReport:
@@ -89,30 +96,45 @@ def evaluate_run(
     min(|relevant|, k); NDCG has binary gains and the 1/log2(rank+1)
     discount; HR is 1 if a relevant item is in the top k, else 0.
 
-    Each ranking is scanned once, to the largest cutoff, for the ranks of
-    its relevant hits; every family and cutoff is computed from those.
-    An empty ``k_list``, or a cutoff that is not an integer >= 1, raises
-    ValueError.
+    ``run`` is a ``Run``, or rankings that ``Run.from_rankings`` makes into
+    one. The ranks of each query's relevant hits, to the largest cutoff,
+    are found for all queries at once; every family and cutoff is computed
+    from those. An empty ``k_list``, a cutoff that is not an integer >= 1,
+    a query missing from ``qrels`` or ranked twice, and a run whose
+    ``item_ids`` repeat an id raise ValueError.
     """
     if not k_list:
         raise ValueError("k_list must be nonempty")
     for k in k_list:
         if type(k) is not int or k < 1:
             raise ValueError(f"metric cutoff must be >= 1 and an integer, got {k!r}")
-    depth = max(k_list)
-    per_query: dict[str, dict[str, float]] = {}
-    for ranking in run:
-        if ranking.query_id not in qrels:
-            raise ValueError(f"query {ranking.query_id!r} missing from qrels")
-        if ranking.query_id in per_query:
-            raise ValueError(f"query {ranking.query_id!r} is ranked twice in the run")
-        relevant = qrels[ranking.query_id]
-        ranks = [
-            rank
-            for rank, (item_id, _) in enumerate(ranking.hits[:depth], 1)
-            if item_id in relevant
-        ]
-        per_query[ranking.query_id] = _query_values(ranks, len(relevant), k_list)
+    if not isinstance(run, Run):
+        run = Run.from_rankings(run)
+    n = len(run.item_ids)
+    number = dict(zip(run.item_ids, range(n)))
+    if len(number) != n:
+        _require_unique(run.item_ids, "the run's item ids repeat")
+    relevant_count: dict[str, int] = {}
+    relevant_keys = []
+    for q, query_id in enumerate(run.query_ids):
+        if query_id not in qrels:
+            raise ValueError(f"query {query_id!r} missing from qrels")
+        if query_id in relevant_count:
+            raise ValueError(f"query {query_id!r} is ranked twice in the run")
+        relevant = qrels[query_id]
+        relevant_count[query_id] = len(relevant)
+        relevant_keys.extend(q * n + number[i] for i in relevant if i in number)
+    ranking_of, position = run.positions()
+    within = position < max(k_list)
+    ranking_of, position = ranking_of[within], position[within]
+    found = np.isin(ranking_of * n + run.items[within], relevant_keys)
+    # The pairs run in ranking order and, within one, in rank order.
+    ranks = (position[found] + 1).tolist()
+    ends = np.cumsum(np.bincount(ranking_of[found], minlength=len(run))).tolist()
+    per_query = {
+        query_id: _query_values(ranks[lo:hi], relevant_count[query_id], k_list)
+        for query_id, lo, hi in zip(run.query_ids, [0, *ends], ends)
+    }
     names = tuple(_query_values([], 0, k_list))
     aggregate = {
         name: math.fsum(values[name] for values in per_query.values()) / len(per_query)

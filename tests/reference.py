@@ -9,7 +9,10 @@ returned runs: Python tuples sorted in two stable passes, and a dict of
 sums per fused item. Where the library defines scores as exactly-rounded
 float64 arithmetic, the references reproduce that arithmetic from its
 definition (IEEE products, exact sum), including a Fraction-based
-exact-rounding cross-check. ``bm25_score`` scores one item at a time with
+exact-rounding cross-check. ``reference_evaluate_run`` keeps the scan
+that metrics ran before they read a run's arrays: each ranking's hits, to
+the largest cutoff, matched against the relevant ids one by one.
+``bm25_score`` scores one item at a time with
 ``bm25_term_weight``, the Okapi formula on Python numbers in the library's
 order of operations, so it gives the library's bits; it is checked against
 ``bm25_by_hand``, a direct transcription of the formula.
@@ -27,6 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from riskrank.index import LexicalIndex
+from riskrank.metrics import MetricReport, _query_values
 
 
 def check_ranking(hits) -> None:
@@ -45,6 +49,32 @@ def check_ranking(hits) -> None:
 # ---------------------------------------------------------------------------
 # Ranking metrics over a plain list of retrieved ids
 # ---------------------------------------------------------------------------
+
+
+def reference_evaluate_run(rankings, qrels, k_list) -> MetricReport:
+    """``evaluate_run`` over RankedLists as a scan of each one's hits, with
+    its checks, in its order, and ``_query_values`` for the values."""
+    depth = max(k_list)
+    per_query: dict[str, dict[str, float]] = {}
+    for ranking in rankings:
+        if ranking.query_id not in qrels:
+            raise ValueError(f"query {ranking.query_id!r} missing from qrels")
+        if ranking.query_id in per_query:
+            raise ValueError(f"query {ranking.query_id!r} is ranked twice in the run")
+        relevant = qrels[ranking.query_id]
+        ranks = [
+            rank
+            for rank, (item_id, _) in enumerate(ranking.hits[:depth], 1)
+            if item_id in relevant
+        ]
+        per_query[ranking.query_id] = _query_values(ranks, len(relevant), k_list)
+    names = tuple(_query_values([], 0, k_list))
+    aggregate = {
+        name: math.fsum(values[name] for values in per_query.values()) / len(per_query)
+        if per_query else 0.0
+        for name in names
+    }
+    return MetricReport(per_query, aggregate, tuple(k_list), len(rankings), names)
 
 
 def naive_mrr(retrieved: list[str], relevant: set[str], k: int) -> float:

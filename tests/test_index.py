@@ -663,9 +663,11 @@ class TestRRF:
 
 
 def test_each_ranking_is_checked_once(rng):
-    """Searches and fusion leave their rankings' checks to RankedList, which
-    a run builds for each query as it is read; only ranked_list_from_scores
-    checks its whole input first, as a cut at k can drop a repeat."""
+    """A run checks its rankings in one vectorized pass, without
+    _require_unique, so each ranking read from a search or a fusion is
+    checked once, by the RankedList that the run builds for it; only
+    ranked_list_from_scores checks its whole input first, as a cut at k can
+    drop a repeat."""
     ids = [f"d{i}" for i in range(6)]
     dense = build_dense_index(ids, rng.normal(size=(6, 4)))
     lexical = build_lexical_index(ids, ["risk capital", "risk", "audit", "risk", "credit", "x"])

@@ -2,14 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from riskrank.index import RankedList, ranked_list_from_scores
+from riskrank.index import RankedList, Run, ranked_list_from_scores
 from riskrank.metrics import evaluate_run
 
-from reference import naive_ap, naive_hit_rate, naive_mrr, naive_ndcg
+from reference import naive_ap, naive_hit_rate, naive_mrr, naive_ndcg, reference_evaluate_run
 
 
 def run_of(query_id, ids):
@@ -192,6 +193,42 @@ class TestAgainstNaiveReferenceProperties:
                 assert all(v == 0.0 for v in values.values())
 
 
+@st.composite
+def run_cases(draw):
+    """A run over ids ``i0 ..``: up to five queries, each a ranking of
+    distinct ids (possibly none) with falling, often tied scores, and qrels
+    of zero or more ids per query, some of them absent from the run's ids.
+    Cutoffs reach past the deepest ranking, and relevant hits may sit past
+    the largest cutoff."""
+    item_ids = [f"i{i}" for i in range(draw(st.integers(0, 10)))]
+    orders = draw(st.lists(
+        st.lists(st.integers(0, len(item_ids) - 1), unique=True) if item_ids else st.just([]),
+        max_size=5,
+    ))
+    query_ids = [f"q{i}" for i in range(len(orders))]
+    scores = [
+        float(-(position // 2)) for order in orders for position in range(len(order))
+    ]
+    run = Run(query_ids, item_ids, np.cumsum([0, *map(len, orders)]),
+              [i for order in orders for i in order], scores)
+    pool = st.sampled_from(item_ids + MISSING)
+    qrels = {query_id: draw(st.sets(pool, max_size=4)) for query_id in query_ids}
+    k_list = draw(st.lists(st.integers(1, len(item_ids) + 3), min_size=1, max_size=3))
+    return run, qrels, tuple(k_list)
+
+
+@PROPERTY_SETTINGS
+@given(run_cases())
+def test_run_arrays_score_as_the_ranking_scan(case):
+    """``evaluate_run`` reads a run's arrays; over the run, over its
+    rankings and in ``reference_evaluate_run``'s scan the report bytes are
+    the same."""
+    run, qrels, k_list = case
+    want = reference_evaluate_run(list(run), qrels, k_list).to_json_bytes()
+    assert evaluate_run(run, qrels, k_list).to_json_bytes() == want
+    assert evaluate_run(list(run), qrels, k_list).to_json_bytes() == want
+
+
 class TestInvariants:
     def test_single_relevant_mrr_equals_map(self, rng):
         for _ in range(100):
@@ -257,6 +294,28 @@ class TestInvariants:
         with pytest.raises(ValueError, match=r"'q' repeats item ids: \['a'\]"):
             evaluate_run([RankedList("q", (("a", 1.0), ("a", 0.5), ("b", 0.1)))],
                          {"q": {"a"}}, (5,))
+        with pytest.raises(ValueError, match=r"'q' repeats item ids: \['a'\]"):
+            evaluate_run(Run(["q"], ("a", "b"), [0, 3], [0, 0, 1], [1.0, 0.5, 0.1]),
+                         {"q": {"a"}}, (5,))
+
+    def test_a_run_whose_item_ids_repeat_is_refused(self):
+        # Matched by id, the hit of the second "a" would count as relevant;
+        # matched by item number, it would not.
+        run = Run(["q"], ("a", "b", "a"), [0, 2], [2, 1], [1.0, 0.5])
+        with pytest.raises(ValueError, match=r"the run's item ids repeat: \['a'\]"):
+            evaluate_run(run, {"q": {"a"}}, (5,))
+
+    @pytest.mark.parametrize("query_ids, message", [
+        (["q", "r", "q"], "query 'r' missing from qrels"),
+        (["q", "q", "r"], "query 'q' is ranked twice in the run"),
+    ])
+    def test_query_errors_in_run_order(self, query_ids, message):
+        run = Run(query_ids, ("a",), [0, 1, 1, 1], [0], [1.0])
+        for evaluate, form in [
+            (evaluate_run, run), (evaluate_run, list(run)), (reference_evaluate_run, list(run)),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                evaluate(form, {"q": {"a"}}, (5,))
 
 
 class TestReportPlumbing:

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from riskrank import index as index_module
 from riskrank.embedding import tokenize
 from riskrank.index import (
+    RankedList,
     Run,
     build_dense_index,
     build_lexical_index,
@@ -166,7 +167,7 @@ def fusion_cases(draw):
             for _ in query_ids
         ]
         items = [i for order in orders for i in order]
-        bounds = np.append(0, np.cumsum([len(order) for order in orders]))
+        bounds = np.cumsum([0, *map(len, orders)])
         scores = [float(-position) for order in orders for position in range(len(order))]
         runs.append(Run(query_ids, ids, bounds, items, scores))
     return runs, draw(st.integers(1, 80)), draw(st.integers(1, 12))
@@ -224,10 +225,30 @@ def test_runs_to_fuse_must_agree():
     (([0, 2], [0, 2], [2.0, 1.0]), r"item numbers must lie in \[0, 2\)"),
     (([0, 1], [0, 1], [2.0, 1.0]), "bounds of 1 rankings must rise from 0 to 2"),
     (([0, 2], [0, 1], [2.0]), "there are 1 scores"),
-], ids=["nan", "rising", "unknown-item", "short-bounds", "short-scores"])
+    (([0, 3], [1, 0, 1], [2.0, 1.0, 1.0]), r"ranking for 'q' repeats item ids: \['y'\]"),
+    (([0, 1], np.array([2**32 + 1]), [1.0]), "item numbers must fit in int32, got 4294967297"),
+    (([0, 1], [1.9], [1.0]), "item numbers must be integers, got float64 values"),
+    (([0.0, 1.7], [1], [1.0]), "bounds must be integers, got float64 values"),
+    ((np.array([0, 2**64 - 1], dtype=np.uint64), [1], [1.0]),
+     f"bounds must fit in int64, got {2**64 - 1}"),
+], ids=["nan", "rising", "unknown-item", "short-bounds", "short-scores", "repeated-item",
+        "wrapping-item", "fractional-item", "fractional-bounds", "wrapping-bounds"])
 def test_run_checks_its_arrays(arrays, message):
     with pytest.raises(ValueError, match=message):
         Run(["q"], ("x", "y"), *arrays)
+
+
+def test_a_repeat_is_refused_within_a_ranking_only():
+    """The first ranking in run order that repeats an item is named, with
+    its repeated ids sorted; one item in two rankings is fine."""
+    ids = ("c", "b", "a")
+    with pytest.raises(ValueError, match=r"ranking for 'q' repeats item ids: \['a', 'c'\]"):
+        Run(["p", "q", "r"], ids, [0, 2, 6, 8], [0, 1, 2, 0, 0, 2, 1, 1], [1.0] * 8)
+    run = Run(["p", "q"], ids, [0, 2, 4], [0, 1, 1, 0], [1.0] * 4)
+    assert [ranking.item_ids for ranking in run] == [["c", "b"], ["b", "c"]]
+    # Empty arrays, of any dtype, are a run of empty rankings.
+    assert list(Run(["p"], ids, [0, 0], [], [])) == [RankedList("p", ())]
+    assert len(Run([], (), [0], np.zeros(0), np.zeros(0))) == 0
 
 
 def test_run_is_a_sequence_of_rankings():
@@ -241,7 +262,7 @@ def test_run_is_a_sequence_of_rankings():
     assert run[1:] == rankings[1:]
     with pytest.raises(IndexError):
         run[3]
-    # A run leaves the check for repeated ids to the RankedList it builds.
+    # A run refuses a repeated id when it is made, before any ranking is built.
     with pytest.raises(ValueError, match="repeats item ids"):
-        list(Run(["q"], ("x",), [0, 2], [0, 0], [1.0, 1.0]))
+        Run(["q"], ("x",), [0, 2], [0, 0], [1.0, 1.0])
     assert json.dumps(rankings[2].hits) == '[["x", -0.0]]'
