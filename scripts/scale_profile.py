@@ -32,10 +32,13 @@ all_contexts pool with k_list (5, 10, 100). At each scale the script times:
 
 It prints one JSON object: the machine, the settings, and per scale and
 step the median and minimum wall time over the repeats, a SHA-256 of the
-result (equal in every repeat, or the script fails) and the step's peak
-RSS. The digest is of the report's JSON bytes for ``run_eval``, of
-the base then the finetuned report's JSON bytes for ``compare_adapter``,
-of the report's JSON bytes for ``evaluate_run``,
+result (equal in every repeat, or the script fails), the step's peak RSS
+and its ``fsum_calls``: the ``math.fsum`` calls of one more repeat, run
+untimed after the others with ``math.fsum`` wrapped (exact sums that
+``riskrank.embedding`` cannot certify, RRF bins of three or more terms and
+the metrics' sums). The digest is of the report's JSON bytes for
+``run_eval``, of the base then the finetuned report's JSON bytes for
+``compare_adapter``, of the report's JSON bytes for ``evaluate_run``,
 of the ``report.json`` file that ``riskrank eval`` writes, of the
 trained float64 weight (and bias) bytes for ``train_adapter``, of the
 ``postings.jsonl`` file that ``save_index`` writes for
@@ -65,6 +68,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import pickle
 import platform
@@ -74,6 +78,7 @@ import tempfile
 import time
 import traceback
 from pathlib import Path
+from unittest import mock
 
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_name] = "1"
@@ -129,13 +134,17 @@ def sha256(data: bytes) -> str:
 
 
 def timed(label: str, repeats: int, call, digest, digest_key="report_sha256") -> tuple:
-    """Run ``call`` ``repeats`` times; its result, timings and its one digest."""
+    """Run ``call`` ``repeats`` times; its result, timings and its one digest,
+    and the ``math.fsum`` calls of one more, untimed, repeat."""
     times, digests = [], set()
     for _ in range(repeats):
         start = time.perf_counter()
         result = call()
         times.append(time.perf_counter() - start)
         digests.add(digest(result))
+    # The library looks ``math.fsum`` up at call time, so wrapping it counts its calls.
+    with mock.patch.object(math, "fsum", wraps=math.fsum) as fsum:
+        digests.add(digest(call()))
     if len(digests) != 1:
         raise SystemExit(f"{label}: results differ between repeats")
     return result, {
@@ -143,6 +152,7 @@ def timed(label: str, repeats: int, call, digest, digest_key="report_sha256") ->
         "min_s": round(min(times), 4),
         "times_s": [round(t, 4) for t in times],
         digest_key: digests.pop(),
+        "fsum_calls": fsum.call_count,
     }
 
 

@@ -12,10 +12,11 @@ in float64 by ``sqrt`` of its exactly rounded sum of squares, after an
 exact power-of-two scaling that keeps its squares in range, and zero rows
 stay zero. Those sums, and the exact scores of dense search, come from
 ``_exact_dots``: ``math.fsum`` of the products of (row, query) pairs, bit
-for bit, summed over the queries' nonzero coordinates when they are sparse.
-It passes them to ``_exact_row_sums``, a vectorized kernel that certifies
-almost every sum from an error-free summation tree and sends the rest to
-``math.fsum``.
+for bit, an exact zero as +0.0, summed over the queries' nonzero
+coordinates when they are sparse. It passes them to ``_exact_row_sums``, a
+vectorized kernel that certifies almost every sum from an error-free
+summation tree, sends the rest to ``math.fsum``, and is the one place that
+signs a zero sum.
 
 The hashed embedder is a fast, fully deterministic stand-in for a frozen
 sentence encoder: each token is hashed to a coordinate and a sign, signed
@@ -79,7 +80,8 @@ def tokenize(text: str) -> list[str]:
 
 # Certified exact row sums.  For a row p_1..p_n of finite float64 terms,
 # with u = 2^-53 and T the real sum, ``_exact_row_sums`` returns the
-# correctly rounded T, which is what ``math.fsum`` returns, or asks fsum.
+# correctly rounded T, which is what ``math.fsum`` returns, or asks fsum;
+# an exact zero sum is +0.0.
 #
 # Tree.  The row, padded with +0.0 to a power of two N, is summed by a
 # balanced tree of TwoSum steps (Knuth; Ogita, Rump & Oishi, "Accurate Sum
@@ -88,7 +90,7 @@ def tokenize(text: str) -> list[str]:
 # not overflow.  This holds under gradual underflow too: a sum that falls
 # below the normal range is exact, and e, a difference of nearby floats, is
 # a float.  So the root S and the N - 1 error terms e_i satisfy T = S + sum
-# e_i exactly.  The +0.0 padding changes no sum but the sign of a zero one.
+# e_i exactly.  The +0.0 padding changes no sum; Sign below sets a zero's.
 #
 # Error sum.  np.sum adds the N - 1 terms e_i in some order, N - 2 roundings,
 # so its result sigma is within gamma_{N-2}*E of sum e_i, E = sum |e_i|,
@@ -111,11 +113,13 @@ def tokenize(text: str) -> list[str]:
 # One error term.  If the tree leaves at most one nonzero e_i, sigma is
 # exact, so h = fl(S + sigma) is T rounded to nearest, ties to even, as fsum
 # rounds it: such a row is certified even on a rounding midpoint (|l| = g/2),
-# where the test above cannot pass.
+# where the test above cannot pass, and h = 0 only when T = 0, as T is a
+# multiple of 2^-1074.  A row with h = 0 and more error terms cannot pass
+# the rounding test (g = 0) and falls back, as does a non-finite h.
 #
-# Either way, a row with h = 0 falls back: T may be 0, and the sign of an
-# exact zero sum is fsum's (and a given Python version's) to decide.  A
-# non-finite h falls back too.
+# Sign.  Every return path adds +0.0, which turns -0.0 into +0.0 and leaves
+# every other value, NaN and infinities included, as it is: an exact zero
+# sum is +0.0 whatever the terms' signs and fsum's own convention.
 #
 # Range.  When every |p_j| is at most P and n*P < 2^1023, every tree node,
 # TwoSum temporary, S, sigma, h and B stays within a few ulps of sum |p_j|
@@ -128,7 +132,7 @@ def tokenize(text: str) -> list[str]:
 # it always did.
 def _exact_row_sums(products: np.ndarray) -> np.ndarray:
     """``math.fsum`` of each row of the float64 matrix ``products``, bit for
-    bit, as a float64 array.
+    bit, an exact zero as +0.0, as a float64 array.
 
     Rows it cannot certify (see the comment above) go to
     ``math.fsum``, looked up at call time. Temporaries are about three
@@ -138,7 +142,7 @@ def _exact_row_sums(products: np.ndarray) -> np.ndarray:
     width = 1 << max(n - 1, 0).bit_length()
     peak = float(max(products.max(initial=0.0), -products.min(initial=0.0)))
     if not peak * n < 2.0**1023:
-        return np.array([math.fsum(row) for row in products.tolist()], dtype=np.float64)
+        return np.array([math.fsum(row) for row in products.tolist()], dtype=np.float64) + 0.0
     # Column j holds row j's terms, so each tree level adds two contiguous halves.
     level = np.zeros((width, m))
     level[:n] = products.T
@@ -170,10 +174,10 @@ def _exact_row_sums(products: np.ndarray) -> np.ndarray:
     # Rows with one nonzero error term pass too (see "One error term" above).
     ties = np.flatnonzero(~certified)
     certified[ties] = np.count_nonzero(errors[:, ties], axis=0) <= 1
-    certified &= (h != 0.0) & np.isfinite(h)
+    certified &= np.isfinite(h)
     for i in np.flatnonzero(~certified).tolist():
         h[i] = math.fsum(products[i].tolist())
-    return h
+    return h + 0.0
 
 
 # Exact dot products.  ``_exact_dots`` sums the products of each (row,
@@ -184,18 +188,15 @@ def _exact_row_sums(products: np.ndarray) -> np.ndarray:
 # at some of its zero ones; with a wider query (model vectors, adapter
 # outputs) it sums the d products of each pair.  Each dropped or padding
 # product is x_j * (+-0) = +-0 with x_j finite, and adding zeros does not
-# change the real value of a sum, so whenever that value is nonzero the
-# exactly rounded sum is the same float, in any order of the terms.  Only a
-# zero sum can differ, in its sign: the sign of an exact zero sum depends
-# on the signs of all its terms (and on how a given Python version's fsum
-# signs zeros), so a pair whose sum is +-0 is summed again by fsum over its
-# full row.
+# change the real value of a sum, so the exactly rounded sum is the same
+# float, in any order of the terms, a zero sum being +0.0 either way.
 def _exact_dots(
     rows: np.ndarray, queries: np.ndarray, row_of: np.ndarray, query_of: np.ndarray
 ) -> np.ndarray:
     """``math.fsum((rows[row_of[t]] * queries[query_of[t]]).tolist())`` for
-    each t, bit for bit, as a float64 array, for finite float64 ``rows`` and
-    ``queries`` of one width (see the comment above)."""
+    each t, bit for bit, an exact zero as +0.0, as a float64 array, for
+    finite float64 ``rows`` and ``queries`` of one width (see the comment
+    above)."""
     dim = queries.shape[1]
     width = max(int(np.count_nonzero(queries, axis=1).max(initial=0)), 1)
     gather = 2 * width <= dim
@@ -210,8 +211,6 @@ def _exact_dots(
         r, q = row_of[start:start + step], query_of[start:start + step]
         products = rows[r[:, None], columns[q]] * values[q] if gather else rows[r] * queries[q]
         sums[start:start + step] = _exact_row_sums(products)
-    for t in np.flatnonzero(sums == 0.0).tolist():  # +0.0 or -0.0
-        sums[t] = math.fsum((rows[row_of[t]] * queries[query_of[t]]).tolist())
     return sums
 
 

@@ -13,13 +13,13 @@ builds one, and it makes the same checks on its own. ``Run.from_rankings``
 turns RankedLists into a run over the sorted union of their ids. Every
 ranking this module returns is a deterministic total order: scores sort
 descending and ties break by ascending item id.
-Dense scores are exactly-rounded float64 dot products of unit vectors
-(see ``riskrank.embedding``), so a full-scan re-implementation of the same
-arithmetic reproduces them bit-for-bit. Dense search gets there by
-filter-then-verify: one float64 matmul per block of queries gives
-approximate scores, a rigorous forward-error bound keeps every row that
-could reach the top k (the whole band of ties at the k-th score
-included), and only those rows are scored exactly, by one
+Dense scores are exactly-rounded float64 dot products of unit vectors, an
+exact zero being +0.0 (see ``riskrank.embedding``), so a full-scan
+re-implementation of the same arithmetic reproduces them bit-for-bit.
+Dense search gets there by filter-then-verify: one float64 matmul per
+block of queries gives approximate scores, a rigorous forward-error bound
+keeps every row that could reach the top k (the whole band of ties at the
+k-th score included), and only those rows are scored exactly, by one
 ``_exact_dots`` call per block of queries (see ``riskrank.embedding``):
 certified vectorized sums of the kept rows' products, at the queries'
 nonzero coordinates when at most half of them are nonzero.
@@ -380,7 +380,8 @@ def build_dense_index(
     if not len(vectors):
         dim = dim or 0
         return DenseIndex(item_ids=(), matrix=np.zeros((0, dim), dtype=np.float32), dim=dim)
-    shapes = {np.shape(v) for v in vectors}
+    as_matrix = isinstance(vectors, np.ndarray)
+    shapes = {vectors.shape[1:]} if as_matrix else {np.shape(v) for v in vectors}
     if len(shapes) != 1 or len(next(iter(shapes))) != 1:
         raise ValueError(f"vectors must share one 1-D shape, got {sorted(shapes)}")
     matrix = unit_rows(vectors, ids, "vector for item").astype(np.float32)

@@ -93,13 +93,15 @@ def _fetch_batch(config: ProviderConfig, key: str, batch: list[str]) -> np.ndarr
         )
     try:
         data = resp.json()["data"]
-        by_index = {int(entry["index"]): entry["embedding"] for entry in data}
-        if sorted(by_index) != list(range(len(batch))):
+        indices = [entry["index"] for entry in data]
+        # Each index an int (not a bool), each of the batch's exactly once.
+        if any(type(i) is not int for i in indices) or sorted(indices) != list(range(len(batch))):
             raise RemoteEmbedError(
-                f"provider {config.provider_id}: partial response: got indices "
-                f"{sorted(by_index)} for a batch of {len(batch)}",
+                f"provider {config.provider_id}: bad response indices: got "
+                f"{indices} for a batch of {len(batch)}",
                 retryable=False,
             )
+        by_index = {entry["index"]: entry["embedding"] for entry in data}
         # A ragged or non-numeric list of embeddings raises ValueError or TypeError.
         matrix = np.asarray([by_index[i] for i in range(len(batch))], dtype=np.float32)
     except (KeyError, TypeError, ValueError) as exc:

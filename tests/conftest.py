@@ -17,7 +17,8 @@ class _EmbeddingHandler(BaseHTTPRequestHandler):
 
     ``ok-<dim>`` answers correctly, ``wrong-dim`` answers with 4-dim vectors,
     ``ragged`` makes the last vector 4-dim among 8-dim ones, ``partial`` drops
-    the last entry, ``nan`` puts a NaN in the last vector, and ``boom``
+    the last entry, ``dup-index`` adds an entry that gives index 0 the last
+    text's vector, ``nan`` puts a NaN in the last vector, and ``boom``
     returns HTTP 500.
     """
 
@@ -53,6 +54,8 @@ class _EmbeddingHandler(BaseHTTPRequestHandler):
             data[-1]["embedding"] = data[-1]["embedding"][:4]
         if model == "partial" and data:
             data = data[:-1]
+        if model == "dup-index" and data:
+            data.insert(1, {"index": 0, "embedding": data[-1]["embedding"]})
         if model == "nan" and data:
             data[-1]["embedding"][0] = float("nan")
         payload = json.dumps({"data": data}).encode("utf-8")

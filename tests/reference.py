@@ -142,6 +142,24 @@ def reference_hash_embed(tokens: list[str], dim: int, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+_fsum = math.fsum
+
+
+def signed_zero_fsum(terms):
+    """``math.fsum``, except that an exact zero sum of terms that are all -0.0
+    is -0.0, as IEEE addition signs it. Python versions may differ here; the
+    library's bits must not depend on the convention, so tests run under
+    both."""
+    terms = list(terms)
+    total = _fsum(terms)
+    if total == 0.0 and terms and all(math.copysign(1.0, t) < 0.0 for t in terms):
+        return -0.0
+    return total
+
+
+FSUMS = [math.fsum, signed_zero_fsum]
+
+
 def fraction_dot(u, v) -> float:
     """Exactly rounded dot product via exact rational arithmetic.
 
@@ -204,7 +222,7 @@ def brute_force_dense(
     scored = []
     for item_id, row in zip(ids, unit_rows):
         products = (row.astype(np.float64) * qn).tolist()
-        scored.append((item_id, math.fsum(products)))
+        scored.append((item_id, math.fsum(products) + 0.0))  # an exact zero is +0.0
     scored.sort(key=lambda pair: pair[0])
     scored.sort(key=lambda pair: pair[1], reverse=True)  # stable: ids break ties
     return scored[:k]

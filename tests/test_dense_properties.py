@@ -13,7 +13,8 @@ check each ``_exact_dots`` call, row by row: the rows it passes to
 ``_exact_row_sums`` are its pairs' products, and a dense block's pairs are
 the kept pairs of its queries. ``unit_rows`` gets the same check over
 chunks of sparse rows and of wide rows. Scores are compared by their bits
-(``float.hex``), so the sign of a zero counts.
+(``float.hex``), so the sign of a zero counts: an exact zero score is +0.0
+under either fsum convention in ``FSUMS``.
 """
 
 import itertools
@@ -30,7 +31,7 @@ from riskrank.embedding import unit_rows
 from riskrank.index import DenseIndex, RankedList, build_dense_index, dense_search_many
 from riskrank.index import _MIN_BLOCK_QUERIES
 
-from reference import brute_force_dense, fraction_dot, reference_unit_rows
+from reference import FSUMS, brute_force_dense, fraction_dot, reference_unit_rows
 
 PROPERTY_SETTINGS = settings(
     max_examples=200,
@@ -46,36 +47,13 @@ PROPERTY_SETTINGS = settings(
 WIDE_NONZERO = 32
 wide_dims = st.one_of(st.integers(WIDE_NONZERO, WIDE_NONZERO + 40), st.sampled_from([256, 300]))
 
-_fsum = math.fsum
-
-
-def signed_zero_fsum(terms):
-    """``math.fsum``, except that an exact zero sum of terms that are all -0.0
-    is -0.0, as IEEE addition signs it. Python versions differ here, so the
-    sign of a zero score is checked under both conventions."""
-    terms = list(terms)
-    total = _fsum(terms)
-    if total == 0.0 and terms and all(math.copysign(1.0, t) < 0.0 for t in terms):
-        return -0.0
-    return total
-
-
-FSUMS = [math.fsum, signed_zero_fsum]
-
-
 def exact_scan(ids, rows, query, k):
-    """Rank stored rows as they are (no renormalization) by exact score.
-
-    An exact zero takes its sign from ``math.fsum`` over the row's
-    products, which is how the library defines a score.
-    """
+    """Rank stored rows as they are (no renormalization) by exact score,
+    an exact zero being +0.0."""
     q64 = np.asarray(query, dtype=np.float64)
     qnorm = math.sqrt(math.fsum((q64 * q64).tolist()))
     qn = q64 / qnorm if qnorm != 0.0 else q64
-    scored = [
-        (item_id, fraction_dot(row, qn) or math.fsum((row.astype(np.float64) * qn).tolist()))
-        for item_id, row in zip(ids, rows)
-    ]
+    scored = [(item_id, fraction_dot(row, qn)) for item_id, row in zip(ids, rows)]
     scored.sort(key=lambda pair: pair[0])
     scored.sort(key=lambda pair: pair[1], reverse=True)
     return bits(scored[:k])
@@ -176,30 +154,29 @@ def test_many_equals_one_query_at_a_time(case):
 
 
 class DotsCall:
-    """One ``_exact_dots`` call: its arguments and result, the matrices it
-    passed to ``_exact_row_sums``, and the term lists it passed to fsum."""
+    """One ``_exact_dots`` call: its arguments and result, and the matrices
+    it passed to ``_exact_row_sums``."""
 
     def __init__(self, rows, queries, row_of, query_of):
         self.rows, self.queries, self.row_of, self.query_of = rows, queries, row_of, query_of
-        self.kernel, self.fsums, self.sums = [], [], None
+        self.kernel, self.sums = [], None
 
     def check(self):
         """Kernel row t holds exactly the nonzero products of pair t, in
-        some order, and a zero sum was summed again by fsum over the pair's
-        full row."""
+        some order, and a zero sum is +0.0."""
         inputs = np.concatenate(self.kernel) if self.kernel else np.zeros((0, 0))
         assert len(inputs) == len(self.row_of) == len(self.sums)
         for products, r, q, total in zip(inputs, self.row_of, self.query_of, self.sums):
             full = self.rows[r] * self.queries[q]
             assert sorted(products[products != 0.0]) == sorted(full[full != 0.0])
             if total == 0.0:
-                assert full.tolist() in self.fsums
+                assert total.hex() == "0x0.0p+0"
 
 
 def exact_dots_calls(run):
     """``run()`` and a checked ``DotsCall`` for every ``_exact_dots`` call
     it made, ``unit_rows``' calls included."""
-    dots, kernel, fsum = embedding_module._exact_dots, embedding_module._exact_row_sums, math.fsum
+    dots, kernel = embedding_module._exact_dots, embedding_module._exact_row_sums
     calls, active = [], []
 
     def record_dots(rows, queries, row_of, query_of):
@@ -217,15 +194,8 @@ def exact_dots_calls(run):
         active[-1].kernel.append(products)
         return kernel(products)
 
-    def record_fsum(terms):
-        terms = list(terms)
-        if active:
-            active[-1].fsums.append(terms)
-        return fsum(terms)
-
     with mock.patch.object(embedding_module, "_exact_dots", record_dots), \
-            mock.patch.object(embedding_module, "_exact_row_sums", record_kernel), \
-            mock.patch.object(math, "fsum", record_fsum):
+            mock.patch.object(embedding_module, "_exact_row_sums", record_kernel):
         got = run()
     return got, calls
 
@@ -297,6 +267,32 @@ def test_exact_ties_that_blas_splits():
             (got,) = dense_search_many(index, query[None, :], k, ["q"])
             assert hits(got) == exact_scan(ids, rows, query, k)
             assert got.item_ids == [f"item-{i:02d}" for i in range(k)]
+
+
+def test_negative_zero_products_score_plus_zero_under_both_conventions():
+    """Every product of the row and the query is -0.0, a sum that fsum may
+    sign either way; the score is +0.0 under both conventions."""
+    rows = np.array([[0.0, 0.0]], dtype=np.float32)
+    query = np.array([[-0.0, -0.0]])
+    for index in (DenseIndex(item_ids=("item-00",), matrix=rows, dim=2),
+                  build_dense_index(["item-00"], rows)):
+        for fsum in FSUMS:
+            with mock.patch.object(math, "fsum", fsum):
+                (got,) = dense_search_many(index, query, 1, ["q"])
+            assert hits(got) == [("item-00", "0x0.0p+0")]
+
+
+def test_a_zero_query_makes_no_fsum_call():
+    """Each score of a zero query is an exact zero that the kernel
+    certifies, so no pair, and not the query's norm, goes to fsum."""
+    rng = np.random.default_rng(3)
+    n, dim = 40, 16
+    ids = [f"item-{i:02d}" for i in range(n)]
+    index = build_dense_index(ids, rng.normal(size=(n, dim)))
+    with mock.patch.object(math, "fsum", wraps=math.fsum) as fsum:
+        (got,) = dense_search_many(index, np.zeros((1, dim)), n, ["q"])
+    assert fsum.call_count == 0
+    assert hits(got) == [(item_id, "0x0.0p+0") for item_id in ids]
 
 
 def test_query_blocks_and_wide_ties():

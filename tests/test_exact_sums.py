@@ -1,7 +1,8 @@
 """Property tests: ``_exact_row_sums`` against ``math.fsum``, row by row.
 
-The kernel must return fsum's bits for every row (compared by
-``float.hex``, so the sign of a zero counts) and raise what fsum raises.
+The kernel must return fsum's bits for every row, an exact zero as +0.0
+(compared by ``float.hex``, so the sign of a zero counts), and raise what
+fsum raises, under either fsum convention in ``FSUMS``.
 The rows sit where a certified sum could go wrong: sums that cancel to +-0,
 sums that land exactly on a rounding midpoint or next to one, sums at and
 around a power of two (where the float gap halves), subnormal terms, and
@@ -19,6 +20,8 @@ from hypothesis.extra.numpy import arrays
 
 from riskrank.embedding import _exact_row_sums
 
+from reference import FSUMS
+
 PROPERTY_SETTINGS = settings(
     max_examples=200,
     deadline=None,
@@ -31,26 +34,30 @@ widths = st.one_of(st.just(1), st.integers(2, 40), st.integers(41, 300))
 
 
 def fsum_or_error(row):
-    """fsum's bits for ``row``, or the type of the exception it raises."""
+    """fsum's bits for ``row``, an exact zero as +0.0, or the type of the
+    exception it raises."""
     try:
-        return math.fsum(row).hex()
+        return (math.fsum(row) + 0.0).hex()
     except (OverflowError, ValueError) as exc:
         return type(exc)
 
 
 def check(rows):
-    """The kernel over ``rows`` gives each row's fsum bits, or raises the
-    exception fsum raises on the first row that raises one."""
+    """The kernel over ``rows``, under each fsum convention, gives each
+    row's fsum bits, or raises the exception fsum raises on the first row
+    that raises one."""
     matrix = np.array(rows, dtype=np.float64).reshape(len(rows), -1)
     want = [fsum_or_error(row) for row in matrix.tolist()]
     errors = [w for w in want if isinstance(w, type)]
-    try:
-        got = [score.hex() for score in _exact_row_sums(matrix)]
-    except (OverflowError, ValueError) as exc:
-        assert errors and type(exc) is errors[0]
-        return
-    assert not errors
-    assert got == want
+    for fsum in FSUMS:
+        with mock.patch.object(math, "fsum", fsum):
+            try:
+                got = [score.hex() for score in _exact_row_sums(matrix)]
+            except (OverflowError, ValueError) as exc:
+                assert errors and type(exc) is errors[0]
+                continue
+        assert not errors
+        assert got == want
 
 
 def permuted(draw, terms):
@@ -152,7 +159,7 @@ def test_random_rows(matrix):
 ))
 def test_adversarial_rows(rows):
     # Rows of one call share a width: shorter rows are padded with +0.0,
-    # which changes no sum but the sign of an exact zero, as fsum sees it.
+    # which changes no sum, an exact zero being +0.0 either way.
     width = max(len(row) for row in rows)
     check([row + [0.0] * (width - len(row)) for row in rows])
 

@@ -157,22 +157,30 @@ def test_ragged_response_is_hard_error(embedding_server, tmp_path):
     assert not list(tmp_path.rglob("*.vec"))
 
 
-@pytest.mark.parametrize("embedding", ["not a vector", ["x"] * 8, [None, {}] * 4])
-def test_non_numeric_embedding_is_hard_error(tmp_path, monkeypatch, embedding):
+def fetch_answered_with(data, texts, tmp_path, monkeypatch):
+    """The ``RemoteEmbedError`` that fetching ``texts`` raises when every
+    request is answered with HTTP 200 and ``{"data": data}``."""
+
     class Response:
         status_code = 200
 
         def json(self):
-            return {"data": [{"index": 0, "embedding": embedding}]}
+            return {"data": data}
 
     monkeypatch.setattr(remote.requests, "post", lambda *args, **kwargs: Response())
     config = ProviderConfig(
         "testprov", "ok-8", "http://127.0.0.1:9", "RISKRANK_TEST_API_KEY", dim=8
     )
     with pytest.raises(RemoteEmbedError) as excinfo:
-        RemoteEmbedder(config, VectorCache(tmp_path)).fetch(["alpha"])
+        RemoteEmbedder(config, VectorCache(tmp_path)).fetch(texts)
     assert not excinfo.value.retryable
     assert "testprov" in str(excinfo.value)
+    return excinfo.value
+
+
+@pytest.mark.parametrize("embedding", ["not a vector", ["x"] * 8, [None, {}] * 4])
+def test_non_numeric_embedding_is_hard_error(tmp_path, monkeypatch, embedding):
+    fetch_answered_with([{"index": 0, "embedding": embedding}], ["alpha"], tmp_path, monkeypatch)
 
 
 def test_partial_response_is_hard_error(embedding_server, tmp_path):
@@ -180,6 +188,24 @@ def test_partial_response_is_hard_error(embedding_server, tmp_path):
     with pytest.raises(RemoteEmbedError) as excinfo:
         embed_remote(config, ["alpha", "beta"], VectorCache(tmp_path))
     assert not excinfo.value.retryable
+
+
+def test_repeated_index_is_hard_error(embedding_server, tmp_path):
+    """Indices 0, 0, 1 for a batch of two: the second vector given for
+    index 0 must not replace the first."""
+    config = make_config(embedding_server, model="dup-index")
+    with pytest.raises(RemoteEmbedError) as excinfo:
+        embed_remote(config, ["alpha", "beta"], VectorCache(tmp_path))
+    assert not excinfo.value.retryable
+    assert "got [0, 0, 1] for a batch of 2" in str(excinfo.value)
+    assert not list(tmp_path.rglob("*.vec"))
+
+
+@pytest.mark.parametrize("indices", [[0, "1"], [0.9, 1], [0, 1.0], [False, True]])
+def test_non_integer_indices_are_hard_error(tmp_path, monkeypatch, indices):
+    data = [{"index": i, "embedding": [1.0] * 8} for i in indices]
+    error = fetch_answered_with(data, ["alpha", "beta"], tmp_path, monkeypatch)
+    assert f"got {indices!r} for a batch of 2" in str(error)
 
 
 def test_non_finite_vector_is_hard_error(embedding_server, tmp_path):
