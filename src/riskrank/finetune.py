@@ -266,11 +266,12 @@ def train_adapter(
         checked_embed(base_embed, [p.question for p in pairs], "questions"), dtype=np.float64
     )
     contexts = np.asarray(checked_embed(base_embed, context_texts, "contexts"), dtype=np.float64)
-    for pair, q, p in zip(pairs, questions, contexts):
-        if not q.any():
-            raise ValueError(f"pair {pair.pair_id}: base embedding of question is all-zero")
-        if not p.any():
-            raise ValueError(f"pair {pair.pair_id}: base embedding of context is all-zero")
+    zero_question = ~questions.any(axis=1)
+    zero = np.flatnonzero(zero_question | ~contexts.any(axis=1))
+    if len(zero):
+        i = int(zero[0])
+        part = "question" if zero_question[i] else "context"
+        raise ValueError(f"pair {pairs[i].pair_id}: base embedding of {part} is all-zero")
 
     adapter = AdapterParams.identity(questions.shape[1], use_bias=config.use_bias)
     adapter.train_pair_ids = tuple(pair.pair_id for pair in pairs)

@@ -9,10 +9,11 @@ vectorized pass when it is made. Both searches and ``rrf_fuse`` return
 runs, and ``riskrank.metrics`` scores a run from its arrays. A
 ``RankedList``, a tuple of ``(item_id, score)`` pairs best first (the rank
 of ``hits[i]`` is ``i + 1``), is the public view of one query: ``run[i]``
-builds one, and it makes the same checks on its own. ``Run.from_rankings``
-turns RankedLists into a run over the sorted union of their ids. Every
-ranking this module returns is a deterministic total order: scores sort
-descending and ties break by ascending item id.
+builds one, and it checks itself as a one-ranking run, so making a run is
+the one check of a ranking. ``Run.from_rankings`` turns RankedLists into a
+run over the sorted union of their ids. Every ranking this module returns
+is a deterministic total order: scores sort descending and ties break by
+ascending item id.
 Dense scores are exactly-rounded float64 dot products of unit vectors, an
 exact zero being +0.0 (see ``riskrank.embedding``), so a full-scan
 re-implementation of the same arithmetic reproduces them bit-for-bit.
@@ -51,12 +52,11 @@ saving a loaded index writes the same bytes.
 from __future__ import annotations
 
 import math
-import operator
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -72,7 +72,6 @@ __all__ = [
     "Run",
     "DenseIndex",
     "LexicalIndex",
-    "ranked_list_from_scores",
     "build_dense_index",
     "dense_search_many",
     "build_lexical_index",
@@ -102,22 +101,14 @@ def _block_queries(n: int) -> int:
 @dataclass(frozen=True)
 class RankedList:
     """Retrieval hits for one query: ``(item_id, score)`` pairs, best first.
-    A repeated id, a NaN score or a rising score raises ValueError naming the query."""
+    The hits are checked as a one-ranking ``Run``: a repeated id, a NaN score
+    or a rising score raises ValueError naming the query."""
 
     query_id: str
     hits: tuple[tuple[str, float], ...]
 
     def __post_init__(self) -> None:
-        if not self.hits:
-            return
-        ids, scores = zip(*self.hits)
-        _require_unique(ids, f"ranking for {self.query_id!r} repeats item ids")
-        # A NaN fails every comparison, so past the first score the order
-        # check catches it too.
-        if math.isnan(scores[0]) or not all(map(operator.ge, scores, scores[1:])):
-            _require_no_nan(self.query_id, scores)
-            a, b = next((a, b) for a, b in zip(scores, scores[1:]) if b > a)
-            raise ValueError(f"ranking for {self.query_id!r}: scores increase ({a} -> {b})")
+        Run.from_rankings((self,))  # a Run never builds a RankedList
 
     @property
     def item_ids(self) -> list[str]:
@@ -137,12 +128,6 @@ def _require_counts(**values: object) -> None:
     check_values(values, dict.fromkeys(values, POSITIVE_INTEGER))
 
 
-def _require_no_nan(query_id: str, scores: Iterable[float]) -> None:
-    """Raise ValueError naming ``query_id`` if a score is NaN."""
-    if any(map(math.isnan, scores)):
-        raise ValueError(f"ranking for {query_id!r} holds a NaN score")
-
-
 class Run(Sequence[RankedList]):
     """The rankings of many queries, as arrays.
 
@@ -150,14 +135,14 @@ class Run(Sequence[RankedList]):
     ``bounds[i]:bounds[i + 1]`` of ``items``, int32 positions in
     ``item_ids``, and ``scores``, float64, best first. ``item_ids`` is kept
     as given (an index's ids are shared, not copied). A run holds the whole
-    contract of a ``RankedList``, checked in one vectorized pass when it is
-    made: sizes that disagree, bounds or item numbers that are not integers,
-    bounds that do not rise from 0 to the number of pairs, an item number
-    outside ``item_ids``, an item that repeats within one ranking, a NaN
-    score or a score that rises within a ranking raise ValueError, with
-    ``RankedList``'s messages where it has one. ``run[i]`` builds ranking
-    ``i`` as a ``RankedList``, and iterating a run builds each ranking in
-    turn. A run compares and hashes by identity.
+    ranking contract, and making one is the only check of it, in one
+    vectorized pass: sizes that disagree, bounds or item numbers that are
+    not integers, bounds that do not rise from 0 to the number of pairs, an
+    item number outside ``item_ids``, an item that repeats within one
+    ranking, a NaN score or a score that rises within a ranking raise
+    ValueError. ``run[i]`` builds ranking ``i`` as a ``RankedList``, which
+    checks itself as a one-ranking run, and iterating a run builds each
+    ranking in turn. A run compares and hashes by identity.
     """
 
     def __init__(
@@ -256,29 +241,6 @@ def _integers(values: object, name: str, dtype: type) -> np.ndarray:
                 f"{name} must fit in {np.dtype(dtype)}, got {low if low < info.min else high}"
             )
     return array.astype(dtype, copy=False)
-
-
-def ranked_list_from_scores(
-    query_id: str,
-    scored: Iterable[tuple[str, float]],
-    k: int | None = None,
-) -> RankedList:
-    """Rank (item_id, score) pairs descending, ties by ascending item id.
-
-    Scores become Python floats before they are compared. A repeated id or
-    a NaN score anywhere in ``scored`` raises ValueError, even one that the
-    cut at ``k`` would drop, and so does a ``k`` that is not an integer >= 1.
-    """
-    if k is not None:
-        _require_counts(k=k)
-    items = [(item_id, float(score)) for item_id, score in scored]
-    ids = [item_id for item_id, _ in items]
-    scores = [score for _, score in items]
-    _require_unique(ids, "duplicate item ids in ranking")
-    _require_no_nan(query_id, scores)
-    which = np.zeros(len(ids), dtype=np.int64)
-    top = _top_k(which, np.arange(len(ids)), np.array(scores), _id_rank(ids), 1, k)
-    return _run([query_id], ids, [top])[0]
 
 
 def _id_rank(item_ids: Sequence[str]) -> np.ndarray:
@@ -479,19 +441,18 @@ class LexicalIndex:
     ``terms`` numbers the terms, and the postings of the term numbered ``r``
     are the slice ``starts[r]:starts[r + 1]`` of two parallel int32 arrays:
     ``docs`` holds the item numbers (positions in ``item_ids``) that contain
-    the term and ``tf`` how often each contains it. ``build_lexical_index``
-    and ``load_index`` give each term its own slice, naming each item at
-    most once; an index built by hand must keep to that too. ``doc_len``
-    is each item's token count, and ``length_norm``, derived from it, each
-    item's float64 ``1 - b + b * doc_len / avgdl``, with every length taken
-    as 0 when ``avgdl`` is not above 0.
+    the term and ``tf`` how often each contains it, at least once; a term
+    names each item at most once. ``doc_len`` is each item's token count,
+    and ``length_norm``, derived from it, each item's float64
+    ``1 - b + b * doc_len / avgdl``, with every length taken as 0 when
+    ``avgdl`` is not above 0.
 
     A ``k1`` that is not a finite number >= 0, a ``b`` outside [0, 1], an
     ``avgdl`` so small that a length norm is not finite, arrays whose sizes
-    disagree, ``starts`` that do not rise from 0 to
-    ``len(docs)``, or an item number outside ``item_ids`` raise ValueError
-    naming what is wrong. Like ``DenseIndex``, it compares and hashes by
-    identity.
+    disagree, ``starts`` that do not rise from 0 to ``len(docs)``, an item
+    number outside ``item_ids``, a tf below 1 or an item named twice under
+    one term raise ValueError naming what is wrong. Like ``DenseIndex``, it
+    compares and hashes by identity.
     """
 
     item_ids: tuple[str, ...]
@@ -522,6 +483,24 @@ class LexicalIndex:
         if len(self.docs) and not 0 <= int(self.docs.min()) <= int(self.docs.max()) < n:
             bad = int(self.docs[(self.docs < 0) | (self.docs >= n)][0])
             raise ValueError(f"postings name item number {bad}, but the index holds {n} items")
+        term_of = np.repeat(np.arange(len(self.terms), dtype=np.int64), np.diff(starts))
+        low = np.flatnonzero(self.tf < 1)
+        if len(low):
+            t = int(low[0])
+            raise ValueError(
+                f"postings of {_term(self.terms, int(term_of[t]))!r} give item "
+                f"{self.item_ids[self.docs[t]]!r} a tf of {int(self.tf[t])}, below 1"
+            )
+        # Sorted (term, item) keys put a term's repeated items side by side.
+        keys = term_of * n + self.docs
+        keys.sort()
+        repeats = keys[1:][keys[1:] == keys[:-1]]
+        if len(repeats):
+            row, item = divmod(int(repeats[0]), n)
+            raise ValueError(
+                f"postings of {_term(self.terms, row)!r} name item "
+                f"{self.item_ids[item]!r} more than once"
+            )
         doc_len = self.doc_len.astype(np.float64)
         # A positive avgdl can be so small that a length over it overflows.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -538,6 +517,11 @@ class LexicalIndex:
     @property
     def count(self) -> int:
         return len(self.item_ids)
+
+
+def _term(terms: dict[str, int], row: int) -> str:
+    """The term numbered ``row``, for an error message."""
+    return next(term for term, r in terms.items() if r == row)
 
 
 # BM25 parameters, for ``LexicalIndex`` and the ``meta.json`` of a saved index.
@@ -793,6 +777,8 @@ def load_index(path: Path | str) -> tuple[DenseIndex | None, LexicalIndex | None
             f"{meta_path}: item_ids holds {len(set(ids))} distinct ids "
             f"in {len(ids)} entries, but count is {meta['count']}"
         )
+    if not (meta["has_dense"] or meta["has_lexical"]):
+        raise ValueError(f"{meta_path}: has_dense and has_lexical are both false")
     dense = None
     lexical = None
     if meta["has_dense"]:

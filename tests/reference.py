@@ -6,9 +6,10 @@ its own mechanics, fusion is a plain dict fold, and ``check_ranking`` walks
 the hits pair by pair. ``reference_rankings`` and ``reference_rrf_fuse``
 keep the list path that searches and fusion ranked through before they
 returned runs: Python tuples sorted in two stable passes, and a dict of
-sums per fused item. Where the library defines scores as exactly-rounded
-float64 arithmetic, the references reproduce that arithmetic from its
-definition (IEEE products, exact sum), including a Fraction-based
+sums per fused item; ``reference_ranked_list`` builds the tests' rankings
+from scores through the first. Where the library defines scores as
+exactly-rounded float64 arithmetic, the references reproduce that
+arithmetic from its definition (IEEE products, exact sum), including a Fraction-based
 exact-rounding cross-check. ``reference_evaluate_run`` keeps the scan
 that metrics ran before they read a run's arrays: each ranking's hits, to
 the largest cutoff, matched against the relevant ids one by one.
@@ -29,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from riskrank.index import LexicalIndex
+from riskrank.index import LexicalIndex, RankedList
 from riskrank.metrics import MetricReport, _query_values
 
 
@@ -259,6 +260,16 @@ def reference_rankings(
         items.sort(key=itemgetter(1), reverse=True)
         results.append((query_id, tuple(items[:k])))
     return results
+
+
+def reference_ranked_list(query_id: str, pairs, k: int | None = None) -> RankedList:
+    """``(item_id, score)`` pairs with float scores, ranked and cut by
+    ``reference_rankings``, as a RankedList: the fixture builder for a
+    ranking from scores."""
+    pairs = [(item_id, float(score)) for item_id, score in pairs]
+    ids = [item_id for item_id, _ in pairs]
+    scores = [score for _, score in pairs]
+    return RankedList(*reference_rankings([query_id], [0, len(pairs)], ids, scores, k)[0])
 
 
 def reference_rrf_fuse(

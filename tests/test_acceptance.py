@@ -42,7 +42,6 @@ from riskrank.index import (
     build_lexical_index,
     dense_search_many,
     lexical_search_many,
-    ranked_list_from_scores,
     rrf_fuse,
 )
 from riskrank.metrics import MetricReport, evaluate_run
@@ -54,6 +53,7 @@ from reference import (
     naive_hit_rate,
     naive_mrr,
     naive_ndcg,
+    reference_ranked_list,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -87,7 +87,7 @@ def test_criterion_01_metric_oracle_equivalence():
             n_rel = min(int(rng.integers(1, 6)), len(pool))
             relevant = set(rng.choice(pool, size=n_rel, replace=False).tolist())
             run = [
-                ranked_list_from_scores(
+                reference_ranked_list(
                     "q", [(item, float(len(order) - i)) for i, item in enumerate(order)]
                 )
             ]
@@ -317,7 +317,7 @@ def test_criterion_10_rrf_and_bm25_properties():
             for _ in range(int(rng.integers(1, 5))):
                 order = [winner] + list(rng.permutation(others))
                 lists.append(
-                    ranked_list_from_scores(
+                    reference_ranked_list(
                         "q",
                         [(item, float(len(order) - i)) for i, item in enumerate(order)],
                     )

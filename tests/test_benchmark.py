@@ -19,10 +19,9 @@ from riskrank.benchmark import (
 from riskrank.corpus import DatasetSplit, QAPair, split_pairs, synth_dataset
 from riskrank.embedding import HashEmbedder
 from riskrank.finetune import AdapterParams
-from riskrank.index import ranked_list_from_scores
 from riskrank.metrics import MetricReport, evaluate_run
 
-from reference import reference_unit_rows
+from reference import reference_ranked_list, reference_unit_rows
 
 
 def small_corpus():
@@ -217,8 +216,8 @@ class TestRunEval:
 
 def report_with(hr5: float) -> MetricReport:
     run = [
-        ranked_list_from_scores("q0", [("rel", 1.0), ("x", 0.5)]),
-        ranked_list_from_scores("q1", [("y", 1.0), ("rel1", 0.5)]),
+        reference_ranked_list("q0", [("rel", 1.0), ("x", 0.5)]),
+        reference_ranked_list("q1", [("y", 1.0), ("rel1", 0.5)]),
     ]
     report = evaluate_run(run, {"q0": {"rel"}, "q1": {"rel1"}}, (5,))
     report.aggregate["HR@5"] = hr5  # pin the exact rate for table tests

@@ -362,6 +362,21 @@ class TestTrainAdapter:
         with pytest.raises(ValueError, match="bad-2"):
             train_adapter(pairs, embedder, TrainingConfig(batch_size=2))
 
+    @pytest.mark.parametrize("texts, message", [
+        (("risk", "???", "???", "capital"), "pair p1: base embedding of context is all-zero"),
+        (("???", "???", "risk", "capital"), "pair p1: base embedding of question is all-zero"),
+        (("risk", "capital", "???", "???"), "pair p2: base embedding of question is all-zero"),
+    ], ids=["context", "both", "later-pair"])
+    def test_zero_embedding_names_the_first_pair_question_first(self, texts, message):
+        """The first pair with a zero base embedding is named, and its
+        question before its context (``???`` holds no token)."""
+        q1, c1, q2, c2 = texts
+        pairs = [
+            QAPair("p0", "audit", "basel"), QAPair("p1", q1, c1), QAPair("p2", q2, c2),
+        ]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            train_adapter(pairs, HashEmbedder(dim=16, seed=0), TrainingConfig(batch_size=2))
+
     @pytest.mark.parametrize("extra", [-3, 1])
     def test_embedder_row_count_is_checked(self, extra):
         pairs = tiny_corpus()

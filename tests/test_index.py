@@ -12,23 +12,24 @@ from riskrank.index import (
     DenseIndex,
     LexicalIndex,
     RankedList,
+    Run,
     build_dense_index,
     build_lexical_index,
     dense_search_many,
     lexical_search_many,
     load_index,
-    ranked_list_from_scores,
     rrf_fuse,
     save_index,
 )
 
 from reference import (
     bm25_by_hand, bm25_score, bm25_term_weight, brute_force_dense, brute_force_rrf, check_ranking,
+    reference_ranked_list,
 )
 
 
 def ranked(query_id, *pairs):
-    return ranked_list_from_scores(query_id, pairs)
+    return reference_ranked_list(query_id, pairs)
 
 
 def postings_of(index):
@@ -49,8 +50,8 @@ class TestRankedList:
         assert rl.hits == (("c", 2.0), ("a", 1.0), ("b", 1.0))
 
     def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            ranked("q", ("a", 1.0), ("a", 0.5))
+        with pytest.raises(ValueError, match=r"'q' repeats item ids: \['a'\]"):
+            RankedList("q", (("a", 1.0), ("a", 0.5)))
 
     def test_validate_catches_repeated_ids(self):
         with pytest.raises(ValueError, match=r"'q' repeats item ids: \['a'\]"):
@@ -66,7 +67,7 @@ class TestRankedList:
     ])
     def test_nan_score_rejected(self, scored):
         with pytest.raises(ValueError, match="'q7'.*NaN"):
-            ranked_list_from_scores("q7", scored)
+            RankedList("q7", tuple(scored))
 
     def test_validate_catches_nan_score(self):
         with pytest.raises(ValueError, match="'q7'.*NaN"):
@@ -419,6 +420,37 @@ class TestLexicalSearch:
                     avgdl=index.avgdl,
                 )
 
+    @pytest.mark.parametrize("tf, message", [
+        ([0, 1, 1], "postings of 'capital' give item 'a' a tf of 0, below 1"),
+        ([1, 1, -3], "postings of 'risk' give item 'b' a tf of -3, below 1"),
+    ], ids=["zero", "negative"])
+    def test_hand_built_tf_below_one(self, tf, message):
+        """A tf below 1 would give an item a weight of 0 or below for a
+        term; it is refused, naming the term and the item."""
+        index = build_lexical_index(["a", "b"], ["capital risk", "risk"])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LexicalIndex(
+                item_ids=index.item_ids, terms=index.terms, starts=index.starts,
+                docs=index.docs, tf=np.array(tf, dtype=np.int32), doc_len=index.doc_len,
+                avgdl=index.avgdl,
+            )
+
+    @pytest.mark.parametrize("starts, docs, message", [
+        ([0, 2, 4], [0, 0, 0, 1], "postings of 'capital' name item 'a' more than once"),
+        ([0, 1, 4], [0, 1, 0, 1], "postings of 'risk' name item 'b' more than once"),
+    ], ids=["side-by-side", "apart"])
+    def test_hand_built_term_names_an_item_once(self, starts, docs, message):
+        """An item listed twice under one term would count twice in its df,
+        which can rise above the number of items and make the idf negative."""
+        index = build_lexical_index(["a", "b"], ["capital risk", "risk"])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LexicalIndex(
+                item_ids=index.item_ids, terms={"capital": 0, "risk": 1},
+                starts=np.array(starts),
+                docs=np.array(docs, dtype=np.int32), tf=np.ones(4, dtype=np.int32),
+                doc_len=index.doc_len, avgdl=index.avgdl,
+            )
+
     @pytest.mark.parametrize(
         "change",
         [
@@ -663,31 +695,32 @@ class TestRRF:
 
 
 def test_each_ranking_is_checked_once(rng):
-    """A run checks its rankings in one vectorized pass, without
-    _require_unique, so each ranking read from a search or a fusion is
-    checked once, by the RankedList that the run builds for it; only
-    ranked_list_from_scores checks its whole input first, as a cut at k can
-    drop a repeat."""
+    """Making a Run is the one check of a ranking. A search or a fusion of
+    runs checks its whole run at once, a RankedList checks itself as a
+    one-ranking run, and so each view ``run[i]`` is checked once more as
+    it is built; no ranking is checked by _require_unique."""
     ids = [f"d{i}" for i in range(6)]
     dense = build_dense_index(ids, rng.normal(size=(6, 4)))
     lexical = build_lexical_index(ids, ["risk capital", "risk", "audit", "risk", "credit", "x"])
-    a = ranked("q", ("x", 1.0), ("y", 0.5))
-    b = ranked("q", ("y", 0.9), ("z", 0.1))
+    query_ids, texts = ["q1", "q2", "q3"], ["risk", "capital", "audit credit"]
+    dense_run = dense_search_many(dense, rng.normal(size=(3, 4)), 4, query_ids)
+    lexical_run = lexical_search_many(lexical, texts, 4, query_ids)
     calls = [
-        (lambda: dense_search_many(dense, rng.normal(size=(3, 4)), 4, ["q1", "q2", "q3"]), 3),
-        (lambda: lexical_search_many(lexical, ["risk", "capital", "audit credit"], 4,
-                                     ["q1", "q2", "q3"]), 3),
-        (lambda: [rrf_fuse([a, b])], 1),
-        (lambda: [rrf_fuse([a, b, a], k=2)], 1),
-        (lambda: [ranked_list_from_scores("q", [("a", 1.0), ("b", 2.0)], k=1)], 2),
+        (lambda: dense_search_many(dense, rng.normal(size=(3, 4)), 4, query_ids), 1),
+        (lambda: lexical_search_many(lexical, texts, 4, query_ids), 1),
+        (lambda: rrf_fuse([dense_run, lexical_run], k=2), 1),
+        (lambda: RankedList("q", (("x", 1.0), ("y", 0.5))), 1),
+        (lambda: list(dense_run), 3),
     ]
     for call, checks in calls:
         with mock.patch.object(
+            Run, "__init__", autospec=True, side_effect=Run.__init__
+        ) as runs, mock.patch.object(
             index_module, "_require_unique", wraps=index_module._require_unique
-        ) as spy:
-            rankings = list(call())
-        assert all(ranking.hits for ranking in rankings)
-        assert spy.call_count == checks
+        ) as unique:
+            call()
+        assert runs.call_count == checks
+        assert unique.call_count == 0
 
 
 @pytest.mark.parametrize("value", [0, -2, 1.5, True, "3"], ids=repr)
@@ -698,13 +731,11 @@ def test_each_ranking_is_checked_once(rng):
             build_dense_index(["a"], [np.ones(2)]), [np.ones(2)], v, ["q"])),
         ("k", lambda v: lexical_search_many(
             build_lexical_index(["a"], ["risk"]), ["risk"], v, ["q"])),
-        ("k", lambda v: ranked_list_from_scores("q", [("a", 1.0)], k=v)),
         ("k_rrf", lambda v: rrf_fuse([ranked("q", ("a", 1.0))], k_rrf=v)),
         ("depth", lambda v: rrf_fuse([ranked("q", ("a", 1.0))], depth=v)),
         ("k", lambda v: rrf_fuse([ranked("q", ("a", 1.0))], k=v)),
     ],
-    ids=["dense_search_many", "lexical_search", "ranked_list_from_scores", "rrf_fuse-k_rrf",
-         "rrf_fuse-depth", "rrf_fuse-k"],
+    ids=["dense_search_many", "lexical_search", "rrf_fuse-k_rrf", "rrf_fuse-depth", "rrf_fuse-k"],
 )
 def test_counts_must_be_integers_of_at_least_one(name, call, value):
     message = f"{name} must be an integer >= 1, got {value!r}"
@@ -915,13 +946,15 @@ class TestPersistence:
             (lambda meta: meta.update(b=float("nan")), "field 'b' must be a number in"),
             (lambda meta: meta.update(b=1.5), "field 'b'"),
             (lambda meta: meta.update(b="0.75"), "field 'b'"),
+            (lambda meta: meta.update(has_dense=False, has_lexical=False),
+             "has_dense and has_lexical are both false"),
         ],
         ids=[
             "invalid-json", "not-an-object", "missing-count", "string-item_ids",
             "string-has_dense", "string-dim", "missing-avgdl", "nan-avgdl", "infinite-avgdl",
             "minus-infinite-avgdl", "negative-avgdl", "string-doc_len-value",
             "doc_len-past-int32", "negative-k1", "infinite-k1", "nan-b", "b-above-one",
-            "string-b",
+            "string-b", "nothing-saved",
         ],
     )
     def test_malformed_meta_names_file_and_field(self, tmp_path, damage, field):

@@ -1,7 +1,6 @@
-"""Property tests: rankings, RRF fusion and BM25 search against their oracles.
+"""Property tests: RRF fusion and BM25 search against their oracles.
 
-A ranking from scores is the pairs sorted by (-score, id), cut to k, with
-Python float scores whatever number type came in. RRF cases share ids across lists, tie scores inside a list (ids break the
+RRF cases share ids across lists, tie scores inside a list (ids break the
 tie), cut lists at ``depth`` and fuse up to five lists, where a running sum
 would depend on the order of the lists. BM25 cases draw tiny corpora over
 a six-word vocabulary, so terms repeat within and across items, and queries
@@ -15,7 +14,6 @@ with the Okapi formula on Python numbers.
 import math
 from unittest import mock
 
-import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -24,11 +22,12 @@ from riskrank.embedding import tokenize
 from riskrank.index import (
     build_lexical_index,
     lexical_search_many,
-    ranked_list_from_scores,
     rrf_fuse,
 )
 
-from reference import bm25_by_hand, bm25_score, brute_force_rrf, check_ranking
+from reference import (
+    bm25_by_hand, bm25_score, brute_force_rrf, check_ranking, reference_ranked_list,
+)
 
 PROPERTY_SETTINGS = settings(
     max_examples=200,
@@ -42,27 +41,6 @@ WORDS = ["risk", "capital", "stress", "credit", "basel", "audit"]
 MISSING = ["liquidity", "zeta"]
 
 
-SCORES = st.one_of(
-    st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0]),
-    st.floats(allow_nan=False),
-    st.floats(width=32, allow_nan=False).map(np.float32),
-    st.integers(-3, 3),
-)
-
-
-@PROPERTY_SETTINGS
-@given(
-    st.lists(st.tuples(st.sampled_from(UNIVERSE), SCORES), unique_by=lambda p: p[0]),
-    st.none() | st.integers(1, len(UNIVERSE) + 1),
-)
-def test_ranked_list_from_scores_sorts_and_cuts(scored, k):
-    ranking = ranked_list_from_scores("q", scored, k=k)
-    expected = sorted(((i, float(s)) for i, s in scored), key=lambda p: (-p[1], p[0]))[:k]
-    assert list(ranking.hits) == expected
-    assert all(type(score) is float for _, score in ranking.hits)
-    check_ranking(ranking.hits)
-
-
 @st.composite
 def rrf_cases(draw):
     """Ranked lists for one query (scores from a small set, so ties are common)."""
@@ -72,7 +50,7 @@ def rrf_cases(draw):
         scores = draw(st.lists(
             st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=len(ids), max_size=len(ids)
         ))
-        lists.append(ranked_list_from_scores("q", zip(ids, scores)))
+        lists.append(reference_ranked_list("q", zip(ids, scores)))
     return lists, draw(st.integers(1, 100)), draw(st.integers(1, 10))
 
 

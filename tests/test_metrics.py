@@ -7,15 +7,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from riskrank.index import RankedList, Run, ranked_list_from_scores
+from riskrank.index import RankedList, Run
 from riskrank.metrics import evaluate_run
 
-from reference import naive_ap, naive_hit_rate, naive_mrr, naive_ndcg, reference_evaluate_run
+from reference import (
+    naive_ap, naive_hit_rate, naive_mrr, naive_ndcg, reference_evaluate_run,
+    reference_ranked_list,
+)
 
 
 def run_of(query_id, ids):
     """RankedList whose item order is exactly ``ids``."""
-    return ranked_list_from_scores(
+    return reference_ranked_list(
         query_id, [(item, float(len(ids) - i)) for i, item in enumerate(ids)]
     )
 
@@ -262,8 +265,8 @@ class TestInvariants:
         for _ in range(50):
             order, relevant = random_instance(rng)
             scores = sorted(rng.uniform(0.1, 5.0, size=len(order)), reverse=True)
-            raw = ranked_list_from_scores("q", list(zip(order, scores)))
-            transformed = ranked_list_from_scores(
+            raw = reference_ranked_list("q", list(zip(order, scores)))
+            transformed = reference_ranked_list(
                 "q", [(i, math.exp(3.0 * s) + 7.0) for i, s in zip(order, scores)]
             )
             qrels = {"q": relevant}

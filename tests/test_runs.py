@@ -13,6 +13,7 @@ the number of items, queries may hit nothing, and an index may be empty.
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from riskrank.index import (
 )
 
 from reference import (
-    bm25_score, reference_rankings, reference_rrf_fuse, reference_unit_rows,
+    bm25_score, check_ranking, reference_rankings, reference_rrf_fuse, reference_unit_rows,
 )
 
 PROPERTY_SETTINGS = settings(
@@ -236,6 +237,40 @@ def test_runs_to_fuse_must_agree():
 def test_run_checks_its_arrays(arrays, message):
     with pytest.raises(ValueError, match=message):
         Run(["q"], ("x", "y"), *arrays)
+
+
+def refusal(make):
+    """The message of the ValueError that ``make()`` raises, or None."""
+    try:
+        make()
+    except ValueError as error:
+        return str(error)
+    return None
+
+
+HITS = st.lists(st.tuples(
+    st.sampled_from(ID_POOL[:4]), TIE_SCORES | st.sampled_from([0.5, math.nan])
+), max_size=5)
+
+
+@PROPERTY_SETTINGS
+@given(HITS | HITS.map(lambda hits: sorted(hits, key=lambda hit: -hit[1])))
+def test_a_ranked_list_is_checked_as_a_run(hits):
+    """``RankedList`` and ``Run.from_rankings`` accept or refuse the same
+    hits alike, with the same message, and accept just what
+    ``check_ranking`` accepts: NaN scores, repeated ids and rising scores
+    are refused, and 0.0 ties with -0.0 either way round."""
+    hits = tuple(hits)
+    message = refusal(lambda: RankedList("q", hits))
+    assert message == refusal(
+        lambda: Run.from_rankings([SimpleNamespace(query_id="q", hits=hits)])
+    )
+    try:
+        check_ranking(hits)
+    except AssertionError:
+        assert message is not None
+    else:
+        assert message is None
 
 
 def test_a_repeat_is_refused_within_a_ranking_only():
