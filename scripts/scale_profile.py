@@ -1,4 +1,4 @@
-"""Time ``run_eval``, ``train_adapter``, ``compare_adapter`` and ``riskrank eval`` at fixed scales.
+"""Time ``synth_dataset``, ``run_eval``, training, comparison and ``riskrank eval`` at fixed scales.
 
 Usage, from the repository root:
 
@@ -8,6 +8,7 @@ Each scale is ``synth_dataset(pairs // 100, 100, 50, seed=7)`` split 0.95
 with seed 7, embedded by ``HashEmbedder(dim=256)`` and evaluated over the
 all_contexts pool with k_list (5, 10, 100). At each scale the script times:
 
+- ``synth_dataset`` itself, making that scale's corpus;
 - ``run_eval`` in dense, lexical and hybrid mode (one call embeds, indexes,
   retrieves and scores);
 - ``train_adapter`` on the training split, 2 epochs, seed 7;
@@ -36,7 +37,8 @@ result (equal in every repeat, or the script fails), the step's peak RSS
 and its ``fsum_calls``: the ``math.fsum`` calls of one more repeat, run
 untimed after the others with ``math.fsum`` wrapped (exact sums that
 ``riskrank.embedding`` cannot certify, RRF bins of three or more terms and
-the metrics' sums). The digest is of the report's JSON bytes for
+the metrics' sums). The digest is of the ``save_qa_pairs`` bytes of the
+pairs for ``synth_dataset``, of the report's JSON bytes for
 ``run_eval``, of the base then the finetuned report's JSON bytes for
 ``compare_adapter``, of the report's JSON bytes for ``evaluate_run``,
 of the ``report.json`` file that ``riskrank eval`` writes, of the
@@ -207,6 +209,22 @@ def profile_scale(pairs_count: int, repeats: int) -> list[dict]:
         print(json.dumps(entry), file=sys.stderr, flush=True)
         return value
 
+    def synth():
+        def saved_pairs(dataset) -> str:
+            with tempfile.TemporaryDirectory() as tmp:
+                save_qa_pairs(dataset[1], Path(tmp) / "pairs.jsonl")
+                return sha256((Path(tmp) / "pairs.jsonl").read_bytes())
+
+        _, stats = timed(
+            f"{pairs_count} pairs, synth_dataset", repeats,
+            lambda: synth_dataset(
+                pairs_count // PAIRS_PER_CLUSTER, PAIRS_PER_CLUSTER, VOCAB_PER_CLUSTER, SEED
+            ),
+            saved_pairs,
+            digest_key="pairs_sha256",
+        )
+        return {"mode": "synth_dataset", **stats}, None
+
     def eval_config(mode: str) -> EvalConfig:
         return EvalConfig(retrieval_mode=mode, k_list=K_LIST, seed=SEED)
 
@@ -354,6 +372,7 @@ def profile_scale(pairs_count: int, repeats: int) -> list[dict]:
         )
         return {"mode": "dense_search_many_adapter", "queries": len(query_ids), **stats}, None
 
+    run("synth_dataset", synth)
     for mode in MODES:
         run(mode, lambda: eval_mode(mode))
     adapter = run("train_adapter", train)

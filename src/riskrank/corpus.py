@@ -22,6 +22,7 @@ import csv
 import math
 import re
 from dataclasses import asdict, dataclass, field
+from itertools import product
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -323,8 +324,62 @@ _CTX_NOISE_TOKENS = 4
 _Q_QUOTED_TOKENS = 3
 _Q_MARKER_TOKENS = 5
 _Q_NOISE_TOKENS = 3
-_Q_MARKER_WORDS = 4
-_CTX_MARKER_WORDS = 6
+
+# Pairs drawn by one ``Generator.integers`` call, at most 49 int64 draws each.
+_SYNTH_BLOCK_PAIRS = 1024
+
+# Every random draw of the generator is numpy's bounded draw of an integer
+# in [0, h): for 1 < h <= 2^32 it turns 32-bit words of the bit generator
+# into the integer by Lemire's multiply-and-reject method (Lemire, "Fast
+# random integer generation in an interval", ACM TOMACS 2019), and for h = 1
+# it returns 0 and takes no word.  ``rng.integers(h)`` is one such draw, and
+# ``rng.integers(highs)`` with an array of highs makes one per high, in
+# order, so it returns what scalar calls would, one after another.  Each
+# pair is drawn as if token by token:
+#   context: rng.choice(P, S, replace=False) over the cluster's P content
+#     words, S = min(10, P); 6 context markers; 4 noise words, each a
+#     cluster from rng.integers(n_clusters - 1), moved past the pair's own
+#     as c + (c >= own), then a content word of that cluster;
+#   question: rng.choice(S, Q, replace=False) over the context's S picks,
+#     Q = min(3, S); 5 question markers; 3 noise words as above, drawn from
+#     question markers.
+# With one cluster a noise word comes from the pair's own cluster and no
+# cluster is drawn.  ``rng.choice`` without p and with its default shuffle
+# samples by one of two methods; numpy 2.4 takes its tail shuffle only when
+# pop > 10 000 and size > pop // 50, which needs pop < 550 as size <= 10
+# here, so it always takes Floyd's sampling (Bentley & Floyd, CACM 1987):
+# step t = 0 .. size - 1 draws j in [0, pop - size + t] and picks j, or
+# pop - size + t if j is already picked; a Fisher-Yates shuffle of the
+# picks then draws k in [0, i] and swaps picks k and i, for i = size - 1
+# down to 1.  So every draw is a bounded draw, and the ranges are the same
+# for every pair: every cluster's word groups have one size, and no range
+# depends on a value drawn.  One call with that list of highs, tiled over a
+# block of pairs, makes the block's draws, and Floyd's steps and the swaps
+# run as at most 10 array steps each over the whole block.  Any numpy
+# release that draws differently changes the pinned corpus digests in the
+# tests, and ``tests/reference.py`` keeps the pair-by-pair generator.
+
+
+def _choice_highs(pop: int, size: int) -> list[int]:
+    """The highs of the draws of ``rng.choice(pop, size, replace=False)``:
+    Floyd's steps, then the shuffle's."""
+    return [pop - size + t + 1 for t in range(size)] + list(range(size, 1, -1))
+
+
+def _choice(draws: np.ndarray, pop: int, size: int) -> np.ndarray:
+    """Each row's ``rng.choice(pop, size, replace=False)`` from that row's
+    draws, made with the highs ``_choice_highs(pop, size)``."""
+    picks = np.empty((len(draws), size), dtype=np.int64)
+    for t in range(size):
+        j = draws[:, t]
+        taken = (picks[:, :t] == j[:, None]).any(axis=1)
+        picks[:, t] = np.where(taken, pop - size + t, j)
+    rows = np.arange(len(draws))
+    for k, i in zip(draws[:, size:].T, range(size - 1, 0, -1)):
+        picked = picks[rows, k]
+        picks[rows, k] = picks[:, i]
+        picks[:, i] = picked
+    return picks
 
 
 def synth_dataset(
@@ -338,78 +393,92 @@ def synth_dataset(
     Returns one document per cluster (the concatenation of its contexts) and
     ``n_clusters * pairs_per_cluster`` pairs; each pair's ``doc_id`` names its
     cluster document. Questions and contexts sample mostly from their own
-    cluster's vocabulary with a small amount of cross-cluster noise.
+    cluster's vocabulary with a small amount of cross-cluster noise. The
+    draws are those of scalar ``rng.integers`` and ``rng.choice`` calls, pair
+    by pair, on one PCG64 stream, made in blocks of pairs by one
+    ``Generator.integers`` call each (see the comment above).
     """
     values = {"n_clusters": n_clusters, "pairs_per_cluster": pairs_per_cluster,
               "vocab_per_cluster": vocab_per_cluster, "seed": seed}
     check_values(values, {**dict.fromkeys(values, POSITIVE_INTEGER), "seed": INTEGER})
     rng = np.random.default_rng(seed)
-    vocab = [
-        [f"c{c:02d}w{i:03d}" for i in range(vocab_per_cluster)]
-        for c in range(n_clusters)
-    ]
+    # Word c * vocab_per_cluster + i is the ith word of cluster c.
+    words = np.array(
+        [f"c{c:02d}w{i:03d}" for c in range(n_clusters) for i in range(vocab_per_cluster)],
+        dtype=object,
+    )
+    # Each group of a cluster's words as (its first word, its size).
     n_qmark = max(1, round(0.08 * vocab_per_cluster))
     n_cmark = max(1, round(0.12 * vocab_per_cluster))
     if vocab_per_cluster - n_qmark - n_cmark >= 1:
-        question_markers = [v[:n_qmark] for v in vocab]
-        context_markers = [v[n_qmark : n_qmark + n_cmark] for v in vocab]
-        content = [v[n_qmark + n_cmark :] for v in vocab]
+        question_markers, context_markers = (0, n_qmark), (n_qmark, n_cmark)
+        content = (n_qmark + n_cmark, vocab_per_cluster - n_qmark - n_cmark)
     else:
         # vocabulary too small to partition; all groups share it
-        question_markers = context_markers = content = vocab
+        question_markers = context_markers = content = (0, vocab_per_cluster)
+    n_picks = min(_CTX_CONTENT_TOKENS, content[1])
+    n_quoted = min(_Q_QUOTED_TOKENS, n_picks)
+    cluster_draw = [n_clusters - 1] if n_clusters > 1 else []
+    segments = [
+        _choice_highs(content[1], n_picks),
+        [context_markers[1]] * _CTX_MARKER_TOKENS,
+        (cluster_draw + [content[1]]) * _CTX_NOISE_TOKENS,
+        _choice_highs(n_picks, n_quoted),
+        [question_markers[1]] * _Q_MARKER_TOKENS,
+        (cluster_draw + [question_markers[1]]) * _Q_NOISE_TOKENS,
+    ]
+    highs = np.array([high for segment in segments for high in segment])
+    cuts = np.add.accumulate([len(segment) for segment in segments])[:-1]
 
-    def pick(words: list[str], count: int) -> list[str]:
-        return [words[int(rng.integers(len(words)))] for _ in range(count)]
+    def cross_noise(draws: np.ndarray, own: np.ndarray, group: tuple[int, int]) -> np.ndarray:
+        if n_clusters == 1:
+            cluster, word = own, draws
+        else:
+            cluster, word = draws[:, 0::2], draws[:, 1::2]
+            cluster = cluster + (cluster >= own)
+        return cluster * vocab_per_cluster + group[0] + word
 
-    def pick_distinct(words: list[str], count: int) -> list[str]:
-        idx = rng.choice(len(words), size=min(count, len(words)), replace=False)
-        return [words[int(i)] for i in idx]
+    n_pairs = n_clusters * pairs_per_cluster
+    contexts: list[str] = []
+    questions: list[str] = []
+    for start in range(0, n_pairs, _SYNTH_BLOCK_PAIRS):
+        rows = min(_SYNTH_BLOCK_PAIRS, n_pairs - start)
+        draws = rng.integers(np.tile(highs, rows)).reshape(rows, len(highs))
+        content_draws, cmark_draws, cnoise_draws, quote_draws, qmark_draws, qnoise_draws = (
+            np.split(draws, cuts, axis=1)
+        )
+        own = (np.arange(start, start + rows) // pairs_per_cluster)[:, None]
+        first = own * vocab_per_cluster
+        picks = first + content[0] + _choice(content_draws, content[1], n_picks)
+        context_tokens = np.hstack([
+            picks,
+            first + context_markers[0] + cmark_draws,
+            cross_noise(cnoise_draws, own, content),
+        ])
+        question_tokens = np.hstack([
+            np.take_along_axis(picks, _choice(quote_draws, n_picks, n_quoted), axis=1),
+            first + question_markers[0] + qmark_draws,
+            cross_noise(qnoise_draws, own, question_markers),
+        ])
+        contexts += map(" ".join, words[context_tokens].tolist())
+        questions += map(" ".join, words[question_tokens].tolist())
 
-    def cross_noise(groups: list[list[str]], own: int, count: int) -> list[str]:
-        words = []
-        for _ in range(count):
-            if n_clusters == 1:
-                c = own
-            else:
-                c = int(rng.integers(n_clusters - 1))
-                if c >= own:
-                    c += 1
-            words.append(groups[c][int(rng.integers(len(groups[c])))])
-        return words
-
-    pairs: list[QAPair] = []
-    cluster_texts: list[list[str]] = [[] for _ in range(n_clusters)]
-    for c in range(n_clusters):
-        for i in range(pairs_per_cluster):
-            own_content = pick_distinct(content[c], _CTX_CONTENT_TOKENS)
-            context_tokens = (
-                own_content
-                + pick(context_markers[c], _CTX_MARKER_TOKENS)
-                + cross_noise(content, c, _CTX_NOISE_TOKENS)
-            )
-            quoted = pick_distinct(own_content, _Q_QUOTED_TOKENS)
-            question_tokens = (
-                quoted
-                + pick(question_markers[c], _Q_MARKER_TOKENS)
-                + cross_noise(question_markers, c, _Q_NOISE_TOKENS)
-            )
-            context = " ".join(context_tokens)
-            question = " ".join(question_tokens)
-            pairs.append(
-                QAPair(
-                    pair_id=f"c{c:02d}-p{i:04d}",
-                    question=question,
-                    context=context,
-                    doc_id=f"cluster-{c:02d}",
-                )
-            )
-            cluster_texts[c].append(context)
-
+    pairs = [
+        QAPair(
+            pair_id=f"c{c:02d}-p{i:04d}",
+            question=question,
+            context=context,
+            doc_id=f"cluster-{c:02d}",
+        )
+        for (c, i), question, context in zip(
+            product(range(n_clusters), range(pairs_per_cluster)), questions, contexts
+        )
+    ]
     documents = [
         Document(
             doc_id=f"cluster-{c:02d}",
             title=f"Synthetic cluster {c}",
-            body=" ".join(cluster_texts[c]),
+            body=" ".join(contexts[c * pairs_per_cluster:(c + 1) * pairs_per_cluster]),
             source_meta={"generator": "synth", "cluster": str(c)},
         )
         for c in range(n_clusters)

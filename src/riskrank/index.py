@@ -9,10 +9,11 @@ vectorized pass when it is made. Both searches and ``rrf_fuse`` return
 runs, and ``riskrank.metrics`` scores a run from its arrays. A
 ``RankedList``, a tuple of ``(item_id, score)`` pairs best first (the rank
 of ``hits[i]`` is ``i + 1``), is the public view of one query: ``run[i]``
-builds one, and it checks itself as a one-ranking run, so making a run is
-the one check of a ranking. ``Run.from_rankings`` turns RankedLists into a
-run over the sorted union of their ids. Every ranking this module returns
-is a deterministic total order: scores sort descending and ties break by
+builds one from the run's checked arrays, and one built from outside
+checks itself as a one-ranking run, so making a run is the one check of a
+ranking. ``Run.from_rankings`` turns RankedLists into a run over the
+sorted union of their ids. Every ranking this module returns is a
+deterministic total order: scores sort descending and ties break by
 ascending item id.
 Dense scores are exactly-rounded float64 dot products of unit vectors, an
 exact zero being +0.0 (see ``riskrank.embedding``), so a full-scan
@@ -35,8 +36,9 @@ expression, and added by ``_keyed_sum`` over the (query, item) keys, in
 input order, so each item adds its term weights in the order of those
 terms. The fusion adds its reciprocal ranks through the same keyed sum.
 Both searches and the fusion hand their (query, item, score) arrays to one
-tail, ``_top_k``, which orders them by one ``np.lexsort`` and cuts each
-query at k. Searching and fusing runs makes no Python loop over hits.
+tail, ``_top_k``, which orders them by one sort of an int64 key (query,
+then -score, then id) and cuts each query at k. Searching and fusing runs
+makes no Python loop over hits.
 
 Persistence writes a directory with ``meta.json`` (counts, dimension, BM25
 parameters, item ids, token counts), ``vectors.bin`` (the item rows as one
@@ -102,13 +104,14 @@ def _block_queries(n: int) -> int:
 class RankedList:
     """Retrieval hits for one query: ``(item_id, score)`` pairs, best first.
     The hits are checked as a one-ranking ``Run``: a repeated id, a NaN score
-    or a rising score raises ValueError naming the query."""
+    or a rising score raises ValueError naming the query. A view ``run[i]``
+    is not checked again: its run checked it."""
 
     query_id: str
     hits: tuple[tuple[str, float], ...]
 
     def __post_init__(self) -> None:
-        Run.from_rankings((self,))  # a Run never builds a RankedList
+        Run.from_rankings((self,))  # Run.__init__ builds no RankedList
 
     @property
     def item_ids(self) -> list[str]:
@@ -140,9 +143,9 @@ class Run(Sequence[RankedList]):
     not integers, bounds that do not rise from 0 to the number of pairs, an
     item number outside ``item_ids``, an item that repeats within one
     ranking, a NaN score or a score that rises within a ranking raise
-    ValueError. ``run[i]`` builds ranking ``i`` as a ``RankedList``, which
-    checks itself as a one-ranking run, and iterating a run builds each
-    ranking in turn. A run compares and hashes by identity.
+    ValueError. ``run[i]`` builds ranking ``i`` as a ``RankedList`` without
+    checking it again, and iterating a run builds each ranking in turn. A
+    run compares and hashes by identity.
     """
 
     def __init__(
@@ -223,7 +226,12 @@ class Run(Sequence[RankedList]):
         i = range(len(self))[i]  # IndexError past either end
         lo, hi = self.bounds[i:i + 2].tolist()
         ids = map(self.item_ids.__getitem__, self.items[lo:hi].tolist())
-        return RankedList(self.query_ids[i], tuple(zip(ids, self.scores[lo:hi].tolist())))
+        # The run checked this ranking when it was made: the view skips
+        # RankedList.__post_init__, which would check it again.
+        view = object.__new__(RankedList)
+        object.__setattr__(view, "query_id", self.query_ids[i])
+        object.__setattr__(view, "hits", tuple(zip(ids, self.scores[lo:hi].tolist())))
+        return view
 
 
 def _integers(values: object, name: str, dtype: type) -> np.ndarray:
@@ -251,9 +259,18 @@ def _id_rank(item_ids: Sequence[str]) -> np.ndarray:
     return rank
 
 
-# The one ranking tail.  ``np.lexsort`` sorts stably by its last key first:
-# by query, then by -score, then by id rank.  It compares floats by value,
-# so 0.0 and -0.0 tie and their ids decide, as in the (-score, id) order.
+# The one ranking tail sorts one int64 key per pair,
+#   (which * U + r) * N + id_rank[item],
+# where r is the rank of -score among the U distinct scores and N is the
+# number of ids.  ``np.unique`` compares floats by value, so 0.0 and -0.0
+# share one r and their ids decide, as in the (-score, id) order.  A
+# query's pairs name distinct items, so the keys are distinct, and any sort
+# of them, stable or not, gives the order by query, then -score, then id.
+# Every key is below queries * U * N, with U at most the number of pairs.
+# Over every search and fusion of ``scripts/scale_profile.py`` the largest
+# product is below 2^31 at 3 000 pairs and below 2^38 at 50 000, far from
+# 2^63; it is checked as a Python int, so a key that would not fit raises
+# rather than wraps.
 def _top_k(
     which: np.ndarray,
     items: np.ndarray,
@@ -265,8 +282,14 @@ def _top_k(
     """The pairs ``(which[t], items[t], scores[t])`` of queries ``0 ..
     queries - 1``, each query's pairs ordered by ``(-score, id)`` and cut at
     ``k`` (none when k is None): their items, their scores and how many
-    each query keeps."""
-    order = np.lexsort((id_rank[items], -scores, which))
+    each query keeps. ValueError when the sort key would not fit in int64."""
+    distinct, rank = np.unique(-scores, return_inverse=True)
+    if queries * len(distinct) * len(id_rank) >= 2**63:
+        raise ValueError(
+            f"cannot rank {len(distinct)} distinct scores of {queries} queries "
+            f"over {len(id_rank)} items in one int64 key"
+        )
+    order = np.argsort((which * len(distinct) + rank) * len(id_rank) + id_rank[items])
     which = which[order]
     counts = np.bincount(which, minlength=queries)
     k = len(which) if k is None else min(k, len(which))
@@ -383,10 +406,11 @@ def dense_search_many(
     """Exact top-k by cosine over the whole index, one ranking per query row.
 
     Row i of ``queries`` is ranked under ``query_ids[i]``. Each query is
-    normalized with ``unit_rows`` (a zero query scores 0 everywhere); each
-    item's score is the exactly-rounded dot product with its stored row.
-    Fewer than k items means all items are returned. A query holding NaN
-    or Inf raises ValueError naming its id.
+    normalized with ``unit_rows`` (a zero query scores +0.0 everywhere, so
+    its hits are the k first ids); each item's score is the
+    exactly-rounded dot product with its stored row. Fewer than k items
+    means all items are returned. A query holding NaN or Inf raises
+    ValueError naming its id.
 
     Only rows that can reach the top k are scored exactly: an approximate
     score from BLAS plus a rigorous bound on its error rules the others
@@ -422,6 +446,8 @@ def dense_search_many(
             error_scale * np.abs(chunk).max(axis=1, initial=0.0), 2.0**-1000
         )
         keep = approx >= (threshold - 2.0 * error)[:, None]
+        # A zero query scores +0.0 on every row, so its top k are the k first ids.
+        keep[~chunk.any(axis=1)] &= id_rank < k
         # Each query's pairs name distinct rows, and an exact sum of finite
         # products is never NaN.
         which, kept = np.divmod(np.flatnonzero(keep), n)

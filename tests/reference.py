@@ -17,6 +17,8 @@ the largest cutoff, matched against the relevant ids one by one.
 ``bm25_term_weight``, the Okapi formula on Python numbers in the library's
 order of operations, so it gives the library's bits; it is checked against
 ``bm25_by_hand``, a direct transcription of the formula.
+``reference_synth_dataset`` keeps the synthetic corpus generator that drew
+each pair with scalar ``rng.integers`` and ``rng.choice`` calls.
 """
 
 from __future__ import annotations
@@ -30,6 +32,11 @@ from typing import Sequence
 
 import numpy as np
 
+from riskrank.cache import INTEGER, POSITIVE_INTEGER, check_values
+from riskrank.corpus import (
+    _CTX_CONTENT_TOKENS, _CTX_MARKER_TOKENS, _CTX_NOISE_TOKENS, _Q_MARKER_TOKENS,
+    _Q_NOISE_TOKENS, _Q_QUOTED_TOKENS, Document, QAPair,
+)
 from riskrank.index import LexicalIndex, RankedList
 from riskrank.metrics import MetricReport, _query_values
 
@@ -349,3 +356,90 @@ def bm25_score(index: LexicalIndex, query_terms: Sequence[str], item_id: str) ->
             index.count, index.k1, index.b,
         )
     return score
+
+
+def reference_synth_dataset(
+    n_clusters: int,
+    pairs_per_cluster: int,
+    vocab_per_cluster: int,
+    seed: int,
+) -> tuple[list[Document], list[QAPair]]:
+    """The synthetic corpus drawn pair by pair: scalar ``rng.integers``
+    calls and ``rng.choice(..., replace=False)`` per pair, in the order of
+    the tokens they pick. ``synth_dataset`` must return the same documents
+    and pairs for every input."""
+    values = {"n_clusters": n_clusters, "pairs_per_cluster": pairs_per_cluster,
+              "vocab_per_cluster": vocab_per_cluster, "seed": seed}
+    check_values(values, {**dict.fromkeys(values, POSITIVE_INTEGER), "seed": INTEGER})
+    rng = np.random.default_rng(seed)
+    vocab = [
+        [f"c{c:02d}w{i:03d}" for i in range(vocab_per_cluster)]
+        for c in range(n_clusters)
+    ]
+    n_qmark = max(1, round(0.08 * vocab_per_cluster))
+    n_cmark = max(1, round(0.12 * vocab_per_cluster))
+    if vocab_per_cluster - n_qmark - n_cmark >= 1:
+        question_markers = [v[:n_qmark] for v in vocab]
+        context_markers = [v[n_qmark : n_qmark + n_cmark] for v in vocab]
+        content = [v[n_qmark + n_cmark :] for v in vocab]
+    else:
+        # vocabulary too small to partition; all groups share it
+        question_markers = context_markers = content = vocab
+
+    def pick(words: list[str], count: int) -> list[str]:
+        return [words[int(rng.integers(len(words)))] for _ in range(count)]
+
+    def pick_distinct(words: list[str], count: int) -> list[str]:
+        idx = rng.choice(len(words), size=min(count, len(words)), replace=False)
+        return [words[int(i)] for i in idx]
+
+    def cross_noise(groups: list[list[str]], own: int, count: int) -> list[str]:
+        words = []
+        for _ in range(count):
+            if n_clusters == 1:
+                c = own
+            else:
+                c = int(rng.integers(n_clusters - 1))
+                if c >= own:
+                    c += 1
+            words.append(groups[c][int(rng.integers(len(groups[c])))])
+        return words
+
+    pairs: list[QAPair] = []
+    cluster_texts: list[list[str]] = [[] for _ in range(n_clusters)]
+    for c in range(n_clusters):
+        for i in range(pairs_per_cluster):
+            own_content = pick_distinct(content[c], _CTX_CONTENT_TOKENS)
+            context_tokens = (
+                own_content
+                + pick(context_markers[c], _CTX_MARKER_TOKENS)
+                + cross_noise(content, c, _CTX_NOISE_TOKENS)
+            )
+            quoted = pick_distinct(own_content, _Q_QUOTED_TOKENS)
+            question_tokens = (
+                quoted
+                + pick(question_markers[c], _Q_MARKER_TOKENS)
+                + cross_noise(question_markers, c, _Q_NOISE_TOKENS)
+            )
+            context = " ".join(context_tokens)
+            question = " ".join(question_tokens)
+            pairs.append(
+                QAPair(
+                    pair_id=f"c{c:02d}-p{i:04d}",
+                    question=question,
+                    context=context,
+                    doc_id=f"cluster-{c:02d}",
+                )
+            )
+            cluster_texts[c].append(context)
+
+    documents = [
+        Document(
+            doc_id=f"cluster-{c:02d}",
+            title=f"Synthetic cluster {c}",
+            body=" ".join(cluster_texts[c]),
+            source_meta={"generator": "synth", "cluster": str(c)},
+        )
+        for c in range(n_clusters)
+    ]
+    return documents, pairs

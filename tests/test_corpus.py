@@ -1,9 +1,12 @@
 """Loaders, chunking, splitting, eval sets, and the synthetic generator."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from riskrank.corpus import (
     Document,
@@ -17,6 +20,8 @@ from riskrank.corpus import (
     split_pairs,
     synth_dataset,
 )
+
+from reference import reference_synth_dataset
 
 
 def write_jsonl(path, records):
@@ -381,6 +386,42 @@ class TestSynthDataset:
             cluster_tag = pair.doc_id.split("-")[1]
             own = sum(1 for t in pair.question.split() if t.startswith(f"c{cluster_tag}"))
             assert own >= 1  # quoted context tokens always come from the cluster
+
+    # SHA-256 of the save_qa_pairs and save_documents bytes. They change if
+    # the generator, or numpy's bounded draws and choice, draw differently.
+    @pytest.mark.parametrize("clusters, pairs_digest, documents_digest", [
+        (10, "112ec48de1922f86668a150c96895ac4a08fe718de5b62c7cacebe19f87ec9d1",
+         "0a64d1cc45d2e3a63b3c8bcb70bd8a2520fe2ebc76319ef0df7741a3810075cf"),
+        (30, "b08144d02e353b5ac62f431f9a75cbf7191169696baeeefcf349811e00bfd76b",
+         "f47d95dc155fb1216ca544a063f8549958f6743b6fdce7a584e845f2c82a26ea"),
+        (5, "65669c0438c630cd0aeca7f5ef184a04b66681165aaf785ef59bd57a713fbfa3",
+         "01cde7de3a7c71ad8dfaf503fc9195d96804b343c00d445bbea303c768d7718d"),
+    ])
+    def test_pinned_corpus_bytes(self, tmp_path, clusters, pairs_digest, documents_digest):
+        documents, pairs = synth_dataset(clusters, 100, 50, seed=7)
+        save_qa_pairs(pairs, tmp_path / "pairs.jsonl")
+        save_documents(documents, tmp_path / "documents.jsonl")
+        assert hashlib.sha256((tmp_path / "pairs.jsonl").read_bytes()).hexdigest() == pairs_digest
+        assert hashlib.sha256(
+            (tmp_path / "documents.jsonl").read_bytes()
+        ).hexdigest() == documents_digest
+
+    @settings(max_examples=150, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.integers(1, 6), st.integers(1, 20), st.integers(1, 60), st.integers(0, 2**64 - 1))
+    def test_matches_the_pair_by_pair_generator(self, clusters, pairs, vocab, seed):
+        """Every vocabulary size, the shared-vocabulary ones (below 4 words)
+        and content pools below 10 words included, one cluster (no cluster
+        draws) and two (a one-value cluster draw)."""
+        assert synth_dataset(clusters, pairs, vocab, seed) == reference_synth_dataset(
+            clusters, pairs, vocab, seed
+        )
+
+    def test_blocks_split_clusters_alike(self):
+        """Blocks of pairs that start and end inside a cluster, and more
+        clusters than one block holds pairs."""
+        for args in [(3, 1500, 14, 11), (1, 2100, 12, 3), (1100, 1, 9, 5)]:
+            assert synth_dataset(*args) == reference_synth_dataset(*args)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -295,6 +295,43 @@ def test_a_zero_query_makes_no_fsum_call():
     assert hits(got) == [(item_id, "0x0.0p+0") for item_id in ids]
 
 
+def test_a_zero_query_verifies_only_its_k_first_ids():
+    """A zero query (+0.0 or -0.0 everywhere) scores +0.0 on every row, so
+    at most k of its pairs reach ``_exact_dots`` and its ranking is the
+    full scan's, the k first ids, whatever the other queries of its block.
+    Ids are out of order in the index."""
+    rng = np.random.default_rng(5)
+    n, dim = 300, 16
+    ids = [f"item-{i:03d}" for i in rng.permutation(n)]
+    vectors = rng.normal(size=(n, dim))
+    index = build_dense_index(ids, vectors)
+    nonzero = rng.normal(size=(3, dim))
+    nonzero[1, :12] = 0.0  # a sparse query
+    blocks = [
+        np.zeros((1, dim)),
+        np.vstack([nonzero[0], np.zeros(dim), nonzero[1], np.full(dim, -0.0), nonzero[2]]),
+        np.zeros((_MIN_BLOCK_QUERIES + 3, dim)),  # two blocks of zero queries
+    ]
+    for queries in blocks:
+        zero = ~queries.any(axis=1)
+        for k in (1, 7, n, n + 3):
+            query_ids = [f"q{i}" for i in range(len(queries))]
+            got, calls = exact_dots_calls(
+                lambda: dense_search_many(index, queries, k, query_ids)
+            )
+            sent = np.zeros(len(queries), dtype=np.int64)
+            start = 0
+            for call in (c for c in calls if c.rows is not c.queries):
+                sent[start:start + len(call.queries)] += np.bincount(
+                    call.query_of, minlength=len(call.queries)
+                )
+                start += len(call.queries)
+            assert (sent[zero] <= k).all()
+            for query, ranking in zip(queries, got):
+                assert hits(ranking) == bits(brute_force_dense(ids, vectors, query, k))
+            assert all(r.item_ids == sorted(ids)[:k] for r, z in zip(got, zero) if z)
+
+
 def test_query_blocks_and_wide_ties():
     """More queries than one block holds, and a tie band wider than k."""
     rng = np.random.default_rng(7)

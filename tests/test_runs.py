@@ -71,27 +71,49 @@ def expected(query_ids, per_query, k):
     return [(query_id, bits(hits)) for query_id, hits in ranked]
 
 
-@PROPERTY_SETTINGS
-@given(IDS, st.data(), st.none() | K)
-def test_tail_matches_the_list_path(ids, data, k):
-    """Several queries' pairs, in any order, through ``_top_k`` into a run."""
-    pair = st.tuples(st.integers(0, len(ids) - 1), TIE_SCORES) if ids else st.nothing()
-    per_query = [
-        data.draw(st.lists(pair, unique_by=lambda p: p[0]))
-        for _ in range(data.draw(st.integers(0, 4)))
-    ]
-    query_ids = [f"q{i}" for i in range(len(per_query))]
-    which = np.repeat(np.arange(len(per_query)), [len(p) for p in per_query]).astype(np.int64)
+def check_tail(data, ids, scores, queries, k):
+    """``queries`` queries' pairs over ``ids`` with ``scores``, in any
+    order, through ``_top_k`` into a run: ``reference_rankings``' order and
+    cut."""
+    pair = st.tuples(st.integers(0, len(ids) - 1), scores) if ids else st.nothing()
+    per_query = [data.draw(st.lists(pair, unique_by=lambda p: p[0])) for _ in range(queries)]
+    query_ids = [f"q{i}" for i in range(queries)]
+    which = np.repeat(np.arange(queries), [len(p) for p in per_query]).astype(np.int64)
     items = np.array([i for p in per_query for i, _ in p], dtype=np.int64)
     scores = np.array([s for p in per_query for _, s in p], dtype=np.float64)
     shuffle = np.array(data.draw(st.permutations(range(len(items)))), dtype=np.int64)
     top = index_module._top_k(
-        which[shuffle], items[shuffle], scores[shuffle], index_module._id_rank(ids),
-        len(per_query), k,
+        which[shuffle], items[shuffle], scores[shuffle], index_module._id_rank(ids), queries, k
     )
     run = index_module._run(query_ids, ids, [top])
     named = [[(ids[i], s) for i, s in p] for p in per_query]
     assert listed(run) == expected(query_ids, named, k)
+
+
+@PROPERTY_SETTINGS
+@given(IDS, st.data(), st.none() | K)
+def test_tail_matches_the_list_path(ids, data, k):
+    """Several queries' pairs, in any order, through ``_top_k`` into a run."""
+    check_tail(data, ids, TIE_SCORES, data.draw(st.integers(0, 4)), k)
+
+
+@PROPERTY_SETTINGS
+@given(st.data(), st.integers(1, 30))
+def test_tail_orders_crowded_ties(data, n):
+    """Many pairs per query over few scores (0.0 and -0.0 among them), with
+    k anywhere in the band of ties: the int64 key still gives the list
+    path's order and cut."""
+    ids = data.draw(st.lists(st.text(max_size=3), min_size=n, max_size=n, unique=True))
+    k = data.draw(st.none() | st.integers(1, n + 1))
+    check_tail(data, ids, st.sampled_from([0.0, -0.0, 0.5, -2.0]), data.draw(st.integers(1, 6)), k)
+
+
+def test_tail_refuses_a_key_that_would_not_fit():
+    """queries * distinct scores * ids at 2^63 or more would wrap the key."""
+    which, items, scores = np.zeros(2, dtype=np.int64), np.arange(2), np.array([1.0, 2.0])
+    with pytest.raises(ValueError, match="cannot rank 2 distinct scores of 2305843009213693952 "
+                                         "queries over 2 items in one int64 key"):
+        index_module._top_k(which, items, scores, np.arange(2), 2**61, None)
 
 
 @st.composite
@@ -284,6 +306,27 @@ def test_a_repeat_is_refused_within_a_ranking_only():
     # Empty arrays, of any dtype, are a run of empty rankings.
     assert list(Run(["p"], ids, [0, 0], [], [])) == [RankedList("p", ())]
     assert len(Run([], (), [0], np.zeros(0), np.zeros(0))) == 0
+
+
+@PROPERTY_SETTINGS
+@given(dense_cases(), lexical_cases(), K)
+def test_a_view_equals_a_ranked_list_built_from_its_hits(dense, lexical, k):
+    """``run[i]`` is built without a check, yet it equals, field by field,
+    the ``RankedList`` made publicly (and so checked) from the same hits."""
+    ids, rows, queries = dense
+    dense_run = dense_search_many(
+        build_dense_index(ids, rows, dim=rows.shape[1]), queries, k,
+        [f"q{i}" for i in range(len(queries))],
+    )
+    ids, texts, queries = lexical
+    lexical_run = lexical_search_many(
+        build_lexical_index(ids, texts), queries, k, [f"q{i}" for i in range(len(queries))]
+    )
+    for view in [*dense_run, *lexical_run]:
+        built = RankedList(view.query_id, view.hits)
+        assert type(view) is RankedList
+        assert view == built and hash(view) == hash(built)
+        assert bits(view.hits) == bits(built.hits)
 
 
 def test_run_is_a_sequence_of_rankings():
