@@ -24,8 +24,9 @@ ids = list(items)
 dense_index = build_dense_index(ids, embedder.embed(list(items.values())))
 lexical_index = build_lexical_index(ids, list(items.values()))
 
-[dense_hits] = dense_search_many(dense_index, embedder.embed([query]), 5, ["q1"])
-lexical_hits = lexical_search_many(lexical_index, [query], 5, ["q1"])[0]
+dense_run = dense_search_many(dense_index, embedder.embed([query]), 5, ["q1"])
+lexical_run = lexical_search_many(lexical_index, [query], 5, ["q1"])
+[dense_hits], [lexical_hits] = dense_run, lexical_run
 
 print(f"query: {query!r}\n")
 print("dense (cosine):")
@@ -35,7 +36,7 @@ print("lexical (BM25):")
 for rank, (item_id, score) in enumerate(lexical_hits.hits, 1):
     print(f"  {rank}. {item_id:<9} {score:+.4f}")
 
-fused = rrf_fuse([dense_hits, lexical_hits], k_rrf=60, depth=100)
+[fused] = rrf_fuse([dense_run, lexical_run], k_rrf=60, depth=100)
 print("hybrid (reciprocal-rank fusion):")
 for rank, (item_id, score) in enumerate(fused.hits, 1):
     print(f"  {rank}. {item_id:<9} {score:.6f}")

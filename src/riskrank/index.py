@@ -6,15 +6,14 @@ numbers into the index's ids and of float64 scores, best first. It refuses
 an item repeated within one ranking, NaN scores and rising scores, and
 item numbers or bounds that are not integers or would wrap, in one
 vectorized pass when it is made. Both searches and ``rrf_fuse`` return
-runs, and ``riskrank.metrics`` scores a run from its arrays. A
-``RankedList``, a tuple of ``(item_id, score)`` pairs best first (the rank
-of ``hits[i]`` is ``i + 1``), is the public view of one query: ``run[i]``
-builds one from the run's checked arrays, and one built from outside
-checks itself as a one-ranking run, so making a run is the one check of a
-ranking. ``Run.from_rankings`` turns RankedLists into a run over the
-sorted union of their ids. Every ranking this module returns is a
-deterministic total order: scores sort descending and ties break by
-ascending item id.
+runs, ``rrf_fuse`` takes only runs, and ``riskrank.metrics`` scores a run
+from its arrays. A ``RankedList``, a tuple of ``(item_id, score)`` pairs
+best first (the rank of ``hits[i]`` is ``i + 1``), is a plain view of one
+query that checks nothing: ``run[i]`` builds one from the run's checked
+arrays, and ``Run.from_rankings`` turns RankedLists built elsewhere into a
+run over the sorted union of their ids, so making a run is the one check
+of a ranking. Every ranking this module returns is a deterministic total
+order: scores sort descending and ties break by ascending item id.
 Dense scores are exactly-rounded float64 dot products of unit vectors, an
 exact zero being +0.0 (see ``riskrank.embedding``), so a full-scan
 re-implementation of the same arithmetic reproduces them bit-for-bit.
@@ -103,15 +102,11 @@ def _block_queries(n: int) -> int:
 @dataclass(frozen=True)
 class RankedList:
     """Retrieval hits for one query: ``(item_id, score)`` pairs, best first.
-    The hits are checked as a one-ranking ``Run``: a repeated id, a NaN score
-    or a rising score raises ValueError naming the query. A view ``run[i]``
-    is not checked again: its run checked it."""
+    A plain view that checks nothing: ``run[i]`` builds one from a checked
+    run, and ``Run.from_rankings`` checks the ones built elsewhere."""
 
     query_id: str
     hits: tuple[tuple[str, float], ...]
-
-    def __post_init__(self) -> None:
-        Run.from_rankings((self,))  # Run.__init__ builds no RankedList
 
     @property
     def item_ids(self) -> list[str]:
@@ -143,9 +138,9 @@ class Run(Sequence[RankedList]):
     not integers, bounds that do not rise from 0 to the number of pairs, an
     item number outside ``item_ids``, an item that repeats within one
     ranking, a NaN score or a score that rises within a ranking raise
-    ValueError. ``run[i]`` builds ranking ``i`` as a ``RankedList`` without
-    checking it again, and iterating a run builds each ranking in turn. A
-    run compares and hashes by identity.
+    ValueError. ``run[i]`` builds ranking ``i`` as a ``RankedList`` view,
+    and iterating a run builds each ranking in turn. A run compares and
+    hashes by identity.
     """
 
     def __init__(
@@ -226,12 +221,7 @@ class Run(Sequence[RankedList]):
         i = range(len(self))[i]  # IndexError past either end
         lo, hi = self.bounds[i:i + 2].tolist()
         ids = map(self.item_ids.__getitem__, self.items[lo:hi].tolist())
-        # The run checked this ranking when it was made: the view skips
-        # RankedList.__post_init__, which would check it again.
-        view = object.__new__(RankedList)
-        object.__setattr__(view, "query_id", self.query_ids[i])
-        object.__setattr__(view, "hits", tuple(zip(ids, self.scores[lo:hi].tolist())))
-        return view
+        return RankedList(self.query_ids[i], tuple(zip(ids, self.scores[lo:hi].tolist())))
 
 
 def _integers(values: object, name: str, dtype: type) -> np.ndarray:
@@ -409,8 +399,9 @@ def dense_search_many(
     normalized with ``unit_rows`` (a zero query scores +0.0 everywhere, so
     its hits are the k first ids); each item's score is the
     exactly-rounded dot product with its stored row. Fewer than k items
-    means all items are returned. A query holding NaN or Inf raises
-    ValueError naming its id.
+    means all items are returned. Queries not as wide as the index's dim
+    (an empty index built without a dim takes any width) raise ValueError,
+    as does a query holding NaN or Inf, naming its id.
 
     Only rows that can reach the top k are scored exactly: an approximate
     score from BLAS plus a rigorous bound on its error rules the others
@@ -419,7 +410,8 @@ def dense_search_many(
     queries = np.asarray(queries, dtype=np.float64)
     if len(queries) != len(query_ids):
         raise ValueError(f"got {len(queries)} queries but {len(query_ids)} query ids")
-    if len(queries) and (queries.ndim != 2 or index.count and queries.shape[1] != index.dim):
+    any_width = not (index.count or index.dim)  # an empty index built without a dim
+    if len(queries) and (queries.ndim != 2 or not any_width and queries.shape[1] != index.dim):
         raise ValueError(f"queries have shape {queries.shape}, index dim is {index.dim}")
     _require_counts(k=k)
     if len(queries):
@@ -666,17 +658,17 @@ def lexical_search_many(
 
 
 def rrf_fuse(
-    lists: Sequence[Run] | Sequence[RankedList],
+    lists: Sequence[Run],
     k_rrf: int = DEFAULT_RRF_K,
     depth: int = DEFAULT_RRF_DEPTH,
     k: int | None = None,
-) -> Run | RankedList:
+) -> Run:
     """Reciprocal-rank fusion: item score = sum of 1 / (k_rrf + rank).
 
-    ``lists`` are either runs over the same item ids and query ids, fused
-    query by query into one run, or rankings that share a query id, fused
-    into one ``RankedList``. Only occurrences within ``depth`` of the top
-    of each input ranking count, and only the top ``k`` fused items are
+    ``lists`` are runs over the same item ids and query ids, fused query by
+    query into one run; anything else raises TypeError (``Run.from_rankings``
+    makes a run of RankedLists). Only occurrences within ``depth`` of the
+    top of each input ranking count, and only the top ``k`` fused items are
     returned (all when k is None). Each sum is exactly rounded, so the
     order of the inputs never changes a score. A ranking names an item at
     most once, so with one or two inputs an item has at most two terms,
@@ -690,21 +682,8 @@ def rrf_fuse(
     _require_counts(k_rrf=k_rrf, depth=depth)
     if k is not None:
         _require_counts(k=k)
-    if all(isinstance(ranking, RankedList) for ranking in lists):
-        query_ids = {ranking.query_id for ranking in lists}
-        if len(query_ids) != 1:
-            raise ValueError(f"cannot fuse lists with differing query ids: {sorted(query_ids)}")
-        # Each list becomes a one-query run over the sorted union of their ids.
-        whole = Run.from_rankings(lists)
-        bounds = whole.bounds.tolist()
-        runs = [
-            Run(whole.query_ids[:1], whole.item_ids, [0, hi - lo],
-                whole.items[lo:hi], whole.scores[lo:hi])
-            for lo, hi in zip(bounds, bounds[1:])
-        ]
-        return rrf_fuse(runs, k_rrf, depth, k)[0]
     if not all(isinstance(run, Run) for run in lists):
-        raise TypeError("rrf_fuse takes runs or RankedLists, not a mix of them")
+        raise TypeError("rrf_fuse takes runs; Run.from_rankings makes a run of RankedLists")
     first = lists[0]
     if any(run.query_ids != first.query_ids for run in lists):
         raise ValueError("cannot fuse runs with differing query ids")

@@ -24,7 +24,7 @@ import numpy as np
 
 from .cache import json_text
 from .corpus import Qrels
-from .index import RankedList, Run, _require_unique
+from .index import Run, _require_unique
 
 __all__ = ["MetricReport", "evaluate_run"]
 
@@ -85,7 +85,7 @@ def _query_values(ranks: list[int], n_relevant: int, k_list: Sequence[int]) -> d
 
 
 def evaluate_run(
-    run: Run | Sequence[RankedList],
+    run: Run,
     qrels: Qrels,
     k_list: Sequence[int] = (5, 10, 100),
 ) -> MetricReport:
@@ -96,12 +96,12 @@ def evaluate_run(
     min(|relevant|, k); NDCG has binary gains and the 1/log2(rank+1)
     discount; HR is 1 if a relevant item is in the top k, else 0.
 
-    ``run`` is a ``Run``, or rankings that ``Run.from_rankings`` makes into
-    one. The ranks of each query's relevant hits, to the largest cutoff,
-    are found for all queries at once; every family and cutoff is computed
-    from those. An empty ``k_list``, a cutoff that is not an integer >= 1,
-    a query missing from ``qrels`` or ranked twice, and a run whose
-    ``item_ids`` repeat an id raise ValueError.
+    ``run`` must be a ``Run`` (``Run.from_rankings`` makes one of
+    RankedLists), else TypeError. The ranks of each query's relevant hits,
+    to the largest cutoff, are found for all queries at once; every family
+    and cutoff is computed from those. An empty ``k_list``, a cutoff that is
+    not an integer >= 1, a query missing from ``qrels`` or ranked twice, and
+    a run whose ``item_ids`` repeat an id raise ValueError.
     """
     if not k_list:
         raise ValueError("k_list must be nonempty")
@@ -109,7 +109,7 @@ def evaluate_run(
         if type(k) is not int or k < 1:
             raise ValueError(f"metric cutoff must be >= 1 and an integer, got {k!r}")
     if not isinstance(run, Run):
-        run = Run.from_rankings(run)
+        raise TypeError("evaluate_run takes a run; Run.from_rankings makes a run of RankedLists")
     n = len(run.item_ids)
     number = dict(zip(run.item_ids, range(n)))
     if len(number) != n:

@@ -7,7 +7,8 @@ the hits pair by pair. ``reference_rankings`` and ``reference_rrf_fuse``
 keep the list path that searches and fusion ranked through before they
 returned runs: Python tuples sorted in two stable passes, and a dict of
 sums per fused item; ``reference_ranked_list`` builds the tests' rankings
-from scores through the first. Where the library defines scores as
+from scores through the first, and ``reference_run`` makes one a one-query
+run over given ids. Where the library defines scores as
 exactly-rounded float64 arithmetic, the references reproduce that
 arithmetic from its definition (IEEE products, exact sum), including a Fraction-based
 exact-rounding cross-check. ``reference_evaluate_run`` keeps the scan
@@ -37,7 +38,7 @@ from riskrank.corpus import (
     _CTX_CONTENT_TOKENS, _CTX_MARKER_TOKENS, _CTX_NOISE_TOKENS, _Q_MARKER_TOKENS,
     _Q_NOISE_TOKENS, _Q_QUOTED_TOKENS, Document, QAPair,
 )
-from riskrank.index import LexicalIndex, RankedList
+from riskrank.index import LexicalIndex, RankedList, Run
 from riskrank.metrics import MetricReport, _query_values
 
 
@@ -172,12 +173,19 @@ def fraction_dot(u, v) -> float:
     """Exactly rounded dot product via exact rational arithmetic.
 
     Each product is an IEEE float64 multiply (one rounding); the sum of the
-    rounded products is carried out exactly in Fraction space and rounded
-    once at the end. This is the ground-truth definition of the library's
-    score arithmetic.
+    rounded products is carried out exactly and rounded once at the end.
+    This is the ground-truth definition of the library's score arithmetic.
+    Every finite float64 is an integer number of 2^-1074, the smallest
+    subnormal, so the sum is one Python-integer sum in those units, rounded
+    through one Fraction.
     """
     products = np.asarray(u, dtype=np.float64) * np.asarray(v, dtype=np.float64)
-    return float(sum(Fraction(p) for p in products.tolist()))
+    # p = n / d with d a power of two of at most 2^1074, so p is n * 2^1074 / d units.
+    units = sum(
+        n << (1075 - d.bit_length())
+        for n, d in map(float.as_integer_ratio, products.tolist())
+    )
+    return float(Fraction(units, 1 << 1074))
 
 
 def exact_norm(v) -> float:
@@ -277,6 +285,15 @@ def reference_ranked_list(query_id: str, pairs, k: int | None = None) -> RankedL
     ids = [item_id for item_id, _ in pairs]
     scores = [score for _, score in pairs]
     return RankedList(*reference_rankings([query_id], [0, len(pairs)], ids, scores, k)[0])
+
+
+def reference_run(query_id: str, ids: Sequence[str], pairs) -> Run:
+    """``reference_ranked_list(query_id, pairs)`` as a one-query run over
+    ``ids``, which must hold every id of the pairs: the fixture builder for
+    the runs that one fusion fuses, which share their ids."""
+    hits = reference_ranked_list(query_id, pairs).hits
+    return Run([query_id], ids, [0, len(hits)], [ids.index(item_id) for item_id, _ in hits],
+               [score for _, score in hits])
 
 
 def reference_rrf_fuse(

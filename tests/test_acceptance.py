@@ -38,6 +38,7 @@ from riskrank.finetune import (
     _loss_and_param_grads,
 )
 from riskrank.index import (
+    Run,
     build_dense_index,
     build_lexical_index,
     dense_search_many,
@@ -54,6 +55,7 @@ from reference import (
     naive_mrr,
     naive_ndcg,
     reference_ranked_list,
+    reference_run,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -86,11 +88,11 @@ def test_criterion_01_metric_oracle_equivalence():
             pool = universe + [f"absent{i}" for i in range(2)]
             n_rel = min(int(rng.integers(1, 6)), len(pool))
             relevant = set(rng.choice(pool, size=n_rel, replace=False).tolist())
-            run = [
+            run = Run.from_rankings([
                 reference_ranked_list(
                     "q", [(item, float(len(order) - i)) for i, item in enumerate(order)]
                 )
-            ]
+            ])
             qrels = {"q": relevant}
             checks = (
                 ("MRR", naive_mrr, 10),
@@ -313,16 +315,17 @@ def test_criterion_10_rrf_and_bm25_properties():
         for _ in range(100):
             winner = "winner"
             others = [f"i{i}" for i in range(int(rng.integers(1, 12)))]
+            ids = (winner, *others)
             lists = []
             for _ in range(int(rng.integers(1, 5))):
                 order = [winner] + list(rng.permutation(others))
                 lists.append(
-                    reference_ranked_list(
-                        "q",
+                    reference_run(
+                        "q", ids,
                         [(item, float(len(order) - i)) for i, item in enumerate(order)],
                     )
                 )
-            fused = rrf_fuse(lists)
+            [fused] = rrf_fuse(lists)
             assert fused.hits[0][0] == "winner"
 
         index = build_lexical_index(

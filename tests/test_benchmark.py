@@ -19,8 +19,10 @@ from riskrank.benchmark import (
 from riskrank.corpus import DatasetSplit, QAPair, split_pairs, synth_dataset
 from riskrank.embedding import HashEmbedder
 from riskrank.finetune import AdapterParams
+from riskrank.index import Run
 from riskrank.metrics import MetricReport, evaluate_run
 
+from blas_kernels import KERNELS, digests_under, why_no_kernel_switch
 from reference import reference_ranked_list, reference_unit_rows
 
 
@@ -214,11 +216,25 @@ class TestRunEval:
             run_eval(pairs, split, Broken(), EvalConfig())
 
 
+def test_reports_are_equal_under_every_blas_kernel():
+    """The promise that dense scores, and so reports, are bit-stable across
+    BLAS builds, checked under three OpenBLAS kernels in child processes.
+    The raw float64 matmul must differ between them first, or the check
+    would prove nothing."""
+    reason = why_no_kernel_switch()
+    if reason:
+        pytest.skip(reason)
+    runs = [digests_under(kernel, "eval") for kernel in KERNELS]
+    if len({digests.pop("matmul") for digests in runs}) == 1:
+        pytest.skip(f"a float64 matmul has the same bits under each of {KERNELS}")
+    assert runs == [runs[0]] * len(runs)
+
+
 def report_with(hr5: float) -> MetricReport:
-    run = [
+    run = Run.from_rankings([
         reference_ranked_list("q0", [("rel", 1.0), ("x", 0.5)]),
         reference_ranked_list("q1", [("y", 1.0), ("rel1", 0.5)]),
-    ]
+    ])
     report = evaluate_run(run, {"q0": {"rel"}, "q1": {"rel1"}}, (5,))
     report.aggregate["HR@5"] = hr5  # pin the exact rate for table tests
     return report

@@ -11,6 +11,7 @@ from 1 through sizes that are not powers of two up to 300.
 """
 
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -20,7 +21,7 @@ from hypothesis.extra.numpy import arrays
 
 from riskrank.embedding import _exact_row_sums
 
-from reference import FSUMS
+from reference import FSUMS, fraction_dot
 
 PROPERTY_SETTINGS = settings(
     max_examples=200,
@@ -236,3 +237,32 @@ def test_few_rows_fall_back():
         sums = _exact_row_sums(products)
     assert fsum.call_count < 10
     assert [s.hex() for s in sums] == [math.fsum(p).hex() for p in products.tolist()]
+
+
+def sum_of_fractions_dot(u, v) -> float:
+    """``fraction_dot`` as it was first written: one Fraction per product."""
+    products = np.asarray(u, dtype=np.float64) * np.asarray(v, dtype=np.float64)
+    return float(sum(Fraction(p) for p in products.tolist()))
+
+
+def outcome(dot, u, v):
+    """The bits of ``dot(u, v)``, or the type of the exception it raises (a
+    product that overflows warns, and the suite makes warnings errors)."""
+    try:
+        return dot(u, v).hex()
+    except (OverflowError, ValueError, RuntimeWarning) as exc:
+        return type(exc)
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(
+    random_matrices().map(lambda matrix: matrix[0].tolist()),
+    cancelling_rows(), midpoint_rows(), power_of_two_rows(), subnormal_rows(), overflow_rows(),
+), st.one_of(st.just(1.0), finite, st.floats(-(2.0**-500), 2.0**-500), st.just(-0.0)))
+def test_fraction_dot_matches_a_sum_of_fractions(row, scale):
+    """``fraction_dot``'s one integer sum gives the bits of a sum of one
+    Fraction per product, or raises what it raises, on rows across the
+    exponent range, subnormal and cancelling rows, rounding ties and sums
+    that overflow; products of ``scale`` round, underflow and overflow."""
+    others = [scale] * len(row)
+    assert outcome(fraction_dot, row, others) == outcome(sum_of_fractions_dot, row, others)

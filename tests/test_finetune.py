@@ -1,6 +1,5 @@
 """Loss values, gradients vs finite differences, and training behavior."""
 
-import hashlib
 import json
 import math
 import re
@@ -10,7 +9,7 @@ import numpy as np
 import pytest
 
 from riskrank.cache import CorruptCacheError
-from riskrank.corpus import QAPair, split_pairs, synth_dataset
+from riskrank.corpus import QAPair, synth_dataset
 from riskrank.embedding import HashEmbedder
 from riskrank.finetune import (
     AdapterParams,
@@ -23,6 +22,7 @@ from riskrank.finetune import (
     train_adapter,
 )
 
+from blas_kernels import digests_under, why_no_kernel_switch
 from gradcheck import finite_diff_check
 
 
@@ -419,18 +419,17 @@ class TestTrainAdapter:
     def test_pinned_training_bits(self):
         # Digests of the float64 weight and of every batch's (loss, accuracy):
         # any change to the order of a floating-point operation in training
-        # shows here.
-        pairs = split_pairs(synth_dataset(4, 30, 50, seed=7)[1], 0.95, 7).train
-        adapter, report = train_adapter(
-            pairs, HashEmbedder(dim=64, seed=0), TrainingConfig(batch_size=8, epochs=2, seed=7)
-        )
-        assert hashlib.sha256(adapter.weight.tobytes()).hexdigest() == (
-            "c0e837e2dcabb43a53190e41d7fc75732f94f11f18fe5d00f5eb948698e987e4"
-        )
-        stats = json.dumps([[b.loss, b.in_batch_accuracy] for b in report.batches])
-        assert hashlib.sha256(stats.encode()).hexdigest() == (
-            "bec2d35f4b1a358fd6a5e97e0534d5ef620d313844d190c54f573bd682fb312c"
-        )
+        # shows here. Training multiplies through BLAS, whose kernels sum in
+        # different orders, so its bits are deterministic per kernel, not
+        # across kernels: they are pinned under OpenBLAS's Prescott kernel,
+        # which every x86-64 CPU runs, in a child process.
+        reason = why_no_kernel_switch()
+        if reason:
+            pytest.skip(reason)
+        assert digests_under("Prescott", "training") == {
+            "weight": "188396665e3c34f2c7f922739f30d961d07f1e56cb0c2ec34e31cf8ad75d402c",
+            "batches": "c1407c848e6e4dac4b1ad703ca9cfce02783c102325b9bae5beaffeae461bf49",
+        }
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -24,12 +24,22 @@ from riskrank.index import (
 
 from reference import (
     bm25_by_hand, bm25_score, bm25_term_weight, brute_force_dense, brute_force_rrf, check_ranking,
-    reference_ranked_list,
+    reference_ranked_list, reference_run,
 )
 
 
-def ranked(query_id, *pairs):
-    return reference_ranked_list(query_id, pairs)
+# The ids of the one-query runs that a fusion test fuses.
+IDS = ("a", "b", "c", "d", "e", "t", "u", "v", "w", "x", "y", "z")
+
+
+def run_of(*pairs, query_id="q"):
+    """The pairs ranked by ``reference_ranked_list``, as a one-query run over ``IDS``."""
+    return reference_run(query_id, IDS, pairs)
+
+
+def checked(query_id, hits):
+    """A RankedList checks nothing; making a run of it checks it."""
+    return Run.from_rankings([RankedList(query_id, hits)])
 
 
 def postings_of(index):
@@ -45,21 +55,21 @@ def postings_of(index):
 
 class TestRankedList:
     def test_tie_break_by_item_id(self):
-        rl = ranked("q", ("b", 1.0), ("a", 1.0), ("c", 2.0))
+        rl = reference_ranked_list("q", [("b", 1.0), ("a", 1.0), ("c", 2.0)])
         assert rl.item_ids == ["c", "a", "b"]
         assert rl.hits == (("c", 2.0), ("a", 1.0), ("b", 1.0))
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match=r"'q' repeats item ids: \['a'\]"):
-            RankedList("q", (("a", 1.0), ("a", 0.5)))
+            checked("q", (("a", 1.0), ("a", 0.5)))
 
     def test_validate_catches_repeated_ids(self):
         with pytest.raises(ValueError, match=r"'q' repeats item ids: \['a'\]"):
-            RankedList("q", (("a", 1.0), ("b", 0.5), ("a", 0.5)))
+            checked("q", (("a", 1.0), ("b", 0.5), ("a", 0.5)))
 
     def test_validate_catches_increasing_scores(self):
         with pytest.raises(ValueError, match=r"'q': scores increase \(0.5 -> 1.0\)"):
-            RankedList("q", (("a", 0.5), ("b", 1.0)))
+            checked("q", (("a", 0.5), ("b", 1.0)))
 
     @pytest.mark.parametrize("scored", [
         [("a", 1.0), ("b", float("nan")), ("c", 2.0)],
@@ -67,11 +77,11 @@ class TestRankedList:
     ])
     def test_nan_score_rejected(self, scored):
         with pytest.raises(ValueError, match="'q7'.*NaN"):
-            RankedList("q7", tuple(scored))
+            checked("q7", tuple(scored))
 
     def test_validate_catches_nan_score(self):
         with pytest.raises(ValueError, match="'q7'.*NaN"):
-            RankedList("q7", (("a", 2.0), ("b", float("nan")), ("c", 1.0)))
+            checked("q7", (("a", 2.0), ("b", float("nan")), ("c", 1.0)))
 
     @pytest.mark.parametrize("hits", [
         (("a", float("nan")),),
@@ -80,7 +90,7 @@ class TestRankedList:
     ], ids=["one-hit", "first-of-two", "last-of-three"])
     def test_constructor_rejects_nan_anywhere(self, hits):
         with pytest.raises(ValueError, match="'q7' holds a NaN score"):
-            RankedList("q7", hits)
+            checked("q7", hits)
 
 
 class TestDenseIndex:
@@ -102,6 +112,14 @@ class TestDenseIndex:
     def test_empty_index_searchable(self):
         index = build_dense_index([], [], dim=4)
         [result] = dense_search_many(index, [np.ones(4)], 5, ["q"])
+        assert result.hits == ()
+
+    def test_empty_index_checks_query_width(self):
+        """An empty index built with a dim refuses queries of another width,
+        as a full one does; one built without a dim takes any width."""
+        with pytest.raises(ValueError, match=r"queries have shape \(1, 3\), index dim is 2"):
+            dense_search_many(build_dense_index([], [], dim=2), np.ones((1, 3)), 3, ["q"])
+        [result] = dense_search_many(build_dense_index([], []), np.ones((1, 3)), 3, ["q"])
         assert result.hits == ()
 
     def test_duplicate_ids(self):
@@ -573,16 +591,16 @@ class TestLexicalSearch:
 
 class TestRRF:
     def test_rank_one_in_both_lists(self):
-        a = ranked("q", ("x", 9.0), ("y", 1.0))
-        b = ranked("q", ("x", 0.8), ("z", 0.2))
-        fused = rrf_fuse([a, b], k_rrf=60)
+        a = run_of(("x", 9.0), ("y", 1.0))
+        b = run_of(("x", 0.8), ("z", 0.2))
+        [fused] = rrf_fuse([a, b], k_rrf=60)
         assert fused.hits[0][0] == "x"
         assert fused.hits[0][1] == pytest.approx(2.0 / 61.0, abs=1e-15)
 
     def test_item_in_one_list_at_rank_three(self):
-        a = ranked("q", ("x", 3.0), ("y", 2.0), ("z", 1.0))
-        b = ranked("q", ("x", 5.0), ("y", 4.0))
-        fused = rrf_fuse([a, b], k_rrf=60)
+        a = run_of(("x", 3.0), ("y", 2.0), ("z", 1.0))
+        b = run_of(("x", 5.0), ("y", 4.0))
+        [fused] = rrf_fuse([a, b], k_rrf=60)
         z_score = dict(fused.hits)["z"]
         assert z_score == pytest.approx(1.0 / 63.0, abs=1e-15)
 
@@ -590,29 +608,29 @@ class TestRRF:
         # x at ranks 1, 2 and 5 with k_rrf=1: 1/2 + 1/3 + 1/6, which a
         # running sum in list order rounds to 0.9999999999999999.
         lists = [
-            ranked("q", ("x", 9.0)),
-            ranked("q", ("a", 9.0), ("x", 8.0)),
-            ranked("q", ("b", 9.0), ("c", 8.0), ("d", 7.0), ("e", 6.0), ("x", 5.0)),
+            run_of(("x", 9.0)),
+            run_of(("a", 9.0), ("x", 8.0)),
+            run_of(("b", 9.0), ("c", 8.0), ("d", 7.0), ("e", 6.0), ("x", 5.0)),
         ]
         assert (1 / 2 + 1 / 3) + 1 / 6 == 0.9999999999999999
-        assert dict(rrf_fuse(lists, k_rrf=1).hits)["x"] == 1.0
+        assert dict(rrf_fuse(lists, k_rrf=1)[0].hits)["x"] == 1.0
 
     def test_two_lists_equal_brute_force(self):
         a = ["x", "y", "z", "w", "v"]
         b = ["w", "u", "x", "t", "y", "z"]
-        lists = [ranked("q", *[(i, float(9 - r)) for r, i in enumerate(ids)]) for ids in (a, b)]
+        lists = [run_of(*[(i, float(9 - r)) for r, i in enumerate(ids)]) for ids in (a, b)]
         for k_rrf, depth in [(1, 100), (60, 100), (7, 3)]:
-            fused = rrf_fuse(lists, k_rrf=k_rrf, depth=depth)
+            [fused] = rrf_fuse(lists, k_rrf=k_rrf, depth=depth)
             assert dict(fused.hits) == brute_force_rrf([a, b], k_rrf, depth)
             check_ranking(fused.hits)
 
     def test_mismatched_query_ids(self):
         with pytest.raises(ValueError, match="query ids"):
-            rrf_fuse([ranked("q1", ("x", 1.0)), ranked("q2", ("x", 1.0))])
+            rrf_fuse([run_of(("x", 1.0), query_id="q1"), run_of(("x", 1.0), query_id="q2")])
 
     def test_depth_cuts_contributions(self):
-        a = ranked("q", ("x", 3.0), ("y", 2.0), ("z", 1.0))
-        fused = rrf_fuse([a], k_rrf=60, depth=2)
+        a = run_of(("x", 3.0), ("y", 2.0), ("z", 1.0))
+        [fused] = rrf_fuse([a], k_rrf=60, depth=2)
         assert set(fused.item_ids) == {"x", "y"}
 
     def test_matches_brute_force(self, rng):
@@ -624,13 +642,13 @@ class TestRRF:
                 size = int(rng.integers(1, 15))
                 chosen = list(rng.choice(universe, size=size, replace=False))
                 id_lists.append(chosen)
-                lists.append(
-                    ranked("q", *[(item, float(size - i)) for i, item in enumerate(chosen)])
-                )
+                lists.append(reference_run(
+                    "q", universe, [(item, float(size - i)) for i, item in enumerate(chosen)]
+                ))
             depth = int(rng.integers(1, 20))
             k_rrf = int(rng.integers(1, 100))
             expected = brute_force_rrf(id_lists, k_rrf, depth)
-            fused = rrf_fuse(lists, k_rrf=k_rrf, depth=depth)
+            [fused] = rrf_fuse(lists, k_rrf=k_rrf, depth=depth)
             got = dict(fused.hits)
             assert got.keys() == expected.keys()
             for item, score in expected.items():
@@ -641,14 +659,15 @@ class TestRRF:
         for _ in range(100):
             winner = "winner"
             others = [f"i{i}" for i in range(int(rng.integers(1, 10)))]
+            ids = (winner, *others)
             lists = []
             for _ in range(int(rng.integers(1, 5))):
                 tail = list(rng.permutation(others))
                 order = [winner] + tail
-                lists.append(
-                    ranked("q", *[(item, float(len(order) - i)) for i, item in enumerate(order)])
-                )
-            fused = rrf_fuse(lists)
+                lists.append(reference_run(
+                    "q", ids, [(item, float(len(order) - i)) for i, item in enumerate(order)]
+                ))
+            [fused] = rrf_fuse(lists)
             assert fused.hits[0][0] == winner
 
     def test_improving_rank_never_decreases_score(self):
@@ -666,24 +685,24 @@ class TestRRF:
             fused_before = dict(
                 rrf_fuse(
                     [
-                        ranked("q", *[(i, float(9 - r)) for r, i in enumerate(base_a)]),
-                        ranked("q", *[(i, float(9 - r)) for r, i in enumerate(base_b)]),
+                        run_of(*[(i, float(9 - r)) for r, i in enumerate(base_a)]),
+                        run_of(*[(i, float(9 - r)) for r, i in enumerate(base_b)]),
                     ]
-                ).hits
+                )[0].hits
             )[target]
             fused_after = dict(
                 rrf_fuse(
                     [
-                        ranked("q", *[(i, float(9 - r)) for r, i in enumerate(improved)]),
-                        ranked("q", *[(i, float(9 - r)) for r, i in enumerate(base_b)]),
+                        run_of(*[(i, float(9 - r)) for r, i in enumerate(improved)]),
+                        run_of(*[(i, float(9 - r)) for r, i in enumerate(base_b)]),
                     ]
-                ).hits
+                )[0].hits
             )[target]
             assert after >= before
             assert fused_after >= fused_before
 
     def test_parameter_validation(self):
-        a = ranked("q", ("x", 1.0))
+        a = run_of(("x", 1.0))
         with pytest.raises(ValueError):
             rrf_fuse([])
         with pytest.raises(ValueError):
@@ -696,10 +715,10 @@ class TestRRF:
 
 def test_each_ranking_is_checked_once(rng):
     """Making a Run is the one check of a ranking. A search or a fusion of
-    runs checks its whole run at once, a RankedList built from outside
-    checks itself as a one-ranking run, and a view ``run[i]`` is built from
-    its run's checked arrays with no check; no ranking is checked by
-    _require_unique."""
+    runs checks its whole run at once, a RankedList checks nothing and is
+    checked when ``Run.from_rankings`` makes a run of it, and a view
+    ``run[i]`` is built from its run's checked arrays with no check; no
+    ranking is checked by _require_unique."""
     ids = [f"d{i}" for i in range(6)]
     dense = build_dense_index(ids, rng.normal(size=(6, 4)))
     lexical = build_lexical_index(ids, ["risk capital", "risk", "audit", "risk", "credit", "x"])
@@ -710,7 +729,8 @@ def test_each_ranking_is_checked_once(rng):
         (lambda: dense_search_many(dense, rng.normal(size=(3, 4)), 4, query_ids), 1),
         (lambda: lexical_search_many(lexical, texts, 4, query_ids), 1),
         (lambda: rrf_fuse([dense_run, lexical_run], k=2), 1),
-        (lambda: RankedList("q", (("x", 1.0), ("y", 0.5))), 1),
+        (lambda: RankedList("q", (("x", 1.0), ("y", 0.5))), 0),
+        (lambda: Run.from_rankings([RankedList("q", (("x", 1.0), ("y", 0.5)))]), 1),
         (lambda: list(dense_run), 0),
     ]
     for call, checks in calls:
@@ -732,9 +752,9 @@ def test_each_ranking_is_checked_once(rng):
             build_dense_index(["a"], [np.ones(2)]), [np.ones(2)], v, ["q"])),
         ("k", lambda v: lexical_search_many(
             build_lexical_index(["a"], ["risk"]), ["risk"], v, ["q"])),
-        ("k_rrf", lambda v: rrf_fuse([ranked("q", ("a", 1.0))], k_rrf=v)),
-        ("depth", lambda v: rrf_fuse([ranked("q", ("a", 1.0))], depth=v)),
-        ("k", lambda v: rrf_fuse([ranked("q", ("a", 1.0))], k=v)),
+        ("k_rrf", lambda v: rrf_fuse([run_of(("a", 1.0))], k_rrf=v)),
+        ("depth", lambda v: rrf_fuse([run_of(("a", 1.0))], depth=v)),
+        ("k", lambda v: rrf_fuse([run_of(("a", 1.0))], k=v)),
     ],
     ids=["dense_search_many", "lexical_search", "rrf_fuse-k_rrf", "rrf_fuse-depth", "rrf_fuse-k"],
 )

@@ -26,7 +26,7 @@ from riskrank.index import (
 )
 
 from reference import (
-    bm25_by_hand, bm25_score, brute_force_rrf, check_ranking, reference_ranked_list,
+    bm25_by_hand, bm25_score, brute_force_rrf, check_ranking, reference_run,
 )
 
 PROPERTY_SETTINGS = settings(
@@ -43,14 +43,14 @@ MISSING = ["liquidity", "zeta"]
 
 @st.composite
 def rrf_cases(draw):
-    """Ranked lists for one query (scores from a small set, so ties are common)."""
+    """One-query runs over ``UNIVERSE`` (scores from a small set, so ties are common)."""
     lists = []
     for _ in range(draw(st.integers(1, 5))):
         ids = draw(st.lists(st.sampled_from(UNIVERSE), max_size=len(UNIVERSE), unique=True))
         scores = draw(st.lists(
             st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=len(ids), max_size=len(ids)
         ))
-        lists.append(reference_ranked_list("q", zip(ids, scores)))
+        lists.append(reference_run("q", UNIVERSE, zip(ids, scores)))
     return lists, draw(st.integers(1, 100)), draw(st.integers(1, 10))
 
 
@@ -58,8 +58,8 @@ def rrf_cases(draw):
 @given(rrf_cases())
 def test_rrf_matches_brute_force(case):
     lists, k_rrf, depth = case
-    fused = rrf_fuse(lists, k_rrf=k_rrf, depth=depth)
-    expected = brute_force_rrf([rl.item_ids for rl in lists], k_rrf, depth)
+    [fused] = rrf_fuse(lists, k_rrf=k_rrf, depth=depth)
+    expected = brute_force_rrf([run[0].item_ids for run in lists], k_rrf, depth)
     assert dict(fused.hits) == expected
     assert fused.item_ids == sorted(expected, key=lambda item: (-expected[item], item))
     check_ranking(fused.hits)
@@ -72,8 +72,8 @@ def test_rrf_ignores_the_order_of_its_lists(case, random):
     shuffled = list(lists)
     random.shuffle(shuffled)
     assert (
-        rrf_fuse(shuffled, k_rrf=k_rrf, depth=depth).hits
-        == rrf_fuse(lists, k_rrf=k_rrf, depth=depth).hits
+        rrf_fuse(shuffled, k_rrf=k_rrf, depth=depth)[0].hits
+        == rrf_fuse(lists, k_rrf=k_rrf, depth=depth)[0].hits
     )
 
 
@@ -81,8 +81,8 @@ def test_rrf_ignores_the_order_of_its_lists(case, random):
 @given(rrf_cases(), st.integers(1, len(UNIVERSE) + 1))
 def test_rrf_cut_at_k_is_the_head_of_the_full_fusion(case, k):
     lists, k_rrf, depth = case
-    fused = rrf_fuse(lists, k_rrf=k_rrf, depth=depth, k=k)
-    assert fused.hits == rrf_fuse(lists, k_rrf=k_rrf, depth=depth).hits[:k]
+    [fused] = rrf_fuse(lists, k_rrf=k_rrf, depth=depth, k=k)
+    assert fused.hits == rrf_fuse(lists, k_rrf=k_rrf, depth=depth)[0].hits[:k]
 
 
 @st.composite

@@ -16,16 +16,21 @@ from reference import (
 )
 
 
-def run_of(query_id, ids):
+def ranked(query_id, ids):
     """RankedList whose item order is exactly ``ids``."""
     return reference_ranked_list(
         query_id, [(item, float(len(ids) - i)) for i, item in enumerate(ids)]
     )
 
 
+def run_of(*rankings):
+    """The run that ``Run.from_rankings`` makes of the rankings."""
+    return Run.from_rankings(rankings)
+
+
 def values_at(ids, relevant, k):
     """Every metric at cutoff ``k`` for one query ranked as ``ids``."""
-    return evaluate_run([run_of("q", ids)], {"q": relevant}, (k,)).per_query["q"]
+    return evaluate_run(run_of(ranked("q", ids)), {"q": relevant}, (k,)).per_query["q"]
 
 
 class TestMRR:
@@ -42,10 +47,10 @@ class TestMRR:
 
     def test_missing_query_in_qrels(self):
         with pytest.raises(ValueError, match="missing from qrels"):
-            evaluate_run([run_of("q", ["a"])], {}, (10,))
+            evaluate_run(run_of(ranked("q", ["a"])), {}, (10,))
 
     def test_query_ranked_twice(self):
-        run = [run_of("q", ["rel", "x"]), run_of("q", ["x", "rel"])]
+        run = run_of(ranked("q", ["rel", "x"]), ranked("q", ["x", "rel"]))
         with pytest.raises(ValueError, match="'q' is ranked twice"):
             evaluate_run(run, {"q": {"rel"}}, (5,))
 
@@ -86,11 +91,11 @@ class TestHitRate:
         assert values_at(["a", "b", "c", "d", "e", "rel"], {"rel"}, 5)["HR@5"] == 0.0
 
     def test_aggregate_is_mean(self):
-        run = [
-            run_of("q1", ["rel1"]),
-            run_of("q2", ["x"]),
-            run_of("q3", ["rel3"]),
-        ]
+        run = run_of(
+            ranked("q1", ["rel1"]),
+            ranked("q2", ["x"]),
+            ranked("q3", ["rel3"]),
+        )
         qrels = {"q1": {"rel1"}, "q2": {"rel2"}, "q3": {"rel3"}}
         report = evaluate_run(run, qrels, (5,))
         assert report.aggregate["HR@5"] == pytest.approx(2 / 3, abs=1e-12)
@@ -112,7 +117,7 @@ class TestAgainstNaiveReference:
     def test_random_instances_match(self, rng):
         for _ in range(300):
             order, relevant = random_instance(rng)
-            run = [run_of("q", order)]
+            run = run_of(ranked("q", order))
             qrels = {"q": relevant}
             for k in (1, 5, 10, 100):
                 values = evaluate_run(run, qrels, (k,)).per_query["q"]
@@ -165,7 +170,7 @@ class TestAgainstNaiveReferenceProperties:
     @given(metric_cases())
     def test_metrics_match_naive(self, case):
         queries, k = case
-        run = [run_of(f"q{i}", order) for i, (order, _) in enumerate(queries)]
+        run = run_of(*(ranked(f"q{i}", order) for i, (order, _) in enumerate(queries)))
         qrels = {f"q{i}": relevant for i, (_, relevant) in enumerate(queries)}
         report = evaluate_run(run, qrels, (k,))
         exact = [("MRR", naive_mrr), ("MAP", naive_ap), ("HR", naive_hit_rate)]
@@ -183,7 +188,7 @@ class TestAgainstNaiveReferenceProperties:
     @given(metric_cases())
     def test_bounds_and_orderings(self, case):
         queries, k = case
-        run = [run_of(f"q{i}", order) for i, (order, _) in enumerate(queries)]
+        run = run_of(*(ranked(f"q{i}", order) for i, (order, _) in enumerate(queries)))
         qrels = {f"q{i}": relevant for i, (_, relevant) in enumerate(queries)}
         report = evaluate_run(run, qrels, (k,))
         for i, (order, relevant) in enumerate(queries):
@@ -223,13 +228,14 @@ def run_cases(draw):
 @PROPERTY_SETTINGS
 @given(run_cases())
 def test_run_arrays_score_as_the_ranking_scan(case):
-    """``evaluate_run`` reads a run's arrays; over the run, over its
-    rankings and in ``reference_evaluate_run``'s scan the report bytes are
+    """``evaluate_run`` reads a run's arrays; over the run, over the run
+    that ``Run.from_rankings`` makes of its rankings (its item numbers
+    differ) and in ``reference_evaluate_run``'s scan the report bytes are
     the same."""
     run, qrels, k_list = case
     want = reference_evaluate_run(list(run), qrels, k_list).to_json_bytes()
     assert evaluate_run(run, qrels, k_list).to_json_bytes() == want
-    assert evaluate_run(list(run), qrels, k_list).to_json_bytes() == want
+    assert evaluate_run(run_of(*run), qrels, k_list).to_json_bytes() == want
 
 
 class TestInvariants:
@@ -237,7 +243,7 @@ class TestInvariants:
         for _ in range(100):
             order, _ = random_instance(rng)
             relevant = {order[int(rng.integers(0, len(order)))]}
-            run = [run_of("q", order)]
+            run = run_of(ranked("q", order))
             qrels = {"q": relevant}
             for k in (5, 10, 100):
                 values = evaluate_run(run, qrels, (k,)).per_query["q"]
@@ -247,7 +253,7 @@ class TestInvariants:
         for _ in range(100):
             order, _ = random_instance(rng)
             relevant = {order[int(rng.integers(0, len(order)))]}
-            run = [run_of("q", order)]
+            run = run_of(ranked("q", order))
             qrels = {"q": relevant}
             values = evaluate_run(run, qrels, (10,)).per_query["q"]
             mrr, ndcg, hr = values["MRR@10"], values["NDCG@10"], values["HR@10"]
@@ -255,7 +261,7 @@ class TestInvariants:
             assert ndcg >= mrr  # 1/log2(r+1) >= 1/r for r >= 1
 
     def test_perfect_ranking_scores_one_everywhere(self):
-        run = [run_of(f"q{i}", [f"rel{i}", "x", "y"]) for i in range(5)]
+        run = run_of(*(ranked(f"q{i}", [f"rel{i}", "x", "y"]) for i in range(5)))
         qrels = {f"q{i}": {f"rel{i}"} for i in range(5)}
         report = evaluate_run(run, qrels, k_list=(5, 10, 100))
         assert all(v == 1.0 for v in report.aggregate.values())
@@ -270,23 +276,23 @@ class TestInvariants:
                 "q", [(i, math.exp(3.0 * s) + 7.0) for i, s in zip(order, scores)]
             )
             qrels = {"q": relevant}
-            a = evaluate_run([raw], qrels, (10,)).aggregate
-            b = evaluate_run([transformed], qrels, (10,)).aggregate
+            a = evaluate_run(run_of(raw), qrels, (10,)).aggregate
+            b = evaluate_run(run_of(transformed), qrels, (10,)).aggregate
             assert a == b
 
     def test_empty_ranked_list_scores_zero(self):
-        run = [run_of("q", [])]
+        run = run_of(ranked("q", []))
         report = evaluate_run(run, {"q": {"rel"}}, (5, 10))
         assert all(v == 0.0 for v in report.aggregate.values())
 
     def test_values_in_unit_interval_and_mean(self, rng):
-        run = []
+        rankings = []
         qrels = {}
         for i in range(30):
             order, relevant = random_instance(rng)
-            run.append(run_of(f"q{i}", order))
+            rankings.append(ranked(f"q{i}", order))
             qrels[f"q{i}"] = relevant
-        report = evaluate_run(run, qrels, (5, 10, 100))
+        report = evaluate_run(run_of(*rankings), qrels, (5, 10, 100))
         for name, value in report.aggregate.items():
             assert 0.0 <= value <= 1.0
             mean = math.fsum(report.per_query[q][name] for q in report.per_query) / 30
@@ -295,7 +301,7 @@ class TestInvariants:
     def test_a_ranking_that_repeats_an_id_never_reaches_the_metrics(self):
         # Scored, this run would give MAP@5 = 2.0 and NDCG@5 = 1.63.
         with pytest.raises(ValueError, match=r"'q' repeats item ids: \['a'\]"):
-            evaluate_run([RankedList("q", (("a", 1.0), ("a", 0.5), ("b", 0.1)))],
+            evaluate_run(run_of(RankedList("q", (("a", 1.0), ("a", 0.5), ("b", 0.1)))),
                          {"q": {"a"}}, (5,))
         with pytest.raises(ValueError, match=r"'q' repeats item ids: \['a'\]"):
             evaluate_run(Run(["q"], ("a", "b"), [0, 3], [0, 0, 1], [1.0, 0.5, 0.1]),
@@ -315,7 +321,7 @@ class TestInvariants:
     def test_query_errors_in_run_order(self, query_ids, message):
         run = Run(query_ids, ("a",), [0, 1, 1, 1], [0], [1.0])
         for evaluate, form in [
-            (evaluate_run, run), (evaluate_run, list(run)), (reference_evaluate_run, list(run)),
+            (evaluate_run, run), (evaluate_run, run_of(*run)), (reference_evaluate_run, list(run)),
         ]:
             with pytest.raises(ValueError, match=message):
                 evaluate(form, {"q": {"a"}}, (5,))
@@ -323,7 +329,7 @@ class TestInvariants:
 
 class TestReportPlumbing:
     def test_evaluate_run_metric_names(self):
-        report = evaluate_run([run_of("q", ["a"])], {"q": {"a"}}, (5, 10, 100))
+        report = evaluate_run(run_of(ranked("q", ["a"])), {"q": {"a"}}, (5, 10, 100))
         assert "MRR@10" in report.aggregate
         assert "MAP@100" in report.aggregate
         assert "NDCG@10" in report.aggregate
@@ -332,9 +338,13 @@ class TestReportPlumbing:
 
     def test_k_list_validation(self):
         with pytest.raises(ValueError):
-            evaluate_run([], {}, ())
+            evaluate_run(run_of(), {}, ())
         with pytest.raises(ValueError):
-            evaluate_run([], {}, (0,))
+            evaluate_run(run_of(), {}, (0,))
+
+    def test_only_a_run_is_scored(self):
+        with pytest.raises(TypeError, match=r"takes a run; Run\.from_rankings makes a run"):
+            evaluate_run([ranked("q", ["a"])], {"q": {"a"}}, (5,))
 
     @pytest.mark.parametrize(
         "family", ["mrr_at_k", "map_at_k", "ndcg_at_k", "hit_rate_at_k"]
@@ -346,14 +356,14 @@ class TestReportPlumbing:
         assert values_at(["a"], {"a"}, 5)[f"{label}@5"] == 1.0
         for k_list in ((k,), (5, k)):
             with pytest.raises(ValueError, match="cutoff must be >= 1"):
-                evaluate_run([run_of("q", ["a"])], {"q": {"a"}}, k_list)
+                evaluate_run(run_of(ranked("q", ["a"])), {"q": {"a"}}, k_list)
 
     def test_to_dict_has_display_column(self):
-        report = evaluate_run([run_of("q", ["a", "b"])], {"q": {"b"}}, (10,))
+        report = evaluate_run(run_of(ranked("q", ["a", "b"])), {"q": {"b"}}, (10,))
         payload = report.to_dict()
         assert payload["aggregate_display"]["MRR@10"] == "0.5000"
         assert payload["aggregate"]["MRR@10"] == 0.5
 
     def test_json_bytes_deterministic(self):
-        report = evaluate_run([run_of("q", ["a", "b"])], {"q": {"b"}}, (10,))
+        report = evaluate_run(run_of(ranked("q", ["a", "b"])), {"q": {"b"}}, (10,))
         assert report.to_json_bytes() == report.to_json_bytes()

@@ -13,7 +13,6 @@ the number of items, queries may hit nothing, and an index may be empty.
 
 import json
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -206,10 +205,6 @@ def test_fused_run_matches_the_list_path(case, k):
         for q, query_id in enumerate(runs[0].query_ids)
     ]
     assert listed(fused) == want
-    # A query's rankings fused alone give its row of the fused run.
-    for q, query_id in enumerate(runs[0].query_ids):
-        alone = rrf_fuse([run[q] for run in runs], k_rrf=k_rrf, depth=depth, k=k)
-        assert (alone.query_id, bits(alone.hits)) == want[q]
 
 
 def test_three_term_bin_is_summed_exactly():
@@ -238,8 +233,15 @@ def test_runs_to_fuse_must_agree():
         rrf_fuse([a, Run(["r"], ("x", "y"), [0, 1], [0], [1.0])])
     with pytest.raises(ValueError, match="differing item ids"):
         rrf_fuse([a, Run(["q"], ("y", "x"), [0, 1], [0], [1.0])])
-    with pytest.raises(TypeError, match="not a mix"):
-        rrf_fuse([a, a[0]])
+
+
+@pytest.mark.parametrize("lists", [
+    lambda run: [run[0]], lambda run: [run[0], run[0]], lambda run: [run, run[0]],
+], ids=["one-ranking", "two-rankings", "a-run-and-a-ranking"])
+def test_fusion_takes_only_runs(lists):
+    run = Run(["q"], ("x", "y"), [0, 1], [0], [1.0])
+    with pytest.raises(TypeError, match=r"rrf_fuse takes runs; Run\.from_rankings makes a run"):
+        rrf_fuse(lists(run))
 
 
 @pytest.mark.parametrize("arrays, message", [
@@ -278,15 +280,12 @@ HITS = st.lists(st.tuples(
 @PROPERTY_SETTINGS
 @given(HITS | HITS.map(lambda hits: sorted(hits, key=lambda hit: -hit[1])))
 def test_a_ranked_list_is_checked_as_a_run(hits):
-    """``RankedList`` and ``Run.from_rankings`` accept or refuse the same
-    hits alike, with the same message, and accept just what
-    ``check_ranking`` accepts: NaN scores, repeated ids and rising scores
-    are refused, and 0.0 ties with -0.0 either way round."""
+    """A ``RankedList`` takes any hits; ``Run.from_rankings`` checks them
+    as a run, and accepts just what ``check_ranking`` accepts: NaN scores,
+    repeated ids and rising scores are refused, and 0.0 ties with -0.0
+    either way round."""
     hits = tuple(hits)
-    message = refusal(lambda: RankedList("q", hits))
-    assert message == refusal(
-        lambda: Run.from_rankings([SimpleNamespace(query_id="q", hits=hits)])
-    )
+    message = refusal(lambda: Run.from_rankings([RankedList("q", hits)]))
     try:
         check_ranking(hits)
     except AssertionError:
@@ -311,8 +310,9 @@ def test_a_repeat_is_refused_within_a_ranking_only():
 @PROPERTY_SETTINGS
 @given(dense_cases(), lexical_cases(), K)
 def test_a_view_equals_a_ranked_list_built_from_its_hits(dense, lexical, k):
-    """``run[i]`` is built without a check, yet it equals, field by field,
-    the ``RankedList`` made publicly (and so checked) from the same hits."""
+    """``run[i]`` is built from its run's checked arrays; a run made of the
+    view passes the check, and its one ranking equals the view field by
+    field."""
     ids, rows, queries = dense
     dense_run = dense_search_many(
         build_dense_index(ids, rows, dim=rows.shape[1]), queries, k,
@@ -323,7 +323,7 @@ def test_a_view_equals_a_ranked_list_built_from_its_hits(dense, lexical, k):
         build_lexical_index(ids, texts), queries, k, [f"q{i}" for i in range(len(queries))]
     )
     for view in [*dense_run, *lexical_run]:
-        built = RankedList(view.query_id, view.hits)
+        [built] = Run.from_rankings([view])
         assert type(view) is RankedList
         assert view == built and hash(view) == hash(built)
         assert bits(view.hits) == bits(built.hits)
