@@ -257,9 +257,18 @@ def _build_embedder(cfg: dict[str, Any]) -> HashEmbedder | RemoteEmbedder:
     return _section(cfg, "embedder", build)
 
 
+def _pairs_format(cfg: dict[str, Any]) -> str | None:
+    """The config's ``pairs_format``, None to infer it from the file suffix; a
+    format that is given and is not jsonl or csv is a usage error."""
+    pairs_format = cfg.get("pairs_format")
+    if pairs_format is not None and pairs_format not in ("jsonl", "csv"):
+        raise UsageError(f"pairs_format must be jsonl or csv, got {pairs_format!r}")
+    return pairs_format
+
+
 def _load_pairs_and_split(cfg: dict[str, Any]):
     split = _section(cfg, "split", SplitConfig)
-    pairs = load_qa_pairs(cfg["pairs_path"], cfg.get("pairs_format"))
+    pairs = load_qa_pairs(cfg["pairs_path"], _pairs_format(cfg))
     return pairs, split_pairs(pairs, ratio=split.ratio, seed=split.seed)
 
 
@@ -289,10 +298,11 @@ def cmd_synth(cfg: dict[str, Any]) -> int:
 def cmd_ingest(cfg: dict[str, Any]) -> int:
     if not cfg.get("pairs_path") and not cfg.get("docs_dir"):
         raise UsageError("ingest requires --pairs and/or --docs")
+    pairs_format = _pairs_format(cfg)
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     if cfg.get("pairs_path"):
-        pairs = load_qa_pairs(cfg["pairs_path"], cfg.get("pairs_format"))
+        pairs = load_qa_pairs(cfg["pairs_path"], pairs_format)
         save_qa_pairs(pairs, out_dir / "pairs.jsonl")
         print(f"ingested {len(pairs)} pairs -> {out_dir / 'pairs.jsonl'}")
     if cfg.get("docs_dir"):
@@ -343,7 +353,7 @@ def cmd_index(cfg: dict[str, Any]) -> int:
     if mode not in RETRIEVAL_MODES:
         raise UsageError(f"index: mode must be one of {RETRIEVAL_MODES}, got {mode!r}")
     out_dir = Path(cfg["out_dir"])
-    items = build_eval_set(load_qa_pairs(cfg["input"], cfg.get("pairs_format")), ())
+    items = build_eval_set(load_qa_pairs(cfg["input"], _pairs_format(cfg)), ())
     dense = None
     lexical = None
     if mode in ("dense", "hybrid"):

@@ -41,9 +41,9 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class AdapterParams:
-    """A (d_out, d_in) linear map with optional bias.
+    """A (d_out, d_in) linear map with optional bias, checked once when made.
 
     ``train_pair_ids`` records which pairs the adapter saw during training,
     so evaluation harnesses can refuse leaked test pairs.
@@ -54,13 +54,13 @@ class AdapterParams:
     train_pair_ids: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        self.weight = np.asarray(self.weight, dtype=np.float64)
+        object.__setattr__(self, "weight", np.asarray(self.weight, dtype=np.float64))
         if self.weight.ndim != 2 or min(self.weight.shape) < 1:
             raise ValueError(f"weight must be a 2-D matrix, got shape {self.weight.shape}")
         if not np.all(np.isfinite(self.weight)):
             raise ValueError("adapter weight contains non-finite entries")
         if self.bias is not None:
-            self.bias = np.asarray(self.bias, dtype=np.float64)
+            object.__setattr__(self, "bias", np.asarray(self.bias, dtype=np.float64))
             if self.bias.shape != (self.weight.shape[0],):
                 raise ValueError(
                     f"bias shape {self.bias.shape} does not match d_out {self.weight.shape[0]}"
@@ -143,10 +143,13 @@ def apply_adapter(adapter: AdapterParams, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] != adapter.d_in:
         raise ValueError(f"input has shape {x.shape}, adapter expects d_in={adapter.d_in}")
-    out = x @ adapter.weight.T
-    if adapter.bias is not None:
-        out = out + adapter.bias
-    return out
+    return _adapt(x, adapter.weight, adapter.bias)
+
+
+def _adapt(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
+    """``x @ weight.T``, then ``+ bias``: the adapter's one map, in training and after."""
+    out = x @ weight.T
+    return out if bias is None else out + bias
 
 
 def _normalize_rows(rows: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -178,19 +181,21 @@ def mnr_loss(similarity: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def _loss_and_param_grads(
-    adapter: AdapterParams, questions: np.ndarray, positives: np.ndarray, scale: float
+    weight: np.ndarray, bias: np.ndarray | None, questions: np.ndarray, positives: np.ndarray,
+    scale: float,
 ) -> tuple[float, float, np.ndarray, np.ndarray | None]:
     """Forward pass plus analytic (loss, accuracy, dW, db) for one batch.
 
-    Row i of ``questions`` pairs with row i of ``positives``. The forward
+    Row i of the float64 ``questions`` pairs with row i of ``positives``.
+    Rows are adapted as ``apply_adapter`` adapts them, and the forward
     pass builds ``S[i, j] = scale * cos(adapt(q_i), adapt(p_j))``: the
     diagonal holds each question's positive and the off-diagonal entries are
     its in-batch negatives. Backpropagates through the scale, the row
     normalization, and the linear map: for a = W q,
     d(loss)/da = (g - u (u . g)) / |a| with u = a/|a|.
     """
-    unit_q, norm_q = _normalize_rows(apply_adapter(adapter, questions), "query")
-    unit_p, norm_p = _normalize_rows(apply_adapter(adapter, positives), "positive")
+    unit_q, norm_q = _normalize_rows(_adapt(questions, weight, bias), "query")
+    unit_p, norm_p = _normalize_rows(_adapt(positives, weight, bias), "positive")
     similarity = scale * (unit_q @ unit_p.T)
 
     loss, grad_s = mnr_loss(similarity)
@@ -207,7 +212,7 @@ def _loss_and_param_grads(
 
     grad_weight = grad_adapted_q.T @ questions + grad_adapted_p.T @ positives
     grad_bias = None
-    if adapter.bias is not None:
+    if bias is not None:
         grad_bias = grad_adapted_q.sum(axis=0) + grad_adapted_p.sum(axis=0)
     return loss, accuracy, grad_weight, grad_bias
 
@@ -248,10 +253,12 @@ def train_adapter(
     questions and of all contexts, each checked by ``checked_embed`` to hold
     one row per text; a pair either of which embeds to zero is rejected by
     id. The weight starts at identity, so the epoch-0 model equals the base
-    model; each epoch reshuffles with the seeded generator and fills
-    batches in that order, moving a pair whose context the batch already
-    holds on to a later batch, so no pair's positive is another's negative;
-    a batch is kept only if it still contains a negative (size >= 2). The run is deterministic under (pairs, embedder, config).
+    model; each epoch fills batches in a fresh seeded shuffle (or in the
+    pairs' order without ``shuffle_each_epoch``), moving a pair whose context
+    the batch already holds on to a later batch, so no pair's positive is
+    another's negative; a batch is kept only if it still contains a negative
+    (size >= 2), as the first batch always does. The run is deterministic
+    under (pairs, embedder, config).
     ``epoch_callback`` receives a snapshot of the parameters after every
     epoch, e.g. to record per-epoch retrieval quality on a held-out set.
     """
@@ -273,46 +280,36 @@ def train_adapter(
         part = "question" if zero_question[i] else "context"
         raise ValueError(f"pair {pairs[i].pair_id}: base embedding of {part} is all-zero")
 
-    adapter = AdapterParams.identity(questions.shape[1], use_bias=config.use_bias)
-    adapter.train_pair_ids = tuple(pair.pair_id for pair in pairs)
+    weight = np.eye(questions.shape[1], dtype=np.float64)
+    bias = np.zeros(questions.shape[1], dtype=np.float64) if config.use_bias else None
+    train_pair_ids = tuple(pair.pair_id for pair in pairs)
     rng = np.random.default_rng(config.seed)
     report = LossReport()
 
     for epoch in range(1, config.epochs + 1):
-        if config.shuffle_each_epoch:
-            order = rng.permutation(len(pairs))
-        else:
-            order = np.arange(len(pairs))
+        order = rng.permutation(len(pairs)) if config.shuffle_each_epoch else np.arange(len(pairs))
         epoch_loss = 0.0
         epoch_pairs = 0
-        batch_accuracies = []
-        batch_index = 0
+        accuracies = []
         for rows in _batches(order, context_texts, config.batch_size):
             if len(rows) < 2:
                 continue  # a single-pair batch has no negatives
             loss, accuracy, grad_weight, grad_bias = _loss_and_param_grads(
-                adapter, questions[rows], contexts[rows], config.scale
+                weight, bias, questions[rows], contexts[rows], config.scale
             )
-            adapter.weight = adapter.weight - config.learning_rate * grad_weight
-            if grad_bias is not None:
-                adapter.bias = adapter.bias - config.learning_rate * grad_bias
-            batch_index += 1
+            weight = weight - config.learning_rate * grad_weight
+            if bias is not None:
+                bias = bias - config.learning_rate * grad_bias
             epoch_loss += loss
             epoch_pairs += len(rows)
-            batch_accuracies.append(accuracy)
-            report.batches.append(BatchStats(epoch, batch_index, loss, accuracy, len(rows)))
+            accuracies.append(accuracy)
+            report.batches.append(BatchStats(epoch, len(accuracies), loss, accuracy, len(rows)))
         report.epoch_mean_loss.append(epoch_loss / epoch_pairs)
-        report.epoch_accuracy.append(
-            float(np.mean(batch_accuracies)) if batch_accuracies else 0.0
-        )
+        report.epoch_accuracy.append(float(np.mean(accuracies)))
         if epoch_callback is not None:
-            snapshot = AdapterParams(
-                weight=adapter.weight.copy(),
-                bias=None if adapter.bias is None else adapter.bias.copy(),
-                train_pair_ids=adapter.train_pair_ids,
-            )
-            epoch_callback(epoch, snapshot)
-    return adapter, report
+            bias_copy = None if bias is None else bias.copy()
+            epoch_callback(epoch, AdapterParams(weight.copy(), bias_copy, train_pair_ids))
+    return AdapterParams(weight, bias, train_pair_ids), report
 
 
 # ---------------------------------------------------------------------------

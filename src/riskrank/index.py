@@ -136,11 +136,11 @@ class Run(Sequence[RankedList]):
     ranking contract, and making one is the only check of it, in one
     vectorized pass: sizes that disagree, bounds or item numbers that are
     not integers, bounds that do not rise from 0 to the number of pairs, an
-    item number outside ``item_ids``, an item that repeats within one
-    ranking, a NaN score or a score that rises within a ranking raise
-    ValueError. ``run[i]`` builds ranking ``i`` as a ``RankedList`` view,
-    and iterating a run builds each ranking in turn. A run compares and
-    hashes by identity.
+    id that repeats in ``item_ids``, an item number outside ``item_ids``, an
+    item that repeats within one ranking, a NaN score or a score that rises
+    within a ranking raise ValueError. ``run[i]`` builds ranking ``i`` as a
+    ``RankedList`` view, and iterating a run builds each ranking in turn. A
+    run compares and hashes by identity.
     """
 
     def __init__(
@@ -164,6 +164,8 @@ class Run(Sequence[RankedList]):
                 f"bounds of {len(self.query_ids)} rankings must rise from 0 to {pairs}, "
                 f"the number of items, and there are {len(self.scores)} scores"
             )
+        if len(set(item_ids)) != len(item_ids):
+            _require_unique(item_ids, "the run's item ids repeat")
         n = len(item_ids)
         if pairs and not 0 <= int(self.items.min()) <= int(self.items.max()) < n:
             raise ValueError(f"item numbers must lie in [0, {n})")
@@ -383,6 +385,11 @@ def build_dense_index(
 # included, and cannot reach the top k.  Ranking the kept rows by exact
 # score thus gives the full scan's hits, scores and order bit for bit.  The
 # bound needs finite inputs, hence the checks.
+#
+# The promise covers the rows and queries a search is given. Finetuned ones
+# come from ``finetune.apply_adapter``, a float64 BLAS product whose bits
+# depend on the OpenBLAS kernel, so finetuned scores are exact for those
+# inputs but deterministic per kernel only.
 #
 # The exact score of a kept row is fsum of its d products; each block gets
 # its kept pairs' scores from one ``_exact_dots`` call (see the comments

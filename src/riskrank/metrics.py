@@ -2,8 +2,8 @@
 
 A hit's rank is its 1-based position in the list. All metrics are
 rank-based (invariant under monotone score transforms) and live in [0, 1],
-since a ``Run`` refuses a ranking that repeats an item and a run whose
-``item_ids`` repeat an id is refused here.
+since a ``Run`` refuses a ranking that repeats an item and ``item_ids``
+that repeat an id.
 A query with an empty ranked list scores 0 on everything; a query absent
 from the qrels, or ranked twice in a run, is an error. Aggregates are
 arithmetic means over the queries present in the run.
@@ -24,7 +24,7 @@ import numpy as np
 
 from .cache import json_text
 from .corpus import Qrels
-from .index import Run, _require_unique
+from .index import Run
 
 __all__ = ["MetricReport", "evaluate_run"]
 
@@ -100,8 +100,8 @@ def evaluate_run(
     RankedLists), else TypeError. The ranks of each query's relevant hits,
     to the largest cutoff, are found for all queries at once; every family
     and cutoff is computed from those. An empty ``k_list``, a cutoff that is
-    not an integer >= 1, a query missing from ``qrels`` or ranked twice, and
-    a run whose ``item_ids`` repeat an id raise ValueError.
+    not an integer >= 1, and a query missing from ``qrels`` or ranked twice
+    raise ValueError.
     """
     if not k_list:
         raise ValueError("k_list must be nonempty")
@@ -112,8 +112,6 @@ def evaluate_run(
         raise TypeError("evaluate_run takes a run; Run.from_rankings makes a run of RankedLists")
     n = len(run.item_ids)
     number = dict(zip(run.item_ids, range(n)))
-    if len(number) != n:
-        _require_unique(run.item_ids, "the run's item ids repeat")
     relevant_count: dict[str, int] = {}
     relevant_keys = []
     for q, query_id in enumerate(run.query_ids):

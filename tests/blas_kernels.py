@@ -17,15 +17,22 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 
 import riskrank
 from riskrank.benchmark import RETRIEVAL_MODES, EvalConfig, compare_adapter, run_eval
-from riskrank.corpus import split_pairs, synth_dataset
+from riskrank.cli import main
+from riskrank.corpus import build_eval_set, save_qa_pairs, split_pairs, synth_dataset
 from riskrank.embedding import HashEmbedder
 from riskrank.finetune import AdapterParams, TrainingConfig, train_adapter
+from riskrank.index import (
+    build_dense_index, build_lexical_index, dense_search_many, lexical_search_many, rrf_fuse,
+)
 
 # The default kernel, and two that every x86-64 CPU runs. A kernel the CPU
 # lacks, such as SkylakeX without AVX-512, would kill the child with SIGILL.
@@ -66,9 +73,51 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _run_digest(run) -> str:
+    """The query ids, hit ids and scores (as ``float.hex``) of a run."""
+    rankings = [[r.query_id, [[i, score.hex()] for i, score in r.hits]] for r in run]
+    return _digest(json.dumps(rankings).encode())
+
+
+def _base_side(pairs, split) -> dict[str, str]:
+    """The base embedder's dense index rows, its dense, lexical and hybrid runs,
+    and the ``report.json`` of a hybrid ``riskrank eval``. A finetuned side
+    is left out: adapted rows come from a float64 BLAS product, so their
+    scores are deterministic per kernel only."""
+    embedder = HashEmbedder(dim=64, seed=0)
+    eval_set = build_eval_set(pairs, split.test)
+    query_ids, texts = list(eval_set.queries), list(eval_set.queries.values())
+    dense = build_dense_index(eval_set.item_ids, embedder.embed(list(eval_set.item_texts)))
+    dense_run = dense_search_many(dense, embedder.embed(texts), 100, query_ids)
+    lexical = build_lexical_index(eval_set.item_ids, eval_set.item_texts)
+    lexical_run = lexical_search_many(lexical, texts, 100, query_ids)
+    digests = {
+        "index_rows": _digest(dense.matrix.tobytes()),
+        "dense_run": _run_digest(dense_run),
+        "lexical_run": _run_digest(lexical_run),
+        "hybrid_run": _run_digest(rrf_fuse([dense_run, lexical_run], k=100)),
+    }
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        save_qa_pairs(pairs, work / "pairs.jsonl")
+        config = {
+            "pairs_path": str(work / "pairs.jsonl"), "split": {"ratio": 0.8, "seed": 7},
+            "embedder": {"kind": "hash", "dim": 64, "seed": 0},
+            "eval": {"retrieval_mode": "hybrid"},
+        }
+        (work / "cfg.json").write_text(json.dumps(config))
+        with redirect_stdout(StringIO()):
+            code = main(["eval", "-c", str(work / "cfg.json"), "-o", str(work / "runs")])
+        assert code == 0, f"riskrank eval exited {code}"
+        [run_dir] = (work / "runs").iterdir()
+        digests["cli_eval_report"] = _digest((run_dir / "report.json").read_bytes())
+    return digests
+
+
 def _eval() -> dict[str, str]:
-    """A raw float64 matmul, ``run_eval`` in every mode, and ``compare_adapter``
-    (hybrid) with a fixed adapter, on a corpus of 300 pairs."""
+    """A raw float64 matmul, ``run_eval`` in every mode, ``compare_adapter``
+    (hybrid) with a fixed adapter, and the base side's runs, index rows and
+    CLI report, on a corpus of 300 pairs."""
     rng = np.random.default_rng(0)
     product = rng.normal(size=(64, 256)) @ rng.normal(size=(256, 300))
     digests = {"matmul": _digest(product.tobytes())}
@@ -84,17 +133,32 @@ def _eval() -> dict[str, str]:
     )
     digests["base"] = _digest(comparison.base.to_json_bytes())
     digests["finetuned"] = _digest(comparison.finetuned.to_json_bytes())
+    digests.update(_base_side(pairs, split))
+    return digests
+
+
+def _trained(pairs, config: TrainingConfig) -> dict[str, str]:
+    """The float64 weight, bias if any, and every batch's (loss, accuracy)."""
+    adapter, report = train_adapter(pairs, HashEmbedder(dim=64, seed=0), config)
+    stats = json.dumps([[b.loss, b.in_batch_accuracy] for b in report.batches])
+    digests = {"weight": _digest(adapter.weight.tobytes())}
+    if adapter.bias is not None:
+        digests["bias"] = _digest(adapter.bias.tobytes())
+    digests["batches"] = _digest(stats.encode())
     return digests
 
 
 def _training() -> dict[str, str]:
-    """The float64 weight and every batch's (loss, accuracy) of a small training run."""
+    """Two small training runs: the default path, and a bias trained on
+    batches in the pairs' own order (keys prefixed ``bias_unshuffled.``)."""
     pairs = split_pairs(synth_dataset(4, 30, 50, seed=7)[1], 0.95, 7).train
-    adapter, report = train_adapter(
-        pairs, HashEmbedder(dim=64, seed=0), TrainingConfig(batch_size=8, epochs=2, seed=7)
+    digests = _trained(pairs, TrainingConfig(batch_size=8, epochs=2, seed=7))
+    unshuffled = TrainingConfig(
+        batch_size=8, epochs=2, seed=7, use_bias=True, shuffle_each_epoch=False
     )
-    stats = json.dumps([[b.loss, b.in_batch_accuracy] for b in report.batches])
-    return {"weight": _digest(adapter.weight.tobytes()), "batches": _digest(stats.encode())}
+    for key, value in _trained(pairs, unshuffled).items():
+        digests[f"bias_unshuffled.{key}"] = value
+    return digests
 
 
 if __name__ == "__main__":

@@ -132,13 +132,10 @@ def test_criterion_03_gradient_correctness():
             questions = rng.normal(size=(8, 16))
             positives = rng.normal(size=(8, 16))
             weight = np.eye(16) + 0.1 * rng.normal(size=(16, 16))
-            adapter = AdapterParams(weight=weight)
-            _, _, grad_weight, _ = _loss_and_param_grads(adapter, questions, positives, 1.0)
+            _, _, grad_weight, _ = _loss_and_param_grads(weight, None, questions, positives, 1.0)
 
             def loss_of(w, questions=questions, positives=positives):
-                return _loss_and_param_grads(
-                    AdapterParams(weight=w), questions, positives, 1.0
-                )[0]
+                return _loss_and_param_grads(w, None, questions, positives, 1.0)[0]
 
             error = finite_diff_check(
                 loss_of, weight, grad_weight, eps=1e-3, max_coords=48, seed=trial
@@ -258,8 +255,7 @@ def test_criterion_08_split_fidelity_and_leakage_guard(tmp_path):
         assert len(split.test) == 375
         assert len(build_eval_set(loaded, split.test).qrels) == 375
 
-        leaked = AdapterParams.identity(16)
-        leaked.train_pair_ids = (split.test[0].pair_id,)
+        leaked = AdapterParams(np.eye(16), train_pair_ids=(split.test[0].pair_id,))
         embedder = HashEmbedder(dim=16, seed=0)
         with pytest.raises(ValueError, match="trained on"):
             run_eval(loaded, split, embedder, EvalConfig(), adapter=leaked)

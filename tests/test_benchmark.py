@@ -1,6 +1,7 @@
 """End-to-end evaluation harness, comparison tables, and report emission."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -99,16 +100,16 @@ class TestRunEval:
     def test_leakage_guard(self):
         pairs, split = small_corpus()
         embedder = HashEmbedder(dim=32, seed=0)
-        leaked = AdapterParams.identity(32)
-        leaked.train_pair_ids = tuple(p.pair_id for p in pairs)  # includes test
+        leaked = AdapterParams(
+            np.eye(32), train_pair_ids=tuple(p.pair_id for p in pairs)  # includes test
+        )
         with pytest.raises(ValueError, match="trained on"):
             run_eval(pairs, split, embedder, EvalConfig(), adapter=leaked)
 
     def test_clean_adapter_passes_guard(self):
         pairs, split = small_corpus()
         embedder = HashEmbedder(dim=32, seed=0)
-        clean = AdapterParams.identity(32)
-        clean.train_pair_ids = tuple(p.pair_id for p in split.train)
+        clean = AdapterParams(np.eye(32), train_pair_ids=tuple(p.pair_id for p in split.train))
         run_eval(pairs, split, embedder, EvalConfig(), adapter=clean)
 
     def test_empty_test_split_rejected(self):
@@ -170,13 +171,12 @@ class TestRunEval:
                  QAPair("t1", "who reports", "reporting duties"))
         test = (QAPair("e0", "define the buffer", "capital buffer rules"),)
         split = DatasetSplit(train=train, test=test, ratio=0.5, seed=0)
-        adapter = AdapterParams.identity(32)
-        adapter.train_pair_ids = ("t0", "t1")
+        adapter = AdapterParams(np.eye(32), train_pair_ids=("t0", "t1"))
         embedder = HashEmbedder(dim=32, seed=0)
         report = run_eval(train + test, split, embedder, EvalConfig(k_list=(1,)),
                           adapter=adapter)
         assert report.per_query["e0"]["HR@1"] == 1.0
-        adapter.train_pair_ids = ("t0", "e0")
+        adapter = replace(adapter, train_pair_ids=("t0", "e0"))
         with pytest.raises(ValueError, match="trained on"):
             run_eval(train + test, split, embedder, EvalConfig(), adapter=adapter)
 
@@ -217,10 +217,11 @@ class TestRunEval:
 
 
 def test_reports_are_equal_under_every_blas_kernel():
-    """The promise that dense scores, and so reports, are bit-stable across
-    BLAS builds, checked under three OpenBLAS kernels in child processes.
-    The raw float64 matmul must differ between them first, or the check
-    would prove nothing."""
+    """The promise that dense scores, and so rankings, index rows and
+    reports (a ``riskrank eval`` one among them), are bit-stable across BLAS
+    builds, checked under three OpenBLAS kernels in child processes. The raw
+    float64 matmul must differ between them first, or the check would prove
+    nothing."""
     reason = why_no_kernel_switch()
     if reason:
         pytest.skip(reason)

@@ -204,6 +204,23 @@ def test_ingest_format_flag_is_part_of_the_config(tmp_path, capsys):
     assert digests[1] == digests[2] != digests[0]
 
 
+@pytest.mark.parametrize("command", ["eval", "ingest", "index"])
+def test_a_pairs_format_from_the_config_file_is_checked(workspace, capsys, command):
+    # A format the file suffix implies is checked by the loader; one the
+    # config gives is a refused config value, refused before any output.
+    tmp_path, data_dir, config = workspace
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", {
+        **config, "pairs_format": "xml", "input": str(data_dir / "pairs.jsonl"),
+        "out_dir": str(out),
+    })
+    argv = {"eval": [], "ingest": ["--pairs", config["pairs_path"]], "index": []}[command]
+    assert main([command, "-c", cfg, *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("riskrank: usage error: pairs_format must be jsonl or csv, got 'xml'")
+    assert not out.exists()
+
+
 class TestRuntimeErrors:
     def test_missing_pairs_file_is_exit_two(self, tmp_path, capsys):
         config = write_config(

@@ -81,7 +81,7 @@ class TestBatchSimilarity:
         q = rng.normal(size=(1, 5))
         p = rng.normal(size=(1, 5))
         adapter = AdapterParams.identity(5)
-        loss, accuracy, grad_weight, _ = _loss_and_param_grads(adapter, q, p, 20.0)
+        loss, accuracy, grad_weight, _ = _loss_and_param_grads(np.eye(5), None, q, p, 20.0)
         assert loss == 0.0 == mnr_loss(scalar_similarity(adapter, q, p, 20.0))[0]
         assert accuracy == 1.0
         assert not grad_weight.any()
@@ -89,7 +89,7 @@ class TestBatchSimilarity:
     def test_self_pairs_have_unit_diagonal(self, rng):
         q = rng.normal(size=(6, 4))
         adapter = AdapterParams.identity(4)
-        loss, accuracy, _, _ = _loss_and_param_grads(adapter, q, q.copy(), 1.0)
+        loss, accuracy, _, _ = _loss_and_param_grads(np.eye(4), None, q, q.copy(), 1.0)
         s = scalar_similarity(adapter, q, q, 1.0)
         np.fill_diagonal(s, 1.0)
         assert loss == pytest.approx(mnr_loss(s)[0], abs=1e-12)
@@ -98,16 +98,17 @@ class TestBatchSimilarity:
     def test_matches_scalar_cosine(self, rng):
         questions, positives = random_batch(rng, n=5, dim=7)
         adapter = AdapterParams(weight=rng.normal(size=(7, 7)))
-        loss, accuracy, _, _ = _loss_and_param_grads(adapter, questions, positives, 20.0)
+        loss, accuracy, _, _ = _loss_and_param_grads(
+            adapter.weight, None, questions, positives, 20.0
+        )
         s = scalar_similarity(adapter, questions, positives, 20.0)
         assert loss == pytest.approx(mnr_loss(s)[0], abs=1e-9)
         assert accuracy == np.mean(s.argmax(axis=1) == np.arange(5))
 
     def test_degenerate_adapter_rejected(self, rng):
         questions, positives = random_batch(rng, n=3, dim=4)
-        adapter = AdapterParams(weight=np.zeros((4, 4)))
         with pytest.raises(ValueError, match="zero"):
-            _loss_and_param_grads(adapter, questions, positives, 1.0)
+            _loss_and_param_grads(np.zeros((4, 4)), None, questions, positives, 1.0)
 
 
 class TestMnrLoss:
@@ -186,7 +187,7 @@ class TestMnrLossGrad:
 
 
 def pipeline_loss(weight, batch, scale, bias=None):
-    return _loss_and_param_grads(AdapterParams(weight=weight, bias=bias), *batch, scale)[0]
+    return _loss_and_param_grads(weight, bias, *batch, scale)[0]
 
 
 class TestFiniteDiffCheck:
@@ -202,8 +203,7 @@ class TestFiniteDiffCheck:
         for trial in range(5):
             batch = random_batch(rng, n=8, dim=16)
             weight = np.eye(16) + 0.1 * rng.normal(size=(16, 16))
-            adapter = AdapterParams(weight=weight)
-            _, _, grad_weight, _ = _loss_and_param_grads(adapter, *batch, 1.0)
+            _, _, grad_weight, _ = _loss_and_param_grads(weight, None, *batch, 1.0)
             error = finite_diff_check(
                 lambda w: pipeline_loss(w, batch, 1.0),
                 weight,
@@ -219,8 +219,7 @@ class TestFiniteDiffCheck:
         for trial in range(5):
             batch = random_batch(rng, n=8, dim=16)
             weight = np.eye(16) + 0.1 * rng.normal(size=(16, 16))
-            adapter = AdapterParams(weight=weight)
-            _, _, grad_weight, _ = _loss_and_param_grads(adapter, *batch, 20.0)
+            _, _, grad_weight, _ = _loss_and_param_grads(weight, None, *batch, 20.0)
             error = finite_diff_check(
                 lambda w: pipeline_loss(w, batch, 20.0),
                 weight,
@@ -235,8 +234,7 @@ class TestFiniteDiffCheck:
         batch = random_batch(rng, n=6, dim=8)
         weight = np.eye(8) + 0.05 * rng.normal(size=(8, 8))
         bias = 0.1 * rng.normal(size=8)
-        adapter = AdapterParams(weight=weight, bias=bias)
-        _, _, _, grad_bias = _loss_and_param_grads(adapter, *batch, 20.0)
+        _, _, _, grad_bias = _loss_and_param_grads(weight, bias, *batch, 20.0)
         error = finite_diff_check(
             lambda b: pipeline_loss(weight, batch, 20.0, bias=b),
             bias,
@@ -249,8 +247,7 @@ class TestFiniteDiffCheck:
         """Negative control: a step below float32 resolution reads pure noise."""
         batch = random_batch(rng, n=4, dim=8)
         weight = np.eye(8)
-        adapter = AdapterParams(weight=weight)
-        _, _, grad_weight, _ = _loss_and_param_grads(adapter, *batch, 20.0)
+        _, _, grad_weight, _ = _loss_and_param_grads(weight, None, *batch, 20.0)
 
         def loss32(w):
             w32 = np.asarray(w, dtype=np.float32).astype(np.float64)
@@ -417,9 +414,10 @@ class TestTrainAdapter:
         assert {"epoch", "batch", "loss", "in_batch_accuracy"} <= set(first)
 
     def test_pinned_training_bits(self):
-        # Digests of the float64 weight and of every batch's (loss, accuracy):
-        # any change to the order of a floating-point operation in training
-        # shows here. Training multiplies through BLAS, whose kernels sum in
+        # Digests of the float64 weight (and bias) and of every batch's
+        # (loss, accuracy), for the default path and for a bias trained on
+        # unshuffled batches: any change to the order of a floating-point
+        # operation in training shows here. Training multiplies through BLAS, whose kernels sum in
         # different orders, so its bits are deterministic per kernel, not
         # across kernels: they are pinned under OpenBLAS's Prescott kernel,
         # which every x86-64 CPU runs, in a child process.
@@ -429,6 +427,12 @@ class TestTrainAdapter:
         assert digests_under("Prescott", "training") == {
             "weight": "188396665e3c34f2c7f922739f30d961d07f1e56cb0c2ec34e31cf8ad75d402c",
             "batches": "c1407c848e6e4dac4b1ad703ca9cfce02783c102325b9bae5beaffeae461bf49",
+            "bias_unshuffled.weight":
+                "0505b34da43bdd01c0c3d0964cf7bcb1a91469c115accc8150e00f921b73906a",
+            "bias_unshuffled.bias":
+                "b0da44bfb66dabdd034155a16d2e16dd165f590eaa7a071c26073657e2a2328d",
+            "bias_unshuffled.batches":
+                "ea6e9092359a5882bc4d4faec94e87c1268343c7e6ac8f02e4c007fe5a0da2d8",
         }
 
     def test_config_validation(self):

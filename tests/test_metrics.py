@@ -310,9 +310,9 @@ class TestInvariants:
     def test_a_run_whose_item_ids_repeat_is_refused(self):
         # Matched by id, the hit of the second "a" would count as relevant;
         # matched by item number, it would not.
-        run = Run(["q"], ("a", "b", "a"), [0, 2], [2, 1], [1.0, 0.5])
+        # The run is refused when made, before it can be scored.
         with pytest.raises(ValueError, match=r"the run's item ids repeat: \['a'\]"):
-            evaluate_run(run, {"q": {"a"}}, (5,))
+            Run(["q"], ("a", "b", "a"), [0, 2], [2, 1], [1.0, 0.5])
 
     @pytest.mark.parametrize("query_ids, message", [
         (["q", "r", "q"], "query 'r' missing from qrels"),

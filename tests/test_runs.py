@@ -235,6 +235,13 @@ def test_runs_to_fuse_must_agree():
         rrf_fuse([a, Run(["q"], ("y", "x"), [0, 1], [0], [1.0])])
 
 
+def test_a_fusion_cannot_rank_one_id_twice():
+    """Fusing a run over ids that repeat would rank "a" twice, a ranking
+    ``Run.from_rankings`` refuses; the run is refused when made instead."""
+    with pytest.raises(ValueError, match=r"the run's item ids repeat: \['a'\]"):
+        rrf_fuse([Run(["q"], ["a", "a"], [0, 2], [0, 1], [1.0, 0.5])])
+
+
 @pytest.mark.parametrize("lists", [
     lambda run: [run[0]], lambda run: [run[0], run[0]], lambda run: [run, run[0]],
 ], ids=["one-ranking", "two-rankings", "a-run-and-a-ranking"])
