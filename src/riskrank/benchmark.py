@@ -359,15 +359,14 @@ def make_run_dir(base: Path | str, fingerprint: str, now: datetime | None = None
     """Create a new directory ``<base>/<UTC timestamp>-<fingerprint prefix>`` and return it.
 
     The name is never reused: when it is taken (a run of the same config in
-    the same second), ``-2``, ``-3`` and so on are appended.
+    the same second), ``-2``, ``-3`` and so on are appended. A missing ``base`` is made.
     """
     stamp = (now or datetime.now(timezone.utc)).strftime("%Y%m%dT%H%M%S")
     name = f"{stamp}-{fingerprint[:8]}"
-    Path(base).mkdir(parents=True, exist_ok=True)
     for n in itertools.count(1):
         run_dir = Path(base) / (name if n == 1 else f"{name}-{n}")
         try:
-            run_dir.mkdir()
+            run_dir.mkdir(parents=True)
         except FileExistsError:
             continue
         return run_dir

@@ -1,11 +1,12 @@
 """riskrank's file layouts (JSON, JSONL, RKV1) and the disk cache for vectors.
 
-Every file riskrank writes goes through ``write_file`` (a temp file renamed
-over the target), so readers never see a partial file and a failed write
-leaves the old one and no temp file. JSON is ``json_text``; JSONL is one
-compact UTF-8 object per line. ``read_json`` and ``read_jsonl`` check each
-object against a field table, naming the file, the line (JSONL) and the
-field on error; ``check_values`` checks a typed config's fields against one.
+Every file riskrank writes goes through ``write_file``: it makes a missing
+directory and renames a temp file over the target, so readers never see a
+partial file and a failed write leaves the old one and no temp file. JSON
+is ``json_text``; JSONL is one compact UTF-8 object per line. ``read_json``
+and ``read_jsonl`` check each object against a field table, naming the
+file, the line (JSONL) and the field on error; ``check_values`` checks a
+typed config's fields against one.
 
 RKV1 is the one vector file layout in riskrank: magic bytes ``RKV1``, then
 the dimension as unsigned 32-bit little-endian, then row-major IEEE-754
@@ -91,21 +92,20 @@ def default_cache_dir() -> Path:
 def write_file(path: Path | str, data: bytes | str) -> None:
     """Atomically replace ``path`` with ``data`` (a str is written as UTF-8).
 
-    A str that is not valid Unicode raises ValueError and a missing directory
-    FileNotFoundError, both naming ``path``; a failed write leaves no temp file.
+    The file's directory is made when missing. A str that is not valid Unicode
+    raises ValueError naming ``path`` and makes nothing; a failed write leaves no temp file.
     """
     if isinstance(data, str):
         try:
             data = data.encode("utf-8")
         except UnicodeEncodeError as exc:
             raise ValueError(f"{path}: cannot write as UTF-8: {exc}") from None
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.tmp-{uuid.uuid4().hex}"
     try:
         with open(tmp, "wb") as handle:
             handle.write(data)
         os.replace(tmp, path)
-    except FileNotFoundError as exc:  # no directory, so no temp file either
-        raise FileNotFoundError(exc.errno, exc.strerror, str(path)) from None
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(tmp)
@@ -295,7 +295,6 @@ class VectorCache:
             )
         directory = self._directory(provider_id, model_id)
         segment = os.path.join(directory, hashlib.sha256(keys).hexdigest())
-        os.makedirs(directory, exist_ok=True)
         write_rkv1(segment + ".vec", values)
         write_file(segment + ".keys", keys)
         self._index(directory, segment, digests)

@@ -229,11 +229,17 @@ def _object(cfg: dict[str, Any], name: str, create: bool = False) -> dict[str, A
     return section
 
 
-def _section(cfg: dict[str, Any], name: str, build: Callable[..., Any], **extra: Any) -> Any:
+def _section(cfg: dict[str, Any], name: str, build: Callable[..., Any], source: str = "",
+             **extra: Any) -> Any:
     """``build(**cfg[name], **extra)``: the one place a config section becomes a
-    typed value. A top-level ``seed`` is the default of ``SEEDED_SECTIONS``; what
-    ``build`` refuses (TypeError, ValueError) is a usage error naming the section."""
+    typed value. A top-level ``seed`` is the default of ``SEEDED_SECTIONS``. A key
+    of ``extra`` that the section sets too (the command takes it from ``source``),
+    and what ``build`` refuses (TypeError, ValueError), are usage errors."""
     values = _object(cfg, name)
+    clash = values.keys() & extra.keys()
+    if clash:
+        raise UsageError(f"config section {name!r} cannot set {min(clash)!r}: "
+                         f"the command takes it from {source}")
     if name in SEEDED_SECTIONS and "seed" in cfg:
         values = {"seed": cfg["seed"], **values}
     try:
@@ -288,7 +294,6 @@ def cmd_synth(cfg: dict[str, Any]) -> int:
         )
     except ValueError as exc:
         raise UsageError(f"synth: {exc}") from exc
-    out_dir.mkdir(parents=True, exist_ok=True)
     save_qa_pairs(pairs, out_dir / "pairs.jsonl")
     save_documents(documents, out_dir / "documents.jsonl")
     print(f"wrote {len(pairs)} pairs and {len(documents)} documents to {out_dir}")
@@ -299,14 +304,13 @@ def cmd_ingest(cfg: dict[str, Any]) -> int:
     if not cfg.get("pairs_path") and not cfg.get("docs_dir"):
         raise UsageError("ingest requires --pairs and/or --docs")
     pairs_format = _pairs_format(cfg)
+    pairs = load_qa_pairs(cfg["pairs_path"], pairs_format) if cfg.get("pairs_path") else None
+    documents = load_documents(cfg["docs_dir"]) if cfg.get("docs_dir") else None
     out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if cfg.get("pairs_path"):
-        pairs = load_qa_pairs(cfg["pairs_path"], pairs_format)
+    if pairs is not None:
         save_qa_pairs(pairs, out_dir / "pairs.jsonl")
         print(f"ingested {len(pairs)} pairs -> {out_dir / 'pairs.jsonl'}")
-    if cfg.get("docs_dir"):
-        documents = load_documents(cfg["docs_dir"])
+    if documents is not None:
         save_documents(documents, out_dir / "documents.jsonl")
         print(f"ingested {len(documents)} documents -> {out_dir / 'documents.jsonl'}")
     return 0
@@ -319,7 +323,6 @@ def cmd_chunk(cfg: dict[str, Any]) -> int:
     except ValueError as exc:
         raise UsageError(f"chunk: {exc}") from exc
     if out.suffix != ".jsonl":
-        out.mkdir(parents=True, exist_ok=True)
         out = out / "chunks.jsonl"
     documents = load_documents(cfg["docs"])
     total = write_jsonl(out, (
@@ -399,7 +402,7 @@ def _emit_run(report, out_dir: Path, stem: str, config: EvalConfig, what: str) -
 def cmd_eval(cfg: dict[str, Any]) -> int:
     embedder = _build_embedder(cfg)
     label = cfg.get("system") or f"{embedder.provider_id}/{embedder.model_id}"
-    config = _section(cfg, "eval", EvalConfig, system=label)
+    config = _section(cfg, "eval", EvalConfig, "the top-level 'system'", system=label)
     pairs, split = _load_pairs_and_split(cfg)
     if cfg.get("adapter_dir"):
         adapter, _ = load_adapter(cfg["adapter_dir"])
@@ -415,7 +418,7 @@ def cmd_bench(cfg: dict[str, Any]) -> int:
     if not systems or type(systems) is not list or any(type(s) is not dict for s in systems):
         raise UsageError(f"config section 'systems': bench requires a nonempty list "
                          f"of objects, got {systems!r}")
-    shared_config = _section(cfg, "eval", EvalConfig, system="bench")
+    shared_config = _section(cfg, "eval", EvalConfig, "each system's 'name'", system="bench")
     runs = {}  # name -> (embedder, config, adapter), every entry checked before any run
     dims = {}
     for system in systems:

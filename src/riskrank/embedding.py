@@ -10,13 +10,13 @@ arithmetic.
 the hash kernel (index rows, queries, remote vectors): each row is divided
 in float64 by ``sqrt`` of its exactly rounded sum of squares, after an
 exact power-of-two scaling that keeps its squares in range, and zero rows
-stay zero. Those sums, and the exact scores of dense search, come from
-``_exact_dots``: ``math.fsum`` of the products of (row, query) pairs, bit
-for bit, an exact zero as +0.0, summed over the queries' nonzero
-coordinates when they are sparse. It passes them to ``_exact_row_sums``, a
-vectorized kernel that certifies almost every sum from an error-free
-summation tree, sends the rest to ``math.fsum``, and is the one place that
-signs a zero sum.
+stay zero. The exact scores of dense search come from ``_exact_dots``:
+``math.fsum`` of the products of (row, query) pairs, bit for bit, an exact
+zero as +0.0, summed over the queries' nonzero coordinates when they are
+sparse. ``unit_rows`` passes its squares, and ``_exact_dots`` its products,
+to ``_exact_row_sums``, a vectorized kernel that certifies almost every sum
+from an error-free summation tree, sends the rest to ``math.fsum``, and is
+the one place that signs a zero sum.
 
 The hashed embedder is a fast, fully deterministic stand-in for a frozen
 sentence encoder: each token is hashed to a coordinate and a sign, signed
@@ -57,9 +57,9 @@ _ASCII_TOKEN_BYTES = bytes(
 ) + b" " * 128
 _U64 = 0xFFFFFFFFFFFFFFFF
 
-# Terms per ``_exact_row_sums`` call of ``_exact_dots``: a call's temporaries
-# are a few MB, and each call pays some 40 us of fixed numpy overhead, so
-# rows of 256 products summed 1.25x slower in calls of 16 384 terms.
+# Terms per ``_exact_row_sums`` call: a call's temporaries are a few MB,
+# and each call pays some 40 us of fixed numpy overhead, so rows of 256
+# products summed 1.25x slower in calls of 16 384 terms.
 _TERMS_PER_CALL = 50_000
 
 
@@ -182,14 +182,14 @@ def _exact_row_sums(products: np.ndarray) -> np.ndarray:
 
 # Exact dot products.  ``_exact_dots`` sums the products of each (row,
 # query) pair it is given, with certified ``_exact_row_sums`` calls.  When
-# the widest of its queries has w <= d/2 nonzero coordinates (hash vectors,
-# and the squares of sparse rows), it sums, for each pair, only the w
-# products at that query's nonzero coordinates and, for a narrower query,
-# at some of its zero ones; with a wider query (model vectors, adapter
-# outputs) it sums the d products of each pair.  Each dropped or padding
-# product is x_j * (+-0) = +-0 with x_j finite, and adding zeros does not
-# change the real value of a sum, so the exactly rounded sum is the same
-# float, in any order of the terms, a zero sum being +0.0 either way.
+# the widest of its queries has w <= d/2 nonzero coordinates (hash
+# vectors), it sums, for each pair, only the w products at that query's
+# nonzero coordinates and, for a narrower query, at some of its zero ones;
+# with a wider query (model vectors, adapter outputs) it sums the d
+# products of each pair.  Each dropped or padding product is x_j * (+-0) =
+# +-0 with x_j finite, and adding zeros does not change the real value of a
+# sum, so the exactly rounded sum is the same float, in any order of the
+# terms, a zero sum being +0.0 either way.
 def _exact_dots(
     rows: np.ndarray, queries: np.ndarray, row_of: np.ndarray, query_of: np.ndarray
 ) -> np.ndarray:
@@ -225,8 +225,8 @@ def unit_rows(matrix: np.ndarray, ids: Sequence[str], kind: str = "row") -> np.n
     zero. A row holding NaN or Inf raises ValueError ``"<kind> <id> has
     non-finite values"``, with the row's id from ``ids``. Each norm is
     ``sqrt`` of the row's exactly rounded sum of squares, ``math.fsum``'s
-    bits, from one ``_exact_dots`` call of each row with itself per chunk
-    of about ``_TERMS_PER_CALL`` entries.
+    bits, from one ``_exact_row_sums`` call on the squares of each chunk of
+    about ``_TERMS_PER_CALL`` entries.
     """
     rows = np.array(matrix, dtype=np.float64)
     # Each row's largest magnitude; NaN or Inf if the row holds one.
@@ -251,8 +251,7 @@ def unit_rows(matrix: np.ndarray, ids: Sequence[str], kind: str = "row") -> np.n
     sums = np.empty(len(rows))
     for start in range(0, len(rows), step):
         chunk = rows[start:start + step]
-        each = np.arange(len(chunk))
-        sums[start:start + step] = _exact_dots(chunk, chunk, each, each)
+        sums[start:start + step] = _exact_row_sums(chunk * chunk)
     norms = np.sqrt(sums)
     rows /= np.where(norms != 0.0, norms, 1.0)[:, None]
     return rows

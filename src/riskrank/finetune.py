@@ -323,7 +323,6 @@ def save_adapter(
     path: Path | str, adapter: AdapterParams, config: TrainingConfig
 ) -> None:
     path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
     meta = {
         "d_out": adapter.d_out,
         "d_in": adapter.d_in,

@@ -730,7 +730,6 @@ def save_index(
     if dense is not None and lexical is not None and dense.item_ids != lexical.item_ids:
         raise ValueError("dense and lexical indexes list different items")
     path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
     ids = dense.item_ids if dense is not None else lexical.item_ids  # type: ignore[union-attr]
     meta: dict = {
         "count": len(ids),

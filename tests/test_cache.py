@@ -321,16 +321,29 @@ def test_segment_holding_nan_is_corruption(tmp_path):
 @pytest.mark.parametrize(
     "target, data, error",
     [
-        ("missing/out.jsonl", "{}\n", FileNotFoundError),
         ("pairs.jsonl", '{"question": "\ud800"}\n', ValueError),
     ],
-    ids=["missing-directory", "lone-surrogate"],
+    ids=["lone-surrogate"],
 )
 def test_failed_write_names_the_target_and_leaves_no_temp_file(tmp_path, target, data, error):
     path = tmp_path / target
     with pytest.raises(error, match=re.escape(str(path))):
         write_file(path, data)
     assert list(tmp_path.rglob("*")) == []
+
+
+def test_write_file_makes_missing_directories(tmp_path, monkeypatch):
+    """A missing directory of the target is made, nested ones too; a str
+    that cannot be written as UTF-8 makes none."""
+    write_file(tmp_path / "new" / "sub" / "out.jsonl", "{}\n")
+    assert (tmp_path / "new" / "sub" / "out.jsonl").read_text() == "{}\n"
+    monkeypatch.chdir(tmp_path)
+    write_file("bare.json", b"{}\n")  # no directory part: the working directory
+    with pytest.raises(ValueError, match="cannot write as UTF-8"):
+        write_file(tmp_path / "other" / "sub" / "out.jsonl", "\ud800")
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "bare.json", "new", "new/sub", "new/sub/out.jsonl",
+    ]
 
 
 def test_write_failing_after_the_open_removes_the_temp_file(tmp_path, monkeypatch):

@@ -221,6 +221,60 @@ def test_a_pairs_format_from_the_config_file_is_checked(workspace, capsys, comma
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, argv", [
+    ("ingest", ["--pairs", "{missing}"]),
+    ("ingest", ["--docs", "{missing}"]),
+    ("ingest", ["--pairs", "{pairs}", "--docs", "{missing}"]),
+    ("chunk", ["--docs", "{missing}"]),
+    ("index", ["--input", "{missing}"]),
+    ("train", ["-c", "{config}"]),
+    ("eval", ["-c", "{config}"]),
+    ("bench", ["-c", "{config}"]),
+], ids=["ingest-pairs", "ingest-docs", "ingest-pairs-then-docs", "chunk", "index",
+        "train", "eval", "bench"])
+def test_no_output_after_a_missing_input(workspace, command, argv):
+    # Every command reads all its inputs before it makes or writes anything.
+    tmp_path, data_dir, config = workspace
+    missing = tmp_path / "missing.jsonl"
+    del config["adapter_dir"]
+    cfg = write_config(tmp_path / "cfg.json", {
+        **config, "pairs_path": str(missing), "systems": [{"name": "hash"}],
+        "reference": "hash",
+    })
+    names = {"missing": missing, "pairs": data_dir / "pairs.jsonl", "config": cfg}
+    out = tmp_path / "out"
+    assert main([command, *(a.format(**names) for a in argv), "-o", str(out)]) != 0
+    assert not out.exists()
+
+
+def test_chunk_makes_the_directories_of_its_output_file(workspace):
+    tmp_path, data_dir, _ = workspace
+    out = tmp_path / "new" / "sub" / "chunks.jsonl"
+    assert main(["chunk", "--docs", str(data_dir / "documents.jsonl"), "-o", str(out)]) == 0
+    assert json.loads(out.read_text().splitlines()[0])["chunk_id"]
+
+
+@pytest.mark.parametrize("command, source", [
+    ("eval", "the top-level 'system'"),
+    ("bench", "each system's 'name'"),
+], ids=["eval", "bench"])
+def test_a_config_section_cannot_set_what_the_command_passes(workspace, capsys, command,
+                                                             source):
+    tmp_path, _, config = workspace
+    del config["adapter_dir"]
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", {
+        **config, "eval": {**config["eval"], "system": "mine"},
+        "systems": [{"name": "hash"}], "reference": "hash",
+    })
+    assert main([command, "-c", cfg, "-o", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"riskrank: usage error: config section 'eval' cannot set 'system': "
+        f"the command takes it from {source}\n"
+    )
+    assert not out.exists()
+
+
 class TestRuntimeErrors:
     def test_missing_pairs_file_is_exit_two(self, tmp_path, capsys):
         config = write_config(
@@ -337,7 +391,7 @@ class TestIngestChunkEmbedIndex:
         assert capsys.readouterr().err.startswith(
             f"riskrank: error: ValueError: {out / 'pairs.jsonl'}: cannot write as UTF-8"
         )
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_ingest_requires_input(self, tmp_path):
         assert main(["ingest", "-o", str(tmp_path)]) == 1

@@ -11,7 +11,8 @@ put sparse, wide and zero queries in one block, so that a block is verified
 over its queries' nonzero coordinates or over full rows. Those tests also
 check each ``_exact_dots`` call, row by row: the rows it passes to
 ``_exact_row_sums`` are its pairs' products, and a dense block's pairs are
-the kept pairs of its queries. ``unit_rows`` gets the same check over
+the kept pairs of its queries. ``unit_rows`` is checked to pass each row's
+power-of-two-scaled squares to ``_exact_row_sums`` once and in order, over
 chunks of sparse rows and of wide rows. Scores are compared by their bits
 (``float.hex``), so the sign of a zero counts: an exact zero score is +0.0
 under either fsum convention in ``FSUMS``.
@@ -175,7 +176,7 @@ class DotsCall:
 
 def exact_dots_calls(run):
     """``run()`` and a checked ``DotsCall`` for every ``_exact_dots`` call
-    it made, ``unit_rows``' calls included."""
+    it made; kernel calls made outside ``_exact_dots`` pass unrecorded."""
     dots, kernel = embedding_module._exact_dots, embedding_module._exact_row_sums
     calls, active = [], []
 
@@ -191,7 +192,8 @@ def exact_dots_calls(run):
         return call.sums
 
     def record_kernel(products):
-        active[-1].kernel.append(products)
+        if active:
+            active[-1].kernel.append(products)
         return kernel(products)
 
     with mock.patch.object(embedding_module, "_exact_dots", record_dots), \
@@ -205,10 +207,7 @@ def kept_pairs_reach_the_kernel(search, index):
     checking each ``_exact_dots`` call row by row, and that a block's pairs
     are kept pairs of its queries, each once and by query then row, that
     hold every hit of every query."""
-    got, calls = exact_dots_calls(search)
-    # ``unit_rows`` passes a chunk as both rows and queries; a block passes
-    # the index rows and its queries.
-    blocks = [call for call in calls if call.rows is not call.queries]
+    got, blocks = exact_dots_calls(search)
     assert sum(len(block.queries) for block in blocks) == (len(got) if index.count else 0)
     position = {item_id: i for i, item_id in enumerate(index.item_ids)}
     rankings = iter(got)
@@ -321,7 +320,7 @@ def test_a_zero_query_verifies_only_its_k_first_ids():
             )
             sent = np.zeros(len(queries), dtype=np.int64)
             start = 0
-            for call in (c for c in calls if c.rows is not c.queries):
+            for call in calls:
                 sent[start:start + len(call.queries)] += np.bincount(
                     call.query_of, minlength=len(call.queries)
                 )
@@ -564,29 +563,35 @@ def sparse_or_wide_rows(draw):
         if kind == "sparse" or kind == "mixed" and draw(st.booleans()):
             zeros = draw(st.permutations(range(dim)))[:dim - draw(st.integers(0, dim // 2))]
             row[zeros] = draw(st.sampled_from([0.0, -0.0]))
-    return vectors, kind, draw(st.sampled_from([1, 16, 16_384]))
+    return vectors, draw(st.sampled_from([1, 16, 16_384]))
 
 
 @PROPERTY_SETTINGS
 @given(sparse_or_wide_rows())
 def test_unit_rows_reach_the_kernel_row_by_row(case):
-    """``unit_rows`` sums each row's squares as one ``_exact_dots`` pair of
-    the row with itself, every row once and in order: over the nonzero
-    squares of a chunk of sparse rows and over the full rows of a chunk
-    with a wide row."""
-    vectors, kind, per_call = case
+    """``unit_rows`` passes the squares of each row, scaled by the power of
+    two that brings its largest entry into [2**(top-1), 2**top), to
+    ``_exact_row_sums``, every row once and in order, and makes no
+    ``_exact_dots`` call."""
+    vectors, per_call = case
     ids = [f"item-{i:02d}" for i in range(len(vectors))]
-    dim = vectors.shape[1]
-    with products_per_call(per_call):
+    sent = []
+
+    def record_kernel(products, kernel=embedding_module._exact_row_sums):
+        sent.append(products.copy())
+        return kernel(products)
+
+    with products_per_call(per_call), \
+            mock.patch.object(embedding_module, "_exact_row_sums", record_kernel):
         got, calls = exact_dots_calls(lambda: unit_rows(vectors, ids))
     want = reference_unit_rows(vectors)
     assert np.array_equal(got.astype(np.float32).view(np.uint32), want.view(np.uint32))
-    assert sum(len(call.rows) for call in calls) == len(vectors)
-    for call in calls:
-        assert call.rows is call.queries
-        assert call.row_of.tolist() == call.query_of.tolist() == list(range(len(call.rows)))
-        if kind == "sparse" and dim >= 2:
-            assert all(2 * products.shape[1] <= dim for products in call.kernel)
+    assert calls == []
+    rows = vectors.astype(np.float64)
+    top = (1023 - rows.shape[1].bit_length()) // 2
+    _, exponents = np.frexp(np.abs(rows).max(axis=1))
+    scaled = np.ldexp(rows, (top - exponents)[:, None])
+    assert np.array_equal(np.concatenate(sent).view(np.uint64), (scaled * scaled).view(np.uint64))
 
 
 def test_empty_inputs():
