@@ -58,9 +58,9 @@ allocates, never what an earlier step allocated. A child builds what its
 step needs (the evaluation set, an index to search) before the timing
 starts. The script starts no threads, so forking it is safe.
 
-BLAS is held to one thread, as in ``perfbench/``. The script is not part
-of the test suite: the largest default scale takes minutes and about
-650 MB of memory.
+BLAS is held to one thread, as in ``perfbench/``. The test suite runs
+it only at 500 pairs (``tests/test_scale_profile.py``): the largest
+default scale takes minutes and about 650 MB of memory.
 """
 
 from __future__ import annotations

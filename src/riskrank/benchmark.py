@@ -86,6 +86,7 @@ _EVAL_CHECKS = {
     "k_list": (lambda v: type(v) in (list, tuple) and len(v) > 0
                and all(type(k) is int and k >= 1 for k in v), "a nonempty list of integers >= 1"),
     "rerank": (lambda v: v is None, "None (riskrank does not re-rank)"),
+    "system": (lambda v: type(v) is str, "a string"),
     "seed": INTEGER,
     "k_rrf": POSITIVE_INTEGER,
     "rrf_depth": POSITIVE_INTEGER,

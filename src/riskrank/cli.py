@@ -190,6 +190,8 @@ def _resolve_config(args: argparse.Namespace) -> dict[str, Any]:
             _deep_merge(cfg, read_json(args.config, {}))
         except FileNotFoundError as exc:
             raise UsageError(f"config file not found: {args.config}") from exc
+        except OSError as exc:  # a directory, say
+            raise UsageError(f"config file {args.config}: {exc.strerror or exc}") from exc
         except ValueError as exc:
             raise UsageError(f"config file {exc}") from exc
     _apply_flags(cfg, args.flags)

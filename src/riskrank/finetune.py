@@ -107,7 +107,8 @@ _TRAINING_CHECKS = {
     "batch_size": (lambda v: type(v) is int and v >= 2, "an integer >= 2 (in-batch negatives)"),
     "epochs": POSITIVE_INTEGER,
     "learning_rate": (lambda v: type(v) in (int, float) and np.isfinite(v), "a finite number"),
-    "scale": (lambda v: type(v) in (int, float) and v > 0, "a number > 0"),
+    "scale": (lambda v: type(v) in (int, float) and v > 0 and np.isfinite(v),
+              "a finite number > 0"),
     "seed": INTEGER,
     "shuffle_each_epoch": BOOLEAN,
     "use_bias": BOOLEAN,

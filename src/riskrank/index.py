@@ -39,15 +39,17 @@ tail, ``_top_k``, which orders them by one sort of an int64 key (query,
 then -score, then id) and cuts each query at k. Searching and fusing runs
 makes no Python loop over hits.
 
-Persistence writes a directory with ``meta.json`` (counts, dimension, BM25
-parameters, item ids, token counts), ``vectors.bin`` (the item rows as one
-RKV1 file), and ``postings.jsonl`` (one term per line, sorted by term,
-each ``[item_id, tf]`` pair in index order), each written atomically
-through ``riskrank.cache``; the arrays are a memory layout only and never
-reach the files. Loading checks every ``meta.json`` field the index needs
-and every postings line, and names the file, the line and the field when a
-check fails. It keeps each term's postings in the order of its line, so
-saving a loaded index writes the same bytes.
+Persistence writes a directory with ``meta.json`` (item ids, BM25
+parameters, token counts), ``vectors.bin`` (the item rows as one RKV1
+file, its header the width), and ``postings.jsonl`` (one term per line,
+sorted by term, each ``[item_id, tf]`` pair in index order), each written
+atomically through ``riskrank.cache``; the arrays are a memory layout only
+and never reach the files, and no fact is saved twice: the ids give the
+row count and the token counts the BM25 average length. Loading checks
+every ``meta.json`` field the index needs and every postings line, names
+the file, the line and the field when a check fails, and ignores fields
+it does not read. It keeps each term's postings in the order of its line,
+so saving a loaded index writes the same bytes.
 """
 
 from __future__ import annotations
@@ -319,25 +321,29 @@ def _keyed_sum(
 
 @dataclass(frozen=True, eq=False)
 class DenseIndex:
-    """Item ids plus an (n, dim) float32 matrix of L2-normalized rows.
+    """Item ids plus a 2-D float32 matrix of L2-normalized rows, one per id
+    (else ValueError); ``dim`` is the matrix's width.
 
     Indexes compare and hash by identity: their arrays have no one truth value.
     """
 
     item_ids: tuple[str, ...]
     matrix: np.ndarray
-    dim: int
 
     def __post_init__(self) -> None:
-        if self.matrix.shape != (len(self.item_ids), self.dim):
+        if self.matrix.ndim != 2 or len(self.matrix) != len(self.item_ids):
             raise ValueError(
-                f"matrix has shape {self.matrix.shape}, but item_ids and dim "
-                f"give ({len(self.item_ids)}, {self.dim})"
+                f"matrix has shape {self.matrix.shape}; {len(self.item_ids)} item ids "
+                f"need a 2-D matrix with one row each"
             )
 
     @property
     def count(self) -> int:
         return len(self.item_ids)
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
 
 
 def build_dense_index(
@@ -355,14 +361,13 @@ def build_dense_index(
         raise ValueError(f"got {len(ids)} ids but {len(vectors)} vectors")
     _require_unique(ids, "duplicate item ids")
     if not len(vectors):
-        dim = dim or 0
-        return DenseIndex(item_ids=(), matrix=np.zeros((0, dim), dtype=np.float32), dim=dim)
+        return DenseIndex(item_ids=(), matrix=np.zeros((0, dim or 0), dtype=np.float32))
     as_matrix = isinstance(vectors, np.ndarray)
     shapes = {vectors.shape[1:]} if as_matrix else {np.shape(v) for v in vectors}
     if len(shapes) != 1 or len(next(iter(shapes))) != 1:
         raise ValueError(f"vectors must share one 1-D shape, got {sorted(shapes)}")
     matrix = unit_rows(vectors, ids, "vector for item").astype(np.float32)
-    return DenseIndex(item_ids=tuple(ids), matrix=matrix, dim=matrix.shape[1])
+    return DenseIndex(item_ids=tuple(ids), matrix=matrix)
 
 
 # Filter-then-verify.  For an index row x (float32, widened exactly) and a
@@ -467,17 +472,16 @@ class LexicalIndex:
     are the slice ``starts[r]:starts[r + 1]`` of two parallel int32 arrays:
     ``docs`` holds the item numbers (positions in ``item_ids``) that contain
     the term and ``tf`` how often each contains it, at least once; a term
-    names each item at most once. ``doc_len`` is each item's token count,
-    and ``length_norm``, derived from it, each item's float64
-    ``1 - b + b * doc_len / avgdl``, with every length taken as 0 when
-    ``avgdl`` is not above 0.
+    names each item at most once. ``doc_len`` is each item's token count.
+    Derived from it are ``avgdl``, their mean (0.0 for no items), and
+    ``length_norm``, each item's float64 ``1 - b + b * doc_len / avgdl``,
+    with every length taken as 0 when ``avgdl`` is 0.
 
-    A ``k1`` that is not a finite number >= 0, a ``b`` outside [0, 1], an
-    ``avgdl`` so small that a length norm is not finite, arrays whose sizes
-    disagree, ``starts`` that do not rise from 0 to ``len(docs)``, an item
-    number outside ``item_ids``, a tf below 1 or an item named twice under
-    one term raise ValueError naming what is wrong. Like ``DenseIndex``, it
-    compares and hashes by identity.
+    A ``k1`` that is not a finite number >= 0, a ``b`` outside [0, 1],
+    arrays whose sizes disagree, ``starts`` that do not rise from 0 to
+    ``len(docs)``, an item number outside ``item_ids``, a tf below 1 or an
+    item named twice under one term raise ValueError naming what is wrong.
+    Like ``DenseIndex``, it compares and hashes by identity.
     """
 
     item_ids: tuple[str, ...]
@@ -486,9 +490,9 @@ class LexicalIndex:
     docs: np.ndarray
     tf: np.ndarray
     doc_len: np.ndarray
-    avgdl: float
     k1: float = DEFAULT_K1
     b: float = DEFAULT_B
+    avgdl: float = field(init=False)
     length_norm: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -526,18 +530,11 @@ class LexicalIndex:
                 f"postings of {_term(self.terms, row)!r} name item "
                 f"{self.item_ids[item]!r} more than once"
             )
+        avgdl = float(self.doc_len.sum()) / n if n else 0.0
         doc_len = self.doc_len.astype(np.float64)
-        # A positive avgdl can be so small that a length over it overflows.
-        with np.errstate(over="ignore", invalid="ignore"):
-            ratio = doc_len / self.avgdl if self.avgdl > 0 else 0.0 * doc_len
-            length_norm = 1.0 - self.b + self.b * ratio
-        if not np.isfinite(length_norm).all():
-            bad = int(np.flatnonzero(~np.isfinite(length_norm))[0])
-            raise ValueError(
-                f"avgdl {self.avgdl!r} is too small: item {self.item_ids[bad]!r} of "
-                f"{int(self.doc_len[bad])} tokens gets a length norm of {length_norm[bad]}"
-            )
-        object.__setattr__(self, "length_norm", length_norm)
+        ratio = doc_len / avgdl if avgdl > 0 else 0.0 * doc_len
+        object.__setattr__(self, "avgdl", avgdl)
+        object.__setattr__(self, "length_norm", 1.0 - self.b + self.b * ratio)
 
     @property
     def count(self) -> int:
@@ -553,7 +550,6 @@ def _term(terms: dict[str, int], row: int) -> str:
 _FINITE = (lambda v: type(v) in (int, float) and 0 <= v < math.inf, "a finite number >= 0")
 _BM25_FIELDS = {
     "k1": _FINITE, "b": (lambda v: type(v) in (int, float) and 0 <= v <= 1, "a number in [0, 1]"),
-    "avgdl": _FINITE,
 }
 
 
@@ -598,7 +594,6 @@ def build_lexical_index(
         docs=(keys % n).astype(np.int32),
         tf=tf.astype(np.int32),
         doc_len=doc_len,
-        avgdl=float(doc_len.sum()) / n if n else 0.0,
         k1=k1,
         b=b,
     )
@@ -732,17 +727,15 @@ def save_index(
     path = Path(path)
     ids = dense.item_ids if dense is not None else lexical.item_ids  # type: ignore[union-attr]
     meta: dict = {
-        "count": len(ids),
         "item_ids": list(ids),
         "has_dense": dense is not None,
         "has_lexical": lexical is not None,
     }
     if dense is not None:
-        meta["dim"] = dense.dim
         write_rkv1(path / "vectors.bin", dense.matrix)
     if lexical is not None:
         meta.update(
-            k1=lexical.k1, b=lexical.b, avgdl=lexical.avgdl,
+            k1=lexical.k1, b=lexical.b,
             doc_len=dict(zip(ids, lexical.doc_len.tolist())),
         )
         pairs = [[ids[d], tf] for d, tf in zip(lexical.docs.tolist(), lexical.tf.tolist())]
@@ -755,13 +748,11 @@ def save_index(
 
 
 # Field tables (see ``riskrank.cache``): meta.json always, meta.json with a
-# dense or a lexical part, and each postings.jsonl line.
-_COUNT = (lambda v: type(v) is int and v >= 0, "a non-negative integer")
+# lexical part, and each postings.jsonl line.
 _META_FIELDS = {
-    "count": _COUNT, "has_dense": BOOLEAN, "has_lexical": BOOLEAN,
+    "has_dense": BOOLEAN, "has_lexical": BOOLEAN,
     "item_ids": (lambda v: type(v) is list and all(type(i) is str for i in v), "a list of strings"),
 }
-_DENSE_META_FIELDS = {"dim": _COUNT}
 _INT32_END = 2**31
 _LEXICAL_META_FIELDS = {
     **_BM25_FIELDS,
@@ -778,24 +769,22 @@ _POSTINGS_FIELDS = {
 
 
 def load_index(path: Path | str) -> tuple[DenseIndex | None, LexicalIndex | None]:
-    """Load whatever ``save_index`` wrote; validates sizes and ids against meta.json."""
+    """Load whatever ``save_index`` wrote: one row and one token count per id,
+    the width from ``vectors.bin``; an older ``count``, ``dim`` or ``avgdl`` is ignored."""
     path = Path(path)
     meta_path = path / "meta.json"
     meta = read_json(meta_path, _META_FIELDS)
     ids = tuple(meta["item_ids"])
-    if len(ids) != meta["count"] or len(set(ids)) != len(ids):
+    if len(set(ids)) != len(ids):
         raise ValueError(
-            f"{meta_path}: item_ids holds {len(set(ids))} distinct ids "
-            f"in {len(ids)} entries, but count is {meta['count']}"
+            f"{meta_path}: item_ids holds {len(set(ids))} distinct ids in {len(ids)} entries"
         )
     if not (meta["has_dense"] or meta["has_lexical"]):
         raise ValueError(f"{meta_path}: has_dense and has_lexical are both false")
     dense = None
     lexical = None
     if meta["has_dense"]:
-        check_fields(meta, _DENSE_META_FIELDS, meta_path)
-        matrix = read_rkv1(path / "vectors.bin", meta["count"], meta["dim"])
-        dense = DenseIndex(item_ids=ids, matrix=matrix, dim=meta["dim"])
+        dense = DenseIndex(item_ids=ids, matrix=read_rkv1(path / "vectors.bin", len(ids)))
     if meta["has_lexical"]:
         check_fields(meta, _LEXICAL_META_FIELDS, meta_path)
         number = {item_id: i for i, item_id in enumerate(ids)}
@@ -834,18 +823,14 @@ def load_index(path: Path | str) -> tuple[DenseIndex | None, LexicalIndex | None
             docs.extend(number[item_id] for item_id, _ in entries)
             tfs.extend(tf for _, tf in entries)
             starts.append(len(docs))
-        try:
-            lexical = LexicalIndex(
-                item_ids=ids,
-                terms=terms,
-                starts=np.array(starts, dtype=np.int64),
-                docs=np.array(docs, dtype=np.int32),
-                tf=np.array(tfs, dtype=np.int32),
-                doc_len=np.array([meta["doc_len"][item_id] for item_id in ids], dtype=np.int32),
-                avgdl=float(meta["avgdl"]),
-                k1=float(meta["k1"]),
-                b=float(meta["b"]),
-            )
-        except ValueError as error:
-            raise ValueError(f"{meta_path}: {error}") from None
+        lexical = LexicalIndex(
+            item_ids=ids,
+            terms=terms,
+            starts=np.array(starts, dtype=np.int64),
+            docs=np.array(docs, dtype=np.int32),
+            tf=np.array(tfs, dtype=np.int32),
+            doc_len=np.array([meta["doc_len"][item_id] for item_id in ids], dtype=np.int32),
+            k1=float(meta["k1"]),
+            b=float(meta["b"]),
+        )
     return dense, lexical

@@ -27,7 +27,7 @@ from functools import partial
 import numpy as np
 import requests
 
-from .cache import POSITIVE_INTEGER, VectorCache, cached_embed, check_values
+from .cache import NONEMPTY_STRING, POSITIVE_INTEGER, VectorCache, cached_embed, check_values
 from .embedding import unit_rows
 
 __all__ = ["ProviderConfig", "RemoteEmbedError", "RemoteEmbedder"]
@@ -48,6 +48,8 @@ class ProviderConfig:
     timeout_ms: int = 30_000
 
     def __post_init__(self) -> None:
+        names = ("provider_id", "model_id", "base_url", "api_key_env")
+        check_values(self, dict.fromkeys(names, NONEMPTY_STRING))
         check_values(self, dict.fromkeys(("dim", "max_batch", "timeout_ms"), POSITIVE_INTEGER))
 
 

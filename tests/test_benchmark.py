@@ -1,6 +1,7 @@
 """End-to-end evaluation harness, comparison tables, and report emission."""
 
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -70,6 +71,12 @@ class TestEvalConfig:
         assert EvalConfig().to_dict()["rerank"] is None
         with pytest.raises(ValueError, match="rerank must be None"):
             EvalConfig(rerank="x")
+
+    @pytest.mark.parametrize("system", [5, None, ["a"]], ids=repr)
+    def test_system_is_a_string(self, system):
+        with pytest.raises(ValueError, match=re.escape(f"system must be a string, got {system!r}")):
+            EvalConfig(system=system)
+        assert EvalConfig(system="").system == ""
 
     def test_fingerprint_stable_and_sensitive(self):
         a = EvalConfig(seed=1)

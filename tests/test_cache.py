@@ -108,7 +108,7 @@ def _cache_writer(tmp_path, vector):
 
 
 def _index_writer(tmp_path, vector):
-    save_index(tmp_path / "idx", DenseIndex(("a",), vector.reshape(1, -1), vector.shape[0]))
+    save_index(tmp_path / "idx", DenseIndex(("a",), vector.reshape(1, -1)))
     return tmp_path / "idx" / "vectors.bin", lambda: load_index(tmp_path / "idx")[0].matrix[0]
 
 

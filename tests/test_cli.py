@@ -72,11 +72,21 @@ class TestUsageErrors:
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["eval", "-c", str(tmp_path / "absent.json")]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"riskrank: usage error: config file not found: {tmp_path / 'absent.json'}\n"
+        )
 
     def test_config_must_be_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
         assert main(["eval", "-c", str(bad)]) == 1
+
+    def test_config_path_that_is_a_directory(self, tmp_path, capsys):
+        assert main(["eval", "-c", str(tmp_path), "-o", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"riskrank: usage error: config file {tmp_path}: Is a directory\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_config_must_be_an_object(self, tmp_path, capsys):
         bad = tmp_path / "list.json"
@@ -121,6 +131,9 @@ EVAL_HYBRID = ["eval", "--mode", "hybrid"]
         ({"embedder": {**REMOTE_SPEC, "timeout_ms": 1.5}}, ["eval"]),
         ({"eval": {}}, ["eval", "--k", ""]),
         ({"systems": [{"name": "a", "dim": 999}], "reference": "a"}, ["bench"]),
+        ({"embedder": {**REMOTE_SPEC, "provider_id": 5}}, ["eval"]),
+        ({"embedder": {**REMOTE_SPEC, "base_url": ""}}, ["eval"]),
+        ({"training": {"scale": float("inf")}}, ["train"]),
     ],
     ids=["eval-unknown-key", "eval-k-list-not-a-list", "eval-not-an-object",
          "split-ratio-not-a-number", "embedder-missing-key", "eval-rerank",
@@ -130,7 +143,8 @@ EVAL_HYBRID = ["eval", "--mode", "hybrid"]
          "eval-float-seed", "training-string-use-bias", "training-empty-list",
          "eval-empty-list-under-seed-flag", "systems-not-a-list", "systems-float-dim",
          "jobs-flag-zero", "jobs-string", "embedder-float-timeout", "eval-k-flag-empty",
-         "systems-dim-not-the-embedding-size"],
+         "systems-dim-not-the-embedding-size", "embedder-integer-provider-id",
+         "embedder-empty-base-url", "training-infinite-scale"],
 )
 def test_config_section_its_type_refuses_is_a_usage_error(workspace, capsys, overrides, argv):
     # The first key of ``overrides`` is the section the error must name.
@@ -142,6 +156,26 @@ def test_config_section_its_type_refuses_is_a_usage_error(workspace, capsys, ove
     assert main([argv[0], "-c", cfg, *argv[1:]]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"riskrank: usage error: config section '{section}': "), err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, argv, message",
+    [
+        ({"embedder": {**REMOTE_SPEC, "provider_id": 5}}, ["embed", "--input", "{pairs}"],
+         "config section 'embedder': provider_id must be a nonempty string, got 5"),
+        ({"system": 5}, ["eval"], "config section 'eval': system must be a string, got 5"),
+    ],
+    ids=["embed-integer-provider-id", "eval-integer-system"],
+)
+def test_wrong_typed_config_value_names_its_section(workspace, capsys, overrides, argv, message):
+    tmp_path, data_dir, config = workspace
+    cfg = write_config(
+        tmp_path / "cfg.json", {**config, "out_dir": str(tmp_path / "runs"), **overrides}
+    )
+    argv = [arg.format(pairs=data_dir / "pairs.jsonl") for arg in argv]
+    assert main([argv[0], "-c", cfg, *argv[1:]]) == 1
+    assert capsys.readouterr().err.startswith(f"riskrank: usage error: {message}\n")
     assert not (tmp_path / "runs").exists()
 
 
@@ -464,7 +498,7 @@ class TestIngestChunkEmbedIndex:
             for name in ("postings.jsonl", "meta.json")
         } == {
             "postings.jsonl": "b67af2f126c8fbf2fe1d3717d2d96460dff20000628a85c6034c21a94b527ebf",
-            "meta.json": "e77cabab2c3f224a316d74f6ab064f852c684999bdc354c1e5cae32fc26465cd",
+            "meta.json": "ad775749a5278e6cd47b338b78360b3597cbbf3dc83a6e551b3ce27869616739",
         }
 
     def test_index_mode_outside_the_modes_is_a_usage_error(self, workspace, capsys):
@@ -499,7 +533,6 @@ class TestIngestChunkEmbedIndex:
         out = tmp_path / "idx"
         assert main(["index", "--input", str(pairs), "--mode", "hybrid", "-o", str(out)]) == 0
         meta = json.loads((out / "meta.json").read_text())
-        assert meta["count"] == 2
         assert meta["item_ids"] == ["a", "b"]
         assert sorted(meta["doc_len"]) == ["a", "b"]
 

@@ -137,7 +137,7 @@ def test_many_matches_brute_force_on_built_index(case):
 ))
 def test_many_matches_exact_scan_on_raw_rows(case):
     ids, rows, queries, query_ids, k = case
-    index = DenseIndex(item_ids=tuple(ids), matrix=rows, dim=rows.shape[1])
+    index = DenseIndex(item_ids=tuple(ids), matrix=rows)
     got = dense_search_many(index, queries, k, query_ids)
     for query, ranking in zip(queries, got):
         assert hits(ranking) == exact_scan(ids, rows, query, k)
@@ -147,7 +147,7 @@ def test_many_matches_exact_scan_on_raw_rows(case):
 @given(dense_cases(st.floats(-1, 1, width=32)))
 def test_many_equals_one_query_at_a_time(case):
     ids, rows, queries, query_ids, k = case
-    index = DenseIndex(item_ids=tuple(ids), matrix=rows, dim=rows.shape[1])
+    index = DenseIndex(item_ids=tuple(ids), matrix=rows)
     many = dense_search_many(index, queries, k, query_ids)
     single = [dense_search_many(index, [q], k, [qid])[0]
               for q, qid in zip(queries, query_ids)]
@@ -241,7 +241,7 @@ def test_wide_queries_match_brute_force_bits(case):
 ))
 def test_wide_queries_match_exact_scan_bits(case):
     ids, rows, queries, query_ids, k = case
-    index = DenseIndex(item_ids=tuple(ids), matrix=rows, dim=rows.shape[1])
+    index = DenseIndex(item_ids=tuple(ids), matrix=rows)
     for fsum in FSUMS:
         with mock.patch.object(math, "fsum", fsum):
             got, _ = kept_pairs_reach_the_kernel(
@@ -261,7 +261,7 @@ def test_exact_ties_that_blas_splits():
     query = np.ones(4)
     for first in range(len(perms)):
         ids = [f"item-{(i - first) % len(perms):02d}" for i in range(len(perms))]
-        index = DenseIndex(item_ids=tuple(ids), matrix=rows, dim=4)
+        index = DenseIndex(item_ids=tuple(ids), matrix=rows)
         for k in (1, 3):
             (got,) = dense_search_many(index, query[None, :], k, ["q"])
             assert hits(got) == exact_scan(ids, rows, query, k)
@@ -273,7 +273,7 @@ def test_negative_zero_products_score_plus_zero_under_both_conventions():
     sign either way; the score is +0.0 under both conventions."""
     rows = np.array([[0.0, 0.0]], dtype=np.float32)
     query = np.array([[-0.0, -0.0]])
-    for index in (DenseIndex(item_ids=("item-00",), matrix=rows, dim=2),
+    for index in (DenseIndex(item_ids=("item-00",), matrix=rows),
                   build_dense_index(["item-00"], rows)):
         for fsum in FSUMS:
             with mock.patch.object(math, "fsum", fsum):
@@ -411,7 +411,7 @@ def test_sparse_queries_match_brute_force_bits(case):
 ))
 def test_sparse_queries_match_exact_scan_bits(case):
     ids, rows, queries, query_ids, k = case
-    index = DenseIndex(item_ids=tuple(ids), matrix=rows, dim=rows.shape[1])
+    index = DenseIndex(item_ids=tuple(ids), matrix=rows)
     for fsum in FSUMS:
         with mock.patch.object(math, "fsum", fsum):
             got, _ = kept_pairs_reach_the_kernel(
@@ -471,7 +471,7 @@ def test_mixed_blocks_match_brute_force_bits(case):
 ))
 def test_mixed_blocks_match_exact_scan_bits(case):
     ids, rows, queries, query_ids, k, per_call = case
-    index = DenseIndex(item_ids=tuple(ids), matrix=rows, dim=rows.shape[1])
+    index = DenseIndex(item_ids=tuple(ids), matrix=rows)
     for fsum in FSUMS:
         with mock.patch.object(math, "fsum", fsum), products_per_call(per_call):
             got, _ = kept_pairs_reach_the_kernel(
@@ -493,7 +493,7 @@ def test_one_row_sends_a_whole_kernel_call_to_fsum():
     rows[7, 0] = 1.5 * 2.0**1023
     rows[9, 3] = -0.0
     ids = [f"item-{i:02d}" for i in range(len(rows))]
-    index = DenseIndex(item_ids=tuple(ids), matrix=rows, dim=8)
+    index = DenseIndex(item_ids=tuple(ids), matrix=rows)
     one_hot = np.eye(8)[[0, 3]]
     blocks = [one_hot, np.vstack([one_hot, rng.normal(size=8), np.zeros(8)])]
     for queries, k in itertools.product(blocks, (1, 5, 40)):

@@ -443,6 +443,11 @@ class TestTrainAdapter:
         with pytest.raises(ValueError):
             TrainingConfig(scale=0.0)
 
+    @pytest.mark.parametrize("scale", [float("inf"), float("nan"), -1.0, "20", True], ids=repr)
+    def test_scale_is_a_finite_number_above_zero(self, scale):
+        with pytest.raises(ValueError, match=f"^scale must be a finite number > 0, got {scale!r}$"):
+            TrainingConfig(scale=scale)
+
     @pytest.mark.parametrize(
         "field, value",
         [("batch_size", 2.5), ("batch_size", True), ("epochs", 1.0), ("epochs", True),

@@ -209,15 +209,21 @@ class TestDenseSearch:
 
     def test_non_finite_stored_row_names_item(self):
         matrix = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=np.float32)
-        index = DenseIndex(item_ids=("a", "b"), matrix=matrix, dim=2)
+        index = DenseIndex(item_ids=("a", "b"), matrix=matrix)
         with pytest.raises(ValueError, match="'a'"):
             dense_search_many(index, [np.array([0.0, 1.0])], 1, ["q"])
 
     def test_matrix_must_match_ids_and_dim(self):
-        with pytest.raises(ValueError, match=r"shape \(3, 3\).*\(1, 3\)"):
-            DenseIndex(item_ids=("a",), matrix=np.eye(3, dtype=np.float32), dim=3)
-        with pytest.raises(ValueError, match=r"shape \(3, 3\).*\(3, 4\)"):
-            DenseIndex(item_ids=("a", "b", "c"), matrix=np.eye(3, dtype=np.float32), dim=4)
+        """One row per id; the width is the matrix's own."""
+        with pytest.raises(ValueError, match=r"shape \(3, 3\); 1 item ids need"):
+            DenseIndex(item_ids=("a",), matrix=np.eye(3, dtype=np.float32))
+        index = DenseIndex(item_ids=("a", "b", "c"), matrix=np.eye(3, 4, dtype=np.float32))
+        assert (index.count, index.dim) == (3, 4)
+
+    def test_matrix_must_be_two_dimensional(self):
+        for matrix in (np.ones(3, dtype=np.float32), np.ones((3, 1, 1), dtype=np.float32)):
+            with pytest.raises(ValueError, match="need a 2-D matrix"):
+                DenseIndex(item_ids=("a", "b", "c"), matrix=matrix)
 
     def test_many_checks_shapes_and_ids(self):
         index = build_dense_index(["a"], [np.ones(3)])
@@ -303,7 +309,7 @@ class TestBM25:
                 index = LexicalIndex(
                     item_ids=ids, terms={"risk": 0}, starts=np.array([0, df]),
                     docs=np.arange(df, dtype=np.int32), tf=np.full(df, tf, dtype=np.int32),
-                    doc_len=np.full(n_docs, doc_len, dtype=np.int32), avgdl=10.0,
+                    doc_len=np.full(n_docs, doc_len, dtype=np.int32),
                 )
                 hits = lexical_search_many(index, ["risk"], n_docs, ["q"])[0].hits
                 assert [item for item, _ in hits] == list(ids[:df])
@@ -361,20 +367,22 @@ class TestBM25:
         assert lexical_search_many(index, ["risk"], 2, ["q"])[0].hits == ()
 
     def test_average_length_zero_counts_every_length_as_zero(self, tmp_path):
-        # Only a saved index can hold postings with avgdl 0: the rule of
-        # bm25_term_weight holds for each posting of a search as well.
+        # An index whose token counts are all 0 (here a saved one, edited)
+        # can hold postings with avgdl 0: the rule of bm25_term_weight holds
+        # for each posting of a search as well.
         save_index(tmp_path / "idx", lexical=build_lexical_index(
             ["a", "b", "c"], ["risk risk capital", "risk", "capital audit"]
         ))
         meta = json.loads((tmp_path / "idx" / "meta.json").read_text())
-        meta["avgdl"] = 0.0
+        meta["doc_len"] = dict.fromkeys(meta["doc_len"], 0)
         (tmp_path / "idx" / "meta.json").write_text(json.dumps(meta))
         _, index = load_index(tmp_path / "idx")
+        assert index.avgdl == 0.0
         assert index.length_norm.tolist() == [0.25] * 3
         scores = dict(lexical_search_many(index, ["risk"], 3, ["q"])[0].hits)
         assert scores == {
-            "a": bm25_term_weight(2, 2, 3, 0.0, 3, 1.2, 0.75),
-            "b": bm25_term_weight(1, 2, 1, 0.0, 3, 1.2, 0.75),
+            "a": bm25_term_weight(2, 2, 0, 0.0, 3, 1.2, 0.75),
+            "b": bm25_term_weight(1, 2, 0, 0.0, 3, 1.2, 0.75),
         }
 
 
@@ -435,7 +443,6 @@ class TestLexicalSearch:
                     docs=np.array([0, 0, ghost], dtype=np.int32),
                     tf=np.array([1, 1, 2], dtype=np.int32),
                     doc_len=index.doc_len,
-                    avgdl=index.avgdl,
                 )
 
     @pytest.mark.parametrize("tf, message", [
@@ -450,7 +457,6 @@ class TestLexicalSearch:
             LexicalIndex(
                 item_ids=index.item_ids, terms=index.terms, starts=index.starts,
                 docs=index.docs, tf=np.array(tf, dtype=np.int32), doc_len=index.doc_len,
-                avgdl=index.avgdl,
             )
 
     @pytest.mark.parametrize("starts, docs, message", [
@@ -466,7 +472,7 @@ class TestLexicalSearch:
                 item_ids=index.item_ids, terms={"capital": 0, "risk": 1},
                 starts=np.array(starts),
                 docs=np.array(docs, dtype=np.int32), tf=np.ones(4, dtype=np.int32),
-                doc_len=index.doc_len, avgdl=index.avgdl,
+                doc_len=index.doc_len,
             )
 
     @pytest.mark.parametrize(
@@ -486,44 +492,11 @@ class TestLexicalSearch:
         index = build_lexical_index(["d1"], ["credit risk"])
         fields = dict(
             item_ids=index.item_ids, terms=index.terms, starts=index.starts, docs=index.docs,
-            tf=index.tf, doc_len=index.doc_len, avgdl=index.avgdl,
+            tf=index.tf, doc_len=index.doc_len,
         )
         LexicalIndex(**fields)
         with pytest.raises(ValueError):
             LexicalIndex(**{**fields, **change})
-
-    @pytest.mark.parametrize("avgdl", [float("nan"), float("inf"), -3.0, "2"], ids=repr)
-    def test_hand_built_average_length_is_checked(self, avgdl):
-        index = build_lexical_index(["d1"], ["credit risk"])
-        message = f"avgdl must be a finite number >= 0, got {avgdl!r}"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            LexicalIndex(
-                item_ids=index.item_ids, terms=index.terms, starts=index.starts,
-                docs=index.docs, tf=index.tf, doc_len=index.doc_len, avgdl=avgdl,
-            )
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("k1", [0.0, 1.2])
-    def test_average_length_too_small_is_refused(self, tmp_path, k1):
-        """A positive avgdl so small that a length over it overflows would
-        make every length norm inf, each BM25 weight 0 (k1 > 0) or NaN
-        (k1 = 0) and every ranking empty; it is refused, with no warning."""
-        built = build_lexical_index(["a", "b", "c"], ["", "risk capital", "risk"], k1=k1)
-        fields = dict(
-            item_ids=built.item_ids, terms=built.terms, starts=built.starts, docs=built.docs,
-            tf=built.tf, doc_len=built.doc_len, k1=k1,
-        )
-        message = "avgdl 5e-324 is too small: item 'b' of 2 tokens gets a length norm of inf"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            LexicalIndex(**fields, avgdl=5e-324)
-        assert LexicalIndex(**fields, avgdl=1e-300).length_norm[0] == 0.25
-        save_index(tmp_path / "idx", lexical=built)
-        meta_path = tmp_path / "idx" / "meta.json"
-        meta = json.loads(meta_path.read_text())
-        meta["avgdl"] = 5e-324
-        meta_path.write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match=re.escape(f"{meta_path}: {message}")):
-            load_index(tmp_path / "idx")
 
     def test_large_index_keeps_many_queries_per_block(self):
         """Past _BLOCK_ITEMS items, a block still holds _MIN_BLOCK_QUERIES queries."""
@@ -780,6 +753,49 @@ class TestPersistence:
             assert getattr(lexical2, name).tolist() == getattr(lexical, name).tolist()
         assert (lexical2.avgdl, lexical2.k1, lexical2.b) == (lexical.avgdl, lexical.k1, lexical.b)
 
+    def test_meta_saves_each_fact_once(self, tmp_path):
+        """The row count is the ids, the width is in vectors.bin and the
+        average length comes from doc_len, so meta.json holds none of them."""
+        path, meta = self.saved_abc(tmp_path)
+        assert sorted(meta) == ["b", "doc_len", "has_dense", "has_lexical", "item_ids", "k1"]
+        empty = tmp_path / "empty"
+        save_index(empty, build_dense_index([], [], dim=3))
+        dense, _ = load_index(empty)
+        assert dense.matrix.shape == (0, 3)
+
+    def test_older_meta_with_count_dim_and_avgdl_loads_alike(self, tmp_path):
+        path, meta = self.saved_abc(tmp_path)
+        dense, lexical = load_index(path)
+        (path / "meta.json").write_text(json.dumps(
+            {**meta, "count": 3, "dim": 3, "avgdl": lexical.avgdl}, indent=2, sort_keys=True
+        ))
+        dense2, lexical2 = load_index(path)
+        assert dense2.matrix.tobytes() == dense.matrix.tobytes()
+        for name in ("starts", "docs", "tf", "doc_len", "length_norm"):
+            assert getattr(lexical2, name).tobytes() == getattr(lexical, name).tobytes()
+        assert lexical2.avgdl == lexical.avgdl == 5 / 3
+        queries = ["risk", "risk alpha gamma", "beta"]
+        query_ids = ["q1", "q2", "q3"]
+        assert list(lexical_search_many(lexical2, queries, 3, query_ids)) == list(
+            lexical_search_many(lexical, queries, 3, query_ids)
+        )
+        assert list(dense_search_many(dense2, np.eye(3), 3, query_ids)) == list(
+            dense_search_many(dense, np.eye(3), 3, query_ids)
+        )
+
+    @pytest.mark.parametrize("avgdl", [0.0, 1e-300, 100.0, "2"], ids=repr)
+    def test_saved_average_length_is_ignored(self, tmp_path, avgdl):
+        """The average length is derived from doc_len, so an edited avgdl in
+        meta.json changes no score."""
+        path, meta = self.saved_abc(tmp_path)
+        _, lexical = load_index(path)
+        (path / "meta.json").write_text(json.dumps({**meta, "avgdl": avgdl}))
+        _, edited = load_index(path)
+        assert edited.avgdl == lexical.avgdl
+        assert list(lexical_search_many(edited, ["risk alpha"], 3, ["q"])) == list(
+            lexical_search_many(lexical, ["risk alpha"], 3, ["q"])
+        )
+
     def test_shuffled_postings_load_rank_and_save_alike(self, tmp_path, rng):
         words = ["risk", "capital", "stress", "credit", "basel", "audit", "liquidity"]
         texts = [
@@ -840,11 +856,8 @@ class TestPersistence:
         return tmp_path / "idx", meta
 
     def test_item_ids_must_match_count(self, tmp_path):
+        """The ids are the index's row count, so they must be distinct."""
         path, meta = self.saved_abc(tmp_path)
-        meta["item_ids"] = ["a", "b"]
-        (path / "meta.json").write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match=r"meta\.json: item_ids .* count is 3"):
-            load_index(path)
         meta["item_ids"] = ["a", "b", "b"]
         (path / "meta.json").write_text(json.dumps(meta))
         with pytest.raises(ValueError, match=r"meta\.json: item_ids holds 2 distinct"):
@@ -951,15 +964,8 @@ class TestPersistence:
         [
             ('{"count": 3,', "invalid JSON"),
             ("[3]", "expected a JSON object"),
-            (lambda meta: meta.pop("count"), "missing field 'count'"),
             (lambda meta: meta.update(item_ids="abc"), "field 'item_ids'"),
             (lambda meta: meta.update(has_dense="no"), "field 'has_dense'"),
-            (lambda meta: meta.update(dim="3"), "field 'dim'"),
-            (lambda meta: meta.pop("avgdl"), "missing field 'avgdl'"),
-            (lambda meta: meta.update(avgdl=float("nan")), "field 'avgdl' must be a finite"),
-            (lambda meta: meta.update(avgdl=float("inf")), "field 'avgdl'"),
-            (lambda meta: meta.update(avgdl=-float("inf")), "field 'avgdl'"),
-            (lambda meta: meta.update(avgdl=-3.0), "field 'avgdl'"),
             (lambda meta: meta["doc_len"].update(a="2"), "field 'doc_len'"),
             (lambda meta: meta["doc_len"].update(a=2**31), "field 'doc_len'"),
             (lambda meta: meta.update(k1=-1.0), "field 'k1' must be a finite number >= 0"),
@@ -971,9 +977,8 @@ class TestPersistence:
              "has_dense and has_lexical are both false"),
         ],
         ids=[
-            "invalid-json", "not-an-object", "missing-count", "string-item_ids",
-            "string-has_dense", "string-dim", "missing-avgdl", "nan-avgdl", "infinite-avgdl",
-            "minus-infinite-avgdl", "negative-avgdl", "string-doc_len-value",
+            "invalid-json", "not-an-object", "string-item_ids", "string-has_dense",
+            "string-doc_len-value",
             "doc_len-past-int32", "negative-k1", "infinite-k1", "nan-b", "b-above-one",
             "string-b", "nothing-saved",
         ],

@@ -1,6 +1,7 @@
 """Remote embedding client against a live local HTTP server."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -280,6 +281,15 @@ def test_config_validation():
         ProviderConfig("p", "m", "http://x", "KEY", dim=0)
     with pytest.raises(ValueError):
         ProviderConfig("p", "m", "http://x", "KEY", dim=8, max_batch=0)
+
+
+@pytest.mark.parametrize("field", ["provider_id", "model_id", "base_url", "api_key_env"])
+@pytest.mark.parametrize("value", [5, "", None, b"p"], ids=repr)
+def test_config_names_are_nonempty_strings(field, value):
+    names = {"provider_id": "p", "model_id": "m", "base_url": "http://x", "api_key_env": "KEY"}
+    message = f"{field} must be a nonempty string, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ProviderConfig(**{**names, field: value}, dim=8)
 
 
 def test_embedder_wrapper(embedding_server, tmp_path):
