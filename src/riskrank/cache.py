@@ -32,6 +32,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import os
 import re
 import struct
@@ -138,6 +139,14 @@ NONEMPTY_STRING = (lambda v: type(v) is str and v != "", "a nonempty string")
 INTEGER = (lambda v: type(v) is int, "an integer")
 POSITIVE_INTEGER = (lambda v: type(v) is int and v >= 1, "an integer >= 1")
 BOOLEAN = (lambda v: type(v) is bool, "true or false")
+
+
+def is_finite_number(v: Any) -> bool:
+    """True for an int or float, not a bool, that converts to a finite float."""
+    try:
+        return type(v) in (int, float) and math.isfinite(v)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def check_values(obj: Any, fields: Fields) -> None:

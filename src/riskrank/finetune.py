@@ -22,8 +22,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cache import (
-    BOOLEAN, INTEGER, POSITIVE_INTEGER, check_values, json_text, read_json, read_rkv1,
-    write_file, write_jsonl, write_rkv1,
+    BOOLEAN, INTEGER, POSITIVE_INTEGER, check_values, is_finite_number, json_text, read_json,
+    read_rkv1, write_file, write_jsonl, write_rkv1,
 )
 from .corpus import QAPair
 from .embedding import Embedder, checked_embed
@@ -106,9 +106,8 @@ class TrainingConfig:
 _TRAINING_CHECKS = {
     "batch_size": (lambda v: type(v) is int and v >= 2, "an integer >= 2 (in-batch negatives)"),
     "epochs": POSITIVE_INTEGER,
-    "learning_rate": (lambda v: type(v) in (int, float) and np.isfinite(v), "a finite number"),
-    "scale": (lambda v: type(v) in (int, float) and v > 0 and np.isfinite(v),
-              "a finite number > 0"),
+    "learning_rate": (is_finite_number, "a finite number"),
+    "scale": (lambda v: is_finite_number(v) and v > 0, "a finite number > 0"),
     "seed": INTEGER,
     "shuffle_each_epoch": BOOLEAN,
     "use_bias": BOOLEAN,

@@ -64,8 +64,8 @@ from typing import Sequence
 import numpy as np
 
 from .cache import (
-    BOOLEAN, NONEMPTY_STRING, POSITIVE_INTEGER, check_fields, check_values, json_text,
-    read_json, read_jsonl, read_rkv1, write_file, write_jsonl, write_rkv1,
+    BOOLEAN, NONEMPTY_STRING, POSITIVE_INTEGER, check_fields, check_values, is_finite_number,
+    json_text, read_json, read_jsonl, read_rkv1, write_file, write_jsonl, write_rkv1,
 )
 from . import embedding
 from .embedding import tokenize, unit_rows
@@ -547,7 +547,7 @@ def _term(terms: dict[str, int], row: int) -> str:
 
 
 # BM25 parameters, for ``LexicalIndex`` and the ``meta.json`` of a saved index.
-_FINITE = (lambda v: type(v) in (int, float) and 0 <= v < math.inf, "a finite number >= 0")
+_FINITE = (lambda v: is_finite_number(v) and v >= 0, "a finite number >= 0")
 _BM25_FIELDS = {
     "k1": _FINITE, "b": (lambda v: type(v) in (int, float) and 0 <= v <= 1, "a number in [0, 1]"),
 }

@@ -5,6 +5,12 @@ Wire format: ``POST {base_url}/embeddings`` with JSON body
 ``Authorization: Bearer <key>``; the response is
 ``{"data": [{"index": i, "embedding": [floats]}, ...]}``.
 
+Requests go through the standard library's ``urllib.request``: proxies come
+from ``http_proxy`` / ``https_proxy`` / ``no_proxy``, HTTPS verifies against
+the system CA store (or ``SSL_CERT_FILE``), ``~/.netrc`` is not read, and a
+redirect is not followed: it fails as ``HTTP <status>`` like any answer
+other than 200, so the key and the texts go only to ``base_url``.
+
 ``RemoteEmbedder.embed`` goes through ``cache.cached_embed``: texts already
 in the vector cache are served locally, and all misses go to one
 ``RemoteEmbedder.fetch`` that sends them in batches of at most ``max_batch``
@@ -18,14 +24,17 @@ rows and queries. The API key is read only when some text misses the cache.
 
 from __future__ import annotations
 
+import http.client
+import json
 import logging
 import os
+import urllib.error
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-import requests
 
 from .cache import NONEMPTY_STRING, POSITIVE_INTEGER, VectorCache, cached_embed, check_values
 from .embedding import unit_rows
@@ -33,6 +42,14 @@ from .embedding import unit_rows
 __all__ = ["ProviderConfig", "RemoteEmbedError", "RemoteEmbedder"]
 
 logger = logging.getLogger(__name__)
+
+
+class _NoRedirect(urllib.request.HTTPRedirectHandler):
+    """Refuse every redirect: urllib would resend a POST's headers, the key
+    among them, as a GET to the new location."""
+
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        return None
 
 
 @dataclass(frozen=True)
@@ -72,29 +89,37 @@ def _api_key(config: ProviderConfig) -> str:
     return key
 
 
-def _fetch_batch(config: ProviderConfig, key: str, batch: list[str]) -> np.ndarray:
+def _fetch_batch(
+    opener: urllib.request.OpenerDirector, config: ProviderConfig, key: str, batch: list[str]
+) -> np.ndarray:
     """The provider's ``(len(batch), dim)`` float32 matrix for ``batch``, checked."""
     url = config.base_url.rstrip("/") + "/embeddings"
+    request = urllib.request.Request(
+        url,
+        data=json.dumps({"model": config.model_id, "input": batch}).encode(),
+        headers={"Authorization": f"Bearer {key}", "Content-Type": "application/json"},
+        method="POST",
+    )
     try:
-        resp = requests.post(
-            url,
-            json={"model": config.model_id, "input": batch},
-            headers={"Authorization": f"Bearer {key}"},
-            timeout=config.timeout_ms / 1000.0,
-        )
-    except requests.RequestException as exc:
+        # The read sits inside the try: a timeout can strike there too.
+        with opener.open(request, timeout=config.timeout_ms / 1000) as resp:
+            status, body = resp.status, resp.read()
+    except urllib.error.HTTPError as exc:
+        exc.close()
+        status, body = exc.code, b""
+    except (OSError, http.client.HTTPException) as exc:
         raise RemoteEmbedError(
             f"provider {config.provider_id} ({config.model_id}): request failed: {exc}",
             retryable=True,
         ) from exc
-    if resp.status_code != 200:
+    if status != 200:
         raise RemoteEmbedError(
             f"provider {config.provider_id} ({config.model_id}): "
-            f"HTTP {resp.status_code} from {url}",
+            f"HTTP {status} from {url}",
             retryable=True,
         )
     try:
-        data = resp.json()["data"]
+        data = json.loads(body)["data"]  # invalid JSON or UTF-8 raises ValueError
         indices = [entry["index"] for entry in data]
         # Each index an int (not a bool), each of the batch's exactly once.
         if any(type(i) is not int for i in indices) or sorted(indices) != list(range(len(batch))):
@@ -169,5 +194,8 @@ class RemoteEmbedder:
             "fetching %d texts in %d batches from %s",
             len(texts), len(batches), config.provider_id,
         )
+        # Built per fetch, so the proxy settings are read when texts are sent.
+        opener = urllib.request.build_opener(_NoRedirect)
         with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-            return np.concatenate(list(pool.map(partial(_fetch_batch, config, key), batches)))
+            fetch_batch = partial(_fetch_batch, opener, config, key)
+            return np.concatenate(list(pool.map(fetch_batch, batches)))

@@ -1,9 +1,15 @@
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
+
+
+# How long the ``slow`` model waits before it hangs up: past a 200 ms client
+# timeout, and short, since a handler thread sleeps it out.
+SLOW_S = 0.5
 
 
 def server_vector(text: str, dim: int) -> list[float]:
@@ -18,8 +24,11 @@ class _EmbeddingHandler(BaseHTTPRequestHandler):
     ``ok-<dim>`` answers correctly, ``wrong-dim`` answers with 4-dim vectors,
     ``ragged`` makes the last vector 4-dim among 8-dim ones, ``partial`` drops
     the last entry, ``dup-index`` adds an entry that gives index 0 the last
-    text's vector, ``nan`` puts a NaN in the last vector, and ``boom``
-    returns HTTP 500.
+    text's vector, ``nan`` puts a NaN in the last vector, ``canned``
+    answers with the body ``server.canned``, ``boom`` returns HTTP 500,
+    ``status-<code>`` returns that status with no body and a ``Location``
+    of the same path, and ``slow`` hangs up after ``SLOW_S`` without an
+    answer.
     """
 
     def do_POST(self):  # noqa: N802  (http.server API)
@@ -40,6 +49,14 @@ class _EmbeddingHandler(BaseHTTPRequestHandler):
             self.send_response(500)
             self.end_headers()
             return
+        if model.startswith("status-"):
+            self.send_response(int(model.split("-")[1]))
+            self.send_header("Location", self.path)
+            self.end_headers()
+            return
+        if model == "slow":
+            time.sleep(SLOW_S)
+            return
         if model == "wrong-dim":
             dim = 4
         elif model.startswith("ok-"):
@@ -59,6 +76,8 @@ class _EmbeddingHandler(BaseHTTPRequestHandler):
         if model == "nan" and data:
             data[-1]["embedding"][0] = float("nan")
         payload = json.dumps({"data": data}).encode("utf-8")
+        if model == "canned":
+            payload = self.server.canned
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -74,6 +93,7 @@ class EmbeddingServer:
         self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), _EmbeddingHandler)
         self.httpd.lock = threading.Lock()
         self.httpd.requests = []
+        self.httpd.canned = None
         self.thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
         self.thread.start()
 
@@ -90,6 +110,11 @@ class EmbeddingServer:
     def reset(self) -> None:
         with self.httpd.lock:
             self.httpd.requests.clear()
+        self.httpd.canned = None
+
+    def answer_with(self, body: bytes) -> None:
+        """Make the ``canned`` model answer HTTP 200 with ``body``."""
+        self.httpd.canned = body
 
     def close(self) -> None:
         self.httpd.shutdown()

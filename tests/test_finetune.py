@@ -449,6 +449,14 @@ class TestTrainAdapter:
             TrainingConfig(scale=scale)
 
     @pytest.mark.parametrize(
+        "field, want", [("learning_rate", "a finite number"), ("scale", "a finite number > 0")]
+    )
+    def test_int_too_large_for_a_float_is_not_finite(self, field, want):
+        value = 10**400
+        with pytest.raises(ValueError, match=f"^{field} must be {want}, got {value}$"):
+            TrainingConfig(**{field: value})
+
+    @pytest.mark.parametrize(
         "field, value",
         [("batch_size", 2.5), ("batch_size", True), ("epochs", 1.0), ("epochs", True),
          ("seed", 7.0), ("seed", "7")],

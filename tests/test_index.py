@@ -970,6 +970,7 @@ class TestPersistence:
             (lambda meta: meta["doc_len"].update(a=2**31), "field 'doc_len'"),
             (lambda meta: meta.update(k1=-1.0), "field 'k1' must be a finite number >= 0"),
             (lambda meta: meta.update(k1=float("inf")), "field 'k1'"),
+            (lambda meta: meta.update(k1=10**400), "field 'k1' must be a finite number >= 0"),
             (lambda meta: meta.update(b=float("nan")), "field 'b' must be a number in"),
             (lambda meta: meta.update(b=1.5), "field 'b'"),
             (lambda meta: meta.update(b="0.75"), "field 'b'"),
@@ -979,7 +980,7 @@ class TestPersistence:
         ids=[
             "invalid-json", "not-an-object", "string-item_ids", "string-has_dense",
             "string-doc_len-value",
-            "doc_len-past-int32", "negative-k1", "infinite-k1", "nan-b", "b-above-one",
+            "doc_len-past-int32", "negative-k1", "infinite-k1", "401-digit-k1", "nan-b", "b-above-one",
             "string-b", "nothing-saved",
         ],
     )

@@ -1,22 +1,22 @@
 """Remote embedding client against a live local HTTP server."""
 
+import json
 import math
 import re
 
 import numpy as np
 import pytest
 
-from riskrank import remote
 from riskrank.cache import CorruptCacheError, VectorCache, cached_embed, text_digest
 from riskrank.corpus import QAPair
 from riskrank.finetune import TrainingConfig, train_adapter
 from riskrank.remote import ProviderConfig, RemoteEmbedder, RemoteEmbedError
 
-from conftest import server_vector
+from conftest import SLOW_S, server_vector
 from reference import reference_unit_rows
 
 
-def make_config(server, model="ok-8", dim=8, max_batch=10) -> ProviderConfig:
+def make_config(server, model="ok-8", dim=8, max_batch=10, timeout_ms=5000) -> ProviderConfig:
     return ProviderConfig(
         provider_id="testprov",
         model_id=model,
@@ -24,7 +24,7 @@ def make_config(server, model="ok-8", dim=8, max_batch=10) -> ProviderConfig:
         api_key_env="RISKRANK_TEST_API_KEY",
         dim=dim,
         max_batch=max_batch,
-        timeout_ms=5000,
+        timeout_ms=timeout_ms,
     )
 
 
@@ -158,20 +158,12 @@ def test_ragged_response_is_hard_error(embedding_server, tmp_path):
     assert not list(tmp_path.rglob("*.vec"))
 
 
-def fetch_answered_with(data, texts, tmp_path, monkeypatch):
+def fetch_answered_with(data, texts, tmp_path, server):
     """The ``RemoteEmbedError`` that fetching ``texts`` raises when every
-    request is answered with HTTP 200 and ``{"data": data}``."""
-
-    class Response:
-        status_code = 200
-
-        def json(self):
-            return {"data": data}
-
-    monkeypatch.setattr(remote.requests, "post", lambda *args, **kwargs: Response())
-    config = ProviderConfig(
-        "testprov", "ok-8", "http://127.0.0.1:9", "RISKRANK_TEST_API_KEY", dim=8
-    )
+    request is answered with HTTP 200 and ``{"data": data}``, or with
+    ``data`` itself when it is bytes."""
+    server.answer_with(data if type(data) is bytes else json.dumps({"data": data}).encode())
+    config = make_config(server, model="canned")
     with pytest.raises(RemoteEmbedError) as excinfo:
         RemoteEmbedder(config, VectorCache(tmp_path)).fetch(texts)
     assert not excinfo.value.retryable
@@ -180,8 +172,15 @@ def fetch_answered_with(data, texts, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("embedding", ["not a vector", ["x"] * 8, [None, {}] * 4])
-def test_non_numeric_embedding_is_hard_error(tmp_path, monkeypatch, embedding):
-    fetch_answered_with([{"index": 0, "embedding": embedding}], ["alpha"], tmp_path, monkeypatch)
+def test_non_numeric_embedding_is_hard_error(embedding_server, tmp_path, embedding):
+    data = [{"index": 0, "embedding": embedding}]
+    fetch_answered_with(data, ["alpha"], tmp_path, embedding_server)
+
+
+@pytest.mark.parametrize("body", [b"not json", b'{"data": "\xff"}', b'["data"]'])
+def test_malformed_body_is_hard_error(embedding_server, tmp_path, body):
+    error = fetch_answered_with(body, ["alpha"], tmp_path, embedding_server)
+    assert "malformed response body" in str(error)
 
 
 def test_partial_response_is_hard_error(embedding_server, tmp_path):
@@ -203,9 +202,9 @@ def test_repeated_index_is_hard_error(embedding_server, tmp_path):
 
 
 @pytest.mark.parametrize("indices", [[0, "1"], [0.9, 1], [0, 1.0], [False, True]])
-def test_non_integer_indices_are_hard_error(tmp_path, monkeypatch, indices):
+def test_non_integer_indices_are_hard_error(embedding_server, tmp_path, indices):
     data = [{"index": i, "embedding": [1.0] * 8} for i in indices]
-    error = fetch_answered_with(data, ["alpha", "beta"], tmp_path, monkeypatch)
+    error = fetch_answered_with(data, ["alpha", "beta"], tmp_path, embedding_server)
     assert f"got {indices!r} for a batch of 2" in str(error)
 
 
@@ -225,6 +224,28 @@ def test_http_failure_is_retryable(embedding_server, tmp_path):
         embed_remote(config, ["alpha"], VectorCache(tmp_path))
     assert excinfo.value.retryable
     assert "testprov" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("status", [201, 302, 307])
+def test_status_other_than_200_is_retryable(embedding_server, tmp_path, status):
+    """A 2xx other than 200 is an error too, and a redirect is not followed:
+    the one request sent is the POST to ``base_url``."""
+    config = make_config(embedding_server, model=f"status-{status}")
+    with pytest.raises(RemoteEmbedError) as excinfo:
+        embed_remote(config, ["alpha"], VectorCache(tmp_path))
+    assert excinfo.value.retryable
+    assert f"HTTP {status} from {embedding_server.base_url}/embeddings" in str(excinfo.value)
+    assert len(embedding_server.requests) == 1
+
+
+def test_timeout_is_retryable(embedding_server, tmp_path):
+    config = make_config(embedding_server, model="slow", timeout_ms=200)
+    assert config.timeout_ms / 1000 < SLOW_S
+    with pytest.raises(RemoteEmbedError) as excinfo:
+        RemoteEmbedder(config, VectorCache(tmp_path)).fetch(["alpha"])
+    assert excinfo.value.retryable
+    assert "testprov" in str(excinfo.value)
+    assert "timed out" in str(excinfo.value)
 
 
 @pytest.mark.parametrize("jobs", [1, 4])
